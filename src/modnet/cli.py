@@ -218,6 +218,15 @@ def load_config(command, path):
     return defaults
 
 
+def _int(value, key):
+    """An integral config value as an int; anything else is rejected."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ConfigError(f"config key {key!r} must be an integer, "
+                          f"got {value!r}")
+    return int(value)
+
+
 def _resolve_out_dir(arg):
     if arg:
         return arg
@@ -234,7 +243,7 @@ def _resolve_out_dir(arg):
 
 
 def _run_verify_mobius(cfg, rng, scale):
-    samples = int(cfg["samples"])
+    samples = _int(cfg["samples"], "samples")
     span = float(cfg["parameter_range"])
     worst_comm = 0.0
     for pair in mobius.COMMUTATION_PAIRS:
@@ -309,9 +318,9 @@ def _random_standard(rng, parent):
 
 
 def _run_verify_stdspace(cfg, rng, scale):
-    parent = stdspace.ComplexSpace(int(cfg["dim"]))
+    parent = stdspace.ComplexSpace(_int(cfg["dim"], "dim"))
     worst = dict.fromkeys(CHECK_NAMES["verify-stdspace"], 0.0)
-    for _ in range(int(cfg["samples"])):
+    for _ in range(_int(cfg["samples"], "samples")):
         h = _random_standard(rng, parent)
         s_real, md = stdspace.modular_data(h)
         dual = stdspace.symplectic_complement(h)
@@ -374,7 +383,7 @@ def _build_model(cfg):
             f"unknown model kind {kind!r} "
             f"(known: {', '.join(sorted(_KIND_GRID_DEFAULTS))})")
     n0, h0 = _KIND_GRID_DEFAULTS[kind]
-    n = int(cfg["n"]) if cfg["n"] is not None else n0
+    n = _int(cfg["n"], "n") if cfg["n"] is not None else n0
     h = float(cfg["h"]) if cfg["h"] is not None else h0
     try:
         if kind == "chiralSum":
@@ -384,7 +393,7 @@ def _build_model(cfg):
         if kind == "massive":
             return bgl.NetModel.massive(n=n, h=h, mass=float(cfg["mass"]))
         return bgl.NetModel.direct_integral(
-            masses=int(cfg["masses"]), n=n, h=h,
+            masses=_int(cfg["masses"], "masses"), n=n, h=h,
             mass_min=float(cfg["mass_min"]), mass_max=float(cfg["mass_max"]))
     except ValueError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
@@ -409,7 +418,8 @@ def _run_bgl_axioms(cfg, rng, scale):
 
 def _run_reconstruct_mobius(cfg, rng, scale):
     try:
-        net = bgl.NetModel.chiral_sum(n=int(cfg["n"]), h=float(cfg["h"]))
+        net = bgl.NetModel.chiral_sum(n=_int(cfg["n"], "n"),
+                                      h=float(cfg["h"]))
         report = bgl.reconstruct_ur(
             net, t_values=tuple(float(t) for t in cfg["t_values"]))
     except ValueError as exc:
@@ -442,7 +452,7 @@ def _run_reconstruct_mobius(cfg, rng, scale):
 
 def _run_break_bw(cfg, rng, scale):
     try:
-        net = bgl.NetModel.twisted(n=int(cfg["n"]), h=float(cfg["h"]),
+        net = bgl.NetModel.twisted(n=_int(cfg["n"], "n"), h=float(cfg["h"]),
                                    charge=float(cfg["charge"]))
         report = bgl.counterexample_bw(
             net, t_values=tuple(float(t) for t in cfg["t_values"]))
@@ -470,7 +480,8 @@ def _run_break_bw(cfg, rng, scale):
 
 def _run_lightcone_defect(cfg, rng, scale):
     try:
-        ladder = tuple((int(n), int(c)) for n, c in cfg["ladder"])
+        ladder = tuple((_int(n, "ladder"), _int(c, "ladder"))
+                       for n, c in cfg["ladder"])
         study = bgl.lightcone_separating_study(
             masses=tuple(float(m) for m in cfg["masses"]), ladder=ladder,
             spacing=float(cfg["spacing"]), frozen=float(cfg["frozen"]))
@@ -498,7 +509,7 @@ def _run_lightcone_defect(cfg, rng, scale):
 
 
 def _run_spin_statistics(cfg, rng, scale):
-    count = int(cfg["pairs"])
+    count = _int(cfg["pairs"], "pairs")
     base = rng.uniform(0.0, 3.0, size=count)
     steps = rng.integers(-3, 4, size=count)
     good = [(mu, mu + k) for mu, k in zip(base, steps)]
@@ -523,7 +534,7 @@ def _run_trace_class(cfg, rng, scale):
     for beta in cfg["betas"]:
         try:
             value, closed, diff, tail = bgl.trace_class_partition(
-                float(beta), n_terms=int(cfg["n_terms"]))
+                float(beta), n_terms=_int(cfg["n_terms"], "n_terms"))
         except ValueError as exc:
             raise ConfigError(f"invalid inverse temperature: {exc}") from exc
         rel = diff / closed
@@ -532,7 +543,7 @@ def _run_trace_class(cfg, rng, scale):
                      "closed_form": closed, "abs_diff": diff,
                      "tail_bound": tail, "relative_error": rel})
     _, closed_ln2, _, _ = bgl.trace_class_partition(
-        math.log(2.0), n_terms=int(cfg["n_terms"]))
+        math.log(2.0), n_terms=_int(cfg["n_terms"], "n_terms"))
     checks = [
         _check("trace-class-truncation", worst_rel, TRACE_REL_BUDGET * scale,
                "max relative truncation error over the sampled inverse "
@@ -546,9 +557,9 @@ def _run_trace_class(cfg, rng, scale):
 
 
 def _run_fock_checks(cfg, rng, scale):
-    modes = int(cfg["modes"])
-    order = int(cfg["order"])
-    samples = int(cfg["samples"])
+    modes = _int(cfg["modes"], "modes")
+    order = _int(cfg["order"], "order")
+    samples = _int(cfg["samples"], "samples")
 
     def amp(norm):
         f = rng.normal(size=modes) + 1j * rng.normal(size=modes)
@@ -635,16 +646,16 @@ def _run_fock_checks(cfg, rng, scale):
 
 
 def _run_halperin_bench(cfg, rng, scale):
-    parent = stdspace.ComplexSpace(int(cfg["dim"]))
+    parent = stdspace.ComplexSpace(_int(cfg["dim"], "dim"))
     n = parent.n
     tol = float(cfg["tol"])
-    max_iter = int(cfg["max_iter"])
+    max_iter = _int(cfg["max_iter"], "max_iter")
     caps = [c for c in (8, 32, 128, 512, 2048) if c < max_iter] + [max_iter]
 
     rows = []
     worst_distance = 0.0
     failures = 0
-    for index in range(int(cfg["pairs"])):
+    for index in range(_int(cfg["pairs"], "pairs")):
         if index % 2 == 0:
             # generic pair with trivial intersection; dimensions kept away
             # from the marginal regime dim_a + dim_b = 2n, where principal
@@ -724,7 +735,14 @@ def _environment_fingerprint():
 
 
 def run_command(command, config, seed, budget_scale):
-    """Execute one command; returns (report dict, tables dict)."""
+    """Execute one command; returns (report dict, tables dict).
+
+    ``budget_scale`` must be finite and positive: an infinite scale would
+    pass every check and a NaN or non-positive one fail every check.
+    """
+    if not (math.isfinite(budget_scale) and budget_scale > 0):
+        raise ConfigError(f"budget scale must be finite and positive, "
+                          f"got {budget_scale!r}")
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
     checks, tables = RUNNERS[command](config, rng, budget_scale)
@@ -749,12 +767,27 @@ def run_command(command, config, seed, budget_scale):
     return report, tables
 
 
+def _finite_json(value):
+    """Copy of a report with non-finite floats as "NaN" / "Infinity"
+    strings, so that the file is standard JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            return "NaN"
+        return "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
+
+
 def write_report(report, tables, out_dir):
     """Write the JSON report and CSV tables; returns the JSON path."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{report['command']}.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(_finite_json(report), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
     for name, (fields, rows) in tables.items():
         table_path = os.path.join(out_dir,
@@ -795,10 +828,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.command, args.config)
+        seed = (args.seed if args.seed is not None
+                else _int(config.get("seed", 0), "seed"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     config["seed"] = seed
     try:
         report, tables = run_command(args.command, config, seed,

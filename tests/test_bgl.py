@@ -53,6 +53,15 @@ def test_constructors_fix_the_ambient_dimension(kind, total):
     assert net.parent.real_dim == 2 * total
 
 
+@pytest.mark.parametrize("ctor", [bgl.NetModel.chiral_sum,
+                                  bgl.NetModel.twisted])
+def test_even_chiral_grids_rejected(ctor):
+    # an even grid zeroes the unpaired Nyquist mode, so odd-step dilation
+    # flows would be off by O(1)
+    with pytest.raises(ValueError, match="odd"):
+        ctor(n=8)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown model kind"):
         bgl.NetModel("spaghetti", None)
@@ -470,6 +479,35 @@ def test_eigenpair_route_agrees_with_modular_route():
     via_pairs = bgl._wedge_fix_massive(net.parent, n, h, p_l, p_r,
                                        "R", corner)
     assert stdspace.subspace_distance(via_modular, via_pairs) < 1e-8
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_eigenpair_basis_keeps_the_pair_column_order(n):
+    # reference: one column per self-paired mode, two per pair, in the
+    # order the pairs are first met
+    parent = stdspace.ComplexSpace(n)
+    kap = -bgl._kappa(n, 0.4)
+    cols = bgl._dft(n).conj().T
+    pair = [(n - m) % n for m in range(n)]
+    ref, seen = [], set()
+    for m in range(n):
+        if m in seen:
+            continue
+        mp = pair[m]
+        seen.update((m, mp))
+        if mp == m:
+            ref.append(cols[:, m])
+            continue
+        if kap[m] < 0:
+            m, mp = mp, m
+        damp = math.exp(-math.pi * abs(kap[m]))
+        v1 = damp * cols[:, m] + cols[:, mp]
+        v2 = 1j * (-damp * cols[:, m] + cols[:, mp])
+        ref += [v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)]
+    ref = np.array(ref).T
+    q, r = np.linalg.qr(np.vstack([ref.real, ref.imag]))
+    got = bgl._eigenpair_fix(parent, kap, cols, pair)
+    assert np.max(np.abs(got.basis - q * np.sign(np.diag(r)))) < 1e-14
 
 
 def test_study_intersections_are_centrally_supported():

@@ -144,6 +144,36 @@ def test_budget_scale_can_force_failures(tmp_path):
     assert report["budget_scale"] == 1e-40
 
 
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+def test_budget_scale_must_be_finite_and_positive(tmp_path, scale, capsys):
+    # inf would pass every check; nan, 0 or a negative scale fail them all
+    code, report = _run(tmp_path, "trace-class",
+                        extra=["--budget-scale", scale])
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert report is None
+    assert "budget scale" in capsys.readouterr().err
+
+
+def test_nan_residual_fails_and_report_is_strict_json(tmp_path, monkeypatch):
+    def nan_runner(cfg, rng, scale):
+        return [cli._check("trace-class-truncation", float("nan"), 1e-20,
+                           "a residual that came out as NaN")], {}
+
+    monkeypatch.setitem(cli.RUNNERS, "trace-class", nan_runner)
+    code = cli.main(["trace-class", "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CHECK_FAILURE
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    text = (tmp_path / "out" / "trace-class.json").read_text()
+    report = json.loads(text, parse_constant=reject)
+    (entry,) = report["checks"]
+    assert entry["residual"] == "NaN"
+    assert entry["passed"] is False
+    assert report["passed"] is False
+
+
 def test_environment_variable_sets_output_directory(tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv(cli.OUT_ENV_VAR, str(target))
@@ -205,6 +235,47 @@ def test_bgl_axioms_unknown_model_is_config_error(tmp_path):
 def test_bgl_axioms_bad_grid_is_config_error(tmp_path):
     code, _ = _run(tmp_path, "bgl-axioms", {"model": "massive", "n": 9})
     assert code == cli.EXIT_CONFIG_ERROR
+
+
+# even chiral grids have an unpaired Nyquist mode whose odd-step dilation
+# flow is wrong; every command building a chiral model rejects them
+CHIRAL_GRID_COMMANDS = [
+    ("bgl-axioms", {"model": "chiralSum"}, cli.EXIT_OK),
+    ("bgl-axioms", {"model": "twisted"}, cli.EXIT_CHECK_FAILURE),
+    ("reconstruct-mobius", {"t_values": [0.5]}, cli.EXIT_OK),
+    ("break-bw", {"t_values": [0.5]}, cli.EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("command, config, odd_code", CHIRAL_GRID_COMMANDS)
+@pytest.mark.parametrize("n", [8, 9])
+def test_chiral_grid_parity(tmp_path, command, config, odd_code, n):
+    code, report = _run(tmp_path, command, {**config, "n": n})
+    if n % 2:
+        assert code == odd_code
+    else:
+        assert code == cli.EXIT_CONFIG_ERROR
+        assert report is None
+
+
+@pytest.mark.parametrize("command, config", [
+    ("reconstruct-mobius", {"n": 2.7}),
+    ("bgl-axioms", {"model": "chiralSum", "n": 9.5}),
+    ("verify-mobius", {"samples": 10.5}),
+    ("lightcone-defect", {"ladder": [[9, 1.5]]}),
+    ("spin-statistics", {"seed": 1.5}),
+])
+def test_non_integral_values_of_integral_keys_rejected(tmp_path, command,
+                                                       config):
+    code, report = _run(tmp_path, command, config)
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert report is None
+
+
+def test_integral_floats_are_accepted(tmp_path):
+    code, report = _run(tmp_path, "spin-statistics", {"pairs": 10.0})
+    assert code == cli.EXIT_OK
+    assert report["config"]["pairs"] == 10.0
 
 
 def test_reconstruct_mobius_passes_and_writes_table(tmp_path):

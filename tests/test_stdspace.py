@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from modnet.stdspace import (
@@ -14,12 +16,15 @@ from modnet.stdspace import (
     ModularData,
     RealSubspace,
     borchers_check,
+    complex_norm,
+    containment_gap,
     contains_subspace,
     hsmi_check,
     intersect,
     is_standard,
     make_subspace,
     modular_data,
+    principal_angles,
     standardness,
     subspace_distance,
     subspace_from_bytes,
@@ -432,6 +437,113 @@ def test_de_morgan_laws():
         rhs = sum_closure([symplectic_complement(h1),
                            symplectic_complement(h2)])
         assert subspace_distance(lhs, rhs) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# principal angles and complex-form norms (properties)
+# ---------------------------------------------------------------------------
+
+# derandomized, so that every run draws the same examples
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def _orthonormal_frame(rng, d):
+    return np.linalg.qr(rng.normal(size=(d, d)))[0]
+
+
+@PROPERTY
+@given(n=st.integers(2, 6), seed=SEEDS, data=st.data())
+def test_planted_intersection_exact_matches_halperin(n, seed, data):
+    d = 2 * n
+    core = data.draw(st.integers(0, d - 3), label="core")
+    extra_a = data.draw(st.integers(1, d - 2 - core), label="extra_a")
+    extra_b = data.draw(st.integers(1, d - 1 - core - extra_a),
+                        label="extra_b")
+    rng = np.random.default_rng(seed)
+    sp = ComplexSpace(n)
+    shared = rng.normal(size=(d, core))
+    h1, h2 = (RealSubspace(sp, np.linalg.qr(
+        np.hstack([shared, rng.normal(size=(d, extra))]))[0])
+        for extra in (extra_a, extra_b))
+    exact = intersect([h1, h2], method="exact")
+    halp = intersect([h1, h2], method="halperin", max_iter=1 << 26,
+                     tol=1e-9)
+    assert exact.dim == halp.dim == core
+    assert subspace_distance(exact, halp) < 1e-7
+
+
+@PROPERTY
+@given(n=st.integers(1, 6), seed=SEEDS, near=st.booleans(), data=st.data())
+def test_subspace_distance_is_the_projector_gap(n, seed, near, data):
+    d = 2 * n
+    k1 = data.draw(st.integers(0, d), label="k1")
+    rng = np.random.default_rng(seed)
+    sp = ComplexSpace(n)
+    h1 = RealSubspace(sp, _orthonormal_frame(rng, d)[:, :k1])
+    if near:
+        # a small rotation of h1: the distance is of order 1e-5
+        gen = rng.normal(size=(d, d)) * 1e-5
+        rot = np.linalg.qr(np.eye(d) + gen - gen.T)[0]
+        h2 = h1.transform(rot)
+    else:
+        k2 = data.draw(st.integers(0, d), label="k2")
+        h2 = RealSubspace(sp, _orthonormal_frame(rng, d)[:, :k2])
+    projector_gap = np.linalg.norm(h1.projector() - h2.projector(), 2)
+    assert abs(subspace_distance(h1, h2) - projector_gap) < 1e-12
+    assert subspace_distance(h1, h2) == subspace_distance(h2, h1)
+
+
+@PROPERTY
+@given(n=st.integers(1, 8), seed=SEEDS,
+       kind=st.sampled_from(["linear", "antilinear", "mixed"]))
+def test_complex_norm_equals_real_form_norm(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    sp = ComplexSpace(n)
+    c1, c2 = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+              for _ in range(2))
+    if kind == "linear":
+        r, fast = sp.realify_linear(c1), np.linalg.norm(c1, 2)
+    elif kind == "antilinear":
+        r, fast = sp.realify_antilinear(c1), np.linalg.norm(c1, 2)
+    else:
+        r, fast = sp.realify_linear(c1) + sp.realify_antilinear(c2), None
+    real = np.linalg.norm(r, 2)
+    got = complex_norm(sp, r)
+    assert abs(got - real) <= 1e-12 * real
+    if fast is None:
+        assert got == real      # the mixed operator takes the real fallback
+    else:
+        assert got == fast      # the n x n complex SVD
+
+
+@PROPERTY
+@given(n=st.integers(3, 6), seed=SEEDS)
+def test_angle_tolerance_separates_1e6_from_1e10(n, seed):
+    rng = np.random.default_rng(seed)
+    sp = ComplexSpace(n)
+    q = _orthonormal_frame(rng, 2 * n)
+    h1 = RealSubspace(sp, q[:, [0, 1, 4]])
+    for angle, dim in ((1e-6, 1), (1e-10, 2)):
+        tilted = math.cos(angle) * q[:, 0] + math.sin(angle) * q[:, 2]
+        h2 = RealSubspace(sp, np.column_stack([tilted, q[:, 3], q[:, 4]]))
+        sines, _ = principal_angles(h1.basis, h2.basis)
+        assert sines[1] == pytest.approx(angle, rel=1e-6)
+        assert intersect([h1, h2]).dim == dim
+        assert contains_subspace(h1, intersect([h1, h2]))
+
+
+def test_containment_gap_is_the_largest_sine():
+    sp = ComplexSpace(2)
+    e = np.eye(4)
+    big = RealSubspace(sp, e[:, [0, 1]])
+    tilted = RealSubspace(sp, np.column_stack(
+        [e[:, 0], math.cos(0.3) * e[:, 1] + math.sin(0.3) * e[:, 2]]))
+    assert containment_gap(big, tilted) == pytest.approx(math.sin(0.3))
+    assert containment_gap(big, RealSubspace.zero(sp)) == 0.0
+    assert containment_gap(RealSubspace.zero(sp), big) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
