@@ -11,12 +11,15 @@ the twisted representation that breaks dilation covariance by a
 computable phase, a lightcone separating study over double-cone
 families, and two closed-form spectral checks.
 
-Two numerical regimes are used deliberately.  Modular data held as
-explicit matrices needs the spectral radius of log Delta below roughly
-pi^2/2.5, which pins the coarse grid spacings of the model
-constructors.  Subspace-only work (intersections, sums, symplectic
-complements) never forms Delta and runs on finer grids through an exact
-per-eigenpair basis formula.
+Every wedge-like block is held in eigen-form: the modular spectrum, the
+phased inverse-DFT eigenvectors and the J-pairing of their columns are
+known exactly.  Wedge subspaces come from the closed per-eigenpair
+fixed-point formula and modular flows from the spectrum, so neither
+forms Delta and both hold at any grid spacing.  A dense Delta is formed
+only where a check recomputes the modular data of a wedge (the
+Bisognano-Wichmann entries); there the spectral radius of log Delta,
+about 2 pi^2 / h at grid spacing h, must stay below roughly 2 pi^2 / 2.5,
+which is what pins the coarse grid spacings of the model constructors.
 """
 
 from __future__ import annotations
@@ -53,11 +56,11 @@ FROZEN_CONE_DEFECT = 0.76
 #: refinement ladder for the lightcone study: (grid size, cone count)
 CONE_LADDER = ((17, 2), (33, 8), (65, 32))
 
-#: internal grid spacing of the subspace-only (study) regime
+#: rapidity spacing of the lightcone study, which never forms Delta
 STUDY_SPACING = 0.4
 
-#: spacing of the modular-matrix regime used by the solvable model; at
-#: pi the dilation grid contains 2 pi t for every half-integer t
+#: spacing of the solvable model, whose Bisognano-Wichmann entries form
+#: Delta; at pi the dilation grid contains 2 pi t for every half-integer t
 SOLVABLE_SPACING = math.pi
 
 _TWO_PI = 2.0 * math.pi
@@ -98,63 +101,71 @@ def _hermitize(m):
 
 @dataclasses.dataclass(frozen=True)
 class _Block:
-    """Modular triple of one half-line factor, unit frame.
+    """Modular pair of a wedge-like region in eigen-form, unit frame.
 
-    ``z`` is the diagonal of the antiunitary J = diag(z) conj, ``delta``
-    and ``kgen`` the modular operator and its generator (Delta = e^{2 pi
-    K}), all complex n x n.
+    Delta = V diag(e^{2 pi kap}) V* with V = ``vecs`` unitary, and J =
+    diag(z) conj maps column m of V to column ``pair[m]``, whose ``kap``
+    is the negative.  All four are known exactly, so no operator is ever
+    re-diagonalised.
     """
 
+    kap: np.ndarray
+    vecs: np.ndarray
     z: np.ndarray
-    delta: np.ndarray
-    kgen: np.ndarray
+    pair: np.ndarray
 
     @property
     def n(self):
         return self.z.size
 
+    def _apply(self, values):
+        return (self.vecs * values) @ self.vecs.conj().T
+
+    def delta(self):
+        """Dense modular operator, exactly hermitian."""
+        return _hermitize(self._apply(np.exp(_TWO_PI * self.kap)))
+
+    def flow(self, t):
+        """Delta^{it} = V diag(e^{2 pi i t kap}) V*, complex n x n."""
+        return self._apply(np.exp(2j * np.pi * t * self.kap))
+
+    def subspace(self, parent):
+        """fix(J Delta^{1/2}) through the eigenpair formula."""
+        return _eigenpair_fix(parent, self.kap, self.vecs, self.pair)
+
 
 def _halfline_block(n, h, orient, phases=None):
-    """Half-line triple: orient=+1 for (a, oo), -1 for (-oo, a).
+    """Half-line block: orient=+1 for (a, oo), -1 for (-oo, a).
 
-    ``phases`` carries the translation to the apex, e^{i a p}; the triple
-    is conjugated by it and re-hermitized exactly.
+    ``phases`` carries the translation to the apex, e^{i a p}: it
+    multiplies the inverse-DFT eigenvectors and squares into z.
     """
-    f = _dft(n)
-    kap = orient * _kappa(n, h)
-    kgen = _hermitize(f.conj().T @ (kap[:, None] * f))
-    delta = _hermitize(f.conj().T @ (np.exp(_TWO_PI * kap)[:, None] * f))
+    vecs = _dft(n).conj().T
     z = np.ones(n, dtype=complex)
     if phases is not None:
-        kgen = _hermitize((phases[:, None] * kgen) * phases.conj()[None, :])
-        delta = _hermitize((phases[:, None] * delta) * phases.conj()[None, :])
+        vecs = phases[:, None] * vecs
         z = phases ** 2
-    return _Block(z, delta, kgen)
+    return _Block(orient * _kappa(n, h), vecs, z, -np.arange(n) % n)
 
 
 def _block_diag(blocks):
-    """Assemble factor triples into one triple on the summed space."""
-    z = np.concatenate([b.z for b in blocks])
-    delta = sla.block_diag(*[b.delta for b in blocks])
-    kgen = sla.block_diag(*[b.kgen for b in blocks])
-    return _Block(z, delta, kgen)
+    """Assemble factor blocks into one block on the summed space."""
+    offsets = np.cumsum([0] + [b.n for b in blocks[:-1]])
+    return _Block(np.concatenate([b.kap for b in blocks]),
+                  sla.block_diag(*[b.vecs for b in blocks]),
+                  np.concatenate([b.z for b in blocks]),
+                  np.concatenate([b.pair + off
+                                  for b, off in zip(blocks, offsets)]))
 
 
-def _modular_from_block(parent, block):
-    j_real = parent.realify_antilinear(np.diag(block.z))
-    d_real = parent.realify_linear(block.delta)
-    return stdspace.ModularData(parent, j_real, d_real)
-
-
-def _flow(parent, block, t):
-    """Real form of e^{2 pi i t K} = Delta^{it} for the block generator."""
-    w, v = np.linalg.eigh(block.kgen)
-    c = (v * np.exp(2j * np.pi * t * w)) @ v.conj().T
-    return parent.realify_linear(c)
+def _corner_phases(p_l, p_r, corner):
+    """Translation phases e^{i(a p_L + b p_R)} of a massive wedge corner."""
+    a, b = corner
+    return np.exp(1j * (a * p_l + b * p_r)) if a or b else None
 
 
 # ---------------------------------------------------------------------------
-# window-free eigenpair subspaces (study regime)
+# window-free eigenpair subspaces
 # ---------------------------------------------------------------------------
 
 
@@ -189,19 +200,6 @@ def _eigenpair_fix(parent, kap, cols, pair_of):
     return stdspace.RealSubspace(parent, q * np.sign(np.diag(r)))
 
 
-def _wedge_fix_massive(parent, n, h, p_l, p_r, kind, corner):
-    """Massive wedge subspace at a corner through the eigenpair formula."""
-    kap = _kappa(n, h)
-    if kind == "R":
-        kap = -kap
-    cols = _dft(n).conj().T.copy()
-    a, b = corner
-    if a or b:
-        cols = np.exp(1j * (a * p_l + b * p_r))[:, None] * cols
-    pair = [(n - m) % n for m in range(n)]
-    return _eigenpair_fix(parent, kap, cols, pair)
-
-
 # ---------------------------------------------------------------------------
 # the net model
 # ---------------------------------------------------------------------------
@@ -211,7 +209,7 @@ class NetModel:
     """A lattice representation together with its net of wedge subspaces.
 
     The wedge family is generated blockwise from the factor half-line
-    triples; every subspace is cached under its canonical region key and
+    blocks; every subspace is cached under its canonical region key and
     reproduced bit-stably on re-query.  ``epsilon`` is the model residual
     budget: BUDGET_FACTOR times the measured one-step flow consistency
     residual plus the floor.
@@ -314,14 +312,9 @@ class NetModel:
     def _flow_residual(self):
         """One-step consistency of the modular flow with the shift."""
         n, h, _ = self._factors[0]
-        f = _dft(n)
-        kap = _kappa(n, h)
-        step = (f.conj().T * np.exp(1j * h * kap)) @ f
         k = 1 if n % 2 else 2          # even grids compare even steps only
-        target = _roll(n, -k)
-        if k == 2:
-            step = step @ step
-        return float(np.linalg.norm(step - target, 2))
+        step = _halfline_block(n, h, +1).flow(k * h / _TWO_PI)
+        return float(np.linalg.norm(step - _roll(n, -k), 2))
 
     # -- wedge construction ------------------------------------------------
 
@@ -330,84 +323,52 @@ class NetModel:
                 float(region.left[0]), float(region.left[1]),
                 float(region.right[0]), float(region.right[1]))
 
-    def _wedge_blocks(self, region):
-        """Per-factor (orient, apex) describing a wedge-like region.
+    def _wedge_geometry(self, region):
+        """Per-factor orientations and the apex of a wedge-like region.
 
-        chiral factors: orientation +1 for (a, oo), -1 for (-oo, a);
-        massive factors: the wedge side letter with its corner.
+        Chiral factor i is the half-line (a_i, oo) for orientation +1 and
+        (-oo, a_i) for -1, with a_i the apex coordinate on its lightray.
+        A massive factor takes the first orientation only: W_R is the
+        orientation -1 half-line in rapidity, W_L the +1 one.
         """
         kinds = spacetime.RegionKind
-        if region.kind == kinds.WEDGE_RIGHT:
-            corner = spacetime.wedge_corner(region)
-            chiral = [(-1, corner[0]), (+1, corner[1])]
-            massive = ("R", corner)
-        elif region.kind == kinds.WEDGE_LEFT:
-            corner = spacetime.wedge_corner(region)
-            chiral = [(+1, corner[0]), (-1, corner[1])]
-            massive = ("L", corner)
-        elif region.kind == kinds.LIGHTCONE_FWD:
-            apex = (region.left[0], region.right[0])
-            chiral = [(+1, apex[0]), (+1, apex[1])]
-            massive = None
-        elif region.kind == kinds.LIGHTCONE_BWD:
-            apex = (region.left[1], region.right[1])
-            chiral = [(-1, apex[0]), (-1, apex[1])]
-            massive = None
-        else:
-            raise ValueError(
-                f"region kind {region.kind.name} is not wedge-like; use "
-                "region_subspace_dual for double cones and lightcone sums"
-            )
-        return chiral, massive
-
-    def _chiral_block(self, factor_index, orient, apex):
-        n, h, momenta = self._factors[factor_index]
-        phases = None
-        if apex:
-            phases = np.exp(1j * apex * momenta)
-        return _halfline_block(n, h, orient, phases)
-
-    def _massive_block(self, factor_index, side, corner):
-        n, h, (p_l, p_r) = self._factors[factor_index]
-        f = _dft(n)
-        kap = _kappa(n, h)
-        if side == "R":
-            kap = -kap
-        kgen = _hermitize(f.conj().T @ (kap[:, None] * f))
-        delta = _hermitize(f.conj().T @ (np.exp(_TWO_PI * kap)[:, None] * f))
-        z = np.ones(n, dtype=complex)
-        a, b = corner
-        if a or b:
-            phases = np.exp(1j * (a * p_l + b * p_r))
-            kgen = _hermitize((phases[:, None] * kgen) * phases.conj()[None, :])
-            delta = _hermitize((phases[:, None] * delta)
-                               * phases.conj()[None, :])
-            z = phases ** 2
-        return _Block(z, delta, kgen)
+        if region.kind is kinds.WEDGE_RIGHT:
+            return (-1, +1), spacetime.wedge_corner(region)
+        if region.kind is kinds.WEDGE_LEFT:
+            return (+1, -1), spacetime.wedge_corner(region)
+        if region.kind is kinds.LIGHTCONE_FWD:
+            return (+1, +1), (region.left[0], region.right[0])
+        if region.kind is kinds.LIGHTCONE_BWD:
+            return (-1, -1), (region.left[1], region.right[1])
+        raise ValueError(
+            f"region kind {region.kind.name} is not wedge-like; use "
+            "region_subspace_dual for double cones and lightcone sums"
+        )
 
     def wedge_block(self, region):
-        """The assembled modular triple of a wedge-like region."""
-        chiral, massive = self._wedge_blocks(region)
+        """The assembled eigen-form block of a wedge-like region."""
+        orients, apex = self._wedge_geometry(region)
         if self.kind in ("chiralSum", "twisted"):
-            blocks = [self._chiral_block(i, orient, apex)
-                      for i, (orient, apex) in enumerate(chiral)]
-            block = _block_diag(blocks)
-            if self._copies == 2:
-                block = _block_diag([block, block])
-            return block
-        if massive is None and self.kind in ("massive", "directIntegral"):
+            blocks = [_halfline_block(n, h, orient,
+                                      np.exp(1j * a * momenta) if a else None)
+                      for (n, h, momenta), orient, a
+                      in zip(self._factors, orients, apex)]
+            return _block_diag(blocks * self._copies)
+        if orients[0] == orients[1]:        # a lightcone
             raise ValueError(
                 "lightcone modular data is not wedge data in a massive "
                 "model; use region_subspace_dual"
             )
-        side, corner = massive
-        blocks = [self._massive_block(i, side, corner)
-                  for i in range(len(self._factors))]
-        return _block_diag(blocks)
+        return _block_diag([
+            _halfline_block(n, h, orients[0], _corner_phases(p_l, p_r, apex))
+            for n, h, (p_l, p_r) in self._factors])
 
     def wedge_modular(self, region):
-        """Validated modular data of a wedge-like region."""
-        return _modular_from_block(self.parent, self.wedge_block(region))
+        """Validated dense modular data of a wedge-like region."""
+        block = self.wedge_block(region)
+        return stdspace.ModularData(
+            self.parent, self.parent.realify_antilinear(np.diag(block.z)),
+            self.parent.realify_linear(block.delta()))
 
     def wedge_subspace(self, region):
         """The real standard subspace of a wedge-like region (cached)."""
@@ -416,13 +377,13 @@ class NetModel:
             hit = self._cache.get(key)
         if hit is not None:
             return hit
-        sub = stdspace.subspace_from_modular(self.wedge_modular(region))
+        sub = self.wedge_block(region).subspace(self.parent)
         with self._lock:
             return self._cache.setdefault(key, sub)
 
     def wedge_flow(self, region, t):
-        """Real form of Delta_W^{it} from the defining block generator."""
-        return _flow(self.parent, self.wedge_block(region), t)
+        """Real form of Delta_W^{it}, exact from the block eigen-form."""
+        return self.parent.realify_linear(self.wedge_block(region).flow(t))
 
     # -- dual-prescription regions ----------------------------------------
 
@@ -746,11 +707,11 @@ class ReconstructionReport:
 
 
 def _interval_block(net, factor_index):
-    """Designated standard triple for the unit-interval factor block.
+    """Designated modular block for the unit-interval factor.
 
     The lattice implements exactly one Cartan flow per factor, so no
     grid operator realizes the interval dilations; the model designates
-    the translated half-line triple sharing the interval's right
+    the translated half-line block sharing the interval's right
     endpoint.  Blockwise identities below are exact for any consistent
     designation; the geometric deficit is reported, not hidden.
     """
@@ -782,13 +743,9 @@ def assemble_blockwise(subspaces):
     return stdspace.RealSubspace(stdspace.ComplexSpace(total), rows)
 
 
-def _stack_blocks(net, left_block, right_block):
-    subs = []
-    for block in (left_block, right_block):
-        parent = stdspace.ComplexSpace(block.n)
-        subs.append(stdspace.subspace_from_modular(
-            _modular_from_block(parent, block)))
-    return assemble_blockwise(subs)
+def _stack_blocks(left_block, right_block):
+    return assemble_blockwise([b.subspace(stdspace.ComplexSpace(b.n))
+                               for b in (left_block, right_block)])
 
 
 def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
@@ -813,9 +770,9 @@ def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
     int_l = _interval_block(net, 0)
     int_r = _interval_block(net, 1)
 
-    band_l = _stack_blocks(net, half_l, int_r)     # B_L = (0,oo) x (0,1)
-    band_r = _stack_blocks(net, int_l, half_r)     # B_R = (0,1) x (0,oo)
-    cone_0 = _stack_blocks(net, int_l, int_r)      # D_0 = (0,1) x (0,1)
+    band_l = _stack_blocks(half_l, int_r)     # B_L = (0,oo) x (0,1)
+    band_r = _stack_blocks(int_l, half_r)     # B_R = (0,1) x (0,oo)
+    cone_0 = _stack_blocks(int_l, int_r)      # D_0 = (0,1) x (0,1)
 
     parent = band_l.parent
     _, md_bl = stdspace.modular_data(band_l)
@@ -980,10 +937,10 @@ def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
             p_r = mass * np.exp(-theta) / math.sqrt(2.0)
             subs = []
             for al, bl, ar, br in _dyadic_cones(count):
-                w_r = _wedge_fix_massive(parent, grid, spacing, p_l, p_r,
-                                         "R", (bl, ar))
-                w_l = _wedge_fix_massive(parent, grid, spacing, p_l, p_r,
-                                         "L", (al, br))
+                w_r = _halfline_block(grid, spacing, -1, _corner_phases(
+                    p_l, p_r, (bl, ar))).subspace(parent)
+                w_l = _halfline_block(grid, spacing, +1, _corner_phases(
+                    p_l, p_r, (al, br))).subspace(parent)
                 subs.append(stdspace.intersect([w_r, w_l]))
             nonzero = [s for s in subs if s.dim]
             if nonzero:

@@ -218,13 +218,31 @@ def load_config(command, path):
     return defaults
 
 
-def _int(value, key):
-    """An integral config value as an int; anything else is rejected."""
+def _int(value, key, minimum=None):
+    """An integral config value as an int; anything else is rejected.
+
+    A count takes a ``minimum``: below it a battery would run over no
+    samples and pass vacuously, or the runner would crash.
+    """
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not float(value).is_integer()):
         raise ConfigError(f"config key {key!r} must be an integer, "
                           f"got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"config key {key!r} must be at least {minimum}, "
+                          f"got {value!r}")
     return int(value)
+
+
+def _floats(values, key):
+    """A non-empty config list of numbers as a tuple of floats."""
+    if not values:
+        raise ConfigError(f"config key {key!r} must be a non-empty list")
+    if any(isinstance(v, bool) or not isinstance(v, (int, float))
+           for v in values):
+        raise ConfigError(f"config key {key!r} must hold numbers, "
+                          f"got {values!r}")
+    return tuple(float(v) for v in values)
 
 
 def _resolve_out_dir(arg):
@@ -243,7 +261,7 @@ def _resolve_out_dir(arg):
 
 
 def _run_verify_mobius(cfg, rng, scale):
-    samples = _int(cfg["samples"], "samples")
+    samples = _int(cfg["samples"], "samples", minimum=1)
     span = float(cfg["parameter_range"])
     worst_comm = 0.0
     for pair in mobius.COMMUTATION_PAIRS:
@@ -318,9 +336,9 @@ def _random_standard(rng, parent):
 
 
 def _run_verify_stdspace(cfg, rng, scale):
-    parent = stdspace.ComplexSpace(_int(cfg["dim"], "dim"))
+    parent = stdspace.ComplexSpace(_int(cfg["dim"], "dim", minimum=1))
     worst = dict.fromkeys(CHECK_NAMES["verify-stdspace"], 0.0)
-    for _ in range(_int(cfg["samples"], "samples")):
+    for _ in range(_int(cfg["samples"], "samples", minimum=1)):
         h = _random_standard(rng, parent)
         s_real, md = stdspace.modular_data(h)
         dual = stdspace.symplectic_complement(h)
@@ -417,11 +435,11 @@ def _run_bgl_axioms(cfg, rng, scale):
 
 
 def _run_reconstruct_mobius(cfg, rng, scale):
+    t_values = _floats(cfg["t_values"], "t_values")
     try:
         net = bgl.NetModel.chiral_sum(n=_int(cfg["n"], "n"),
                                       h=float(cfg["h"]))
-        report = bgl.reconstruct_ur(
-            net, t_values=tuple(float(t) for t in cfg["t_values"]))
+        report = bgl.reconstruct_ur(net, t_values=t_values)
     except ValueError as exc:
         raise ConfigError(f"invalid reconstruction parameters: {exc}") from exc
     budget = RECONSTRUCTION_BUDGET * scale
@@ -451,11 +469,11 @@ def _run_reconstruct_mobius(cfg, rng, scale):
 
 
 def _run_break_bw(cfg, rng, scale):
+    t_values = _floats(cfg["t_values"], "t_values")
     try:
         net = bgl.NetModel.twisted(n=_int(cfg["n"], "n"), h=float(cfg["h"]),
                                    charge=float(cfg["charge"]))
-        report = bgl.counterexample_bw(
-            net, t_values=tuple(float(t) for t in cfg["t_values"]))
+        report = bgl.counterexample_bw(net, t_values=t_values)
     except ValueError as exc:
         raise ConfigError(f"invalid counterexample parameters: {exc}") from exc
     checks = [
@@ -479,11 +497,12 @@ def _run_break_bw(cfg, rng, scale):
 
 
 def _run_lightcone_defect(cfg, rng, scale):
+    masses = _floats(cfg["masses"], "masses")
     try:
         ladder = tuple((_int(n, "ladder"), _int(c, "ladder"))
                        for n, c in cfg["ladder"])
         study = bgl.lightcone_separating_study(
-            masses=tuple(float(m) for m in cfg["masses"]), ladder=ladder,
+            masses=masses, ladder=ladder,
             spacing=float(cfg["spacing"]), frozen=float(cfg["frozen"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid study parameters: {exc}") from exc
@@ -509,7 +528,7 @@ def _run_lightcone_defect(cfg, rng, scale):
 
 
 def _run_spin_statistics(cfg, rng, scale):
-    count = _int(cfg["pairs"], "pairs")
+    count = _int(cfg["pairs"], "pairs", minimum=1)
     base = rng.uniform(0.0, 3.0, size=count)
     steps = rng.integers(-3, 4, size=count)
     good = [(mu, mu + k) for mu, k in zip(base, steps)]
@@ -529,21 +548,22 @@ def _run_spin_statistics(cfg, rng, scale):
 
 
 def _run_trace_class(cfg, rng, scale):
+    n_terms = _int(cfg["n_terms"], "n_terms", minimum=1)
     rows = []
     worst_rel = 0.0
-    for beta in cfg["betas"]:
+    for beta in _floats(cfg["betas"], "betas"):
         try:
             value, closed, diff, tail = bgl.trace_class_partition(
-                float(beta), n_terms=_int(cfg["n_terms"], "n_terms"))
+                beta, n_terms=n_terms)
         except ValueError as exc:
             raise ConfigError(f"invalid inverse temperature: {exc}") from exc
         rel = diff / closed
         worst_rel = max(worst_rel, rel)
-        rows.append({"beta": float(beta), "value": value,
+        rows.append({"beta": beta, "value": value,
                      "closed_form": closed, "abs_diff": diff,
                      "tail_bound": tail, "relative_error": rel})
     _, closed_ln2, _, _ = bgl.trace_class_partition(
-        math.log(2.0), n_terms=_int(cfg["n_terms"], "n_terms"))
+        math.log(2.0), n_terms=n_terms)
     checks = [
         _check("trace-class-truncation", worst_rel, TRACE_REL_BUDGET * scale,
                "max relative truncation error over the sampled inverse "
@@ -557,9 +577,9 @@ def _run_trace_class(cfg, rng, scale):
 
 
 def _run_fock_checks(cfg, rng, scale):
-    modes = _int(cfg["modes"], "modes")
-    order = _int(cfg["order"], "order")
-    samples = _int(cfg["samples"], "samples")
+    modes = _int(cfg["modes"], "modes", minimum=1)
+    order = _int(cfg["order"], "order", minimum=0)
+    samples = _int(cfg["samples"], "samples", minimum=1)
 
     def amp(norm):
         f = rng.normal(size=modes) + 1j * rng.normal(size=modes)
@@ -646,16 +666,17 @@ def _run_fock_checks(cfg, rng, scale):
 
 
 def _run_halperin_bench(cfg, rng, scale):
-    parent = stdspace.ComplexSpace(_int(cfg["dim"], "dim"))
+    # generic pairs draw subspace dimensions from [3, dim - 1)
+    parent = stdspace.ComplexSpace(_int(cfg["dim"], "dim", minimum=5))
     n = parent.n
     tol = float(cfg["tol"])
-    max_iter = _int(cfg["max_iter"], "max_iter")
+    max_iter = _int(cfg["max_iter"], "max_iter", minimum=1)
     caps = [c for c in (8, 32, 128, 512, 2048) if c < max_iter] + [max_iter]
 
     rows = []
     worst_distance = 0.0
     failures = 0
-    for index in range(_int(cfg["pairs"], "pairs")):
+    for index in range(_int(cfg["pairs"], "pairs", minimum=1)):
         if index % 2 == 0:
             # generic pair with trivial intersection; dimensions kept away
             # from the marginal regime dim_a + dim_b = 2n, where principal
@@ -828,8 +849,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.command, args.config)
-        seed = (args.seed if args.seed is not None
-                else _int(config.get("seed", 0), "seed"))
+        seed = _int(args.seed if args.seed is not None
+                    else config.get("seed", 0), "seed", minimum=0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import struct
 from typing import Mapping
 
 import numpy as np
@@ -606,28 +605,3 @@ def translation_intertwining_residual(source, target, xi, a_pair):
     moved, _ = product_to_direct_integral(apply(source, g, xi), source, target)
     mapped, _ = product_to_direct_integral(xi, source, target)
     return target.norm(moved - apply(target, g, mapped)) / source.norm(xi)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def vector_to_bytes(xi):
-    """Interleaved re/im little-endian float64, with a shape header."""
-    xi = np.asarray(xi, dtype=complex)
-    head = struct.pack("<Q", xi.ndim) + struct.pack(
-        f"<{xi.ndim}Q", *xi.shape
-    )
-    flat = np.empty(2 * xi.size)
-    flat[0::2] = xi.real.ravel()
-    flat[1::2] = xi.imag.ravel()
-    return head + flat.astype("<f8").tobytes()
-
-
-def vector_from_bytes(blob):
-    (ndim,) = struct.unpack_from("<Q", blob, 0)
-    shape = struct.unpack_from(f"<{ndim}Q", blob, 8)
-    offset = 8 + 8 * ndim
-    flat = np.frombuffer(blob, dtype="<f8", offset=offset)
-    return (flat[0::2] + 1j * flat[1::2]).reshape(shape)

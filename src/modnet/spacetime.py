@@ -352,38 +352,3 @@ def copy_view(cyl_region, new_center):
         (point_of_angle_signed(be[0] - nb), point_of_angle_signed(be[1] - nb)),
     )
     return CylinderRegion(region, (na, nb))
-
-
-# ---------------------------------------------------------------------------
-# serialization (experiment config format)
-# ---------------------------------------------------------------------------
-
-
-def _endpoint_to_json(v):
-    if v == INF:
-        return "inf"
-    if v == -INF:
-        return "-inf"
-    return v
-
-
-def _endpoint_from_json(v):
-    if v == "inf":
-        return INF
-    if v == "-inf":
-        return -INF
-    return float(v)
-
-
-def region_to_dict(region):
-    return {
-        "kind": region.kind.value,
-        "left": [_endpoint_to_json(v) for v in region.left],
-        "right": [_endpoint_to_json(v) for v in region.right],
-    }
-
-
-def region_from_dict(data):
-    left = tuple(_endpoint_from_json(v) for v in data["left"])
-    right = tuple(_endpoint_from_json(v) for v in data["right"])
-    return Region(left, right, kind=data.get("kind"))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import struct
 import warnings
 
 import numpy as np
@@ -655,37 +654,3 @@ def symmetry_commutation_check(h, u, tol=SUBSPACE_TOL):
         complex_norm(parent, u @ m.Delta @ u.T - m.Delta) / m.delta_norm,
         complex_norm(parent, u @ m.J @ u.T - m.J),
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def subspace_to_dict(h):
-    return {
-        "n": h.parent.n,
-        "rows": h.basis.shape[0],
-        "cols": h.basis.shape[1],
-        "data": [float(x) for x in h.basis.ravel(order="C")],
-    }
-
-
-def subspace_from_dict(data):
-    parent = ComplexSpace(data["n"])
-    basis = np.array(data["data"], dtype=float).reshape(
-        data["rows"], data["cols"]
-    )
-    return RealSubspace(parent, basis)
-
-
-def subspace_to_bytes(h):
-    rows, cols = h.basis.shape
-    head = struct.pack("<QQQ", h.parent.n, rows, cols)
-    return head + np.ascontiguousarray(h.basis, dtype="<f8").tobytes()
-
-
-def subspace_from_bytes(blob):
-    n, rows, cols = struct.unpack_from("<QQQ", blob, 0)
-    data = np.frombuffer(blob, dtype="<f8", offset=24, count=rows * cols)
-    return RealSubspace(ComplexSpace(n), data.reshape(rows, cols))

@@ -95,16 +95,21 @@ def test_kappa_spectrum_is_paired(n):
 def test_halfline_flow_is_one_slot_shift(orient, shift):
     n, h = 11, 0.9
     block = bgl._halfline_block(n, h, orient)
-    w, v = np.linalg.eigh(block.kgen)
-    step = (v * np.exp(1j * h * w)) @ v.conj().T
+    step = block.flow(h / _TWO_PI)
     assert np.linalg.norm(step - bgl._roll(n, shift), 2) < EXACT_TOL
 
 
 def test_halfline_block_is_exactly_hermitian():
     block = bgl._halfline_block(13, 1.1, +1,
                                 phases=np.exp(1j * np.linspace(0, 2, 13)))
-    assert np.array_equal(block.kgen, block.kgen.conj().T)
-    assert np.array_equal(block.delta, block.delta.conj().T)
+    delta = block.delta()
+    assert np.array_equal(delta, delta.conj().T)
+    # the eigenvectors are unitary and J exchanges the paired columns
+    vecs = block.vecs
+    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(13), 2) < 1e-13
+    assert np.allclose(block.z[:, None] * vecs.conj(), vecs[:, block.pair],
+                       atol=1e-14)
+    assert np.array_equal(block.kap[block.pair], -block.kap)
 
 
 def test_phased_block_balances_j_and_delta():
@@ -112,9 +117,10 @@ def test_phased_block_balances_j_and_delta():
     n = 9
     phases = np.exp(1j * 0.37 * np.arange(n) ** 1.5)
     block = bgl._halfline_block(n, 3.0, +1, phases=phases)
+    delta = block.delta()
     j_mat = np.diag(block.z)
-    lhs = j_mat @ block.delta.conj() @ j_mat.conj()
-    rhs = np.linalg.inv(block.delta)
+    lhs = j_mat @ delta.conj() @ j_mat.conj()
+    rhs = np.linalg.inv(delta)
     assert np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(rhs, 2) < 1e-9
 
 
@@ -466,19 +472,25 @@ def test_lightcone_study_rejects_empty_ladder():
 
 
 def test_eigenpair_route_agrees_with_modular_route():
-    # same wedge, two constructions: spectral kernel of the modular
-    # operator versus the closed per-pair formula that never forms it
-    n, h, mass = 16, 2.5, 1.0
-    net = bgl.NetModel.massive(n=n, h=h, mass=mass)
+    # same wedge, two constructions: the closed per-pair formula behind
+    # wedge_subspace and wedge_flow, against the kernel of S - 1 and the
+    # flow of the dense modular data
     corner = (0.3, -0.2)
-    region = spacetime.Region.wedge_right(corner)
-    via_modular = net.wedge_subspace(region)
-    theta = (np.arange(n) - (n - 1) / 2.0) * h
-    p_l = mass * np.exp(theta) / math.sqrt(2.0)
-    p_r = mass * np.exp(-theta) / math.sqrt(2.0)
-    via_pairs = bgl._wedge_fix_massive(net.parent, n, h, p_l, p_r,
-                                       "R", corner)
-    assert stdspace.subspace_distance(via_modular, via_pairs) < 1e-8
+    for kind in bgl.MODEL_KINDS:
+        net = _model(kind)
+        regions = [spacetime.Region.wedge_right(corner),
+                   spacetime.Region.wedge_left(corner)]
+        if kind in ("chiralSum", "twisted"):
+            regions.append(spacetime.Region.forward_cone((0.0, 0.0)))
+        for region in regions:
+            md = net.wedge_modular(region)
+            assert stdspace.subspace_distance(
+                net.wedge_subspace(region),
+                stdspace.subspace_from_modular(md)) < 1e-10, (kind, region)
+            for t in (0.37, -1.1):
+                dev = np.linalg.norm(net.wedge_flow(region, t)
+                                     - md.delta_it(t), 2)
+                assert dev < bgl.BLOCK_TOL, (kind, region, t)
 
 
 @pytest.mark.parametrize("n", [8, 9])

@@ -272,6 +272,38 @@ def test_non_integral_values_of_integral_keys_rejected(tmp_path, command,
     assert report is None
 
 
+@pytest.mark.parametrize("command,config,message", [
+    ("verify-stdspace", {"samples": -5}, "'samples' must be at least 1"),
+    ("verify-stdspace", {"dim": 0}, "'dim' must be at least 1"),
+    ("verify-mobius", {"samples": 0}, "'samples' must be at least 1"),
+    ("verify-mobius", {"seed": -1}, "'seed' must be at least 0"),
+    ("fock-checks", {"samples": 0}, "'samples' must be at least 1"),
+    ("fock-checks", {"modes": 0}, "'modes' must be at least 1"),
+    ("halperin-bench", {"pairs": 0}, "'pairs' must be at least 1"),
+    ("halperin-bench", {"dim": 4}, "'dim' must be at least 5"),
+    ("halperin-bench", {"max_iter": 0}, "'max_iter' must be at least 1"),
+    ("spin-statistics", {"pairs": -3}, "'pairs' must be at least 1"),
+    ("trace-class", {"betas": []}, "'betas' must be a non-empty list"),
+    ("trace-class", {"n_terms": 0}, "'n_terms' must be at least 1"),
+    ("break-bw", {"t_values": []}, "'t_values' must be a non-empty list"),
+    ("reconstruct-mobius", {"t_values": []},
+     "'t_values' must be a non-empty list"),
+    ("reconstruct-mobius", {"t_values": ["half"]},
+     "'t_values' must hold numbers"),
+    ("lightcone-defect", {"masses": []}, "'masses' must be a non-empty list"),
+])
+def test_bad_counts_and_empty_lists_are_config_errors(tmp_path, capsys,
+                                                      command, config,
+                                                      message):
+    # each of these once passed vacuously over zero samples or ended in
+    # an internal-error traceback
+    code, report = _run(tmp_path, command, config)
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert message in capsys.readouterr().err
+    assert report is None
+    assert not (tmp_path / "out").exists()
+
+
 def test_integral_floats_are_accepted(tmp_path):
     code, report = _run(tmp_path, "spin-statistics", {"pairs": 10.0})
     assert code == cli.EXIT_OK

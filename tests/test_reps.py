@@ -30,8 +30,6 @@ from modnet.reps import (
     translation_spectrum,
     twist,
     unitarity_deviation,
-    vector_from_bytes,
-    vector_to_bytes,
 )
 
 CHIRAL = {"kind": "chiral", "n": 64, "h": 0.1, "u0": -3.2}
@@ -468,25 +466,3 @@ def test_identification_rejects_wrong_kinds():
         product_to_direct_integral(np.zeros((8, 32), complex), dst, dst)
     with pytest.raises(ValueError, match="directIntegral"):
         product_to_direct_integral(xi, src, src)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_vector_bytes_roundtrip():
-    rng = np.random.default_rng(53)
-    for cfg in ALL_CONFIGS:
-        rep = build_rep(cfg)
-        xi = rep.random_vector(rng)
-        again = vector_from_bytes(vector_to_bytes(xi))
-        assert again.shape == xi.shape
-        assert_allclose(again, xi, atol=0)
-
-
-def test_vector_bytes_interleaving():
-    xi = np.array([1.0 + 2.0j, 3.0 - 4.0j])
-    blob = vector_to_bytes(xi)
-    payload = np.frombuffer(blob, dtype="<f8", offset=16)
-    assert_allclose(payload, [1.0, 2.0, 3.0, -4.0])

@@ -15,8 +15,6 @@ from modnet.spacetime import (
     copy_view,
     g_act,
     reflect,
-    region_from_dict,
-    region_to_dict,
     spacelike,
     wedge_corner,
 )
@@ -300,30 +298,3 @@ def test_copy_view_rejects_region_leaving_the_square():
         copy_view(wide, (2.5, 0.0))
     with pytest.raises(ValueError, match="does not fit"):
         copy_view(Region.wedge_right(), (2.5, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_region_dict_roundtrip():
-    for r in (Region.unit_double_cone(), Region.wedge_right(),
-              Region.half_band_left(), Region((-2.0, INF), (-INF, 3.0))):
-        d = region_to_dict(r)
-        assert region_from_dict(d) == r
-
-
-def test_region_dict_infinity_sentinels():
-    d = region_to_dict(Region.wedge_right())
-    assert d == {"kind": "WedgeRight", "left": ["-inf", 0.0],
-                 "right": [0.0, "inf"]}
-    r = region_from_dict({"kind": "LightconeFwd", "left": [0, "inf"],
-                          "right": [0, "inf"]})
-    assert r == Region.forward_cone()
-
-
-def test_region_dict_rejects_inconsistent_kind():
-    with pytest.raises(ValueError):
-        region_from_dict({"kind": "DoubleCone", "left": ["-inf", 0.0],
-                          "right": [0.0, "inf"]})

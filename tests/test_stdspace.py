@@ -27,11 +27,7 @@ from modnet.stdspace import (
     principal_angles,
     standardness,
     subspace_distance,
-    subspace_from_bytes,
-    subspace_from_dict,
     subspace_from_modular,
-    subspace_to_bytes,
-    subspace_to_dict,
     sum_closure,
     symmetry_commutation_check,
     symplectic_complement,
@@ -637,25 +633,3 @@ def test_symmetry_commutation_rejects_moving_unitary():
     u = sp.realify_linear(np.linalg.qr(z)[0])
     with pytest.raises(ValueError, match="preserve"):
         symmetry_commutation_check(h, u)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_subspace_dict_roundtrip():
-    rng = np.random.default_rng(73)
-    h = random_subspace(rng, ComplexSpace(3), 2)
-    again = subspace_from_dict(subspace_to_dict(h))
-    assert subspace_distance(h, again) < ATOL
-    assert again.parent.n == 3
-
-
-def test_subspace_bytes_roundtrip():
-    rng = np.random.default_rng(79)
-    h = random_subspace(rng, ComplexSpace(4), 3)
-    blob = subspace_to_bytes(h)
-    again = subspace_from_bytes(blob)
-    assert subspace_distance(h, again) < ATOL
-    assert len(blob) == 24 + 8 * 8 * 3
