@@ -611,9 +611,11 @@ def _run_fock_checks(cfg, rng, scale):
         pairing = complex(np.vdot(f, g))
         worst_overlap = max(worst_overlap,
                             abs(ev_f.inner(ev_g) - np.exp(pairing)))
+        # Lagrange remainder of the exponential series at |z| = |<f, g>|
         overlap_budget = max(
             overlap_budget,
-            abs(pairing) ** (order + 1) / math.factorial(order + 1))
+            abs(pairing) ** (order + 1) / math.factorial(order + 1)
+            * math.exp(abs(pairing)))
         a = rng.normal(size=(modes, modes)) + 1j * rng.normal(
             size=(modes, modes))
         a *= 0.9 / np.linalg.norm(a, 2)
@@ -649,8 +651,8 @@ def _run_fock_checks(cfg, rng, scale):
                "-truncation tail(0.7, order) * budget_scale"),
         _check("exponential-overlap", worst_overlap,
                overlap_budget * scale + 1e-10,
-               "|<e(f), e(g)> - exp <f, g>| <= exp-series tail "
-               "+ 1e-10, scaled by budget_scale"),
+               "|<e(f), e(g)> - exp <f, g>| <= |<f, g>|^(order+1) / "
+               "(order+1)! * exp |<f, g>| * budget_scale + 1e-10"),
         _check("second-quantization-exponential", worst_gamma, 1e-10 * scale,
                "||Gamma(A) e(g) - e(A g)|| <= 1e-10 * budget_scale"),
         _check("second-quantization-functorial", worst_funct, 1e-10 * scale,

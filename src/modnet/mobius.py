@@ -205,9 +205,6 @@ class MobiusElement:
         a, b, c, d = self.mat.ravel()
         return abs(a - d) <= tol and abs(b + c) <= tol
 
-    def fixes_infinity(self, tol=1e-12):
-        return abs(self.mat[1, 0]) <= tol
-
     # -- actions --------------------------------------------------------
 
     def act_line(self, x):
@@ -567,19 +564,15 @@ def dilation_conjugator(interval, third=None):
 
 
 def interval_dilation(interval, t, third=None):
-    """The dilation flow of an interval at time ``t``, as a cover element.
+    """The dilation flow of an interval at time ``t``.
 
     Defined as g delta(-t) g^{-1} for any g taking the positive half-line
-    onto the interval; for the half-lines this reduces to
-    Lambda_{R_+}(t) = delta(-t) and Lambda_{R_-}(t) = delta(t).
+    onto the interval (:func:`dilation_conjugator`); for the half-lines
+    this reduces to Lambda_{R_+}(t) = delta(-t) and Lambda_{R_-}(t) =
+    delta(t).  A Mobius element: lift it with
+    :meth:`CoverElement.from_base` where the cover is needed.
     """
-    g = CoverElement.from_base(dilation_conjugator(interval, third))
-    return g.compose(CoverElement.dilation(-t)).compose(g.inverse())
-
-
-def _interval_dilation_mat(interval, t):
-    """Matrix-only fast path for :func:`interval_dilation`."""
-    g = dilation_conjugator(interval).mat
+    g = dilation_conjugator(interval, third).mat
     e = math.exp(-0.5 * t)
     d = np.array([[e, 0.0], [0.0, 1.0 / e]])
     gi = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
@@ -637,8 +630,8 @@ def commutation_residual(t, s, pair):
     s_p, t_p = commutation_parameters(t, s, pair)
     mk_i, mk_j = _PAIR_INTERVALS[pair]
     big, small = mk_i(), mk_j()
-    lhs = _interval_dilation_mat(big, t).mat @ _interval_dilation_mat(small, s).mat
-    rhs = _interval_dilation_mat(small, s_p).mat @ _interval_dilation_mat(big, t_p).mat
+    lhs = interval_dilation(big, t).mat @ interval_dilation(small, s).mat
+    rhs = interval_dilation(small, s_p).mat @ interval_dilation(big, t_p).mat
     lhs = _canonical_sign(lhs)
     rhs = _canonical_sign(rhs)
     return float(np.linalg.norm(lhs - rhs))
@@ -721,8 +714,3 @@ class GElement:
 
     def __repr__(self):
         return f"GElement(left={self.left!r}, right={self.right!r})"
-
-
-def to_G(left, right):
-    """Quotient a pair of cover elements to the two-dimensional group."""
-    return GElement(left, right)

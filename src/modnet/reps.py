@@ -21,7 +21,6 @@ from .mobius import CoverElement, GElement, MobiusElement
 
 UNITARITY_TOL = 1e-10
 GROUP_LAW_TOL = 1e-10
-CHARGE_COMMUTATION_TOL = 1e-12
 AFFINE_TOL = 1e-12
 STEP_TOL = 1e-9
 
@@ -98,16 +97,6 @@ class RapidityGrid:
                 f"theta0={self.theta0}, mass={self.mass})")
 
 
-@dataclasses.dataclass(frozen=True)
-class InnerSymmetryCharge:
-    """One-parameter inner symmetry V(s) = e^{i s q} on every fiber."""
-
-    q: float
-
-    def phase(self, s):
-        return complex(np.exp(1j * self.q * s))
-
-
 KINDS = ("chiral", "massive", "productChiralSum", "productChiralTensor",
          "directIntegral")
 
@@ -121,18 +110,15 @@ class LatticeRep:
     elements; everything is immutable and pure.
     """
 
-    __slots__ = ("kind", "grids", "mass_weights", "mass_spacing",
-                 "twist_charge")
+    __slots__ = ("kind", "grids", "mass_weights", "mass_spacing")
 
-    def __init__(self, kind, grids, mass_weights=None, mass_spacing=None,
-                 twist_charge=0.0):
+    def __init__(self, kind, grids, mass_weights=None, mass_spacing=None):
         if kind not in KINDS:
             raise ValueError(f"unknown representation kind {kind!r}")
         self.kind = kind
         self.grids = tuple(grids)
         self.mass_weights = mass_weights
         self.mass_spacing = mass_spacing
-        self.twist_charge = float(twist_charge)
 
     # -- geometry ----------------------------------------------------------
 
@@ -343,23 +329,20 @@ def apply(rep: LatticeRep, g, xi):
                 "factor; got a paired element"
             )
         aff = _affine_of(g)
-        out = _chiral_factor_action(rep.grids[0], aff, xi)
-        return _twist_phase(rep, aff.sigma) * out
+        return _chiral_factor_action(rep.grids[0], aff, xi)
 
     left, right = _pair_of(g)
-    twist = _twist_phase(rep, (left.sigma + right.sigma) / 2.0)
 
     if rep.kind == "productChiralSum":
         gl, gr = rep.grids
         out = np.empty_like(xi)
         out[:gl.n] = _chiral_factor_action(gl, left, xi[:gl.n])
         out[gl.n:] = _chiral_factor_action(gr, right, xi[gl.n:])
-        return twist * out
+        return out
 
     if rep.kind == "productChiralTensor":
         out = _chiral_factor_action(rep.grids[0], left, xi, axis=0)
-        out = _chiral_factor_action(rep.grids[1], right, out, axis=1)
-        return twist * out
+        return _chiral_factor_action(rep.grids[1], right, out, axis=1)
 
     # massive kinds: split delta(s_L) x delta(s_R) into a boost
     # (antisymmetric part) and an overall dilation (symmetric part)
@@ -372,8 +355,8 @@ def apply(rep: LatticeRep, g, xi):
                 "overall dilation component not implementable on a "
                 "fixed-mass fiber"
             )
-        out = _massive_fiber_action(rep.grids[0], left.t, right.t, boost, xi)
-        return twist * out
+        return _massive_fiber_action(rep.grids[0], left.t, right.t, boost,
+                                     xi)
 
     out = np.empty_like(xi)
     for i, grid in enumerate(rep.grids):
@@ -387,44 +370,7 @@ def apply(rep: LatticeRep, g, xi):
         hm = math.log(rep.grids[1].mass / rep.grids[0].mass)
         k = _shift_steps(dilation, hm, "dilation")
         out = _weighted_shift(rep.mass_weights, out, k, axis=0)
-    return twist * out
-
-
-def _twist_phase(rep, dilation_parameter):
-    if rep.twist_charge == 0.0:
-        return 1.0
-    return complex(np.exp(1j * rep.twist_charge * dilation_parameter))
-
-
-# ---------------------------------------------------------------------------
-# inner symmetry and twisting
-# ---------------------------------------------------------------------------
-
-
-def charge_commutation_deviation(rep, charge, g_samples, rng):
-    """Worst norm of [U(g), V(s)] xi over the given elements."""
-    worst = 0.0
-    for g in g_samples:
-        xi = rep.random_vector(rng)
-        s = float(rng.uniform(-2.0, 2.0))
-        v = charge.phase(s)
-        a = apply(rep, g, v * xi)
-        b = v * apply(rep, g, xi)
-        worst = max(worst, rep.norm(a - b) / rep.norm(xi))
-    return worst
-
-
-def twist(rep: LatticeRep, charge: InnerSymmetryCharge) -> LatticeRep:
-    """Deform the rep by the inner symmetry along the dilation direction.
-
-    The Poincare subgroup is untouched; a group element whose overall
-    dilation parameter is sigma acquires the extra phase e^{i q sigma}.
-    The result is again an exact representation because overall dilation
-    parameters add under composition.
-    """
-    return LatticeRep(rep.kind, rep.grids, mass_weights=rep.mass_weights,
-                      mass_spacing=rep.mass_spacing,
-                      twist_charge=rep.twist_charge + charge.q)
+    return out
 
 
 # ---------------------------------------------------------------------------

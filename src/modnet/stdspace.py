@@ -6,6 +6,15 @@ Real subspaces are matrices with orthonormal columns; antilinear
 operators are ordinary real matrices anticommuting with J_i, which turns
 the whole Tomita machinery (S = J Delta^{1/2}, modular flows,
 half-sided inclusions) into finite linear algebra.
+
+Modular theory itself runs on n x n complex matrices: a real subspace
+with basis b is the real span of the columns of B = b[:n] + i b[n:], its
+standardness comes from the singular values of B, and its Tomita
+operator S = C conj, modular operator and conjugation are complex
+matrices turned into real form only on return.  Residuals of
+(anti)linear operators are taken on their complex matrices through
+:class:`Operator`; a real 2n x 2n spectral norm runs only for a
+genuinely mixed operator.
 """
 
 from __future__ import annotations
@@ -157,27 +166,91 @@ class RealSubspace:
         return f"RealSubspace(dim={self.dim} of R^{self.parent.real_dim})"
 
 
-def complex_norm(parent, r_matrix):
-    """Spectral norm of a complex-linear or antilinear real-form operator.
+class Operator:
+    """A real-form operator on C^n, held as its complex matrix if it has one.
 
-    Block averages split R uniquely into realify_linear(L) +
-    realify_antilinear(A).  When one part is negligible (Frobenius ratio
-    at most ``STRUCTURE_TOL``) the norm is that of the other part's
-    complex n x n matrix, which equals the real-form norm and costs about
-    an eighth of its SVD.  A genuinely mixed operator falls back to the
-    real 2n x 2n norm.
+    ``kind`` is ``"linear"`` (real form realify_linear(mat)),
+    ``"antilinear"`` (realify_antilinear(mat), the map xi -> mat conj(xi))
+    or ``"real"`` (mat is the real 2n x 2n form of a mixed operator).
+    Products, differences and transposes of complex forms stay complex;
+    an operand of kind ``"real"`` turns the result real.
     """
-    r = np.asarray(r_matrix, dtype=float)
-    n = parent.n
-    a, b, c, d = r[:n, :n], r[:n, n:], r[n:, :n], r[n:, n:]
-    lin = (a + d) / 2 + 0.5j * (c - b)
-    anti = (a - d) / 2 + 0.5j * (b + c)
-    f_lin, f_anti = np.linalg.norm(lin), np.linalg.norm(anti)
-    if f_anti <= STRUCTURE_TOL * f_lin:
-        return float(np.linalg.norm(lin, 2))
-    if f_lin <= STRUCTURE_TOL * f_anti:
-        return float(np.linalg.norm(anti, 2))
-    return float(np.linalg.norm(r, 2))
+
+    __slots__ = ("parent", "mat", "kind")
+
+    def __init__(self, parent, mat, kind="linear"):
+        self.parent = parent
+        self.mat = mat
+        self.kind = kind
+
+    @classmethod
+    def of(cls, parent, r_matrix):
+        """The operator with real form R, in complex form when it has one.
+
+        Block averages split R uniquely into realify_linear(L) +
+        realify_antilinear(A).  When one part is negligible (Frobenius
+        ratio at most ``STRUCTURE_TOL``) R is taken as the other part's
+        complex matrix; otherwise it stays real.
+        """
+        r = np.asarray(r_matrix, dtype=float)
+        n = parent.n
+        a, b, c, d = r[:n, :n], r[:n, n:], r[n:, :n], r[n:, n:]
+        lin = (a + d) / 2 + 0.5j * (c - b)
+        anti = (a - d) / 2 + 0.5j * (b + c)
+        f_lin, f_anti = np.linalg.norm(lin), np.linalg.norm(anti)
+        if f_anti <= STRUCTURE_TOL * f_lin:
+            return cls(parent, lin, "linear")
+        if f_lin <= STRUCTURE_TOL * f_anti:
+            return cls(parent, anti, "antilinear")
+        return cls(parent, r, "real")
+
+    def real(self):
+        """The real 2n x 2n form."""
+        if self.kind == "linear":
+            return self.parent.realify_linear(self.mat)
+        if self.kind == "antilinear":
+            return self.parent.realify_antilinear(self.mat)
+        return self.mat
+
+    def __matmul__(self, other):
+        if "real" in (self.kind, other.kind):
+            return Operator(self.parent, self.real() @ other.real(), "real")
+        # mat conj(other conj(xi)) = mat conj(other) xi
+        right = other.mat.conj() if self.kind == "antilinear" else other.mat
+        kind = "linear" if self.kind == other.kind else "antilinear"
+        return Operator(self.parent, self.mat @ right, kind)
+
+    def __sub__(self, other):
+        if self.kind == other.kind:
+            return Operator(self.parent, self.mat - other.mat, self.kind)
+        return Operator(self.parent, self.real() - other.real(), "real")
+
+    @property
+    def T(self):
+        """Transpose of the real form: the adjoint for a linear operator,
+        xi -> mat^T conj(xi) for an antilinear one."""
+        if self.kind == "linear":
+            return Operator(self.parent, self.mat.conj().T, "linear")
+        return Operator(self.parent, self.mat.T, self.kind)
+
+    def norm(self):
+        """Spectral norm of the real form (that of the complex matrix)."""
+        return float(np.linalg.norm(self.mat, 2))
+
+
+def complex_norm(parent, r_matrix):
+    """Spectral norm of a real-form operator, in complex form if it has one.
+
+    The complex n x n norm of a linear or antilinear operator equals the
+    real-form norm at about an eighth of the SVD; a genuinely mixed
+    operator (see :meth:`Operator.of`) takes the real 2n x 2n norm.  No
+    caller in the package falls back: the Bisognano-Wichmann roundtrips
+    and flow deviations difference operators that are exactly
+    (anti)linear in real form.  A residual of products formed in real
+    form would, as its linear and antilinear round-off parts are of one
+    size; such residuals are formed with :class:`Operator` instead.
+    """
+    return Operator.of(parent, r_matrix).norm()
 
 
 def _orthonormal_basis(columns, parent):
@@ -263,19 +336,30 @@ class StandardnessReport:
         return self.cyclic and self.separating
 
 
+def _complex_basis(h):
+    """B = b[:n] + i b[n:]: H is the real span of the columns of B."""
+    n = h.parent.n
+    return h.basis[:n] + 1j * h.basis[n:]
+
+
 def standardness(h):
-    """Cyclicity (H + iH dense), separation (H with iH trivial), angles."""
+    """Cyclicity (H + iH dense), separation (H with iH trivial), angles.
+
+    With b orthonormal, B* B = 1 - i b^T J_i b, so the singular values of
+    the n x k complex B are sqrt(1 +- cos theta_j) over the angles theta_j
+    between H and iH; [b, J_i b] is the real form of B and has each of
+    them twice.  H is cyclic when B has full rank n (the relative count of
+    ``RANK_REL_TOL``), and the minimal angle is 2 asin(sigma_min / sqrt 2),
+    accurate near 0 and near pi/2 alike; for k > n, B has a kernel and the
+    angle is 0.
+    """
     parent = h.parent
     if h.dim == 0:
         return StandardnessReport(False, True, math.pi / 2)
-    rotated = parent.J_i @ h.basis
-    s = np.linalg.svd(np.hstack([h.basis, rotated]), compute_uv=False)
-    cyclic = bool(np.sum(s > RANK_REL_TOL * s[0]) == parent.real_dim)
-    # the smallest angle between H and iH, from its sine and its cosine so
-    # that it stays accurate near pi/2 as well as near 0
-    sines, v = principal_angles(h.basis, rotated)
-    cosine = np.linalg.norm(h.basis.T @ (rotated @ v[:, 0]))
-    minimal = math.atan2(sines[0], cosine)
+    s = np.linalg.svd(_complex_basis(h), compute_uv=False)
+    cyclic = bool(np.sum(s > RANK_REL_TOL * s[0]) == parent.n)
+    s_min = s[-1] if h.dim <= parent.n else 0.0
+    minimal = 2.0 * math.asin(min(s_min / math.sqrt(2.0), 1.0))
     return StandardnessReport(cyclic, bool(minimal > ANGLE_TOL), minimal)
 
 
@@ -331,12 +415,13 @@ class ModularData:
         self.Delta = (Delta + Delta.T) / 2
         self.delta_norm = float(w[-1])
         self._eig = None
-        balance = self.J @ self.Delta @ self.J @ self.Delta - np.eye(d)
+        j_op, d_op = Operator.of(parent, J), Operator.of(parent, self.Delta)
+        balance = j_op @ d_op @ j_op @ d_op - Operator(parent, np.eye(n))
         limit = BALANCE_TOL * self.delta_norm
         # the Frobenius norm bounds the spectral norm, so the SVD is
         # needed only when that bound misses the limit
-        if np.linalg.norm(balance) > limit:
-            rel = complex_norm(parent, balance)
+        if np.linalg.norm(balance.mat) > limit:
+            rel = balance.norm()
             if rel > limit:
                 raise ValueError(
                     "modular invariant violated: J Delta J = Delta^-1 "
@@ -374,7 +459,10 @@ def modular_data(h):
     """Tomita operator and modular pair of a standard subspace.
 
     Returns ``(S, ModularData)`` where S is the real form of the closed
-    antilinear involution fixing H pointwise.
+    antilinear involution fixing H pointwise.  In complex form S = C conj
+    with C conj(B) = B, so C = B conj(B)^{-1}; Delta = S* S = C^T conj(C)
+    and J = S Delta^{-1/2} = C conj(Delta^{-1/2}) conj, snapped to its
+    unitary polar factor.  All three are returned in exact real form.
     """
     rep = standardness(h)
     if not rep.cyclic:
@@ -385,20 +473,18 @@ def modular_data(h):
             f"{rep.minimal_angle:.3e}"
         )
     parent = h.parent
-    b = h.basis
-    m = np.hstack([b, parent.J_i @ b])
-    target = np.hstack([b, -(parent.J_i @ b)])
-    s_op = sla.solve(m.T, target.T).T
-    delta = s_op.T @ s_op
-    delta = (delta + delta.T) / 2
+    b = _complex_basis(h)
+    c = sla.solve(b.conj().T, b.T).T
+    delta = c.T @ c.conj()
+    delta = (delta + delta.conj().T) / 2
     w, v = np.linalg.eigh(delta)
-    inv_sqrt = (v / np.sqrt(w)) @ v.T
-    j_raw = s_op @ inv_sqrt
-    # snap the polar factor to an exact orthogonal matrix; its structure
-    # (antilinearity, involutivity) is then asserted by ModularData
-    uu, _, vv = np.linalg.svd(j_raw)
-    j_op = uu @ vv
-    return s_op, ModularData(parent, j_op, delta)
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    # snap the polar factor to an exact unitary; involutivity of J is
+    # then asserted by ModularData
+    uu, _, vv = np.linalg.svd(c @ inv_sqrt.conj())
+    return (parent.realify_antilinear(c),
+            ModularData(parent, parent.realify_antilinear(uu @ vv),
+                        parent.realify_linear(delta)))
 
 
 def subspace_from_modular(m):
@@ -470,15 +556,21 @@ def intersect(subspaces, method="exact", max_iter=5000, tol=1e-9):
     for h in subspaces:
         t = h.projector() @ t
     iters = 1
-    residual = np.inf
+    step = None
     while iters <= max_iter:
         t2 = t @ t
-        residual = float(np.linalg.norm(t2 - t, 2))
+        step = t2 - t
         t = t2
         iters *= 2
-        if residual <= tol:
+        # converged when ||T^2 - T|| <= tol; the largest entry bounds the
+        # spectral norm from below and the Frobenius norm from above, so
+        # the SVD runs only when neither bound decides
+        if np.max(np.abs(step)) > tol:
+            continue
+        if np.linalg.norm(step) <= tol or np.linalg.norm(step, 2) <= tol:
             break
     else:
+        residual = np.inf if step is None else float(np.linalg.norm(step, 2))
         raise HalperinNonConvergence(residual, iters)
     sym = (t + t.T) / 2
     w, v = np.linalg.eigh(sym)
@@ -649,8 +741,11 @@ def symmetry_commutation_check(h, u, tol=SUBSPACE_TOL):
         raise ValueError(f"U does not preserve H (subspace distance {d:.3e})")
     s_op, m = modular_data(h)
     parent = h.parent
-    return SymmetryReport(
-        complex_norm(parent, u @ s_op @ u.T - s_op),
-        complex_norm(parent, u @ m.Delta @ u.T - m.Delta) / m.delta_norm,
-        complex_norm(parent, u @ m.J @ u.T - m.J),
-    )
+    u = Operator.of(parent, u)
+
+    def deviation(x):
+        x = Operator.of(parent, x)
+        return (u @ x @ u.T - x).norm()
+
+    return SymmetryReport(deviation(s_op), deviation(m.Delta) / m.delta_norm,
+                          deviation(m.J))

@@ -348,6 +348,25 @@ def test_twisted_model_fails_exactly_dilation_bw():
         2.0, abs=1e-10)
 
 
+def test_strong_additivity_fails_on_a_planted_halperin_result(monkeypatch):
+    # the exact dual cone is trivial here; a non-trivial Halperin result
+    # must be compared with it, not waved through
+    net = bgl.NetModel.chiral_sum(n=9)
+    exact_dual = net.region_subspace_dual
+
+    def planted(region, method="exact", **kwargs):
+        if method == "halperin":
+            return stdspace.RealSubspace(
+                net.parent, np.eye(net.parent.real_dim)[:, :1])
+        return exact_dual(region, method=method, **kwargs)
+
+    monkeypatch.setattr(net, "region_subspace_dual", planted)
+    entry = net.axioms_report()["Strong additivity"]
+    assert not entry.passed
+    assert entry.residual == pytest.approx(1.0)
+    assert entry.detail == "dual cone dim 0 (exact) / 1 (Halperin)"
+
+
 def test_report_notes_surface_the_translation_obstruction():
     report = _model("chiralSum").axioms_report()
     assert any("translated wedge" in note for note in report.notes)

@@ -385,6 +385,15 @@ def test_fock_checks_pass(tmp_path):
     assert len(report["checks"]) == len(cli.CHECK_NAMES["fock-checks"])
 
 
+@pytest.mark.parametrize("order", range(10))
+def test_fock_checks_pass_at_every_truncation_order(tmp_path, order):
+    # the overlap budget is the full Lagrange remainder of the exponential
+    # series, so a low truncation order is no failure of working code
+    code, report = _run(tmp_path, "fock-checks", {"order": order})
+    assert code == cli.EXIT_OK, [c for c in report["checks"]
+                                 if not c["passed"]]
+
+
 def test_halperin_bench_passes_and_reports_iterations(tmp_path):
     code, report = _run(tmp_path, "halperin-bench",
                         {"dim": 6, "pairs": 6})

@@ -16,7 +16,6 @@ from modnet.mobius import (
 )
 from modnet.reps import (
     ChiralGrid,
-    InnerSymmetryCharge,
     LatticeRep,
     RapidityGrid,
     apply,
@@ -24,11 +23,9 @@ from modnet.reps import (
     boundary_leakage,
     build_rep,
     central_support_mask,
-    charge_commutation_deviation,
     product_to_direct_integral,
     translation_intertwining_residual,
     translation_spectrum,
-    twist,
     unitarity_deviation,
 )
 
@@ -320,63 +317,6 @@ def test_paired_element_required_for_2d_kinds():
         apply(rep, MobiusElement.translation(0.1), xi)
     with pytest.raises(TypeError, match="single"):
         apply(build_rep(CHIRAL), GElement.identity(), np.ones(64, complex))
-
-
-# ---------------------------------------------------------------------------
-# inner symmetry twist
-# ---------------------------------------------------------------------------
-
-
-def test_charge_commutes_with_everything():
-    rng = np.random.default_rng(31)
-    rep = build_rep(SUM)
-    charge = InnerSymmetryCharge(1.0)
-    gs = [random_lattice_element(rng, rep) for _ in range(10)]
-    assert charge_commutation_deviation(rep, charge, gs, rng) < 1e-12
-
-
-def test_zero_twist_is_identity():
-    rep = build_rep(SUM)
-    rng = np.random.default_rng(37)
-    xi = rep.random_vector(rng)
-    twisted = twist(rep, InnerSymmetryCharge(0.0))
-    g = pair(0.1, 0.2, -0.3, -0.1)
-    assert_allclose(apply(twisted, g, xi), apply(rep, g, xi), atol=0)
-
-
-def test_twist_leaves_poincare_alone():
-    rep = build_rep(SUM)
-    twisted = twist(rep, InnerSymmetryCharge(1.7))
-    rng = np.random.default_rng(41)
-    xi = rep.random_vector(rng)
-    for g in (pair(0.4, 0.0, -0.2, 0.0), pair(s_l=-0.2, s_r=0.2)):
-        assert_allclose(apply(twisted, g, xi), apply(rep, g, xi), atol=0)
-
-
-def test_twist_phase_on_cone_dilations():
-    # U_V(Lambda_{V_+}(t)) = e^{-i q t} U(Lambda_{V_+}(t)): the flow of
-    # the forward cone is the pair delta(-t) x delta(-t)
-    rep = build_rep(SUM)
-    twisted = twist(rep, InnerSymmetryCharge(1.0))
-    rng = np.random.default_rng(43)
-    xi = rep.random_vector(rng)
-    t = 0.3
-    lam = interval_dilation(Interval.from_line(0.0, INF), t)
-    g = GElement(lam, lam)
-    assert_allclose(apply(twisted, g, xi),
-                    np.exp(-1j * t) * apply(rep, g, xi), rtol=1e-12)
-
-
-def test_twisted_rep_still_a_representation():
-    rep = twist(build_rep(SUM), InnerSymmetryCharge(0.8))
-    rng = np.random.default_rng(47)
-    for _ in range(30):
-        g1 = random_lattice_element(rng, rep)
-        g2 = random_lattice_element(rng, rep)
-        xi = central_vector(rep, rng)
-        a = apply(rep, g1, apply(rep, g2, xi))
-        b = apply(rep, g1 @ g2, xi)
-        assert rep.norm(a - b) < 1e-10 * rep.norm(xi)
 
 
 # ---------------------------------------------------------------------------

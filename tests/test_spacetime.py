@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from modnet.mobius import INF, CoverElement, to_G
+from modnet.mobius import INF, CoverElement, GElement
 from modnet.spacetime import (
     CylinderRegion,
     Region,
@@ -28,7 +28,7 @@ def affine_g(rng, shift_scale=2.0, dil_scale=1.0):
             @ CoverElement.dilation(dil_scale * rng.normal()))
     right = (CoverElement.translation(shift_scale * rng.normal())
              @ CoverElement.dilation(dil_scale * rng.normal()))
-    return to_G(left, right)
+    return GElement(left, right)
 
 
 def sample_points(rng, region, n=30):
@@ -196,7 +196,7 @@ def test_wedge_corner_rejects_cones():
 
 
 def test_dilation_preserves_forward_cone():
-    g = to_G(CoverElement.dilation(-0.8), CoverElement.dilation(-0.8))
+    g = GElement(CoverElement.dilation(-0.8), CoverElement.dilation(-0.8))
     out = g_act(g, Region.forward_cone())
     assert out.region == Region.forward_cone()
     assert out == CylinderRegion(Region.forward_cone())
@@ -204,13 +204,14 @@ def test_dilation_preserves_forward_cone():
 
 def test_boost_preserves_left_wedge():
     t = 1.3
-    g = to_G(CoverElement.dilation(-t), CoverElement.dilation(t))
+    g = GElement(CoverElement.dilation(-t), CoverElement.dilation(t))
     out = g_act(g, Region.wedge_left())
     assert out.region == Region.wedge_left()
 
 
 def test_deck_rotation_acts_trivially():
-    g = to_G(CoverElement.rotation(-TWO_PI), CoverElement.rotation(TWO_PI))
+    g = GElement(CoverElement.rotation(-TWO_PI),
+                 CoverElement.rotation(TWO_PI))
     r = CylinderRegion(Region((0.1, 0.6), (-0.4, 0.2)))
     assert g_act(g, r) == r
 
@@ -220,7 +221,7 @@ def test_affine_action_matches_interval_arithmetic():
     for _ in range(25):
         a, b = rng.normal(size=2) * 2
         s, u = rng.normal(size=2)
-        g = to_G(CoverElement.translation(a) @ CoverElement.dilation(s),
+        g = GElement(CoverElement.translation(a) @ CoverElement.dilation(s),
                  CoverElement.translation(b) @ CoverElement.dilation(u))
         r = Region(np.sort(rng.normal(size=2) * 2),
                    np.sort(rng.normal(size=2) * 2))
@@ -232,7 +233,8 @@ def test_affine_action_matches_interval_arithmetic():
 
 
 def test_rotation_moves_cone_out_of_copy():
-    g = to_G(CoverElement.rotation(math.pi), CoverElement.rotation(math.pi))
+    g = GElement(CoverElement.rotation(math.pi),
+                 CoverElement.rotation(math.pi))
     out = g_act(g, Region.unit_double_cone())
     assert out.region.kind is RegionKind.DOUBLE_CONE
     back = g_act(g.inverse(), out)

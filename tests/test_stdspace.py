@@ -4,16 +4,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from modnet.stdspace import (
+    RANK_REL_TOL,
     TAKESAKI_LADDER,
     ComplexSpace,
     ConditioningWarning,
     HalperinNonConvergence,
     ModularData,
+    Operator,
     RealSubspace,
     borchers_check,
     complex_norm,
@@ -540,6 +543,190 @@ def test_containment_gap_is_the_largest_sine():
     assert containment_gap(big, tilted) == pytest.approx(math.sin(0.3))
     assert containment_gap(big, RealSubspace.zero(sp)) == 0.0
     assert containment_gap(RealSubspace.zero(sp), big) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# complex-form modular theory against real-form references (properties)
+# ---------------------------------------------------------------------------
+
+
+def _real_standardness(h):
+    """Reference: rank of [b, J_i b] and the principal-angle route."""
+    rotated = h.parent.J_i @ h.basis
+    s = np.linalg.svd(np.hstack([h.basis, rotated]), compute_uv=False)
+    cyclic = bool(np.sum(s > RANK_REL_TOL * s[0]) == h.parent.real_dim)
+    sines, v = principal_angles(h.basis, rotated)
+    cosine = np.linalg.norm(h.basis.T @ (rotated @ v[:, 0]))
+    return cyclic, math.atan2(sines[0], cosine)
+
+
+def _real_modular(h):
+    """Reference (S, J, Delta) from real 2n x 2n solve, eigh and SVD."""
+    b, rotated = h.basis, h.parent.J_i @ h.basis
+    s_op = np.linalg.solve(np.hstack([b, rotated]).T,
+                           np.hstack([b, -rotated]).T).T
+    delta = s_op.T @ s_op
+    w, v = np.linalg.eigh((delta + delta.T) / 2)
+    uu, _, vv = np.linalg.svd(s_op @ (v / np.sqrt(w)) @ v.T)
+    return s_op, uu @ vv, (delta + delta.T) / 2
+
+
+def _blocks(r):
+    n = r.shape[0] // 2
+    return r[:n, :n], r[:n, n:], r[n:, :n], r[n:, n:]
+
+
+def _halperin_reference(subspaces, tol=1e-9):
+    """Reference: the squaring loop deciding on the spectral norm alone."""
+    t = np.eye(subspaces[0].parent.real_dim)
+    for h in subspaces:
+        t = h.projector() @ t
+    squarings = 0
+    while True:
+        t2 = t @ t
+        residual = np.linalg.norm(t2 - t, 2)
+        t = t2
+        squarings += 1
+        if residual <= tol:
+            break
+    w, v = np.linalg.eigh((t + t.T) / 2)
+    return squarings, v[:, w > 0.5]
+
+
+@PROPERTY
+@given(n=st.integers(1, 6), seed=SEEDS)
+def test_complex_modular_data_matches_the_real_form(n, seed):
+    rng = np.random.default_rng(seed)
+    sp = ComplexSpace(n)
+    while True:
+        h = random_subspace(rng, sp, n)
+        rep = standardness(h)
+        if rep.standard and rep.minimal_angle > 0.05:
+            break
+    s_op, m = modular_data(h)
+    s_ref, j_ref, d_ref = _real_modular(h)
+    assert np.linalg.norm(s_op - s_ref, 2) < 1e-10
+    assert np.linalg.norm(m.J - j_ref, 2) < 1e-10
+    assert np.linalg.norm(m.Delta - d_ref, 2) < 1e-10 * m.delta_norm
+    # exactly antilinear S and J, exactly complex-linear Delta
+    for op in (s_op, m.J):
+        a, b, c, d = _blocks(op)
+        assert np.array_equal(a, -d) and np.array_equal(b, c)
+    a, b, c, d = _blocks(m.Delta)
+    assert np.array_equal(a, d) and np.array_equal(b, -c)
+
+
+@PROPERTY
+@given(n=st.integers(1, 6), seed=SEEDS,
+       shape=st.sampled_from(["generic", "complex-line"]), data=st.data())
+def test_complex_standardness_matches_the_real_form(n, seed, shape, data):
+    # every dimension k from 1 to 2n: k < n is never cyclic, k > n never
+    # separating; a planted complex line makes H meet iH for any k
+    k = data.draw(st.integers(1, 2 * n), label="k")
+    rng = np.random.default_rng(seed)
+    sp = ComplexSpace(n)
+    vecs = list(rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n)))
+    if shape == "complex-line":
+        vecs = vecs[:max(k - 2, 0)] + [vecs[-1], 1j * vecs[-1]]
+    h = make_subspace(vecs, sp)
+    rep = standardness(h)
+    cyclic, angle = _real_standardness(h)
+    assert rep.cyclic == cyclic
+    assert rep.separating == (angle > 1e-8)
+    assert abs(rep.minimal_angle - angle) < 1e-12
+    if shape == "complex-line" or h.dim > n:
+        assert not rep.separating
+    if h.dim < n:
+        assert not rep.cyclic
+
+
+@PROPERTY
+@given(n=st.integers(2, 6), seed=SEEDS, data=st.data())
+def test_halperin_bounds_keep_the_spectral_decisions(n, seed, data):
+    d = 2 * n
+    core = data.draw(st.integers(0, d - 3), label="core")
+    extra_a = data.draw(st.integers(1, d - 2 - core), label="extra_a")
+    extra_b = data.draw(st.integers(1, d - 1 - core - extra_a),
+                        label="extra_b")
+    rng = np.random.default_rng(seed)
+    sp = ComplexSpace(n)
+    shared = rng.normal(size=(d, core))
+    pair = [RealSubspace(sp, np.linalg.qr(
+        np.hstack([shared, rng.normal(size=(d, extra))]))[0])
+        for extra in (extra_a, extra_b)]
+    squarings, basis = _halperin_reference(pair)
+    # the loop squares while 2^(squarings so far) <= max_iter
+    got = intersect(pair, method="halperin", max_iter=2 ** (squarings - 1))
+    # the same iterates: the same eigenvectors, orthonormalised the same way
+    if basis.shape[1]:
+        basis = np.linalg.svd(basis, full_matrices=False)[0]
+    assert np.array_equal(got.basis, basis)
+    assert got.dim == core
+    with pytest.raises(HalperinNonConvergence):
+        intersect(pair, method="halperin", max_iter=2 ** (squarings - 1) - 1)
+
+
+def test_halperin_without_iterations_raises():
+    sp = ComplexSpace(2)
+    h = RealSubspace(sp, np.eye(4)[:, :2])
+    with pytest.raises(HalperinNonConvergence) as err:
+        intersect([h, h], method="halperin", max_iter=0)
+    assert err.value.residual == math.inf
+
+
+@PROPERTY
+@given(n=st.integers(1, 5), seed=SEEDS,
+       kinds=st.tuples(*[st.sampled_from(["linear", "antilinear", "real"])]
+                       * 2))
+def test_operator_algebra_matches_the_real_form(n, seed, kinds):
+    rng = np.random.default_rng(seed)
+    sp = ComplexSpace(n)
+
+    def draw(kind):
+        c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if kind == "linear":
+            return sp.realify_linear(c)
+        if kind == "antilinear":
+            return sp.realify_antilinear(c)
+        return rng.normal(size=(2 * n, 2 * n))
+
+    ra, rb = (draw(kind) for kind in kinds)
+    a, b = Operator.of(sp, ra), Operator.of(sp, rb)
+    assert (a.kind, b.kind) == kinds
+    for got, want in ((a @ b, ra @ rb), (a - b, ra - rb), (a.T, ra.T),
+                      (a @ b.T - b, ra @ rb.T - rb)):
+        assert_allclose(got.real(), want, atol=1e-12)
+        assert abs(got.norm() - np.linalg.norm(want, 2)) < 1e-12 * max(
+            1.0, np.linalg.norm(want, 2))
+
+
+@PROPERTY
+@given(n=st.integers(2, 4), seed=SEEDS,
+       kind=st.sampled_from(["flow", "mixed"]))
+def test_symmetry_check_keeps_every_part_of_u(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    sp = ComplexSpace(n)
+    h = random_standard(rng, sp)
+    s_op, m = modular_data(h)
+    if kind == "flow":
+        u = m.delta_it(rng.uniform(-2.0, 2.0))
+    else:
+        # independent rotations of H and of its orthogonal complement
+        # preserve H and are neither linear nor antilinear
+        q, _ = np.linalg.qr(np.hstack([h.basis,
+                                       rng.normal(size=(2 * n, n))]))
+        u = q @ sla.block_diag(*(np.linalg.qr(rng.normal(size=(n, n)))[0]
+                                 for _ in range(2))) @ q.T
+        assert Operator.of(sp, u).kind == "real"
+    rep = symmetry_commutation_check(h, u)
+    for got, x, scale in ((rep.s_residual, s_op, 1.0),
+                          (rep.delta_residual, m.Delta, m.delta_norm),
+                          (rep.j_residual, m.J, 1.0)):
+        want = np.linalg.norm(u @ x @ u.T - x, 2) / scale
+        assert abs(got - want) < 1e-12 * max(1.0, want)
+    if kind == "mixed":
+        # a mixed rotation does not commute with the modular data
+        assert rep.max_residual > 1e-3
 
 
 # ---------------------------------------------------------------------------
