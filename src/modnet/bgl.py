@@ -15,11 +15,16 @@ Every wedge-like block is held in eigen-form: the modular spectrum, the
 phased inverse-DFT eigenvectors and the J-pairing of their columns are
 known exactly.  Wedge subspaces come from the closed per-eigenpair
 fixed-point formula and modular flows from the spectrum, so neither
-forms Delta and both hold at any grid spacing.  A dense Delta is formed
-only where a check recomputes the modular data of a wedge (the
-Bisognano-Wichmann entries); there the spectral radius of log Delta,
-about 2 pi^2 / h at grid spacing h, must stay below roughly 2 pi^2 / 2.5,
-which is what pins the coarse grid spacings of the model constructors.
+forms Delta and both hold at any grid spacing.  The formula runs once
+per orientation, at the origin: by covariance the subspace of the
+region with apex a is H(W + a) = U(a) H(W), and on the momentum
+lattice U(a) = e^{i a.p} is a diagonal phase, so every other apex
+multiplies the origin basis by that phase and needs no
+re-orthonormalisation.  A dense Delta is formed only where a check
+recomputes the modular data of a wedge (the Bisognano-Wichmann
+entries); there the spectral radius of log Delta, about 2 pi^2 / h at
+grid spacing h, must stay below roughly 2 pi^2 / 2.5, which is what
+pins the coarse grid spacings of the model constructors.
 """
 
 from __future__ import annotations
@@ -133,19 +138,21 @@ class _Block:
         """fix(J Delta^{1/2}) through the eigenpair formula."""
         return _eigenpair_fix(parent, self.kap, self.vecs, self.pair)
 
+    def translate(self, phases):
+        """The block of the translated region, U = diag(phases) unitary.
 
-def _halfline_block(n, h, orient, phases=None):
-    """Half-line block: orient=+1 for (a, oo), -1 for (-oo, a).
+        U Delta U* has eigenvectors U V and U J U* = diag(phases^2 z) conj;
+        the spectrum and the pairing are unchanged.
+        """
+        return _Block(self.kap, phases[:, None] * self.vecs,
+                      phases ** 2 * self.z, self.pair)
 
-    ``phases`` carries the translation to the apex, e^{i a p}: it
-    multiplies the inverse-DFT eigenvectors and squares into z.
-    """
-    vecs = _dft(n).conj().T
-    z = np.ones(n, dtype=complex)
-    if phases is not None:
-        vecs = phases[:, None] * vecs
-        z = phases ** 2
-    return _Block(orient * _kappa(n, h), vecs, z, -np.arange(n) % n)
+
+def _halfline_block(n, h, orient):
+    """Half-line block at the origin: orient=+1 for (0, oo), -1 for
+    (-oo, 0); :meth:`_Block.translate` moves it to another apex."""
+    return _Block(orient * _kappa(n, h), _dft(n).conj().T,
+                  np.ones(n, dtype=complex), -np.arange(n) % n)
 
 
 def _block_diag(blocks):
@@ -161,7 +168,20 @@ def _block_diag(blocks):
 def _corner_phases(p_l, p_r, corner):
     """Translation phases e^{i(a p_L + b p_R)} of a massive wedge corner."""
     a, b = corner
-    return np.exp(1j * (a * p_l + b * p_r)) if a or b else None
+    return np.exp(1j * (a * p_l + b * p_r))
+
+
+def _translate(sub, phases):
+    """Image of a real subspace under the diagonal unitary diag(phases).
+
+    The real form of a unitary is orthogonal, so the translated basis is
+    orthonormal without a QR; by uniqueness of the sign-normalised QR in
+    :func:`_eigenpair_fix` it is the eigenpair basis of the translated
+    block, up to round-off.
+    """
+    n = sub.parent.n
+    c = phases[:, None] * (sub.basis[:n] + 1j * sub.basis[n:])
+    return stdspace.RealSubspace(sub.parent, np.vstack([c.real, c.imag]))
 
 
 # ---------------------------------------------------------------------------
@@ -345,23 +365,31 @@ class NetModel:
             "region_subspace_dual for double cones and lightcone sums"
         )
 
+    def _apex_phases(self, apex):
+        """Diagonal of the translation U(apex) = e^{i a.p}, all copies."""
+        if self.kind in ("chiralSum", "twisted"):
+            phases = [np.exp(1j * a * momenta)
+                      for (_, _, momenta), a in zip(self._factors, apex)]
+        else:
+            phases = [_corner_phases(p_l, p_r, apex)
+                      for _, _, (p_l, p_r) in self._factors]
+        return np.tile(np.concatenate(phases), self._copies)
+
     def wedge_block(self, region):
         """The assembled eigen-form block of a wedge-like region."""
         orients, apex = self._wedge_geometry(region)
         if self.kind in ("chiralSum", "twisted"):
-            blocks = [_halfline_block(n, h, orient,
-                                      np.exp(1j * a * momenta) if a else None)
-                      for (n, h, momenta), orient, a
-                      in zip(self._factors, orients, apex)]
-            return _block_diag(blocks * self._copies)
-        if orients[0] == orients[1]:        # a lightcone
+            blocks = [_halfline_block(n, h, orient) for (n, h, _), orient
+                      in zip(self._factors, orients)] * self._copies
+        elif orients[0] == orients[1]:      # a lightcone
             raise ValueError(
                 "lightcone modular data is not wedge data in a massive "
                 "model; use region_subspace_dual"
             )
-        return _block_diag([
-            _halfline_block(n, h, orients[0], _corner_phases(p_l, p_r, apex))
-            for n, h, (p_l, p_r) in self._factors])
+        else:
+            blocks = [_halfline_block(n, h, orients[0])
+                      for n, h, _ in self._factors]
+        return _block_diag(blocks).translate(self._apex_phases(apex))
 
     def wedge_modular(self, region):
         """Validated dense modular data of a wedge-like region."""
@@ -371,13 +399,24 @@ class NetModel:
             self.parent.realify_linear(block.delta()))
 
     def wedge_subspace(self, region):
-        """The real standard subspace of a wedge-like region (cached)."""
+        """The real standard subspace of a wedge-like region (cached).
+
+        Only an apex-0 region runs the eigenpair formula; any other apex
+        is the translate H(W + a) = U(a) H(W) of the cached apex-0
+        subspace of the same orientations.
+        """
         key = self._region_key(region)
         with self._lock:
             hit = self._cache.get(key)
         if hit is not None:
             return hit
-        sub = self.wedge_block(region).subspace(self.parent)
+        _, apex = self._wedge_geometry(region)
+        if any(apex):
+            origin = self.wedge_subspace(
+                region.translate((-apex[0], -apex[1])))
+            sub = _translate(origin, self._apex_phases(apex))
+        else:
+            sub = self.wedge_block(region).subspace(self.parent)
         with self._lock:
             return self._cache.setdefault(key, sub)
 
@@ -717,8 +756,7 @@ def _interval_block(net, factor_index):
     designation; the geometric deficit is reported, not hidden.
     """
     n, h, momenta = net._factors[factor_index]
-    phases = np.exp(1j * momenta)
-    return _halfline_block(n, h, +1, phases)
+    return _halfline_block(n, h, +1).translate(np.exp(1j * momenta))
 
 
 def assemble_blockwise(subspaces):
@@ -910,6 +948,23 @@ class ConeStudy:
         return self.finest_defect < self.frozen_value
 
 
+def _cone_wedges(mass, grid, count, spacing):
+    """Yield (H(W_R), H(W_L)) of the minimal wedges of each dyadic cone.
+
+    Each orientation is built once at the origin by the eigenpair
+    formula; every corner is its translate by e^{i(a p_L + b p_R)}.
+    """
+    parent = stdspace.ComplexSpace(grid)
+    theta = (np.arange(grid) - (grid - 1) / 2.0) * spacing
+    p_l = mass * np.exp(theta) / math.sqrt(2.0)
+    p_r = mass * np.exp(-theta) / math.sqrt(2.0)
+    origin_r = _halfline_block(grid, spacing, -1).subspace(parent)
+    origin_l = _halfline_block(grid, spacing, +1).subspace(parent)
+    for al, bl, ar, br in _dyadic_cones(count):
+        yield (_translate(origin_r, _corner_phases(p_l, p_r, (bl, ar))),
+               _translate(origin_l, _corner_phases(p_l, p_r, (al, br))))
+
+
 def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
                                spacing=STUDY_SPACING,
                                frozen=FROZEN_CONE_DEFECT):
@@ -919,7 +974,8 @@ def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
     sampled dyadic double cones contribute their dual subspaces; the
     defect is dim of the symplectic complement of their closed sum over
     the full real dimension.  Subspaces come from the window-free
-    eigenpair formula, so the fine-grid levels never form Delta.
+    eigenpair formula, once per orientation and level, and are translated
+    to the cone corners, so the fine-grid levels never form Delta.
     """
     ladder = tuple(ladder)
     if not ladder:
@@ -930,17 +986,8 @@ def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
     rows = []
     for mass in masses:
         for grid, count in ladder:
-            parent = stdspace.ComplexSpace(grid)
-            theta = (np.arange(grid) - (grid - 1) / 2.0) * spacing
-            p_l = mass * np.exp(theta) / math.sqrt(2.0)
-            p_r = mass * np.exp(-theta) / math.sqrt(2.0)
-            subs = []
-            for al, bl, ar, br in _dyadic_cones(count):
-                w_r = _halfline_block(grid, spacing, -1, _corner_phases(
-                    p_l, p_r, (bl, ar))).subspace(parent)
-                w_l = _halfline_block(grid, spacing, +1, _corner_phases(
-                    p_l, p_r, (al, br))).subspace(parent)
-                subs.append(stdspace.intersect([w_r, w_l]))
+            subs = [stdspace.intersect(pair) for pair
+                    in _cone_wedges(mass, grid, count, spacing)]
             nonzero = [s for s in subs if s.dim]
             if nonzero:
                 total = stdspace.sum_closure(nonzero)

@@ -166,6 +166,20 @@ class RealSubspace:
         return f"RealSubspace(dim={self.dim} of R^{self.parent.real_dim})"
 
 
+def _split(parent, r):
+    """Complex matrices (L, A) with R = realify_linear(L) +
+    realify_antilinear(A), by block averages; exact for a real form."""
+    n = parent.n
+    a, b, c, d = r[:n, :n], r[:n, n:], r[n:, :n], r[n:, n:]
+    return (a + d) / 2 + 0.5j * (c - b), (a - d) / 2 + 0.5j * (b + c)
+
+
+def _max_entry(c):
+    """Largest entry of the real form of a complex matrix: the largest
+    modulus of its real and imaginary parts."""
+    return max(np.max(np.abs(c.real)), np.max(np.abs(c.imag)))
+
+
 class Operator:
     """A real-form operator on C^n, held as its complex matrix if it has one.
 
@@ -193,10 +207,7 @@ class Operator:
         complex matrix; otherwise it stays real.
         """
         r = np.asarray(r_matrix, dtype=float)
-        n = parent.n
-        a, b, c, d = r[:n, :n], r[:n, n:], r[n:, :n], r[n:, n:]
-        lin = (a + d) / 2 + 0.5j * (c - b)
-        anti = (a - d) / 2 + 0.5j * (b + c)
+        lin, anti = _split(parent, r)
         f_lin, f_anti = np.linalg.norm(lin), np.linalg.norm(anti)
         if f_anti <= STRUCTURE_TOL * f_lin:
             return cls(parent, lin, "linear")
@@ -377,36 +388,45 @@ class ModularData:
 
     J is the real form of the antiunitary modular conjugation, Delta the
     complex-linear positive modular operator; the defining invariants are
-    validated at construction.
+    validated at construction.  ``eig``, the ascending ``eigh`` pair
+    (w, v) of the hermitian complex Delta, is passed by a caller that
+    has already diagonalised it: positivity and ``delta_norm`` are then
+    read off w, and the modular flow reuses (w, v).
     """
 
     __slots__ = ("parent", "J", "Delta", "delta_norm", "_eig")
 
-    def __init__(self, parent, J, Delta, atol=INVARIANT_TOL):
+    def __init__(self, parent, J, Delta, atol=INVARIANT_TOL, eig=None):
         J = np.asarray(J, dtype=float)
         Delta = np.asarray(Delta, dtype=float)
         d = parent.real_dim
         if J.shape != (d, d) or Delta.shape != (d, d):
             raise ValueError("J and Delta must be 2n x 2n")
         n = parent.n
+        _, jc = _split(parent, J)
+        dc, _ = _split(parent, Delta)
+        eye = np.eye(n)
         # with J_i = [[0, -1], [1, 0]], the (anti)commutators with J_i are
-        # differences of n x n blocks
+        # differences of n x n blocks; once they vanish J and Delta are the
+        # real forms of jc conj and dc, so J^T J, J J and Delta^T are those
+        # of conj(jc* jc), jc conj(jc) and dc*
         checks = {
-            "J orthogonal": np.max(np.abs(J.T @ J - np.eye(d))),
-            "J involutive": np.max(np.abs(J @ J - np.eye(d))),
             "J antilinear": max(
                 np.max(np.abs(J[:n, n:] - J[n:, :n])),
                 np.max(np.abs(J[:n, :n] + J[n:, n:]))),
-            "Delta symmetric": np.max(np.abs(Delta - Delta.T)),
             "Delta complex-linear": max(
                 np.max(np.abs(Delta[:n, n:] + Delta[n:, :n])),
                 np.max(np.abs(Delta[n:, n:] - Delta[:n, :n]))),
+            "J orthogonal": _max_entry(jc.conj().T @ jc - eye),
+            "J involutive": _max_entry(jc @ jc.conj() - eye),
+            "Delta symmetric": _max_entry(dc - dc.conj().T),
         }
         for name, err in checks.items():
             if err > atol:
                 raise ValueError(f"modular invariant violated: {name} "
                                  f"(error {err:.3e})")
-        w = np.linalg.eigvalsh((Delta + Delta.T) / 2)
+        dc = (dc + dc.conj().T) / 2
+        w = np.linalg.eigvalsh(dc) if eig is None else eig[0]
         if w[0] <= 0.0:
             raise ValueError("modular invariant violated: Delta positive "
                              f"(min eigenvalue {w[0]:.3e})")
@@ -414,9 +434,10 @@ class ModularData:
         self.J = J
         self.Delta = (Delta + Delta.T) / 2
         self.delta_norm = float(w[-1])
-        self._eig = None
-        j_op, d_op = Operator.of(parent, J), Operator.of(parent, self.Delta)
-        balance = j_op @ d_op @ j_op @ d_op - Operator(parent, np.eye(n))
+        self._eig = eig
+        j_op = Operator(parent, jc, "antilinear")
+        d_op = Operator(parent, dc)
+        balance = j_op @ d_op @ j_op @ d_op - Operator(parent, eye)
         limit = BALANCE_TOL * self.delta_norm
         # the Frobenius norm bounds the spectral norm, so the SVD is
         # needed only when that bound misses the limit
@@ -478,13 +499,13 @@ def modular_data(h):
     delta = c.T @ c.conj()
     delta = (delta + delta.conj().T) / 2
     w, v = np.linalg.eigh(delta)
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    # snap the polar factor to an exact unitary; involutivity of J is
-    # then asserted by ModularData
-    uu, _, vv = np.linalg.svd(c @ inv_sqrt.conj())
-    return (parent.realify_antilinear(c),
-            ModularData(parent, parent.realify_antilinear(uu @ vv),
-                        parent.realify_linear(delta)))
+    # snap the polar factor of C conj(Delta^{-1/2}) to an exact unitary;
+    # involutivity of J is then asserted by ModularData
+    uu, _, vv = np.linalg.svd(c @ ((v / np.sqrt(w)) @ v.conj().T).conj())
+    j = parent.realify_antilinear(uu @ vv)
+    del b, uu, vv       # not held while ModularData validates
+    md = ModularData(parent, j, parent.realify_linear(delta), eig=(w, v))
+    return parent.realify_antilinear(c), md
 
 
 def subspace_from_modular(m):

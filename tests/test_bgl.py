@@ -100,8 +100,8 @@ def test_halfline_flow_is_one_slot_shift(orient, shift):
 
 
 def test_halfline_block_is_exactly_hermitian():
-    block = bgl._halfline_block(13, 1.1, +1,
-                                phases=np.exp(1j * np.linspace(0, 2, 13)))
+    block = bgl._halfline_block(13, 1.1, +1).translate(
+        np.exp(1j * np.linspace(0, 2, 13)))
     delta = block.delta()
     assert np.array_equal(delta, delta.conj().T)
     # the eigenvectors are unitary and J exchanges the paired columns
@@ -116,7 +116,7 @@ def test_phased_block_balances_j_and_delta():
     # spacing keeps cond(Delta) ~ 1e5 so the inverse is trustworthy
     n = 9
     phases = np.exp(1j * 0.37 * np.arange(n) ** 1.5)
-    block = bgl._halfline_block(n, 3.0, +1, phases=phases)
+    block = bgl._halfline_block(n, 3.0, +1).translate(phases)
     delta = block.delta()
     j_mat = np.diag(block.z)
     lhs = j_mat @ delta.conj() @ j_mat.conj()
@@ -265,9 +265,42 @@ def test_wedge_subspace_rejects_half_bands():
 
 
 def test_massive_lightcone_is_not_wedge_data():
-    with pytest.raises(ValueError, match="not wedge data"):
-        _model("massive").wedge_subspace(
-            spacetime.Region.forward_cone((0.0, 0.0)))
+    for apex in ((0.0, 0.0), (0.3, -0.2)):
+        with pytest.raises(ValueError, match="not wedge data"):
+            _model("massive").wedge_subspace(
+                spacetime.Region.forward_cone(apex))
+
+
+@pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
+def test_translated_wedges_match_the_block_route(kind):
+    # H(W + a) = U(a) H(W): the translate of the cached apex-0 subspace
+    # against the eigenpair formula on the translated block
+    net = _model(kind)
+    regions = []
+    for apex in ((0.0, 0.0), (0.3, -0.2), (0.25, -0.4)):
+        regions += [spacetime.Region.wedge_right(apex),
+                    spacetime.Region.wedge_left(apex)]
+    if kind in ("chiralSum", "twisted"):
+        regions += [spacetime.Region.forward_cone((0.3, -0.2)),
+                    spacetime.Region.backward_cone((0.25, -0.4))]
+    for region in regions:
+        block = net.wedge_block(region).subspace(net.parent)
+        assert stdspace.subspace_distance(
+            net.wedge_subspace(region), block) < 1e-12, (kind, region)
+
+
+def test_study_wedges_match_the_block_route():
+    grid, spacing = 33, bgl.STUDY_SPACING
+    parent = stdspace.ComplexSpace(grid)
+    theta = (np.arange(grid) - (grid - 1) / 2.0) * spacing
+    p_l, p_r = np.exp(theta) / math.sqrt(2.0), np.exp(-theta) / math.sqrt(2.0)
+    pairs = bgl._cone_wedges(1.0, grid, 8, spacing)
+    for (al, bl, ar, br), (w_r, w_l) in zip(bgl._dyadic_cones(8), pairs):
+        for sub, orient, corner in ((w_r, -1, (bl, ar)), (w_l, +1, (al, br))):
+            block = bgl._halfline_block(grid, spacing, orient).translate(
+                bgl._corner_phases(p_l, p_r, corner))
+            assert stdspace.subspace_distance(
+                sub, block.subspace(parent)) < 1e-12, corner
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +502,27 @@ def test_lightcone_study_reproduces_the_ladder():
     assert defects == pytest.approx([0.9412, 0.8788, 0.7538], abs=LADDER_TOL)
     assert study.monotone
     assert study.below_frozen
+
+
+def test_scaled_ladder_decisions_are_a_decade_from_the_angle_tolerance():
+    # every direction the exact intersections keep or drop is at least a
+    # factor 10 away from ANGLE_TOL, so round-off in the wedge bases
+    # cannot flip a ladder row
+    ladder = ((17, 2), (33, 8), (65, 32), (129, 128))
+    kept, dropped = 0.0, 1.0
+    for grid, count in ladder:
+        for w_r, w_l in bgl._cone_wedges(1.0, grid, count,
+                                         bgl.STUDY_SPACING):
+            sines = stdspace.principal_angles(w_l.basis, w_r.basis,
+                                              vectors=False)
+            small = sines <= stdspace.ANGLE_TOL
+            kept = max(kept, sines[small].max(initial=0.0))
+            dropped = min(dropped, sines[~small].min(initial=1.0))
+    assert kept <= stdspace.ANGLE_TOL / 10
+    assert dropped >= 10 * stdspace.ANGLE_TOL
+    study = bgl.lightcone_separating_study(ladder=ladder)
+    assert [row.defect for row in study.rows] == [16 / 17, 29 / 33,
+                                                  49 / 65, 65 / 129]
 
 
 def test_lightcone_study_dims_track_the_cone_count():

@@ -1,6 +1,7 @@
 """Tests for standard subspaces, modular data and subspace lattices."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -329,14 +330,68 @@ def test_modular_roundtrip_on_random_pairs():
 def test_modular_data_validation_messages():
     sp = ComplexSpace(2)
     good_j = sp.realify_antilinear(np.eye(2))
-    with pytest.raises(ValueError, match="orthogonal"):
-        ModularData(sp, 2.0 * good_j, np.eye(4))
-    with pytest.raises(ValueError, match="antilinear"):
-        ModularData(sp, np.eye(4), np.eye(4))
-    with pytest.raises(ValueError, match="positive"):
-        ModularData(sp, good_j, -np.eye(4))
-    with pytest.raises(ValueError, match="Delta"):
-        ModularData(sp, good_j, sp.realify_linear(np.diag([2.0, 0.25])))
+    eye = np.eye(4)
+    # each pair breaks the named invariant first
+    violations = {
+        "J orthogonal": (2.0 * good_j, eye),
+        # unitary and antilinear, but J^2 = jc conj(jc) = -1
+        "J involutive": (sp.realify_antilinear(
+            np.array([[0.0, 1.0], [-1.0, 0.0]])), eye),
+        "J antilinear": (good_j + 0.1 * eye, eye),
+        "Delta symmetric": (good_j, sp.realify_linear(
+            np.array([[1.0, 0.5], [0.0, 1.0]]))),
+        "Delta complex-linear": (good_j, good_j),
+        "Delta positive": (good_j, -eye),
+        "J Delta J = Delta^-1": (good_j, sp.realify_linear(
+            np.diag([2.0, 0.25]))),
+    }
+    for name, (j, delta) in violations.items():
+        pattern = f"modular invariant violated: {re.escape(name)} "
+        with pytest.raises(ValueError, match=pattern):
+            ModularData(sp, j, delta)
+
+
+def test_invariant_errors_are_the_real_form_entries():
+    # the complex-form checks report the largest entry of the real-form
+    # residuals J^T J - 1, J J - 1 and Delta - Delta^T
+    rng = np.random.default_rng(23)
+    sp = ComplexSpace(3)
+    eye = np.eye(6)
+    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    unitary, _ = np.linalg.qr(z)
+    conj = sp.realify_antilinear(np.eye(3))
+    cases = (
+        ("J orthogonal", sp.realify_antilinear(z), eye,
+         lambda j, d: j.T @ j - eye),
+        ("J involutive", sp.realify_antilinear(unitary), eye,
+         lambda j, d: j @ j - eye),
+        ("Delta symmetric", conj, sp.realify_linear(np.eye(3) + 0.1 * z),
+         lambda j, d: d - d.T),
+    )
+    for name, j, delta, residual in cases:
+        with pytest.raises(ValueError, match=name) as info:
+            ModularData(sp, j, delta)
+        reported = float(str(info.value).split("error ")[1].rstrip(")"))
+        assert reported == pytest.approx(
+            np.max(np.abs(residual(j, delta))), rel=1e-3), name
+
+
+def test_modular_data_hands_its_eigh_to_the_flow(monkeypatch):
+    rng = np.random.default_rng(29)
+    sp = ComplexSpace(4)
+    _, md = modular_data(random_standard(rng, sp))
+    fresh = ModularData(sp, md.J, md.Delta)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: calls.append(a.shape) or eigh(a))
+    flow = md.delta_it(0.3)
+    md.delta_power(0.5)
+    assert calls == []
+    # the handed-over pair is the one the flow would have computed
+    assert np.array_equal(flow, fresh.delta_it(0.3))
+    assert calls == [(4, 4)]
+    assert md.delta_norm == pytest.approx(fresh.delta_norm, rel=1e-12)
 
 
 def test_badly_conditioned_kernel_warns():
