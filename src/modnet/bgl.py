@@ -20,11 +20,15 @@ per orientation, at the origin: by covariance the subspace of the
 region with apex a is H(W + a) = U(a) H(W), and on the momentum
 lattice U(a) = e^{i a.p} is a diagonal phase, so every other apex
 multiplies the origin basis by that phase and needs no
-re-orthonormalisation.  A dense Delta is formed only where a check
-recomputes the modular data of a wedge (the Bisognano-Wichmann
-entries); there the spectral radius of log Delta, about 2 pi^2 / h at
-grid spacing h, must stay below roughly 2 pi^2 / 2.5, which is what
-pins the coarse grid spacings of the model constructors.
+re-orthonormalisation.  The same rule moves dual double cones: the dual
+H(W_R) cap H(W_L) of a cone is, up to the phase of its W_R corner, a
+function of the cone's shape alone, so the lightcone study intersects
+once per shape and translates the result to every cone of that shape.
+A dense Delta is formed only where a check recomputes the modular data
+of a wedge (the Bisognano-Wichmann entries); there the spectral radius
+of log Delta, about 2 pi^2 / h at grid spacing h, must stay below
+roughly 2 pi^2 / 2.5, which is what pins the coarse grid spacings of
+the model constructors.
 """
 
 from __future__ import annotations
@@ -392,11 +396,17 @@ class NetModel:
         return _block_diag(blocks).translate(self._apex_phases(apex))
 
     def wedge_modular(self, region):
-        """Validated dense modular data of a wedge-like region."""
+        """Validated dense modular data of a wedge-like region.
+
+        The block's exact eigenpair, in ascending order, is handed over,
+        so validation and the modular flow take no eigensolve.
+        """
         block = self.wedge_block(region)
+        o = np.argsort(block.kap)
         return stdspace.ModularData(
             self.parent, self.parent.realify_antilinear(np.diag(block.z)),
-            self.parent.realify_linear(block.delta()))
+            self.parent.realify_linear(block.delta()),
+            eig=(np.exp(_TWO_PI * block.kap[o]), block.vecs[:, o]))
 
     def wedge_subspace(self, region):
         """The real standard subspace of a wedge-like region (cached).
@@ -948,11 +958,15 @@ class ConeStudy:
         return self.finest_defect < self.frozen_value
 
 
-def _cone_wedges(mass, grid, count, spacing):
-    """Yield (H(W_R), H(W_L)) of the minimal wedges of each dyadic cone.
+def _cone_duals(mass, grid, count, spacing):
+    """Yield the dual subspace H(W_R) cap H(W_L) of each dyadic cone.
 
-    Each orientation is built once at the origin by the eigenpair
-    formula; every corner is its translate by e^{i(a p_L + b p_R)}.
+    The minimal wedges of the cone (al, bl) x (ar, br) have corners
+    (bl, ar) and (al, br).  Moved by -(bl, ar), the pair depends only on
+    the cone's shape (al - bl, br - ar), which every cone of one dyadic
+    level shares, so the intersection runs once per shape, between the
+    origin W_R and the W_L translated by that shape.  By covariance each
+    cone's dual is the shape's dual translated by e^{i(bl p_L + ar p_R)}.
     """
     parent = stdspace.ComplexSpace(grid)
     theta = (np.arange(grid) - (grid - 1) / 2.0) * spacing
@@ -960,9 +974,15 @@ def _cone_wedges(mass, grid, count, spacing):
     p_r = mass * np.exp(-theta) / math.sqrt(2.0)
     origin_r = _halfline_block(grid, spacing, -1).subspace(parent)
     origin_l = _halfline_block(grid, spacing, +1).subspace(parent)
+    shape_duals = {}
     for al, bl, ar, br in _dyadic_cones(count):
-        yield (_translate(origin_r, _corner_phases(p_l, p_r, (bl, ar))),
-               _translate(origin_l, _corner_phases(p_l, p_r, (al, br))))
+        shape = (al - bl, br - ar)
+        if shape not in shape_duals:
+            shape_duals[shape] = stdspace.intersect(
+                [origin_r,
+                 _translate(origin_l, _corner_phases(p_l, p_r, shape))])
+        yield _translate(shape_duals[shape],
+                         _corner_phases(p_l, p_r, (bl, ar)))
 
 
 def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
@@ -973,9 +993,13 @@ def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
     For each mass and each ladder level (grid size, cone count) the
     sampled dyadic double cones contribute their dual subspaces; the
     defect is dim of the symplectic complement of their closed sum over
-    the full real dimension.  Subspaces come from the window-free
-    eigenpair formula, once per orientation and level, and are translated
-    to the cone corners, so the fine-grid levels never form Delta.
+    the full real dimension.  Wedge subspaces come from the window-free
+    eigenpair formula, once per orientation and level, so the fine-grid
+    levels never form Delta.  Cone duals are intersected once per cone
+    shape, with the W_R corner at the origin, and moved to each cone of
+    that shape by the phase of its W_R corner, H(O + a) = U(a) H(O);
+    every cone of dyadic level l has widths (2^-l, 2^-l), so a level
+    costs one intersection.
     """
     ladder = tuple(ladder)
     if not ladder:
@@ -986,9 +1010,8 @@ def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
     rows = []
     for mass in masses:
         for grid, count in ladder:
-            subs = [stdspace.intersect(pair) for pair
-                    in _cone_wedges(mass, grid, count, spacing)]
-            nonzero = [s for s in subs if s.dim]
+            nonzero = [s for s in _cone_duals(mass, grid, count, spacing)
+                       if s.dim]
             if nonzero:
                 total = stdspace.sum_closure(nonzero)
                 comp = stdspace.symplectic_complement(total)
@@ -1032,10 +1055,12 @@ def trace_class_partition(beta, n_terms=200):
     if beta <= 0:
         raise ValueError("inverse temperature must be positive")
     with mpmath.workdps(60):
-        q = mpmath.e ** (-mpmath.mpf(beta))
-        partial = q * (1 - q ** n_terms) / (1 - q)
-        closed = (q / (1 - q)) ** 2
+        q = mpmath.exp(-mpmath.mpf(beta))
+        q_n = q ** n_terms
+        one_q, one_q_n = 1 - q, 1 - q_n
+        partial = q * one_q_n / one_q
+        closed = (q / one_q) ** 2
         value = partial ** 2
-        tail = 2 * closed * q ** n_terms / (1 - q ** n_terms)
+        tail = 2 * closed * q_n / one_q_n
         return (float(value), float(closed), float(abs(value - closed)),
                 float(tail))

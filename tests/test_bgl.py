@@ -167,6 +167,29 @@ def test_modular_roundtrip_within_budget(kind):
     assert rel < net.epsilon
 
 
+@pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
+def test_wedge_modular_takes_the_block_eigenpair(monkeypatch, kind):
+    # the block's spectrum and eigenvectors are exact, so neither the
+    # validation nor the modular flow diagonalises the dense Delta
+    net = _model(kind)
+    region = spacetime.Region.wedge_right((0.3, -0.2))
+    kap = net.wedge_block(region).kap
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigensolve inside wedge_modular")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    md = net.wedge_modular(region)
+    flow = md.delta_it(0.37)
+    monkeypatch.undo()
+    top = math.exp(_TWO_PI * kap.max())
+    assert md.delta_norm == pytest.approx(top, rel=1e-12)
+    dense = net.parent.complexify_linear(md.Delta)
+    assert np.linalg.eigvalsh(dense)[-1] == pytest.approx(top, rel=1e-12)
+    assert np.linalg.norm(flow - net.wedge_flow(region, 0.37), 2) < 1e-12
+
+
 def test_wedge_cache_returns_the_same_object():
     net = bgl.NetModel.chiral_sum(n=9)
     region = spacetime.Region.wedge_right((0.2, -0.1))
@@ -289,12 +312,32 @@ def test_translated_wedges_match_the_block_route(kind):
             net.wedge_subspace(region), block) < 1e-12, (kind, region)
 
 
-def test_study_wedges_match_the_block_route():
-    grid, spacing = 33, bgl.STUDY_SPACING
+def _study_geometry(grid, spacing=bgl.STUDY_SPACING):
+    """Lightray momenta (p_L, p_R) and origin bases (W_R, W_L) of one
+    lightcone-study level at mass 1."""
     parent = stdspace.ComplexSpace(grid)
     theta = (np.arange(grid) - (grid - 1) / 2.0) * spacing
     p_l, p_r = np.exp(theta) / math.sqrt(2.0), np.exp(-theta) / math.sqrt(2.0)
-    pairs = bgl._cone_wedges(1.0, grid, 8, spacing)
+    return ((p_l, p_r),
+            bgl._halfline_block(grid, spacing, -1).subspace(parent),
+            bgl._halfline_block(grid, spacing, +1).subspace(parent))
+
+
+def _cone_wedges(grid, count):
+    """(H(W_R), H(W_L)) of the minimal wedges of each dyadic cone, as
+    the translates of the origin bases to the corners (bl, ar), (al, br)."""
+    (p_l, p_r), origin_r, origin_l = _study_geometry(grid)
+    for al, bl, ar, br in bgl._dyadic_cones(count):
+        yield tuple(
+            bgl._translate(origin, bgl._corner_phases(p_l, p_r, corner))
+            for origin, corner in ((origin_r, (bl, ar)), (origin_l, (al, br))))
+
+
+def test_study_wedges_match_the_block_route():
+    grid, spacing = 33, bgl.STUDY_SPACING
+    parent = stdspace.ComplexSpace(grid)
+    (p_l, p_r), _, _ = _study_geometry(grid)
+    pairs = _cone_wedges(grid, 8)
     for (al, bl, ar, br), (w_r, w_l) in zip(bgl._dyadic_cones(8), pairs):
         for sub, orient, corner in ((w_r, -1, (bl, ar)), (w_l, +1, (al, br))):
             block = bgl._halfline_block(grid, spacing, orient).translate(
@@ -504,25 +547,64 @@ def test_lightcone_study_reproduces_the_ladder():
     assert study.below_frozen
 
 
+SCALED_LADDER = ((17, 2), (33, 8), (65, 32), (129, 128))
+
+
+def _shapes(count):
+    """Distinct cone shapes (al - bl, br - ar), in the order first met."""
+    return list(dict.fromkeys((al - bl, br - ar) for al, bl, ar, br
+                              in bgl._dyadic_cones(count)))
+
+
 def test_scaled_ladder_decisions_are_a_decade_from_the_angle_tolerance():
-    # every direction the exact intersections keep or drop is at least a
-    # factor 10 away from ANGLE_TOL, so round-off in the wedge bases
-    # cannot flip a ladder row
-    ladder = ((17, 2), (33, 8), (65, 32), (129, 128))
-    kept, dropped = 0.0, 1.0
-    for grid, count in ladder:
-        for w_r, w_l in bgl._cone_wedges(1.0, grid, count,
-                                         bgl.STUDY_SPACING):
-            sines = stdspace.principal_angles(w_l.basis, w_r.basis,
+    # every direction the per-shape intersections keep or drop is at
+    # least a factor 10 away from ANGLE_TOL, so round-off in the wedge
+    # bases cannot flip a ladder row
+    kept, dropped, shapes = 0.0, 1.0, 0
+    for grid, count in SCALED_LADDER:
+        (p_l, p_r), origin_r, origin_l = _study_geometry(grid)
+        for shape in _shapes(count):
+            w_l = bgl._translate(origin_l,
+                                 bgl._corner_phases(p_l, p_r, shape))
+            sines = stdspace.principal_angles(w_l.basis, origin_r.basis,
                                               vectors=False)
             small = sines <= stdspace.ANGLE_TOL
             kept = max(kept, sines[small].max(initial=0.0))
             dropped = min(dropped, sines[~small].min(initial=1.0))
+            shapes += 1
+    assert shapes == 30
     assert kept <= stdspace.ANGLE_TOL / 10
     assert dropped >= 10 * stdspace.ANGLE_TOL
-    study = bgl.lightcone_separating_study(ladder=ladder)
+    study = bgl.lightcone_separating_study(ladder=SCALED_LADDER)
     assert [row.defect for row in study.rows] == [16 / 17, 29 / 33,
                                                   49 / 65, 65 / 129]
+
+
+def test_translated_cone_duals_match_the_direct_intersection():
+    # each cone's dual, translated from its shape's dual, against the
+    # intersection of its own two translated minimal wedges.  The
+    # rapidity momenta reach 9.3e10 at grid 129, so a phase e^{i a.p}
+    # carries about 1e-5 rad of round-off in the top modes on either
+    # route; that bounds the agreement there, not the translation rule.
+    for grid, count in SCALED_LADDER:
+        duals = bgl._cone_duals(1.0, grid, count, bgl.STUDY_SPACING)
+        bound = 1e-11 if grid <= 65 else 1e-6
+        for pair, dual in zip(_cone_wedges(grid, count), duals):
+            direct = stdspace.intersect(list(pair))
+            assert dual.dim == direct.dim, grid
+            assert stdspace.subspace_distance(dual, direct) <= bound, grid
+
+
+@pytest.mark.parametrize("ladder,calls", [(SCALED_LADDER, 30),
+                                          (bgl.CONE_LADDER, 14)])
+def test_study_intersects_once_per_cone_shape(monkeypatch, ladder, calls):
+    seen = []
+    intersect = stdspace.intersect
+    monkeypatch.setattr(stdspace, "intersect",
+                        lambda subs, **kw: seen.append(1)
+                        or intersect(subs, **kw))
+    bgl.lightcone_separating_study(ladder=ladder)
+    assert len(seen) == calls == sum(len(_shapes(c)) for _, c in ladder)
 
 
 def test_lightcone_study_dims_track_the_cone_count():
@@ -560,9 +642,10 @@ def test_eigenpair_route_agrees_with_modular_route():
             assert stdspace.subspace_distance(
                 net.wedge_subspace(region),
                 stdspace.subspace_from_modular(md)) < 1e-10, (kind, region)
+            dense = stdspace.ModularData(net.parent, md.J, md.Delta)
             for t in (0.37, -1.1):
                 dev = np.linalg.norm(net.wedge_flow(region, t)
-                                     - md.delta_it(t), 2)
+                                     - dense.delta_it(t), 2)
                 assert dev < bgl.BLOCK_TOL, (kind, region, t)
 
 
