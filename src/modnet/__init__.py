@@ -4,8 +4,8 @@ The package is organised around a small tower of layers:
 
 * :mod:`modnet.mobius` -- the Mobius group of the line/circle, its universal
   cover and interval dilation flows.
-* :mod:`modnet.spacetime` -- two-dimensional regions in lightray coordinates,
-  on Minkowski space and on its cylindrical completion.
+* :mod:`modnet.spacetime` -- regions of two-dimensional Minkowski space in
+  lightray coordinates.
 * :mod:`modnet.stdspace` -- real standard subspaces of finite-dimensional
   complex Hilbert spaces and their modular theory.
 * :mod:`modnet.reps` -- lattice one-particle representations (chiral sums,

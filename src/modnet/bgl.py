@@ -39,7 +39,6 @@ import threading
 
 import mpmath
 import numpy as np
-import scipy.linalg as sla
 
 from . import mobius
 from . import reps
@@ -159,11 +158,22 @@ def _halfline_block(n, h, orient):
                   np.ones(n, dtype=complex), -np.arange(n) % n)
 
 
+def _direct_sum(mats):
+    """Block-diagonal direct sum of matrices."""
+    rows, cols = np.sum([m.shape for m in mats], axis=0)
+    out = np.zeros((rows, cols), dtype=np.result_type(*mats))
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
+
+
 def _block_diag(blocks):
     """Assemble factor blocks into one block on the summed space."""
     offsets = np.cumsum([0] + [b.n for b in blocks[:-1]])
     return _Block(np.concatenate([b.kap for b in blocks]),
-                  sla.block_diag(*[b.vecs for b in blocks]),
+                  _direct_sum([b.vecs for b in blocks]),
                   np.concatenate([b.z for b in blocks]),
                   np.concatenate([b.pair + off
                                   for b, off in zip(blocks, offsets)]))
@@ -366,7 +376,7 @@ class NetModel:
             return (-1, -1), (region.left[1], region.right[1])
         raise ValueError(
             f"region kind {region.kind.name} is not wedge-like; use "
-            "region_subspace_dual for double cones and lightcone sums"
+            "region_subspace_dual for double cones"
         )
 
     def _apex_phases(self, apex):
@@ -388,7 +398,7 @@ class NetModel:
         elif orients[0] == orients[1]:      # a lightcone
             raise ValueError(
                 "lightcone modular data is not wedge data in a massive "
-                "model; use region_subspace_dual"
+                "model; lightcone subspaces exist on the chiral models"
             )
         else:
             blocks = [_halfline_block(n, h, orients[0])
@@ -447,39 +457,20 @@ class NetModel:
 
     def region_subspace_dual(self, region, method="exact",
                              max_iter=1 << 26, tol=1e-9):
-        """Dual-net subspace of a double cone or a lightcone.
+        """Dual-net subspace of a double cone.
 
-        A double cone is the intersection of its two minimal wedge
-        subspaces; a lightcone is the closed sum over the configured
-        dyadic double-cone family accumulating at its apex and spine.
-        The iteration controls matter only for the alternating
-        projection method (squaring makes a large allowance cheap).
+        The intersection of its two minimal wedge subspaces.  The
+        iteration controls matter only for the alternating projection
+        method (squaring makes a large allowance cheap).  Lightcone
+        families are handled by :func:`lightcone_separating_study`.
         """
-        kinds = spacetime.RegionKind
-        if region.kind is kinds.DOUBLE_CONE:
-            w_r, w_l = self.minimal_wedges(region)
-            return stdspace.intersect(
-                [self.wedge_subspace(w_r), self.wedge_subspace(w_l)],
-                method=method, max_iter=max_iter, tol=tol)
-        if region.kind in (kinds.LIGHTCONE_FWD, kinds.LIGHTCONE_BWD):
-            boxes = _dyadic_cones(8)
-            sign = 1.0 if region.kind is kinds.LIGHTCONE_FWD else -1.0
-            apex = ((region.left[0], region.right[0])
-                    if region.kind is kinds.LIGHTCONE_FWD
-                    else (region.left[1], region.right[1]))
-            subs = []
-            for al, bl, ar, br in boxes:
-                cone = spacetime.Region(
-                    tuple(sorted((apex[0] + sign * al, apex[0] + sign * bl))),
-                    tuple(sorted((apex[1] + sign * ar, apex[1] + sign * br))))
-                subs.append(self.region_subspace_dual(cone, method=method))
-            nonzero = [s for s in subs if s.dim]
-            if not nonzero:
-                return stdspace.RealSubspace.zero(self.parent)
-            return stdspace.sum_closure(nonzero)
-        raise ValueError(
-            f"dual prescription covers double cones and lightcones, "
-            f"not {region.kind.name}")
+        if region.kind is not spacetime.RegionKind.DOUBLE_CONE:
+            raise ValueError("dual prescription covers double cones, "
+                             f"not {region.kind.name}")
+        w_r, w_l = self.minimal_wedges(region)
+        return stdspace.intersect(
+            [self.wedge_subspace(w_r), self.wedge_subspace(w_l)],
+            method=method, max_iter=max_iter, tol=tol)
 
     def mass_fiber_models(self):
         """Single-mass models of the integrand fibers (directIntegral).
@@ -518,7 +509,7 @@ class NetModel:
             cols.append(out)
         mat = np.column_stack(cols)
         if self._copies == 2:
-            mat = sla.block_diag(mat, mat)
+            mat = _direct_sum([mat, mat])
         return self.parent.realify_linear(mat)
 
     # -- axiom battery -----------------------------------------------------
@@ -772,24 +763,15 @@ def _interval_block(net, factor_index):
 def assemble_blockwise(subspaces):
     """Direct sum of per-factor real subspaces on the product space.
 
-    The factors' real forms are interleaved into the (Re..., Im...)
-    layout of the joint complex space, so blockwise computations can be
-    compared against global ones on the assembled lattice.
+    The factors' complex bases are summed directly and the result is
+    returned in the (Re..., Im...) layout of the joint complex space, so
+    blockwise computations can be compared against global ones on the
+    assembled lattice.
     """
-    sizes = [s.parent.n for s in subspaces]
-    total = sum(sizes)
-    basis = sla.block_diag(*[s.basis for s in subspaces])
-    cols = basis.shape[1]
-    rows = np.zeros((2 * total, cols))
-    re_off = 0
-    blk_off = 0
-    for s, n in zip(subspaces, sizes):
-        rows[re_off:re_off + n] = basis[blk_off:blk_off + n]
-        rows[total + re_off:total + re_off + n] = \
-            basis[blk_off + n:blk_off + 2 * n]
-        re_off += n
-        blk_off += 2 * n
-    return stdspace.RealSubspace(stdspace.ComplexSpace(total), rows)
+    c = _direct_sum([s.basis[:s.parent.n] + 1j * s.basis[s.parent.n:]
+                     for s in subspaces])
+    return stdspace.RealSubspace(stdspace.ComplexSpace(c.shape[0]),
+                                 np.vstack([c.real, c.imag]))
 
 
 def _stack_blocks(left_block, right_block):
@@ -842,12 +824,12 @@ def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
         return stdspace.Operator.of(parent, md.delta_it(t))
 
     def u_r(t):
-        return flow(md_bl, t) @ linear(sla.block_diag(
-            _roll(n_l, grid_steps(t, h_l)), np.eye(n_r)))
+        return flow(md_bl, t) @ linear(_direct_sum(
+            [_roll(n_l, grid_steps(t, h_l)), np.eye(n_r)]))
 
     def u_l(t):
-        return flow(md_br, t) @ linear(sla.block_diag(
-            np.eye(n_l), _roll(n_r, grid_steps(t, h_r))))
+        return flow(md_br, t) @ linear(_direct_sum(
+            [np.eye(n_l), _roll(n_r, grid_steps(t, h_r))]))
 
     one = linear(np.eye(n_l + n_r))
     # left-factor cancellation: U_R acts trivially on the first factor

@@ -24,7 +24,6 @@ import traceback
 
 import mpmath
 import numpy as np
-import scipy
 
 from . import bgl
 from . import fock
@@ -750,7 +749,6 @@ def _environment_fingerprint():
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "mpmath": mpmath.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),

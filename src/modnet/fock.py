@@ -182,24 +182,6 @@ class FockVector:
     def scaled(self, z):
         return FockVector(self.n, self.order, [z * c for c in self.coeffs])
 
-    def degree_tensor(self, k):
-        """Dense symmetric tensor of the degree-k component.
-
-        Intended for small k and n; entry (i_1..i_k) carries the
-        occupancy coefficient times sqrt(prod alpha! / k!).
-        """
-        shape = (self.n,) * k
-        out = np.zeros(shape, dtype=complex)
-        pos = _positions(self.n, k)
-        for idx in itertools.product(range(self.n), repeat=k):
-            alpha = [0] * self.n
-            for i in idx:
-                alpha[i] += 1
-            w = math.sqrt(math.prod(math.factorial(a) for a in alpha)
-                          / math.factorial(k)) if k else 1.0
-            out[idx] = self.coeffs[k][pos[tuple(alpha)]] * w
-        return out
-
     def __repr__(self):
         return (f"FockVector(n={self.n}, order={self.order}, "
                 f"norm={self.norm():.6f})")

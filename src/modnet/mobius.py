@@ -62,13 +62,6 @@ def cayley(x):
     return -(x - 1j) / (x + 1j)
 
 
-def cayley_inverse(z):
-    """Inverse Cayley transform; the point -1 maps to infinity."""
-    if abs(z + 1.0) < 1e-300:
-        return INF
-    return float((-1j * (z - 1.0) / (z + 1.0)).real)
-
-
 def angle_of_point(x):
     """Circle angle of an extended real number, in (-pi, pi].
 
@@ -360,33 +353,6 @@ class CoverElement:
 
     def is_identity(self, tol=EQ_TOL):
         return self.base.is_identity(tol) and abs(self.phi) < 1e-7
-
-    # -- lifted circle action ------------------------------------------
-
-    def act_lifted(self, u):
-        """Action on the universal cover of the circle (lifted angles).
-
-        The lift is pinned by two requirements: lifted rotations act as
-        ``u -> u + t``, and the contractible subgroup fixing infinity
-        preserves each fundamental interval (pi + 2 pi (k-1), pi + 2 pi k].
-        """
-        _, a, n = self.base.iwasawa()
-        k = round(u / _TWO_PI)
-        v = u - _TWO_PI * k
-        if v <= -math.pi:
-            v += _TWO_PI
-            k -= 1
-        elif v > math.pi:
-            v -= _TWO_PI
-            k += 1
-        if abs(v - math.pi) < 1e-14:
-            res = math.pi
-        else:
-            x = point_of_angle(v)
-            e = math.exp(a)
-            y = e * x + e * n  # affine action of A(a) N(n)
-            res = angle_of_point(y)
-        return self.phi + res + _TWO_PI * k
 
 
 def _track_phi(g_mat, phi0, theta_h, a_h, n_h):
@@ -699,10 +665,6 @@ class GElement:
 
     def inverse(self):
         return GElement(self.left.inverse(), self.right.inverse())
-
-    def act_cylinder(self, u_left, u_right):
-        """Action on a point of the cylinder cover, in lifted lightray angles."""
-        return self.left.act_lifted(u_left), self.right.act_lifted(u_right)
 
     def __eq__(self, other):
         if not isinstance(other, GElement):

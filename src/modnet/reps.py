@@ -19,8 +19,6 @@ import numpy as np
 
 from .mobius import CoverElement, GElement, MobiusElement
 
-UNITARITY_TOL = 1e-10
-GROUP_LAW_TOL = 1e-10
 AFFINE_TOL = 1e-12
 STEP_TOL = 1e-9
 
@@ -422,65 +420,6 @@ def boundary_leakage(rep, xi):
     return math.sqrt(leaked / total)
 
 
-def unitarity_deviation(rep, g, rng, samples=5):
-    """max_i | ||U(g) xi_i|| - ||xi_i|| | / ||xi_i|| on random vectors."""
-    worst = 0.0
-    for _ in range(samples):
-        xi = rep.random_vector(rng)
-        worst = max(worst,
-                    abs(rep.norm(apply(rep, g, xi)) - rep.norm(xi))
-                    / rep.norm(xi))
-    return worst
-
-
-def translation_spectrum(rep):
-    """Joint spectrum of the translation generators, as point arrays.
-
-    Chiral kinds return lightray momentum coordinates; massive kinds
-    return (omega, p1) points on their mass shells.
-    """
-    if rep.kind == "chiral":
-        return (rep.grids[0].momenta.copy(),)
-    if rep.kind == "productChiralSum":
-        gl, gr = rep.grids
-        zero_l = np.zeros(gl.n)
-        zero_r = np.zeros(gr.n)
-        return (np.concatenate([gl.momenta, zero_r]),
-                np.concatenate([zero_l, gr.momenta]))
-    if rep.kind == "productChiralTensor":
-        pl, pr = np.meshgrid(rep.grids[0].momenta, rep.grids[1].momenta,
-                             indexing="ij")
-        return pl.ravel(), pr.ravel()
-    if rep.kind == "massive":
-        return rep.grids[0].omega.copy(), rep.grids[0].p1.copy()
-    omega = np.concatenate([g.omega for g in rep.grids])
-    p1 = np.concatenate([g.p1 for g in rep.grids])
-    return omega, p1
-
-
-def axis_spectrum_points(rep):
-    """Number of nonzero joint-spectrum points on a lightray axis.
-
-    A two-dimensional representation has a chiral component exactly when
-    the joint translation spectrum charges R_+ x {0} or {0} x R_+ in
-    lightray momentum coordinates (p_L, p_R) = ((omega + p1),
-    (omega - p1)) / sqrt(2); on the tensor and direct-integral grids this
-    count is zero by construction, while the direct-sum model consists of
-    nothing else.
-    """
-    if rep.kind in ("massive", "directIntegral"):
-        omega, p1 = translation_spectrum(rep)
-        a, b = (omega + p1) / _SQRT2, (omega - p1) / _SQRT2
-    else:
-        spec = translation_spectrum(rep)
-        if len(spec) != 2:
-            raise ValueError("axis check needs a two-dimensional spectrum")
-        a, b = spec
-    on_a = (b == 0.0) & (a != 0.0)
-    on_b = (a == 0.0) & (b != 0.0)
-    return int(np.sum(on_a) + np.sum(on_b))
-
-
 # ---------------------------------------------------------------------------
 # the product <-> direct integral identification
 # ---------------------------------------------------------------------------
@@ -541,13 +480,3 @@ def product_to_direct_integral(xi, source: LatticeRep, target: LatticeRep):
     coverage = float(np.sum(w[inside]) / np.sum(w))
     return out, IdentificationReport(source.norm(xi), target.norm(out),
                                      coverage)
-
-
-def translation_intertwining_residual(source, target, xi, a_pair):
-    """|| T U(tau) xi - U'(tau) T xi || / ||xi|| for a lightray pair."""
-    t_l, t_r = a_pair
-    g = GElement(CoverElement.from_base(MobiusElement.translation(t_l)),
-                 CoverElement.from_base(MobiusElement.translation(t_r)))
-    moved, _ = product_to_direct_integral(apply(source, g, xi), source, target)
-    mapped, _ = product_to_direct_integral(xi, source, target)
-    return target.norm(moved - apply(target, g, mapped)) / source.norm(xi)

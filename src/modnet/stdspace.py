@@ -24,7 +24,6 @@ import math
 import warnings
 
 import numpy as np
-import scipy.linalg as sla
 
 #: relative singular-value threshold for rank/kernel decisions
 RANK_REL_TOL = 1e-8
@@ -332,8 +331,11 @@ def symplectic_complement(h):
     if h.dim == 0:
         return RealSubspace.full(h.parent)
     rotated = h.parent.J_i @ h.basis
-    kernel = sla.null_space(rotated.T, rcond=RANK_REL_TOL)
-    return RealSubspace(h.parent, kernel)
+    # null space of rotated^T: right singular vectors past the numerical
+    # rank, counted against RANK_REL_TOL * max(s)
+    _, s, vt = np.linalg.svd(rotated.T)
+    rank = int(np.sum(s > RANK_REL_TOL * s[0]))
+    return RealSubspace(h.parent, vt[rank:].T)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -495,7 +497,7 @@ def modular_data(h):
         )
     parent = h.parent
     b = _complex_basis(h)
-    c = sla.solve(b.conj().T, b.T).T
+    c = np.linalg.solve(b.conj().T, b.T).T
     delta = c.T @ c.conj()
     delta = (delta + delta.conj().T) / 2
     w, v = np.linalg.eigh(delta)

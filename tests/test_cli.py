@@ -9,6 +9,9 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -112,7 +115,7 @@ def test_report_schema_fields(tmp_path):
         assert set(entry) == {"name", "residual", "budget", "formula",
                               "passed"}
         assert entry["name"] in cli.CHECK_NAMES["trace-class"]
-    for key in ("python", "numpy", "scipy", "mpmath", "platform"):
+    for key in ("python", "numpy", "mpmath", "platform"):
         assert key in report["environment"]
     assert report["timestamp"]["wall_time_s"] >= 0.0
 
@@ -427,3 +430,31 @@ def test_commands_and_defaults_are_aligned():
     assert set(cli.RUNNERS) == set(cli.DEFAULT_CONFIGS)
     for command, cfg in cli.DEFAULT_CONFIGS.items():
         assert "seed" in cfg, command
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+# ---------------------------------------------------------------------------
+
+
+def test_every_command_runs_without_scipy():
+    # scipy is a test-only dependency; blocking it must leave every
+    # command runnable at its defaults
+    script = textwrap.dedent("""
+        import json, sys
+        sys.modules["scipy"] = None
+        from modnet import cli
+        passed = {}
+        for command, config in cli.DEFAULT_CONFIGS.items():
+            report, _ = cli.run_command(command, dict(config), 0, 1.0)
+            passed[command] = report["passed"]
+        print(json.dumps(passed))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    passed = json.loads(proc.stdout.splitlines()[-1])
+    assert passed == {command: True for command in cli.DEFAULT_CONFIGS}

@@ -238,18 +238,6 @@ def test_weyl_overlaps_match_symbolic_reduction():
     assert abs(lhs - rhs) < tail + 1e-10
 
 
-def test_degree_components_are_symmetric_tensors():
-    rng = np.random.default_rng(37)
-    g = _random_amp(rng, 0.9)
-    v = fock.exponential_vector(g, 3)
-    t = v.degree_tensor(3)
-    assert np.allclose(t, np.transpose(t, (1, 0, 2)), atol=1e-12)
-    assert np.allclose(t, np.transpose(t, (2, 1, 0)), atol=1e-12)
-    # rank-one structure: entries are products g_i g_j g_k / sqrt(3!)
-    expected = np.einsum("i,j,k->ijk", g, g, g) / math.sqrt(math.factorial(3))
-    assert np.allclose(t, expected, atol=1e-12)
-
-
 def test_fock_vector_shape_validation():
     with pytest.raises(ValueError, match="wrong length"):
         fock.FockVector(2, 1, [np.ones(1), np.ones(5)])

@@ -15,7 +15,6 @@ from modnet.mobius import (
     MobiusElement,
     angle_of_point,
     cayley,
-    cayley_inverse,
     commutation_parameters,
     commutation_residual,
     dilation_conjugator,
@@ -58,7 +57,6 @@ def test_cayley_roundtrip():
     for x in rng.standard_cauchy(50):
         z = cayley(x)
         assert abs(abs(z) - 1.0) < ATOL
-        assert_allclose(cayley_inverse(z), x, rtol=1e-9, atol=1e-9)
 
 
 def test_angle_of_point_matches_cayley_argument():
@@ -213,49 +211,15 @@ def test_cover_composition_handles_negative_trace():
     assert min(abs(d), abs(abs(d) - TWO_PI)) < 1e-8
 
 
-def test_lifted_action_is_a_group_action():
+def test_cover_composition_is_associative():
+    # the lifted angle of a product is tracked numerically; associativity
+    # pins its winding, also for factors beyond a full turn
     rng = np.random.default_rng(37)
     for _ in range(20):
-        g = CoverElement.rotation(rng.uniform(-7, 7)) @ CoverElement.from_base(
-            random_element(rng)
-        )
-        h = CoverElement.rotation(rng.uniform(-7, 7)) @ CoverElement.from_base(
-            random_element(rng)
-        )
-        gh = g @ h
-        for u in rng.uniform(-10.0, 10.0, size=5):
-            assert_allclose(g.act_lifted(h.act_lifted(u)), gh.act_lifted(u),
-                            rtol=1e-8, atol=1e-8)
-
-
-def test_lifted_action_commutes_with_deck_shift():
-    rng = np.random.default_rng(41)
-    g = CoverElement.from_base(random_element(rng))
-    for u in rng.uniform(-9.0, 9.0, size=10):
-        assert_allclose(g.act_lifted(u + TWO_PI), g.act_lifted(u) + TWO_PI,
-                        atol=1e-10)
-
-
-def test_lifted_action_monotone():
-    rng = np.random.default_rng(43)
-    g = CoverElement.rotation(2.3) @ CoverElement.from_base(random_element(rng))
-    us = np.sort(rng.uniform(-9.0, 9.0, size=30))
-    vs = [g.act_lifted(u) for u in us]
-    assert all(a < b for a, b in zip(vs, vs[1:]))
-
-
-def test_lifted_rotation_translates_angles():
-    r = CoverElement.rotation(7.5)
-    assert_allclose(r.act_lifted(0.3), 0.3 + 7.5, atol=ATOL)
-
-
-def test_lifted_dilation_fixes_boundary_angles():
-    d = CoverElement.dilation(1.7)
-    for k in (-2, -1, 0, 1, 2):
-        u = math.pi + TWO_PI * k
-        assert_allclose(d.act_lifted(u), u, atol=ATOL)
-    # interior angles stay in the same fundamental interval
-    assert -math.pi < d.act_lifted(0.5) < math.pi
+        g, h, k = (CoverElement.rotation(rng.uniform(-7, 7))
+                   @ CoverElement.from_base(random_element(rng))
+                   for _ in range(3))
+        assert (g @ h) @ k == g @ (h @ k)
 
 
 # ---------------------------------------------------------------------------
@@ -503,14 +467,3 @@ def test_G_compose_componentwise():
     assert (g @ g.inverse()) == GElement.identity()
 
 
-def test_G_cylinder_action_is_componentwise():
-    rng = np.random.default_rng(79)
-    gl = CoverElement.rotation(3.0)
-    gr = CoverElement.from_base(random_element(rng))
-    g = GElement(gl, gr)
-    ul, ur = 0.4, -0.7
-    al, ar = g.act_cylinder(ul, ur)
-    # the quotient representative may differ from (gl, gr) by a deck pair,
-    # which shifts the two coordinates by opposite full turns
-    assert_allclose(al - gl.act_lifted(ul), -(ar - gr.act_lifted(ur)), atol=1e-9)
-    assert abs(wrap_angle(al - gl.act_lifted(ul))) < 1e-9

@@ -19,14 +19,10 @@ from modnet.reps import (
     LatticeRep,
     RapidityGrid,
     apply,
-    axis_spectrum_points,
     boundary_leakage,
     build_rep,
     central_support_mask,
     product_to_direct_integral,
-    translation_intertwining_residual,
-    translation_spectrum,
-    unitarity_deviation,
 )
 
 CHIRAL = {"kind": "chiral", "n": 64, "h": 0.1, "u0": -3.2}
@@ -53,6 +49,16 @@ def pair(t_l=0.0, s_l=0.0, t_r=0.0, s_r=0.0):
 
 def boost(s):
     return pair(s_l=-s, s_r=s)
+
+
+def unitarity_deviation(rep, g, rng, samples):
+    """max | ||U(g) xi|| - ||xi|| | / ||xi|| over random vectors xi."""
+    worst = 0.0
+    for _ in range(samples):
+        xi = rep.random_vector(rng)
+        worst = max(worst, abs(rep.norm(apply(rep, g, xi)) - rep.norm(xi))
+                    / rep.norm(xi))
+    return worst
 
 
 def central_vector(rep, rng):
@@ -247,11 +253,9 @@ def test_group_law(cfg):
 
 
 def test_energy_positivity():
-    rep = build_rep(CHIRAL)
-    (p,) = translation_spectrum(rep)
-    assert p.min() > 0
-    omega, _ = translation_spectrum(build_rep(DIRECT))
-    assert omega.min() > 0
+    # translations act by e^{i a.p}: the multipliers are the spectrum
+    assert build_rep(CHIRAL).grids[0].momenta.min() > 0
+    assert min(g.omega.min() for g in build_rep(DIRECT).grids) > 0
 
 
 def test_direct_integral_block_structure():
@@ -263,14 +267,6 @@ def test_direct_integral_block_structure():
         out = apply(rep, pair(0.3, -0.2 * 5, -0.1, 0.2 * 5), xi)
         support = np.flatnonzero(np.any(out != 0, axis=1))
         assert list(support) == [i]
-
-
-def test_axis_spectrum_witness():
-    # the tensor and direct-integral models carry no chiral component;
-    # the direct-sum model is precisely a pair of them
-    assert axis_spectrum_points(build_rep(TENSOR)) == 0
-    assert axis_spectrum_points(build_rep(DIRECT)) == 0
-    assert axis_spectrum_points(build_rep(SUM)) == 112
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +387,19 @@ def test_identification_norm_and_refinement():
 
 
 def test_identification_intertwines_translations():
+    def residual(source, target, xi):
+        """|| T U(a) xi - U'(a) T xi || / ||xi|| for T the resampling."""
+        g = pair(t_l=0.2, t_r=-0.15)
+        moved, _ = product_to_direct_integral(apply(source, g, xi), source,
+                                              target)
+        mapped, _ = product_to_direct_integral(xi, source, target)
+        return target.norm(moved - apply(target, g, mapped)) / source.norm(xi)
+
     src, dst, xi = identification_grids(128, 0.05)
-    coarse = translation_intertwining_residual(src, dst, xi, (0.2, -0.15))
+    coarse = residual(src, dst, xi)
     assert coarse < 1e-3
     src2, dst2, xi2 = identification_grids(256, 0.025)
-    fine = translation_intertwining_residual(src2, dst2, xi2, (0.2, -0.15))
+    fine = residual(src2, dst2, xi2)
     assert fine < 2.5e-4
     assert fine < coarse
 

@@ -589,6 +589,36 @@ def test_angle_tolerance_separates_1e6_from_1e10(n, seed):
         assert contains_subspace(h1, intersect([h1, h2]))
 
 
+@PROPERTY
+@given(n=st.integers(1, 6), seed=SEEDS, planted=st.booleans(),
+       data=st.data())
+def test_complement_and_tomita_match_scipy_references(n, seed, planted,
+                                                      data):
+    # scipy is the test-only reference for the numpy kernels: the SVD
+    # null space behind H' and the linear solve behind C
+    rng = np.random.default_rng(seed)
+    sp = ComplexSpace(n)
+    d = 2 * n
+    k = data.draw(st.integers(2 if planted else 1, d), label="k")
+    cols = rng.normal(size=(d, k))
+    if planted:
+        # a complex line xi, i xi inside H: H meets iH nontrivially
+        cols[:, 1] = sp.J_i @ cols[:, 0]
+    h = RealSubspace(sp, np.linalg.qr(cols)[0])
+    ours = symplectic_complement(h)
+    ref = RealSubspace(sp, sla.null_space((sp.J_i @ h.basis).T,
+                                          rcond=RANK_REL_TOL))
+    assert ours.dim == ref.dim == d - k
+    assert subspace_distance(ours, ref) <= 1e-12
+    if k != n or planted:
+        return
+    b = h.basis[:n] + 1j * h.basis[n:]
+    c_ref = sla.solve(b.conj().T, b.T).T
+    s_op, _ = modular_data(h)
+    dev = complex_norm(sp, s_op - sp.realify_antilinear(c_ref))
+    assert dev <= 1e-12 * np.linalg.cond(b) * np.linalg.norm(c_ref, 2)
+
+
 def test_containment_gap_is_the_largest_sine():
     sp = ComplexSpace(2)
     e = np.eye(4)
