@@ -374,11 +374,19 @@ def test_dual_exact_and_alternating_agree_on_unit_cone():
 
 
 def test_dual_rejects_wedge_regions():
-    for region in (spacetime.Region.wedge_right((0.0, 0.0)),
-                   spacetime.Region.forward_cone((0.0, 0.0))):
+    with pytest.raises(ValueError, match="dual prescription covers "
+                                         "double cones"):
+        _model("chiralSum").region_subspace_dual(
+            spacetime.Region.wedge_right((0.0, 0.0)))
+
+
+def test_dual_rejects_lightcones_on_all_kinds():
+    # lightcone duals come from the lightcone study's per-shape route
+    for kind in ("chiralSum", "massive"):
         with pytest.raises(ValueError, match="dual prescription covers "
                                              "double cones"):
-            _model("chiralSum").region_subspace_dual(region)
+            _model(kind).region_subspace_dual(
+                spacetime.Region.forward_cone((0.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------
