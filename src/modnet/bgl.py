@@ -239,6 +239,16 @@ def _eigenpair_fix(parent, kap, cols, pair_of):
 # ---------------------------------------------------------------------------
 
 
+def _chiral_pair_rep(n, h):
+    """Two chiral factors on one symmetric log-momentum grid."""
+    u0 = -(n - 1) * h / 2.0
+    return reps.build_rep({
+        "kind": "productChiralSum",
+        "left": {"n": n, "h": h, "u0": u0},
+        "right": {"n": n, "h": h, "u0": u0},
+    })
+
+
 class NetModel:
     """A lattice representation together with its net of wedge subspaces.
 
@@ -267,13 +277,7 @@ class NetModel:
     @classmethod
     def chiral_sum(cls, n=33, h=SOLVABLE_SPACING):
         """Sum of two chiral factors on symmetric log-momentum grids."""
-        u0 = -(n - 1) * h / 2.0
-        rep = reps.build_rep({
-            "kind": "productChiralSum",
-            "left": {"n": n, "h": h, "u0": u0},
-            "right": {"n": n, "h": h, "u0": u0},
-        })
-        return cls("chiralSum", rep)
+        return cls("chiralSum", _chiral_pair_rep(n, h))
 
     @classmethod
     def massive(cls, n=128, h=2.5, mass=1.0):
@@ -302,13 +306,7 @@ class NetModel:
         overall dilation parameter of g leaves the Poincare subgroup
         untouched and rotates the two copies under dilations.
         """
-        u0 = -(n - 1) * h / 2.0
-        rep = reps.build_rep({
-            "kind": "productChiralSum",
-            "left": {"n": n, "h": h, "u0": u0},
-            "right": {"n": n, "h": h, "u0": u0},
-        })
-        return cls("twisted", rep, charge=charge)
+        return cls("twisted", _chiral_pair_rep(n, h), charge=charge)
 
     # -- factor geometry ---------------------------------------------------
 
@@ -779,6 +777,15 @@ def _stack_blocks(left_block, right_block):
                                for b in (left_block, right_block)])
 
 
+def _grid_steps(t, h):
+    """Dilation steps of spacing h in 2 pi t, which must be a grid multiple."""
+    k = round(_TWO_PI * t / h)
+    if abs(_TWO_PI * t - k * h) > 1e-9:
+        raise ValueError(f"2 pi t = {_TWO_PI * t:.6f} is not a grid "
+                         "multiple of the dilation spacing")
+    return k
+
+
 def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
     """Rebuild the interval one-parameter groups from half-band data.
 
@@ -810,13 +817,6 @@ def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
     _, md_br = stdspace.modular_data(band_r)
     _, md_d0 = stdspace.modular_data(cone_0)
 
-    def grid_steps(t, h):
-        k = round(_TWO_PI * t / h)
-        if abs(_TWO_PI * t - k * h) > 1e-9:
-            raise ValueError(f"2 pi t = {_TWO_PI * t} is not a grid "
-                             "multiple of the dilation spacing")
-        return k
-
     def linear(c):
         return stdspace.Operator(parent, c)
 
@@ -825,11 +825,11 @@ def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
 
     def u_r(t):
         return flow(md_bl, t) @ linear(_direct_sum(
-            [_roll(n_l, grid_steps(t, h_l)), np.eye(n_r)]))
+            [_roll(n_l, _grid_steps(t, h_l)), np.eye(n_r)]))
 
     def u_l(t):
         return flow(md_br, t) @ linear(_direct_sum(
-            [np.eye(n_l), _roll(n_r, grid_steps(t, h_r))]))
+            [np.eye(n_l), _roll(n_r, _grid_steps(t, h_r))]))
 
     one = linear(np.eye(n_l + n_r))
     # left-factor cancellation: U_R acts trivially on the first factor
@@ -890,10 +890,7 @@ def counterexample_bw(net, t_values=(0.5, 1.0, 1.5), budget=None):
     n, h, _ = net._factors[0]
     devs, preds, resids = [], [], []
     for t in t_values:
-        k = round(_TWO_PI * t / h)
-        if abs(_TWO_PI * t - k * h) > 1e-9:
-            raise ValueError(f"2 pi t = {_TWO_PI * t:.6f} is not a grid "
-                             "multiple of the dilation spacing")
+        _grid_steps(t, h)
         flow = net.wedge_flow(cone, t)
         g = mobius.GElement(
             mobius.CoverElement.dilation(-_TWO_PI * t),
@@ -930,10 +927,17 @@ class ConeStudyRow:
 
 @dataclasses.dataclass(frozen=True)
 class ConeStudy:
+    """``max_rise`` is the largest defect increase between consecutive
+    levels of one mass's ladder, clamped at 0."""
+
     rows: tuple
-    monotone: bool
+    max_rise: float
     finest_defect: float
     frozen_value: float
+
+    @property
+    def monotone(self):
+        return self.max_rise <= 1e-12
 
     @property
     def below_frozen(self):
@@ -990,7 +994,9 @@ def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
         if count < 0:
             raise ValueError("cone count must be nonnegative")
     rows = []
+    max_rise = 0.0
     for mass in masses:
+        previous = None
         for grid, count in ladder:
             nonzero = [s for s in _cone_duals(mass, grid, count, spacing)
                        if s.dim]
@@ -1002,12 +1008,11 @@ def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
             else:
                 defect, sdim = 1.0, 0
             rows.append(ConeStudyRow(mass, grid, count, sdim, defect))
-    monotone = all(
-        rows[i + 1].defect <= rows[i].defect + 1e-12
-        for i in range(len(rows) - 1)
-        if rows[i + 1].mass == rows[i].mass)
+            if previous is not None:
+                max_rise = max(max_rise, defect - previous)
+            previous = defect
     finest = min(r.defect for r in rows)
-    return ConeStudy(tuple(rows), monotone, finest, frozen)
+    return ConeStudy(tuple(rows), max_rise, finest, frozen)
 
 
 # ---------------------------------------------------------------------------

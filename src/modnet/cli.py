@@ -40,15 +40,6 @@ REPORT_SCHEMA = "modnet-report/1"
 OUT_ENV_VAR = "MODNET_OUT"
 DEFAULT_OUT_DIR = "modnet-out"
 
-COMMUTATION_BUDGET = 1e-11
-IDENTITY_BUDGET = 1e-8
-RECONSTRUCTION_BUDGET = 1e-7
-HALPERIN_BUDGET = 1e-7
-FORMULA_BUDGET = 1e-8
-TRACE_REL_BUDGET = 1e-20
-SPIN_BUDGET = 1e-9
-
-
 class ConfigError(ValueError):
     """Raised when a run configuration cannot be parsed or validated."""
 
@@ -64,28 +55,43 @@ class CheckResult:
     passed: bool
 
 
-def _check(name, residual, budget, formula):
-    residual = float(residual)
-    budget = float(budget)
-    return CheckResult(name, residual, budget, formula, residual <= budget)
+def _sci(x):
+    """A one-digit budget base as the docs write it: 1e-8, not 1e-08."""
+    mantissa, exponent = f"{x:.0e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
 
 
-# every check name a command may emit; docs/checks.md documents each one
-CHECK_NAMES = {
-    "verify-mobius": (
-        "mobius-commutation",
-        "mobius-group-law",
-        "mobius-cover-consistency",
-    ),
-    "verify-stdspace": (
-        "stdspace-tomita-involution",
-        "stdspace-modular-balance",
-        "stdspace-dual-tomita",
-        "stdspace-conjugate-complement",
-        "stdspace-flow-invariance",
-        "stdspace-double-dual",
-    ),
-    "bgl-axioms": (
+_AXIOM_FORMULA = (
+    "residual <= {budget:.3e} (base tolerance "
+    f"{_sci(bgl.BLOCK_TOL)} * budget_scale; the modular-consistency "
+    "entries use max(tolerance, model epsilon))")
+
+# every check a command may emit, in report order, as name -> (base
+# budget, formula text); docs/checks.md documents each one.  A numeric
+# base gives the budget base * budget_scale and the formula
+# "<text> <= <base> * budget_scale".  With None the runner computes the
+# budget and returns it; the text is then the whole formula, filled in
+# with that {budget}.
+CHECKS = {
+    "verify-mobius": {
+        "mobius-commutation": (
+            1e-11, "max flow-commutation residual over sampled (t, s) pairs"),
+        "mobius-group-law": (
+            1e-10, "max boundary-action defect of composed words"),
+        "mobius-cover-consistency": (
+            1e-12, "max projection defect of lifted words"),
+    },
+    "verify-stdspace": {
+        "stdspace-tomita-involution": (1e-8, "||S^2 - 1||"),
+        "stdspace-modular-balance": (
+            1e-8, "||J Delta J Delta - 1|| / ||Delta||"),
+        "stdspace-dual-tomita": (1e-8, "||S_dual - S*||"),
+        "stdspace-conjugate-complement": (1e-8, "distance(J H, H')"),
+        "stdspace-flow-invariance": (
+            1e-8, "distance(Delta^{it} H, H)"),
+        "stdspace-double-dual": (1e-8, "distance(H'', H)"),
+    },
+    "bgl-axioms": dict.fromkeys((
         "isotony",
         "poincare-covariance",
         "positivity-of-energy",
@@ -97,43 +103,73 @@ CHECK_NAMES = {
         "dilation-bisognano-wichmann",
         "modular-covariance",
         "strong-additivity",
-    ),
-    "reconstruct-mobius": (
-        "reconstruction-identity",
-        "reconstruction-commutator",
-        "reconstruction-left-cancellation",
-        "reconstruction-at-zero",
-    ),
-    "break-bw": (
-        "counterexample-formula",
-        "counterexample-wedge-roundtrip",
-        "counterexample-gauge-invariance",
-    ),
-    "lightcone-defect": (
-        "cone-defect-monotone",
-        "cone-defect-below-frozen",
-    ),
-    "spin-statistics": (
-        "spin-statistics-integer",
-        "spin-statistics-violation-detected",
-    ),
-    "trace-class": (
-        "trace-class-truncation",
-        "trace-class-selfdual-value",
-    ),
-    "fock-checks": (
-        "weyl-reduction-consistency",
-        "weyl-gram-positivity",
-        "exponential-overlap",
-        "second-quantization-exponential",
-        "second-quantization-functorial",
-        "tomita-lift-consistency",
-        "weyl-locality",
-    ),
-    "halperin-bench": (
-        "halperin-agreement",
-        "halperin-convergence",
-    ),
+    ), (None, _AXIOM_FORMULA)),
+    "reconstruct-mobius": {
+        "reconstruction-identity": (
+            1e-7,
+            "max ||Delta_D^{it} - U_R(t) U_L(t)|| over the t ladder"),
+        "reconstruction-commutator": (
+            1e-7, "max ||[U_R(t), U_L(t)]|| over the t ladder"),
+        "reconstruction-left-cancellation": (
+            1e-7, "max left-mover cancellation defect in U_R"),
+        "reconstruction-at-zero": (1e-10, "||U_R(0) U_L(0) - 1||"),
+    },
+    "break-bw": {
+        "counterexample-formula": (
+            1e-8, "max | deviation(t) - |e^{2 pi i q t} - 1| |"),
+        "counterexample-wedge-roundtrip": (
+            None, "wedge modular roundtrip <= model epsilon * budget_scale; "
+                  "epsilon = 10 * (flow residual + 1e-10)"),
+        "counterexample-gauge-invariance": (
+            1e-10, "inner-symmetry invariance of the wedge subspace"),
+    },
+    "lightcone-defect": {
+        "cone-defect-monotone": (
+            1e-12, "max defect increase along the refinement ladder"),
+        "cone-defect-below-frozen": (
+            None, "finest-level defect <= frozen comparison value "
+                  "({budget})"),
+    },
+    "spin-statistics": {
+        "spin-statistics-integer": (
+            1e-9, "max distance of spectrum differences from the integers"),
+        "spin-statistics-violation-detected": (
+            1e-9, "half-integer-shifted battery must fail with worst "
+                  "defect 1/2: |worst - 0.5|"),
+    },
+    "trace-class": {
+        "trace-class-truncation": (
+            1e-20, "max relative truncation error over the sampled inverse "
+                   "temperatures"),
+        "trace-class-selfdual-value": (
+            None, "closed form equals 1 exactly at inverse temperature ln 2"),
+    },
+    "fock-checks": {
+        "weyl-reduction-consistency": (
+            1e-11, "bracketing-independence of reduced Weyl words"),
+        "weyl-gram-positivity": (
+            None, "Gram matrix of Weyl states has min eigenvalue >= "
+                  "-truncation tail(0.7, order) * budget_scale"),
+        "exponential-overlap": (
+            None, "|<e(f), e(g)> - exp <f, g>| <= |<f, g>|^(order+1) / "
+                  "(order+1)! * exp |<f, g>| * budget_scale + 1e-10"),
+        "second-quantization-exponential": (
+            1e-10, "||Gamma(A) e(g) - e(A g)||"),
+        "second-quantization-functorial": (
+            1e-10, "||Gamma(A B) - Gamma(A) Gamma(B)|| on sampled vectors"),
+        "tomita-lift-consistency": (
+            None, "||Gamma(S) W(f) vac - W(-f) vac|| <= model epsilon "
+                  "+ truncation tail + 1e-8"),
+        "weyl-locality": (
+            1e-9, "max |Im <f, g>| over spacelike one-particle pairs"),
+    },
+    "halperin-bench": {
+        "halperin-agreement": (
+            1e-7, "max distance between iterative and exact intersections"),
+        "halperin-convergence": (
+            None, "every pair converges within the iteration cap "
+                  "(failure count = 0)"),
+    },
 }
 
 DEFAULT_CONFIGS = {
@@ -145,15 +181,17 @@ DEFAULT_CONFIGS = {
         "seed": 0,
     },
     "reconstruct-mobius": {
-        "n": 33, "h": math.pi, "t_values": [0.5, 1.0, 1.5, 2.0], "seed": 0,
+        "n": 33, "h": bgl.SOLVABLE_SPACING, "t_values": [0.5, 1.0, 1.5, 2.0],
+        "seed": 0,
     },
     "break-bw": {
-        "charge": 1.0, "n": 33, "h": math.pi,
+        "charge": 1.0, "n": 33, "h": bgl.SOLVABLE_SPACING,
         "t_values": [0.5, 1.0, 1.5], "seed": 0,
     },
     "lightcone-defect": {
-        "masses": [1.0], "ladder": [[17, 2], [33, 8], [65, 32]],
-        "spacing": 0.4, "frozen": bgl.FROZEN_CONE_DEFECT, "seed": 0,
+        "masses": [1.0], "ladder": [list(level) for level in bgl.CONE_LADDER],
+        "spacing": bgl.STUDY_SPACING, "frozen": bgl.FROZEN_CONE_DEFECT,
+        "seed": 0,
     },
     "spin-statistics": {"pairs": 50, "seed": 0},
     "trace-class": {
@@ -254,8 +292,9 @@ def _resolve_out_dir(arg):
 
 
 # ---------------------------------------------------------------------------
-# command runners: each returns (checks, tables); tables maps a table
-# name to (fieldnames, rows)
+# command runners: each returns (results, tables).  results maps a check
+# name to its residual, or to (residual, budget) for a row of CHECKS
+# without a base budget; tables maps a table name to (fieldnames, rows)
 # ---------------------------------------------------------------------------
 
 
@@ -305,17 +344,8 @@ def _run_verify_mobius(cfg, rng, scale):
         worst_cover = max(worst_cover, min(
             np.max(np.abs(a - b)), np.max(np.abs(a + b))))
 
-    return [
-        _check("mobius-commutation", worst_comm, COMMUTATION_BUDGET * scale,
-               "max flow-commutation residual over sampled (t, s) pairs "
-               "<= 1e-11 * budget_scale"),
-        _check("mobius-group-law", worst_law, 1e-10 * scale,
-               "max boundary-action defect of composed words "
-               "<= 1e-10 * budget_scale"),
-        _check("mobius-cover-consistency", worst_cover, 1e-12 * scale,
-               "max projection defect of lifted words "
-               "<= 1e-12 * budget_scale"),
-    ], {}
+    return {"mobius-commutation": worst_comm, "mobius-group-law": worst_law,
+            "mobius-cover-consistency": worst_cover}, {}
 
 
 def _random_real_span(rng, parent, k):
@@ -336,7 +366,7 @@ def _random_standard(rng, parent):
 
 def _run_verify_stdspace(cfg, rng, scale):
     parent = stdspace.ComplexSpace(_int(cfg["dim"], "dim", minimum=1))
-    worst = dict.fromkeys(CHECK_NAMES["verify-stdspace"], 0.0)
+    worst = dict.fromkeys(CHECKS["verify-stdspace"], 0.0)
     for _ in range(_int(cfg["samples"], "samples", minimum=1)):
         h = _random_standard(rng, parent)
         s_real, md = stdspace.modular_data(h)
@@ -365,53 +395,33 @@ def _run_verify_stdspace(cfg, rng, scale):
             worst["stdspace-double-dual"],
             stdspace.subspace_distance(
                 stdspace.symplectic_complement(dual), h))
-
-    formulas = {
-        "stdspace-tomita-involution": "||S^2 - 1|| <= 1e-8 * budget_scale",
-        "stdspace-modular-balance":
-            "||J Delta J Delta - 1|| / ||Delta|| <= 1e-8 * budget_scale",
-        "stdspace-dual-tomita":
-            "||S_dual - S*|| <= 1e-8 * budget_scale",
-        "stdspace-conjugate-complement":
-            "distance(J H, H') <= 1e-8 * budget_scale",
-        "stdspace-flow-invariance":
-            "distance(Delta^{it} H, H) <= 1e-8 * budget_scale",
-        "stdspace-double-dual":
-            "distance(H'', H) <= 1e-8 * budget_scale",
-    }
-    checks = [_check(name, worst[name], IDENTITY_BUDGET * scale,
-                     formulas[name])
-              for name in CHECK_NAMES["verify-stdspace"]]
-    return checks, {}
-
-
-_KIND_GRID_DEFAULTS = {
-    "chiralSum": (33, math.pi),
-    "twisted": (33, math.pi),
-    "massive": (128, 2.5),
-    "directIntegral": (32, 2.5),
-}
+    return worst, {}
 
 
 def _build_model(cfg):
+    """The configured model; an unset ``n`` or ``h`` keeps the default of
+    the kind's constructor."""
     kind = cfg["model"]
-    if kind not in _KIND_GRID_DEFAULTS:
+    if kind not in bgl.MODEL_KINDS:
         raise ConfigError(
             f"unknown model kind {kind!r} "
-            f"(known: {', '.join(sorted(_KIND_GRID_DEFAULTS))})")
-    n0, h0 = _KIND_GRID_DEFAULTS[kind]
-    n = _int(cfg["n"], "n") if cfg["n"] is not None else n0
-    h = float(cfg["h"]) if cfg["h"] is not None else h0
+            f"(known: {', '.join(sorted(bgl.MODEL_KINDS))})")
+    grid = {}
+    if cfg["n"] is not None:
+        grid["n"] = _int(cfg["n"], "n")
+    if cfg["h"] is not None:
+        grid["h"] = float(cfg["h"])
     try:
         if kind == "chiralSum":
-            return bgl.NetModel.chiral_sum(n=n, h=h)
+            return bgl.NetModel.chiral_sum(**grid)
         if kind == "twisted":
-            return bgl.NetModel.twisted(n=n, h=h, charge=float(cfg["charge"]))
+            return bgl.NetModel.twisted(charge=float(cfg["charge"]), **grid)
         if kind == "massive":
-            return bgl.NetModel.massive(n=n, h=h, mass=float(cfg["mass"]))
+            return bgl.NetModel.massive(mass=float(cfg["mass"]), **grid)
         return bgl.NetModel.direct_integral(
-            masses=_int(cfg["masses"], "masses"), n=n, h=h,
-            mass_min=float(cfg["mass_min"]), mass_max=float(cfg["mass_max"]))
+            masses=_int(cfg["masses"], "masses"),
+            mass_min=float(cfg["mass_min"]), mass_max=float(cfg["mass_max"]),
+            **grid)
     except ValueError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
 
@@ -419,18 +429,16 @@ def _build_model(cfg):
 def _run_bgl_axioms(cfg, rng, scale):
     net = _build_model(cfg)
     report = bgl.axioms_report(net, tol=bgl.BLOCK_TOL * scale)
-    checks = []
+    results = {}
+    rows = []
     for name, entry in report.entries.items():
         slug = name.lower().replace(" ", "-")
-        formula = (f"residual <= {entry.tol:.3e} "
-                   "(base tolerance 1e-8 * budget_scale; the "
-                   "modular-consistency entries use max(tolerance, "
-                   "model epsilon))")
-        checks.append(_check(slug, entry.residual, entry.tol, formula))
-    rows = [{"check": c.name, "residual": c.residual, "budget": c.budget,
-             "passed": c.passed} for c in checks]
-    return checks, {"entries": (("check", "residual", "budget", "passed"),
-                                rows)}
+        residual, budget = float(entry.residual), float(entry.tol)
+        results[slug] = (residual, budget)
+        rows.append({"check": slug, "residual": residual, "budget": budget,
+                     "passed": residual <= budget})
+    return results, {"entries": (("check", "residual", "budget", "passed"),
+                                 rows)}
 
 
 def _run_reconstruct_mobius(cfg, rng, scale):
@@ -441,22 +449,12 @@ def _run_reconstruct_mobius(cfg, rng, scale):
         report = bgl.reconstruct_ur(net, t_values=t_values)
     except ValueError as exc:
         raise ConfigError(f"invalid reconstruction parameters: {exc}") from exc
-    budget = RECONSTRUCTION_BUDGET * scale
-    checks = [
-        _check("reconstruction-identity", report.max_identity, budget,
-               "max ||Delta_D^{it} - U_R(t) U_L(t)|| over the t ladder "
-               "<= 1e-7 * budget_scale"),
-        _check("reconstruction-commutator", report.max_commutator, budget,
-               "max ||[U_R(t), U_L(t)]|| over the t ladder "
-               "<= 1e-7 * budget_scale"),
-        _check("reconstruction-left-cancellation",
-               max(report.left_cancellation), budget,
-               "max left-mover cancellation defect in U_R "
-               "<= 1e-7 * budget_scale"),
-        _check("reconstruction-at-zero", report.identity_at_zero,
-               1e-10 * scale,
-               "||U_R(0) U_L(0) - 1|| <= 1e-10 * budget_scale"),
-    ]
+    results = {
+        "reconstruction-identity": report.max_identity,
+        "reconstruction-commutator": report.max_commutator,
+        "reconstruction-left-cancellation": max(report.left_cancellation),
+        "reconstruction-at-zero": report.identity_at_zero,
+    }
     rows = [{"t": t, "identity_residual": a, "commutator_residual": b,
              "left_cancellation": c}
             for t, a, b, c in zip(report.t_values, report.identity_residuals,
@@ -464,7 +462,7 @@ def _run_reconstruct_mobius(cfg, rng, scale):
                                   report.left_cancellation)]
     fields = ("t", "identity_residual", "commutator_residual",
               "left_cancellation")
-    return checks, {"flow": (fields, rows)}
+    return results, {"flow": (fields, rows)}
 
 
 def _run_break_bw(cfg, rng, scale):
@@ -475,24 +473,16 @@ def _run_break_bw(cfg, rng, scale):
         report = bgl.counterexample_bw(net, t_values=t_values)
     except ValueError as exc:
         raise ConfigError(f"invalid counterexample parameters: {exc}") from exc
-    checks = [
-        _check("counterexample-formula", report.max_formula_residual,
-               FORMULA_BUDGET * scale,
-               "max | deviation(t) - |e^{2 pi i q t} - 1| | "
-               "<= 1e-8 * budget_scale"),
-        _check("counterexample-wedge-roundtrip", report.wedge_roundtrip,
-               net.epsilon * scale,
-               "wedge modular roundtrip <= model epsilon * budget_scale; "
-               "epsilon = 10 * (flow residual + 1e-10)"),
-        _check("counterexample-gauge-invariance", report.gauge_residual,
-               1e-10 * scale,
-               "inner-symmetry invariance of the wedge subspace "
-               "<= 1e-10 * budget_scale"),
-    ]
+    results = {
+        "counterexample-formula": report.max_formula_residual,
+        "counterexample-wedge-roundtrip": (report.wedge_roundtrip,
+                                           net.epsilon * scale),
+        "counterexample-gauge-invariance": report.gauge_residual,
+    }
     rows = [{"t": t, "deviation": d, "predicted": p}
             for t, d, p in zip(report.t_values, report.deviations,
                                report.predicted)]
-    return checks, {"deviation": (("t", "deviation", "predicted"), rows)}
+    return results, {"deviation": (("t", "deviation", "predicted"), rows)}
 
 
 def _run_lightcone_defect(cfg, rng, scale):
@@ -505,25 +495,14 @@ def _run_lightcone_defect(cfg, rng, scale):
             spacing=float(cfg["spacing"]), frozen=float(cfg["frozen"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid study parameters: {exc}") from exc
-    by_mass = {}
-    for row in study.rows:
-        by_mass.setdefault(row.mass, []).append(row.defect)
-    rise = 0.0
-    for defects in by_mass.values():
-        for a, b in zip(defects, defects[1:]):
-            rise = max(rise, b - a)
-    checks = [
-        _check("cone-defect-monotone", max(rise, 0.0), 1e-12 * scale,
-               "max defect increase along the refinement ladder "
-               "<= 1e-12 * budget_scale"),
-        _check("cone-defect-below-frozen", study.finest_defect,
-               study.frozen_value,
-               "finest-level defect <= frozen comparison value "
-               f"({study.frozen_value})"),
-    ]
+    results = {
+        "cone-defect-monotone": study.max_rise,
+        "cone-defect-below-frozen": (study.finest_defect,
+                                     study.frozen_value),
+    }
     rows = [dataclasses.asdict(row) for row in study.rows]
     fields = ("mass", "grid", "cones", "sum_dim", "defect")
-    return checks, {"ladder": (fields, rows)}
+    return results, {"ladder": (fields, rows)}
 
 
 def _run_spin_statistics(cfg, rng, scale):
@@ -535,15 +514,8 @@ def _run_spin_statistics(cfg, rng, scale):
     ok_good, worst_good = bgl.spin_statistics_spectrum_check(good)
     ok_bad, worst_bad = bgl.spin_statistics_spectrum_check(bad)
     violation = abs(worst_bad - 0.5) + (1.0 if ok_bad else 0.0)
-    return [
-        _check("spin-statistics-integer", worst_good, SPIN_BUDGET * scale,
-               "max distance of spectrum differences from the integers "
-               "<= 1e-9 * budget_scale"),
-        _check("spin-statistics-violation-detected", violation,
-               SPIN_BUDGET * scale,
-               "half-integer-shifted battery must fail with worst defect "
-               "1/2: |worst - 0.5| <= 1e-9 * budget_scale"),
-    ], {}
+    return {"spin-statistics-integer": worst_good,
+            "spin-statistics-violation-detected": violation}, {}
 
 
 def _run_trace_class(cfg, rng, scale):
@@ -563,16 +535,13 @@ def _run_trace_class(cfg, rng, scale):
                      "tail_bound": tail, "relative_error": rel})
     _, closed_ln2, _, _ = bgl.trace_class_partition(
         math.log(2.0), n_terms=n_terms)
-    checks = [
-        _check("trace-class-truncation", worst_rel, TRACE_REL_BUDGET * scale,
-               "max relative truncation error over the sampled inverse "
-               "temperatures <= 1e-20 * budget_scale"),
-        _check("trace-class-selfdual-value", abs(closed_ln2 - 1.0), 0.0,
-               "closed form equals 1 exactly at inverse temperature ln 2"),
-    ]
+    results = {
+        "trace-class-truncation": worst_rel,
+        "trace-class-selfdual-value": (abs(closed_ln2 - 1.0), 0.0),
+    }
     fields = ("beta", "value", "closed_form", "abs_diff", "tail_bound",
               "relative_error")
-    return checks, {"partition": (fields, rows)}
+    return results, {"partition": (fields, rows)}
 
 
 def _run_fock_checks(cfg, rng, scale):
@@ -640,30 +609,17 @@ def _run_fock_checks(cfg, rng, scale):
         spacetime.Region.wedge_left((0.0, 0.0)),
         rng=np.random.default_rng(int(rng.integers(1 << 31))))
 
-    return [
-        _check("weyl-reduction-consistency", worst_word, 1e-11 * scale,
-               "bracketing-independence of reduced Weyl words "
-               "<= 1e-11 * budget_scale"),
-        _check("weyl-gram-positivity", max(0.0, -float(eig.min())),
-               gram_tail * scale + 1e-12,
-               "Gram matrix of Weyl states has min eigenvalue >= "
-               "-truncation tail(0.7, order) * budget_scale"),
-        _check("exponential-overlap", worst_overlap,
-               overlap_budget * scale + 1e-10,
-               "|<e(f), e(g)> - exp <f, g>| <= |<f, g>|^(order+1) / "
-               "(order+1)! * exp |<f, g>| * budget_scale + 1e-10"),
-        _check("second-quantization-exponential", worst_gamma, 1e-10 * scale,
-               "||Gamma(A) e(g) - e(A g)|| <= 1e-10 * budget_scale"),
-        _check("second-quantization-functorial", worst_funct, 1e-10 * scale,
-               "||Gamma(A B) - Gamma(A) Gamma(B)|| on sampled vectors "
-               "<= 1e-10 * budget_scale"),
-        _check("tomita-lift-consistency", tomita_residual, tomita_budget,
-               "||Gamma(S) W(f) vac - W(-f) vac|| <= model epsilon "
-               "+ truncation tail + 1e-8"),
-        _check("weyl-locality", locality.max_form, 1e-9 * scale,
-               "max |Im <f, g>| over spacelike one-particle pairs "
-               "<= 1e-9 * budget_scale"),
-    ], {}
+    return {
+        "weyl-reduction-consistency": worst_word,
+        "weyl-gram-positivity": (max(0.0, -float(eig.min())),
+                                 gram_tail * scale + 1e-12),
+        "exponential-overlap": (worst_overlap,
+                                overlap_budget * scale + 1e-10),
+        "second-quantization-exponential": worst_gamma,
+        "second-quantization-functorial": worst_funct,
+        "tomita-lift-consistency": (tomita_residual, tomita_budget),
+        "weyl-locality": locality.max_form,
+    }, {}
 
 
 def _run_halperin_bench(cfg, rng, scale):
@@ -713,17 +669,13 @@ def _run_halperin_bench(cfg, rng, scale):
                      "dim_exact": exact.dim, "dim_halperin": dim_iter,
                      "distance": distance, "iteration_cap": used_cap})
 
-    checks = [
-        _check("halperin-agreement", worst_distance, HALPERIN_BUDGET * scale,
-               "max distance between iterative and exact intersections "
-               "<= 1e-7 * budget_scale"),
-        _check("halperin-convergence", float(failures), 0.5,
-               "every pair converges within the iteration cap "
-               "(failure count = 0)"),
-    ]
+    results = {
+        "halperin-agreement": worst_distance,
+        "halperin-convergence": (failures, 0.5),
+    }
     fields = ("pair", "dim_a", "dim_b", "dim_exact", "dim_halperin",
               "distance", "iteration_cap")
-    return checks, {"pairs": (fields, rows)}
+    return results, {"pairs": (fields, rows)}
 
 
 RUNNERS = {
@@ -766,11 +718,24 @@ def run_command(command, config, seed, budget_scale):
                           f"got {budget_scale!r}")
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
-    checks, tables = RUNNERS[command](config, rng, budget_scale)
+    results, tables = RUNNERS[command](config, rng, budget_scale)
     elapsed = time.perf_counter() - started
-    for c in checks:
-        if c.name not in CHECK_NAMES[command]:
-            raise RuntimeError(f"undeclared check name {c.name!r}")
+    declared = CHECKS[command]
+    for name in results:
+        if name not in declared:
+            raise RuntimeError(f"undeclared check name {name!r}")
+    checks = []
+    for name, (base, text) in declared.items():
+        if name not in results:
+            continue
+        if base is None:
+            residual, budget = map(float, results[name])
+            formula = text.format(budget=budget)
+        else:
+            residual, budget = float(results[name]), base * budget_scale
+            formula = f"{text} <= {_sci(base)} * budget_scale"
+        checks.append(CheckResult(name, residual, budget, formula,
+                                  residual <= budget))
     report = {
         "schema": REPORT_SCHEMA,
         "command": command,

@@ -12,7 +12,8 @@ The circle picture is reached through the Cayley map
 
 which identifies the extended line with the unit circle.  The universal
 cover is parametrised by a base element together with a lifted rotation
-angle ``phi`` (the Iwasawa angle tracked continuously), and the
+angle ``phi`` (a real lift of the Iwasawa angle, fixed on products by the
+monotone turn of the first column, see ``CoverElement.compose``), and the
 two-dimensional group is the quotient of two cover copies by the deck
 element (rho_{-2 pi}, rho_{2 pi}).
 """
@@ -31,8 +32,6 @@ DET_TOL = 1e-12
 EQ_TOL = 1e-9
 #: consistency tolerance between phi and the Iwasawa angle of the base
 PHI_TOL = 1e-8
-#: base number of samples when tracking the Iwasawa angle along a path
-TRACK_SAMPLES = 64
 
 _TWO_PI = 2.0 * math.pi
 
@@ -263,12 +262,6 @@ def kan_matrix(theta, a, n):
     return np.array([[c * e, c * e * n + s / e], [-s * e, -s * e * n + c / e]])
 
 
-def _theta_mod_2pi(mat):
-    """Iwasawa angle mod 2 pi of an (un-normalised) positive-det matrix."""
-    m = _canonical_sign(mat)
-    return 2.0 * math.atan2(-m[1, 0], m[0, 0])
-
-
 class CoverElement:
     """Element of the universal cover: a base element plus a lifted angle.
 
@@ -317,16 +310,33 @@ class CoverElement:
     # -- group structure ----------------------------------------------
 
     def compose(self, other):
-        """Product in the cover; the winding of phi is tracked numerically."""
+        """Product in the cover.
+
+        With h = K(theta_h) A N, the lift of g h follows the Iwasawa angle
+        along tau -> g K(tau theta_h); A and N leave the direction of the
+        first column alone.  Since det g > 0 keeps the order of
+        directions, that angle turns monotonically in the sense of
+        theta_h, by less than a full turn, and by less than
+        |theta_h| ||g||_F^2.  So the gain of phi is the residue of
+        theta(g h) - phi_g in [0, 2 pi) for theta_h > 0 and in (-2 pi, 0]
+        for theta_h < 0, or the nearest residue where that bound is below
+        pi; the latter keeps a theta_h that is zero up to rounding from
+        adding a full turn.
+        """
         if self.base.is_rotation() and other.base.is_rotation():
             return CoverElement(
                 self.base.compose(other.base), self.phi + other.phi, check=False
             )
-        theta_h, a_h, n_h = other.base.iwasawa()
-        m = round((other.phi - theta_h) / _TWO_PI)
-        phi = _track_phi(self.base.mat, self.phi, theta_h, a_h, n_h)
-        phi += _TWO_PI * m
-        return CoverElement(self.base.compose(other.base), phi, check=False)
+        base = self.base.compose(other.base)
+        theta_h = other.base.iwasawa()[0]
+        gain = math.remainder(base.iwasawa()[0] - self.phi, _TWO_PI)
+        if abs(theta_h) * np.sum(self.base.mat ** 2) >= math.pi:
+            if theta_h > 0 and gain < 0:
+                gain += _TWO_PI
+            elif theta_h < 0 and gain > 0:
+                gain -= _TWO_PI
+        winding = _TWO_PI * round((other.phi - theta_h) / _TWO_PI)
+        return CoverElement(base, self.phi + gain + winding, check=False)
 
     __matmul__ = compose
 
@@ -353,34 +363,6 @@ class CoverElement:
 
     def is_identity(self, tol=EQ_TOL):
         return self.base.is_identity(tol) and abs(self.phi) < 1e-7
-
-
-def _track_phi(g_mat, phi0, theta_h, a_h, n_h):
-    """Track the Iwasawa angle of g * K(tau theta) A(tau a) N(tau n).
-
-    Starts from ``phi0`` (a lift of the angle of g) and unwraps the angle
-    continuously along tau in [0, 1], bisecting adaptively whenever a
-    step is too large to unwrap unambiguously.
-    """
-
-    def theta_at(tau):
-        return _theta_mod_2pi(g_mat @ kan_matrix(tau * theta_h, tau * a_h, tau * n_h))
-
-    def advance(c0, t0, t1, th1, depth):
-        d = wrap_angle(th1 - c0)
-        if abs(d) <= 0.5 * math.pi or depth >= 40:
-            return c0 + d
-        tm = 0.5 * (t0 + t1)
-        cm = advance(c0, t0, tm, theta_at(tm), depth + 1)
-        return advance(cm, tm, t1, th1, depth + 1)
-
-    c = phi0
-    prev = 0.0
-    for j in range(1, TRACK_SAMPLES + 1):
-        tau = j / TRACK_SAMPLES
-        c = advance(c, prev, tau, theta_at(tau), 0)
-        prev = tau
-    return c
 
 
 # ---------------------------------------------------------------------------

@@ -615,6 +615,15 @@ def test_lightcone_study_dims_track_the_cone_count():
         assert row.sum_dim == row.cones
 
 
+def test_lightcone_study_restarts_the_ladder_for_each_mass():
+    # a repeated mass starts its own ladder: its coarse level after the
+    # previous finest level is no rise
+    study = bgl.lightcone_separating_study(masses=(1.0, 1.0),
+                                           ladder=((17, 2), (33, 8)))
+    assert study.max_rise == 0.0
+    assert study.monotone
+
+
 def test_lightcone_study_zero_cones_gives_full_defect():
     study = bgl.lightcone_separating_study(ladder=((17, 0),))
     assert study.rows[0].defect == 1.0

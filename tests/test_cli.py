@@ -114,7 +114,7 @@ def test_report_schema_fields(tmp_path):
     for entry in report["checks"]:
         assert set(entry) == {"name", "residual", "budget", "formula",
                               "passed"}
-        assert entry["name"] in cli.CHECK_NAMES["trace-class"]
+        assert entry["name"] in cli.CHECKS["trace-class"]
     for key in ("python", "numpy", "mpmath", "platform"):
         assert key in report["environment"]
     assert report["timestamp"]["wall_time_s"] >= 0.0
@@ -159,8 +159,7 @@ def test_budget_scale_must_be_finite_and_positive(tmp_path, scale, capsys):
 
 def test_nan_residual_fails_and_report_is_strict_json(tmp_path, monkeypatch):
     def nan_runner(cfg, rng, scale):
-        return [cli._check("trace-class-truncation", float("nan"), 1e-20,
-                           "a residual that came out as NaN")], {}
+        return {"trace-class-truncation": float("nan")}, {}
 
     monkeypatch.setitem(cli.RUNNERS, "trace-class", nan_runner)
     code = cli.main(["trace-class", "--out", str(tmp_path / "out")])
@@ -385,7 +384,7 @@ def test_fock_checks_pass(tmp_path):
     code, report = _run(tmp_path, "fock-checks",
                         {"modes": 2, "order": 8, "samples": 2})
     assert code == cli.EXIT_OK
-    assert len(report["checks"]) == len(cli.CHECK_NAMES["fock-checks"])
+    assert len(report["checks"]) == len(cli.CHECKS["fock-checks"])
 
 
 @pytest.mark.parametrize("order", range(10))
@@ -420,13 +419,23 @@ def test_every_check_name_is_documented():
         manifest = fh.read()
     documented = {line[4:].strip() for line in manifest.splitlines()
                   if line.startswith("### ")}
-    declared = {name for names in cli.CHECK_NAMES.values() for name in names}
+    declared = {name for names in cli.CHECKS.values() for name in names}
     assert declared <= documented, declared - documented
     assert documented <= declared, documented - declared
+    # a numeric base budget is quoted in its command's section
+    sections = {}
+    for part in manifest.split("\n## ")[1:]:
+        title, _, body = part.partition("\n")
+        sections[title.strip()] = " ".join(body.split())
+    for command, rows in cli.CHECKS.items():
+        for name, (base, _) in rows.items():
+            if base is not None:
+                quoted = f"`{cli._sci(base)} * budget_scale`"
+                assert quoted in sections[command], (name, quoted)
 
 
 def test_commands_and_defaults_are_aligned():
-    assert set(cli.RUNNERS) == set(cli.CHECK_NAMES)
+    assert set(cli.RUNNERS) == set(cli.CHECKS)
     assert set(cli.RUNNERS) == set(cli.DEFAULT_CONFIGS)
     for command, cfg in cli.DEFAULT_CONFIGS.items():
         assert "seed" in cfg, command

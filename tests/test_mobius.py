@@ -202,7 +202,7 @@ def test_cover_inverse():
 
 
 def test_cover_composition_handles_negative_trace():
-    # products whose matrix path crosses trace -2 still track correctly
+    # products whose matrix path crosses trace -2 still lift correctly
     g = CoverElement.rotation(3.0) @ CoverElement.dilation(1.0)
     h = CoverElement.rotation(3.0) @ CoverElement.dilation(-0.5)
     prod = g @ h
@@ -212,14 +212,50 @@ def test_cover_composition_handles_negative_trace():
 
 
 def test_cover_composition_is_associative():
-    # the lifted angle of a product is tracked numerically; associativity
-    # pins its winding, also for factors beyond a full turn
+    # associativity pins the winding of the lifted angle of a product,
+    # also for factors beyond a full turn
     rng = np.random.default_rng(37)
     for _ in range(20):
         g, h, k = (CoverElement.rotation(rng.uniform(-7, 7))
                    @ CoverElement.from_base(random_element(rng))
                    for _ in range(3))
         assert (g @ h) @ k == g @ (h @ k)
+
+
+def _unwrapped_lift(g, h, samples=20001):
+    """Reference lift of g h: the Iwasawa angle along
+    tau -> g K(tau theta_h) A(tau a_h) N(tau n_h), unwrapped on a fine
+    tau grid, plus the deck winding of h."""
+    theta, a, n = h.base.iwasawa()
+    tau = np.linspace(0.0, 1.0, samples)
+    # first column of K(tau theta) A(tau a) N(tau n); n does not enter
+    stretch = np.exp(0.5 * tau * a)
+    col = g.base.mat @ np.vstack([np.cos(0.5 * tau * theta) * stretch,
+                                  -np.sin(0.5 * tau * theta) * stretch])
+    angle = np.unwrap(2.0 * np.arctan2(-col[1], col[0]), period=TWO_PI)
+    winding = TWO_PI * round((h.phi - theta) / TWO_PI)
+    return g.phi + angle[-1] - angle[0] + winding
+
+
+def test_cover_composition_keeps_full_turns():
+    # a strongly hyperbolic factor sweeps almost a full turn while the
+    # rotation it meets turns by 2; no step of the product may drop it
+    d, r = CoverElement.dilation(6.0), CoverElement.rotation(2.0)
+    assert abs((d @ r).phi - _unwrapped_lift(d, r)) < 1e-6
+    assert (d @ r) @ r == d @ (r @ r)
+    rng = np.random.default_rng(11)
+    for _ in range(120):
+        g, h = (CoverElement.rotation(rng.uniform(-7, 7))
+                @ CoverElement.from_base(random_element(rng, scale=3.0))
+                for _ in range(2))
+        assert abs((g @ h).phi - _unwrapped_lift(g, h)) < 1e-6
+    # a factor that is the identity up to rounding moves phi by rounding
+    for t in rng.uniform(-3.0, 3.0, size=200):
+        h = CoverElement.from_base(
+            MobiusElement.rotation(t) @ MobiusElement.rotation(-t))
+        g = (CoverElement.rotation(rng.uniform(-7, 7))
+             @ CoverElement.from_base(random_element(rng, scale=2.0)))
+        assert abs((g @ h).phi - g.phi) < 1e-9
 
 
 # ---------------------------------------------------------------------------
