@@ -498,14 +498,10 @@ class NetModel:
     def unit_matrix_of(self, g):
         """Unit-frame real matrix of the implemented group element ``g``."""
         w = np.sqrt(self.rep.weight_array().ravel())
-        base = w.size
-        cols = []
-        for j in range(base):
-            e = np.zeros(base, dtype=complex)
-            e[j] = 1.0 / w[j]
-            out = self.rep.apply(g, e.reshape(self.rep.shape)).ravel() * w
-            cols.append(out)
-        mat = np.column_stack(cols)
+        # column j is the unit vector e_j / w_j, all applied at once
+        frame = np.diag((1.0 / w).astype(complex))
+        out = self.rep.apply(g, frame.reshape(self.rep.shape + (w.size,)))
+        mat = out.reshape(w.size, w.size) * w[:, None]
         if self._copies == 2:
             mat = _direct_sum([mat, mat])
         return self.parent.realify_linear(mat)
@@ -666,7 +662,7 @@ def _hk_entries(net, entries, notes, tol):
 
     # HK7 dilation covariance: a grid dilation maps the cone family to
     # itself; transported subspace vs stored subspace.
-    n, h, _ = net._factors[0]
+    h = net._factors[0][1]
     g = mobius.GElement(
         mobius.CoverElement.dilation(h),
         mobius.CoverElement.dilation(h))
@@ -868,7 +864,7 @@ class CounterexampleReport:
         return max(self.formula_residuals)
 
 
-def counterexample_bw(net, t_values=(0.5, 1.0, 1.5), budget=None):
+def counterexample_bw(net, t_values=(0.5, 1.0, 1.5)):
     """Measure how the twisted dilation flow misses the modular flow.
 
     Precondition: the inner rotation is a gauge symmetry, i.e. preserves
@@ -879,15 +875,13 @@ def counterexample_bw(net, t_values=(0.5, 1.0, 1.5), budget=None):
     """
     if net.kind != "twisted":
         raise ValueError("the counterexample runs on the twisted model")
-    if budget is None:
-        budget = max(net.epsilon, 1e-8)
     cone = spacetime.Region.forward_cone((0.0, 0.0))
     h_v = net.wedge_subspace(cone)
 
     sym = stdspace.symmetry_commutation_check(h_v, net.inner_rotation(0.7))
     gauge = sym.max_residual
 
-    n, h, _ = net._factors[0]
+    h = net._factors[0][1]
     devs, preds, resids = [], [], []
     for t in t_values:
         _grid_steps(t, h)

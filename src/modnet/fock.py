@@ -7,8 +7,9 @@ in closed form.  For checks that need actual vectors, truncated Fock
 spaces are realized in occupancy coordinates (one orthonormal basis
 element per multi-index), where exponential vectors, the
 second-quantization functor, and the lifted Tomita involution of a
-standard subspace all have explicit desk-scale forms.  Truncation
-errors are tracked by the tail bound ||f||^(N+1)/sqrt((N+1)!).
+standard subspace all have explicit desk-scale forms; the functor's
+degree blocks are filled column-parallel from per-degree index tables.
+Truncation errors are tracked by the tail bound ||f||^(N+1)/sqrt((N+1)!).
 """
 
 from __future__ import annotations
@@ -136,6 +137,27 @@ def _raisers(n, degree):
     return tuple(maps)
 
 
+@functools.lru_cache(maxsize=None)
+def _lowerings(n, degree):
+    """Column data of the degree block of the functor (degree >= 1).
+
+    Returns per-element arrays (lead, down, norm): the first occupied
+    mode j of alpha, the position of alpha - e_j one degree down, and
+    sqrt(alpha_j).
+    """
+    src = occupancy_basis(n, degree)
+    pos = _positions(n, degree - 1)
+    lead = np.empty(len(src), dtype=np.intp)
+    down = np.empty(len(src), dtype=np.intp)
+    norm = np.empty(len(src))
+    for p, alpha in enumerate(src):
+        j = next(i for i in range(n) if alpha[i])
+        lower = list(alpha)
+        lower[j] -= 1
+        lead[p], down[p], norm[p] = j, pos[tuple(lower)], math.sqrt(alpha[j])
+    return lead, down, norm
+
+
 class FockVector:
     """A truncated symmetric-tensor vector in occupancy coordinates.
 
@@ -227,31 +249,22 @@ def _gamma_blocks(a, order):
     """Degree-block matrices of the functor for a one-particle matrix.
 
     Built by the ladder recursion: the image of a normalized occupancy
-    element alpha is the creation monomial in the columns of ``a``
-    applied to the vacuum, divided by sqrt(alpha!).
+    element alpha is a_j^dag (in the columns of ``a``) applied to the
+    image of alpha - e_j, divided by sqrt(alpha_j), where j is the first
+    occupied mode of alpha.  Each degree block is filled for all its
+    columns at once, one creation mode i at a time.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     blocks = [np.ones((1, 1), dtype=complex)]
     for k in range(1, order + 1):
-        src = occupancy_basis(n, k)
-        prev_pos = _positions(n, k - 1)
-        dim = len(src)
-        prev = blocks[k - 1]
-        maps = _raisers(n, k - 1)
-        block = np.zeros((dim, dim), dtype=complex)
-        for p, alpha in enumerate(src):
-            j = next(i for i in range(n) if alpha[i])
-            down = list(alpha)
-            down[j] -= 1
-            col = prev[:, prev_pos[tuple(down)]]
-            out = np.zeros(dim, dtype=complex)
-            for i in range(n):
-                if a[i, j] != 0:
-                    tgt, fac = maps[i]
-                    np.add.at(out, tgt, a[i, j] * fac * col)
-            block[:, p] = out / math.sqrt(alpha[j])
-        blocks.append(block)
+        lead, down, norm = _lowerings(n, k)
+        prev = blocks[k - 1][:, down]
+        coef = a[:, lead]
+        block = np.zeros((len(lead), len(lead)), dtype=complex)
+        for i, (tgt, fac) in enumerate(_raisers(n, k - 1)):
+            block[tgt] += (coef[i][None, :] * fac[:, None]) * prev
+        blocks.append(block / norm)
     return blocks
 
 

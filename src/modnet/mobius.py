@@ -16,10 +16,16 @@ angle ``phi`` (a real lift of the Iwasawa angle, fixed on products by the
 monotone turn of the first column, see ``CoverElement.compose``), and the
 two-dimensional group is the quotient of two cover copies by the deck
 element (rho_{-2 pi}, rho_{2 pi}).
+
+The normal form (unit determinant, canonical sign) is one rule on stacks
+of 2x2 matrices: an element applies it to its one matrix, and
+``commutation_residuals`` to the flows of a whole batch of sampled
+parameters at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -82,20 +88,53 @@ def point_of_angle(u):
     return math.tan(0.5 * v)
 
 
-def _canonical_sign(mat):
-    """Flip the overall sign so the first nonzero of (a, b, c, d) is > 0.
+# weights of (a, b, c, d): each outweighs all later ones together, so the
+# sign of the weighted sum of signs is the sign of the first entry counted
+_LEAD_WEIGHTS = np.array([8.0, 4.0, 2.0, 1.0])
+
+
+def _canonical_sign(mats):
+    """Flip the overall sign of each matrix of a stack of 2x2 matrices so
+    that its first nonzero of (a, b, c, d) is > 0.
 
     Entries below a relative threshold count as zero, so that roundoff
     in a structurally vanishing entry cannot flip the representative.
+    A zero matrix has no such entry and is returned as it is.
     """
-    flat = (mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1])
-    scale = max(abs(v) for v in flat)
-    for v in flat:
-        if abs(v) > 1e-8 * scale:
-            if v < 0.0:
-                return -mat
-            return mat
-    raise ValueError("zero matrix cannot represent a Mobius element")
+    flat = mats.reshape(mats.shape[:-2] + (4,))
+    mag = np.abs(flat)
+    live = mag > 1e-8 * np.maximum.reduce(mag, axis=-1, keepdims=True)
+    lead = np.copysign(live, flat) @ _LEAD_WEIGHTS
+    return mats * np.copysign(1.0, lead)[..., None, None]
+
+
+def _unimodular(mats):
+    """Rescale a stack of real 2x2 matrices to determinant one and
+    canonical sign: the normal form of :class:`MobiusElement`.
+
+    The determinant of a near-unimodular matrix with large entries
+    cancels catastrophically in double precision; extended precision
+    keeps the rescaling meaningful up to entry sizes around 1e9.
+    Raises ValueError unless every determinant is positive.
+    """
+    m = np.asarray(mats, dtype=float)
+    ml = m.astype(np.longdouble)
+    # read through the transpose, the entries of one matrix are numpy
+    # scalars, whose arithmetic costs less than 0-d arrays; for a stack a
+    # second transpose puts the stack axes back in order
+    t = ml.T
+    det = (t[0, 0] * t[1, 1] - t[1, 0] * t[0, 1]).T
+    ok = (det > 0.0) & (det < np.inf)
+    if not ok.all():
+        k = np.unravel_index(np.argmin(ok), np.shape(ok))
+        size = float(np.max(np.abs(m[k])))
+        if np.isfinite(det[k]) and abs(det[k]) < 64.0 * size ** 2 * 2.3e-16:
+            raise ValueError(
+                "matrix is numerically singular: entries of size ~%.1e "
+                "with a unit determinant exhaust double precision" % size
+            )
+        raise ValueError("matrix must have positive determinant")
+    return _canonical_sign((ml / np.sqrt(det)[..., None, None]).astype(float))
 
 
 class MobiusElement:
@@ -108,29 +147,17 @@ class MobiusElement:
         determinant one and sign-canonicalised.
     """
 
-    __slots__ = ("mat",)
+    __slots__ = ("mat", "_circle", "_inverse")
 
     def __init__(self, mat):
         m = np.asarray(mat, dtype=float)
         if m.shape != (2, 2):
             raise ValueError("expected a 2x2 matrix")
-        # the determinant of a near-unimodular matrix with large entries
-        # cancels catastrophically in double precision; extended precision
-        # keeps the rescaling meaningful up to entry sizes around 1e9
-        ml = m.astype(np.longdouble)
-        det = ml[0, 0] * ml[1, 1] - ml[0, 1] * ml[1, 0]
-        if not np.isfinite(det) or det <= 0.0:
-            scale2 = float(np.max(np.abs(m))) ** 2
-            if np.isfinite(det) and abs(det) < 64.0 * scale2 * 2.3e-16:
-                raise ValueError(
-                    "matrix is numerically singular: entries of size ~%.1e "
-                    "with a unit determinant exhaust double precision"
-                    % np.max(np.abs(m))
-                )
-            raise ValueError("matrix must have positive determinant")
-        m = np.asarray(ml / np.sqrt(det), dtype=float)
-        self.mat = _canonical_sign(m)
+        self.mat = _unimodular(m)
         self.mat.setflags(write=False)
+        # the circle-picture matrix and the inverse, formed on first use
+        self._circle = None
+        self._inverse = None
 
     # -- constructors -------------------------------------------------
 
@@ -169,8 +196,10 @@ class MobiusElement:
     __matmul__ = compose
 
     def inverse(self):
-        a, b, c, d = self.mat.ravel()
-        return MobiusElement(np.array([[d, -b], [-c, a]]))
+        if self._inverse is None:
+            a, b, c, d = self.mat.ravel()
+            self._inverse = MobiusElement(np.array([[d, -b], [-c, a]]))
+        return self._inverse
 
     def __eq__(self, other):
         if not isinstance(other, MobiusElement):
@@ -220,7 +249,9 @@ class MobiusElement:
 
     def act_circle(self, z):
         """Action on the unit circle (complex points of modulus one)."""
-        m = _CAYLEY @ self.mat.astype(complex) @ _CAYLEY_INV
+        m = self._circle
+        if m is None:
+            m = self._circle = _CAYLEY @ self.mat.astype(complex) @ _CAYLEY_INV
         den = m[1, 0] * z + m[1, 1]
         num = m[0, 0] * z + m[0, 1]
         w = num / den
@@ -379,7 +410,7 @@ class Interval:
     interval in the direction of increasing angle.
     """
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("lo", "hi", "_conjugator")
 
     def __init__(self, lo, hi):
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -388,6 +419,8 @@ class Interval:
             raise ValueError("need lo < hi < lo + 2 pi")
         self.lo = float(lo)
         self.hi = float(hi)
+        # the midpoint dilation conjugator, formed on first use
+        self._conjugator = None
 
     @classmethod
     def from_line(cls, a, b):
@@ -507,8 +540,38 @@ def dilation_conjugator(interval, third=None):
     ``third`` (the angular midpoint when omitted).  Different choices of
     ``third`` inside the interval give the same conjugated dilation flow.
     """
-    mid = interval.midpoint() if third is None else third
-    return mobius_through(interval.left, mid, interval.right)
+    if third is not None:
+        return mobius_through(interval.left, third, interval.right)
+    if interval._conjugator is None:
+        interval._conjugator = mobius_through(
+            interval.left, interval.midpoint(), interval.right)
+    return interval._conjugator
+
+
+def _elementwise(fn, x):
+    """``fn`` of the math module over an array.
+
+    numpy's vectorised exp and log can differ from the math module in
+    the last place, which would move the sampled residuals.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
+
+
+# sign pattern of the adjugate [[d, -b], [-c, a]] of [[a, b], [c, d]]
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _flow_matrices(g, t):
+    """Matrices of g delta(-t) g^{-1} for conjugators g broadcast against
+    an array of times t, before normalisation."""
+    e = _elementwise(math.exp, -0.5 * t)
+    d = np.zeros(e.shape + (2, 2))
+    d[..., 0, 0] = e
+    d[..., 1, 1] = 1.0 / e
+    adjugate = g[..., ::-1, ::-1].swapaxes(-1, -2) * _ADJUGATE_SIGNS
+    return g @ d @ adjugate
 
 
 def interval_dilation(interval, t, third=None):
@@ -521,10 +584,7 @@ def interval_dilation(interval, t, third=None):
     :meth:`CoverElement.from_base` where the cover is needed.
     """
     g = dilation_conjugator(interval, third).mat
-    e = math.exp(-0.5 * t)
-    d = np.array([[e, 0.0], [0.0, 1.0 / e]])
-    gi = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
-    return MobiusElement(g @ d @ gi)
+    return MobiusElement(_flow_matrices(g, float(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -536,53 +596,102 @@ def interval_dilation(interval, t, third=None):
 #: ``halfline_shifted`` is (R_+, R_+ + 1) (endpoint shared on the right).
 COMMUTATION_PAIRS = ("halfline_bounded", "halfline_shifted")
 
+# per pair: the sign sigma of the parameter map (see _log_argument), the
+# pair's name in messages, and the line endpoints of (I, J)
+_PAIRS = {
+    "halfline_bounded": (1.0, "(R_+, (0,1))", ((0.0, INF), (0.0, 1.0))),
+    "halfline_shifted": (-1.0, "(R_+, R_+ + 1)", ((0.0, INF), (1.0, INF))),
+}
+
+
+def _pair(pair):
+    try:
+        return _PAIRS[pair]
+    except KeyError:
+        raise ValueError(f"unknown pair {pair!r}") from None
+
+
+def _log_argument(t, s, sign, exp):
+    """e^{sigma (t+s)} + 1 - e^{sigma t}; s' is sigma times its log."""
+    return exp(sign * (t + s)) + 1.0 - exp(sign * t)
+
+
+def _pair_parameters(t, s, pair):
+    """Admissibility mask and (s', t') of the admissible entries, for
+    1-d arrays t and s."""
+    sign = _pair(pair)[0]
+    arg = _log_argument(t, s, sign, functools.partial(_elementwise, math.exp))
+    # a NaN argument is not inadmissible: it fails later, as a matrix
+    admissible = ~(arg <= 0.0)
+    s_p = sign * _elementwise(math.log, arg[admissible])
+    return admissible, s_p, (t + s)[admissible] - s_p
+
 
 def commutation_parameters(t, s, pair):
     """Parameters (s', t') with Lambda_I(t) Lambda_J(s) = Lambda_J(s') Lambda_I(t').
 
     Raises :class:`MobiusDomainError` outside the admissible domain.
     """
-    if pair == "halfline_bounded":
-        arg = math.exp(t + s) + 1.0 - math.exp(t)
-        if arg <= 0.0:
-            raise MobiusDomainError(
-                "inadmissible parameters for the (R_+, (0,1)) relation"
-            )
-        s_p = math.log(arg)
-    elif pair == "halfline_shifted":
-        arg = math.exp(-t - s) + 1.0 - math.exp(-t)
-        if arg <= 0.0:
-            raise MobiusDomainError(
-                "inadmissible parameters for the (R_+, R_+ + 1) relation"
-            )
-        s_p = -math.log(arg)
-    else:
-        raise ValueError(f"unknown pair {pair!r}")
+    sign, name, _ = _pair(pair)
+    arg = _log_argument(t, s, sign, math.exp)
+    if arg <= 0.0:
+        raise MobiusDomainError(
+            f"inadmissible parameters for the {name} relation")
+    s_p = sign * math.log(arg)
     return s_p, t + s - s_p
 
 
-_PAIR_INTERVALS = {
-    "halfline_bounded": (lambda: Interval.from_line(0.0, INF),
-                         lambda: Interval.from_line(0.0, 1.0)),
-    "halfline_shifted": (lambda: Interval.from_line(0.0, INF),
-                         lambda: Interval.from_line(1.0, INF)),
-}
+@functools.lru_cache(maxsize=None)
+def _pair_conjugators(pair):
+    """Dilation conjugators of the pair's (I, J), shaped (2, 1, 2, 2) to
+    broadcast against a (2, N) array of times."""
+    g = np.stack([dilation_conjugator(Interval.from_line(a, b)).mat
+                  for a, b in _pair(pair)[2]])[:, None]
+    g.setflags(write=False)
+    return g
+
+
+def _residuals(t, s, s_p, t_p, pair):
+    """Residual norms at admissible draws with their (s', t')."""
+    n = len(t)
+    # rows: Lambda_I at (t, t'), Lambda_J at (s, s')
+    times = np.concatenate([t, t_p, s, s_p]).reshape(2, 2 * n)
+    big, small = _unimodular(_flow_matrices(_pair_conjugators(pair), times))
+    sides = _canonical_sign(np.concatenate([big[:n] @ small[:n],
+                                            small[n:] @ big[n:]]))
+    diff = (sides[:n] - sides[n:]).reshape(n, 4)
+    return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+
+
+def commutation_residuals(t, s, pair):
+    """Residuals of the commutation relation over arrays of parameters.
+
+    Returns ``(admissible, residuals)``: a mask over the draws (t[k],
+    s[k]) that lie in the admissible domain, and for those draws, in
+    order, the Frobenius norm of Lambda_I(t) Lambda_J(s) -
+    Lambda_J(s') Lambda_I(t') of canonical-sign matrices.  All four
+    flows are formed as one stack of 2x2 matrices from the pair's two
+    dilation conjugators.
+    """
+    t = np.asarray(t, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if t.ndim != 1 or t.shape != s.shape:
+        raise ValueError("t and s must be 1-d arrays of equal length")
+    admissible, s_p, t_p = _pair_parameters(t, s, pair)
+    return admissible, _residuals(t[admissible], s[admissible], s_p, t_p,
+                                  pair)
 
 
 def commutation_residual(t, s, pair):
     """Matrix norm of (LHS - RHS) of the commutation relation.
 
     LHS is Lambda_I(t) Lambda_J(s) and RHS uses the transformed
-    parameters from :func:`commutation_parameters`.
+    parameters from :func:`commutation_parameters`; one draw of
+    :func:`commutation_residuals`.
     """
     s_p, t_p = commutation_parameters(t, s, pair)
-    mk_i, mk_j = _PAIR_INTERVALS[pair]
-    big, small = mk_i(), mk_j()
-    lhs = interval_dilation(big, t).mat @ interval_dilation(small, s).mat
-    rhs = interval_dilation(small, s_p).mat @ interval_dilation(big, t_p).mat
-    lhs = _canonical_sign(lhs)
-    rhs = _canonical_sign(rhs)
-    return float(np.linalg.norm(lhs - rhs))
+    return float(_residuals(np.array([float(t)]), np.array([float(s)]),
+                            np.array([s_p]), np.array([t_p]), pair)[0])
 
 
 def shared_endpoint_kind(big, small, tol=1e-9):

@@ -6,7 +6,9 @@ cyclic shifts); translations are diagonal phase multiplications in either
 picture.  All shift actions carry the quadrature-weight Jacobian
 sqrt(w_src / w_dst) per slot, which makes them exactly unitary for the
 grid inner product -- including the wrap-around slots, whose contribution
-is quantified separately by :func:`boundary_leakage`.
+is quantified separately by :func:`boundary_leakage`.  Every action is
+elementwise along the vector axes, so :func:`apply` also acts on a
+stack of vectors held as a trailing column axis.
 """
 
 from __future__ import annotations
@@ -299,9 +301,10 @@ def _chiral_factor_action(grid, aff, xi, axis=0):
 
 def _massive_fiber_action(grid, t_l, t_r, boost, xi):
     k = _shift_steps(boost, grid.h, "boost")
-    out = np.roll(xi, k, axis=-1) if k else xi.copy()
+    out = np.roll(xi, k, axis=0) if k else xi.copy()
     p_l, p_r = grid.lightray_momenta()
-    return out * np.exp(1j * (t_l * p_l + t_r * p_r))
+    phase = np.exp(1j * (t_l * p_l + t_r * p_r))
+    return out * phase.reshape((grid.n,) + (1,) * (out.ndim - 1))
 
 
 def apply(rep: LatticeRep, g, xi):
@@ -310,10 +313,12 @@ def apply(rep: LatticeRep, g, xi):
     ``g`` may be a MobiusElement/CoverElement (chiral kind), a GElement
     (all two-dimensional kinds), or the string ``"j"`` for the antiunitary
     reflection, which is componentwise complex conjugation in every
-    momentum picture here.
+    momentum picture here.  ``xi`` may carry one trailing axis of
+    columns, each acted on as a vector; every elementary action is
+    elementwise, so a column comes out as it would alone.
     """
     xi = np.asarray(xi, dtype=complex)
-    if xi.shape != rep.shape:
+    if xi.shape[:len(rep.shape)] != rep.shape or xi.ndim > len(rep.shape) + 1:
         raise ValueError(f"vector shape {xi.shape} != rep shape {rep.shape}")
     if isinstance(g, str):
         if g == "j":

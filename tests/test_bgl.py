@@ -241,6 +241,57 @@ def test_unit_matrix_of_translation_is_orthogonal(kind):
     assert np.linalg.norm(u.T @ u - np.eye(u.shape[0]), 2) < 1e-11
 
 
+def _unit_matrix_one_column_at_a_time(net, g):
+    w = np.sqrt(net.rep.weight_array().ravel())
+    cols = []
+    for j in range(w.size):
+        e = np.zeros(w.size, dtype=complex)
+        e[j] = 1.0 / w[j]
+        cols.append(net.rep.apply(g, e.reshape(net.rep.shape)).ravel() * w)
+    mat = np.column_stack(cols)
+    if net.kind == "twisted":
+        pair = np.zeros((2 * w.size, 2 * w.size), dtype=complex)
+        pair[:w.size, :w.size] = pair[w.size:, w.size:] = mat
+        mat = pair
+    return net.parent.realify_linear(mat)
+
+
+@pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
+def test_unit_matrix_of_matches_column_by_column(kind):
+    net = _model(kind)
+    h = net._factors[0][1]
+    translation = mobius.GElement(mobius.CoverElement.translation(0.31),
+                                  mobius.CoverElement.translation(-0.08))
+    boost = mobius.GElement(mobius.CoverElement.dilation(2 * h),
+                            mobius.CoverElement.dilation(-2 * h))
+    dilation = mobius.GElement(mobius.CoverElement.dilation(-h),
+                               mobius.CoverElement.dilation(-h))
+    elements = [translation, boost, translation @ boost]
+    if kind in ("chiralSum", "twisted"):
+        elements += [dilation, dilation @ translation]
+    for g in elements:
+        got = net.unit_matrix_of(g)
+        want = _unit_matrix_one_column_at_a_time(net, g)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_apply_takes_a_trailing_column_axis():
+    net = _model("directIntegral")
+    rng = np.random.default_rng(5)
+    s = 2 * net._factors[0][1]
+    g = mobius.GElement(
+        mobius.CoverElement.translation(0.2) @ mobius.CoverElement.dilation(s),
+        mobius.CoverElement.dilation(-s))
+    cols = rng.normal(size=net.rep.shape + (3,)) \
+        + 1j * rng.normal(size=net.rep.shape + (3,))
+    out = net.rep.apply(g, cols)
+    for j in range(3):
+        assert np.array_equal(out[..., j], net.rep.apply(g, cols[..., j]))
+    with pytest.raises(ValueError, match="rep shape"):
+        net.rep.apply(g, cols[..., None])
+
+
 def test_chiral_wedge_flow_matches_implemented_dilations():
     net = _model("chiralSum")
     h = net._factors[0][1]

@@ -13,9 +13,11 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from modnet import cli
+from modnet import mobius
 
 
 def _write_config(tmp_path, name, payload):
@@ -203,6 +205,66 @@ def test_verify_mobius_passes(tmp_path):
     assert code == cli.EXIT_OK
     worst = max(e["residual"] for e in report["checks"])
     assert worst < 1e-11
+
+
+def _verify_mobius_one_draw_at_a_time(cfg, rng):
+    """The verify-mobius runner drawing and checking one (t, s) at a time."""
+    samples, span = cfg["samples"], float(cfg["parameter_range"])
+    worst_comm = 0.0
+    for pair in mobius.COMMUTATION_PAIRS:
+        count = 0
+        while count < samples:
+            t, s = rng.uniform(-span, span, size=2)
+            try:
+                residual = mobius.commutation_residual(t, s, pair)
+            except mobius.MobiusDomainError:
+                continue
+            count += 1
+            worst_comm = max(worst_comm, residual)
+    factories = (mobius.MobiusElement.rotation, mobius.MobiusElement.dilation,
+                 mobius.MobiusElement.translation)
+    worst_law = 0.0
+    for _ in range(max(1, samples // 10)):
+        word = [factories[int(rng.integers(3))](float(rng.uniform(-1.5, 1.5)))
+                for _ in range(4)]
+        combined = word[0]
+        for g in word[1:]:
+            combined = combined.compose(g)
+        for u in rng.uniform(-math.pi, math.pi, size=8):
+            stepped = u
+            for g in reversed(word):
+                stepped = g.act_angle(stepped)
+            gap = mobius.wrap_angle(combined.act_angle(u) - stepped)
+            worst_law = max(worst_law, abs(gap))
+    cover_factories = (mobius.CoverElement.rotation,
+                       mobius.CoverElement.dilation,
+                       mobius.CoverElement.translation)
+    worst_cover = 0.0
+    for _ in range(max(1, samples // 10)):
+        params = rng.uniform(-1.5, 1.5, size=3)
+        picks = rng.integers(3, size=3)
+        lifted = cover_factories[picks[0]](params[0])
+        base = factories[picks[0]](params[0])
+        for k in (1, 2):
+            lifted = lifted.compose(cover_factories[picks[k]](params[k]))
+            base = base.compose(factories[picks[k]](params[k]))
+        a, b = lifted.project().mat, base.mat
+        worst_cover = max(worst_cover, min(
+            np.max(np.abs(a - b)), np.max(np.abs(a + b))))
+    return {"mobius-commutation": worst_comm, "mobius-group-law": worst_law,
+            "mobius-cover-consistency": worst_cover}
+
+
+@pytest.mark.parametrize("samples,span,seed", [
+    (1000, 2.0, 0), (1000, 2.0, 7), (1, 2.0, 3), (1, 6.0, 5), (200, 6.0, 11)])
+def test_verify_mobius_draws_as_one_draw_at_a_time(samples, span, seed):
+    # each round draws only the still missing samples, so every draw is
+    # one the per-draw loop makes too, and the generator ends in step
+    cfg = {"samples": samples, "parameter_range": span}
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, _ = cli._run_verify_mobius(cfg, rng, 1.0)
+    assert got == _verify_mobius_one_draw_at_a_time(cfg, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_verify_stdspace_passes(tmp_path):

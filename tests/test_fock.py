@@ -314,6 +314,66 @@ def test_gamma_antilinear_on_exponential_vectors():
     assert (lhs - rhs).norm() < EXACT_TOL
 
 
+def _reference_gamma_blocks(a, order):
+    """Degree blocks one column at a time, scattering each creation mode
+    with ``np.add.at``."""
+    n = a.shape[0]
+    blocks = [np.ones((1, 1), dtype=complex)]
+    for k in range(1, order + 1):
+        src = fock.occupancy_basis(n, k)
+        prev_pos = {alpha: p for p, alpha in
+                    enumerate(fock.occupancy_basis(n, k - 1))}
+        up_pos = {alpha: p for p, alpha in enumerate(src)}
+        block = np.zeros((len(src), len(src)), dtype=complex)
+        for p, alpha in enumerate(src):
+            j = next(i for i in range(n) if alpha[i])
+            down = list(alpha)
+            down[j] -= 1
+            col = blocks[k - 1][:, prev_pos[tuple(down)]]
+            out = np.zeros(len(src), dtype=complex)
+            for i in range(n):
+                if a[i, j] == 0:
+                    continue
+                tgt, fac = [], []
+                for beta in fock.occupancy_basis(n, k - 1):
+                    up = list(beta)
+                    up[i] += 1
+                    tgt.append(up_pos[tuple(up)])
+                    fac.append(math.sqrt(beta[i] + 1))
+                np.add.at(out, np.array(tgt), a[i, j] * np.array(fac) * col)
+            block[:, p] = out / math.sqrt(alpha[j])
+        blocks.append(block)
+    return blocks
+
+
+@pytest.mark.parametrize("antilinear", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gamma_blocks_match_the_column_loop(n, antilinear):
+    rng = np.random.default_rng(60 + n)
+    for order in range(7):
+        if antilinear:
+            parent = stdspace.ComplexSpace(n)
+            a = fock.antilinear_matrix(parent, rng.normal(size=(2 * n, 2 * n)))
+        else:
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            # structural zeros: the column loop skips those modes
+            a[rng.random((n, n)) < 0.3] = 0.0
+        blocks = fock._gamma_blocks(a, order)
+        ref = _reference_gamma_blocks(a, order)
+        for got, want in zip(blocks, ref):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.view(float)),
+                                  np.signbit(want.view(float)))
+        v = fock.FockVector(n, order, [
+            rng.normal(size=len(fock.occupancy_basis(n, k)))
+            + 1j * rng.normal(size=len(fock.occupancy_basis(n, k)))
+            for k in range(order + 1)])
+        out = fock.gamma_apply(a, v, antilinear=antilinear)
+        for k in range(order + 1):
+            c = np.conj(v.coeffs[k]) if antilinear else v.coeffs[k]
+            assert np.array_equal(out.coeffs[k], ref[k] @ c)
+
+
 def test_gamma_rejects_mismatched_operator():
     v = fock.FockVector.vacuum(N_MODES, 2)
     with pytest.raises(ValueError, match="one-particle space"):

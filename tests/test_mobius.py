@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from modnet import mobius
 from modnet.mobius import (
     INF,
     CoverElement,
@@ -17,6 +20,7 @@ from modnet.mobius import (
     cayley,
     commutation_parameters,
     commutation_residual,
+    commutation_residuals,
     dilation_conjugator,
     interval_dilation,
     kan_matrix,
@@ -187,6 +191,93 @@ def test_degenerate_matrices_raise():
         MobiusElement(np.full((2, 2), 1e9))
     with pytest.raises(ValueError, match="determinant"):
         MobiusElement([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _reference_normal_form(m):
+    """The one-matrix normal form: extended-precision rescale to unit
+    determinant, then the sign that makes the first entry above 1e-8
+    of the largest positive."""
+    ml = np.asarray(m, dtype=float).astype(np.longdouble)
+    det = ml[0, 0] * ml[1, 1] - ml[0, 1] * ml[1, 0]
+    return _reference_sign(np.asarray(ml / np.sqrt(det), dtype=float))
+
+
+def _reference_sign(mat):
+    flat = (mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1])
+    scale = max(abs(v) for v in flat)
+    for v in flat:
+        if abs(v) > 1e-8 * scale:
+            return -mat if v < 0.0 else mat
+    raise AssertionError("zero matrix")
+
+
+def _hard_stack(rng, count):
+    """Positive-determinant matrices, many with entries that vanish or
+    sit below the sign threshold, negative leads and large entries."""
+    m = rng.normal(size=(count, 2, 2))
+    flip = np.linalg.det(m) < 0
+    m[flip, 0, :] *= -1.0
+    for (i, j), value in (((0, 0), 0.0), ((0, 1), 1e-12), ((0, 0), -1e-9),
+                          ((1, 0), 3e-9), ((1, 1), 0.0)):
+        m[rng.random(count) < 0.25, i, j] = value
+    m[rng.random(count) < 0.1] *= 1e6
+    return m[np.linalg.det(m) > 1e-6]
+
+
+def test_stacked_normal_form_matches_one_matrix_at_a_time():
+    stack = _hard_stack(np.random.default_rng(83), 4000)
+    out = mobius._unimodular(stack)
+    ref = np.array([_reference_normal_form(m) for m in stack])
+    assert out.shape == stack.shape
+    # bit for bit, signs of zeros included
+    assert np.array_equal(out, ref)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+    for m, row in zip(stack[:300], out):
+        assert np.array_equal(MobiusElement(m).mat, row)
+    # a (2, N, 2, 2) stack keeps its layout
+    assert np.array_equal(mobius._unimodular(stack[:40].reshape(2, 20, 2, 2)),
+                          out[:40].reshape(2, 20, 2, 2))
+
+
+def test_canonical_sign_of_a_stack_matches_one_matrix_at_a_time():
+    stack = _hard_stack(np.random.default_rng(89), 2000) * 0.37
+    out = mobius._canonical_sign(stack)
+    assert np.array_equal(out, np.array([_reference_sign(m) for m in stack]))
+
+
+@pytest.mark.parametrize("bad,match", [
+    (np.full((2, 2), 1e9), "singular"),
+    (np.array([[0.0, 1.0], [1.0, 0.0]]), "positive determinant"),
+    (np.zeros((2, 2)), "positive determinant"),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), "positive determinant"),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), "positive determinant"),
+])
+def test_stacked_normal_form_raises_on_any_bad_matrix(bad, match):
+    stack = np.repeat(np.eye(2)[None], 5, axis=0)
+    stack[3] = bad
+    with pytest.raises(ValueError, match=match):
+        mobius._unimodular(stack)
+    with pytest.raises(ValueError, match=match):
+        MobiusElement(bad)
+
+
+def test_circle_matrix_and_inverse_are_formed_once():
+    rng = np.random.default_rng(97)
+    g = random_element(rng)
+    circle = mobius._CAYLEY @ g.mat.astype(complex) @ mobius._CAYLEY_INV
+    z = complex(math.cos(0.4), math.sin(0.4))
+    w = (circle[0, 0] * z + circle[0, 1]) / (circle[1, 0] * z + circle[1, 1])
+    assert g.act_circle(z) == w / abs(w)
+    assert g.act_circle(z) == w / abs(w)
+    a, b, c, d = g.mat.ravel()
+    assert g.inverse() is g.inverse()
+    assert np.array_equal(g.inverse().mat,
+                          MobiusElement(np.array([[d, -b], [-c, a]])).mat)
+    i = Interval.from_line(-1.0, 3.0)
+    assert dilation_conjugator(i) is dilation_conjugator(i)
+    assert np.array_equal(
+        dilation_conjugator(i).mat,
+        mobius_through(i.left, i.midpoint(), i.right).mat)
 
 
 def test_cover_inverse():
@@ -458,6 +549,57 @@ def test_nested_commutation_shared_right_endpoint():
     assert lhs == rhs
 
 
+_PAIR_INTERVALS = {
+    "halfline_bounded": (Interval.from_line(0.0, INF),
+                         Interval.from_line(0.0, 1.0)),
+    "halfline_shifted": (Interval.from_line(0.0, INF),
+                         Interval.from_line(1.0, INF)),
+}
+
+
+def _reference_residual(t, s, pair):
+    """One draw at a time, through four interval dilations."""
+    s_p, t_p = commutation_parameters(t, s, pair)
+    big, small = _PAIR_INTERVALS[pair]
+    lhs = interval_dilation(big, t).mat @ interval_dilation(small, s).mat
+    rhs = interval_dilation(small, s_p).mat @ interval_dilation(big, t_p).mat
+    return float(np.linalg.norm(_reference_sign(lhs) - _reference_sign(rhs)))
+
+
+@pytest.mark.parametrize("pair", mobius.COMMUTATION_PAIRS)
+@pytest.mark.parametrize("span,count", [(2.0, 400), (6.0, 400), (6.0, 1)])
+def test_batch_residuals_match_the_scalar_route(pair, span, count):
+    # span 6 rejects about a quarter of the draws, so rounds mix
+    # admissible and inadmissible draws
+    draws = np.random.default_rng(101).uniform(-span, span, size=(count, 2))
+    admissible, residuals = commutation_residuals(draws[:, 0], draws[:, 1],
+                                                  pair)
+    ref_mask, ref = [], []
+    for t, s in draws:
+        try:
+            ref.append(_reference_residual(t, s, pair))
+        except MobiusDomainError:
+            ref_mask.append(False)
+            continue
+        ref_mask.append(True)
+        assert commutation_residual(t, s, pair) == ref[-1]
+    assert admissible.tolist() == ref_mask
+    assert residuals.tolist() == ref
+    if span == 6.0 and count > 1:
+        assert 0 < admissible.sum() < count
+
+
+def test_batch_residuals_of_inadmissible_draws_only():
+    admissible, residuals = commutation_residuals(
+        [5.0, 4.0], [-10.0, -9.0], "halfline_bounded")
+    assert admissible.tolist() == [False, False]
+    assert residuals.shape == (0,)
+    with pytest.raises(ValueError, match="unknown pair"):
+        commutation_residuals([0.1], [0.2], "halfline")
+    with pytest.raises(ValueError, match="equal length"):
+        commutation_residuals([0.1, 0.2], [0.2], "halfline_bounded")
+
+
 def test_commutation_rejects_non_nested():
     with pytest.raises(ValueError):
         nested_commutation_parameters(
@@ -503,3 +645,30 @@ def test_G_compose_componentwise():
     assert (g @ g.inverse()) == GElement.identity()
 
 
+
+
+# ---------------------------------------------------------------------------
+# group law as a property
+# ---------------------------------------------------------------------------
+
+_GENERATORS = {"rotation": MobiusElement.rotation,
+               "dilation": MobiusElement.dilation,
+               "translation": MobiusElement.translation}
+
+_WORDS = st.lists(
+    st.tuples(st.sampled_from(sorted(_GENERATORS)),
+              st.floats(-2.0, 2.0, allow_nan=False)),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(word=_WORDS, u=st.floats(-math.pi, math.pi))
+def test_composed_word_acts_as_its_letters_in_turn(word, u):
+    letters = [_GENERATORS[name](x) for name, x in word]
+    combined = letters[0]
+    for g in letters[1:]:
+        combined = combined.compose(g)
+    stepped = u
+    for g in reversed(letters):
+        stepped = g.act_angle(stepped)
+    assert abs(wrap_angle(combined.act_angle(u) - stepped)) < 1e-10
