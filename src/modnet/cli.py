@@ -377,10 +377,11 @@ def _run_verify_stdspace(cfg, rng, scale):
         worst["stdspace-tomita-involution"] = max(
             worst["stdspace-tomita-involution"],
             np.linalg.norm(s_real @ s_real - eye, 2))
-        balance = md.J @ md.Delta @ md.J @ md.Delta - eye
+        j, delta = md.J, md.Delta
+        balance = j @ delta @ j @ delta - eye
         worst["stdspace-modular-balance"] = max(
             worst["stdspace-modular-balance"],
-            np.linalg.norm(balance, 2) / np.linalg.norm(md.Delta, 2))
+            np.linalg.norm(balance, 2) / md.delta_norm)
         worst["stdspace-dual-tomita"] = max(
             worst["stdspace-dual-tomita"],
             np.linalg.norm(s_dual - s_real.T, 2))

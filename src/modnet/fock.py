@@ -286,16 +286,6 @@ def gamma_apply(a, v, antilinear=False):
     return FockVector(v.n, v.order, coeffs)
 
 
-def antilinear_matrix(parent, real_op):
-    """Linear part of an antilinear operator given in real form.
-
-    Composing with plain conjugation on the right turns the real form
-    into a complex-linear map, recovered through the parent space.
-    """
-    conj_real = parent.realify_antilinear(np.eye(parent.n))
-    return parent.complexify_linear(real_op @ conj_real)
-
-
 # ---------------------------------------------------------------------------
 # lifted Tomita consistency
 # ---------------------------------------------------------------------------
@@ -320,9 +310,8 @@ def second_quantized_tomita_check(h, f, order=DEFAULT_ORDER):
     if gap > MEMBERSHIP_TOL * scale:
         raise ValueError(
             f"test vector is not in the subspace (distance {gap:.3e})")
-    s_real, _ = stdspace.modular_data(h)
-    s_lin = antilinear_matrix(parent, s_real)
-    lifted = gamma_apply(s_lin, weyl_vacuum_vector(f, order),
+    _, md = stdspace.modular_data(h)
+    lifted = gamma_apply(md.tomita_matrix(), weyl_vacuum_vector(f, order),
                          antilinear=True)
     return (lifted - weyl_vacuum_vector(-f, order)).norm()
 

@@ -8,10 +8,11 @@ the whole Tomita machinery (S = J Delta^{1/2}, modular flows,
 half-sided inclusions) into finite linear algebra.
 
 Modular theory itself runs on n x n complex matrices: a real subspace
-with basis b is the real span of the columns of B = b[:n] + i b[n:], its
-standardness comes from the singular values of B, and its Tomita
-operator S = C conj, modular operator and conjugation are complex
-matrices turned into real form only on return.  Residuals of
+with basis b is the real span of the columns of B = b[:n] + i b[n:].
+One SVD of B gives its standardness and, by the Rieffel-van Daele
+formulas, its whole modular data, held in eigen form (eigenvectors V,
+ascending log Delta, the complex matrix of J); real forms are built only
+on request, and no dense Delta is formed to validate it.  Residuals of
 (anti)linear operators are taken on their complex matrices through
 :class:`Operator`; a real 2n x 2n spectral norm runs only for a
 genuinely mixed operator.
@@ -107,11 +108,6 @@ class ComplexSpace:
         x, y = c.real, c.imag
         return np.block([[x, y], [y, -x]])
 
-    def complexify_linear(self, r_matrix):
-        r = np.asarray(r_matrix, dtype=float)
-        n = self.n
-        return r[:n, :n] + 1j * r[n:, :n]
-
     def __eq__(self, other):
         return isinstance(other, ComplexSpace) and other.n == self.n
 
@@ -176,7 +172,7 @@ def _split(parent, r):
 def _max_entry(c):
     """Largest entry of the real form of a complex matrix: the largest
     modulus of its real and imaginary parts."""
-    return max(np.max(np.abs(c.real)), np.max(np.abs(c.imag)))
+    return np.maximum(np.max(np.abs(c.real)), np.max(np.abs(c.imag)))
 
 
 class Operator:
@@ -253,12 +249,9 @@ def complex_norm(parent, r_matrix):
 
     The complex n x n norm of a linear or antilinear operator equals the
     real-form norm at about an eighth of the SVD; a genuinely mixed
-    operator (see :meth:`Operator.of`) takes the real 2n x 2n norm.  No
-    caller in the package falls back: the Bisognano-Wichmann roundtrips
-    and flow deviations difference operators that are exactly
-    (anti)linear in real form.  A residual of products formed in real
-    form would, as its linear and antilinear round-off parts are of one
-    size; such residuals are formed with :class:`Operator` instead.
+    operator (see :meth:`Operator.of`) takes the real 2n x 2n norm.  The
+    flow deviations of the package difference exactly linear real forms,
+    so none falls back.
     """
     return Operator.of(parent, r_matrix).norm()
 
@@ -355,6 +348,16 @@ def _complex_basis(h):
     return h.basis[:n] + 1j * h.basis[n:]
 
 
+def _standardness_of(s, h):
+    """The standardness report of H from the singular values s of B."""
+    if s.size == 0:
+        return StandardnessReport(False, True, math.pi / 2)
+    cyclic = bool(np.sum(s > RANK_REL_TOL * s[0]) == h.parent.n)
+    s_min = s[-1] if h.dim <= h.parent.n else 0.0
+    minimal = 2.0 * math.asin(min(s_min / math.sqrt(2.0), 1.0))
+    return StandardnessReport(cyclic, bool(minimal > ANGLE_TOL), minimal)
+
+
 def standardness(h):
     """Cyclicity (H + iH dense), separation (H with iH trivial), angles.
 
@@ -366,14 +369,8 @@ def standardness(h):
     accurate near 0 and near pi/2 alike; for k > n, B has a kernel and the
     angle is 0.
     """
-    parent = h.parent
-    if h.dim == 0:
-        return StandardnessReport(False, True, math.pi / 2)
-    s = np.linalg.svd(_complex_basis(h), compute_uv=False)
-    cyclic = bool(np.sum(s > RANK_REL_TOL * s[0]) == parent.n)
-    s_min = s[-1] if h.dim <= parent.n else 0.0
-    minimal = 2.0 * math.asin(min(s_min / math.sqrt(2.0), 1.0))
-    return StandardnessReport(cyclic, bool(minimal > ANGLE_TOL), minimal)
+    return _standardness_of(
+        np.linalg.svd(_complex_basis(h), compute_uv=False), h)
 
 
 def is_standard(h):
@@ -385,94 +382,112 @@ def is_standard(h):
 # ---------------------------------------------------------------------------
 
 
-class ModularData:
-    """Modular pair (J, Delta) of a standard subspace.
+def _require(checks, atol):
+    """Raise on the first invariant whose error exceeds atol or is NaN."""
+    for name, err in checks.items():
+        if not err <= atol:
+            raise ValueError(f"modular invariant violated: {name} "
+                             f"(error {err:.3e})")
 
-    J is the real form of the antiunitary modular conjugation, Delta the
-    complex-linear positive modular operator; the defining invariants are
-    validated at construction.  ``eig``, the ascending ``eigh`` pair
-    (w, v) of the hermitian complex Delta, is passed by a caller that
-    has already diagonalised it: positivity and ``delta_norm`` are then
-    read off w, and the modular flow reuses (w, v).
+
+class ModularData:
+    """Modular pair (J, Delta) of a standard subspace, in eigen form.
+
+    Delta = V diag(e^{log_delta}) V* with V = ``vecs`` unitary and
+    ``log_delta`` real (sorted ascending here), and J = ``jc`` conj.
+    Validated at construction: finite data, V unitary, J orthogonal and
+    involutive, and J Delta J = Delta^{-1}; Delta > 0 by construction.
+    Real forms, flows, powers and S are formed only on request.
     """
 
-    __slots__ = ("parent", "J", "Delta", "delta_norm", "_eig")
+    __slots__ = ("parent", "vecs", "log_delta", "jc")
 
-    def __init__(self, parent, J, Delta, atol=INVARIANT_TOL, eig=None):
-        J = np.asarray(J, dtype=float)
-        Delta = np.asarray(Delta, dtype=float)
-        d = parent.real_dim
-        if J.shape != (d, d) or Delta.shape != (d, d):
-            raise ValueError("J and Delta must be 2n x 2n")
+    def __init__(self, parent, vecs, log_delta, jc, atol=INVARIANT_TOL):
+        vecs = np.asarray(vecs, dtype=complex)
+        lam = np.asarray(log_delta, dtype=float)
+        jc = np.asarray(jc, dtype=complex)
         n = parent.n
-        _, jc = _split(parent, J)
-        dc, _ = _split(parent, Delta)
+        if vecs.shape != (n, n) or jc.shape != (n, n) or lam.shape != (n,):
+            raise ValueError("V and jc must be n x n, log Delta of length n")
+        if not all(np.isfinite(a).all() for a in (vecs, lam, jc)):
+            raise ValueError("modular invariant violated: finite data")
+        order = np.argsort(lam, kind="stable")
+        vecs, lam = vecs[:, order], lam[order]
         eye = np.eye(n)
-        # with J_i = [[0, -1], [1, 0]], the (anti)commutators with J_i are
-        # differences of n x n blocks; once they vanish J and Delta are the
-        # real forms of jc conj and dc, so J^T J, J J and Delta^T are those
-        # of conj(jc* jc), jc conj(jc) and dc*
-        checks = {
-            "J antilinear": max(
-                np.max(np.abs(J[:n, n:] - J[n:, :n])),
-                np.max(np.abs(J[:n, :n] + J[n:, n:]))),
-            "Delta complex-linear": max(
-                np.max(np.abs(Delta[:n, n:] + Delta[n:, :n])),
-                np.max(np.abs(Delta[n:, n:] - Delta[:n, :n]))),
+        # errors are the largest real-form entries of the residuals
+        _require({
+            "V unitary": _max_entry(vecs.conj().T @ vecs - eye),
             "J orthogonal": _max_entry(jc.conj().T @ jc - eye),
             "J involutive": _max_entry(jc @ jc.conj() - eye),
-            "Delta symmetric": _max_entry(dc - dc.conj().T),
-        }
-        for name, err in checks.items():
-            if err > atol:
-                raise ValueError(f"modular invariant violated: {name} "
-                                 f"(error {err:.3e})")
-        dc = (dc + dc.conj().T) / 2
-        w = np.linalg.eigvalsh(dc) if eig is None else eig[0]
+        }, atol)
+        # balance: X = V* jc conj(V) may couple lambda_i only with
+        # -lambda_i.  J Delta^{1/2} = Delta^{-1/2} J reads X_ij e^{lambda_j/2}
+        # = e^{-lambda_i/2} X_ij; its defect relative to the entry's size
+        # is |X_ij tanh((lambda_i + lambda_j) / 4)|, free of any scale
+        x = vecs.conj().T @ jc @ vecs.conj()
+        rel = float(np.max(np.abs(x) * np.abs(np.tanh(
+            (lam[:, None] + lam[None, :]) / 4.0))))
+        if not rel <= BALANCE_TOL:
+            raise ValueError("modular invariant violated: J Delta J = "
+                             f"Delta^-1 (relative error {rel:.3e})")
+        self.parent = parent
+        self.vecs = vecs
+        self.log_delta = lam
+        self.jc = jc
+
+    @classmethod
+    def from_dense(cls, parent, J, Delta, atol=INVARIANT_TOL):
+        """Modular data from the real forms of J and Delta: J antilinear,
+        Delta complex-linear, symmetric and positive, then one ``eigh`` of
+        the complex Delta gives the eigen form."""
+        d = parent.real_dim
+        if np.shape(J) != (d, d) or np.shape(Delta) != (d, d):
+            raise ValueError("J and Delta must be 2n x 2n")
+        j_lin, jc = _split(parent, np.asarray(J, dtype=float))
+        dc, d_anti = _split(parent, np.asarray(Delta, dtype=float))
+        _require({"J antilinear": _max_entry(j_lin),
+                  "Delta complex-linear": _max_entry(d_anti),
+                  "Delta symmetric": _max_entry(dc - dc.conj().T)}, atol)
+        w, v = np.linalg.eigh((dc + dc.conj().T) / 2)
         if w[0] <= 0.0:
             raise ValueError("modular invariant violated: Delta positive "
                              f"(min eigenvalue {w[0]:.3e})")
-        self.parent = parent
-        self.J = J
-        self.Delta = (Delta + Delta.T) / 2
-        self.delta_norm = float(w[-1])
-        self._eig = eig
-        j_op = Operator(parent, jc, "antilinear")
-        d_op = Operator(parent, dc)
-        balance = j_op @ d_op @ j_op @ d_op - Operator(parent, eye)
-        limit = BALANCE_TOL * self.delta_norm
-        # the Frobenius norm bounds the spectral norm, so the SVD is
-        # needed only when that bound misses the limit
-        if np.linalg.norm(balance.mat) > limit:
-            rel = balance.norm()
-            if rel > limit:
-                raise ValueError(
-                    "modular invariant violated: J Delta J = Delta^-1 "
-                    f"(relative error {rel:.3e})"
-                )
+        return cls(parent, v, np.log(w), jc, atol)
 
-    def _complex_eig(self):
-        if self._eig is None:
-            dc = self.parent.complexify_linear(self.Delta)
-            w, v = np.linalg.eigh((dc + dc.conj().T) / 2)
-            self._eig = (w, v)
-        return self._eig
+    @property
+    def delta_norm(self):
+        return float(np.exp(self.log_delta[-1]))
+
+    @property
+    def J(self):
+        return self.parent.realify_antilinear(self.jc)
+
+    @property
+    def Delta(self):
+        return self.delta_power(1.0)
+
+    def power(self, z):
+        """Delta^z = V diag(e^{z log Delta}) V* as a complex n x n matrix;
+        z = i t gives the modular unitary Delta^{it}."""
+        return (self.vecs * np.exp(z * self.log_delta)) @ self.vecs.conj().T
 
     def delta_power(self, p):
         """Delta^p as a real (complex-linear) matrix, p real."""
-        w, v = self._complex_eig()
-        c = (v * w ** p) @ v.conj().T
-        return self.parent.realify_linear(c)
+        return self.parent.realify_linear(self.power(p))
 
     def delta_it(self, t):
         """The modular unitary Delta^{it}, as a real orthogonal matrix."""
-        w, v = self._complex_eig()
-        c = (v * np.exp(1j * t * np.log(w))) @ v.conj().T
-        return self.parent.realify_linear(c)
+        return self.parent.realify_linear(self.power(1j * t))
+
+    def tomita_matrix(self):
+        """Complex matrix jc conj(V) e^{log Delta / 2} V^T of S = J
+        Delta^{1/2}: S xi = tomita_matrix() conj(xi)."""
+        half = self.vecs.conj() * np.exp(self.log_delta / 2.0)
+        return self.jc @ half @ self.vecs.T
 
     def tomita(self):
-        """S = J Delta^{1/2}."""
-        return self.J @ self.delta_power(0.5)
+        """S = J Delta^{1/2}, in real form."""
+        return self.parent.realify_antilinear(self.tomita_matrix())
 
     def __repr__(self):
         return f"ModularData(parent={self.parent!r})"
@@ -482,12 +497,19 @@ def modular_data(h):
     """Tomita operator and modular pair of a standard subspace.
 
     Returns ``(S, ModularData)`` where S is the real form of the closed
-    antilinear involution fixing H pointwise.  In complex form S = C conj
-    with C conj(B) = B, so C = B conj(B)^{-1}; Delta = S* S = C^T conj(C)
-    and J = S Delta^{-1/2} = C conj(Delta^{-1/2}) conj, snapped to its
-    unitary polar factor.  All three are returned in exact real form.
+    antilinear involution fixing H pointwise.  All of it comes from one
+    complex SVD B = U s W* (Rieffel-van Daele 1977): R = P_H + P_iH = B B*,
+    P_H - P_iH = B B^T conj, Delta = (2 - R) R^{-1} and J is the phase of
+    P_H - P_iH.  The singular values pair as sqrt(1 +- cos theta), so
+    2 - s_k^2 = s_{n-1-k}^2 =: s'_k^2, and with M = W* conj(W)
+
+        log Delta = 2 log(s' / s) on the columns of U (ascending),
+        J = U s M s'^{-1} U^T conj,  S = U s M s^{-1} U^T conj.
+
+    The cyclic/separating gate reads the same singular values.
     """
-    rep = standardness(h)
+    u, s, wh = np.linalg.svd(_complex_basis(h))
+    rep = _standardness_of(s, h)
     if not rep.cyclic:
         raise ValueError("subspace is not cyclic: H + iH does not span")
     if not rep.separating:
@@ -495,19 +517,11 @@ def modular_data(h):
             "subspace is not separating: H meets iH at angle "
             f"{rep.minimal_angle:.3e}"
         )
-    parent = h.parent
-    b = _complex_basis(h)
-    c = np.linalg.solve(b.conj().T, b.T).T
-    delta = c.T @ c.conj()
-    delta = (delta + delta.conj().T) / 2
-    w, v = np.linalg.eigh(delta)
-    # snap the polar factor of C conj(Delta^{-1/2}) to an exact unitary;
-    # involutivity of J is then asserted by ModularData
-    uu, _, vv = np.linalg.svd(c @ ((v / np.sqrt(w)) @ v.conj().T).conj())
-    j = parent.realify_antilinear(uu @ vv)
-    del b, uu, vv       # not held while ModularData validates
-    md = ModularData(parent, j, parent.realify_linear(delta), eig=(w, v))
-    return parent.realify_antilinear(c), md
+    pair = s[::-1]
+    a = (u * s) @ (wh @ wh.T)       # W* conj(W) = wh wh^T
+    md = ModularData(h.parent, u, 2.0 * np.log(pair / s),
+                     (a / pair) @ u.T)
+    return h.parent.realify_antilinear((a / s) @ u.T), md
 
 
 def subspace_from_modular(m):
@@ -767,8 +781,9 @@ def symmetry_commutation_check(h, u, tol=SUBSPACE_TOL):
     u = Operator.of(parent, u)
 
     def deviation(x):
-        x = Operator.of(parent, x)
         return (u @ x @ u.T - x).norm()
 
-    return SymmetryReport(deviation(s_op), deviation(m.Delta) / m.delta_norm,
-                          deviation(m.J))
+    return SymmetryReport(
+        deviation(Operator.of(parent, s_op)),
+        deviation(Operator(parent, m.power(1.0))) / m.delta_norm,
+        deviation(Operator(parent, m.jc, "antilinear")))

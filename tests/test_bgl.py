@@ -99,17 +99,19 @@ def test_halfline_flow_is_one_slot_shift(orient, shift):
     assert np.linalg.norm(step - bgl._roll(n, shift), 2) < EXACT_TOL
 
 
-def test_halfline_block_is_exactly_hermitian():
+def test_halfline_block_is_a_valid_eigen_form():
     block = bgl._halfline_block(13, 1.1, +1).translate(
         np.exp(1j * np.linspace(0, 2, 13)))
-    delta = block.delta()
-    assert np.array_equal(delta, delta.conj().T)
     # the eigenvectors are unitary and J exchanges the paired columns
     vecs = block.vecs
     assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(13), 2) < 1e-13
     assert np.allclose(block.z[:, None] * vecs.conj(), vecs[:, block.pair],
                        atol=1e-14)
     assert np.array_equal(block.kap[block.pair], -block.kap)
+    # so the block is modular data as it stands, with no dense Delta
+    md = stdspace.ModularData(stdspace.ComplexSpace(13), vecs,
+                              _TWO_PI * block.kap, np.diag(block.z))
+    assert np.array_equal(md.log_delta, np.sort(_TWO_PI * block.kap))
 
 
 def test_phased_block_balances_j_and_delta():
@@ -117,7 +119,7 @@ def test_phased_block_balances_j_and_delta():
     n = 9
     phases = np.exp(1j * 0.37 * np.arange(n) ** 1.5)
     block = bgl._halfline_block(n, 3.0, +1).translate(phases)
-    delta = block.delta()
+    delta = block._apply(np.exp(_TWO_PI * block.kap))
     j_mat = np.diag(block.z)
     lhs = j_mat @ delta.conj() @ j_mat.conj()
     rhs = np.linalg.inv(delta)
@@ -167,6 +169,26 @@ def test_modular_roundtrip_within_budget(kind):
     assert rel < net.epsilon
 
 
+def test_modular_roundtrip_sees_wrong_modular_data():
+    # valid modular data off the wedge's by a stretched log Delta or by a
+    # phase on J: the roundtrip residual is the mismatch
+    net = _model("chiralSum")
+    w_r, _ = _origin_wedges()
+    h = net.wedge_subspace(w_r)
+    md = net.wedge_modular(w_r)
+    assert bgl._modular_roundtrip(md, h) < net.epsilon
+    wrong = stdspace.ModularData(net.parent, md.vecs, 1.01 * md.log_delta,
+                                 md.jc)
+    want = (np.linalg.norm(wrong.power(1.0) - md.power(1.0), 2)
+            / wrong.delta_norm)
+    assert want > 0.01
+    assert bgl._modular_roundtrip(wrong, h) == pytest.approx(want, rel=1e-9)
+    turned = stdspace.ModularData(net.parent, md.vecs, md.log_delta,
+                                  np.exp(0.3j) * md.jc)
+    assert bgl._modular_roundtrip(turned, h) == pytest.approx(
+        abs(np.exp(0.3j) - 1.0), rel=1e-9)
+
+
 @pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
 def test_wedge_modular_takes_the_block_eigenpair(monkeypatch, kind):
     # the block's spectrum and eigenvectors are exact, so neither the
@@ -185,7 +207,7 @@ def test_wedge_modular_takes_the_block_eigenpair(monkeypatch, kind):
     monkeypatch.undo()
     top = math.exp(_TWO_PI * kap.max())
     assert md.delta_norm == pytest.approx(top, rel=1e-12)
-    dense = net.parent.complexify_linear(md.Delta)
+    dense = md.power(1.0)
     assert np.linalg.eigvalsh(dense)[-1] == pytest.approx(top, rel=1e-12)
     assert np.linalg.norm(flow - net.wedge_flow(region, 0.37), 2) < 1e-12
 
@@ -704,7 +726,8 @@ def test_eigenpair_route_agrees_with_modular_route():
             assert stdspace.subspace_distance(
                 net.wedge_subspace(region),
                 stdspace.subspace_from_modular(md)) < 1e-10, (kind, region)
-            dense = stdspace.ModularData(net.parent, md.J, md.Delta)
+            dense = stdspace.ModularData.from_dense(net.parent, md.J,
+                                                    md.Delta)
             for t in (0.37, -1.1):
                 dev = np.linalg.norm(net.wedge_flow(region, t)
                                      - dense.delta_it(t), 2)

@@ -290,6 +290,26 @@ def test_bgl_axioms_twisted_fails_expected_entry(tmp_path):
     assert failed == {"dilation-bisognano-wichmann"}
 
 
+def test_coarse_spacings_run_to_a_report_with_the_default_verdicts():
+    # the cells where a dense modular operator failed validation: each
+    # now gives the verdicts of its kind at the default spacing
+    cells = (({"model": "chiralSum", "n": 65, "h": 2.0}, set()),
+             ({"model": "twisted", "n": 33, "h": 2.0},
+              {"dilation-bisognano-wichmann"}),
+             ({"model": "massive", "h": 1.5}, set()),
+             ({"model": "directIntegral", "h": 1.5}, set()))
+    for overrides, failing in cells:
+        cfg = dict(cli.DEFAULT_CONFIGS["bgl-axioms"], **overrides)
+        report, _ = cli.run_command("bgl-axioms", cfg, 0, 1.0)
+        assert {c["name"] for c in report["checks"]
+                if not c["passed"]} == failing, overrides
+        assert all(math.isfinite(c["residual"]) for c in report["checks"])
+    # an off-grid reconstruction time is refused by its own rule
+    cfg = dict(cli.DEFAULT_CONFIGS["reconstruct-mobius"], h=2 * math.pi / 3)
+    with pytest.raises(cli.ConfigError, match="not a grid multiple"):
+        cli.run_command("reconstruct-mobius", cfg, 0, 1.0)
+
+
 def test_bgl_axioms_unknown_model_is_config_error(tmp_path):
     code, report = _run(tmp_path, "bgl-axioms", {"model": "heat-bath"})
     assert code == cli.EXIT_CONFIG_ERROR

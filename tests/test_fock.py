@@ -351,11 +351,8 @@ def _reference_gamma_blocks(a, order):
 def test_gamma_blocks_match_the_column_loop(n, antilinear):
     rng = np.random.default_rng(60 + n)
     for order in range(7):
-        if antilinear:
-            parent = stdspace.ComplexSpace(n)
-            a = fock.antilinear_matrix(parent, rng.normal(size=(2 * n, 2 * n)))
-        else:
-            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if not antilinear:
             # structural zeros: the column loop skips those modes
             a[rng.random((n, n)) < 0.3] = 0.0
         blocks = fock._gamma_blocks(a, order)
@@ -378,13 +375,6 @@ def test_gamma_rejects_mismatched_operator():
     v = fock.FockVector.vacuum(N_MODES, 2)
     with pytest.raises(ValueError, match="one-particle space"):
         fock.gamma_apply(np.eye(3), v)
-
-
-def test_antilinear_matrix_of_conjugation_is_identity():
-    parent = stdspace.ComplexSpace(N_MODES)
-    conj_real = parent.realify_antilinear(np.eye(N_MODES))
-    m = fock.antilinear_matrix(parent, conj_real)
-    assert np.allclose(m, np.eye(N_MODES), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from modnet import bgl, spacetime
 from modnet.stdspace import (
     RANK_REL_TOL,
     TAKESAKI_LADDER,
@@ -73,9 +74,9 @@ def random_modular_pair(rng, parent):
     v, _ = np.linalg.qr(z)
     delta_c = v @ np.diag(d_eigs).astype(complex) @ v.conj().T
     u_j = v @ perm @ v.T
-    return ModularData(parent,
-                       parent.realify_antilinear(u_j),
-                       parent.realify_linear(delta_c))
+    return ModularData.from_dense(parent,
+                                  parent.realify_antilinear(u_j),
+                                  parent.realify_linear(delta_c))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,8 @@ def test_realify_structures():
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
     assert_allclose(sp.extract(lin @ sp.embed(v)), c @ v, atol=ATOL)
     assert_allclose(sp.extract(anti @ sp.embed(v)), c @ v.conj(), atol=ATOL)
-    assert_allclose(sp.complexify_linear(lin), c, atol=ATOL)
+    assert_allclose(Operator.of(sp, lin).mat, c, atol=ATOL)
+    assert_allclose(Operator.of(sp, anti).mat, c, atol=ATOL)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +298,8 @@ def test_delta_flow_is_a_one_parameter_unitary_group():
 
 def test_trivial_modular_data_gives_real_slice():
     sp = ComplexSpace(3)
-    m = ModularData(sp, sp.realify_antilinear(np.eye(3)), np.eye(6))
+    m = ModularData.from_dense(sp, sp.realify_antilinear(np.eye(3)),
+                               np.eye(6))
     h = subspace_from_modular(m)
     assert subspace_distance(h, real_slice(sp)) < ATOL
 
@@ -304,8 +307,8 @@ def test_trivial_modular_data_gives_real_slice():
 def test_frozen_c2_fixed_points():
     sp = ComplexSpace(2)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    m = ModularData(sp, sp.realify_antilinear(swap),
-                    sp.realify_linear(np.diag([4.0, 0.25])))
+    m = ModularData.from_dense(sp, sp.realify_antilinear(swap),
+                               sp.realify_linear(np.diag([4.0, 0.25])))
     h = subspace_from_modular(m)
     expect = make_subspace([np.array([1.0, 2.0]), np.array([1j, -2j])], sp)
     assert h.dim == 2
@@ -348,7 +351,37 @@ def test_modular_data_validation_messages():
     for name, (j, delta) in violations.items():
         pattern = f"modular invariant violated: {re.escape(name)} "
         with pytest.raises(ValueError, match=pattern):
-            ModularData(sp, j, delta)
+            ModularData.from_dense(sp, j, delta)
+
+
+def test_eigen_form_validation_messages():
+    sp = ComplexSpace(2)
+    eye = np.eye(2)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    lam = np.array([1.0, -1.0])
+    m = ModularData(sp, eye, lam, swap)
+    assert np.array_equal(m.log_delta, [-1.0, 1.0])
+    assert m.delta_norm == pytest.approx(math.e)
+    # each eigen form breaks the named invariant first
+    violations = {
+        "finite data": (eye, np.array([np.inf, 1.0]), swap),
+        "V unitary": (2.0 * eye, lam, swap),
+        "J orthogonal": (eye, lam, 2.0 * swap),
+        "J involutive": (eye, lam, np.array([[0.0, 1.0], [-1.0, 0.0]])),
+        # J pairs log Delta = -1 with 2
+        "J Delta J = Delta^-1": (eye, np.array([-1.0, 2.0]), swap),
+    }
+    for name, args in violations.items():
+        pattern = f"modular invariant violated: {re.escape(name)}"
+        with pytest.raises(ValueError, match=pattern):
+            ModularData(sp, *args)
+    with pytest.raises(ValueError, match="n x n"):
+        ModularData(sp, np.eye(3), lam, swap)
+    with pytest.raises(ValueError, match="2n x 2n"):
+        ModularData.from_dense(sp, np.eye(3), np.eye(4))
+    # a NaN error is a violation, not a pass
+    with pytest.raises(ValueError, match=r"J antilinear \(error nan\)"):
+        ModularData.from_dense(sp, np.full((4, 4), np.nan), np.eye(4))
 
 
 def test_invariant_errors_are_the_real_form_entries():
@@ -370,28 +403,82 @@ def test_invariant_errors_are_the_real_form_entries():
     )
     for name, j, delta, residual in cases:
         with pytest.raises(ValueError, match=name) as info:
-            ModularData(sp, j, delta)
+            ModularData.from_dense(sp, j, delta)
         reported = float(str(info.value).split("error ")[1].rstrip(")"))
         assert reported == pytest.approx(
             np.max(np.abs(residual(j, delta))), rel=1e-3), name
 
 
-def test_modular_data_hands_its_eigh_to_the_flow(monkeypatch):
+def _solve_eigh_polar_route(h):
+    """Reference route without the SVD formulas: C = B conj(B)^{-1} by
+    solve, Delta = C^T conj(C) by eigh, and J the unitary polar factor of
+    C conj(Delta^{-1/2}); returns (C, Delta, jc)."""
+    n = h.parent.n
+    b = h.basis[:n] + 1j * h.basis[n:]
+    c = np.linalg.solve(b.conj().T, b.T).T
+    delta = c.T @ c.conj()
+    delta = (delta + delta.conj().T) / 2
+    w, v = np.linalg.eigh(delta)
+    uu, _, vv = np.linalg.svd(c @ ((v / np.sqrt(w)) @ v.conj().T).conj())
+    return c, delta, uu @ vv
+
+
+def _assert_routes_agree(h, tol=1e-10):
+    c, delta, jc = _solve_eigh_polar_route(h)
+    s_op, md = modular_data(h)
+    scale = np.linalg.norm(delta, 2)
+    assert np.linalg.norm(md.power(1.0) - delta, 2) <= tol * scale
+    assert np.linalg.norm(md.jc - jc, 2) <= tol
+    assert md.delta_norm == pytest.approx(scale, rel=tol)
+    s_c = Operator.of(h.parent, s_op).mat
+    assert np.linalg.norm(s_c - c, 2) <= tol * np.linalg.norm(c, 2)
+    return md
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_svd_route_matches_the_solve_eigh_polar_route(n):
+    rng = np.random.default_rng(100 + n)
+    sp = ComplexSpace(n)
+    for _ in range(5):
+        _assert_routes_agree(random_standard(rng, sp))
+
+
+@pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
+def test_one_svd_route_matches_the_dense_route_on_wedges(kind):
+    net = {"chiralSum": bgl.NetModel.chiral_sum,
+           "massive": bgl.NetModel.massive,
+           "directIntegral": bgl.NetModel.direct_integral,
+           "twisted": bgl.NetModel.twisted}[kind]()
+    region = spacetime.Region.wedge_right((0.0, 0.0))
+    md = _assert_routes_agree(net.wedge_subspace(region))
+    # the agreement above is bounded by the polar factor; against the
+    # block's exact conjugation the one-SVD J is closer still
+    assert np.linalg.norm(md.jc - net.wedge_modular(region).jc, 2) < 1e-11
+
+
+def test_modular_data_takes_one_svd_and_no_eigensolve(monkeypatch):
     rng = np.random.default_rng(29)
     sp = ComplexSpace(4)
-    _, md = modular_data(random_standard(rng, sp))
-    fresh = ModularData(sp, md.J, md.Delta)
+    h = random_standard(rng, sp)
+    _, delta, _ = _solve_eigh_polar_route(h)
+    w, v = np.linalg.eigh(delta)
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda a: calls.append(a.shape) or eigh(a))
+
+    def counted(name, fn):
+        return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+    for name in ("svd", "eigh", "eigvalsh", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name,
+                            counted(name, getattr(np.linalg, name)))
+    _, md = modular_data(h)
+    assert calls == ["svd"]
     flow = md.delta_it(0.3)
     md.delta_power(0.5)
-    assert calls == []
-    # the handed-over pair is the one the flow would have computed
-    assert np.array_equal(flow, fresh.delta_it(0.3))
-    assert calls == [(4, 4)]
-    assert md.delta_norm == pytest.approx(fresh.delta_norm, rel=1e-12)
+    assert calls == ["svd"]
+    monkeypatch.undo()
+    # the eigen-form flow is the one a dense eigh of Delta gives
+    dense = (v * np.exp(0.3j * np.log(w))) @ v.conj().T
+    assert np.linalg.norm(flow - sp.realify_linear(dense), 2) < 1e-12
 
 
 def test_badly_conditioned_kernel_warns():
@@ -404,8 +491,8 @@ def test_badly_conditioned_kernel_warns():
     perm = np.zeros((6, 6))
     perm[:3, 3:] = np.eye(3)
     perm[3:, :3] = np.eye(3)
-    m = ModularData(sp, sp.realify_antilinear(perm),
-                    sp.realify_linear(delta_c))
+    m = ModularData.from_dense(sp, sp.realify_antilinear(perm),
+                               sp.realify_linear(delta_c))
     with pytest.warns(ConditioningWarning):
         h = subspace_from_modular(m)
     assert h.dim == 8  # true fixed-point dimension is 6
