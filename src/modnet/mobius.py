@@ -20,7 +20,13 @@ element (rho_{-2 pi}, rho_{2 pi}).
 The normal form (unit determinant, canonical sign) is one rule on stacks
 of 2x2 matrices: an element applies it to its one matrix, and
 ``commutation_residuals`` to the flows of a whole batch of sampled
-parameters at once.
+parameters at once.  Elements themselves may hold stacks: a matrix of
+shape (..., 2, 2) is one element per leading index, and the generators,
+products, inverses, the circle action, the Iwasawa decomposition and
+the cover lift act member by member, each member getting the result it
+gets alone.  Transcendental functions run through the math module (see
+``_elementwise``), so that a stack reproduces single elements to the
+last bit.
 """
 
 from __future__ import annotations
@@ -50,14 +56,36 @@ class MobiusDomainError(ValueError):
     """Raised when parameters leave the admissible domain of an identity."""
 
 
+def _elementwise(fn, *xs):
+    """``fn`` of the math module over arrays broadcast together.
+
+    numpy's vectorised exp, log, atan2, ... can differ from the math
+    module in the last place, which would move the sampled residuals.
+    Scalars give a numpy scalar.
+    """
+    if all(np.ndim(x) == 0 for x in xs):
+        return np.float64(fn(*map(float, xs)))
+    xs = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs))
+    return np.fromiter(map(fn, *(x.ravel().tolist() for x in xs)), float,
+                       xs[0].size).reshape(xs[0].shape)
+
+
+def _scalar(x):
+    """A single element's result as a Python float; a stack's as it is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _mat2(a, b, c, d):
+    """The matrix [[a, b], [c, d]], or the stack of them over arrays of
+    equal shape."""
+    return np.stack([a, b, c, d], axis=-1).reshape(np.shape(a) + (2, 2))
+
+
 def wrap_angle(u):
-    """Reduce an angle to the interval (-pi, pi]."""
-    v = math.fmod(u, _TWO_PI)
-    if v > math.pi:
-        v -= _TWO_PI
-    elif v <= -math.pi:
-        v += _TWO_PI
-    return v
+    """Reduce an angle (or an array of angles) to the interval (-pi, pi]."""
+    v = np.fmod(u, _TWO_PI)
+    return _scalar(np.where(v > math.pi, v - _TWO_PI,
+                            np.where(v <= -math.pi, v + _TWO_PI, v)))
 
 
 def cayley(x):
@@ -137,21 +165,39 @@ def _unimodular(mats):
     return _canonical_sign((ml / np.sqrt(det)[..., None, None]).astype(float))
 
 
+#: the one-parameter subgroups, in the order of the ``kinds`` codes of
+#: :meth:`MobiusElement.generators`
+GENERATORS = ("rotation", "dilation", "translation")
+
+# sign pattern of the adjugate [[d, -b], [-c, a]] of [[a, b], [c, d]]
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _adjugate(m):
+    """Adjugate of a 2x2 matrix or of each of a stack: its inverse up to
+    the determinant."""
+    return m[..., ::-1, ::-1].swapaxes(-1, -2) * _ADJUGATE_SIGNS
+
+
 class MobiusElement:
     """An element of the Mobius group PSL(2, R), stored canonically.
 
     Parameters
     ----------
-    mat : array_like, shape (2, 2)
+    mat : array_like, shape (2, 2) or (..., 2, 2)
         Real matrix with positive determinant; it is rescaled to
-        determinant one and sign-canonicalised.
+        determinant one and sign-canonicalised.  A stack of matrices
+        makes a stack of elements, which ``generators``, ``compose``,
+        ``inverse``, ``is_rotation``, ``act_circle``, ``act_angle`` and
+        ``iwasawa`` handle member by member; the other methods take a
+        single element.
     """
 
     __slots__ = ("mat", "_circle", "_inverse")
 
     def __init__(self, mat):
         m = np.asarray(mat, dtype=float)
-        if m.shape != (2, 2):
+        if m.shape[-2:] != (2, 2):
             raise ValueError("expected a 2x2 matrix")
         self.mat = _unimodular(m)
         self.mat.setflags(write=False)
@@ -166,27 +212,47 @@ class MobiusElement:
         return cls(np.eye(2))
 
     @classmethod
+    def generators(cls, kinds, x):
+        """The generators ``GENERATORS[kinds]`` at parameters ``x``
+        (broadcast together; arrays give a stack).
+
+        The rotation by x in the circle picture is [[cos x/2, sin x/2],
+        [-sin x/2, cos x/2]], the dilation y -> e^x y is diag(e^{x/2},
+        e^{-x/2}) and the translation y -> y + x is [[1, x], [0, 1]].
+        """
+        kinds, x = np.broadcast_arrays(np.asarray(kinds),
+                                       np.asarray(x, dtype=float))
+        rot, dil, tra = (kinds == k for k in range(3))
+        if not (rot | dil | tra).all():
+            raise ValueError(f"generator kinds index {GENERATORS}")
+        bad = ~np.isfinite(x)
+        if bad.any():
+            raise ValueError(f"{GENERATORS[kinds[bad][0]]} parameter "
+                             "must be finite")
+        half = 0.5 * x
+        a, b = np.ones(x.shape), np.zeros(x.shape)
+        c, d = np.zeros(x.shape), np.ones(x.shape)
+        cos, sin = (_elementwise(f, half[rot]) for f in (math.cos, math.sin))
+        a[rot], b[rot], c[rot], d[rot] = cos, sin, -sin, cos
+        e = _elementwise(math.exp, half[dil])
+        a[dil], d[dil] = e, 1.0 / e
+        b[tra] = x[tra]
+        return cls(_mat2(a, b, c, d))
+
+    @classmethod
     def rotation(cls, theta):
         """Rotation by ``theta`` in the circle picture."""
-        if not math.isfinite(theta):
-            raise ValueError("rotation parameter must be finite")
-        c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-        return cls(np.array([[c, s], [-s, c]]))
+        return cls.generators(0, theta)
 
     @classmethod
     def dilation(cls, s):
         """The map x -> exp(s) x."""
-        if not math.isfinite(s):
-            raise ValueError("dilation parameter must be finite")
-        e = math.exp(0.5 * s)
-        return cls(np.array([[e, 0.0], [0.0, 1.0 / e]]))
+        return cls.generators(1, s)
 
     @classmethod
     def translation(cls, t):
         """The map x -> x + t."""
-        if not math.isfinite(t):
-            raise ValueError("translation parameter must be finite")
-        return cls(np.array([[1.0, t], [0.0, 1.0]]))
+        return cls.generators(2, t)
 
     # -- group structure ----------------------------------------------
 
@@ -197,8 +263,7 @@ class MobiusElement:
 
     def inverse(self):
         if self._inverse is None:
-            a, b, c, d = self.mat.ravel()
-            self._inverse = MobiusElement(np.array([[d, -b], [-c, a]]))
+            self._inverse = MobiusElement(_adjugate(self.mat))
         return self._inverse
 
     def __eq__(self, other):
@@ -223,8 +288,9 @@ class MobiusElement:
         return bool(d < tol)
 
     def is_rotation(self, tol=1e-12):
-        a, b, c, d = self.mat.ravel()
-        return abs(a - d) <= tol and abs(b + c) <= tol
+        m = self.mat
+        return ((np.abs(m[..., 0, 0] - m[..., 1, 1]) <= tol)
+                & (np.abs(m[..., 0, 1] + m[..., 1, 0]) <= tol))
 
     # -- actions --------------------------------------------------------
 
@@ -248,19 +314,31 @@ class MobiusElement:
         return num / den
 
     def act_circle(self, z):
-        """Action on the unit circle (complex points of modulus one)."""
+        """Action on the unit circle (complex points of modulus one).
+
+        ``z`` broadcasts against the stack of elements.  The arithmetic
+        always runs on arrays, never on numpy scalars, whose complex
+        product, quotient and modulus round differently: a single
+        element acts as a stack of one.
+        """
         m = self._circle
         if m is None:
             m = self._circle = _CAYLEY @ self.mat.astype(complex) @ _CAYLEY_INV
-        den = m[1, 0] * z + m[1, 1]
-        num = m[0, 0] * z + m[0, 1]
-        w = num / den
-        return w / abs(w)
+        z = np.asarray(z, dtype=complex)
+        shape = np.broadcast_shapes(m.shape[:-2], z.shape)
+        z = np.broadcast_to(z, shape).reshape(-1)
+        m = np.broadcast_to(m, shape + (2, 2)).reshape(-1, 2, 2)
+        w = (m[:, 0, 0] * z + m[:, 0, 1]) / (m[:, 1, 0] * z + m[:, 1, 1])
+        return (w / np.abs(w)).reshape(shape)[()]
 
     def act_angle(self, u):
-        """Action on circle angles, result in (-pi, pi]."""
-        z = self.act_circle(complex(math.cos(u), math.sin(u)))
-        return math.atan2(z.imag, z.real)
+        """Action on circle angles, result in (-pi, pi]; ``u`` broadcasts
+        against the stack of elements."""
+        u = np.asarray(u, dtype=float)
+        z = np.empty(u.shape, dtype=complex)
+        z.real, z.imag = _elementwise(math.cos, u), _elementwise(math.sin, u)
+        w = self.act_circle(z)
+        return _scalar(_elementwise(math.atan2, np.imag(w), np.real(w)))
 
     # -- Iwasawa decomposition -----------------------------------------
 
@@ -268,29 +346,31 @@ class MobiusElement:
         """Decompose as K(theta) A(a) N(n); returns ``(theta, a, n)``.
 
         ``theta`` lies in (-pi, pi] and ``K(theta) A(a) N(n)`` reproduces
-        the element (as a projective matrix) to high accuracy.
+        the element (as a projective matrix) to high accuracy.  A stack
+        gives three arrays.
         """
-        a0, b0, c0, d0 = self.mat.ravel()
-        r = math.hypot(a0, c0)
-        theta = 2.0 * math.atan2(-c0, a0)
-        if theta > math.pi:
-            theta -= _TWO_PI
-        elif theta <= -math.pi:
-            theta += _TWO_PI
+        m = self.mat
+        a0, b0, c0, d0 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+        r = _elementwise(math.hypot, a0, c0)
+        theta = wrap_angle(2.0 * _elementwise(math.atan2, -c0, a0))
         # R = K(theta)^-1 g is upper triangular with R00 = r > 0
-        ch, sh = math.cos(0.5 * theta), math.sin(0.5 * theta)
+        ch = _elementwise(math.cos, 0.5 * theta)
+        sh = _elementwise(math.sin, 0.5 * theta)
         r01 = ch * b0 - sh * d0
-        a_par = 2.0 * math.log(r)
+        a_par = 2.0 * _elementwise(math.log, r)
         n_par = r01 / r
-        return theta, a_par, n_par
+        return theta, _scalar(a_par), _scalar(n_par)
 
 
 def kan_matrix(theta, a, n):
-    """Matrix of K(theta) A(a) N(n)."""
-    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    e = math.exp(0.5 * a)
+    """Matrix of K(theta) A(a) N(n); arrays of parameters give a stack."""
+    theta, a, n = np.broadcast_arrays(*(np.asarray(p, dtype=float)
+                                        for p in (theta, a, n)))
+    c = _elementwise(math.cos, 0.5 * theta)
+    s = _elementwise(math.sin, 0.5 * theta)
+    e = _elementwise(math.exp, 0.5 * a)
     # A(a) N(n) = [[e, e*n], [0, 1/e]]
-    return np.array([[c * e, c * e * n + s / e], [-s * e, -s * e * n + c / e]])
+    return _mat2(c * e, c * e * n + s / e, -s * e, -s * e * n + c / e)
 
 
 class CoverElement:
@@ -305,14 +385,15 @@ class CoverElement:
 
     def __init__(self, base, phi, check=True):
         self.base = base
-        self.phi = float(phi)
+        self.phi = _scalar(np.asarray(phi, dtype=float))
         if check:
             theta = base.iwasawa()[0]
-            d = wrap_angle(self.phi - theta)
-            if min(abs(d), abs(abs(d) - _TWO_PI)) > PHI_TOL:
-                raise ValueError(
-                    "phi = %r is not a lift of the Iwasawa angle %r" % (phi, theta)
-                )
+            bad = np.abs(wrap_angle(self.phi - theta)) > PHI_TOL
+            if np.any(bad):
+                k = np.argmax(bad)
+                phi_k, theta_k = (float(np.ravel(v)[k]) for v in (phi, theta))
+                raise ValueError("phi = %r is not a lift of the Iwasawa "
+                                 "angle %r" % (phi_k, theta_k))
 
     # -- constructors -------------------------------------------------
 
@@ -326,17 +407,24 @@ class CoverElement:
         return cls(base, base.iwasawa()[0], check=False)
 
     @classmethod
+    def generators(cls, kinds, x):
+        """Lifts of :meth:`MobiusElement.generators`: phi is the
+        parameter of a rotation and 0 otherwise."""
+        phi = np.where(np.asarray(kinds) == 0, x, 0.0)
+        return cls(MobiusElement.generators(kinds, x), phi, check=False)
+
+    @classmethod
     def rotation(cls, t):
         """Lifted rotation; phi equals the parameter itself."""
-        return cls(MobiusElement.rotation(t), t, check=False)
+        return cls.generators(0, t)
 
     @classmethod
     def dilation(cls, s):
-        return cls(MobiusElement.dilation(s), 0.0, check=False)
+        return cls.generators(1, s)
 
     @classmethod
     def translation(cls, t):
-        return cls(MobiusElement.translation(t), 0.0, check=False)
+        return cls.generators(2, t)
 
     # -- group structure ----------------------------------------------
 
@@ -352,22 +440,22 @@ class CoverElement:
         theta(g h) - phi_g in [0, 2 pi) for theta_h > 0 and in (-2 pi, 0]
         for theta_h < 0, or the nearest residue where that bound is below
         pi; the latter keeps a theta_h that is zero up to rounding from
-        adding a full turn.
+        adding a full turn.  Two rotations add their angles.  Stacks
+        compose member by member.
         """
-        if self.base.is_rotation() and other.base.is_rotation():
-            return CoverElement(
-                self.base.compose(other.base), self.phi + other.phi, check=False
-            )
         base = self.base.compose(other.base)
         theta_h = other.base.iwasawa()[0]
-        gain = math.remainder(base.iwasawa()[0] - self.phi, _TWO_PI)
-        if abs(theta_h) * np.sum(self.base.mat ** 2) >= math.pi:
-            if theta_h > 0 and gain < 0:
-                gain += _TWO_PI
-            elif theta_h < 0 and gain > 0:
-                gain -= _TWO_PI
-        winding = _TWO_PI * round((other.phi - theta_h) / _TWO_PI)
-        return CoverElement(base, self.phi + gain + winding, check=False)
+        gain = _elementwise(math.remainder, base.iwasawa()[0] - self.phi,
+                            _TWO_PI)
+        wide = (np.abs(theta_h) * np.sum(self.base.mat ** 2, axis=(-2, -1))
+                >= math.pi)
+        gain = np.where(wide & (theta_h > 0) & (gain < 0), gain + _TWO_PI,
+                        np.where(wide & (theta_h < 0) & (gain > 0),
+                                 gain - _TWO_PI, gain))
+        winding = _TWO_PI * np.round((other.phi - theta_h) / _TWO_PI)
+        phi = np.where(self.base.is_rotation() & other.base.is_rotation(),
+                       self.phi + other.phi, self.phi + gain + winding)
+        return CoverElement(base, phi, check=False)
 
     __matmul__ = compose
 
@@ -377,9 +465,6 @@ class CoverElement:
         p0 = self.compose(lift).phi
         return CoverElement(base_inv, lift.phi - _TWO_PI * round(p0 / _TWO_PI),
                             check=False)
-
-    def project(self):
-        return self.base
 
     def __eq__(self, other):
         if not isinstance(other, CoverElement):
@@ -548,21 +633,6 @@ def dilation_conjugator(interval, third=None):
     return interval._conjugator
 
 
-def _elementwise(fn, x):
-    """``fn`` of the math module over an array.
-
-    numpy's vectorised exp and log can differ from the math module in
-    the last place, which would move the sampled residuals.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(fn, x.ravel().tolist()), float,
-                       x.size).reshape(x.shape)
-
-
-# sign pattern of the adjugate [[d, -b], [-c, a]] of [[a, b], [c, d]]
-_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
 def _flow_matrices(g, t):
     """Matrices of g delta(-t) g^{-1} for conjugators g broadcast against
     an array of times t, before normalisation."""
@@ -570,8 +640,7 @@ def _flow_matrices(g, t):
     d = np.zeros(e.shape + (2, 2))
     d[..., 0, 0] = e
     d[..., 1, 1] = 1.0 / e
-    adjugate = g[..., ::-1, ::-1].swapaxes(-1, -2) * _ADJUGATE_SIGNS
-    return g @ d @ adjugate
+    return g @ d @ _adjugate(g)
 
 
 def interval_dilation(interval, t, third=None):

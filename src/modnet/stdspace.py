@@ -16,6 +16,14 @@ on request, and no dense Delta is formed to validate it.  Residuals of
 (anti)linear operators are taken on their complex matrices through
 :class:`Operator`; a real 2n x 2n spectral norm runs only for a
 genuinely mixed operator.
+
+Subspaces, modular data and the primitives between them also take
+stacks: a basis of shape (..., 2n, k) holds one subspace per leading
+index, all of dimension k, and every matrix operation runs over the
+stack at once (numpy's ``svd`` and ``@`` loop over it in LAPACK/BLAS).
+A single subspace is a stack without leading axes, so there is one
+code path, and each member of a stack gets the same floating-point
+result as it gets alone.
 """
 
 from __future__ import annotations
@@ -47,6 +55,21 @@ GAP_WARN = 1e2
 TAKESAKI_LADDER = tuple(s * 0.1 * 2.0 ** k for k in range(7) for s in (1, -1))
 
 _TWO_PI = 2.0 * math.pi
+
+
+def _T(a):
+    """Transpose of the last two axes: of one matrix or of each of a stack."""
+    return a.swapaxes(-1, -2)
+
+
+def _common_rank(s):
+    """Numerical rank from descending singular values s (..., k), counted
+    against ``RANK_REL_TOL`` * s_max; equal over a stack, or ValueError."""
+    rank = (s > RANK_REL_TOL * s[..., :1]).sum(axis=-1)
+    ranks = set(np.ravel(rank).tolist())
+    if len(ranks) > 1:
+        raise ValueError("the members of a stack differ in rank")
+    return ranks.pop() if ranks else 0
 
 
 class HalperinNonConvergence(RuntimeError):
@@ -97,7 +120,7 @@ class ComplexSpace:
         return r[: self.n] + 1j * r[self.n:]
 
     def realify_linear(self, c_matrix):
-        """Real 2n x 2n form of a complex-linear operator."""
+        """Real 2n x 2n form of a complex-linear operator (or of a stack)."""
         c = np.asarray(c_matrix, dtype=complex)
         x, y = c.real, c.imag
         return np.block([[x, -y], [y, x]])
@@ -119,19 +142,23 @@ class ComplexSpace:
 
 
 class RealSubspace:
-    """A real-linear subspace of C^n given by an orthonormal real basis."""
+    """A real-linear subspace of C^n given by an orthonormal real basis.
+
+    A basis of shape (..., 2n, k) holds a stack of k-dimensional
+    subspaces; ``transform`` and the module's primitives act on each.
+    """
 
     __slots__ = ("parent", "basis")
 
     def __init__(self, parent, basis):
         b = np.asarray(basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] != parent.real_dim:
-            raise ValueError("basis must be a (2n x k) matrix")
-        if b.shape[1] > parent.real_dim:
+        if b.ndim < 2 or b.shape[-2] != parent.real_dim:
+            raise ValueError("basis must be a (2n x k) matrix or a stack")
+        if b.shape[-1] > parent.real_dim:
             raise ValueError("more basis columns than the real dimension")
-        if b.shape[1]:
-            gram = b.T @ b
-            if np.max(np.abs(gram - np.eye(b.shape[1]))) > INVARIANT_TOL:
+        if b.shape[-1]:
+            gram = _T(b) @ b
+            if np.max(np.abs(gram - np.eye(b.shape[-1]))) > INVARIANT_TOL:
                 raise ValueError("basis columns are not orthonormal")
         self.parent = parent
         self.basis = b
@@ -147,13 +174,14 @@ class RealSubspace:
 
     @property
     def dim(self):
-        return self.basis.shape[1]
+        return self.basis.shape[-1]
 
     def projector(self):
-        return self.basis @ self.basis.T
+        return self.basis @ _T(self.basis)
 
     def transform(self, op):
-        """Image under an orthogonal (or unitary real-form) operator."""
+        """Image under an orthogonal (or unitary real-form) operator; a
+        stack of operators maps each member of a stack of subspaces."""
         return RealSubspace(self.parent, _orthonormal_basis(op @ self.basis,
                                                             self.parent))
 
@@ -257,23 +285,30 @@ def complex_norm(parent, r_matrix):
 
 
 def _orthonormal_basis(columns, parent):
-    """Orthonormal basis of the column span, rank by relative threshold."""
+    """Orthonormal basis of the column span, rank by relative threshold.
+
+    ``columns`` may be a stack (..., 2n, k); its spans must share a rank.
+    """
     a = np.asarray(columns, dtype=float)
     if a.size == 0:
-        return np.zeros((parent.real_dim, 0))
+        return np.zeros(a.shape[:-2] + (parent.real_dim, 0))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((parent.real_dim, 0))
-    rank = int(np.sum(s > RANK_REL_TOL * s[0]))
-    return u[:, :rank]
+    return u[..., :_common_rank(s)]
 
 
 def make_subspace(vectors, parent):
-    """Real span of a family of complex vectors, as a RealSubspace."""
-    cols = [parent.embed(v) for v in vectors]
-    if not cols:
+    """Real span of a family of complex vectors, as a RealSubspace.
+
+    ``vectors`` holds k vectors of C^n, or an array (..., k, n) of
+    families, whose spans then form a stack.
+    """
+    v = np.asarray(vectors, dtype=complex)
+    if v.size == 0:
         return RealSubspace.zero(parent)
-    return RealSubspace(parent, _orthonormal_basis(np.column_stack(cols), parent))
+    if v.ndim < 2 or v.shape[-1] != parent.n:
+        raise ValueError("vectors must have n entries each")
+    cols = _T(np.concatenate([v.real, v.imag], axis=-1))
+    return RealSubspace(parent, _orthonormal_basis(cols, parent))
 
 
 def principal_angles(a, b, vectors=True):
@@ -286,19 +321,20 @@ def principal_angles(a, b, vectors=True):
     1973, Knyazev-Argentati 2002).  When k_b > k_a the surplus directions
     of span(b) have sine 1.  Returns ``(sines, v)``: ``b @ v[:, j]`` is the
     unit vector of span(b) at angle ``arcsin(sines[j])`` to span(a).  With
-    ``vectors=False`` only the sines are computed and returned.
+    ``vectors=False`` only the sines are computed and returned.  Stacks
+    of bases (..., d, k) give stacks of sines and vectors.
     """
-    r = b - a @ (a.T @ b)
+    r = b - a @ (_T(a) @ b)
     if not vectors:
-        return np.linalg.svd(r, compute_uv=False)[::-1]
+        return np.linalg.svd(r, compute_uv=False)[..., ::-1]
     _, s, vt = np.linalg.svd(r, full_matrices=False)
-    return s[::-1], vt[::-1].T
+    return s[..., ::-1], _T(vt[..., ::-1, :])
 
 
 def containment_gap(big, small):
     """Largest sine of small against big: ||(1 - P_big) B_small||."""
     sines = principal_angles(big.basis, small.basis, vectors=False)
-    return float(sines[-1]) if sines.size else 0.0
+    return sines[..., -1] if sines.shape[-1] else np.zeros(sines.shape[:-1])
 
 
 def subspace_distance(h1, h2):
@@ -307,7 +343,7 @@ def subspace_distance(h1, h2):
     Equal to the larger of the two containment gaps, so it is computed
     on the thin bases and never forms a projector.
     """
-    return max(containment_gap(h2, h1), containment_gap(h1, h2))
+    return np.maximum(containment_gap(h2, h1), containment_gap(h1, h2))
 
 
 def contains_subspace(big, small, tol=SUBSPACE_TOL):
@@ -322,40 +358,47 @@ def contains_subspace(big, small, tol=SUBSPACE_TOL):
 def symplectic_complement(h):
     """H' = {xi : Im<xi, eta> = 0 for all eta in H} = (i H)^perp."""
     if h.dim == 0:
-        return RealSubspace.full(h.parent)
+        d = h.parent.real_dim
+        full = np.broadcast_to(np.eye(d), h.basis.shape[:-1] + (d,))
+        return RealSubspace(h.parent, full)
     rotated = h.parent.J_i @ h.basis
     # null space of rotated^T: right singular vectors past the numerical
     # rank, counted against RANK_REL_TOL * max(s)
-    _, s, vt = np.linalg.svd(rotated.T)
-    rank = int(np.sum(s > RANK_REL_TOL * s[0]))
-    return RealSubspace(h.parent, vt[rank:].T)
+    _, s, vt = np.linalg.svd(_T(rotated))
+    return RealSubspace(h.parent, _T(vt[..., _common_rank(s):, :]))
 
 
 @dataclasses.dataclass(frozen=True)
 class StandardnessReport:
+    """Standardness of a subspace; of a stack, arrays over its members."""
+
     cyclic: bool
     separating: bool
     minimal_angle: float
 
     @property
     def standard(self):
-        return self.cyclic and self.separating
+        return self.cyclic & self.separating
 
 
 def _complex_basis(h):
     """B = b[:n] + i b[n:]: H is the real span of the columns of B."""
     n = h.parent.n
-    return h.basis[:n] + 1j * h.basis[n:]
+    return h.basis[..., :n, :] + 1j * h.basis[..., n:, :]
 
 
 def _standardness_of(s, h):
     """The standardness report of H from the singular values s of B."""
-    if s.size == 0:
-        return StandardnessReport(False, True, math.pi / 2)
-    cyclic = bool(np.sum(s > RANK_REL_TOL * s[0]) == h.parent.n)
-    s_min = s[-1] if h.dim <= h.parent.n else 0.0
-    minimal = 2.0 * math.asin(min(s_min / math.sqrt(2.0), 1.0))
-    return StandardnessReport(cyclic, bool(minimal > ANGLE_TOL), minimal)
+    n = h.parent.n
+    cyclic = np.sum(s > RANK_REL_TOL * s[..., :1], axis=-1) == n
+    if h.dim == 0:
+        minimal = np.full(s.shape[:-1], math.pi / 2)
+    else:
+        s_min = s[..., -1] if h.dim <= n else np.zeros(s.shape[:-1])
+        minimal = 2.0 * np.arcsin(np.minimum(s_min / math.sqrt(2.0), 1.0))
+    # [()] turns the 0-d results of a single subspace into scalars
+    return StandardnessReport(cyclic[()], (minimal > ANGLE_TOL)[()],
+                              minimal[()])
 
 
 def standardness(h):
@@ -398,6 +441,10 @@ class ModularData:
     Validated at construction: finite data, V unitary, J orthogonal and
     involutive, and J Delta J = Delta^{-1}; Delta > 0 by construction.
     Real forms, flows, powers and S are formed only on request.
+
+    Arrays (..., n, n), (..., n) and (..., n, n) hold a stack of modular
+    data; each invariant is then required of every member, and the
+    properties and methods return stacks.
     """
 
     __slots__ = ("parent", "vecs", "log_delta", "jc")
@@ -407,26 +454,29 @@ class ModularData:
         lam = np.asarray(log_delta, dtype=float)
         jc = np.asarray(jc, dtype=complex)
         n = parent.n
-        if vecs.shape != (n, n) or jc.shape != (n, n) or lam.shape != (n,):
+        if (vecs.shape[-2:] != (n, n) or jc.shape != vecs.shape
+                or lam.shape != vecs.shape[:-1]):
             raise ValueError("V and jc must be n x n, log Delta of length n")
         if not all(np.isfinite(a).all() for a in (vecs, lam, jc)):
             raise ValueError("modular invariant violated: finite data")
-        order = np.argsort(lam, kind="stable")
-        vecs, lam = vecs[:, order], lam[order]
+        order = np.argsort(lam, axis=-1, kind="stable")
+        vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+        lam = np.take_along_axis(lam, order, axis=-1)
         eye = np.eye(n)
+        vh = _T(vecs.conj())
         # errors are the largest real-form entries of the residuals
         _require({
-            "V unitary": _max_entry(vecs.conj().T @ vecs - eye),
-            "J orthogonal": _max_entry(jc.conj().T @ jc - eye),
+            "V unitary": _max_entry(vh @ vecs - eye),
+            "J orthogonal": _max_entry(_T(jc.conj()) @ jc - eye),
             "J involutive": _max_entry(jc @ jc.conj() - eye),
         }, atol)
         # balance: X = V* jc conj(V) may couple lambda_i only with
         # -lambda_i.  J Delta^{1/2} = Delta^{-1/2} J reads X_ij e^{lambda_j/2}
         # = e^{-lambda_i/2} X_ij; its defect relative to the entry's size
         # is |X_ij tanh((lambda_i + lambda_j) / 4)|, free of any scale
-        x = vecs.conj().T @ jc @ vecs.conj()
+        x = vh @ jc @ vecs.conj()
         rel = float(np.max(np.abs(x) * np.abs(np.tanh(
-            (lam[:, None] + lam[None, :]) / 4.0))))
+            (lam[..., :, None] + lam[..., None, :]) / 4.0))))
         if not rel <= BALANCE_TOL:
             raise ValueError("modular invariant violated: J Delta J = "
                              f"Delta^-1 (relative error {rel:.3e})")
@@ -456,7 +506,7 @@ class ModularData:
 
     @property
     def delta_norm(self):
-        return float(np.exp(self.log_delta[-1]))
+        return np.exp(self.log_delta[..., -1])
 
     @property
     def J(self):
@@ -469,7 +519,8 @@ class ModularData:
     def power(self, z):
         """Delta^z = V diag(e^{z log Delta}) V* as a complex n x n matrix;
         z = i t gives the modular unitary Delta^{it}."""
-        return (self.vecs * np.exp(z * self.log_delta)) @ self.vecs.conj().T
+        scaled = self.vecs * np.exp(z * self.log_delta)[..., None, :]
+        return scaled @ _T(self.vecs.conj())
 
     def delta_power(self, p):
         """Delta^p as a real (complex-linear) matrix, p real."""
@@ -482,8 +533,8 @@ class ModularData:
     def tomita_matrix(self):
         """Complex matrix jc conj(V) e^{log Delta / 2} V^T of S = J
         Delta^{1/2}: S xi = tomita_matrix() conj(xi)."""
-        half = self.vecs.conj() * np.exp(self.log_delta / 2.0)
-        return self.jc @ half @ self.vecs.T
+        half = self.vecs.conj() * np.exp(self.log_delta / 2.0)[..., None, :]
+        return self.jc @ half @ _T(self.vecs)
 
     def tomita(self):
         """S = J Delta^{1/2}, in real form."""
@@ -506,22 +557,24 @@ def modular_data(h):
         log Delta = 2 log(s' / s) on the columns of U (ascending),
         J = U s M s'^{-1} U^T conj,  S = U s M s^{-1} U^T conj.
 
-    The cyclic/separating gate reads the same singular values.
+    The cyclic/separating gate reads the same singular values.  A stack
+    of subspaces gives stacks of S and of modular data, and is refused
+    if any member is not standard.
     """
     u, s, wh = np.linalg.svd(_complex_basis(h))
     rep = _standardness_of(s, h)
-    if not rep.cyclic:
+    if not rep.cyclic.all():
         raise ValueError("subspace is not cyclic: H + iH does not span")
-    if not rep.separating:
+    if not rep.separating.all():
         raise ValueError(
             "subspace is not separating: H meets iH at angle "
-            f"{rep.minimal_angle:.3e}"
+            f"{np.min(rep.minimal_angle):.3e}"
         )
-    pair = s[::-1]
-    a = (u * s) @ (wh @ wh.T)       # W* conj(W) = wh wh^T
+    pair = s[..., ::-1]
+    a = (u * s[..., None, :]) @ (wh @ _T(wh))   # W* conj(W) = wh wh^T
     md = ModularData(h.parent, u, 2.0 * np.log(pair / s),
-                     (a / pair) @ u.T)
-    return h.parent.realify_antilinear((a / s) @ u.T), md
+                     (a / pair[..., None, :]) @ _T(u))
+    return h.parent.realify_antilinear((a / s[..., None, :]) @ _T(u)), md
 
 
 def subspace_from_modular(m):

@@ -18,6 +18,7 @@ import pytest
 
 from modnet import cli
 from modnet import mobius
+from modnet import stdspace
 
 
 def _write_config(tmp_path, name, payload):
@@ -243,14 +244,13 @@ def _verify_mobius_one_draw_at_a_time(cfg, rng):
     for _ in range(max(1, samples // 10)):
         params = rng.uniform(-1.5, 1.5, size=3)
         picks = rng.integers(3, size=3)
-        lifted = cover_factories[picks[0]](params[0])
-        base = factories[picks[0]](params[0])
-        for k in (1, 2):
-            lifted = lifted.compose(cover_factories[picks[k]](params[k]))
-            base = base.compose(factories[picks[k]](params[k]))
-        a, b = lifted.project().mat, base.mat
-        worst_cover = max(worst_cover, min(
-            np.max(np.abs(a - b)), np.max(np.abs(a + b))))
+        g1, g2, g3 = (cover_factories[picks[k]](params[k]) for k in range(3))
+        lifted = g1.compose(g2).compose(g3)
+        _, a, n = lifted.base.iwasawa()
+        kan, base = mobius.kan_matrix(lifted.phi, a, n), lifted.base.mat
+        worst_cover = max(
+            worst_cover, abs(lifted.phi - g1.compose(g2.compose(g3)).phi),
+            min(np.max(np.abs(kan - base)), np.max(np.abs(kan + base))))
     return {"mobius-commutation": worst_comm, "mobius-group-law": worst_law,
             "mobius-cover-consistency": worst_cover}
 
@@ -272,6 +272,76 @@ def test_verify_stdspace_passes(tmp_path):
                         {"dim": 6, "samples": 6})
     assert code == cli.EXIT_OK
     assert len(report["checks"]) == 6
+
+
+def _verify_stdspace_one_sample_at_a_time(cfg, rng):
+    """The verify-stdspace runner drawing and checking one span at a time;
+    returns its results and the number of spans drawn."""
+    parent = stdspace.ComplexSpace(cfg["dim"])
+    n = parent.n
+    worst = dict.fromkeys(cli.CHECKS["verify-stdspace"], 0.0)
+    drawn = 0
+    for _ in range(cfg["samples"]):
+        while True:
+            vecs = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            h = stdspace.make_subspace(list(vecs), parent)
+            drawn += 1
+            rep = stdspace.standardness(h)
+            if rep.standard and rep.minimal_angle > 0.05:
+                break
+        s_real, md = stdspace.modular_data(h)
+        dual = stdspace.symplectic_complement(h)
+        s_dual, _ = stdspace.modular_data(dual)
+        eye = np.eye(parent.real_dim)
+        j, delta = md.J, md.Delta
+        values = {
+            "stdspace-tomita-involution": [
+                np.linalg.norm(s_real @ s_real - eye, 2)],
+            "stdspace-modular-balance": [
+                np.linalg.norm(j @ delta @ j @ delta - eye, 2)
+                / md.delta_norm],
+            "stdspace-dual-tomita": [np.linalg.norm(s_dual - s_real.T, 2)],
+            "stdspace-conjugate-complement": [
+                stdspace.subspace_distance(h.transform(j), dual)],
+            "stdspace-flow-invariance": [
+                stdspace.subspace_distance(h.transform(md.delta_it(t)), h)
+                for t in (0.37, 1.23)],
+            "stdspace-double-dual": [stdspace.subspace_distance(
+                stdspace.symplectic_complement(dual), h)],
+        }
+        for name, vals in values.items():
+            worst[name] = max(worst[name], *vals)
+    return worst, drawn
+
+
+@pytest.mark.parametrize("dim,samples,seed,rejects", [
+    (8, 50, 0, False), (8, 50, 7, True), (3, 4, 1, False), (24, 3, 2, True),
+    (24, 6, 3, True), (1, 2, 5, False)])
+def test_verify_stdspace_draws_as_one_sample_at_a_time(dim, samples, seed,
+                                                       rejects):
+    # the samples run as one stack; every draw is one the per-sample loop
+    # makes too, rejected ones included, and each sample gets the digits
+    # it gets alone
+    cfg = {"dim": dim, "samples": samples}
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, _ = cli._run_verify_stdspace(cfg, rng, 1.0)
+    want, drawn = _verify_stdspace_one_sample_at_a_time(cfg, ref_rng)
+    assert got == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert (drawn > samples) == rejects
+
+
+def test_verify_stdspace_caps_its_draws(tmp_path, capsys):
+    # at dim 128 random spans meet iH below the 0.05 rad floor almost
+    # always; the command stops after its draw cap instead of looping on
+    code, report = _run(tmp_path, "verify-stdspace",
+                        {"dim": 128, "samples": 1})
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert report is None
+    err = capsys.readouterr().err
+    assert "dim 128" in err
+    assert (f"accepted 0 of 1 samples in {cli.STDSPACE_DRAWS_PER_SAMPLE} "
+            "draws") in err
 
 
 def test_bgl_axioms_chiral_passes(tmp_path):

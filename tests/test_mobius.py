@@ -266,9 +266,11 @@ def test_circle_matrix_and_inverse_are_formed_once():
     g = random_element(rng)
     circle = mobius._CAYLEY @ g.mat.astype(complex) @ mobius._CAYLEY_INV
     z = complex(math.cos(0.4), math.sin(0.4))
-    w = (circle[0, 0] * z + circle[0, 1]) / (circle[1, 0] * z + circle[1, 1])
-    assert g.act_circle(z) == w / abs(w)
-    assert g.act_circle(z) == w / abs(w)
+    # the action runs on arrays (a stack of one), never on numpy scalars
+    zs = np.array([z])
+    w = (circle[0, 0] * zs + circle[0, 1]) / (circle[1, 0] * zs + circle[1, 1])
+    assert g.act_circle(z) == (w / np.abs(w))[0]
+    assert g.act_circle(z) == (w / np.abs(w))[0]
     a, b, c, d = g.mat.ravel()
     assert g.inverse() is g.inverse()
     assert np.array_equal(g.inverse().mat,
@@ -278,6 +280,59 @@ def test_circle_matrix_and_inverse_are_formed_once():
     assert np.array_equal(
         dilation_conjugator(i).mat,
         mobius_through(i.left, i.midpoint(), i.right).mat)
+
+
+_SINGLE_GENERATORS = (MobiusElement.rotation, MobiusElement.dilation,
+                      MobiusElement.translation)
+_COVER_GENERATORS = (CoverElement.rotation, CoverElement.dilation,
+                     CoverElement.translation)
+
+
+def test_stacked_elements_match_single_elements():
+    # products, inverses, the circle action, the Iwasawa decomposition,
+    # K A N matrices and the cover lift act member by member and give
+    # each member exactly its single-element result
+    rng = np.random.default_rng(53)
+    kinds = rng.integers(3, size=(6, 3))
+    x = rng.uniform(-2.0, 2.0, size=(6, 3))
+    x[0] = 2.8                              # rotations past a half turn
+    kinds[0] = 0
+    u = rng.uniform(-math.pi, math.pi, size=(6, 5))
+    letters = [MobiusElement.generators(kinds[:, k, None], x[:, k, None])
+               for k in range(3)]
+    prod = letters[0] @ letters[1] @ letters[2]
+    acted = prod.act_angle(u)
+    inv = prod.inverse()
+    theta, a, n = prod.iwasawa()
+    kan = kan_matrix(theta, a, n)
+    lifts = [CoverElement.generators(kinds[:, k], x[:, k]) for k in range(3)]
+    lifted = (lifts[0] @ lifts[1]) @ lifts[2]
+    assert prod.mat.shape == (6, 1, 2, 2) and acted.shape == (6, 5)
+    for i in range(6):
+        singles = [_SINGLE_GENERATORS[kinds[i, k]](x[i, k]) for k in range(3)]
+        for k in range(3):
+            assert np.array_equal(letters[k].mat[i, 0], singles[k].mat)
+        one = singles[0] @ singles[1] @ singles[2]
+        assert np.array_equal(prod.mat[i, 0], one.mat)
+        assert np.array_equal(inv.mat[i, 0], one.inverse().mat)
+        assert [one.act_angle(v) for v in u[i]] == list(acted[i])
+        assert (theta[i, 0], a[i, 0], n[i, 0]) == one.iwasawa()
+        assert np.array_equal(kan[i, 0], kan_matrix(*one.iwasawa()))
+        assert bool(prod.is_rotation()[i, 0]) == bool(one.is_rotation())
+        covers = [_COVER_GENERATORS[kinds[i, k]](x[i, k]) for k in range(3)]
+        one_lift = (covers[0] @ covers[1]) @ covers[2]
+        assert lifted.phi[i] == one_lift.phi
+        assert np.array_equal(lifted.base.mat[i], one_lift.base.mat)
+    assert np.all(lifted.phi[0] == 3 * 2.8)
+
+
+def test_generators_refuse_bad_parameters():
+    for kind, name in enumerate(mobius.GENERATORS):
+        with pytest.raises(ValueError, match=f"{name} parameter must be "
+                                             "finite"):
+            MobiusElement.generators([kind, kind], [0.5, math.nan])
+    with pytest.raises(ValueError, match="generator kinds"):
+        MobiusElement.generators([0, 3], [0.5, 0.5])
 
 
 def test_cover_inverse():

@@ -384,6 +384,96 @@ def test_eigen_form_validation_messages():
         ModularData.from_dense(sp, np.full((4, 4), np.nan), np.eye(4))
 
 
+def test_every_eigen_form_violation_raises_on_any_member_of_a_stack():
+    sp = ComplexSpace(2)
+    eye = np.eye(2)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    lam = np.array([1.0, -1.0])
+    good = (eye, lam, swap)
+    stacked = ModularData(sp, *(np.stack([a] * 3) for a in good))
+    assert np.array_equal(stacked.log_delta, [[-1.0, 1.0]] * 3)
+    assert np.array_equal(stacked.delta_norm, [math.e] * 3)
+    violations = {
+        "finite data": (eye, np.array([np.inf, 1.0]), swap),
+        "V unitary": (2.0 * eye, lam, swap),
+        "J orthogonal": (eye, lam, 2.0 * swap),
+        "J involutive": (eye, lam, np.array([[0.0, 1.0], [-1.0, 0.0]])),
+        "J Delta J = Delta^-1": (eye, np.array([-1.0, 2.0]), swap),
+    }
+    for name, bad in violations.items():
+        for k in range(3):
+            members = [good] * 3
+            members[k] = bad
+            args = (np.stack(parts) for parts in zip(*members))
+            with pytest.raises(ValueError, match=re.escape(name)):
+                ModularData(sp, *args)
+    with pytest.raises(ValueError, match="n x n"):
+        ModularData(sp, np.stack([eye] * 3), np.stack([lam] * 2),
+                    np.stack([swap] * 3))
+
+
+def _stack_of(subspaces):
+    return RealSubspace(subspaces[0].parent,
+                        np.stack([h.basis for h in subspaces]))
+
+
+def test_stacked_primitives_match_single_calls():
+    # a stack is evaluated in one LAPACK/BLAS call per step, and each
+    # member gets exactly what it gets alone
+    rng = np.random.default_rng(43)
+    sp = ComplexSpace(4)
+    hs = [random_standard(rng, sp) for _ in range(3)]
+    ks = [random_subspace(rng, sp, 3) for _ in range(3)]
+    h, k = _stack_of(hs), _stack_of(ks)
+    s_op, md = modular_data(h)
+    dual = symplectic_complement(h)
+    rep = standardness(h)
+    sines, vecs = principal_angles(h.basis, k.basis)
+    moved = h.transform(md.delta_it(0.7))
+    dist = subspace_distance(moved, k)
+    for i, (hi, ki) in enumerate(zip(hs, ks)):
+        s_one, md_one = modular_data(hi)
+        assert np.array_equal(s_op[i], s_one)
+        for field in ("vecs", "log_delta", "jc"):
+            assert np.array_equal(getattr(md, field)[i],
+                                  getattr(md_one, field))
+        assert md.delta_norm[i] == md_one.delta_norm
+        assert np.array_equal(md.J[i], md_one.J)
+        assert np.array_equal(md.tomita()[i], md_one.tomita())
+        assert np.array_equal(dual.basis[i], symplectic_complement(hi).basis)
+        rep_one = standardness(hi)
+        assert (rep.cyclic[i], rep.separating[i], rep.minimal_angle[i]) == (
+            rep_one.cyclic, rep_one.separating, rep_one.minimal_angle)
+        sines_one, vecs_one = principal_angles(hi.basis, ki.basis)
+        assert np.array_equal(sines[i], sines_one)
+        assert np.array_equal(vecs[i], vecs_one)
+        moved_one = hi.transform(md_one.delta_it(0.7))
+        assert np.array_equal(moved.basis[i], moved_one.basis)
+        assert dist[i] == subspace_distance(moved_one, ki)
+    # a stack of one is a stack like any other
+    s_first, md_first = modular_data(_stack_of(hs[:1]))
+    assert np.array_equal(s_first[0], s_op[0])
+    assert np.array_equal(md_first.vecs[0], md.vecs[0])
+
+
+def test_stacks_refuse_mixed_members():
+    rng = np.random.default_rng(47)
+    sp = ComplexSpace(3)
+    vecs = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    assert make_subspace(vecs, sp).basis.shape == (2, 6, 3)
+    vecs[1, 2] = vecs[1, 0]
+    with pytest.raises(ValueError, match="differ in rank"):
+        make_subspace(vecs, sp)
+    # a stack is standard only if every member is
+    h = _stack_of([random_standard(rng, sp), real_slice(sp),
+                   make_subspace([np.array([1.0, 0, 0]),
+                                  np.array([1j, 0, 0]),
+                                  np.array([0, 1.0, 0])], sp)])
+    assert list(standardness(h).standard) == [True, True, False]
+    with pytest.raises(ValueError, match="not cyclic"):
+        modular_data(h)
+
+
 def test_invariant_errors_are_the_real_form_entries():
     # the complex-form checks report the largest entry of the real-form
     # residuals J^T J - 1, J J - 1 and Delta - Delta^T
