@@ -38,8 +38,6 @@ import numpy as np
 
 INF = math.inf
 
-#: tolerance for the unit-determinant invariant
-DET_TOL = 1e-12
 #: tolerance used by equality tests on canonical matrices
 EQ_TOL = 1e-9
 #: consistency tolerance between phi and the Iwasawa angle of the base
@@ -665,8 +663,8 @@ def interval_dilation(interval, t, third=None):
 #: ``halfline_shifted`` is (R_+, R_+ + 1) (endpoint shared on the right).
 COMMUTATION_PAIRS = ("halfline_bounded", "halfline_shifted")
 
-# per pair: the sign sigma of the parameter map (see _log_argument), the
-# pair's name in messages, and the line endpoints of (I, J)
+# per pair: the sign sigma of the parameter map (see _pair_parameters),
+# the pair's name in messages, and the line endpoints of (I, J)
 _PAIRS = {
     "halfline_bounded": (1.0, "(R_+, (0,1))", ((0.0, INF), (0.0, 1.0))),
     "halfline_shifted": (-1.0, "(R_+, R_+ + 1)", ((0.0, INF), (1.0, INF))),
@@ -680,16 +678,13 @@ def _pair(pair):
         raise ValueError(f"unknown pair {pair!r}") from None
 
 
-def _log_argument(t, s, sign, exp):
-    """e^{sigma (t+s)} + 1 - e^{sigma t}; s' is sigma times its log."""
-    return exp(sign * (t + s)) + 1.0 - exp(sign * t)
-
-
 def _pair_parameters(t, s, pair):
     """Admissibility mask and (s', t') of the admissible entries, for
-    1-d arrays t and s."""
+    1-d arrays t and s: s' is sigma log(e^{sigma (t+s)} + 1 - e^{sigma t})
+    where that argument is positive, and t' = t + s - s'."""
     sign = _pair(pair)[0]
-    arg = _log_argument(t, s, sign, functools.partial(_elementwise, math.exp))
+    arg = (_elementwise(math.exp, sign * (t + s)) + 1.0
+           - _elementwise(math.exp, sign * t))
     # a NaN argument is not inadmissible: it fails later, as a matrix
     admissible = ~(arg <= 0.0)
     s_p = sign * _elementwise(math.log, arg[admissible])
@@ -699,15 +694,15 @@ def _pair_parameters(t, s, pair):
 def commutation_parameters(t, s, pair):
     """Parameters (s', t') with Lambda_I(t) Lambda_J(s) = Lambda_J(s') Lambda_I(t').
 
-    Raises :class:`MobiusDomainError` outside the admissible domain.
+    One draw of :func:`_pair_parameters`; raises
+    :class:`MobiusDomainError` outside the admissible domain.
     """
-    sign, name, _ = _pair(pair)
-    arg = _log_argument(t, s, sign, math.exp)
-    if arg <= 0.0:
+    admissible, s_p, t_p = _pair_parameters(np.array([float(t)]),
+                                            np.array([float(s)]), pair)
+    if not admissible[0]:
         raise MobiusDomainError(
-            f"inadmissible parameters for the {name} relation")
-    s_p = sign * math.log(arg)
-    return s_p, t + s - s_p
+            f"inadmissible parameters for the {_pair(pair)[1]} relation")
+    return float(s_p[0]), float(t_p[0])
 
 
 @functools.lru_cache(maxsize=None)

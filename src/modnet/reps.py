@@ -5,8 +5,7 @@ shifts), massive fibers on periodic rapidity grids (so boosts are exact
 cyclic shifts); translations are diagonal phase multiplications in either
 picture.  All shift actions carry the quadrature-weight Jacobian
 sqrt(w_src / w_dst) per slot, which makes them exactly unitary for the
-grid inner product -- including the wrap-around slots, whose contribution
-is quantified separately by :func:`boundary_leakage`.  Every action is
+grid inner product, including the wrap-around slots.  Every action is
 elementwise along the vector axes, so :func:`apply` also acts on a
 stack of vectors held as a trailing column axis.
 """
@@ -97,8 +96,7 @@ class RapidityGrid:
                 f"theta0={self.theta0}, mass={self.mass})")
 
 
-KINDS = ("chiral", "massive", "productChiralSum", "productChiralTensor",
-         "directIntegral")
+KINDS = ("chiral", "massive", "productChiralSum", "directIntegral")
 
 
 class LatticeRep:
@@ -130,8 +128,6 @@ class LatticeRep:
             return (self.grids[0].n,)
         if self.kind == "productChiralSum":
             return (self.grids[0].n + self.grids[1].n,)
-        if self.kind == "productChiralTensor":
-            return (self.grids[0].n, self.grids[1].n)
         return (len(self.grids), self.grids[0].n)
 
     def weight_array(self):
@@ -141,8 +137,6 @@ class LatticeRep:
         if self.kind == "productChiralSum":
             return np.concatenate([self.grids[0].weights,
                                    self.grids[1].weights])
-        if self.kind == "productChiralTensor":
-            return np.outer(self.grids[0].weights, self.grids[1].weights)
         theta_w = self.grids[0].weights
         return self.mass_weights[:, None] * theta_w[None, :]
 
@@ -177,7 +171,7 @@ def build_rep(params: Mapping) -> LatticeRep:
     """Build a lattice representation from a configuration mapping.
 
     Recognized kinds: chiral {n, h, u0}; massive {n, h, theta0, mass};
-    productChiralSum / productChiralTensor {left, right}; directIntegral
+    productChiralSum {left, right}; directIntegral
     {mass_min, mass_max, mass_count, theta: {n, h, theta0},
     spacing: "uniform" | "geometric"}.
     """
@@ -188,7 +182,7 @@ def build_rep(params: Mapping) -> LatticeRep:
         grid = RapidityGrid(params["n"], params["h"], params["theta0"],
                             params["mass"])
         return LatticeRep(kind, (grid,))
-    if kind in ("productChiralSum", "productChiralTensor"):
+    if kind == "productChiralSum":
         return LatticeRep(kind, (_chiral_grid(params["left"]),
                                  _chiral_grid(params["right"])))
     if kind == "directIntegral":
@@ -278,25 +272,21 @@ def _pair_of(g):
 # ---------------------------------------------------------------------------
 
 
-def _weighted_shift(weights, xi, k, axis=0):
-    """Cyclic shift by k source slots with the exact measure Jacobian."""
+def _weighted_shift(weights, xi, k):
+    """Cyclic shift by k source slots along the first axis, with the exact
+    measure Jacobian."""
     if k == 0:
         return xi.copy()
     src = np.roll(np.arange(weights.size), -k)
     jac = np.sqrt(weights[src] / weights)
-    out = np.take(xi, src, axis=axis)
-    shape = [1] * out.ndim
-    shape[axis] = weights.size
-    return out * jac.reshape(shape)
+    return xi[src] * jac.reshape((weights.size,) + (1,) * (xi.ndim - 1))
 
 
-def _chiral_factor_action(grid, aff, xi, axis=0):
+def _chiral_factor_action(grid, aff, xi):
     k = _shift_steps(aff.sigma, grid.h, "dilation")
-    out = _weighted_shift(grid.weights, xi, k, axis=axis)
+    out = _weighted_shift(grid.weights, xi, k)
     phase = np.exp(1j * aff.t * grid.momenta)
-    shape = [1] * out.ndim
-    shape[axis] = grid.n
-    return out * phase.reshape(shape)
+    return out * phase.reshape((grid.n,) + (1,) * (out.ndim - 1))
 
 
 def _massive_fiber_action(grid, t_l, t_r, boost, xi):
@@ -343,10 +333,6 @@ def apply(rep: LatticeRep, g, xi):
         out[gl.n:] = _chiral_factor_action(gr, right, xi[gl.n:])
         return out
 
-    if rep.kind == "productChiralTensor":
-        out = _chiral_factor_action(rep.grids[0], left, xi, axis=0)
-        return _chiral_factor_action(rep.grids[1], right, out, axis=1)
-
     # massive kinds: split delta(s_L) x delta(s_R) into a boost
     # (antisymmetric part) and an overall dilation (symmetric part)
     boost = (right.sigma - left.sigma) / 2.0
@@ -372,116 +358,5 @@ def apply(rep: LatticeRep, g, xi):
             )
         hm = math.log(rep.grids[1].mass / rep.grids[0].mass)
         k = _shift_steps(dilation, hm, "dilation")
-        out = _weighted_shift(rep.mass_weights, out, k, axis=0)
+        out = _weighted_shift(rep.mass_weights, out, k)
     return out
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------------
-
-
-def central_support_mask(rep):
-    """Boolean array marking the central half along wrap-prone axes.
-
-    Vectors supported here see no wrap-around under moderate shifts, so
-    on them the cyclic actions agree with the continuum formulas; this
-    is the support requirement for every approximate-model test vector.
-    """
-
-    def inner_mask(n):
-        m = np.zeros(n, dtype=bool)
-        m[n // 4:(3 * n) // 4] = True
-        return m
-
-    if rep.kind in ("chiral", "massive"):
-        return inner_mask(rep.grids[0].n)
-    if rep.kind == "productChiralSum":
-        gl, gr = rep.grids
-        return np.concatenate([inner_mask(gl.n), inner_mask(gr.n)])
-    if rep.kind == "productChiralTensor":
-        return (inner_mask(rep.grids[0].n)[:, None]
-                & inner_mask(rep.grids[1].n)[None, :])
-    mask = np.broadcast_to(inner_mask(rep.grids[0].n)[None, :],
-                           rep.shape).copy()
-    if rep.mass_spacing == "geometric":
-        mask &= inner_mask(len(rep.grids))[:, None]
-    return mask
-
-
-def boundary_leakage(rep, xi):
-    """Norm fraction outside the central half along wrap-prone axes.
-
-    Shift actions are exactly unitary but wrap cyclically; a vector with
-    mass near the grid boundary sees unphysical wrap-around, so every
-    approximate-model check should report this number alongside.
-    """
-    xi = np.asarray(xi, dtype=complex)
-    w = rep.weight_array()
-    total = float(np.sum(w * np.abs(xi) ** 2))
-    if total == 0.0:
-        return 0.0
-    leaked = float(np.sum((w * np.abs(xi) ** 2)[~central_support_mask(rep)]))
-    return math.sqrt(leaked / total)
-
-
-# ---------------------------------------------------------------------------
-# the product <-> direct integral identification
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class IdentificationReport:
-    norm_source: float
-    norm_target: float
-    coverage: float
-
-    @property
-    def norm_ratio(self):
-        return self.norm_target / self.norm_source if self.norm_source else 1.0
-
-
-def product_to_direct_integral(xi, source: LatticeRep, target: LatticeRep):
-    """Resample a tensor vector onto the (mass, rapidity) fibration.
-
-    The change of variables 2 p_L p_R = m^2, p_1 = (p_L - p_R)/sqrt(2)
-    reads u_L = log(m/sqrt 2) + theta, u_R = log(m/sqrt 2) - theta in log
-    coordinates, where it is sampled by bilinear interpolation; the
-    factor 2 makes the continuum map an isometry for the uniform mass
-    measure dm/4 used by directIntegral grids.  Returns the resampled
-    vector and a report with the measured norm ratio and the fraction of
-    target weight whose preimage lies inside the source grid.
-    """
-    if source.kind != "productChiralTensor":
-        raise ValueError("source must be a productChiralTensor rep")
-    if target.kind != "directIntegral":
-        raise ValueError("target must be a directIntegral rep")
-    xi = np.asarray(xi, dtype=complex)
-    if xi.shape != source.shape:
-        raise ValueError("vector does not match the source grids")
-    gl, gr = source.grids
-    masses = np.array([g.mass for g in target.grids])
-    theta = target.grids[0].theta
-    log_m = np.log(masses / _SQRT2)
-    u_l = log_m[:, None] + theta[None, :]
-    u_r = log_m[:, None] - theta[None, :]
-
-    def sample(u, grid):
-        x = (u - grid.u0) / grid.h
-        inside = (x >= 0.0) & (x <= grid.n - 1)
-        x = np.clip(x, 0.0, grid.n - 1)
-        j = np.minimum(x.astype(int), grid.n - 2)
-        return j, x - j, inside
-
-    jl, fl, in_l = sample(u_l, gl)
-    jr, fr, in_r = sample(u_r, gr)
-    vals = ((1 - fl) * (1 - fr) * xi[jl, jr]
-            + fl * (1 - fr) * xi[jl + 1, jr]
-            + (1 - fl) * fr * xi[jl, jr + 1]
-            + fl * fr * xi[jl + 1, jr + 1])
-    inside = in_l & in_r
-    out = np.where(inside, 2.0 * vals, 0.0)
-    w = target.weight_array()
-    coverage = float(np.sum(w[inside]) / np.sum(w))
-    return out, IdentificationReport(source.norm(xi), target.norm(out),
-                                     coverage)

@@ -12,10 +12,10 @@ with basis b is the real span of the columns of B = b[:n] + i b[n:].
 One SVD of B gives its standardness and, by the Rieffel-van Daele
 formulas, its whole modular data, held in eigen form (eigenvectors V,
 ascending log Delta, the complex matrix of J); real forms are built only
-on request, and no dense Delta is formed to validate it.  Residuals of
-(anti)linear operators are taken on their complex matrices through
-:class:`Operator`; a real 2n x 2n spectral norm runs only for a
-genuinely mixed operator.
+on request, and no dense Delta is formed to validate it.  Operators
+pass between modules as complex n x n matrices, and their residuals
+are taken there; an operator is realified only to move a
+:class:`RealSubspace`.
 
 Subspaces, modular data and the primitives between them also take
 stacks: a basis of shape (..., 2n, k) holds one subspace per leading
@@ -45,16 +45,8 @@ SUBSPACE_TOL = 1e-8
 #: smallest principal-angle sine counted as nonzero (separating test,
 #: exact intersections)
 ANGLE_TOL = 1e-8
-#: Frobenius ratio below which one of the linear / antilinear parts of a
-#: real-form operator is negligible, so its norm is taken in complex form
-STRUCTURE_TOL = 1e-13
 #: kernel-extraction conditioning gap below which a warning is issued
 GAP_WARN = 1e2
-
-#: logarithmic ladder of modular flow times used by takesaki_check
-TAKESAKI_LADDER = tuple(s * 0.1 * 2.0 ** k for k in range(7) for s in (1, -1))
-
-_TWO_PI = 2.0 * math.pi
 
 
 def _T(a):
@@ -158,7 +150,8 @@ class RealSubspace:
             raise ValueError("more basis columns than the real dimension")
         if b.shape[-1]:
             gram = _T(b) @ b
-            if np.max(np.abs(gram - np.eye(b.shape[-1]))) > INVARIANT_TOL:
+            # "not <=" refuses a NaN error too
+            if not np.max(np.abs(gram - np.eye(b.shape[-1]))) <= INVARIANT_TOL:
                 raise ValueError("basis columns are not orthonormal")
         self.parent = parent
         self.basis = b
@@ -201,87 +194,6 @@ def _max_entry(c):
     """Largest entry of the real form of a complex matrix: the largest
     modulus of its real and imaginary parts."""
     return np.maximum(np.max(np.abs(c.real)), np.max(np.abs(c.imag)))
-
-
-class Operator:
-    """A real-form operator on C^n, held as its complex matrix if it has one.
-
-    ``kind`` is ``"linear"`` (real form realify_linear(mat)),
-    ``"antilinear"`` (realify_antilinear(mat), the map xi -> mat conj(xi))
-    or ``"real"`` (mat is the real 2n x 2n form of a mixed operator).
-    Products, differences and transposes of complex forms stay complex;
-    an operand of kind ``"real"`` turns the result real.
-    """
-
-    __slots__ = ("parent", "mat", "kind")
-
-    def __init__(self, parent, mat, kind="linear"):
-        self.parent = parent
-        self.mat = mat
-        self.kind = kind
-
-    @classmethod
-    def of(cls, parent, r_matrix):
-        """The operator with real form R, in complex form when it has one.
-
-        Block averages split R uniquely into realify_linear(L) +
-        realify_antilinear(A).  When one part is negligible (Frobenius
-        ratio at most ``STRUCTURE_TOL``) R is taken as the other part's
-        complex matrix; otherwise it stays real.
-        """
-        r = np.asarray(r_matrix, dtype=float)
-        lin, anti = _split(parent, r)
-        f_lin, f_anti = np.linalg.norm(lin), np.linalg.norm(anti)
-        if f_anti <= STRUCTURE_TOL * f_lin:
-            return cls(parent, lin, "linear")
-        if f_lin <= STRUCTURE_TOL * f_anti:
-            return cls(parent, anti, "antilinear")
-        return cls(parent, r, "real")
-
-    def real(self):
-        """The real 2n x 2n form."""
-        if self.kind == "linear":
-            return self.parent.realify_linear(self.mat)
-        if self.kind == "antilinear":
-            return self.parent.realify_antilinear(self.mat)
-        return self.mat
-
-    def __matmul__(self, other):
-        if "real" in (self.kind, other.kind):
-            return Operator(self.parent, self.real() @ other.real(), "real")
-        # mat conj(other conj(xi)) = mat conj(other) xi
-        right = other.mat.conj() if self.kind == "antilinear" else other.mat
-        kind = "linear" if self.kind == other.kind else "antilinear"
-        return Operator(self.parent, self.mat @ right, kind)
-
-    def __sub__(self, other):
-        if self.kind == other.kind:
-            return Operator(self.parent, self.mat - other.mat, self.kind)
-        return Operator(self.parent, self.real() - other.real(), "real")
-
-    @property
-    def T(self):
-        """Transpose of the real form: the adjoint for a linear operator,
-        xi -> mat^T conj(xi) for an antilinear one."""
-        if self.kind == "linear":
-            return Operator(self.parent, self.mat.conj().T, "linear")
-        return Operator(self.parent, self.mat.T, self.kind)
-
-    def norm(self):
-        """Spectral norm of the real form (that of the complex matrix)."""
-        return float(np.linalg.norm(self.mat, 2))
-
-
-def complex_norm(parent, r_matrix):
-    """Spectral norm of a real-form operator, in complex form if it has one.
-
-    The complex n x n norm of a linear or antilinear operator equals the
-    real-form norm at about an eighth of the SVD; a genuinely mixed
-    operator (see :meth:`Operator.of`) takes the real 2n x 2n norm.  The
-    flow deviations of the package difference exactly linear real forms,
-    so none falls back.
-    """
-    return Operator.of(parent, r_matrix).norm()
 
 
 def _orthonormal_basis(columns, parent):
@@ -346,15 +258,6 @@ def subspace_distance(h1, h2):
     return np.maximum(containment_gap(h2, h1), containment_gap(h1, h2))
 
 
-def contains_subspace(big, small, tol=SUBSPACE_TOL):
-    """Whether small is contained in big, up to tolerance."""
-    if small.dim == 0:
-        return True
-    if small.dim > big.dim:
-        return False
-    return containment_gap(big, small) < tol
-
-
 def symplectic_complement(h):
     """H' = {xi : Im<xi, eta> = 0 for all eta in H} = (i H)^perp."""
     if h.dim == 0:
@@ -414,10 +317,6 @@ def standardness(h):
     """
     return _standardness_of(
         np.linalg.svd(_complex_basis(h), compute_uv=False), h)
-
-
-def is_standard(h):
-    return standardness(h).standard
 
 
 # ---------------------------------------------------------------------------
@@ -681,138 +580,6 @@ def sum_closure(subspaces):
 
 
 @dataclasses.dataclass(frozen=True)
-class TakesakiResult:
-    invariant: bool
-    first_violation: float | None
-    deviation: float
-
-    def __bool__(self):
-        return self.invariant
-
-
-def takesaki_check(k, h, t_samples=TAKESAKI_LADDER, tol=SUBSPACE_TOL):
-    """Modular invariance forces equality for standard K inside H.
-
-    Returns a truthy result iff Delta_H^{it} K = K on the sampled ladder;
-    in that case K = H is asserted (a counterexample would contradict
-    the uniqueness of modular-invariant standard subspaces and raises).
-    """
-    if not contains_subspace(h, k, tol):
-        raise ValueError("K is not contained in H")
-    if not is_standard(k):
-        raise ValueError("K is not standard")
-    _, m = modular_data(h)
-    for t in t_samples:
-        moved = k.transform(m.delta_it(t))
-        d = subspace_distance(moved, k)
-        if d > tol:
-            return TakesakiResult(False, t, d)
-    eq = subspace_distance(k, h)
-    if eq > tol:
-        raise ArithmeticError(
-            "found a modular-invariant proper standard subspace "
-            f"(distance to H: {eq:.3e}); this contradicts uniqueness"
-        )
-    return TakesakiResult(True, None, eq)
-
-
-@dataclasses.dataclass(frozen=True)
-class BorchersReport:
-    scaling_residual: float
-    reflection_residual: float
-    spectrum_sign: int
-
-    @property
-    def max_residual(self):
-        return max(self.scaling_residual, self.reflection_residual)
-
-
-def borchers_check(h, translations, spectrum_sign=1,
-                   t_samples=(0.5, 1.0, 2.0), s_samples=(-0.4, 0.25, 0.6),
-                   tol=SUBSPACE_TOL):
-    """Covariance of a half-sided translation semigroup with the modular flow.
-
-    ``translations`` maps t to the (real form of the) unitary U(t); the
-    semigroup must satisfy U(t) H inside H for t >= 0.  The report carries
-    the worst residuals of Delta^{is} U(t) Delta^{-is} = U(e^{-sign 2 pi s} t)
-    and of J U(t) J = U(-t).
-    """
-    for t in t_samples:
-        if not contains_subspace(h, h.transform(translations(abs(t))), tol):
-            raise ValueError(
-                f"semigroup precondition fails: U({abs(t)}) H is not inside H"
-            )
-    _, m = modular_data(h)
-    worst_scale = 0.0
-    for s in s_samples:
-        ds, dsi = m.delta_it(s), m.delta_it(-s)
-        for t in t_samples:
-            lhs = ds @ translations(t) @ dsi
-            rhs = translations(math.exp(-spectrum_sign * _TWO_PI * s) * t)
-            worst_scale = max(worst_scale,
-                              float(np.linalg.norm(lhs - rhs, 2)))
-    worst_flip = 0.0
-    for t in t_samples:
-        lhs = m.J @ translations(t) @ m.J
-        worst_flip = max(worst_flip,
-                         float(np.linalg.norm(lhs - translations(-t), 2)))
-    return BorchersReport(worst_scale, worst_flip, spectrum_sign)
-
-
-@dataclasses.dataclass(frozen=True)
-class HsmiReport:
-    inclusion_ok: bool
-    first_violation: float | None
-    commutation_residual: float
-    pairs_checked: int
-
-    def __bool__(self):
-        return self.inclusion_ok
-
-
-def hsmi_check(k, h, sign=1, t_samples=(0.05, 0.1, 0.2, 0.4),
-               tol=SUBSPACE_TOL):
-    """Half-sided modular inclusion test for standard K inside H.
-
-    With sign=+1 the defining property is Delta_H^{-it} K inside K for
-    t >= 0 (sign=-1 flips the half-line), and the two modular flows must
-    satisfy the interval-dilation commutation law in modular parameters:
-    Delta_H^{it} Delta_K^{is} = Delta_K^{is'} Delta_H^{it'}.
-    """
-    if not contains_subspace(h, k, tol):
-        raise ValueError("K is not contained in H")
-    _, mh = modular_data(h)
-    _, mk = modular_data(k)
-    first_violation = None
-    for t in t_samples:
-        moved = k.transform(mh.delta_it(-sign * t))
-        if not contains_subspace(k, moved, tol):
-            first_violation = sign * t
-            break
-    worst = 0.0
-    pairs = 0
-    for t in t_samples:
-        for s in t_samples:
-            te, se = sign * t, sign * s
-            if sign > 0:
-                arg = math.exp(-_TWO_PI * (te + se)) + 1.0 - math.exp(-_TWO_PI * te)
-                if arg <= 0.0:
-                    continue
-                sp = -math.log(arg) / _TWO_PI
-            else:
-                arg = math.exp(_TWO_PI * (te + se)) + 1.0 - math.exp(_TWO_PI * te)
-                if arg <= 0.0:
-                    continue
-                sp = math.log(arg) / _TWO_PI
-            tp = te + se - sp
-            lhs = mh.delta_it(te) @ mk.delta_it(se)
-            rhs = mk.delta_it(sp) @ mh.delta_it(tp)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
-            pairs += 1
-    return HsmiReport(first_violation is None, first_violation, worst, pairs)
-
-
-@dataclasses.dataclass(frozen=True)
 class SymmetryReport:
     s_residual: float
     delta_residual: float
@@ -824,19 +591,22 @@ class SymmetryReport:
 
 
 def symmetry_commutation_check(h, u, tol=SUBSPACE_TOL):
-    """A unitary preserving H commutes with its whole modular family."""
-    u = np.asarray(u, dtype=float)
-    d = subspace_distance(h, h.transform(u))
+    """A unitary preserving H commutes with its whole modular family.
+
+    ``u`` is the complex n x n matrix of the unitary.  U X U* - X is
+    (u x) u* - x for a linear X and (u x) u^T - x for an antilinear one
+    (xi -> x conj(xi)); their spectral norms are the residuals.
+    """
+    u = np.asarray(u, dtype=complex)
+    d = subspace_distance(h, h.transform(h.parent.realify_linear(u)))
     if d > tol:
         raise ValueError(f"U does not preserve H (subspace distance {d:.3e})")
     s_op, m = modular_data(h)
-    parent = h.parent
-    u = Operator.of(parent, u)
 
-    def deviation(x):
-        return (u @ x @ u.T - x).norm()
+    def deviation(x, right):
+        return float(np.linalg.norm((u @ x) @ right - x, 2))
 
     return SymmetryReport(
-        deviation(Operator.of(parent, s_op)),
-        deviation(Operator(parent, m.power(1.0))) / m.delta_norm,
-        deviation(Operator(parent, m.jc, "antilinear")))
+        deviation(_split(h.parent, s_op)[1], u.T),
+        deviation(m.power(1.0), u.conj().T) / m.delta_norm,
+        deviation(m.jc, u.T))

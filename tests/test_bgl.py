@@ -209,7 +209,8 @@ def test_wedge_modular_takes_the_block_eigenpair(monkeypatch, kind):
     assert md.delta_norm == pytest.approx(top, rel=1e-12)
     dense = md.power(1.0)
     assert np.linalg.eigvalsh(dense)[-1] == pytest.approx(top, rel=1e-12)
-    assert np.linalg.norm(flow - net.wedge_flow(region, 0.37), 2) < 1e-12
+    assert np.linalg.norm(flow - net.parent.realify_linear(
+        net.wedge_flow(region, 0.37)), 2) < 1e-12
 
 
 def test_wedge_cache_returns_the_same_object():
@@ -251,7 +252,8 @@ def test_translation_covariance_is_exact(kind):
     w_r, _ = _origin_wedges()
     moved = net.wedge_subspace(spacetime.Region.wedge_right(shift))
     assert stdspace.subspace_distance(
-        moved, net.wedge_subspace(w_r).transform(u)) < 1e-11
+        moved, net.wedge_subspace(w_r).transform(
+            net.parent.realify_linear(u))) < 1e-11
 
 
 @pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
@@ -260,7 +262,8 @@ def test_unit_matrix_of_translation_is_orthogonal(kind):
     g = mobius.GElement(mobius.CoverElement.translation(0.31),
                         mobius.CoverElement.translation(-0.08))
     u = net.unit_matrix_of(g)
-    assert np.linalg.norm(u.T @ u - np.eye(u.shape[0]), 2) < 1e-11
+    # unitary, so its real form is orthogonal
+    assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2) < 1e-11
 
 
 def _unit_matrix_one_column_at_a_time(net, g):
@@ -275,7 +278,7 @@ def _unit_matrix_one_column_at_a_time(net, g):
         pair = np.zeros((2 * w.size, 2 * w.size), dtype=complex)
         pair[:w.size, :w.size] = pair[w.size:, w.size:] = mat
         mat = pair
-    return net.parent.realify_linear(mat)
+    return mat
 
 
 @pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
@@ -295,7 +298,9 @@ def test_unit_matrix_of_matches_column_by_column(kind):
         got = net.unit_matrix_of(g)
         want = _unit_matrix_one_column_at_a_time(net, g)
         assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        # signed zeros too, in the real and imaginary parts
+        assert np.array_equal(np.signbit(got.view(float)),
+                              np.signbit(want.view(float)))
 
 
 def test_apply_takes_a_trailing_column_axis():
@@ -469,13 +474,13 @@ def test_dual_rejects_lightcones_on_all_kinds():
 
 @pytest.mark.parametrize("kind", ["chiralSum", "massive", "directIntegral"])
 def test_axioms_pass_on_untwisted_models(kind):
-    report = _model(kind).axioms_report()
+    report = bgl.axioms_report(_model(kind))
     failing = [k for k, e in report.entries.items() if not e.passed]
     assert report.passed, failing
 
 
 def test_axioms_core_entries_present():
-    report = _model("chiralSum").axioms_report()
+    report = bgl.axioms_report(_model("chiralSum"))
     for name in ("Isotony", "Poincare covariance", "Positivity of energy",
                  "Reeh-Schlieder", "Locality", "Bisognano-Wichmann"):
         assert name in report.entries
@@ -483,13 +488,14 @@ def test_axioms_core_entries_present():
 
 
 def test_axioms_dilation_entries_only_on_chiral_models():
-    assert "Dilation covariance" in _model("chiralSum").axioms_report().entries
     assert ("Dilation covariance"
-            not in _model("massive").axioms_report().entries)
+            in bgl.axioms_report(_model("chiralSum")).entries)
+    assert ("Dilation covariance"
+            not in bgl.axioms_report(_model("massive")).entries)
 
 
 def test_twisted_model_fails_exactly_dilation_bw():
-    report = _model("twisted").axioms_report()
+    report = bgl.axioms_report(_model("twisted"))
     assert not report.passed
     failing = {k for k, e in report.entries.items() if not e.passed}
     assert failing == {"Dilation Bisognano-Wichmann"}
@@ -512,14 +518,14 @@ def test_strong_additivity_fails_on_a_planted_halperin_result(monkeypatch):
         return exact_dual(region, method=method, **kwargs)
 
     monkeypatch.setattr(net, "region_subspace_dual", planted)
-    entry = net.axioms_report()["Strong additivity"]
+    entry = bgl.axioms_report(net)["Strong additivity"]
     assert not entry.passed
     assert entry.residual == pytest.approx(1.0)
     assert entry.detail == "dual cone dim 0 (exact) / 1 (Halperin)"
 
 
 def test_report_notes_surface_the_translation_obstruction():
-    report = _model("chiralSum").axioms_report()
+    report = bgl.axioms_report(_model("chiralSum"))
     assert any("translated wedge" in note for note in report.notes)
 
 
@@ -598,8 +604,7 @@ def test_scalar_phase_is_not_a_subspace_symmetry():
     net = _model("twisted")
     cone = spacetime.Region.forward_cone((0.0, 0.0))
     h_v = net.wedge_subspace(cone)
-    phase = net.parent.realify_linear(
-        np.exp(0.7j) * np.eye(net.parent.n))
+    phase = np.exp(0.7j) * np.eye(net.parent.n)
     with pytest.raises(ValueError, match="does not preserve"):
         stdspace.symmetry_commutation_check(h_v, phase)
 
@@ -730,7 +735,7 @@ def test_eigenpair_route_agrees_with_modular_route():
                                                     md.Delta)
             for t in (0.37, -1.1):
                 dev = np.linalg.norm(net.wedge_flow(region, t)
-                                     - dense.delta_it(t), 2)
+                                     - dense.power(1j * t), 2)
                 assert dev < bgl.BLOCK_TOL, (kind, region, t)
 
 

@@ -6,6 +6,8 @@ output directory and checked against the documented schema.
 """
 
 import csv
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -619,3 +621,20 @@ def test_every_command_runs_without_scipy():
     assert proc.returncode == 0, proc.stderr
     passed = json.loads(proc.stdout.splitlines()[-1])
     assert passed == {command: True for command in cli.DEFAULT_CONFIGS}
+
+
+def test_every_traced_layer_function_resolves():
+    # the benchmark's traced worker replaces these names in place, so a
+    # name that no longer resolves breaks `perfbench/run.py --trace 1`;
+    # only the table is read: install() is not called
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, module, name in tracing.LAYER_FUNCTIONS:
+        owner = importlib.import_module(f"modnet.{module}")
+        *parents, attr = name.split(".")
+        for part in parents:
+            owner = getattr(owner, part)
+        assert callable(owner.__dict__.get(attr)), f"modnet.{module}.{name}"

@@ -570,6 +570,24 @@ def test_commutation_inadmissible_raises(pair, t, s):
         commutation_parameters(t, s, pair)
 
 
+@pytest.mark.parametrize("pair,sign", [("halfline_bounded", 1.0),
+                                       ("halfline_shifted", -1.0)])
+def test_commutation_parameters_match_the_scalar_formula(pair, sign):
+    # one draw of the array route makes the same math-module calls as
+    # the closed form, so it gives the same bits, as Python floats
+    rng = np.random.default_rng(73)
+    for t, s in rng.uniform(-3.0, 3.0, size=(200, 2)).tolist():
+        arg = math.exp(sign * (t + s)) + 1.0 - math.exp(sign * t)
+        if arg <= 0.0:
+            with pytest.raises(MobiusDomainError, match="inadmissible"):
+                commutation_parameters(t, s, pair)
+            continue
+        s_p = sign * math.log(arg)
+        got = commutation_parameters(t, s, pair)
+        assert got == (s_p, t + s - s_p)
+        assert all(type(x) is float for x in got)
+
+
 def test_commutation_parameter_sum_is_preserved():
     rng = np.random.default_rng(67)
     for _ in range(40):

@@ -19,10 +19,7 @@ from modnet.reps import (
     LatticeRep,
     RapidityGrid,
     apply,
-    boundary_leakage,
     build_rep,
-    central_support_mask,
-    product_to_direct_integral,
 )
 
 CHIRAL = {"kind": "chiral", "n": 64, "h": 0.1, "u0": -3.2}
@@ -30,14 +27,11 @@ MASSIVE = {"kind": "massive", "n": 64, "h": 0.1, "theta0": -3.2, "mass": 1.0}
 SUM = {"kind": "productChiralSum",
        "left": {"n": 48, "h": 0.1, "u0": -2.4},
        "right": {"n": 64, "h": 0.1, "u0": -3.2}}
-TENSOR = {"kind": "productChiralTensor",
-          "left": {"n": 24, "h": 0.1, "u0": -1.2},
-          "right": {"n": 24, "h": 0.1, "u0": -1.2}}
 DIRECT = {"kind": "directIntegral", "mass_min": 0.5, "mass_max": 2.5,
           "mass_count": 8, "theta": {"n": 32, "h": 0.2, "theta0": -3.2}}
 GEOMETRIC = dict(DIRECT, spacing="geometric")
 
-ALL_CONFIGS = [CHIRAL, MASSIVE, SUM, TENSOR, DIRECT]
+ALL_CONFIGS = [CHIRAL, MASSIVE, SUM, DIRECT]
 
 
 def pair(t_l=0.0, s_l=0.0, t_r=0.0, s_r=0.0):
@@ -61,9 +55,21 @@ def unitarity_deviation(rep, g, rng, samples):
     return worst
 
 
+def central_half(n):
+    mask = np.zeros(n, dtype=bool)
+    mask[n // 4:(3 * n) // 4] = True
+    return mask
+
+
 def central_vector(rep, rng):
-    """Random vector supported in the wrap-free central region."""
-    return rep.random_vector(rng) * central_support_mask(rep)
+    """Random vector supported in the central half of every shifted grid
+    axis, where the lattice elements drawn here see no wrap-around; the
+    uniformly spaced masses of a direct integral never shift."""
+    if rep.kind == "directIntegral":
+        mask = central_half(rep.grids[0].n)[None, :]
+    else:
+        mask = np.concatenate([central_half(g.n) for g in rep.grids])
+    return rep.random_vector(rng) * mask
 
 
 def random_lattice_element(rng, rep):
@@ -73,7 +79,7 @@ def random_lattice_element(rng, rep):
         g = MobiusElement.translation(rng.uniform(-1, 1))
         return g @ MobiusElement.dilation(h * int(rng.integers(-3, 4)))
     t_l, t_r = rng.uniform(-1, 1, size=2)
-    if rep.kind in ("productChiralSum", "productChiralTensor"):
+    if rep.kind == "productChiralSum":
         s_l = rep.grids[0].h * int(rng.integers(-3, 4))
         s_r = rep.grids[1].h * int(rng.integers(-3, 4))
     else:
@@ -125,7 +131,6 @@ def test_build_shapes():
     assert build_rep(CHIRAL).shape == (64,)
     assert build_rep(MASSIVE).shape == (64,)
     assert build_rep(SUM).shape == (112,)
-    assert build_rep(TENSOR).shape == (24, 24)
     assert build_rep(DIRECT).shape == (8, 32)
 
 
@@ -313,100 +318,3 @@ def test_paired_element_required_for_2d_kinds():
         apply(rep, MobiusElement.translation(0.1), xi)
     with pytest.raises(TypeError, match="single"):
         apply(build_rep(CHIRAL), GElement.identity(), np.ones(64, complex))
-
-
-# ---------------------------------------------------------------------------
-# boundary leakage
-# ---------------------------------------------------------------------------
-
-
-def test_leakage_detects_edge_support():
-    rep = build_rep(CHIRAL)
-    edge = np.zeros(64, dtype=complex)
-    edge[0] = 1.0
-    assert boundary_leakage(rep, edge) == pytest.approx(1.0)
-    center = np.zeros(64, dtype=complex)
-    center[32] = 1.0
-    assert boundary_leakage(rep, center) == 0.0
-    assert boundary_leakage(rep, np.zeros(64, dtype=complex)) == 0.0
-
-
-def test_leakage_tensor_axes():
-    rep = build_rep(TENSOR)
-    xi = np.zeros((24, 24), dtype=complex)
-    xi[12, 0] = 1.0  # central left slot, edge right slot
-    assert boundary_leakage(rep, xi) == pytest.approx(1.0)
-    xi = np.zeros((24, 24), dtype=complex)
-    xi[12, 12] = 1.0
-    assert boundary_leakage(rep, xi) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# product <-> direct integral identification
-# ---------------------------------------------------------------------------
-
-
-def smooth_window(u, a=1.5):
-    out = np.zeros_like(u)
-    m = np.abs(u) < a
-    out[m] = np.cos(np.pi * u[m] / (2 * a)) ** 2
-    return out
-
-
-def identification_grids(n, h):
-    src = build_rep({"kind": "productChiralTensor",
-                     "left": {"n": n, "h": h, "u0": -3.2},
-                     "right": {"n": n, "h": h, "u0": -3.2}})
-    dst = build_rep({"kind": "directIntegral", "mass_min": 0.3,
-                     "mass_max": 6.5, "mass_count": n,
-                     "theta": {"n": n, "h": h, "theta0": -3.2}})
-    gl, gr = src.grids
-    xi = (smooth_window(gl.points)[:, None]
-          * smooth_window(gr.points)[None, :]).astype(complex)
-    return src, dst, xi
-
-
-def test_identification_of_zero():
-    src, dst, _ = identification_grids(64, 0.1)
-    out, report = product_to_direct_integral(np.zeros((64, 64), complex),
-                                             src, dst)
-    assert np.all(out == 0)
-    assert report.norm_target == 0.0
-
-
-def test_identification_norm_and_refinement():
-    src, dst, xi = identification_grids(128, 0.05)
-    _, report = product_to_direct_integral(xi, src, dst)
-    coarse = abs(report.norm_ratio - 1.0)
-    assert coarse < 1e-3
-    src2, dst2, xi2 = identification_grids(256, 0.025)
-    _, report2 = product_to_direct_integral(xi2, src2, dst2)
-    fine = abs(report2.norm_ratio - 1.0)
-    assert fine < 2.5e-4
-    assert fine < coarse
-
-
-def test_identification_intertwines_translations():
-    def residual(source, target, xi):
-        """|| T U(a) xi - U'(a) T xi || / ||xi|| for T the resampling."""
-        g = pair(t_l=0.2, t_r=-0.15)
-        moved, _ = product_to_direct_integral(apply(source, g, xi), source,
-                                              target)
-        mapped, _ = product_to_direct_integral(xi, source, target)
-        return target.norm(moved - apply(target, g, mapped)) / source.norm(xi)
-
-    src, dst, xi = identification_grids(128, 0.05)
-    coarse = residual(src, dst, xi)
-    assert coarse < 1e-3
-    src2, dst2, xi2 = identification_grids(256, 0.025)
-    fine = residual(src2, dst2, xi2)
-    assert fine < 2.5e-4
-    assert fine < coarse
-
-
-def test_identification_rejects_wrong_kinds():
-    src, dst, xi = identification_grids(64, 0.1)
-    with pytest.raises(ValueError, match="productChiralTensor"):
-        product_to_direct_integral(np.zeros((8, 32), complex), dst, dst)
-    with pytest.raises(ValueError, match="directIntegral"):
-        product_to_direct_integral(xi, src, src)
