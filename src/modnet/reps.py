@@ -26,6 +26,16 @@ STEP_TOL = 1e-9
 _SQRT2 = math.sqrt(2.0)
 
 
+def _require_normal(grid, name, values):
+    """Refuse grid values that are not finite positive normal doubles: an
+    overflowed or underflowed weight would silently change the model."""
+    lo, hi = float(np.min(values)), float(np.max(values))
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    if not tiny <= lo <= hi <= huge:
+        raise ValueError(f"{grid!r} {name} span {lo:.3g} to {hi:.3g}, outside "
+                         f"the normal doubles [{tiny:.3g}, {huge:.3g}]")
+
+
 class ChiralGrid:
     """Log-spaced momentum grid for L^2(R_+, p dp).
 
@@ -44,8 +54,11 @@ class ChiralGrid:
         self.h = float(h)
         self.u0 = float(u0)
         self.points = self.u0 + self.h * np.arange(self.n)
-        self.momenta = np.exp(self.points)
-        self.weights = self.momenta**2 * self.h
+        with np.errstate(over="ignore"):
+            self.momenta = np.exp(self.points)
+            self.weights = self.momenta**2 * self.h
+        _require_normal(self, "momenta", self.momenta)
+        _require_normal(self, "weights", self.weights)
 
     def inner(self, x, y):
         return complex(np.sum(self.weights * np.conj(x) * y))
@@ -78,6 +91,9 @@ class RapidityGrid:
         self.theta0 = float(theta0)
         self.mass = float(mass)
         self.theta = self.theta0 + self.h * np.arange(self.n)
+        with np.errstate(over="ignore"):
+            m_exp = self.mass * np.exp([self.theta, -self.theta])
+        _require_normal(self, "m e^{+-theta}", m_exp)
         self.p1 = self.mass * np.sinh(self.theta)
         self.omega = self.mass * np.cosh(self.theta)
         self.weights = np.full(self.n, self.h / 2.0)

@@ -303,6 +303,29 @@ def test_unit_matrix_of_matches_column_by_column(kind):
                               np.signbit(want.view(float)))
 
 
+@pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
+def test_factor_records_match_the_representation(kind):
+    net = _model(kind)
+    # translations: the record's phases are the implemented two-lightray
+    # translation
+    for apex in ((0.3, -0.2), (-0.5, 0.5)):
+        g = mobius.GElement(mobius.CoverElement.translation(apex[0]),
+                            mobius.CoverElement.translation(apex[1]))
+        dev = np.max(np.abs(np.diag(net._apex_phases(apex))
+                            - net.unit_matrix_of(g)))
+        assert dev < 1e-12
+    # positivity of energy: P_L and P_R are nonnegative on every block
+    for f in net._factors:
+        assert np.all(f.p_l >= 0) and np.all(f.p_r >= 0)
+    # orientation: each block's W_R flow is the implemented boost
+    s = 2 * net._factors[0].h
+    boost = mobius.GElement(mobius.CoverElement.dilation(s),
+                            mobius.CoverElement.dilation(-s))
+    w_r, _ = _origin_wedges()
+    assert np.linalg.norm(net.wedge_flow(w_r, s / _TWO_PI)
+                          - net.unit_matrix_of(boost), 2) < 1e-9
+
+
 def test_apply_takes_a_trailing_column_axis():
     net = _model("directIntegral")
     rng = np.random.default_rng(5)

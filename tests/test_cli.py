@@ -414,6 +414,24 @@ def test_chiral_grid_parity(tmp_path, command, config, odd_code, n):
         assert report is None
 
 
+# a grid whose momenta or weights leave the normal doubles would build a
+# silently wrong model (at n = 257 and h = pi the chiral weights are inf
+# at one end and 0 at the other); every command refuses it before compute
+@pytest.mark.parametrize("command, config", [
+    ("reconstruct-mobius", {"n": 257}),
+    ("bgl-axioms", {"model": "chiralSum", "n": 257}),
+    ("break-bw", {"n": 257}),
+    ("bgl-axioms", {"model": "massive", "n": 600}),
+])
+def test_grids_outside_the_normal_doubles_are_config_errors(
+        tmp_path, capsys, command, config):
+    code, report = _run(tmp_path, command, config)
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert report is None
+    err = capsys.readouterr().err
+    assert "Grid(n=" in err and "outside the normal doubles" in err
+
+
 @pytest.mark.parametrize("command, config", [
     ("reconstruct-mobius", {"n": 2.7}),
     ("bgl-axioms", {"model": "chiralSum", "n": 9.5}),
