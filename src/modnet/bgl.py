@@ -15,7 +15,8 @@ A model's geometry is one list of factor records, one per half-line
 block in slot order: its size, its dilation spacing, the lightray whose
 orientation it follows, and the diagonals of P_L and P_R on its slots.
 Wedge blocks, translation phases and positivity of energy read these
-records the same way for every model kind.
+records the same way for every model kind, and the lightcone study
+builds its wedges from one such record through the same rule.
 
 Every wedge-like block is held in eigen-form: the modular spectrum, the
 phased inverse-DFT eigenvectors and the J-pairing of their columns are
@@ -30,11 +31,15 @@ re-orthonormalisation.  The same rule moves dual double cones: the dual
 H(W_R) cap H(W_L) of a cone is, up to the phase of its W_R corner, a
 function of the cone's shape alone, so the lightcone study intersects
 once per shape and translates the result to every cone of that shape.
-A dense Delta is formed only where a check recomputes the modular data
-of a wedge (the Bisognano-Wichmann entries); there the spectral radius
-of log Delta, about 2 pi^2 / h at grid spacing h, must stay below
-roughly 2 pi^2 / 2.5, which is what pins the coarse grid spacings of
-the model constructors.
+
+The Bisognano-Wichmann entries recompute a wedge's modular data from
+its subspace alone: one SVD of the complex basis gives (V, log Delta,
+J), and Delta is compared with the defining one as a complex n x n
+power.  The limit that roundtrip meets is |log Delta|, about
+2 pi^2 / h on a chiral grid of spacing h: where it is large the
+singular values near sqrt 2 cluster and the recomputed J loses its
+orthogonality, so the chiralSum and twisted models at h = 1.0 raise
+(at n = 33 as at n = 129) while h = 1.5 runs.
 """
 
 from __future__ import annotations
@@ -54,9 +59,6 @@ from . import stdspace
 
 MODEL_KINDS = ("chiralSum", "massive", "directIntegral", "twisted")
 
-#: absolute tolerance for cache reproduction and exact-class identities
-CACHE_TOL = 1e-10
-
 #: blockwise / axiom comparison tolerance
 BLOCK_TOL = 1e-8
 
@@ -74,8 +76,9 @@ CONE_LADDER = ((17, 2), (33, 8), (65, 32))
 #: rapidity spacing of the lightcone study, which never forms Delta
 STUDY_SPACING = 0.4
 
-#: spacing of the solvable model, whose Bisognano-Wichmann entries form
-#: Delta; at pi the dilation grid contains 2 pi t for every half-integer t
+#: spacing of the solvable model: at pi the dilation grid contains 2 pi t
+#: for every half-integer t, and max |log Delta| (about 2 pi^2 / h) stays
+#: well inside what the Bisognano-Wichmann roundtrip resolves
 SOLVABLE_SPACING = math.pi
 
 _TWO_PI = 2.0 * math.pi
@@ -178,12 +181,6 @@ def _block_diag(blocks):
                                   for b, off in zip(blocks, offsets)]))
 
 
-def _corner_phases(p_l, p_r, corner):
-    """Translation phases e^{i(a p_L + b p_R)} of a corner (a, b)."""
-    a, b = corner
-    return np.exp(1j * (a * p_l + b * p_r))
-
-
 def _translate(sub, phases):
     """Image of a real subspace under the diagonal unitary diag(phases).
 
@@ -258,6 +255,53 @@ class _Factor(NamedTuple):
     ray: int
     p_l: np.ndarray
     p_r: np.ndarray
+
+
+def _wedge_geometry(region):
+    """Per-factor orientations and the apex of a wedge-like region.
+
+    Chiral factor i is the half-line (a_i, oo) for orientation +1 and
+    (-oo, a_i) for -1, with a_i the apex coordinate on its lightray.
+    A rapidity block follows the first orientation: W_R is the
+    orientation -1 half-line in rapidity, W_L the +1 one.
+    """
+    kinds = spacetime.RegionKind
+    if region.kind is kinds.WEDGE_RIGHT:
+        return (-1, +1), spacetime.wedge_corner(region)
+    if region.kind is kinds.WEDGE_LEFT:
+        return (+1, -1), spacetime.wedge_corner(region)
+    if region.kind is kinds.LIGHTCONE_FWD:
+        return (+1, +1), (region.left[0], region.right[0])
+    if region.kind is kinds.LIGHTCONE_BWD:
+        return (-1, -1), (region.left[1], region.right[1])
+    raise ValueError(
+        f"region kind {region.kind.name} is not wedge-like; use "
+        "region_subspace_dual for double cones"
+    )
+
+
+def _apex_phases(factors, apex):
+    """Diagonal of the translation U(apex) = e^{i(a p_L + b p_R)}."""
+    a, b = apex
+    return np.concatenate([np.exp(1j * (a * f.p_l + b * f.p_r))
+                           for f in factors])
+
+
+def _wedge_block(factors, region):
+    """The assembled eigen-form block of a wedge-like region.
+
+    A lightcone is wedge data only where every factor moves along one
+    lightray; a rapidity factor carries momentum along both.
+    """
+    orients, apex = _wedge_geometry(region)
+    if orients[0] == orients[1] and any(f.p_l.any() and f.p_r.any()
+                                        for f in factors):
+        raise ValueError(
+            "lightcone modular data is not wedge data in a massive "
+            "model; lightcone subspaces exist on the chiral models"
+        )
+    blocks = [_halfline_block(f.n, f.h, orients[f.ray]) for f in factors]
+    return _block_diag(blocks).translate(_apex_phases(factors, apex))
 
 
 class NetModel:
@@ -350,45 +394,9 @@ class NetModel:
                 float(region.left[0]), float(region.left[1]),
                 float(region.right[0]), float(region.right[1]))
 
-    def _wedge_geometry(self, region):
-        """Per-factor orientations and the apex of a wedge-like region.
-
-        Chiral factor i is the half-line (a_i, oo) for orientation +1 and
-        (-oo, a_i) for -1, with a_i the apex coordinate on its lightray.
-        A rapidity block follows the first orientation: W_R is the
-        orientation -1 half-line in rapidity, W_L the +1 one.
-        """
-        kinds = spacetime.RegionKind
-        if region.kind is kinds.WEDGE_RIGHT:
-            return (-1, +1), spacetime.wedge_corner(region)
-        if region.kind is kinds.WEDGE_LEFT:
-            return (+1, -1), spacetime.wedge_corner(region)
-        if region.kind is kinds.LIGHTCONE_FWD:
-            return (+1, +1), (region.left[0], region.right[0])
-        if region.kind is kinds.LIGHTCONE_BWD:
-            return (-1, -1), (region.left[1], region.right[1])
-        raise ValueError(
-            f"region kind {region.kind.name} is not wedge-like; use "
-            "region_subspace_dual for double cones"
-        )
-
-    def _apex_phases(self, apex):
-        """Diagonal of the translation U(apex) = e^{i a.p}."""
-        return np.concatenate([_corner_phases(f.p_l, f.p_r, apex)
-                               for f in self._factors])
-
     def wedge_block(self, region):
         """The assembled eigen-form block of a wedge-like region."""
-        orients, apex = self._wedge_geometry(region)
-        lightcone = orients[0] == orients[1]
-        if lightcone and self.kind in ("massive", "directIntegral"):
-            raise ValueError(
-                "lightcone modular data is not wedge data in a massive "
-                "model; lightcone subspaces exist on the chiral models"
-            )
-        blocks = [_halfline_block(f.n, f.h, orients[f.ray])
-                  for f in self._factors]
-        return _block_diag(blocks).translate(self._apex_phases(apex))
+        return _wedge_block(self._factors, region)
 
     def wedge_modular(self, region):
         """Validated modular data of a wedge-like region, in the block's
@@ -409,11 +417,11 @@ class NetModel:
             hit = self._cache.get(key)
         if hit is not None:
             return hit
-        _, apex = self._wedge_geometry(region)
+        _, apex = _wedge_geometry(region)
         if any(apex):
             origin = self.wedge_subspace(
                 region.translate((-apex[0], -apex[1])))
-            sub = _translate(origin, self._apex_phases(apex))
+            sub = _translate(origin, _apex_phases(self._factors, apex))
         else:
             sub = self.wedge_block(region).subspace(self.parent)
         with self._lock:
@@ -424,15 +432,6 @@ class NetModel:
         return self.wedge_block(region).flow(t)
 
     # -- dual-prescription regions ----------------------------------------
-
-    def minimal_wedges(self, region):
-        """The two minimal wedges around a double cone."""
-        if region.kind is not spacetime.RegionKind.DOUBLE_CONE:
-            raise ValueError("minimal wedges are defined for double cones")
-        (al, bl), (ar, br) = region.left, region.right
-        w_r = spacetime.Region.wedge_right((bl, ar))
-        w_l = spacetime.Region.wedge_left((al, br))
-        return w_r, w_l
 
     def region_subspace_dual(self, region, method="exact"):
         """Dual-net subspace of a double cone.
@@ -445,7 +444,7 @@ class NetModel:
         if region.kind is not spacetime.RegionKind.DOUBLE_CONE:
             raise ValueError("dual prescription covers double cones, "
                              f"not {region.kind.name}")
-        w_r, w_l = self.minimal_wedges(region)
+        w_r, w_l = spacetime.minimal_wedges(region)
         return stdspace.intersect(
             [self.wedge_subspace(w_r), self.wedge_subspace(w_l)],
             method=method, max_iter=1 << 26)
@@ -574,7 +573,7 @@ def axioms_report(net, tol=BLOCK_TOL):
     # reflexivity.
     cone = spacetime.Region.double_cone((-1.0, 1.0), (-1.0, 1.0))
     dual = net.region_subspace_dual(cone)
-    wr_min, wl_min = net.minimal_wedges(cone)
+    wr_min, wl_min = spacetime.minimal_wedges(cone)
     iso = max(stdspace.containment_gap(net.wedge_subspace(wr_min), dual),
               stdspace.containment_gap(net.wedge_subspace(wl_min), dual),
               stdspace.subspace_distance(h_r, net.wedge_subspace(w_r)))
@@ -711,19 +710,6 @@ class ReconstructionReport:
         return max(self.commutator_residuals)
 
 
-def _interval_block(factor):
-    """Designated modular block for the unit-interval factor.
-
-    The lattice implements exactly one Cartan flow per factor, so no
-    grid operator realizes the interval dilations; the model designates
-    the translated half-line block sharing the interval's right
-    endpoint.  Blockwise identities below are exact for any consistent
-    designation; the geometric deficit is reported, not hidden.
-    """
-    return _halfline_block(factor.n, factor.h, +1).translate(
-        _corner_phases(factor.p_l, factor.p_r, (1.0, 1.0)))
-
-
 def assemble_blockwise(subspaces):
     """Direct sum of per-factor real subspaces on the product space.
 
@@ -738,11 +724,6 @@ def assemble_blockwise(subspaces):
                                  np.vstack([c.real, c.imag]))
 
 
-def _stack_blocks(left_block, right_block):
-    return assemble_blockwise([b.subspace(stdspace.ComplexSpace(b.n))
-                               for b in (left_block, right_block)])
-
-
 def _grid_steps(t, h):
     """Dilation steps of spacing h in 2 pi t, which must be a grid multiple."""
     k = round(_TWO_PI * t / h)
@@ -752,6 +733,14 @@ def _grid_steps(t, h):
     return k
 
 
+def _roll_columns(mat, cols, k):
+    """``mat`` @ U, in place, for U the cyclic shift psi_j -> psi_{j+k} on
+    the slots ``cols`` and the identity elsewhere: a column permutation,
+    so the product is exact."""
+    mat[:, cols] = np.roll(mat[:, cols], k, axis=1)
+    return mat
+
+
 def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
     """Rebuild the interval one-parameter groups from half-band data.
 
@@ -759,44 +748,43 @@ def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
     Delta_{B_L}^{it} U(delta(2 pi t) x 1) and the mirrored U_L(t) are
     formed from independently recomputed modular data of the half-band
     subspaces; the report carries the residuals of the product identity
-    against the modular flow of the double-cone block, the mutual
-    commutators, and the exactness of the left-factor cancellation.
-    Every 2 pi t must be a grid multiple.
+    against the modular flow of the double cone, the mutual commutators,
+    and the exactness of the left-factor cancellation.  Every 2 pi t
+    must be a grid multiple.
+
+    The lattice implements exactly one Cartan flow per factor, so no
+    grid operator realizes the interval dilations: each unit interval
+    (0, 1) is designated by the half-line (1, oo) sharing its right
+    endpoint.  B_L = (0, oo) x (0, 1), B_R = (0, 1) x (0, oo) and
+    D_0 = (0, 1) x (0, 1) are thus the model's forward lightcones at
+    the apexes (0, 1), (1, 0) and (1, 1).  The identities hold for any
+    consistent designation; the geometric deficit is reported, not
+    hidden.
     """
     if net.kind != "chiralSum":
         raise ValueError(
             "reconstruction runs on the exactly solvable summed model; "
             f"got kind {net.kind!r}")
     left, right = net._factors
-    n_l, h_l, n_r, h_r = left.n, left.h, right.n, right.h
-
-    half_l = _halfline_block(n_l, h_l, +1)
-    half_r = _halfline_block(n_r, h_r, +1)
-    int_l = _interval_block(left)
-    int_r = _interval_block(right)
-
-    band_l = _stack_blocks(half_l, int_r)     # B_L = (0,oo) x (0,1)
-    band_r = _stack_blocks(int_l, half_r)     # B_R = (0,1) x (0,oo)
-    cone_0 = _stack_blocks(int_l, int_r)      # D_0 = (0,1) x (0,1)
-
-    _, md_bl = stdspace.modular_data(band_l)
-    _, md_br = stdspace.modular_data(band_r)
-    _, md_d0 = stdspace.modular_data(cone_0)
+    first = slice(0, left.n)                 # the left factor's slots
+    second = slice(left.n, net.parent.n)
+    md_bl, md_br, md_d0 = (
+        stdspace.modular_data(net.wedge_subspace(
+            spacetime.Region.forward_cone(apex)))[1]
+        for apex in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)))
 
     def norm(x):
         return float(np.linalg.norm(x, 2))
 
     def u_r(t):
-        return md_bl.power(1j * t) @ _direct_sum(
-            [_roll(n_l, _grid_steps(t, h_l)), np.eye(n_r)])
+        return _roll_columns(md_bl.power(1j * t), first,
+                             _grid_steps(t, left.h))
 
     def u_l(t):
-        return md_br.power(1j * t) @ _direct_sum(
-            [np.eye(n_l), _roll(n_r, _grid_steps(t, h_r))])
+        return _roll_columns(md_br.power(1j * t), second,
+                             _grid_steps(t, right.h))
 
-    one = np.eye(n_l + n_r)
-    # left-factor cancellation: U_R acts trivially on the first factor
-    first = np.diag((np.arange(n_l + n_r) < n_l).astype(complex))
+    one = np.eye(net.parent.n)
     ident = []
     comm = []
     cancel = []
@@ -805,7 +793,8 @@ def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
         ab = a @ b
         ident.append(norm(md_d0.power(1j * t) - ab))
         comm.append(norm(ab - b @ a))
-        cancel.append(norm(first @ (a - one) @ first))
+        # U_R acts trivially on the left factor
+        cancel.append(norm(a[first, first] - one[first, first]))
     zero = norm(u_r(0.0) @ u_l(0.0) - one)
     return ReconstructionReport(tuple(t_values), tuple(ident), tuple(comm),
                                 tuple(cancel), zero)
@@ -893,10 +882,6 @@ class ConeStudy:
     frozen_value: float
 
     @property
-    def monotone(self):
-        return self.max_rise <= 1e-12
-
-    @property
     def below_frozen(self):
         return self.finest_defect < self.frozen_value
 
@@ -904,28 +889,32 @@ class ConeStudy:
 def _cone_duals(mass, grid, count, spacing):
     """Yield the dual subspace H(W_R) cap H(W_L) of each dyadic cone.
 
-    The minimal wedges of the cone (al, bl) x (ar, br) have corners
-    (bl, ar) and (al, br).  Moved by -(bl, ar), the pair depends only on
-    the cone's shape (al - bl, br - ar), which every cone of one dyadic
-    level shares, so the intersection runs once per shape, between the
-    origin W_R and the W_L translated by that shape.  By covariance each
-    cone's dual is the shape's dual translated by e^{i(bl p_L + ar p_R)}.
+    Moved so that the corner of its minimal W_R sits at the origin, a
+    cone's pair of minimal wedges depends only on the cone's shape,
+    which every cone of one dyadic level shares; the intersection runs
+    once per shape, between the origin W_R and the moved W_L.  By
+    covariance each cone's dual is the shape's dual translated by the
+    phase of its W_R corner.  The level is one rapidity factor record.
     """
-    parent = stdspace.ComplexSpace(grid)
     theta = (np.arange(grid) - (grid - 1) / 2.0) * spacing
-    p_l = mass * np.exp(theta) / math.sqrt(2.0)
-    p_r = mass * np.exp(-theta) / math.sqrt(2.0)
-    origin_r = _halfline_block(grid, spacing, -1).subspace(parent)
-    origin_l = _halfline_block(grid, spacing, +1).subspace(parent)
+    factors = [_Factor(grid, spacing, 0, mass * np.exp(theta) / math.sqrt(2.0),
+                       mass * np.exp(-theta) / math.sqrt(2.0))]
+    parent = stdspace.ComplexSpace(grid)
+    origin_r, origin_l = (
+        _wedge_block(factors, wedge()).subspace(parent)
+        for wedge in (spacetime.Region.wedge_right,
+                      spacetime.Region.wedge_left))
     shape_duals = {}
     for al, bl, ar, br in _dyadic_cones(count):
-        shape = (al - bl, br - ar)
+        w_r, w_l = spacetime.minimal_wedges(
+            spacetime.Region.double_cone((al, bl), (ar, br)))
+        corner = spacetime.wedge_corner(w_r)
+        shape = spacetime.wedge_corner(
+            w_l.translate((-corner[0], -corner[1])))
         if shape not in shape_duals:
             shape_duals[shape] = stdspace.intersect(
-                [origin_r,
-                 _translate(origin_l, _corner_phases(p_l, p_r, shape))])
-        yield _translate(shape_duals[shape],
-                         _corner_phases(p_l, p_r, (bl, ar)))
+                [origin_r, _translate(origin_l, _apex_phases(factors, shape))])
+        yield _translate(shape_duals[shape], _apex_phases(factors, corner))
 
 
 def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,

@@ -30,9 +30,6 @@ DEFAULT_ORDER = 12
 #: tolerance for membership of a test vector in a real subspace
 MEMBERSHIP_TOL = 1e-10
 
-#: default budget of the one-particle locality form
-LOCALITY_BUDGET = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # symbolic Weyl algebra
@@ -325,14 +322,6 @@ def second_quantized_tomita_check(h, f, order=DEFAULT_ORDER):
 class LocalityReport:
     max_form: float
     pairs_checked: int
-    budget: float
-
-    @property
-    def passed(self):
-        return self.max_form < self.budget
-
-    def __bool__(self):
-        return self.passed
 
 
 def _region_subspace(net, region):
@@ -342,8 +331,7 @@ def _region_subspace(net, region):
     return net.wedge_subspace(region)
 
 
-def locality_commutation_check(net, region_a, region_b,
-                               budget=LOCALITY_BUDGET):
+def locality_commutation_check(net, region_a, region_b):
     """Imaginary pairing between subspaces of spacelike regions.
 
     A vanishing form makes every pair of Weyl operators over the two
@@ -356,10 +344,9 @@ def locality_commutation_check(net, region_a, region_b,
     sub_a = _region_subspace(net, region_a)
     sub_b = _region_subspace(net, region_b)
     if sub_a.dim == 0 or sub_b.dim == 0:
-        return LocalityReport(0.0, 0, budget)
+        return LocalityReport(0.0, 0)
     n = net.parent.n
     a = sub_a.basis[:n] + 1j * sub_a.basis[n:]
     b = sub_b.basis[:n] + 1j * sub_b.basis[n:]
     form = b.conj().T @ a
-    return LocalityReport(float(np.max(np.abs(form.imag))), form.size,
-                          budget)
+    return LocalityReport(float(np.max(np.abs(form.imag))), form.size)

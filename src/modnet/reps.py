@@ -77,7 +77,7 @@ class RapidityGrid:
     the measure dp1/(2 omega) becomes d(theta)/2, so all weights are h/2.
     """
 
-    __slots__ = ("n", "h", "theta0", "mass", "theta", "p1", "omega", "weights")
+    __slots__ = ("n", "h", "theta0", "mass", "theta", "weights")
 
     def __init__(self, n, h, theta0, mass):
         if n < 2 or n % 2:
@@ -94,8 +94,6 @@ class RapidityGrid:
         with np.errstate(over="ignore"):
             m_exp = self.mass * np.exp([self.theta, -self.theta])
         _require_normal(self, "m e^{+-theta}", m_exp)
-        self.p1 = self.mass * np.sinh(self.theta)
-        self.omega = self.mass * np.cosh(self.theta)
         self.weights = np.full(self.n, self.h / 2.0)
 
     def lightray_momenta(self):

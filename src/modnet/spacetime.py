@@ -189,3 +189,12 @@ def wedge_corner(wedge):
     if wedge.kind is RegionKind.WEDGE_LEFT:
         return wedge.left[0], wedge.right[1]
     raise ValueError("corner is defined for wedge regions only")
+
+
+def minimal_wedges(cone):
+    """The two minimal wedges (W_R, W_L) around a double cone: the cone
+    (al, bl) x (ar, br) has W_R corner (bl, ar) and W_L corner (al, br)."""
+    if cone.kind is not RegionKind.DOUBLE_CONE:
+        raise ValueError("minimal wedges are defined for double cones")
+    (al, bl), (ar, br) = cone.left, cone.right
+    return Region.wedge_right((bl, ar)), Region.wedge_left((al, br))

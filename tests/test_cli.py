@@ -22,6 +22,8 @@ from modnet import cli
 from modnet import mobius
 from modnet import stdspace
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def _write_config(tmp_path, name, payload):
     path = tmp_path / name
@@ -586,8 +588,7 @@ def test_halperin_bench_passes_and_reports_iterations(tmp_path):
 
 
 def test_every_check_name_is_documented():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "docs", "checks.md"), encoding="utf-8") as fh:
+    with open(os.path.join(ROOT, "docs", "checks.md"), encoding="utf-8") as fh:
         manifest = fh.read()
     documented = {line[4:].strip() for line in manifest.splitlines()
                   if line.startswith("### ")}
@@ -641,18 +642,37 @@ def test_every_command_runs_without_scipy():
     assert passed == {command: True for command in cli.DEFAULT_CONFIGS}
 
 
+def _traced_owner(module, name):
+    """The owner and attribute the benchmark's tracer replaces, through
+    ``owner.__dict__[attr]``, with the module checked to come from src/."""
+    owner = importlib.import_module(f"modnet.{module}")
+    assert os.path.abspath(owner.__file__).startswith(
+        os.path.join(ROOT, "src", "modnet") + os.sep), owner.__file__
+    *parents, attr = name.split(".")
+    for part in parents:
+        owner = getattr(owner, part)
+    return owner, attr
+
+
 def test_every_traced_layer_function_resolves():
     # the benchmark's traced worker replaces these names in place, so a
     # name that no longer resolves breaks `perfbench/run.py --trace 1`;
     # only the table is read: install() is not called
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "perfbench", "tracing.py")
+    path = os.path.join(ROOT, "perfbench", "tracing.py")
     spec = importlib.util.spec_from_file_location("_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     for _, module, name in tracing.LAYER_FUNCTIONS:
-        owner = importlib.import_module(f"modnet.{module}")
-        *parents, attr = name.split(".")
-        for part in parents:
-            owner = getattr(owner, part)
+        owner, attr = _traced_owner(module, name)
         assert callable(owner.__dict__.get(attr)), f"modnet.{module}.{name}"
+
+
+def test_tracer_side_hooks_resolve():
+    # install() also wraps Region.__init__ and catches or counts these
+    # two stdspace classes by name
+    owner, attr = _traced_owner("spacetime", "Region.__init__")
+    assert callable(owner.__dict__.get(attr))
+    for name, base in (("HalperinNonConvergence", Exception),
+                       ("ConditioningWarning", Warning)):
+        owner, attr = _traced_owner("stdspace", name)
+        assert issubclass(owner.__dict__[attr], base), name

@@ -15,6 +15,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from modnet import bgl
+from modnet import cli
 from modnet import fock
 from modnet import spacetime
 from modnet import stdspace
@@ -447,8 +448,7 @@ def test_locality_of_dual_wedges():
     w_r = spacetime.Region.wedge_right((0.0, 0.0))
     w_l = spacetime.Region.wedge_left((0.0, 0.0))
     report = fock.locality_commutation_check(net, w_r, w_l)
-    assert report.passed
-    assert report.max_form < 1e-9
+    assert report.max_form <= cli.CHECKS["fock-checks"]["weyl-locality"][0]
     # every pair of basis vectors, none sampled away
     assert report.pairs_checked == (net.wedge_subspace(w_r).dim
                                     * net.wedge_subspace(w_l).dim)
