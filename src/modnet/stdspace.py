@@ -174,9 +174,10 @@ class RealSubspace:
 
     def transform(self, op):
         """Image under an orthogonal (or unitary real-form) operator; a
-        stack of operators maps each member of a stack of subspaces."""
-        return RealSubspace(self.parent, _orthonormal_basis(op @ self.basis,
-                                                            self.parent))
+        stack of operators maps each member of a stack of subspaces.  The
+        image basis is taken as it is, so the constructor's Gram check
+        refuses an operator that is not orthogonal."""
+        return RealSubspace(self.parent, op @ self.basis)
 
     def __repr__(self):
         return f"RealSubspace(dim={self.dim} of R^{self.parent.real_dim})"
@@ -259,16 +260,11 @@ def subspace_distance(h1, h2):
 
 
 def symplectic_complement(h):
-    """H' = {xi : Im<xi, eta> = 0 for all eta in H} = (i H)^perp."""
-    if h.dim == 0:
-        d = h.parent.real_dim
-        full = np.broadcast_to(np.eye(d), h.basis.shape[:-1] + (d,))
-        return RealSubspace(h.parent, full)
-    rotated = h.parent.J_i @ h.basis
-    # null space of rotated^T: right singular vectors past the numerical
-    # rank, counted against RANK_REL_TOL * max(s)
-    _, s, vt = np.linalg.svd(_T(rotated))
-    return RealSubspace(h.parent, _T(vt[..., _common_rank(s):, :]))
+    """H' = {xi : Im<xi, eta> = 0 for all eta in H} = (i H)^perp: the
+    trailing 2n - k columns of one complete QR of J_i b, which is
+    orthonormal and so has rank exactly k = dim H."""
+    q = np.linalg.qr(h.parent.J_i @ h.basis, mode="complete")[0]
+    return RealSubspace(h.parent, q[..., h.dim:])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -526,13 +522,15 @@ def intersect(subspaces, method="exact", max_iter=5000, tol=1e-9):
     the running intersection keeps exactly the directions whose
     principal-angle sine against the next subspace is at most
     ``ANGLE_TOL``, so two subspaces meeting at an angle above ``ANGLE_TOL``
-    count as disjoint there.  ``halperin`` iterates the cyclic product of
-    the orthogonal projections (by repeated squaring) and extracts the
-    near-1 spectral subspace of the limit; it shares no code with the
-    exact method and serves as its independent oracle.
+    count as disjoint there.  ``halperin`` squares the cyclic product
+    T = P_m ... P_1 of the projections (Halperin 1962) in compressed form,
+    T = b_m K b_1^T with K = (b_m^T b_{m-1}) ... (b_2^T b_1), as K <- K C K
+    with C = b_1^T b_m; the isometries b_m, b_1 give K C K - K the norms of
+    T^2 - T, and the intersection is b_m times the near-1 left singular
+    vectors of the limit K.  It shares no code with the exact method and
+    serves as its independent oracle.
     """
     parent = _common_parent(subspaces)
-    d = parent.real_dim
     if method == "exact":
         basis = subspaces[0].basis
         for h in subspaces[1:]:
@@ -541,30 +539,30 @@ def intersect(subspaces, method="exact", max_iter=5000, tol=1e-9):
         return RealSubspace(parent, basis)
     if method != "halperin":
         raise ValueError(f"unknown method {method!r}")
-    t = np.eye(d)
-    for h in subspaces:
-        t = h.projector() @ t
+    first, last = subspaces[0].basis, subspaces[-1].basis
+    k = np.eye(first.shape[1])
+    for a, b in zip(subspaces, subspaces[1:]):
+        k = (b.basis.T @ a.basis) @ k
+    c = first.T @ last
     iters = 1
     step = None
     while iters <= max_iter:
-        t2 = t @ t
-        step = t2 - t
-        t = t2
+        k2 = k @ c @ k
+        step = k2 - k
+        k = k2
         iters *= 2
-        # converged when ||T^2 - T|| <= tol; the largest entry bounds the
-        # spectral norm from below and the Frobenius norm from above, so
-        # the SVD runs only when neither bound decides
-        if np.max(np.abs(step)) > tol:
+        # converged when ||T^2 - T|| = ||step|| <= tol; the largest entry
+        # bounds the spectral norm from below and the Frobenius norm from
+        # above, so the SVD runs only when neither bound decides
+        if np.max(np.abs(step), initial=0.0) > tol:
             continue
         if np.linalg.norm(step) <= tol or np.linalg.norm(step, 2) <= tol:
             break
     else:
         residual = np.inf if step is None else float(np.linalg.norm(step, 2))
         raise HalperinNonConvergence(residual, iters)
-    sym = (t + t.T) / 2
-    w, v = np.linalg.eigh(sym)
-    basis = v[:, w > 0.5]
-    return RealSubspace(parent, _orthonormal_basis(basis, parent))
+    u, s, _ = np.linalg.svd(k, full_matrices=False)
+    return RealSubspace(parent, last @ u[:, s > 0.5])
 
 
 def sum_closure(subspaces):

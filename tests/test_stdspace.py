@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from modnet.stdspace import (
     HalperinNonConvergence,
     ModularData,
     RealSubspace,
+    _orthonormal_basis,
     _split,
     containment_gap,
     intersect,
@@ -158,6 +160,33 @@ def test_subspace_validation():
         h.transform(op)
 
 
+def test_transform_refuses_a_scaled_rotation():
+    # the image basis is taken as it is: an operator off orthogonal by
+    # 1e-6 fails the constructor's Gram check instead of being re-spanned
+    rng = np.random.default_rng(53)
+    sp = ComplexSpace(4)
+    h = random_subspace(rng, sp, 3)
+    rot = np.linalg.qr(rng.normal(size=(8, 8)))[0]
+    h.transform(rot)
+    with pytest.raises(ValueError, match="orthonormal"):
+        h.transform(rot * (1.0 + 1e-6))
+
+
+def test_transform_of_a_unitary_spans_the_orthonormalised_image():
+    rng = np.random.default_rng(59)
+    sp = ComplexSpace(6)
+    z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    u = sp.realify_linear(np.linalg.qr(z)[0])
+    frame = np.linalg.qr(rng.normal(size=(12, 12)))[0]
+    for k in range(sp.real_dim + 1):
+        h = RealSubspace(sp, frame[:, :k])
+        moved = h.transform(u)
+        # the image as the SVD re-orthonormalisation gave it before
+        svd_image = RealSubspace(sp, _orthonormal_basis(u @ h.basis, sp))
+        assert moved.dim == k
+        assert subspace_distance(moved, svd_image) < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # symplectic complement
 # ---------------------------------------------------------------------------
@@ -184,6 +213,27 @@ def test_complement_dimension_and_involution():
         hp = symplectic_complement(h)
         assert hp.dim == sp.real_dim - h.dim
         assert subspace_distance(symplectic_complement(hp), h) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_complement_from_one_qr_is_orthogonal_to_i_h(n):
+    # H' is the trailing 2n - k columns of a complete QR of J_i b, for
+    # every k including the empty and the full subspace, alone and stacked
+    rng = np.random.default_rng(61 + n)
+    sp = ComplexSpace(n)
+    d = sp.real_dim
+    for k in sorted({0, 1, n, d - 1, d}):
+        stack = RealSubspace(sp, np.stack(
+            [np.linalg.qr(rng.normal(size=(d, d)))[0][:, :k]
+             for _ in range(3)]))
+        duals = symplectic_complement(stack)
+        assert duals.basis.shape == (3, d, d - k)
+        for i in range(3):
+            rotated = sp.J_i @ stack.basis[i]
+            one = symplectic_complement(RealSubspace(sp, stack.basis[i]))
+            assert one.dim == d - k
+            assert np.max(np.abs(rotated.T @ one.basis), initial=0.0) <= 1e-14
+            assert np.array_equal(duals.basis[i], one.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -852,20 +902,39 @@ def _blocks(r):
 
 
 def _halperin_reference(subspaces, tol=1e-9):
-    """Reference: the squaring loop deciding on the spectral norm alone."""
-    t = np.eye(subspaces[0].parent.real_dim)
-    for h in subspaces:
-        t = h.projector() @ t
+    """Reference: the compressed squaring loop K <- K C K deciding on the
+    spectral norm alone; returns the squaring count and the basis."""
+    first, last = subspaces[0].basis, subspaces[-1].basis
+    k = np.eye(first.shape[1])
+    for a, b in zip(subspaces, subspaces[1:]):
+        k = (b.basis.T @ a.basis) @ k
+    c = first.T @ last
     squarings = 0
     while True:
-        t2 = t @ t
-        residual = np.linalg.norm(t2 - t, 2)
-        t = t2
+        k2 = k @ c @ k
+        residual = np.linalg.norm(k2 - k, 2)
+        k = k2
         squarings += 1
         if residual <= tol:
             break
+    u, s, _ = np.linalg.svd(k, full_matrices=False)
+    return squarings, last @ u[:, s > 0.5]
+
+
+def _dense_halperin(subspaces, tol=1e-9):
+    """The squaring loop on the dense T = P_m ... P_1, kept in the tests
+    only: the spectral norm of T^2 - T at every squaring until it is at
+    most tol, and the near-1 eigenvectors of the limit."""
+    t = np.eye(subspaces[0].parent.real_dim)
+    for h in subspaces:
+        t = h.projector() @ t
+    residuals = []
+    while not residuals or residuals[-1] > tol:
+        t2 = t @ t
+        residuals.append(np.linalg.norm(t2 - t, 2))
+        t = t2
     w, v = np.linalg.eigh((t + t.T) / 2)
-    return squarings, v[:, w > 0.5]
+    return residuals, v[:, w > 0.5]
 
 
 @PROPERTY
@@ -932,13 +1001,51 @@ def test_halperin_bounds_keep_the_spectral_decisions(n, seed, data):
     squarings, basis = _halperin_reference(pair)
     # the loop squares while 2^(squarings so far) <= max_iter
     got = intersect(pair, method="halperin", max_iter=2 ** (squarings - 1))
-    # the same iterates: the same eigenvectors, orthonormalised the same way
-    if basis.shape[1]:
-        basis = np.linalg.svd(basis, full_matrices=False)[0]
+    # the same iterates: the same singular vectors of the same limit K
     assert np.array_equal(got.basis, basis)
     assert got.dim == core
     with pytest.raises(HalperinNonConvergence):
         intersect(pair, method="halperin", max_iter=2 ** (squarings - 1) - 1)
+
+
+@PROPERTY
+@given(n=st.integers(2, 6), seed=SEEDS, members=st.sampled_from([2, 3]),
+       data=st.data())
+def test_compressed_halperin_matches_the_dense_cyclic_product(n, seed,
+                                                              members, data):
+    d = 2 * n
+    core = data.draw(st.integers(0, d - 3), label="core")
+    extra_a = data.draw(st.integers(1, d - 2 - core), label="extra_a")
+    extra_b = data.draw(st.integers(1, d - 1 - core - extra_a),
+                        label="extra_b")
+    extras = [extra_a, extra_b]
+    if members == 3:
+        extras.append(data.draw(st.integers(1, d - 1 - core),
+                                label="extra_c"))
+    rng = np.random.default_rng(seed)
+    sp = ComplexSpace(n)
+    shared = rng.normal(size=(d, core))
+    family = [RealSubspace(sp, np.linalg.qr(
+        np.hstack([shared, rng.normal(size=(d, extra))]))[0])
+        for extra in extras]
+    residuals, basis = _dense_halperin(family)
+    squarings = len(residuals)
+    # the same squaring count: converged within 2^(squarings - 1) ...
+    got = intersect(family, method="halperin", max_iter=2 ** (squarings - 1))
+    assert got.dim == basis.shape[1] == core
+    assert subspace_distance(got, RealSubspace(sp, basis)) < 1e-12
+    # ... and not one squaring earlier
+    with pytest.raises(HalperinNonConvergence) as err:
+        intersect(family, method="halperin",
+                  max_iter=2 ** (squarings - 1) - 1)
+    if squarings == 1:
+        return
+    # the residual is ||T^2 - T||: relative agreement where it is large,
+    # absolute round-off where it is about to pass tol
+    assert abs(err.value.residual - residuals[-2]) <= 1e-14
+    with pytest.raises(HalperinNonConvergence) as first:
+        intersect(family, method="halperin", max_iter=1)
+    assert first.value.residual == pytest.approx(residuals[0], rel=1e-12)
 
 
 def test_halperin_without_iterations_raises():
@@ -947,6 +1054,33 @@ def test_halperin_without_iterations_raises():
     with pytest.raises(HalperinNonConvergence) as err:
         intersect([h, h], method="halperin", max_iter=0)
     assert err.value.residual == math.inf
+
+
+def test_halperin_with_a_zero_dimensional_member():
+    sp = ComplexSpace(2)
+    h = RealSubspace(sp, np.eye(4)[:, :2])
+    zero = RealSubspace.zero(sp)
+    for family in ([h, zero], [zero, h], [h, zero, h], [zero]):
+        got = intersect(family, method="halperin", max_iter=1)
+        assert got.basis.shape == (4, 0)
+
+
+def test_halperin_on_the_twisted_cone_allocates_no_dense_iterate():
+    # the two minimal wedges of the unit double cone at real dimension
+    # 520: the compressed iterates are 260 x 260, so the whole
+    # intersection peaks below two 520 x 520 float64 arrays (4.33 MB)
+    net = bgl.NetModel.twisted(n=65)
+    d = net.parent.real_dim
+    assert d == 520
+    pair = [net.wedge_subspace(w) for w in
+            spacetime.minimal_wedges(spacetime.Region.unit_double_cone())]
+    tracemalloc.start()
+    try:
+        intersect(pair, method="halperin", max_iter=1 << 26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * d * d * 8
 
 
 @PROPERTY
