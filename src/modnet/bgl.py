@@ -11,12 +11,12 @@ the twisted representation that breaks dilation covariance by a
 computable phase, a lightcone separating study over double-cone
 families, and two closed-form spectral checks.
 
-A model's geometry is one list of factor records, one per half-line
-block in slot order: its size, its dilation spacing, the lightray whose
-orientation it follows, and the diagonals of P_L and P_R on its slots.
-Wedge blocks, translation phases and positivity of energy read these
-records the same way for every model kind, and the lightcone study
-builds its wedges from one such record through the same rule.
+A model's geometry is the tuple of :class:`reps.Factor` records that
+:func:`reps.build_rep` makes, one per half-line block in slot order.
+The implemented group action, wedge blocks, translation phases and
+positivity of energy read these records the same way for every model
+kind, and the lightcone study builds its wedges from one rapidity
+record made by the massive model's constructor.
 
 Every wedge-like block is held in eigen-form: the modular spectrum, the
 phased inverse-DFT eigenvectors and the J-pairing of their columns are
@@ -47,7 +47,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import threading
-from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -235,28 +234,6 @@ def _eigenpair_fix(parent, kap, cols, pair_of):
 # ---------------------------------------------------------------------------
 
 
-def _chiral_pair_rep(n, h):
-    """Two chiral factors on one symmetric log-momentum grid."""
-    u0 = -(n - 1) * h / 2.0
-    return reps.build_rep({
-        "kind": "productChiralSum",
-        "left": {"n": n, "h": h, "u0": u0},
-        "right": {"n": n, "h": h, "u0": u0},
-    })
-
-
-class _Factor(NamedTuple):
-    """One half-line block of a model: ``n`` slots at dilation spacing
-    ``h``, oriented like lightray ``ray`` (0 left, 1 right), with the
-    diagonals ``p_l`` and ``p_r`` of P_L and P_R on its slots."""
-
-    n: int
-    h: float
-    ray: int
-    p_l: np.ndarray
-    p_r: np.ndarray
-
-
 def _wedge_geometry(region):
     """Per-factor orientations and the apex of a wedge-like region.
 
@@ -280,13 +257,6 @@ def _wedge_geometry(region):
     )
 
 
-def _apex_phases(factors, apex):
-    """Diagonal of the translation U(apex) = e^{i(a p_L + b p_R)}."""
-    a, b = apex
-    return np.concatenate([np.exp(1j * (a * f.p_l + b * f.p_r))
-                           for f in factors])
-
-
 def _wedge_block(factors, region):
     """The assembled eigen-form block of a wedge-like region.
 
@@ -294,14 +264,14 @@ def _wedge_block(factors, region):
     lightray; a rapidity factor carries momentum along both.
     """
     orients, apex = _wedge_geometry(region)
-    if orients[0] == orients[1] and any(f.p_l.any() and f.p_r.any()
-                                        for f in factors):
+    if orients[0] == orients[1] and any(f.rapidity for f in factors):
         raise ValueError(
             "lightcone modular data is not wedge data in a massive "
             "model; lightcone subspaces exist on the chiral models"
         )
     blocks = [_halfline_block(f.n, f.h, orients[f.ray]) for f in factors]
-    return _block_diag(blocks).translate(_apex_phases(factors, apex))
+    return _block_diag(blocks).translate(
+        reps.translation_phases(factors, *apex))
 
 
 class NetModel:
@@ -314,16 +284,15 @@ class NetModel:
     residual plus the floor.
     """
 
-    def __init__(self, kind, rep, *, charge=0.0):
+    def __init__(self, kind, factors, *, charge=0.0):
         if kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
         self.kind = kind
-        self.rep = rep
+        self.factors = tuple(factors)
         self.charge = float(charge)
         self._cache = {}
         self._lock = threading.Lock()
-        self._factors = self._factor_list()
-        self.parent = stdspace.ComplexSpace(sum(f.n for f in self._factors))
+        self.parent = stdspace.ComplexSpace(sum(f.n for f in self.factors))
         self.epsilon = BUDGET_FACTOR * (self._flow_residual() + BUDGET_FLOOR)
 
     # -- constructors ------------------------------------------------------
@@ -331,26 +300,22 @@ class NetModel:
     @classmethod
     def chiral_sum(cls, n=33, h=SOLVABLE_SPACING):
         """Sum of two chiral factors on symmetric log-momentum grids."""
-        return cls("chiralSum", _chiral_pair_rep(n, h))
+        return cls("chiralSum",
+                   reps.build_rep({"kind": "chiralSum", "n": n, "h": h}))
 
     @classmethod
     def massive(cls, n=128, h=2.5, mass=1.0):
-        theta0 = -(n - 1) * h / 2.0
-        rep = reps.build_rep({"kind": "massive", "n": n, "h": h,
-                              "theta0": theta0, "mass": mass})
-        return cls("massive", rep)
+        return cls("massive", reps.build_rep(
+            {"kind": "massive", "n": n, "h": h, "mass": mass}))
 
     @classmethod
     def direct_integral(cls, masses=4, n=32, h=2.5,
                         mass_min=0.5, mass_max=4.0):
-        theta0 = -(n - 1) * h / 2.0
-        rep = reps.build_rep({
-            "kind": "directIntegral",
+        return cls("directIntegral", reps.build_rep({
+            "kind": "directIntegral", "n": n, "h": h,
             "mass_min": mass_min, "mass_max": mass_max,
             "mass_count": masses,
-            "theta": {"n": n, "h": h, "theta0": theta0},
-        })
-        return cls("directIntegral", rep)
+        }))
 
     @classmethod
     def twisted(cls, n=33, h=SOLVABLE_SPACING, charge=1.0):
@@ -360,29 +325,13 @@ class NetModel:
         overall dilation parameter of g leaves the Poincare subgroup
         untouched and rotates the two copies under dilations.
         """
-        return cls("twisted", _chiral_pair_rep(n, h), charge=charge)
-
-    # -- factor geometry ---------------------------------------------------
-
-    def _factor_list(self):
-        """Factor records in slot order: a chiral factor has no momentum
-        along the other lightray; twisted lists the pair once per copy."""
-        if self.kind in ("chiralSum", "twisted"):
-            gl, gr = self.rep.grids
-            if gl.n % 2 == 0 or gr.n % 2 == 0:
-                # _kappa zeroes the unpaired Nyquist mode of an even grid,
-                # which leaves the odd-step dilation flows off by O(1)
-                raise ValueError(
-                    f"chiral grids need an odd size, got {gl.n} and {gr.n}")
-            pair = [_Factor(gl.n, gl.h, 0, gl.momenta, np.zeros(gl.n)),
-                    _Factor(gr.n, gr.h, 1, np.zeros(gr.n), gr.momenta)]
-            return pair * 2 if self.kind == "twisted" else pair
-        return [_Factor(g.n, g.h, 0, *g.lightray_momenta())
-                for g in self.rep.grids]
+        return cls("twisted",
+                   reps.build_rep({"kind": "twisted", "n": n, "h": h}),
+                   charge=charge)
 
     def _flow_residual(self):
         """One-step consistency of the modular flow with the shift."""
-        n, h = self._factors[0].n, self._factors[0].h
+        n, h = self.factors[0].n, self.factors[0].h
         k = 1 if n % 2 else 2          # even grids compare even steps only
         step = _halfline_block(n, h, +1).flow(k * h / _TWO_PI)
         return float(np.linalg.norm(step - _roll(n, -k), 2))
@@ -396,7 +345,7 @@ class NetModel:
 
     def wedge_block(self, region):
         """The assembled eigen-form block of a wedge-like region."""
-        return _wedge_block(self._factors, region)
+        return _wedge_block(self.factors, region)
 
     def wedge_modular(self, region):
         """Validated modular data of a wedge-like region, in the block's
@@ -421,7 +370,8 @@ class NetModel:
         if any(apex):
             origin = self.wedge_subspace(
                 region.translate((-apex[0], -apex[1])))
-            sub = _translate(origin, _apex_phases(self._factors, apex))
+            sub = _translate(origin,
+                             reps.translation_phases(self.factors, *apex))
         else:
             sub = self.wedge_block(region).subspace(self.parent)
         with self._lock:
@@ -457,8 +407,7 @@ class NetModel:
         """
         if self.kind != "directIntegral":
             raise ValueError("fiber models exist for directIntegral only")
-        return [NetModel.massive(n=g.n, h=g.h, mass=g.mass)
-                for g in self.rep.grids]
+        return [NetModel("massive", (f,)) for f in self.factors]
 
     # -- twisted action ----------------------------------------------------
 
@@ -473,18 +422,12 @@ class NetModel:
     # -- representation consistency ---------------------------------------
 
     def unit_matrix_of(self, g):
-        """Unit-frame complex matrix of the implemented group element ``g``."""
-        w = np.sqrt(self.rep.weight_array().ravel())
-        # column j is the unit vector e_j / w_j, all applied at once
-        frame = np.diag((1.0 / w).astype(complex))
-        out = self.rep.apply(g, frame.reshape(self.rep.shape + (w.size,)))
-        mat = out.reshape(w.size, w.size) * w[:, None]
-        if self.kind == "twisted":
-            return _direct_sum([mat, mat])
-        return mat
+        """Complex matrix of the implemented group element ``g`` on the
+        orthonormal slot basis."""
+        return reps.apply(self.factors, g, np.eye(self.parent.n))
 
     def implemented_dilation(self, s):
-        """Unit-frame matrix of the dilation by s on both lightrays,
+        """Matrix of the dilation by s on both lightrays,
         followed on the twisted model by the inner rotation V(q s)."""
         d = mobius.CoverElement.dilation(s)
         u = self.unit_matrix_of(mobius.GElement(d, d))
@@ -493,7 +436,7 @@ class NetModel:
         return u
 
     def __repr__(self):
-        return (f"NetModel(kind={self.kind!r}, shape={self.rep.shape}, "
+        return (f"NetModel(kind={self.kind!r}, n={self.parent.n}, "
                 f"epsilon={self.epsilon:.2e})")
 
 
@@ -595,7 +538,7 @@ def axioms_report(net, tol=BLOCK_TOL):
 
     # SS3 positivity of energy: the lightray translation generators P_L
     # and P_R are diagonal on every factor; their minimum is the residual.
-    spec_min = min(float(np.min(p)) for f in net._factors
+    spec_min = min(float(np.min(p)) for f in net.factors
                    for p in (f.p_l, f.p_r))
     pos = max(0.0, -spec_min)
     entries["Positivity of energy"] = AxiomEntry(
@@ -641,7 +584,7 @@ def _hk_entries(net, entries, notes, tol):
 
     # HK7 dilation covariance: a grid dilation maps the cone family to
     # itself; transported subspace vs stored subspace.
-    h = net._factors[0].h
+    h = net.factors[0].h
     u = net.implemented_dilation(h)
     cov = stdspace.subspace_distance(
         h_v, h_v.transform(net.parent.realify_linear(u)))
@@ -765,7 +708,7 @@ def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
         raise ValueError(
             "reconstruction runs on the exactly solvable summed model; "
             f"got kind {net.kind!r}")
-    left, right = net._factors
+    left, right = net.factors
     first = slice(0, left.n)                 # the left factor's slots
     second = slice(left.n, net.parent.n)
     md_bl, md_br, md_d0 = (
@@ -837,7 +780,7 @@ def counterexample_bw(net, t_values=(0.5, 1.0, 1.5)):
     sym = stdspace.symmetry_commutation_check(h_v, net.inner_rotation(0.7))
     gauge = sym.max_residual
 
-    h = net._factors[0].h
+    h = net.factors[0].h
     devs, preds, resids = [], [], []
     for t in t_values:
         _grid_steps(t, h)
@@ -896,9 +839,7 @@ def _cone_duals(mass, grid, count, spacing):
     covariance each cone's dual is the shape's dual translated by the
     phase of its W_R corner.  The level is one rapidity factor record.
     """
-    theta = (np.arange(grid) - (grid - 1) / 2.0) * spacing
-    factors = [_Factor(grid, spacing, 0, mass * np.exp(theta) / math.sqrt(2.0),
-                       mass * np.exp(-theta) / math.sqrt(2.0))]
+    factors = [reps.rapidity_factor(grid, spacing, mass)]
     parent = stdspace.ComplexSpace(grid)
     origin_r, origin_l = (
         _wedge_block(factors, wedge()).subspace(parent)
@@ -912,9 +853,10 @@ def _cone_duals(mass, grid, count, spacing):
         shape = spacetime.wedge_corner(
             w_l.translate((-corner[0], -corner[1])))
         if shape not in shape_duals:
-            shape_duals[shape] = stdspace.intersect(
-                [origin_r, _translate(origin_l, _apex_phases(factors, shape))])
-        yield _translate(shape_duals[shape], _apex_phases(factors, corner))
+            shape_duals[shape] = stdspace.intersect([origin_r, _translate(
+                origin_l, reps.translation_phases(factors, *shape))])
+        yield _translate(shape_duals[shape],
+                         reps.translation_phases(factors, *corner))
 
 
 def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,

@@ -269,24 +269,14 @@ def test_unit_matrix_of_translation_is_orthogonal(kind):
 
 
 def _unit_matrix_one_column_at_a_time(net, g):
-    w = np.sqrt(net.rep.weight_array().ravel())
-    cols = []
-    for j in range(w.size):
-        e = np.zeros(w.size, dtype=complex)
-        e[j] = 1.0 / w[j]
-        cols.append(net.rep.apply(g, e.reshape(net.rep.shape)).ravel() * w)
-    mat = np.column_stack(cols)
-    if net.kind == "twisted":
-        pair = np.zeros((2 * w.size, 2 * w.size), dtype=complex)
-        pair[:w.size, :w.size] = pair[w.size:, w.size:] = mat
-        mat = pair
-    return mat
+    return np.column_stack([reps.apply(net.factors, g, e)
+                            for e in np.eye(net.parent.n)])
 
 
 @pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
 def test_unit_matrix_of_matches_column_by_column(kind):
     net = _model(kind)
-    h = net._factors[0][1]
+    h = net.factors[0].h
     translation = mobius.GElement(mobius.CoverElement.translation(0.31),
                                   mobius.CoverElement.translation(-0.08))
     boost = mobius.GElement(mobius.CoverElement.dilation(2 * h),
@@ -313,14 +303,14 @@ def test_factor_records_match_the_representation(kind):
     for apex in ((0.3, -0.2), (-0.5, 0.5)):
         g = mobius.GElement(mobius.CoverElement.translation(apex[0]),
                             mobius.CoverElement.translation(apex[1]))
-        dev = np.max(np.abs(np.diag(bgl._apex_phases(net._factors, apex))
-                            - net.unit_matrix_of(g)))
+        phases = reps.translation_phases(net.factors, *apex)
+        dev = np.max(np.abs(np.diag(phases) - net.unit_matrix_of(g)))
         assert dev < 1e-12
     # positivity of energy: P_L and P_R are nonnegative on every block
-    for f in net._factors:
+    for f in net.factors:
         assert np.all(f.p_l >= 0) and np.all(f.p_r >= 0)
     # orientation: each block's W_R flow is the implemented boost
-    s = 2 * net._factors[0].h
+    s = 2 * net.factors[0].h
     boost = mobius.GElement(mobius.CoverElement.dilation(s),
                             mobius.CoverElement.dilation(-s))
     w_r, _ = _origin_wedges()
@@ -328,25 +318,41 @@ def test_factor_records_match_the_representation(kind):
                           - net.unit_matrix_of(boost), 2) < 1e-9
 
 
+@pytest.mark.parametrize("ctor", [bgl.NetModel.chiral_sum,
+                                  bgl.NetModel.twisted])
+def test_implemented_grid_dilation_is_a_phased_permutation_at_n_129(ctor):
+    # at n = 129 and h = pi the momenta span e^{+-201}; the dilation by a
+    # grid step moves slots and forms no ratio of their momenta, so it
+    # stays finite and unitary
+    net = ctor(n=129)
+    h = net.factors[0].h
+    for s in (h, -h):
+        u = net.implemented_dilation(s)
+        assert np.all(np.isfinite(u))
+        one = np.abs(np.abs(u) - 1.0) <= 1e-15
+        assert np.all(one.sum(axis=0) == 1) and np.all(one.sum(axis=1) == 1)
+
+
 def test_apply_takes_a_trailing_column_axis():
     net = _model("directIntegral")
     rng = np.random.default_rng(5)
-    s = 2 * net._factors[0][1]
+    s = 2 * net.factors[0].h
     g = mobius.GElement(
         mobius.CoverElement.translation(0.2) @ mobius.CoverElement.dilation(s),
         mobius.CoverElement.dilation(-s))
-    cols = rng.normal(size=net.rep.shape + (3,)) \
-        + 1j * rng.normal(size=net.rep.shape + (3,))
-    out = net.rep.apply(g, cols)
+    cols = rng.normal(size=(net.parent.n, 3)) \
+        + 1j * rng.normal(size=(net.parent.n, 3))
+    out = reps.apply(net.factors, g, cols)
     for j in range(3):
-        assert np.array_equal(out[..., j], net.rep.apply(g, cols[..., j]))
+        assert np.array_equal(out[..., j],
+                              reps.apply(net.factors, g, cols[..., j]))
     with pytest.raises(ValueError, match="rep shape"):
-        net.rep.apply(g, cols[..., None])
+        reps.apply(net.factors, g, cols[..., None])
 
 
 def test_chiral_wedge_flow_matches_implemented_dilations():
     net = _model("chiralSum")
-    h = net._factors[0][1]
+    h = net.factors[0].h
     t = h / _TWO_PI
     w_r, _ = _origin_wedges()
     g = mobius.GElement(mobius.CoverElement.dilation(h),
@@ -357,7 +363,7 @@ def test_chiral_wedge_flow_matches_implemented_dilations():
 
 def test_cone_flow_matches_implemented_dilations():
     net = _model("chiralSum")
-    h = net._factors[0][1]
+    h = net.factors[0].h
     t = h / _TWO_PI
     cone = spacetime.Region.forward_cone((0.0, 0.0))
     g = mobius.GElement(mobius.CoverElement.dilation(-h),
@@ -371,7 +377,7 @@ def test_massive_wedge_flow_matches_boosts_at_even_steps(kind):
     # even rapidity grids carry an unpaired top mode; flow comparisons
     # are configured on even step counts where its phase squares away
     net = _model(kind)
-    h = net._factors[0][1]
+    h = net.factors[0].h
     s = 2 * h
     t = s / _TWO_PI
     w_r, w_l = _origin_wedges()
@@ -592,7 +598,7 @@ def test_reconstruction_regions_are_translated_forward_cones(n):
 
     for apex in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
         designated = bgl.assemble_blockwise(
-            [factor(f, a) for f, a in zip(net._factors, apex)])
+            [factor(f, a) for f, a in zip(net.factors, apex)])
         cone = net.wedge_subspace(spacetime.Region.forward_cone(apex))
         assert stdspace.subspace_distance(designated, cone) <= 1e-13, apex
 

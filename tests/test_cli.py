@@ -364,6 +364,16 @@ def test_bgl_axioms_twisted_fails_expected_entry(tmp_path):
     assert failed == {"dilation-bisognano-wichmann"}
 
 
+def test_bgl_axioms_chiral_sum_runs_at_n_129(tmp_path):
+    # at h = pi the momenta span e^{+-201}; the implemented dilation is a
+    # slot permutation times a phase, so no factor of the grid overflows
+    code, report = _run(tmp_path, "bgl-axioms",
+                        {"model": "chiralSum", "n": 129})
+    assert code == cli.EXIT_OK
+    assert len(report["checks"]) == 11
+    assert all(e["passed"] for e in report["checks"])
+
+
 def test_coarse_spacings_run_to_a_report_with_the_default_verdicts():
     # the cells where a dense modular operator failed validation: each
     # now gives the verdicts of its kind at the default spacing
