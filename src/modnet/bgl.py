@@ -35,7 +35,10 @@ once per shape and translates the result to every cone of that shape.
 The Bisognano-Wichmann entries recompute a wedge's modular data from
 its subspace alone: one SVD of the complex basis gives (V, log Delta,
 J), and Delta is compared with the defining one as a complex n x n
-power.  The limit that roundtrip meets is |log Delta|, about
+power.  On a direct sum of factors the basis is exactly block-diagonal
+up to a permutation, and that SVD, the residual norms and the QR of
+the eigenpair bases run as stacks of the factor tiles (see
+:mod:`stdspace`).  The limit that roundtrip meets is |log Delta|, about
 2 pi^2 / h on a chiral grid of spacing h: where it is large the
 singular values near sqrt 2 cluster and the recomputed J loses its
 orthogonality, so the chiralSum and twisted models at h = 1.0 raise
@@ -225,8 +228,8 @@ def _eigenpair_fix(parent, kap, cols, pair_of):
     out[:, paired, 1] = v2 / np.linalg.norm(v2, axis=0)
     keep = np.stack([np.ones_like(paired), paired], axis=1).ravel()
     out = out.reshape(parent.n, -1)[:, keep]
-    q, r = np.linalg.qr(np.vstack([out.real, out.imag]))
-    return stdspace.RealSubspace(parent, q * np.sign(np.diag(r)))
+    return stdspace.RealSubspace(
+        parent, stdspace.qr_basis(np.vstack([out.real, out.imag])))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +337,7 @@ class NetModel:
         n, h = self.factors[0].n, self.factors[0].h
         k = 1 if n % 2 else 2          # even grids compare even steps only
         step = _halfline_block(n, h, +1).flow(k * h / _TWO_PI)
-        return float(np.linalg.norm(step - _roll(n, -k), 2))
+        return stdspace.spectral_norm(step - _roll(n, -k))
 
     # -- wedge construction ------------------------------------------------
 
@@ -490,9 +493,9 @@ def _modular_roundtrip(md, h):
     """max(||J - J'||, ||Delta - Delta'|| / ||Delta||) between the defining
     pair ``md`` and the pair (J', Delta') recomputed from ``h``."""
     _, md2 = stdspace.modular_data(h)
-    return float(max(np.linalg.norm(md.jc - md2.jc, 2),
-                     np.linalg.norm(md.power(1.0) - md2.power(1.0), 2)
-                     / md.delta_norm))
+    return max(stdspace.spectral_norm(md.jc - md2.jc),
+               stdspace.spectral_norm(md.power(1.0) - md2.power(1.0))
+               / float(md.delta_norm))
 
 
 def axioms_report(net, tol=BLOCK_TOL):
@@ -600,7 +603,7 @@ def _hk_entries(net, entries, notes, tol):
     # (possibly twisted) implemented dilation flow at grid multiples.
     t = h / _TWO_PI
     flow = net.wedge_flow(cone, t)
-    hk9 = float(np.linalg.norm(flow - net.implemented_dilation(-h), 2))
+    hk9 = stdspace.spectral_norm(flow - net.implemented_dilation(-h))
     entries["Dilation Bisognano-Wichmann"] = AxiomEntry(
         hk9, tol,
         "twisted flow deviates by |e^{2 pi i q t} - 1|"
@@ -667,7 +670,7 @@ def assemble_blockwise(subspaces):
                                  np.vstack([c.real, c.imag]))
 
 
-def _grid_steps(t, h):
+def grid_steps(t, h):
     """Dilation steps of spacing h in 2 pi t, which must be a grid multiple."""
     k = round(_TWO_PI * t / h)
     if abs(_TWO_PI * t - k * h) > 1e-9:
@@ -716,16 +719,15 @@ def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
             spacetime.Region.forward_cone(apex)))[1]
         for apex in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)))
 
-    def norm(x):
-        return float(np.linalg.norm(x, 2))
+    norm = stdspace.spectral_norm
 
     def u_r(t):
         return _roll_columns(md_bl.power(1j * t), first,
-                             _grid_steps(t, left.h))
+                             grid_steps(t, left.h))
 
     def u_l(t):
         return _roll_columns(md_br.power(1j * t), second,
-                             _grid_steps(t, right.h))
+                             grid_steps(t, right.h))
 
     one = np.eye(net.parent.n)
     ident = []
@@ -783,10 +785,10 @@ def counterexample_bw(net, t_values=(0.5, 1.0, 1.5)):
     h = net.factors[0].h
     devs, preds, resids = [], [], []
     for t in t_values:
-        _grid_steps(t, h)
+        grid_steps(t, h)
         flow = net.wedge_flow(cone, t)
         u = net.implemented_dilation(-_TWO_PI * t)
-        dev = float(np.linalg.norm(flow - u, 2))
+        dev = stdspace.spectral_norm(flow - u)
         pred = abs(np.exp(2j * np.pi * net.charge * t) - 1.0)
         devs.append(dev)
         preds.append(pred)

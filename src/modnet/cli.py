@@ -295,13 +295,17 @@ def _resolve_out_dir(arg):
 
 
 # ---------------------------------------------------------------------------
-# command runners: each returns (results, tables).  results maps a check
-# name to its residual, or to (residual, budget) for a row of CHECKS
-# without a base budget; tables maps a table name to (fieldnames, rows)
+# command runners: each takes (config, seed, budget scale) and returns
+# (results, tables).  results maps a check name to its residual, or to
+# (residual, budget) for a row of CHECKS without a base budget; tables
+# maps a table name to (fieldnames, rows).  A runner that draws builds
+# its generator from the seed, so a command that draws nothing never
+# loads numpy.random
 # ---------------------------------------------------------------------------
 
 
-def _run_verify_mobius(cfg, rng, scale):
+def _run_verify_mobius(cfg, seed, scale):
+    rng = np.random.default_rng(seed)
     samples = _int(cfg["samples"], "samples", minimum=1)
     span = float(cfg["parameter_range"])
     worst_comm = 0.0
@@ -403,7 +407,8 @@ def _random_standard(rng, parent, samples):
     return stdspace.RealSubspace(parent, np.concatenate(kept))
 
 
-def _run_verify_stdspace(cfg, rng, scale):
+def _run_verify_stdspace(cfg, seed, scale):
+    rng = np.random.default_rng(seed)
     parent = stdspace.ComplexSpace(_int(cfg["dim"], "dim", minimum=1))
     samples = _int(cfg["samples"], "samples", minimum=1)
     # every step runs once over the stack of all samples
@@ -460,7 +465,7 @@ def _build_model(cfg):
         raise ConfigError(f"invalid model parameters: {exc}") from exc
 
 
-def _run_bgl_axioms(cfg, rng, scale):
+def _run_bgl_axioms(cfg, seed, scale):
     net = _build_model(cfg)
     report = bgl.axioms_report(net, tol=bgl.BLOCK_TOL * scale)
     results = {}
@@ -475,14 +480,24 @@ def _run_bgl_axioms(cfg, rng, scale):
                                  rows)}
 
 
-def _run_reconstruct_mobius(cfg, rng, scale):
+def _grid_times(net, t_values):
+    """Refuse a flow time 2 pi t off the model's dilation grid, before any
+    compute."""
+    for t in t_values:
+        bgl.grid_steps(t, net.factors[0].h)
+
+
+def _run_reconstruct_mobius(cfg, seed, scale):
     t_values = _floats(cfg["t_values"], "t_values")
+    # only parsing and model construction map to a config error; a
+    # failure of the computation itself is an internal error
     try:
         net = bgl.NetModel.chiral_sum(n=_int(cfg["n"], "n"),
                                       h=float(cfg["h"]))
-        report = bgl.reconstruct_ur(net, t_values=t_values)
+        _grid_times(net, t_values)
     except ValueError as exc:
         raise ConfigError(f"invalid reconstruction parameters: {exc}") from exc
+    report = bgl.reconstruct_ur(net, t_values=t_values)
     results = {
         "reconstruction-identity": report.max_identity,
         "reconstruction-commutator": report.max_commutator,
@@ -499,14 +514,15 @@ def _run_reconstruct_mobius(cfg, rng, scale):
     return results, {"flow": (fields, rows)}
 
 
-def _run_break_bw(cfg, rng, scale):
+def _run_break_bw(cfg, seed, scale):
     t_values = _floats(cfg["t_values"], "t_values")
     try:
         net = bgl.NetModel.twisted(n=_int(cfg["n"], "n"), h=float(cfg["h"]),
                                    charge=float(cfg["charge"]))
-        report = bgl.counterexample_bw(net, t_values=t_values)
+        _grid_times(net, t_values)
     except ValueError as exc:
         raise ConfigError(f"invalid counterexample parameters: {exc}") from exc
+    report = bgl.counterexample_bw(net, t_values=t_values)
     results = {
         "counterexample-formula": report.max_formula_residual,
         "counterexample-wedge-roundtrip": (report.wedge_roundtrip,
@@ -519,7 +535,7 @@ def _run_break_bw(cfg, rng, scale):
     return results, {"deviation": (("t", "deviation", "predicted"), rows)}
 
 
-def _run_lightcone_defect(cfg, rng, scale):
+def _run_lightcone_defect(cfg, seed, scale):
     masses = _floats(cfg["masses"], "masses")
     try:
         ladder = tuple((_int(n, "ladder"), _int(c, "ladder"))
@@ -539,8 +555,9 @@ def _run_lightcone_defect(cfg, rng, scale):
     return results, {"ladder": (fields, rows)}
 
 
-def _run_spin_statistics(cfg, rng, scale):
+def _run_spin_statistics(cfg, seed, scale):
     count = _int(cfg["pairs"], "pairs", minimum=1)
+    rng = np.random.default_rng(seed)
     base = rng.uniform(0.0, 3.0, size=count)
     steps = rng.integers(-3, 4, size=count)
     good = [(mu, mu + k) for mu, k in zip(base, steps)]
@@ -552,7 +569,7 @@ def _run_spin_statistics(cfg, rng, scale):
             "spin-statistics-violation-detected": violation}, {}
 
 
-def _run_trace_class(cfg, rng, scale):
+def _run_trace_class(cfg, seed, scale):
     n_terms = _int(cfg["n_terms"], "n_terms", minimum=1)
     rows = []
     worst_rel = 0.0
@@ -578,10 +595,11 @@ def _run_trace_class(cfg, rng, scale):
     return results, {"partition": (fields, rows)}
 
 
-def _run_fock_checks(cfg, rng, scale):
+def _run_fock_checks(cfg, seed, scale):
     modes = _int(cfg["modes"], "modes", minimum=1)
     order = _int(cfg["order"], "order", minimum=0)
     samples = _int(cfg["samples"], "samples", minimum=1)
+    rng = np.random.default_rng(seed)
 
     def amp(norm):
         f = rng.normal(size=modes) + 1j * rng.normal(size=modes)
@@ -655,12 +673,13 @@ def _run_fock_checks(cfg, rng, scale):
     }, {}
 
 
-def _run_halperin_bench(cfg, rng, scale):
+def _run_halperin_bench(cfg, seed, scale):
     # generic pairs draw subspace dimensions from [3, dim - 1)
     parent = stdspace.ComplexSpace(_int(cfg["dim"], "dim", minimum=5))
     n = parent.n
     tol = float(cfg["tol"])
     max_iter = _int(cfg["max_iter"], "max_iter", minimum=1)
+    rng = np.random.default_rng(seed)
     caps = [c for c in (8, 32, 128, 512, 2048) if c < max_iter] + [max_iter]
 
     rows = []
@@ -749,9 +768,8 @@ def run_command(command, config, seed, budget_scale):
     if not (math.isfinite(budget_scale) and budget_scale > 0):
         raise ConfigError(f"budget scale must be finite and positive, "
                           f"got {budget_scale!r}")
-    rng = np.random.default_rng(seed)
     started = time.perf_counter()
-    results, tables = RUNNERS[command](config, rng, budget_scale)
+    results, tables = RUNNERS[command](config, seed, budget_scale)
     elapsed = time.perf_counter() - started
     declared = CHECKS[command]
     for name in results:

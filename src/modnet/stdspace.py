@@ -24,6 +24,18 @@ stack at once (numpy's ``svd`` and ``@`` loop over it in LAPACK/BLAS).
 A single subspace is a stack without leading axes, so there is one
 code path, and each member of a stack gets the same floating-point
 result as it gets alone.
+
+Tiles are a direct sum, a stack is a batch.  The models are direct sums
+(two chiral factors, two copies of them, one rapidity block per mass),
+and the modular data of a direct sum of standard subspaces is the
+direct sum of the summands' data.  :func:`_tiles` reads that decoupling
+from an operand's zero pattern: the connected components of its rows
+and columns.  An operand of at least two tiles of one shape runs as a
+stack of its tiles through the same stack body, and the results merge
+back: spectra are concatenated and sorted before any threshold reads
+them, vectors, V and J are embedded block-diagonally, and a norm is
+the largest tile norm.  Any other operand, a stack among them, takes
+the call on the whole array.  The zero pattern alone decides.
 """
 
 from __future__ import annotations
@@ -84,19 +96,26 @@ class ComplexSpace:
     """The complex space C^n in its real form R^{2n}.
 
     Vectors are stacked as [Re; Im]; ``J_i`` implements multiplication
-    by i and is orthogonal with J_i^2 = -1 by construction.
+    by i and is orthogonal with J_i^2 = -1 by construction.  It is built
+    on first use: the module itself rotates by i with :func:`_times_i`.
     """
 
-    __slots__ = ("n", "J_i")
+    __slots__ = ("n", "_j_i")
 
     def __init__(self, n):
         if n < 1:
             raise ValueError("complex dimension must be positive")
         self.n = int(n)
-        eye = np.eye(n)
-        zero = np.zeros((n, n))
-        self.J_i = np.block([[zero, -eye], [eye, zero]])
-        self.J_i.setflags(write=False)
+        self._j_i = None
+
+    @property
+    def J_i(self):
+        if self._j_i is None:
+            eye = np.eye(self.n)
+            zero = np.zeros((self.n, self.n))
+            self._j_i = np.block([[zero, -eye], [eye, zero]])
+            self._j_i.setflags(write=False)
+        return self._j_i
 
     @property
     def real_dim(self):
@@ -197,6 +216,161 @@ def _max_entry(c):
     return np.maximum(np.max(np.abs(c.real)), np.max(np.abs(c.imag)))
 
 
+# ---------------------------------------------------------------------------
+# tiles: the exact decoupling of an operand
+# ---------------------------------------------------------------------------
+
+
+def _tiles(*ops, square=()):
+    """The exact decoupling of matrices that share their rows, or None.
+
+    ``ops`` are 2-D arrays (m, k_i) on one set of m rows.  Row r and
+    column c of an operand are joined where that entry is nonzero, and
+    the tiles are the connected components.  The operands at the
+    positions ``square`` are slot-to-slot operators such as jc, whose
+    columns index the rows themselves: each tile must hold the same
+    indices among their rows and their columns.
+
+    Returns ``(rows, cols, stacks)`` when there are T >= 2 tiles of one
+    shape: ``rows`` (T, m / T) and, per operand, ``cols[i]`` (T, k_i / T),
+    each ascending within a tile, tiles in the order of their first row,
+    and ``stacks[i]`` the (T, m / T, k_i / T) stack of the tiles of
+    ``ops[i]``.  Anything else gives None: a stack, an empty operand, one
+    tile (an operand without zeros, or with a full row or column, exits
+    first), a zero row or column, or tiles of unequal shape.
+    """
+    if any(a.ndim != 2 or a.size == 0 for a in ops):
+        return None
+    masks = []
+    for a in ops:
+        # a column without zeros joins every row, and so does a row
+        # without zeros when every row meets the operand
+        mk = a != 0
+        if mk.all(axis=0).any() or (mk.all(axis=1).any()
+                                    and mk.any(axis=1).all()):
+            return None
+        masks.append(mk)
+    mask = np.hstack(masks) if len(masks) > 1 else masks[0]
+    m, k = mask.shape
+    if not (mask.any(axis=1).all() and mask.any(axis=0).all()):
+        return None                 # a zero row or column
+    # the forest joining each row to its first and last nonzero column
+    # and each column to its first nonzero row has components that refine
+    # the tiles; they are the tiles unless a nonzero joins two of them
+    rows, cols = np.arange(m), m + np.arange(k)
+    label = _least_labels(
+        m + k, np.concatenate([rows, rows, cols]),
+        np.concatenate([m + mask.argmax(axis=1),
+                        m + k - 1 - mask[:, ::-1].argmax(axis=1),
+                        mask.argmax(axis=0)]))
+    row_label, col_label = label[:m], label[m:]
+    if not row_label.any():
+        return None
+    if np.any(mask & (row_label[:, None] != col_label)):
+        row_label, col_label = _least_labels_dense(mask)
+    return _tiles_of(ops, square, row_label, col_label)
+
+
+def _tiles_of(ops, square, row_label, col_label):
+    """:func:`_tiles`'s result for the given row and column labels (the
+    least row of each tile), or None if they give fewer than 2 tiles or
+    tiles of unequal shape."""
+    per_tile = np.bincount(row_label)
+    first = np.flatnonzero(per_tile)
+    count = first.size
+    if count < 2 or np.any(per_tile[first] != per_tile[first[0]]):
+        return None
+    rows = np.argsort(row_label, kind="stable").reshape(count, -1)
+    cols, stacks = [], []
+    start = 0
+    for i, a in enumerate(ops):
+        own = col_label[start:start + a.shape[1]]
+        start += a.shape[1]
+        if np.any(np.bincount(own, minlength=per_tile.size)[first]
+                  * count != a.shape[1]):
+            return None
+        cols.append(np.argsort(own, kind="stable").reshape(count, -1))
+        if i in square and not np.array_equal(cols[-1], rows):
+            return None
+        stacks.append(a[rows[:, :, None], cols[-1][:, None, :]])
+    return rows, cols, stacks
+
+
+def _least_labels(count, u, v):
+    """Per node, the least node of its component in the graph on the
+    nodes 0, ..., count - 1 with the edges (u[e], v[e]): each node takes
+    the least label over its edges, then the label of that label, until
+    nothing moves."""
+    label = np.arange(count)
+    while True:
+        low = np.minimum(label[u], label[v])
+        new = label.copy()
+        np.minimum.at(new, u, low)
+        np.minimum.at(new, v, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _least_labels_dense(mask):
+    """Row and column labels, the least row of each component, of the
+    graph joining row r and column c where mask[r, c]; every row and
+    column has a nonzero."""
+    m = mask.shape[0]
+    label = np.arange(m)
+    while True:
+        col = np.where(mask, label[:, None], m).min(axis=0)
+        new = np.where(mask, col, m).min(axis=1)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label, col
+        label = new
+
+
+def _scatter(stack, rows, cols, shape):
+    """The matrix of the given shape holding tile t of ``stack`` at
+    (rows[t], cols[t]) and zeros elsewhere."""
+    out = np.zeros(shape, dtype=stack.dtype)
+    out[rows[:, :, None], cols[:, None, :]] = stack
+    return out
+
+
+def _singular_values(a):
+    """Descending singular values of a matrix or of a stack; the tiles of
+    a tiled matrix run as one stack and their values are sorted
+    together."""
+    tiles = _tiles(a)
+    if tiles is None:
+        return np.linalg.svd(a, compute_uv=False)
+    s = np.linalg.svd(tiles[2][0], compute_uv=False)
+    return np.sort(s, axis=None)[::-1]
+
+
+def spectral_norm(x):
+    """The spectral norm ||x||_2 of a real or complex matrix; a tiled
+    matrix's is the largest of its tile norms."""
+    tiles = _tiles(x)
+    if tiles is None:
+        return float(np.linalg.norm(x, 2))
+    return float(np.max(np.linalg.svd(tiles[2][0], compute_uv=False)[:, 0]))
+
+
+def qr_basis(a):
+    """Q of the reduced QR of a full-rank a, its columns signed so that
+    R has a positive diagonal: the one such orthonormal basis of the
+    leading spans of a.  A tiled a runs as the stack of its tiles, and
+    each tile's Q takes that tile's place."""
+    tiles = _tiles(a)
+    if tiles is None:
+        q, r = np.linalg.qr(a)
+        return q * np.sign(np.diag(r))
+    rows, (cols,), (stack,) = tiles
+    q, r = np.linalg.qr(stack)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    return _scatter(q * signs[:, None, :], rows, cols, a.shape)
+
+
 def _orthonormal_basis(columns, parent):
     """Orthonormal basis of the column span, rank by relative threshold.
 
@@ -235,8 +409,27 @@ def principal_angles(a, b, vectors=True):
     of span(b) have sine 1.  Returns ``(sines, v)``: ``b @ v[:, j]`` is the
     unit vector of span(b) at angle ``arcsin(sines[j])`` to span(a).  With
     ``vectors=False`` only the sines are computed and returned.  Stacks
-    of bases (..., d, k) give stacks of sines and vectors.
+    of bases (..., d, k) give stacks of sines and vectors.  A tiled pair
+    runs as a stack of its tiles: the sines are sorted together, and each
+    tile's block of v sits on that tile's columns of b.
     """
+    tiles = _tiles(a, b)
+    if tiles is None:
+        return _angles(a, b, vectors)
+    _, (_, cols_b), stacks = tiles
+    got = _angles(*stacks, vectors)
+    if not vectors:
+        return np.sort(got, axis=None)
+    sines, v = got
+    k = b.shape[-1]
+    placed = np.empty(k)
+    placed[cols_b] = sines
+    order = np.argsort(placed, kind="stable")
+    return placed[order], _scatter(v, cols_b, cols_b, (k, k))[:, order]
+
+
+def _angles(a, b, vectors):
+    """The body of :func:`principal_angles` on matrices or stacks."""
     r = b - a @ (_T(a) @ b)
     if not vectors:
         return np.linalg.svd(r, compute_uv=False)[..., ::-1]
@@ -244,27 +437,58 @@ def principal_angles(a, b, vectors=True):
     return s[..., ::-1], _T(vt[..., ::-1, :])
 
 
+def _largest_sine(a, b, tiles):
+    """||(1 - P_a) b||, the largest sine of span(b) against span(a),
+    for the pair's :func:`_tiles`: of a tiled pair, the largest over its
+    tiles."""
+    if tiles is not None:
+        return np.max(_angles(*tiles[2], False)[:, -1])
+    sines = _angles(a, b, False)
+    return sines[..., -1] if sines.shape[-1] else np.zeros(sines.shape[:-1])
+
+
 def containment_gap(big, small):
     """Largest sine of small against big: ||(1 - P_big) B_small||."""
-    sines = principal_angles(big.basis, small.basis, vectors=False)
-    return sines[..., -1] if sines.shape[-1] else np.zeros(sines.shape[:-1])
+    return _largest_sine(big.basis, small.basis,
+                         _tiles(big.basis, small.basis))
 
 
 def subspace_distance(h1, h2):
     """Operator norm ||P_1 - P_2|| of the difference of the projections.
 
     Equal to the larger of the two containment gaps, so it is computed
-    on the thin bases and never forms a projector.
+    on the thin bases and never forms a projector; the pair is tiled
+    once for both.
     """
-    return np.maximum(containment_gap(h2, h1), containment_gap(h1, h2))
+    tiles = _tiles(h1.basis, h2.basis)
+    swapped = None if tiles is None else (
+        tiles[0], tiles[1][::-1], tiles[2][::-1])
+    return np.maximum(_largest_sine(h2.basis, h1.basis, swapped),
+                      _largest_sine(h1.basis, h2.basis, tiles))
+
+
+def _times_i(b, n):
+    """i times the real-form columns b (..., 2n, k): the slot swap
+    [-Im; Re], a signed permutation, so every entry is exact; adding 0
+    turns each -0 into the +0 that the product J_i b gives."""
+    return np.concatenate([-b[..., n:, :], b[..., :n, :]], axis=-2) + 0.0
 
 
 def symplectic_complement(h):
     """H' = {xi : Im<xi, eta> = 0 for all eta in H} = (i H)^perp: the
-    trailing 2n - k columns of one complete QR of J_i b, which is
-    orthonormal and so has rank exactly k = dim H."""
-    q = np.linalg.qr(h.parent.J_i @ h.basis, mode="complete")[0]
-    return RealSubspace(h.parent, q[..., h.dim:])
+    trailing 2n - k columns of one complete QR of i b, which is
+    orthonormal and so has rank exactly k = dim H.  A tiled i b gives
+    each tile's trailing columns, on that tile's rows."""
+    rotated = _times_i(h.basis, h.parent.n)
+    tiles = _tiles(rotated)
+    if tiles is None:
+        q = np.linalg.qr(rotated, mode="complete")[0]
+        return RealSubspace(h.parent, q[..., h.dim:])
+    rows, (cols,), (stack,) = tiles
+    q = np.linalg.qr(stack, mode="complete")[0][..., cols.shape[1]:]
+    slots = np.arange(q.shape[0] * q.shape[2]).reshape(q.shape[0], -1)
+    return RealSubspace(h.parent, _scatter(
+        q, rows, slots, (h.parent.real_dim, slots.size)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -309,10 +533,9 @@ def standardness(h):
     them twice.  H is cyclic when B has full rank n (the relative count of
     ``RANK_REL_TOL``), and the minimal angle is 2 asin(sigma_min / sqrt 2),
     accurate near 0 and near pi/2 alike; for k > n, B has a kernel and the
-    angle is 0.
+    angle is 0.  A tiled B gives its tiles' singular values together.
     """
-    return _standardness_of(
-        np.linalg.svd(_complex_basis(h), compute_uv=False), h)
+    return _standardness_of(_singular_values(_complex_basis(h)), h)
 
 
 # ---------------------------------------------------------------------------
@@ -357,21 +580,27 @@ class ModularData:
         order = np.argsort(lam, axis=-1, kind="stable")
         vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
         lam = np.take_along_axis(lam, order, axis=-1)
-        eye = np.eye(n)
-        vh = _T(vecs.conj())
+        # tiled data is validated tile by tile, as one stack
+        v, j, lt = vecs, jc, lam
+        tiles = _tiles(vecs, jc, square=(1,))
+        if tiles is not None:
+            _, (cols, _), (v, j) = tiles
+            lt = lam[cols]
+        eye = np.eye(v.shape[-1])
+        vh = _T(v.conj())
         # errors are the largest real-form entries of the residuals
         _require({
-            "V unitary": _max_entry(vh @ vecs - eye),
-            "J orthogonal": _max_entry(_T(jc.conj()) @ jc - eye),
-            "J involutive": _max_entry(jc @ jc.conj() - eye),
+            "V unitary": _max_entry(vh @ v - eye),
+            "J orthogonal": _max_entry(_T(j.conj()) @ j - eye),
+            "J involutive": _max_entry(j @ j.conj() - eye),
         }, atol)
         # balance: X = V* jc conj(V) may couple lambda_i only with
         # -lambda_i.  J Delta^{1/2} = Delta^{-1/2} J reads X_ij e^{lambda_j/2}
         # = e^{-lambda_i/2} X_ij; its defect relative to the entry's size
         # is |X_ij tanh((lambda_i + lambda_j) / 4)|, free of any scale
-        x = vh @ jc @ vecs.conj()
+        x = vh @ j @ v.conj()
         rel = float(np.max(np.abs(x) * np.abs(np.tanh(
-            (lam[..., :, None] + lam[..., None, :]) / 4.0))))
+            (lt[..., :, None] + lt[..., None, :]) / 4.0))))
         if not rel <= BALANCE_TOL:
             raise ValueError("modular invariant violated: J Delta J = "
                              f"Delta^-1 (relative error {rel:.3e})")
@@ -454,10 +683,20 @@ def modular_data(h):
 
     The cyclic/separating gate reads the same singular values.  A stack
     of subspaces gives stacks of S and of modular data, and is refused
-    if any member is not standard.
+    if any member is not standard.  A tiled B runs as the stack of its
+    tiles; the gate reads their singular values sorted together, and
+    V, S and J are embedded block by block.
     """
-    u, s, wh = np.linalg.svd(_complex_basis(h))
-    rep = _standardness_of(s, h)
+    b = _complex_basis(h)
+    tiles = _tiles(b)
+    if tiles is None:
+        u, s, wh = np.linalg.svd(b)
+        spectrum = s
+    else:
+        rows, _, (stack,) = tiles
+        u, s, wh = np.linalg.svd(stack)
+        spectrum = np.sort(s, axis=None)[::-1]
+    rep = _standardness_of(spectrum, h)
     if not rep.cyclic.all():
         raise ValueError("subspace is not cyclic: H + iH does not span")
     if not rep.separating.all():
@@ -467,9 +706,19 @@ def modular_data(h):
         )
     pair = s[..., ::-1]
     a = (u * s[..., None, :]) @ (wh @ _T(wh))   # W* conj(W) = wh wh^T
-    md = ModularData(h.parent, u, 2.0 * np.log(pair / s),
-                     (a / pair[..., None, :]) @ _T(u))
-    return h.parent.realify_antilinear((a / s[..., None, :]) @ _T(u)), md
+    lam = 2.0 * np.log(pair / s)
+    jc = (a / pair[..., None, :]) @ _T(u)
+    sc = (a / s[..., None, :]) @ _T(u)
+    if tiles is not None:
+        # a standard tiled B has square tiles; tile t's eigenvectors
+        # take the columns of its own slots
+        shape = (h.parent.n,) * 2
+        u, jc, sc = (_scatter(x, rows, rows, shape) for x in (u, jc, sc))
+        placed = np.empty(shape[0])
+        placed[rows] = lam
+        lam = placed
+    md = ModularData(h.parent, u, lam, jc)
+    return h.parent.realify_antilinear(sc), md
 
 
 def subspace_from_modular(m):
@@ -602,7 +851,7 @@ def symmetry_commutation_check(h, u, tol=SUBSPACE_TOL):
     s_op, m = modular_data(h)
 
     def deviation(x, right):
-        return float(np.linalg.norm((u @ x) @ right - x, 2))
+        return spectral_norm((u @ x) @ right - x)
 
     return SymmetryReport(
         deviation(_split(h.parent, s_op)[1], u.T),

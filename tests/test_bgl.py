@@ -737,6 +737,54 @@ def test_translated_cone_duals_match_the_direct_intersection():
             assert stdspace.subspace_distance(dual, direct) <= bound, grid
 
 
+def _scaled_duals_and_massive_data():
+    duals = [d.basis for grid, count in SCALED_LADDER
+             for d in bgl._cone_duals(1.0, grid, count, bgl.STUDY_SPACING)]
+    net = bgl.NetModel.massive()
+    w_r, _ = _origin_wedges()
+    s_op, md = stdspace.modular_data(net.wedge_subspace(w_r))
+    block = net.wedge_modular(w_r)
+    return duals, [s_op, md.vecs, md.log_delta, md.jc, block.vecs,
+                   block.log_delta, block.jc]
+
+
+def test_one_tile_operands_take_the_dense_call(monkeypatch):
+    # the study's rapidity operands and a massive model are one tile, so
+    # every primitive takes its call on the whole array: the 170 duals of
+    # the scaled ladder and the massive modular data are the arrays that
+    # result with tiling switched off
+    duals, data = _scaled_duals_and_massive_data()
+    monkeypatch.setattr(stdspace, "_tiles", lambda *ops, square=(): None)
+    dense_duals, dense_data = _scaled_duals_and_massive_data()
+    assert len(duals) == len(dense_duals) == 170
+    assert all(np.array_equal(a, b) for a, b in zip(duals, dense_duals))
+    assert all(np.array_equal(a, b) for a, b in zip(data, dense_data))
+
+
+@pytest.mark.parametrize("kind", ["chiralSum", "directIntegral", "twisted"])
+def test_direct_sum_models_run_tiled_and_agree_with_the_dense_call(
+        monkeypatch, kind):
+    # wedge bases, modular data and their residuals of the direct-sum
+    # models are tiled; the dense call gives them to round-off
+    def entries():
+        net = {"chiralSum": bgl.NetModel.chiral_sum,
+               "directIntegral": bgl.NetModel.direct_integral,
+               "twisted": bgl.NetModel.twisted}[kind]()
+        h_r = net.wedge_subspace(_origin_wedges()[0])
+        return h_r, bgl.axioms_report(net)
+
+    h_r, report = entries()
+    n = h_r.parent.n
+    assert stdspace._tiles(h_r.basis[:n] + 1j * h_r.basis[n:]) is not None
+    monkeypatch.setattr(stdspace, "_tiles", lambda *ops, square=(): None)
+    dense_h, dense = entries()
+    assert stdspace.subspace_distance(h_r, dense_h) < 1e-12
+    for name, entry in report.entries.items():
+        assert entry.passed == dense[name].passed, name
+        assert entry.residual == pytest.approx(dense[name].residual,
+                                               abs=1e-11), name
+
+
 @pytest.mark.parametrize("ladder,calls", [(SCALED_LADDER, 30),
                                           (bgl.CONE_LADDER, 14)])
 def test_study_intersects_once_per_cone_shape(monkeypatch, ladder, calls):

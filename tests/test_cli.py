@@ -18,6 +18,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from modnet import bgl
 from modnet import cli
 from modnet import mobius
 from modnet import stdspace
@@ -165,7 +166,7 @@ def test_budget_scale_must_be_finite_and_positive(tmp_path, scale, capsys):
 
 
 def test_nan_residual_fails_and_report_is_strict_json(tmp_path, monkeypatch):
-    def nan_runner(cfg, rng, scale):
+    def nan_runner(cfg, seed, scale):
         return {"trace-class-truncation": float("nan")}, {}
 
     monkeypatch.setitem(cli.RUNNERS, "trace-class", nan_runner)
@@ -192,7 +193,7 @@ def test_environment_variable_sets_output_directory(tmp_path, monkeypatch):
 
 
 def test_internal_errors_exit_with_status_three(tmp_path, monkeypatch):
-    def boom(cfg, rng, scale):
+    def boom(cfg, seed, scale):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setitem(cli.RUNNERS, "trace-class", boom)
@@ -203,6 +204,20 @@ def test_internal_errors_exit_with_status_three(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # individual commands
 # ---------------------------------------------------------------------------
+
+
+def _generators_built(monkeypatch):
+    """The list that collects every generator np.random.default_rng
+    builds from here on."""
+    built = []
+    real = np.random.default_rng
+
+    def spy(seed):
+        built.append(real(seed))
+        return built[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    return built
 
 
 def test_verify_mobius_passes(tmp_path):
@@ -261,13 +276,16 @@ def _verify_mobius_one_draw_at_a_time(cfg, rng):
 
 @pytest.mark.parametrize("samples,span,seed", [
     (1000, 2.0, 0), (1000, 2.0, 7), (1, 2.0, 3), (1, 6.0, 5), (200, 6.0, 11)])
-def test_verify_mobius_draws_as_one_draw_at_a_time(samples, span, seed):
+def test_verify_mobius_draws_as_one_draw_at_a_time(samples, span, seed,
+                                                   monkeypatch):
     # each round draws only the still missing samples, so every draw is
     # one the per-draw loop makes too, and the generator ends in step
     cfg = {"samples": samples, "parameter_range": span}
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got, _ = cli._run_verify_mobius(cfg, rng, 1.0)
+    ref_rng = np.random.default_rng(seed)
+    built = _generators_built(monkeypatch)
+    got, _ = cli._run_verify_mobius(cfg, seed, 1.0)
     assert got == _verify_mobius_one_draw_at_a_time(cfg, ref_rng)
+    (rng,) = built
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -322,15 +340,17 @@ def _verify_stdspace_one_sample_at_a_time(cfg, rng):
     (8, 50, 0, False), (8, 50, 7, True), (3, 4, 1, False), (24, 3, 2, True),
     (24, 6, 3, True), (1, 2, 5, False)])
 def test_verify_stdspace_draws_as_one_sample_at_a_time(dim, samples, seed,
-                                                       rejects):
+                                                       rejects, monkeypatch):
     # the samples run as one stack; every draw is one the per-sample loop
     # makes too, rejected ones included, and each sample gets the digits
     # it gets alone
     cfg = {"dim": dim, "samples": samples}
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got, _ = cli._run_verify_stdspace(cfg, rng, 1.0)
+    ref_rng = np.random.default_rng(seed)
+    built = _generators_built(monkeypatch)
+    got, _ = cli._run_verify_stdspace(cfg, seed, 1.0)
     want, drawn = _verify_stdspace_one_sample_at_a_time(cfg, ref_rng)
     assert got == want
+    (rng,) = built
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert (drawn > samples) == rejects
 
@@ -423,6 +443,28 @@ def test_chiral_grid_parity(tmp_path, command, config, odd_code, n):
         assert code == odd_code
     else:
         assert code == cli.EXIT_CONFIG_ERROR
+        assert report is None
+
+
+@pytest.mark.parametrize("command, kernel", [
+    ("reconstruct-mobius", "reconstruct_ur"),
+    ("break-bw", "counterexample_bw"),
+])
+def test_a_failing_computation_is_an_internal_error(tmp_path, monkeypatch,
+                                                    command, kernel):
+    # LinAlgError subclasses ValueError; only parsing and model
+    # construction may map to exit 2, so a failure planted in the
+    # computation exits 3 while bad parameters still exit 2
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(bgl, kernel, fail)
+    code, report = _run(tmp_path, command, {"n": 9})
+    assert code == cli.EXIT_INTERNAL_ERROR
+    assert report is None
+    for bad in ({"t_values": [0.3]}, {"n": 8}, {"h": -1.0}, {"h": 0.0}):
+        code, report = _run(tmp_path, command, {"n": 9, **bad})
+        assert code == cli.EXIT_CONFIG_ERROR, bad
         assert report is None
 
 
@@ -650,6 +692,31 @@ def test_every_command_runs_without_scipy():
     assert proc.returncode == 0, proc.stderr
     passed = json.loads(proc.stdout.splitlines()[-1])
     assert passed == {command: True for command in cli.DEFAULT_CONFIGS}
+
+
+def test_commands_that_draw_nothing_never_load_numpy_random():
+    # the runners that draw build their generator from the seed; the
+    # others must not pay for importing numpy.random
+    script = textwrap.dedent("""
+        import json, sys
+        from modnet import cli
+        loaded = {}
+        for command in ("bgl-axioms", "reconstruct-mobius", "break-bw",
+                        "lightcone-defect", "trace-class", "verify-mobius"):
+            config = dict(cli.DEFAULT_CONFIGS[command])
+            cli.run_command(command, config, 0, 1.0)
+            loaded[command] = "numpy.random" in sys.modules
+        print(json.dumps(loaded))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded.pop("verify-mobius") is True
+    assert not any(loaded.values()), loaded
 
 
 def _traced_owner(module, name):

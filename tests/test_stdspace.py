@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from modnet import bgl, spacetime
+from modnet import bgl, spacetime, stdspace
 from modnet.stdspace import (
     RANK_REL_TOL,
     ComplexSpace,
@@ -1166,3 +1166,162 @@ def test_symmetry_commutation_rejects_moving_unitary():
     u = np.linalg.qr(z)[0]
     with pytest.raises(ValueError, match="preserve"):
         symmetry_commutation_check(h, u)
+
+
+# ---------------------------------------------------------------------------
+# tiles: exactly decoupled operands run as stacks
+# ---------------------------------------------------------------------------
+
+
+def _direct_sum_basis(rng, tiles, r, k, slots, columns):
+    """Real-form basis of a direct sum of ``tiles`` random k-dimensional
+    real subspaces of C^r, its slots and columns permuted."""
+    n = tiles * r
+    c = np.zeros((n, tiles * k), dtype=complex)
+    for t in range(tiles):
+        z = rng.normal(size=(k, r)) + 1j * rng.normal(size=(k, r))
+        part = make_subspace(list(z), ComplexSpace(r)).basis
+        c[t * r:(t + 1) * r, t * k:(t + 1) * k] = part[:r] + 1j * part[r:]
+    c = c[slots][:, columns]
+    return RealSubspace(ComplexSpace(n), np.vstack([c.real, c.imag]))
+
+
+def _dense_modular(h):
+    """The one-SVD modular data on the whole complex basis: (log Delta
+    ascending, jc, S's complex matrix, Delta^{0.3 i})."""
+    n = h.parent.n
+    b = h.basis[:n] + 1j * h.basis[n:]
+    u, s, wh = np.linalg.svd(b)
+    pair = s[::-1]
+    a = (u * s) @ (wh @ wh.T)
+    lam = 2.0 * np.log(pair / s)
+    flow = (u * np.exp(0.3j * lam)) @ u.conj().T
+    return lam, (a / pair) @ u.T, (a / s) @ u.T, flow
+
+
+@PROPERTY
+@given(seed=SEEDS, tiles=st.integers(2, 4), r=st.integers(1, 5),
+       data=st.data())
+def test_tiled_primitives_give_the_dense_results(seed, tiles, r, data):
+    rng = np.random.default_rng(seed)
+    n = tiles * r
+    slots = rng.permutation(n)
+    k = data.draw(st.integers(1, 2 * r))
+    h = _direct_sum_basis(rng, tiles, r, r, slots, rng.permutation(n))
+    g = _direct_sum_basis(rng, tiles, r, k, slots,
+                          rng.permutation(tiles * k))
+    assert stdspace._tiles(h.basis, g.basis) is not None
+    b = h.basis[:n] + 1j * h.basis[n:]
+    assert stdspace._tiles(b) is not None
+
+    # singular values, standardness verdict and minimal angle
+    dense_s = np.linalg.svd(b, compute_uv=False)
+    assert_allclose(stdspace._singular_values(b), dense_s, atol=1e-12)
+    rep, ref = standardness(h), stdspace._standardness_of(dense_s, h)
+    assert (rep.cyclic, rep.separating) == (ref.cyclic, ref.separating)
+    assert rep.minimal_angle == pytest.approx(ref.minimal_angle, abs=1e-12)
+
+    # principal-angle sines, and vectors at those angles
+    for a, c in ((h.basis, g.basis), (g.basis, h.basis)):
+        want = stdspace._angles(a, c, False)
+        assert_allclose(principal_angles(a, c, vectors=False), want,
+                        atol=1e-12)
+        sines, v = principal_angles(a, c)
+        assert_allclose(sines, want, atol=1e-12)
+        assert_allclose(v.T @ v, np.eye(c.shape[1]), atol=1e-12)
+        moved = c @ v
+        assert_allclose(np.linalg.norm(moved - a @ (a.T @ moved), axis=0),
+                        sines, atol=1e-12)
+    gaps = [stdspace._angles(x, y, False)[-1]
+            for x, y in ((h.basis, g.basis), (g.basis, h.basis))]
+    assert containment_gap(h, g) == pytest.approx(gaps[0], abs=1e-12)
+    assert subspace_distance(h, g) == pytest.approx(max(gaps), abs=1e-12)
+
+    # log Delta, J and S when H is standard
+    if rep.standard:
+        lam, jc, sc, flow = _dense_modular(h)
+        s_op, md = modular_data(h)
+        scale = max(1.0, np.max(np.abs(lam)))
+        assert_allclose(md.log_delta, lam, atol=1e-12 * scale)
+        assert_allclose(md.power(0.3j), flow, atol=1e-12 * scale)
+        assert_allclose(md.jc, jc, atol=1e-12)
+        assert_allclose(s_op, h.parent.realify_antilinear(sc),
+                        atol=1e-12 * np.exp(scale / 2))
+
+    # the complement projector
+    comp = symplectic_complement(g)
+    q = np.linalg.qr(g.parent.J_i @ g.basis, mode="complete")[0][:, k * tiles:]
+    assert_allclose(comp.projector(), q @ q.T, atol=1e-12)
+
+    # the spectral norm, rows and columns permuted independently
+    x = np.zeros((n, 2 * n), dtype=complex)
+    for t in range(tiles):
+        x[t * r:(t + 1) * r, 2 * t * r:2 * (t + 1) * r] = (
+            rng.normal(size=(r, 2 * r)) + 1j * rng.normal(size=(r, 2 * r)))
+    x = x[rng.permutation(n)][:, rng.permutation(2 * n)]
+    assert stdspace._tiles(x) is not None
+    assert stdspace.spectral_norm(x) == pytest.approx(
+        np.linalg.norm(x, 2), rel=1e-12)
+
+
+def test_what_is_not_an_equal_tiling_is_one_tile():
+    rng = np.random.default_rng(5)
+
+    def blocks(*shapes):
+        x = np.zeros(np.sum(shapes, axis=0))
+        r = c = 0
+        for p, q in shapes:
+            x[r:r + p, c:c + q] = rng.normal(size=(p, q))
+            r, c = r + p, c + q
+        return x
+
+    x = blocks((3, 3), (3, 3), (3, 3))
+    rows, cols, (stack,) = stdspace._tiles(x)
+    assert rows.shape == cols[0].shape == (3, 3)
+    assert np.array_equal(stack, [x[:3, :3], x[3:6, 3:6], x[6:, 6:]])
+    # a tile whose rows meet only through an inner entry: the third row
+    # joins the second through column 2, which is neither its first nor
+    # its last nonzero column
+    pattern = np.array([[1.0, 0.0, 0.0, 2.0], [0.0, 3.0, 4.0, 0.0],
+                        [5.0, 0.0, 6.0, 7.0]])
+    rows, (cols,), (stack,) = stdspace._tiles(np.kron(np.eye(2), pattern))
+    assert np.array_equal(rows, [[0, 1, 2], [3, 4, 5]])
+    assert np.array_equal(cols, [[0, 1, 2, 3], [4, 5, 6, 7]])
+    assert np.array_equal(stack, [pattern, pattern])
+    # one off-tile entry joins two tiles: unequal shapes are one tile
+    joined = x.copy()
+    joined[0, 8] = 1.0
+    assert stdspace._tiles(joined) is None
+    assert stdspace._tiles(blocks((3, 3), (2, 2))) is None
+    assert stdspace._tiles(blocks((2, 3), (2, 2))) is None
+    # a zero row, and an operand without zeros, are one tile
+    zero_row = x.copy()
+    zero_row[4] = 0.0
+    assert stdspace._tiles(zero_row) is None
+    assert stdspace._tiles(rng.normal(size=(6, 6))) is None
+    # stacks and empty operands are never tiled
+    assert stdspace._tiles(np.stack([x, x])) is None
+    assert stdspace._tiles(np.zeros((6, 0))) is None
+    # each primitive then takes its dense call
+    for a in (joined, zero_row):
+        assert stdspace.spectral_norm(a) == np.linalg.norm(a, 2)
+        assert np.array_equal(stdspace._singular_values(a),
+                              np.linalg.svd(a, compute_uv=False))
+
+
+def test_a_slot_to_slot_operator_is_tiled_alike_on_rows_and_columns():
+    rng = np.random.default_rng(7)
+    x = np.zeros((4, 4))
+    x[:2, 2:] = rng.normal(size=(2, 2))
+    x[2:, :2] = rng.normal(size=(2, 2))
+    # as a rectangular operand the anti-diagonal blocks are two tiles
+    rows, (cols,), _ = stdspace._tiles(x)
+    assert np.array_equal(rows, [[0, 1], [2, 3]])
+    assert np.array_equal(cols, [[2, 3], [0, 1]])
+    assert stdspace.spectral_norm(x) == pytest.approx(np.linalg.norm(x, 2),
+                                                      rel=1e-14)
+    # as a map of the slots to themselves they do not decouple
+    assert stdspace._tiles(x, square=(0,)) is None
+    v = np.kron(np.eye(2), np.ones((2, 2)))
+    assert stdspace._tiles(v, x, square=(1,)) is None
+    assert stdspace._tiles(v, v, square=(1,)) is not None
