@@ -29,6 +29,7 @@ import numpy as np
 from . import bgl
 from . import fock
 from . import mobius
+from . import reps
 from . import spacetime
 from . import stdspace
 
@@ -537,14 +538,21 @@ def _run_break_bw(cfg, seed, scale):
 
 def _run_lightcone_defect(cfg, seed, scale):
     masses = _floats(cfg["masses"], "masses")
+    # parsing and each level's rapidity factor map to a config error; a
+    # failure of the study itself is an internal error
     try:
-        ladder = tuple((_int(n, "ladder"), _int(c, "ladder"))
+        ladder = tuple((_int(n, "ladder"), _int(c, "ladder", minimum=0))
                        for n, c in cfg["ladder"])
-        study = bgl.lightcone_separating_study(
-            masses=masses, ladder=ladder,
-            spacing=float(cfg["spacing"]), frozen=float(cfg["frozen"]))
+        if not ladder:
+            raise ValueError("empty refinement ladder")
+        spacing, frozen = float(cfg["spacing"]), float(cfg["frozen"])
+        for mass in masses:
+            for grid, _ in ladder:
+                reps.rapidity_factor(grid, spacing, mass)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid study parameters: {exc}") from exc
+    study = bgl.lightcone_separating_study(
+        masses=masses, ladder=ladder, spacing=spacing, frozen=frozen)
     results = {
         "cone-defect-monotone": study.max_rise,
         "cone-defect-below-frozen": (study.finest_defect,

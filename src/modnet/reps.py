@@ -101,31 +101,29 @@ def _chiral_pair(n, h):
 
 def rapidity_factor(n, h, mass):
     """The mass-``mass`` factor on the symmetric rapidity grid of ``n``
-    points at spacing ``h``; the boost rolls its slots."""
+    points at spacing ``h``; the boost rolls its slots.  Refused unless
+    n >= 2, h > 0, mass > 0 and every m e^{+-theta} is a normal double."""
+    n, h, mass = int(n), float(h), float(mass)
+    if n < 2:
+        raise ValueError(f"rapidity grid size must be at least 2, got {n}")
+    if not h > 0:
+        raise ValueError(f"grid spacing must be positive, got {h}")
+    if not mass > 0:
+        raise ValueError(f"mass must be positive, got {mass}")
     theta = _rapidities(n, h)
+    with np.errstate(over="ignore"):
+        m_exp = mass * np.exp([theta, -theta])
+    _require_normal(f"RapidityGrid(n={n}, h={h}, theta0={theta[0]}, "
+                    f"mass={mass})", "m e^{+-theta}", m_exp)
     return Factor(n, h, 0, mass * np.exp(theta) / _SQRT2,
                   mass * np.exp(-theta) / _SQRT2)
 
 
 def _rapidity_factors(n, h, masses):
-    """Validated rapidity factors, one per mass, on one shared grid."""
-    n, h = int(n), float(h)
-    if n < 2 or n % 2:
+    """Rapidity factors, one per mass, on one shared grid of even size."""
+    if int(n) % 2:
         raise ValueError("rapidity grid size must be even and >= 2")
-    if h <= 0:
-        raise ValueError("grid spacing must be positive")
-    theta = _rapidities(n, h)
-    factors = []
-    for mass in masses:
-        mass = float(mass)
-        if mass <= 0:
-            raise ValueError("mass must be positive")
-        with np.errstate(over="ignore"):
-            m_exp = mass * np.exp([theta, -theta])
-        _require_normal(f"RapidityGrid(n={n}, h={h}, theta0={theta[0]}, "
-                        f"mass={mass})", "m e^{+-theta}", m_exp)
-        factors.append(rapidity_factor(n, h, mass))
-    return tuple(factors)
+    return tuple(rapidity_factor(n, h, mass) for mass in masses)
 
 
 def build_rep(params: Mapping) -> tuple:

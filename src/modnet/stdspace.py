@@ -30,12 +30,13 @@ Tiles are a direct sum, a stack is a batch.  The models are direct sums
 and the modular data of a direct sum of standard subspaces is the
 direct sum of the summands' data.  :func:`_tiles` reads that decoupling
 from an operand's zero pattern: the connected components of its rows
-and columns.  An operand of at least two tiles of one shape runs as a
-stack of its tiles through the same stack body, and the results merge
-back: spectra are concatenated and sorted before any threshold reads
-them, vectors, V and J are embedded block-diagonally, and a norm is
-the largest tile norm.  Any other operand, a stack among them, takes
-the call on the whole array.  The zero pattern alone decides.
+and columns.  Every primitive runs the stack of an operand's tiles
+through its one stack body, and the results merge back: spectra are
+concatenated and sorted before any threshold reads them, vectors, V
+and J are embedded block-diagonally, and a norm is the largest tile
+norm.  An operand without at least two tiles of one shape, a stack
+among them, is one tile through the same body: a view of the whole
+array, whose results need no merge.  The zero pattern alone decides.
 """
 
 from __future__ import annotations
@@ -222,23 +223,33 @@ def _max_entry(c):
 
 
 def _tiles(*ops, square=()):
-    """The exact decoupling of matrices that share their rows, or None.
+    """The tiles of operands that share their rows: ``(rows, cols, stacks)``.
 
-    ``ops`` are 2-D arrays (m, k_i) on one set of m rows.  Row r and
-    column c of an operand are joined where that entry is nonzero, and
-    the tiles are the connected components.  The operands at the
-    positions ``square`` are slot-to-slot operators such as jc, whose
-    columns index the rows themselves: each tile must hold the same
-    indices among their rows and their columns.
+    ``ops`` are arrays (..., m, k_i) on one set of m rows.  Row r and
+    column c of a matrix are joined where that entry is nonzero, and the
+    tiles are the connected components.  The operands at the positions
+    ``square`` are slot-to-slot operators such as jc, whose columns index
+    the rows themselves: each tile must hold the same indices among their
+    rows and their columns.
 
-    Returns ``(rows, cols, stacks)`` when there are T >= 2 tiles of one
-    shape: ``rows`` (T, m / T) and, per operand, ``cols[i]`` (T, k_i / T),
-    each ascending within a tile, tiles in the order of their first row,
-    and ``stacks[i]`` the (T, m / T, k_i / T) stack of the tiles of
-    ``ops[i]``.  Anything else gives None: a stack, an empty operand, one
-    tile (an operand without zeros, or with a full row or column, exits
-    first), a zero row or column, or tiles of unequal shape.
+    ``rows`` (T, m / T) and, per operand, ``cols[i]`` (T, k_i / T) are
+    ascending within a tile, tiles in the order of their first row, and
+    ``stacks[i]`` (..., T, m / T, k_i / T) holds the tiles of ``ops[i]``.
+    Operands without T >= 2 tiles of one shape are one tile (T = 1), a
+    view of each operand with every index in order: a stack, an empty
+    operand, one component (an operand without zeros, or with a full row
+    or column, exits first), a zero row or column, or tiles of unequal
+    shape.
     """
+    return _decoupled(ops, square) or (
+        np.arange(ops[0].shape[-2])[None],
+        [np.arange(a.shape[-1])[None] for a in ops],
+        [a[..., None, :, :] for a in ops])
+
+
+def _decoupled(ops, square):
+    """:func:`_tiles`'s result when the matrices ``ops`` have T >= 2
+    tiles of one shape, else None."""
     if any(a.ndim != 2 or a.size == 0 for a in ops):
         return None
     masks = []
@@ -256,35 +267,34 @@ def _tiles(*ops, square=()):
         return None                 # a zero row or column
     # the forest joining each row to its first and last nonzero column
     # and each column to its first nonzero row has components that refine
-    # the tiles; they are the tiles unless a nonzero joins two of them
+    # the tiles
     rows, cols = np.arange(m), m + np.arange(k)
-    label = _least_labels(
-        m + k, np.concatenate([rows, rows, cols]),
-        np.concatenate([m + mask.argmax(axis=1),
+    u = np.concatenate([rows, rows, cols])
+    v = np.concatenate([m + mask.argmax(axis=1),
                         m + k - 1 - mask[:, ::-1].argmax(axis=1),
-                        mask.argmax(axis=0)]))
-    row_label, col_label = label[:m], label[m:]
-    if not row_label.any():
+                        mask.argmax(axis=0)])
+    label = _least_labels(m + k, u, v)
+    if not label[:m].any():
         return None
-    if np.any(mask & (row_label[:, None] != col_label)):
-        row_label, col_label = _least_labels_dense(mask)
-    return _tiles_of(ops, square, row_label, col_label)
-
-
-def _tiles_of(ops, square, row_label, col_label):
-    """:func:`_tiles`'s result for the given row and column labels (the
-    least row of each tile), or None if they give fewer than 2 tiles or
-    tiles of unequal shape."""
-    per_tile = np.bincount(row_label)
+    # a nonzero joining two of them becomes an edge; components only
+    # merge, so every nonzero then lies inside one and one more run
+    # labels the tiles
+    off = mask & (label[:m, None] != label[m:])
+    if off.any():
+        r, c = np.nonzero(off)
+        label = _least_labels(m + k, np.concatenate([u, r]),
+                              np.concatenate([v, m + c]))
+    # each tile is labelled by its least row
+    per_tile = np.bincount(label[:m])
     first = np.flatnonzero(per_tile)
     count = first.size
     if count < 2 or np.any(per_tile[first] != per_tile[first[0]]):
         return None
-    rows = np.argsort(row_label, kind="stable").reshape(count, -1)
+    rows = np.argsort(label[:m], kind="stable").reshape(count, -1)
     cols, stacks = [], []
-    start = 0
+    start = m
     for i, a in enumerate(ops):
-        own = col_label[start:start + a.shape[1]]
+        own = label[start:start + a.shape[1]]
         start += a.shape[1]
         if np.any(np.bincount(own, minlength=per_tile.size)[first]
                   * count != a.shape[1]):
@@ -313,62 +323,66 @@ def _least_labels(count, u, v):
         label = new
 
 
-def _least_labels_dense(mask):
-    """Row and column labels, the least row of each component, of the
-    graph joining row r and column c where mask[r, c]; every row and
-    column has a nonzero."""
-    m = mask.shape[0]
-    label = np.arange(m)
-    while True:
-        col = np.where(mask, label[:, None], m).min(axis=0)
-        new = np.where(mask, col, m).min(axis=1)
-        new = new[new]
-        if np.array_equal(new, label):
-            return label, col
-        label = new
+# The merges below take per-tile results back to the operand's indices.
+# One tile is its own result: it is returned as a view, never sorted,
+# gathered or copied.
 
 
 def _scatter(stack, rows, cols, shape):
-    """The matrix of the given shape holding tile t of ``stack`` at
-    (rows[t], cols[t]) and zeros elsewhere."""
+    """The matrix of the given shape (that of a 2-D operand) holding tile
+    t of ``stack`` at (rows[t], cols[t]) and zeros elsewhere."""
+    if stack.shape[-3] == 1:
+        return stack[..., 0, :, :]
     out = np.zeros(shape, dtype=stack.dtype)
     out[rows[:, :, None], cols[:, None, :]] = stack
     return out
 
 
-def _singular_values(a):
-    """Descending singular values of a matrix or of a stack; the tiles of
-    a tiled matrix run as one stack and their values are sorted
-    together."""
-    tiles = _tiles(a)
-    if tiles is None:
-        return np.linalg.svd(a, compute_uv=False)
-    s = np.linalg.svd(tiles[2][0], compute_uv=False)
+def _placed(values, index):
+    """The vector holding tile t's ``values`` at index[t]."""
+    if values.shape[-2] == 1:
+        return values[..., 0, :]
+    out = np.empty(index.size, dtype=values.dtype)
+    out[index] = values
+    return out
+
+
+def _descending(s):
+    """The tiles' descending spectra (..., T, k) sorted together."""
+    if s.shape[-2] == 1:
+        return s[..., 0, :]
     return np.sort(s, axis=None)[::-1]
 
 
+def _ascending(sines, v, cols):
+    """The tiles' ascending sines and their vectors v at the columns
+    ``cols``, sorted together: each tile's block of v sits on its own
+    columns, and the columns follow the sines."""
+    if sines.shape[-2] == 1:
+        return sines[..., 0, :], v[..., 0, :, :]
+    placed = _placed(sines, cols)
+    order = np.argsort(placed, kind="stable")
+    return placed[order], _scatter(v, cols, cols, (cols.size,) * 2)[:, order]
+
+
+def _singular_values(a):
+    """Descending singular values of a matrix or of a stack."""
+    return _descending(np.linalg.svd(_tiles(a)[2][0], compute_uv=False))
+
+
 def spectral_norm(x):
-    """The spectral norm ||x||_2 of a real or complex matrix; a tiled
-    matrix's is the largest of its tile norms."""
-    tiles = _tiles(x)
-    if tiles is None:
-        return float(np.linalg.norm(x, 2))
-    return float(np.max(np.linalg.svd(tiles[2][0], compute_uv=False)[:, 0]))
+    """The spectral norm ||x||_2 of a real or complex matrix."""
+    return float(_singular_values(x)[0])
 
 
 def qr_basis(a):
     """Q of the reduced QR of a full-rank a, its columns signed so that
     R has a positive diagonal: the one such orthonormal basis of the
-    leading spans of a.  A tiled a runs as the stack of its tiles, and
-    each tile's Q takes that tile's place."""
-    tiles = _tiles(a)
-    if tiles is None:
-        q, r = np.linalg.qr(a)
-        return q * np.sign(np.diag(r))
-    rows, (cols,), (stack,) = tiles
+    leading spans of a.  Each tile's Q takes that tile's place."""
+    rows, (cols,), (stack,) = _tiles(a)
     q, r = np.linalg.qr(stack)
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    return _scatter(q * signs[:, None, :], rows, cols, a.shape)
+    return _scatter(q * signs[..., None, :], rows, cols, a.shape)
 
 
 def _orthonormal_basis(columns, parent):
@@ -398,7 +412,7 @@ def make_subspace(vectors, parent):
     return RealSubspace(parent, _orthonormal_basis(cols, parent))
 
 
-def principal_angles(a, b, vectors=True):
+def principal_angles(a, b):
     """Principal-angle sines of span(b) against span(a), ascending.
 
     ``a`` and ``b`` are orthonormal bases (d x k_a, d x k_b).  The sines
@@ -407,50 +421,24 @@ def principal_angles(a, b, vectors=True):
     epsilon, where the cosine route loses half the digits (Bjorck-Golub
     1973, Knyazev-Argentati 2002).  When k_b > k_a the surplus directions
     of span(b) have sine 1.  Returns ``(sines, v)``: ``b @ v[:, j]`` is the
-    unit vector of span(b) at angle ``arcsin(sines[j])`` to span(a).  With
-    ``vectors=False`` only the sines are computed and returned.  Stacks
-    of bases (..., d, k) give stacks of sines and vectors.  A tiled pair
-    runs as a stack of its tiles: the sines are sorted together, and each
-    tile's block of v sits on that tile's columns of b.
+    unit vector of span(b) at angle ``arcsin(sines[j])`` to span(a).
+    Stacks of bases (..., d, k) give stacks of sines and vectors.
     """
-    tiles = _tiles(a, b)
-    if tiles is None:
-        return _angles(a, b, vectors)
-    _, (_, cols_b), stacks = tiles
-    got = _angles(*stacks, vectors)
-    if not vectors:
-        return np.sort(got, axis=None)
-    sines, v = got
-    k = b.shape[-1]
-    placed = np.empty(k)
-    placed[cols_b] = sines
-    order = np.argsort(placed, kind="stable")
-    return placed[order], _scatter(v, cols_b, cols_b, (k, k))[:, order]
+    _, (_, cols), (a, b) = _tiles(a, b)
+    _, s, vt = np.linalg.svd(b - a @ (_T(a) @ b), full_matrices=False)
+    return _ascending(s[..., ::-1], _T(vt[..., ::-1, :]), cols)
 
 
-def _angles(a, b, vectors):
-    """The body of :func:`principal_angles` on matrices or stacks."""
-    r = b - a @ (_T(a) @ b)
-    if not vectors:
-        return np.linalg.svd(r, compute_uv=False)[..., ::-1]
-    _, s, vt = np.linalg.svd(r, full_matrices=False)
-    return s[..., ::-1], _T(vt[..., ::-1, :])
-
-
-def _largest_sine(a, b, tiles):
-    """||(1 - P_a) b||, the largest sine of span(b) against span(a),
-    for the pair's :func:`_tiles`: of a tiled pair, the largest over its
-    tiles."""
-    if tiles is not None:
-        return np.max(_angles(*tiles[2], False)[:, -1])
-    sines = _angles(a, b, False)
-    return sines[..., -1] if sines.shape[-1] else np.zeros(sines.shape[:-1])
+def _largest_sine(a, b):
+    """||(1 - P_a) b||, the largest sine of span(b) against span(a), for
+    the tile stacks a and b of a pair: the largest over the tiles."""
+    s = _descending(np.linalg.svd(b - a @ (_T(a) @ b), compute_uv=False))
+    return s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
 
 
 def containment_gap(big, small):
     """Largest sine of small against big: ||(1 - P_big) B_small||."""
-    return _largest_sine(big.basis, small.basis,
-                         _tiles(big.basis, small.basis))
+    return _largest_sine(*_tiles(big.basis, small.basis)[2])
 
 
 def subspace_distance(h1, h2):
@@ -460,11 +448,8 @@ def subspace_distance(h1, h2):
     on the thin bases and never forms a projector; the pair is tiled
     once for both.
     """
-    tiles = _tiles(h1.basis, h2.basis)
-    swapped = None if tiles is None else (
-        tiles[0], tiles[1][::-1], tiles[2][::-1])
-    return np.maximum(_largest_sine(h2.basis, h1.basis, swapped),
-                      _largest_sine(h1.basis, h2.basis, tiles))
+    _, _, (b1, b2) = _tiles(h1.basis, h2.basis)
+    return np.maximum(_largest_sine(b2, b1), _largest_sine(b1, b2))
 
 
 def _times_i(b, n):
@@ -477,16 +462,11 @@ def _times_i(b, n):
 def symplectic_complement(h):
     """H' = {xi : Im<xi, eta> = 0 for all eta in H} = (i H)^perp: the
     trailing 2n - k columns of one complete QR of i b, which is
-    orthonormal and so has rank exactly k = dim H.  A tiled i b gives
-    each tile's trailing columns, on that tile's rows."""
-    rotated = _times_i(h.basis, h.parent.n)
-    tiles = _tiles(rotated)
-    if tiles is None:
-        q = np.linalg.qr(rotated, mode="complete")[0]
-        return RealSubspace(h.parent, q[..., h.dim:])
-    rows, (cols,), (stack,) = tiles
+    orthonormal and so has rank exactly k = dim H; of each tile of i b,
+    on that tile's rows."""
+    rows, (cols,), (stack,) = _tiles(_times_i(h.basis, h.parent.n))
     q = np.linalg.qr(stack, mode="complete")[0][..., cols.shape[1]:]
-    slots = np.arange(q.shape[0] * q.shape[2]).reshape(q.shape[0], -1)
+    slots = np.arange(q.shape[-3] * q.shape[-1]).reshape(q.shape[-3], -1)
     return RealSubspace(h.parent, _scatter(
         q, rows, slots, (h.parent.real_dim, slots.size)))
 
@@ -580,12 +560,9 @@ class ModularData:
         order = np.argsort(lam, axis=-1, kind="stable")
         vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
         lam = np.take_along_axis(lam, order, axis=-1)
-        # tiled data is validated tile by tile, as one stack
-        v, j, lt = vecs, jc, lam
-        tiles = _tiles(vecs, jc, square=(1,))
-        if tiles is not None:
-            _, (cols, _), (v, j) = tiles
-            lt = lam[cols]
+        # validated tile by tile, as one stack
+        _, (cols, _), (v, j) = _tiles(vecs, jc, square=(1,))
+        lt = lam[..., cols]
         eye = np.eye(v.shape[-1])
         vh = _T(v.conj())
         # errors are the largest real-form entries of the residuals
@@ -683,20 +660,13 @@ def modular_data(h):
 
     The cyclic/separating gate reads the same singular values.  A stack
     of subspaces gives stacks of S and of modular data, and is refused
-    if any member is not standard.  A tiled B runs as the stack of its
-    tiles; the gate reads their singular values sorted together, and
-    V, S and J are embedded block by block.
+    if any member is not standard.  B runs as the stack of its tiles;
+    the gate reads their singular values sorted together, and V, S and
+    J are embedded block by block.
     """
-    b = _complex_basis(h)
-    tiles = _tiles(b)
-    if tiles is None:
-        u, s, wh = np.linalg.svd(b)
-        spectrum = s
-    else:
-        rows, _, (stack,) = tiles
-        u, s, wh = np.linalg.svd(stack)
-        spectrum = np.sort(s, axis=None)[::-1]
-    rep = _standardness_of(spectrum, h)
+    rows, _, (stack,) = _tiles(_complex_basis(h))
+    u, s, wh = np.linalg.svd(stack)
+    rep = _standardness_of(_descending(s), h)
     if not rep.cyclic.all():
         raise ValueError("subspace is not cyclic: H + iH does not span")
     if not rep.separating.all():
@@ -709,14 +679,11 @@ def modular_data(h):
     lam = 2.0 * np.log(pair / s)
     jc = (a / pair[..., None, :]) @ _T(u)
     sc = (a / s[..., None, :]) @ _T(u)
-    if tiles is not None:
-        # a standard tiled B has square tiles; tile t's eigenvectors
-        # take the columns of its own slots
-        shape = (h.parent.n,) * 2
-        u, jc, sc = (_scatter(x, rows, rows, shape) for x in (u, jc, sc))
-        placed = np.empty(shape[0])
-        placed[rows] = lam
-        lam = placed
+    # a standard B has square tiles; tile t's eigenvectors take the
+    # columns of its own slots
+    shape = (h.parent.n,) * 2
+    u, jc, sc = (_scatter(x, rows, rows, shape) for x in (u, jc, sc))
+    lam = _placed(lam, rows)
     md = ModularData(h.parent, u, lam, jc)
     return h.parent.realify_antilinear(sc), md
 

@@ -708,8 +708,7 @@ def test_scaled_ladder_decisions_are_a_decade_from_the_angle_tolerance():
         (p_l, p_r), origin_r, origin_l = _study_geometry(grid)
         for shape in _shapes(count):
             w_l = bgl._translate(origin_l, _phases(p_l, p_r, shape))
-            sines = stdspace.principal_angles(w_l.basis, origin_r.basis,
-                                              vectors=False)
+            sines, _ = stdspace.principal_angles(w_l.basis, origin_r.basis)
             small = sines <= stdspace.ANGLE_TOL
             kept = max(kept, sines[small].max(initial=0.0))
             dropped = min(dropped, sines[~small].min(initial=1.0))
@@ -748,13 +747,17 @@ def _scaled_duals_and_massive_data():
                    block.log_delta, block.jc]
 
 
+def _tiling_off(monkeypatch):
+    """Make every operand one tile, as if none decoupled."""
+    monkeypatch.setattr(stdspace, "_decoupled", lambda ops, square: None)
+
+
 def test_one_tile_operands_take_the_dense_call(monkeypatch):
-    # the study's rapidity operands and a massive model are one tile, so
-    # every primitive takes its call on the whole array: the 170 duals of
-    # the scaled ladder and the massive modular data are the arrays that
-    # result with tiling switched off
+    # the study's rapidity operands and a massive model are one tile: the
+    # 170 duals of the scaled ladder and the massive modular data are the
+    # arrays that result with tiling switched off
     duals, data = _scaled_duals_and_massive_data()
-    monkeypatch.setattr(stdspace, "_tiles", lambda *ops, square=(): None)
+    _tiling_off(monkeypatch)
     dense_duals, dense_data = _scaled_duals_and_massive_data()
     assert len(duals) == len(dense_duals) == 170
     assert all(np.array_equal(a, b) for a, b in zip(duals, dense_duals))
@@ -775,8 +778,8 @@ def test_direct_sum_models_run_tiled_and_agree_with_the_dense_call(
 
     h_r, report = entries()
     n = h_r.parent.n
-    assert stdspace._tiles(h_r.basis[:n] + 1j * h_r.basis[n:]) is not None
-    monkeypatch.setattr(stdspace, "_tiles", lambda *ops, square=(): None)
+    assert stdspace._tiles(h_r.basis[:n] + 1j * h_r.basis[n:])[0].shape[0] > 1
+    _tiling_off(monkeypatch)
     dense_h, dense = entries()
     assert stdspace.subspace_distance(h_r, dense_h) < 1e-12
     for name, entry in report.entries.items():

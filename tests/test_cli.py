@@ -129,13 +129,17 @@ def test_report_schema_fields(tmp_path):
 
 
 def test_reports_are_deterministic_modulo_timestamp(tmp_path):
-    cfg = {"samples": 40, "seed": 3}
-    _, first = _run(tmp_path / "a", "verify-mobius", cfg)
-    _, second = _run(tmp_path / "b", "verify-mobius", cfg)
-    first.pop("timestamp")
-    second.pop("timestamp")
-    assert json.dumps(first, sort_keys=True) == \
-        json.dumps(second, sort_keys=True)
+    # verify-mobius makes no BLAS call; the twisted model runs tiled and
+    # verify-stdspace runs stacks of subspaces
+    for command, cfg in (("verify-mobius", {"samples": 40, "seed": 3}),
+                         ("bgl-axioms", {"model": "twisted"}),
+                         ("verify-stdspace", {"samples": 10, "seed": 3})):
+        _, first = _run(tmp_path / command / "a", command, cfg)
+        _, second = _run(tmp_path / command / "b", command, cfg)
+        first.pop("timestamp")
+        second.pop("timestamp")
+        assert json.dumps(first, sort_keys=True) == \
+            json.dumps(second, sort_keys=True), command
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -446,9 +450,22 @@ def test_chiral_grid_parity(tmp_path, command, config, odd_code, n):
         assert report is None
 
 
+_FLOW_CELLS = ({"n": 9}, ({"t_values": [0.3]}, {"n": 8}, {"h": -1.0},
+                          {"h": 0.0}))
+# a running config and bad parameters of each runner
+_FAILING_CELLS = {
+    "reconstruct-mobius": _FLOW_CELLS,
+    "break-bw": _FLOW_CELLS,
+    "lightcone-defect": ({"ladder": [[9, 1]]}, (
+        {"ladder": [[1, 2]]}, {"ladder": [[9, -1]]}, {"ladder": []},
+        {"spacing": 0.0}, {"masses": [-1.0]}, {"masses": [1e308]})),
+}
+
+
 @pytest.mark.parametrize("command, kernel", [
     ("reconstruct-mobius", "reconstruct_ur"),
     ("break-bw", "counterexample_bw"),
+    ("lightcone-defect", "lightcone_separating_study"),
 ])
 def test_a_failing_computation_is_an_internal_error(tmp_path, monkeypatch,
                                                     command, kernel):
@@ -458,12 +475,13 @@ def test_a_failing_computation_is_an_internal_error(tmp_path, monkeypatch,
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
+    good, bads = _FAILING_CELLS[command]
     monkeypatch.setattr(bgl, kernel, fail)
-    code, report = _run(tmp_path, command, {"n": 9})
+    code, report = _run(tmp_path, command, good)
     assert code == cli.EXIT_INTERNAL_ERROR
     assert report is None
-    for bad in ({"t_values": [0.3]}, {"n": 8}, {"h": -1.0}, {"h": 0.0}):
-        code, report = _run(tmp_path, command, {"n": 9, **bad})
+    for bad in bads:
+        code, report = _run(tmp_path, command, {**good, **bad})
         assert code == cli.EXIT_CONFIG_ERROR, bad
         assert report is None
 
@@ -476,6 +494,10 @@ def test_a_failing_computation_is_an_internal_error(tmp_path, monkeypatch,
     ("bgl-axioms", {"model": "chiralSum", "n": 257}),
     ("break-bw", {"n": 257}),
     ("bgl-axioms", {"model": "massive", "n": 600}),
+    # an overflowed mass once exited 2 only because its NaN basis failed
+    # a check inside the study
+    ("lightcone-defect", {"masses": [1e306]}),
+    ("lightcone-defect", {"masses": [1e-306]}),
 ])
 def test_grids_outside_the_normal_doubles_are_config_errors(
         tmp_path, capsys, command, config):
@@ -519,11 +541,20 @@ def test_non_integral_values_of_integral_keys_rejected(tmp_path, command,
     ("reconstruct-mobius", {"t_values": ["half"]},
      "'t_values' must hold numbers"),
     ("lightcone-defect", {"masses": []}, "'masses' must be a non-empty list"),
+    ("lightcone-defect", {"masses": [-1.0]}, "mass must be positive, got -1"),
+    ("lightcone-defect", {"masses": [0.0]}, "mass must be positive, got 0"),
+    ("lightcone-defect", {"spacing": -0.5},
+     "grid spacing must be positive, got -0.5"),
+    ("lightcone-defect", {"spacing": 0.0},
+     "grid spacing must be positive, got 0"),
+    ("lightcone-defect", {"ladder": [[1, 2]]},
+     "rapidity grid size must be at least 2, got 1"),
 ])
 def test_bad_counts_and_empty_lists_are_config_errors(tmp_path, capsys,
                                                       command, config,
                                                       message):
-    # each of these once passed vacuously over zero samples or ended in
+    # each of these once passed vacuously over zero samples, ran to a
+    # PASS on negative momenta, failed on a degenerate model or ended in
     # an internal-error traceback
     code, report = _run(tmp_path, command, config)
     assert code == cli.EXIT_CONFIG_ERROR

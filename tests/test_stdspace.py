@@ -1187,16 +1187,39 @@ def _direct_sum_basis(rng, tiles, r, k, slots, columns):
 
 
 def _dense_modular(h):
-    """The one-SVD modular data on the whole complex basis: (log Delta
-    ascending, jc, S's complex matrix, Delta^{0.3 i})."""
+    """The one-SVD modular data on the whole complex basis, of one
+    subspace or of a stack: (log Delta, V with its columns in that order,
+    jc, S's complex matrix, Delta^{0.3 i})."""
     n = h.parent.n
-    b = h.basis[:n] + 1j * h.basis[n:]
-    u, s, wh = np.linalg.svd(b)
-    pair = s[::-1]
-    a = (u * s) @ (wh @ wh.T)
+    u, s, wh = np.linalg.svd(h.basis[..., :n, :] + 1j * h.basis[..., n:, :])
+    pair = s[..., ::-1]
+    a = (u * s[..., None, :]) @ (wh @ wh.swapaxes(-1, -2))
     lam = 2.0 * np.log(pair / s)
-    flow = (u * np.exp(0.3j * lam)) @ u.conj().T
-    return lam, (a / pair) @ u.T, (a / s) @ u.T, flow
+    ut = u.swapaxes(-1, -2)
+    flow = (u * np.exp(0.3j * lam)[..., None, :]) @ ut.conj()
+    return (lam, u, (a / pair[..., None, :]) @ ut,
+            (a / s[..., None, :]) @ ut, flow)
+
+
+def _tile_count(*ops, square=()):
+    return stdspace._tiles(*ops, square=square)[0].shape[0]
+
+
+def _assert_one_tile(*ops, square=()):
+    """The operands are one tile: views with a tile axis of length 1,
+    indices covering every row and column in order."""
+    rows, cols, stacks = stdspace._tiles(*ops, square=square)
+    assert np.array_equal(rows, [np.arange(ops[0].shape[-2])])
+    for a, c, stack in zip(ops, cols, stacks):
+        assert np.array_equal(c, [np.arange(a.shape[-1])])
+        assert stack.shape == a.shape[:-2] + (1,) + a.shape[-2:]
+        assert a.size == 0 or np.shares_memory(stack, a)
+        assert np.array_equal(stack[..., 0, :, :], a)
+
+
+def _sines(a, b):
+    """Ascending singular values of (1 - P_a) b on the whole arrays."""
+    return np.linalg.svd(b - a @ (a.T @ b), compute_uv=False)[::-1]
 
 
 @PROPERTY
@@ -1210,9 +1233,9 @@ def test_tiled_primitives_give_the_dense_results(seed, tiles, r, data):
     h = _direct_sum_basis(rng, tiles, r, r, slots, rng.permutation(n))
     g = _direct_sum_basis(rng, tiles, r, k, slots,
                           rng.permutation(tiles * k))
-    assert stdspace._tiles(h.basis, g.basis) is not None
+    assert _tile_count(h.basis, g.basis) >= 2
     b = h.basis[:n] + 1j * h.basis[n:]
-    assert stdspace._tiles(b) is not None
+    assert _tile_count(b) >= 2
 
     # singular values, standardness verdict and minimal angle
     dense_s = np.linalg.svd(b, compute_uv=False)
@@ -1223,23 +1246,21 @@ def test_tiled_primitives_give_the_dense_results(seed, tiles, r, data):
 
     # principal-angle sines, and vectors at those angles
     for a, c in ((h.basis, g.basis), (g.basis, h.basis)):
-        want = stdspace._angles(a, c, False)
-        assert_allclose(principal_angles(a, c, vectors=False), want,
-                        atol=1e-12)
+        want = _sines(a, c)
         sines, v = principal_angles(a, c)
         assert_allclose(sines, want, atol=1e-12)
         assert_allclose(v.T @ v, np.eye(c.shape[1]), atol=1e-12)
         moved = c @ v
         assert_allclose(np.linalg.norm(moved - a @ (a.T @ moved), axis=0),
                         sines, atol=1e-12)
-    gaps = [stdspace._angles(x, y, False)[-1]
+    gaps = [_sines(x, y)[-1]
             for x, y in ((h.basis, g.basis), (g.basis, h.basis))]
     assert containment_gap(h, g) == pytest.approx(gaps[0], abs=1e-12)
     assert subspace_distance(h, g) == pytest.approx(max(gaps), abs=1e-12)
 
     # log Delta, J and S when H is standard
     if rep.standard:
-        lam, jc, sc, flow = _dense_modular(h)
+        lam, _, jc, sc, flow = _dense_modular(h)
         s_op, md = modular_data(h)
         scale = max(1.0, np.max(np.abs(lam)))
         assert_allclose(md.log_delta, lam, atol=1e-12 * scale)
@@ -1259,9 +1280,56 @@ def test_tiled_primitives_give_the_dense_results(seed, tiles, r, data):
         x[t * r:(t + 1) * r, 2 * t * r:2 * (t + 1) * r] = (
             rng.normal(size=(r, 2 * r)) + 1j * rng.normal(size=(r, 2 * r)))
     x = x[rng.permutation(n)][:, rng.permutation(2 * n)]
-    assert stdspace._tiles(x) is not None
+    assert _tile_count(x) >= 2
     assert stdspace.spectral_norm(x) == pytest.approx(
         np.linalg.norm(x, 2), rel=1e-12)
+
+
+def test_one_tile_primitives_are_the_plain_numpy_calls():
+    # one tile runs the stack body on a view with a tile axis of length 1
+    # and merges nothing, so every primitive returns, bit for bit, what
+    # the numpy call on the whole array returns: on a matrix and a stack
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
+    assert stdspace.spectral_norm(x) == np.linalg.norm(x, 2)
+    for a in (x, rng.normal(size=(3, 9, 6))):
+        assert np.array_equal(stdspace._singular_values(a),
+                              np.linalg.svd(a, compute_uv=False))
+        q, r = np.linalg.qr(a)
+        signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+        assert np.array_equal(stdspace.qr_basis(a), q * signs[..., None, :])
+
+    n = 6
+    parent = stdspace.ComplexSpace(n)
+    standard = [bgl.NetModel.massive().wedge_subspace(
+        spacetime.Region.wedge_right((0.0, 0.0)))]
+    for shape in ((), (3,)):
+        def span(k):
+            z = (rng.normal(size=shape + (k, n))
+                 + 1j * rng.normal(size=shape + (k, n)))
+            return make_subspace(z, parent)
+
+        h, g = span(n), span(4)
+        standard.append(h)
+        b_h, b_g = h.basis, g.basis
+        _, s, vt = np.linalg.svd(b_g - b_h @ (b_h.swapaxes(-1, -2) @ b_g),
+                                 full_matrices=False)
+        sines, v = principal_angles(b_h, b_g)
+        assert np.array_equal(sines, s[..., ::-1])
+        assert np.array_equal(v, vt[..., ::-1, :].swapaxes(-1, -2))
+        q = np.linalg.qr(parent.J_i @ b_g, mode="complete")[0]
+        assert np.array_equal(symplectic_complement(g).basis, q[..., 4:])
+
+    for h in standard:
+        lam, u, jc, sc, _ = _dense_modular(h)
+        s_op, md = modular_data(h)
+        order = np.argsort(lam, axis=-1, kind="stable")
+        assert np.array_equal(md.log_delta,
+                              np.take_along_axis(lam, order, axis=-1))
+        assert np.array_equal(
+            md.vecs, np.take_along_axis(u, order[..., None, :], axis=-1))
+        assert np.array_equal(md.jc, jc)
+        assert np.array_equal(s_op, h.parent.realify_antilinear(sc))
 
 
 def test_what_is_not_an_equal_tiling_is_one_tile():
@@ -1291,18 +1359,18 @@ def test_what_is_not_an_equal_tiling_is_one_tile():
     # one off-tile entry joins two tiles: unequal shapes are one tile
     joined = x.copy()
     joined[0, 8] = 1.0
-    assert stdspace._tiles(joined) is None
-    assert stdspace._tiles(blocks((3, 3), (2, 2))) is None
-    assert stdspace._tiles(blocks((2, 3), (2, 2))) is None
+    _assert_one_tile(joined)
+    _assert_one_tile(blocks((3, 3), (2, 2)))
+    _assert_one_tile(blocks((2, 3), (2, 2)))
     # a zero row, and an operand without zeros, are one tile
     zero_row = x.copy()
     zero_row[4] = 0.0
-    assert stdspace._tiles(zero_row) is None
-    assert stdspace._tiles(rng.normal(size=(6, 6))) is None
+    _assert_one_tile(zero_row)
+    _assert_one_tile(rng.normal(size=(6, 6)))
     # stacks and empty operands are never tiled
-    assert stdspace._tiles(np.stack([x, x])) is None
-    assert stdspace._tiles(np.zeros((6, 0))) is None
-    # each primitive then takes its dense call
+    _assert_one_tile(np.stack([x, x]))
+    _assert_one_tile(np.zeros((6, 0)))
+    # each primitive then gives the call on the whole array
     for a in (joined, zero_row):
         assert stdspace.spectral_norm(a) == np.linalg.norm(a, 2)
         assert np.array_equal(stdspace._singular_values(a),
@@ -1321,7 +1389,7 @@ def test_a_slot_to_slot_operator_is_tiled_alike_on_rows_and_columns():
     assert stdspace.spectral_norm(x) == pytest.approx(np.linalg.norm(x, 2),
                                                       rel=1e-14)
     # as a map of the slots to themselves they do not decouple
-    assert stdspace._tiles(x, square=(0,)) is None
+    _assert_one_tile(x, square=(0,))
     v = np.kron(np.eye(2), np.ones((2, 2)))
-    assert stdspace._tiles(v, x, square=(1,)) is None
-    assert stdspace._tiles(v, v, square=(1,)) is not None
+    _assert_one_tile(v, x, square=(1,))
+    assert _tile_count(v, v, square=(1,)) == 2
