@@ -16,7 +16,10 @@ A model's geometry is the tuple of :class:`reps.Factor` records that
 The implemented group action, wedge blocks, translation phases and
 positivity of energy read these records the same way for every model
 kind, and the lightcone study builds its wedges from one rapidity
-record made by the massive model's constructor.
+record made by the massive model's constructor.  The group action is
+the translation-dilation subgroup in lightray coordinates, passed
+through to :func:`reps.apply` as the pairs (t_L, t_R) and
+(sigma_L, sigma_R); this module imports no Mobius code.
 
 Every wedge-like block is held in eigen-form: the modular spectrum, the
 phased inverse-DFT eigenvectors and the J-pairing of their columns are
@@ -54,7 +57,6 @@ import threading
 import mpmath
 import numpy as np
 
-from . import mobius
 from . import reps
 from . import spacetime
 from . import stdspace
@@ -424,16 +426,17 @@ class NetModel:
 
     # -- representation consistency ---------------------------------------
 
-    def unit_matrix_of(self, g):
-        """Complex matrix of the implemented group element ``g`` on the
-        orthonormal slot basis."""
-        return reps.apply(self.factors, g, np.eye(self.parent.n))
+    def unit_matrix_of(self, translation=(0.0, 0.0), dilation=(0.0, 0.0)):
+        """Complex matrix of U(x -> e^sigma x + t) on the orthonormal slot
+        basis, with lightray pairs ``translation`` = (t_L, t_R) and
+        ``dilation`` = (sigma_L, sigma_R) (see :func:`reps.apply`)."""
+        return reps.apply(self.factors, np.eye(self.parent.n), translation,
+                          dilation)
 
     def implemented_dilation(self, s):
         """Matrix of the dilation by s on both lightrays,
         followed on the twisted model by the inner rotation V(q s)."""
-        d = mobius.CoverElement.dilation(s)
-        u = self.unit_matrix_of(mobius.GElement(d, d))
+        u = self.unit_matrix_of(dilation=(s, s))
         if self.kind == "twisted":
             u = u @ self.inner_rotation(self.charge * s)
         return u
@@ -529,12 +532,7 @@ def axioms_report(net, tol=BLOCK_TOL):
     # translation matches the translated wedge's own data.
     shift = (0.25, -0.4)
     moved = spacetime.Region.wedge_right(shift)
-    g = mobius.GElement(
-        mobius.CoverElement.from_base(
-            mobius.MobiusElement.translation(shift[0])),
-        mobius.CoverElement.from_base(
-            mobius.MobiusElement.translation(shift[1])))
-    u = net.unit_matrix_of(g)
+    u = net.unit_matrix_of(translation=shift)
     cov = stdspace.subspace_distance(
         net.wedge_subspace(moved), h_r.transform(net.parent.realify_linear(u)))
     entries["Poincare covariance"] = AxiomEntry(cov, tol)

@@ -13,9 +13,10 @@ The circle picture is reached through the Cayley map
 which identifies the extended line with the unit circle.  The universal
 cover is parametrised by a base element together with a lifted rotation
 angle ``phi`` (a real lift of the Iwasawa angle, fixed on products by the
-monotone turn of the first column, see ``CoverElement.compose``), and the
-two-dimensional group is the quotient of two cover copies by the deck
-element (rho_{-2 pi}, rho_{2 pi}).
+monotone turn of the first column, see ``CoverElement.compose``).  The
+lattice models take only the translation-dilation part of one copy per
+lightray, as plain coordinates (see :mod:`modnet.reps`), so no module of
+the net layer imports this one.
 
 The normal form (unit determinant, canonical sign) is one rule on stacks
 of 2x2 matrices: an element applies it to its one matrix, and
@@ -785,49 +786,3 @@ def nested_commutation_parameters(big, small, t, s):
     kind = shared_endpoint_kind(big, small)
     pair = "halfline_bounded" if kind == "left" else "halfline_shifted"
     return commutation_parameters(t, s, pair)
-
-
-# ---------------------------------------------------------------------------
-# the two-dimensional group
-# ---------------------------------------------------------------------------
-
-
-class GElement:
-    """Element of the two-dimensional Mobius group.
-
-    A pair of cover elements modulo the deck identification
-    ``(g rho_{-2 pi}, h rho_{2 pi}) ~ (g, h)``; the canonical form places
-    ``left.phi`` in [0, 2 pi), transferring whole turns to the right
-    factor.
-    """
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        k = math.floor(left.phi / _TWO_PI)
-        self.left = CoverElement(left.base, left.phi - _TWO_PI * k, check=False)
-        self.right = CoverElement(right.base, right.phi + _TWO_PI * k, check=False)
-
-    @classmethod
-    def identity(cls):
-        return cls(CoverElement.identity(), CoverElement.identity())
-
-    def compose(self, other):
-        return GElement(self.left.compose(other.left),
-                        self.right.compose(other.right))
-
-    __matmul__ = compose
-
-    def inverse(self):
-        return GElement(self.left.inverse(), self.right.inverse())
-
-    def __eq__(self, other):
-        if not isinstance(other, GElement):
-            return NotImplemented
-        return self.left == other.left and self.right == other.right
-
-    def __hash__(self):
-        raise TypeError("GElement is not hashable")
-
-    def __repr__(self):
-        return f"GElement(left={self.left!r}, right={self.right!r})"

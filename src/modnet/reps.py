@@ -7,28 +7,27 @@ P_R on its slots.  A chiral factor lives on a log-momentum grid and
 carries momentum along its own lightray only; a rapidity factor of mass
 m carries (p_L, p_R) = (m e^theta, m e^-theta) / sqrt 2 along both.
 
-U acts on the orthonormal slot basis of these records.  A lightray
-translation (t_L, t_R) multiplies every slot by e^{i(t_L p_L + t_R p_R)};
-a dilation by a grid multiple sigma of a chiral factor's lightray rolls
-its slots by sigma / h, and a boost (sigma_R - sigma_L) / 2 rolls a
-rapidity factor's slots by that over h.  Every action is a phase or a
-permutation, so U(g) is exactly unitary, wrap-around slots included,
-and needs no quadrature weight.  Every action is elementwise along the
-slot axis, so :func:`apply` also acts on a stack of vectors held as a
-trailing column axis.
+U acts on the orthonormal slot basis of these records.  The lattice
+implements the translation-dilation subgroup only, and :func:`apply`
+takes it in lightray coordinates: on each lightray the map
+x -> e^sigma x + t, given as the pairs (t_L, t_R) and (sigma_L,
+sigma_R).  The translation multiplies every slot by
+e^{i(t_L p_L + t_R p_R)}; a dilation by a grid multiple sigma of a
+chiral factor's lightray rolls its slots by sigma / h, and a boost
+(sigma_R - sigma_L) / 2 rolls a rapidity factor's slots by that over h.
+Every action is a phase or a permutation, so U is exactly unitary,
+wrap-around slots included, and needs no quadrature weight.  Every
+action is elementwise along the slot axis, so :func:`apply` also acts
+on a stack of vectors held as a trailing column axis.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .mobius import CoverElement, GElement, MobiusElement
-
-AFFINE_TOL = 1e-12
 STEP_TOL = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
@@ -157,34 +156,8 @@ def build_rep(params: Mapping) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# group elements: affine data extraction
+# the action
 # ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class _Affine:
-    """One factor of the translation-dilation subgroup: x -> e^sigma x + t."""
-
-    t: float
-    sigma: float
-
-
-def _affine_of(element, side):
-    if isinstance(element, CoverElement):
-        element = element.base
-    if not isinstance(element, MobiusElement):
-        raise TypeError(f"expected a group element, got {type(element)!r}")
-    m = element.mat
-    scale = np.max(np.abs(m))
-    if abs(m[1, 0]) > AFFINE_TOL * scale:
-        raise ValueError(
-            f"{side} factor has a rotation/special-conformal part; only the "
-            "translation-dilation subgroup acts on a momentum lattice"
-        )
-    a, b = float(m[0, 0]), float(m[0, 1])
-    if a <= 0:
-        a, b = -a, -b
-    return _Affine(t=a * b, sigma=2.0 * math.log(a))
 
 
 def _shift_steps(sigma, h, what):
@@ -198,61 +171,48 @@ def _shift_steps(sigma, h, what):
     return int(k)
 
 
-def _pair_of(g):
-    if isinstance(g, GElement):
-        return _affine_of(g.left, "left"), _affine_of(g.right, "right")
-    raise TypeError(
-        "two-dimensional representations act through paired elements; "
-        f"got {type(g)!r}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# the action
-# ---------------------------------------------------------------------------
-
-
 def translation_phases(factors, t_l, t_r):
     """Diagonal of the lightray translation e^{i(t_L P_L + t_R P_R)}."""
     return np.concatenate([np.exp(1j * (t_l * f.p_l + t_r * f.p_r))
                            for f in factors])
 
 
-def _slot_steps(f, left, right):
-    """Slots a factor rolls by under the dilation part of (left, right).
+def _slot_steps(f, sigma_l, sigma_r):
+    """Slots a factor rolls by under the dilation (sigma_L, sigma_R).
 
     A chiral factor follows its own lightray; a rapidity factor, with
     momentum along both, implements only the boost (sigma_R - sigma_L)/2
     and refuses an overall dilation, which would change its mass.
     """
     if not f.rapidity:
-        return -_shift_steps((left, right)[f.ray].sigma, f.h, "dilation")
-    if abs(right.sigma + left.sigma) / 2.0 > AFFINE_TOL:
+        return -_shift_steps((sigma_l, sigma_r)[f.ray], f.h, "dilation")
+    if sigma_l + sigma_r != 0:
         raise ValueError(
             "overall dilation component not implementable on a "
             "fixed-mass fiber"
         )
-    return _shift_steps((right.sigma - left.sigma) / 2.0, f.h, "boost")
+    return _shift_steps((sigma_r - sigma_l) / 2.0, f.h, "boost")
 
 
-def apply(factors, g, xi):
-    """Act with the paired group element ``g`` on a slot vector.
+def apply(factors, xi, translation=(0.0, 0.0), dilation=(0.0, 0.0)):
+    """Act with U(x -> e^sigma x + t) on a slot vector, one map per
+    lightray: ``translation`` = (t_L, t_R) and ``dilation`` = (sigma_L,
+    sigma_R), each sigma a multiple of the grid spacing it acts on.
 
-    ``g`` is a GElement of translation-dilation factors whose dilation
-    parts are grid multiples.  ``xi`` may carry one trailing axis of
-    columns, each acted on as a vector; every action is elementwise along
-    the slots, so a column comes out as it would alone.
+    U(x -> e^sigma x + t) = U(tau(t)) U(delta(sigma)): the slots roll,
+    then take the translation phase.  ``xi`` may carry one trailing axis
+    of columns, each acted on as a vector; every action is elementwise
+    along the slots, so a column comes out as it would alone.
     """
     xi = np.asarray(xi, dtype=complex)
     n = sum(f.n for f in factors)
     if xi.shape[:1] != (n,) or xi.ndim > 2:
         raise ValueError(f"vector shape {xi.shape} != rep shape {(n,)}")
-    left, right = _pair_of(g)
     out = np.empty_like(xi)
     start = 0
     for f in factors:
         rows = slice(start, start + f.n)
-        out[rows] = np.roll(xi[rows], _slot_steps(f, left, right), axis=0)
+        out[rows] = np.roll(xi[rows], _slot_steps(f, *dilation), axis=0)
         start += f.n
-    phases = translation_phases(factors, left.t, right.t)
+    phases = translation_phases(factors, *translation)
     return out * phases.reshape((n,) + (1,) * (xi.ndim - 1))

@@ -13,8 +13,6 @@ from __future__ import annotations
 import enum
 import math
 
-from .mobius import INF
-
 #: tolerance for endpoint comparisons of regions
 GEOM_TOL = 1e-9
 
@@ -31,8 +29,8 @@ class RegionKind(enum.Enum):
 
 def _interval_shape(iv):
     lo, hi = iv
-    below = lo == -INF
-    above = hi == INF
+    below = lo == -math.inf
+    above = hi == math.inf
     if below and above:
         raise ValueError("interval must not be the whole line")
     if below:
@@ -94,27 +92,15 @@ class Region:
 
     @classmethod
     def wedge_right(cls, corner=(0.0, 0.0)):
-        return cls((-INF, corner[0]), (corner[1], INF))
+        return cls((-math.inf, corner[0]), (corner[1], math.inf))
 
     @classmethod
     def wedge_left(cls, corner=(0.0, 0.0)):
-        return cls((corner[0], INF), (-INF, corner[1]))
+        return cls((corner[0], math.inf), (-math.inf, corner[1]))
 
     @classmethod
     def forward_cone(cls, apex=(0.0, 0.0)):
-        return cls((apex[0], INF), (apex[1], INF))
-
-    @classmethod
-    def backward_cone(cls, apex=(0.0, 0.0)):
-        return cls((-INF, apex[0]), (-INF, apex[1]))
-
-    @classmethod
-    def half_band_right(cls):
-        return cls((0.0, 1.0), (0.0, INF))
-
-    @classmethod
-    def half_band_left(cls):
-        return cls((0.0, INF), (0.0, 1.0))
+        return cls((apex[0], math.inf), (apex[1], math.inf))
 
     # -- basic geometry -------------------------------------------------
 

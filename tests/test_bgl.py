@@ -9,7 +9,6 @@ import pytest
 
 from modnet import bgl
 from modnet import cli
-from modnet import mobius
 from modnet import reps
 from modnet import spacetime
 from modnet import stdspace
@@ -248,9 +247,7 @@ def test_fresh_model_reproduces_cached_subspace():
 def test_translation_covariance_is_exact(kind):
     net = _model(kind)
     shift = (0.45, -0.15)
-    g = mobius.GElement(mobius.CoverElement.translation(shift[0]),
-                        mobius.CoverElement.translation(shift[1]))
-    u = net.unit_matrix_of(g)
+    u = net.unit_matrix_of(translation=shift)
     w_r, _ = _origin_wedges()
     moved = net.wedge_subspace(spacetime.Region.wedge_right(shift))
     assert stdspace.subspace_distance(
@@ -261,15 +258,13 @@ def test_translation_covariance_is_exact(kind):
 @pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
 def test_unit_matrix_of_translation_is_orthogonal(kind):
     net = _model(kind)
-    g = mobius.GElement(mobius.CoverElement.translation(0.31),
-                        mobius.CoverElement.translation(-0.08))
-    u = net.unit_matrix_of(g)
+    u = net.unit_matrix_of(translation=(0.31, -0.08))
     # unitary, so its real form is orthogonal
     assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2) < 1e-11
 
 
-def _unit_matrix_one_column_at_a_time(net, g):
-    return np.column_stack([reps.apply(net.factors, g, e)
+def _unit_matrix_one_column_at_a_time(net, translation, dilation):
+    return np.column_stack([reps.apply(net.factors, e, translation, dilation)
                             for e in np.eye(net.parent.n)])
 
 
@@ -277,18 +272,16 @@ def _unit_matrix_one_column_at_a_time(net, g):
 def test_unit_matrix_of_matches_column_by_column(kind):
     net = _model(kind)
     h = net.factors[0].h
-    translation = mobius.GElement(mobius.CoverElement.translation(0.31),
-                                  mobius.CoverElement.translation(-0.08))
-    boost = mobius.GElement(mobius.CoverElement.dilation(2 * h),
-                            mobius.CoverElement.dilation(-2 * h))
-    dilation = mobius.GElement(mobius.CoverElement.dilation(-h),
-                               mobius.CoverElement.dilation(-h))
-    elements = [translation, boost, translation @ boost]
+    # (translation, dilation) lightray pairs; the last composes the
+    # dilation after the translation, which scales the shift by e^{-h}
+    t, zero = (0.31, -0.08), (0.0, 0.0)
+    elements = [(t, zero), (zero, (2 * h, -2 * h)), (t, (2 * h, -2 * h))]
     if kind in ("chiralSum", "twisted"):
-        elements += [dilation, dilation @ translation]
-    for g in elements:
-        got = net.unit_matrix_of(g)
-        want = _unit_matrix_one_column_at_a_time(net, g)
+        elements += [(zero, (-h, -h)),
+                     (tuple(math.exp(-h) * a for a in t), (-h, -h))]
+    for translation, dilation in elements:
+        got = net.unit_matrix_of(translation, dilation)
+        want = _unit_matrix_one_column_at_a_time(net, translation, dilation)
         assert np.array_equal(got, want)
         # signed zeros too, in the real and imaginary parts
         assert np.array_equal(np.signbit(got.view(float)),
@@ -301,21 +294,18 @@ def test_factor_records_match_the_representation(kind):
     # translations: the record's phases are the implemented two-lightray
     # translation
     for apex in ((0.3, -0.2), (-0.5, 0.5)):
-        g = mobius.GElement(mobius.CoverElement.translation(apex[0]),
-                            mobius.CoverElement.translation(apex[1]))
         phases = reps.translation_phases(net.factors, *apex)
-        dev = np.max(np.abs(np.diag(phases) - net.unit_matrix_of(g)))
+        dev = np.max(np.abs(np.diag(phases)
+                            - net.unit_matrix_of(translation=apex)))
         assert dev < 1e-12
     # positivity of energy: P_L and P_R are nonnegative on every block
     for f in net.factors:
         assert np.all(f.p_l >= 0) and np.all(f.p_r >= 0)
     # orientation: each block's W_R flow is the implemented boost
     s = 2 * net.factors[0].h
-    boost = mobius.GElement(mobius.CoverElement.dilation(s),
-                            mobius.CoverElement.dilation(-s))
     w_r, _ = _origin_wedges()
     assert np.linalg.norm(net.wedge_flow(w_r, s / _TWO_PI)
-                          - net.unit_matrix_of(boost), 2) < 1e-9
+                          - net.unit_matrix_of(dilation=(s, -s)), 2) < 1e-9
 
 
 @pytest.mark.parametrize("ctor", [bgl.NetModel.chiral_sum,
@@ -333,21 +323,31 @@ def test_implemented_grid_dilation_is_a_phased_permutation_at_n_129(ctor):
         assert np.all(one.sum(axis=0) == 1) and np.all(one.sum(axis=1) == 1)
 
 
+@pytest.mark.parametrize("kind", ["chiralSum", "twisted"])
+def test_implemented_dilation_dilates_both_lightrays(kind):
+    # the dilation by s is (sigma_L, sigma_R) = (s, s), followed on the
+    # twisted model by the inner rotation V(q s)
+    net = _model(kind)
+    s = -2 * net.factors[0].h
+    want = reps.apply(net.factors, np.eye(net.parent.n), dilation=(s, s))
+    if kind == "twisted":
+        want = want @ net.inner_rotation(net.charge * s)
+    assert np.array_equal(net.implemented_dilation(s), want)
+
+
 def test_apply_takes_a_trailing_column_axis():
     net = _model("directIntegral")
     rng = np.random.default_rng(5)
     s = 2 * net.factors[0].h
-    g = mobius.GElement(
-        mobius.CoverElement.translation(0.2) @ mobius.CoverElement.dilation(s),
-        mobius.CoverElement.dilation(-s))
+    g = (0.2, 0.0), (s, -s)
     cols = rng.normal(size=(net.parent.n, 3)) \
         + 1j * rng.normal(size=(net.parent.n, 3))
-    out = reps.apply(net.factors, g, cols)
+    out = reps.apply(net.factors, cols, *g)
     for j in range(3):
         assert np.array_equal(out[..., j],
-                              reps.apply(net.factors, g, cols[..., j]))
+                              reps.apply(net.factors, cols[..., j], *g))
     with pytest.raises(ValueError, match="rep shape"):
-        reps.apply(net.factors, g, cols[..., None])
+        reps.apply(net.factors, cols[..., None], *g)
 
 
 def test_chiral_wedge_flow_matches_implemented_dilations():
@@ -355,9 +355,8 @@ def test_chiral_wedge_flow_matches_implemented_dilations():
     h = net.factors[0].h
     t = h / _TWO_PI
     w_r, _ = _origin_wedges()
-    g = mobius.GElement(mobius.CoverElement.dilation(h),
-                        mobius.CoverElement.dilation(-h))
-    dev = np.linalg.norm(net.wedge_flow(w_r, t) - net.unit_matrix_of(g), 2)
+    dev = np.linalg.norm(net.wedge_flow(w_r, t)
+                         - net.unit_matrix_of(dilation=(h, -h)), 2)
     assert dev < EXACT_TOL
 
 
@@ -366,9 +365,8 @@ def test_cone_flow_matches_implemented_dilations():
     h = net.factors[0].h
     t = h / _TWO_PI
     cone = spacetime.Region.forward_cone((0.0, 0.0))
-    g = mobius.GElement(mobius.CoverElement.dilation(-h),
-                        mobius.CoverElement.dilation(-h))
-    dev = np.linalg.norm(net.wedge_flow(cone, t) - net.unit_matrix_of(g), 2)
+    dev = np.linalg.norm(net.wedge_flow(cone, t)
+                         - net.unit_matrix_of(dilation=(-h, -h)), 2)
     assert dev < EXACT_TOL
 
 
@@ -381,19 +379,16 @@ def test_massive_wedge_flow_matches_boosts_at_even_steps(kind):
     s = 2 * h
     t = s / _TWO_PI
     w_r, w_l = _origin_wedges()
-    g = mobius.GElement(mobius.CoverElement.dilation(s),
-                        mobius.CoverElement.dilation(-s))
     assert np.linalg.norm(net.wedge_flow(w_r, t)
-                          - net.unit_matrix_of(g), 2) < 1e-9
-    g = mobius.GElement(mobius.CoverElement.dilation(-s),
-                        mobius.CoverElement.dilation(s))
+                          - net.unit_matrix_of(dilation=(s, -s)), 2) < 1e-9
     assert np.linalg.norm(net.wedge_flow(w_l, t)
-                          - net.unit_matrix_of(g), 2) < 1e-9
+                          - net.unit_matrix_of(dilation=(-s, s)), 2) < 1e-9
 
 
 def test_wedge_subspace_rejects_half_bands():
     with pytest.raises(ValueError, match="not wedge-like"):
-        _model("chiralSum").wedge_subspace(spacetime.Region.half_band_right())
+        _model("chiralSum").wedge_subspace(
+            spacetime.Region((0.0, 1.0), (0.0, math.inf)))
 
 
 def test_massive_lightcone_is_not_wedge_data():
@@ -414,7 +409,8 @@ def test_translated_wedges_match_the_block_route(kind):
                     spacetime.Region.wedge_left(apex)]
     if kind in ("chiralSum", "twisted"):
         regions += [spacetime.Region.forward_cone((0.3, -0.2)),
-                    spacetime.Region.backward_cone((0.25, -0.4))]
+                    spacetime.Region((-math.inf, 0.25),
+                                     (-math.inf, -0.4))]
     for region in regions:
         block = net.wedge_block(region).subspace(net.parent)
         assert stdspace.subspace_distance(

@@ -750,6 +750,26 @@ def test_commands_that_draw_nothing_never_load_numpy_random():
     assert not any(loaded.values()), loaded
 
 
+def test_the_net_layer_imports_no_mobius_code():
+    # the lattice models take the translation-dilation group in lightray
+    # coordinates; only the runner and verify-mobius need the Mobius layer
+    script = textwrap.dedent("""
+        import json, sys
+        import modnet.bgl, modnet.fock
+        print(json.dumps(sorted(m for m in sys.modules
+                                if m.startswith("modnet."))))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "modnet.bgl" in loaded
+    assert "modnet.mobius" not in loaded, loaded
+
+
 def _traced_owner(module, name):
     """The owner and attribute the benchmark's tracer replaces, through
     ``owner.__dict__[attr]``, with the module checked to come from src/."""

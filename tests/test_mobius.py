@@ -12,7 +12,6 @@ from modnet import mobius
 from modnet.mobius import (
     INF,
     CoverElement,
-    GElement,
     Interval,
     MobiusDomainError,
     MobiusElement,
@@ -678,46 +677,6 @@ def test_commutation_rejects_non_nested():
         nested_commutation_parameters(
             Interval.from_line(0.0, 1.0), Interval.from_line(0.5, 2.0), 0.1, 0.1
         )
-
-
-# ---------------------------------------------------------------------------
-# the two-dimensional group
-# ---------------------------------------------------------------------------
-
-
-def test_deck_pair_is_identity_in_G():
-    z = GElement(CoverElement.rotation(-TWO_PI),
-                 CoverElement.rotation(TWO_PI))
-    assert z == GElement.identity()
-
-
-def test_single_turn_is_not_identity_in_G():
-    z = GElement(CoverElement.rotation(TWO_PI), CoverElement.identity())
-    assert z != GElement.identity()
-
-
-def test_G_quotient_identifies_deck_shifted_pairs():
-    rng = np.random.default_rng(71)
-    gl = CoverElement.from_base(random_element(rng))
-    gr = CoverElement.from_base(random_element(rng))
-    a = GElement(gl, gr)
-    b = GElement(
-        CoverElement.rotation(-TWO_PI) @ gl,
-        CoverElement.rotation(TWO_PI) @ gr,
-    )
-    assert a == b
-
-
-def test_G_compose_componentwise():
-    rng = np.random.default_rng(73)
-    gl, gr = (CoverElement.from_base(random_element(rng)) for _ in range(2))
-    hl, hr = (CoverElement.from_base(random_element(rng)) for _ in range(2))
-    prod = GElement(gl, gr) @ GElement(hl, hr)
-    assert prod == GElement(gl @ hl, gr @ hr)
-    g = GElement(gl, gr)
-    assert (g @ g.inverse()) == GElement.identity()
-
-
 
 
 # ---------------------------------------------------------------------------

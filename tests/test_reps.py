@@ -6,15 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from modnet.mobius import (
-    INF,
-    CoverElement,
-    GElement,
-    Interval,
-    MobiusElement,
-    interval_dilation,
-)
-from modnet.reps import apply, build_rep, rapidity_factor
+from modnet.mobius import Interval, interval_dilation
+from modnet.reps import apply, build_rep, rapidity_factor, translation_phases
 
 SUM = {"kind": "chiralSum", "n": 33, "h": 0.1}
 TWISTED = dict(SUM, kind="twisted")
@@ -27,14 +20,20 @@ IDS = [c["kind"] for c in ALL_CONFIGS]
 
 
 def pair(t_l=0.0, s_l=0.0, t_r=0.0, s_r=0.0):
-    """G element tau(t_L) delta(s_L) x tau(t_R) delta(s_R)."""
-    left = CoverElement.translation(t_l).compose(CoverElement.dilation(s_l))
-    right = CoverElement.translation(t_r).compose(CoverElement.dilation(s_r))
-    return GElement(left, right)
+    """The lightray maps x -> e^{s_L} x + t_L and x -> e^{s_R} x + t_R, as
+    the (translation, dilation) arguments of :func:`apply`."""
+    return (t_l, t_r), (s_l, s_r)
 
 
 def boost(s):
     return pair(s_l=-s, s_r=s)
+
+
+def compose(g1, g2):
+    """g1 g2 per lightray: (t1, s1)(t2, s2) = (t1 + e^{s1} t2, s1 + s2)."""
+    (t1, s1), (t2, s2) = g1, g2
+    return (tuple(a + math.exp(s) * b for a, s, b in zip(t1, s1, t2)),
+            tuple(a + b for a, b in zip(s1, s2)))
 
 
 def size(factors):
@@ -150,31 +149,31 @@ def test_zero_translation_is_identity():
     for cfg in ALL_CONFIGS:
         factors = build_rep(cfg)
         xi = random_vector(factors, rng)
-        assert_allclose(apply(factors, GElement.identity(), xi), xi, atol=0)
+        assert_allclose(apply(factors, xi), xi, atol=0)
 
 
 def test_massive_boost_is_cyclic_shift():
     factors = build_rep(MASSIVE)
     rng = np.random.default_rng(5)
     xi = random_vector(factors, rng)
-    out = apply(factors, boost(factors[0].h), xi)
+    out = apply(factors, xi, *boost(factors[0].h))
     assert np.array_equal(out, np.roll(xi, 1))
 
 
 def test_chiral_dilation_is_cyclic_shift():
-    # the flow of R_+ acts by xi(p) -> xi(e^{-t} p) on the orthonormal
-    # slots: for t = h it moves every slot one step up, the top slot
-    # wrapping to the bottom, with no Jacobian
+    # the flow of R_+ at t = h is x -> e^{-h} x, which acts by
+    # xi(p) -> xi(e^{-h} p) on the orthonormal slots: it moves every slot
+    # one step up, the top slot wrapping to the bottom, with no Jacobian
     factors = build_rep(SUM)
     h = factors[0].h
     rng = np.random.default_rng(7)
     xi = random_vector(factors, rng)
-    lam = interval_dilation(Interval.from_line(0.0, INF), h)
-    g = GElement(CoverElement.from_base(lam), CoverElement.identity())
-    out = apply(factors, g, xi)
+    lam = interval_dilation(Interval.from_line(0.0, math.inf), h)
+    assert lam.act_line(1.0) == pytest.approx(math.exp(-h), rel=1e-14)
+    out = apply(factors, xi, dilation=(-h, 0.0))
     assert np.array_equal(out[:33], np.roll(xi[:33], 1))
     assert np.array_equal(out[33:], xi[33:])
-    out = apply(factors, pair(s_r=2 * h), xi)
+    out = apply(factors, xi, *pair(s_r=2 * h))
     assert np.array_equal(out[:33], xi[:33])
     assert np.array_equal(out[33:], np.roll(xi[33:], -2))
 
@@ -184,7 +183,7 @@ def test_chiral_translation_is_diagonal_phase():
     left, right = factors
     rng = np.random.default_rng(9)
     xi = random_vector(factors, rng)
-    out = apply(factors, pair(t_l=0.7, t_r=-0.2), xi)
+    out = apply(factors, xi, translation=(0.7, -0.2))
     assert_allclose(out[:33], np.exp(0.7j * left.p_l) * xi[:33], rtol=1e-13)
     assert_allclose(out[33:], np.exp(-0.2j * right.p_r) * xi[33:],
                     rtol=1e-13)
@@ -200,12 +199,12 @@ def test_massive_translation_phases():
     # pure time translation a = (a0, 0): lightray pair (a0, a0)/sqrt(2)
     a0 = 0.43
     g = pair(t_l=a0 / math.sqrt(2), t_r=a0 / math.sqrt(2))
-    assert_allclose(apply(factors, g, xi), np.exp(1j * a0 * omega) * xi,
+    assert_allclose(apply(factors, xi, *g), np.exp(1j * a0 * omega) * xi,
                     rtol=1e-12)
     # pure space translation a = (0, a1): lightray pair (-a1, a1)/sqrt(2)
     a1 = -0.81
     g = pair(t_l=-a1 / math.sqrt(2), t_r=a1 / math.sqrt(2))
-    assert_allclose(apply(factors, g, xi), np.exp(-1j * a1 * p1) * xi,
+    assert_allclose(apply(factors, xi, *g), np.exp(-1j * a1 * p1) * xi,
                     rtol=1e-12)
 
 
@@ -214,13 +213,13 @@ def test_apply_takes_columns_and_checks_the_slot_count():
     rng = np.random.default_rng(15)
     cols = np.stack([random_vector(factors, rng) for _ in range(3)], axis=1)
     g = pair(0.3, 0.1, -0.2, -0.2)
-    out = apply(factors, g, cols)
+    out = apply(factors, cols, *g)
     for j in range(3):
-        assert np.array_equal(out[:, j], apply(factors, g, cols[:, j]))
+        assert np.array_equal(out[:, j], apply(factors, cols[:, j], *g))
     with pytest.raises(ValueError, match="rep shape"):
-        apply(factors, g, cols[:-1])
+        apply(factors, cols[:-1], *g)
     with pytest.raises(ValueError, match="rep shape"):
-        apply(factors, g, cols[..., None])
+        apply(factors, cols[..., None], *g)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +233,7 @@ def test_unitarity_of_random_elements(cfg):
     eye = np.eye(size(factors))
     rng = np.random.default_rng(17)
     for _ in range(20):
-        u = apply(factors, random_lattice_element(rng, factors), eye)
+        u = apply(factors, eye, *random_lattice_element(rng, factors))
         assert np.linalg.norm(u.conj().T @ u - eye, 2) < 1e-13
 
 
@@ -248,9 +247,23 @@ def test_group_law(cfg):
         g1 = random_lattice_element(rng, factors)
         g2 = random_lattice_element(rng, factors)
         xi = central_vector(factors, rng)
-        a = apply(factors, g1, apply(factors, g2, xi))
-        b = apply(factors, g1 @ g2, xi)
+        a = apply(factors, apply(factors, xi, *g2), *g1)
+        b = apply(factors, xi, *compose(g1, g2))
         assert np.linalg.norm(a - b) < 1e-10 * np.linalg.norm(xi)
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=IDS)
+def test_affine_map_is_translation_after_dilation(cfg):
+    # U(x -> e^sigma x + t) = diag(translation phases) U(delta(sigma))
+    factors = build_rep(cfg)
+    eye = np.eye(size(factors))
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        translation, dilation = random_lattice_element(rng, factors)
+        got = apply(factors, eye, translation, dilation)
+        phases = translation_phases(factors, *translation)
+        want = phases[:, None] * apply(factors, eye, dilation=dilation)
+        assert np.array_equal(got, want)
 
 
 def test_energy_positivity():
@@ -267,7 +280,7 @@ def test_direct_integral_block_structure():
     for i in (0, 5):
         xi = np.zeros((8, 32), dtype=complex)
         xi[i] = rng.normal(size=32) + 1j * rng.normal(size=32)
-        out = apply(factors, pair(0.3, -0.2 * 5, -0.1, 0.2 * 5), xi.ravel())
+        out = apply(factors, xi.ravel(), *pair(0.3, -0.2 * 5, -0.1, 0.2 * 5))
         support = np.flatnonzero(np.any(out.reshape(8, 32) != 0, axis=1))
         assert list(support) == [i]
 
@@ -277,20 +290,12 @@ def test_direct_integral_block_structure():
 # ---------------------------------------------------------------------------
 
 
-def test_rotation_factor_rejected():
-    factors = build_rep(SUM)
-    xi = np.ones(66, dtype=complex)
-    g = GElement(CoverElement.rotation(0.3), CoverElement.identity())
-    with pytest.raises(ValueError, match="rotation"):
-        apply(factors, g, xi)
-
-
 def test_off_lattice_dilation_rejected():
     xi = np.ones(66, dtype=complex)
     with pytest.raises(ValueError, match="integer multiple"):
-        apply(build_rep(SUM), pair(s_l=0.1234), xi)
+        apply(build_rep(SUM), xi, dilation=(0.1234, 0.0))
     with pytest.raises(ValueError, match="integer multiple"):
-        apply(build_rep(MASSIVE), boost(0.1234), xi[:64])
+        apply(build_rep(MASSIVE), xi[:64], *boost(0.1234))
 
 
 def test_massive_rejects_overall_dilation():
@@ -298,12 +303,5 @@ def test_massive_rejects_overall_dilation():
         factors = build_rep(cfg)
         xi = np.ones(size(factors), dtype=complex)
         with pytest.raises(ValueError, match="fixed-mass"):
-            apply(factors, pair(s_l=0.2, s_r=0.2), xi)
+            apply(factors, xi, dilation=(0.2, 0.2))
 
-
-def test_paired_element_required_for_2d_kinds():
-    for cfg in (SUM, MASSIVE):
-        factors = build_rep(cfg)
-        xi = np.ones(size(factors), dtype=complex)
-        with pytest.raises(TypeError, match="paired"):
-            apply(factors, MobiusElement.translation(0.1), xi)
