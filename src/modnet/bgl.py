@@ -669,12 +669,9 @@ def assemble_blockwise(subspaces):
 
 
 def grid_steps(t, h):
-    """Dilation steps of spacing h in 2 pi t, which must be a grid multiple."""
-    k = round(_TWO_PI * t / h)
-    if abs(_TWO_PI * t - k * h) > 1e-9:
-        raise ValueError(f"2 pi t = {_TWO_PI * t:.6f} is not a grid "
-                         "multiple of the dilation spacing")
-    return k
+    """Dilation steps of spacing h in 2 pi t, by the rule the
+    representation applies to the dilation itself."""
+    return reps.shift_steps(_TWO_PI * t, h, "dilation")
 
 
 def _roll_columns(mat, cols, k):
@@ -780,12 +777,11 @@ def counterexample_bw(net, t_values=(0.5, 1.0, 1.5)):
     sym = stdspace.symmetry_commutation_check(h_v, net.inner_rotation(0.7))
     gauge = sym.max_residual
 
-    h = net.factors[0].h
     devs, preds, resids = [], [], []
     for t in t_values:
-        grid_steps(t, h)
-        flow = net.wedge_flow(cone, t)
+        # refuses a 2 pi t off the dilation grid before the modular flow
         u = net.implemented_dilation(-_TWO_PI * t)
+        flow = net.wedge_flow(cone, t)
         dev = stdspace.spectral_norm(flow - u)
         pred = abs(np.exp(2j * np.pi * net.charge * t) - 1.0)
         devs.append(dev)

@@ -6,17 +6,23 @@ SL(2, R) acting on the extended real line by fractional linear maps
 
     g . x = (a x + b) / (c x + d),        det = a d - b c = 1.
 
-The circle picture is reached through the Cayley map
+The circle action (``act_circle``, ``act_angle``) runs through the
+Cayley map
 
     C(x) = -(x - i) / (x + i),            C(0) = 1, C(1) = i, C(inf) = -1,
 
-which identifies the extended line with the unit circle.  The universal
-cover is parametrised by a base element together with a lifted rotation
-angle ``phi`` (a real lift of the Iwasawa angle, fixed on products by the
-monotone turn of the first column, see ``CoverElement.compose``).  The
-lattice models take only the translation-dilation part of one copy per
-lightray, as plain coordinates (see :mod:`modnet.reps`), so no module of
-the net layer imports this one.
+which identifies the extended line with the unit circle; nothing else
+uses it.  An :class:`Interval` is an open interval of the line, given by
+its two endpoints, and its dilation flow is conjugated from that of the
+positive half-line.
+
+The universal cover is parametrised by a base element together with a
+lifted rotation angle ``phi`` (a real lift of the Iwasawa angle, fixed on
+products by the monotone turn of the first column, see
+``CoverElement.compose``).  The lattice models take only the
+translation-dilation part of one copy per lightray, as plain
+coordinates (see :mod:`modnet.reps`), so no module of the net layer
+imports this one.
 
 The normal form (unit determinant, canonical sign) is one rule on stacks
 of 2x2 matrices: an element applies it to its one matrix, and
@@ -41,8 +47,6 @@ INF = math.inf
 
 #: tolerance used by equality tests on canonical matrices
 EQ_TOL = 1e-9
-#: consistency tolerance between phi and the Iwasawa angle of the base
-PHI_TOL = 1e-8
 
 _TWO_PI = 2.0 * math.pi
 
@@ -85,34 +89,6 @@ def wrap_angle(u):
     v = np.fmod(u, _TWO_PI)
     return _scalar(np.where(v > math.pi, v - _TWO_PI,
                             np.where(v <= -math.pi, v + _TWO_PI, v)))
-
-
-def cayley(x):
-    """Cayley transform of an extended real number, as a point on S^1."""
-    if x == INF or x == -INF:
-        return complex(-1.0, 0.0)
-    return -(x - 1j) / (x + 1j)
-
-
-def angle_of_point(x):
-    """Circle angle of an extended real number, in (-pi, pi].
-
-    Equals ``arg(cayley(x))``; computed as ``2*atan(x)``, monotone
-    increasing in ``x`` with the two infinities pinned to +-pi.
-    """
-    if x == INF:
-        return math.pi
-    if x == -INF:
-        return -math.pi
-    return 2.0 * math.atan(x)
-
-
-def point_of_angle(u):
-    """Extended real number with the given circle angle."""
-    v = wrap_angle(u)
-    if abs(abs(v) - math.pi) < 1e-15:
-        return INF
-    return math.tan(0.5 * v)
 
 
 # weights of (a, b, c, d): each outweighs all later ones together, so the
@@ -382,35 +358,27 @@ class CoverElement:
 
     __slots__ = ("base", "phi")
 
-    def __init__(self, base, phi, check=True):
+    def __init__(self, base, phi):
         self.base = base
         self.phi = _scalar(np.asarray(phi, dtype=float))
-        if check:
-            theta = base.iwasawa()[0]
-            bad = np.abs(wrap_angle(self.phi - theta)) > PHI_TOL
-            if np.any(bad):
-                k = np.argmax(bad)
-                phi_k, theta_k = (float(np.ravel(v)[k]) for v in (phi, theta))
-                raise ValueError("phi = %r is not a lift of the Iwasawa "
-                                 "angle %r" % (phi_k, theta_k))
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def identity(cls):
-        return cls(MobiusElement.identity(), 0.0, check=False)
+        return cls(MobiusElement.identity(), 0.0)
 
     @classmethod
     def from_base(cls, base):
         """The lift with phi in (-pi, pi]."""
-        return cls(base, base.iwasawa()[0], check=False)
+        return cls(base, base.iwasawa()[0])
 
     @classmethod
     def generators(cls, kinds, x):
         """Lifts of :meth:`MobiusElement.generators`: phi is the
         parameter of a rotation and 0 otherwise."""
         phi = np.where(np.asarray(kinds) == 0, x, 0.0)
-        return cls(MobiusElement.generators(kinds, x), phi, check=False)
+        return cls(MobiusElement.generators(kinds, x), phi)
 
     @classmethod
     def rotation(cls, t):
@@ -454,7 +422,7 @@ class CoverElement:
         winding = _TWO_PI * np.round((other.phi - theta_h) / _TWO_PI)
         phi = np.where(self.base.is_rotation() & other.base.is_rotation(),
                        self.phi + other.phi, self.phi + gain + winding)
-        return CoverElement(base, phi, check=False)
+        return CoverElement(base, phi)
 
     __matmul__ = compose
 
@@ -462,8 +430,7 @@ class CoverElement:
         base_inv = self.base.inverse()
         lift = CoverElement.from_base(base_inv)
         p0 = self.compose(lift).phi
-        return CoverElement(base_inv, lift.phi - _TWO_PI * round(p0 / _TWO_PI),
-                            check=False)
+        return CoverElement(base_inv, lift.phi - _TWO_PI * round(p0 / _TWO_PI))
 
     def __eq__(self, other):
         if not isinstance(other, CoverElement):
@@ -481,121 +448,50 @@ class CoverElement:
 
 
 # ---------------------------------------------------------------------------
-# intervals of the extended line / arcs of the circle
+# intervals of the line
 # ---------------------------------------------------------------------------
 
 
 class Interval:
-    """A nonempty, nondense open arc of the circle.
+    """An open interval (left, right) of the line, given by its endpoints.
 
-    Stored as a pair of angles ``lo < hi`` with ``hi - lo < 2 pi``; the
-    arc runs counterclockwise from ``lo`` to ``hi``.  In the line picture
-    the left endpoint is the one reached first when traversing the
-    interval in the direction of increasing angle.
+    -inf <= left < right <= inf, and the interval is not the whole line.
+    The endpoints are kept as given, so they read back exactly.
     """
 
-    __slots__ = ("lo", "hi", "_conjugator")
+    __slots__ = ("left", "right", "_conjugator")
 
-    def __init__(self, lo, hi):
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("angles must be finite")
-        if not (lo < hi < lo + _TWO_PI):
-            raise ValueError("need lo < hi < lo + 2 pi")
-        self.lo = float(lo)
-        self.hi = float(hi)
+    def __init__(self, left, right):
+        left, right = float(left), float(right)
+        if not left < right:
+            raise ValueError(f"interval endpoints must satisfy left < right, "
+                             f"got ({left!r}, {right!r})")
+        if left == -INF and right == INF:
+            raise ValueError("the whole line is not an interval")
+        self.left = left
+        self.right = right
         # the midpoint dilation conjugator, formed on first use
         self._conjugator = None
 
     @classmethod
     def from_line(cls, a, b):
-        """Interval of the extended line from a to b (counterclockwise).
-
-        ``from_line(0, 1)`` is the open unit interval, ``from_line(0, inf)``
-        the positive half-line, ``from_line(-inf, 0)`` the negative one;
-        ``from_line(1, -1)`` is the arc through infinity.
-        """
-        lo = angle_of_point(a)
-        if a == -INF:
-            lo = -math.pi
-        hi = angle_of_point(b)
-        while hi <= lo:
-            hi += _TWO_PI
-        return cls(lo, hi)
-
-    @classmethod
-    def from_circle(cls, lo, hi):
-        h = hi
-        while h <= lo:
-            h += _TWO_PI
-        while h > lo + _TWO_PI:
-            h -= _TWO_PI
-        return cls(lo, h)
-
-    # -- endpoints ------------------------------------------------------
-
-    @property
-    def left(self):
-        """Left endpoint in the line picture (may be +-inf)."""
-        u = wrap_angle(self.lo)
-        if abs(u - math.pi) < 1e-15 and self.lo < self.hi:
-            # the arc leaves the point at angle pi moving counterclockwise,
-            # entering the line from -inf
-            return -INF
-        return point_of_angle(u)
-
-    @property
-    def right(self):
-        u = wrap_angle(self.hi)
-        if abs(u - math.pi) < 1e-15:
-            return INF
-        return point_of_angle(u)
+        """The interval (a, b): ``from_line(0, 1)`` is the open unit
+        interval, ``from_line(0, inf)`` the positive half-line and
+        ``from_line(-inf, 0)`` the negative one."""
+        return cls(a, b)
 
     def midpoint(self):
-        """The line point at the angular midpoint of the arc."""
-        return point_of_angle(wrap_angle(0.5 * (self.lo + self.hi)))
-
-    def length_angle(self):
-        return self.hi - self.lo
-
-    # -- predicates -----------------------------------------------------
-
-    def contains_point(self, x):
-        u = angle_of_point(x)
-        for shift in (0.0, _TWO_PI, -_TWO_PI):
-            if self.lo < u + shift < self.hi:
-                return True
-        return False
+        """The point halfway between the endpoints on the circle,
+        tan((atan left + atan right) / 2)."""
+        return math.tan(0.5 * (math.atan(self.left) + math.atan(self.right)))
 
     def contains(self, other, tol=1e-12):
-        for shift in (0.0, _TWO_PI, -_TWO_PI):
-            if (other.lo + shift >= self.lo - tol
-                    and other.hi + shift <= self.hi + tol):
-                return True
-        return False
-
-    def complement(self):
-        """The complementary arc."""
-        return Interval(self.hi, self.lo + _TWO_PI)
-
-    def transform(self, g):
-        """Image under a Mobius element (an arc again)."""
-        lo = g.act_angle(wrap_angle(self.lo))
-        hi = g.act_angle(wrap_angle(self.hi))
-        return Interval.from_circle(lo, hi)
-
-    def __eq__(self, other):
-        if not isinstance(other, Interval):
-            return NotImplemented
-        if abs(self.length_angle() - other.length_angle()) > 1e-9:
-            return False
-        d = wrap_angle(self.lo - other.lo)
-        return abs(d) < 1e-9 or abs(abs(d) - _TWO_PI) < 1e-9
-
-    def __hash__(self):
-        raise TypeError("Interval is not hashable")
+        """Whether ``other`` lies inside, endpoints compared up to ``tol``."""
+        return (other.left >= self.left - tol
+                and other.right <= self.right + tol)
 
     def __repr__(self):
-        return f"Interval(line=({self.left!r}, {self.right!r}))"
+        return f"Interval.from_line({self.left!r}, {self.right!r})"
 
 
 def mobius_through(p0, p1, pinf):
@@ -617,15 +513,12 @@ def mobius_through(p0, p1, pinf):
     return MobiusElement(mat)
 
 
-def dilation_conjugator(interval, third=None):
+def dilation_conjugator(interval):
     """A Mobius element g with g(R_+) = interval.
 
     Sends 0 to the left endpoint, infinity to the right endpoint and 1 to
-    ``third`` (the angular midpoint when omitted).  Different choices of
-    ``third`` inside the interval give the same conjugated dilation flow.
+    the midpoint; formed once per interval.
     """
-    if third is not None:
-        return mobius_through(interval.left, third, interval.right)
     if interval._conjugator is None:
         interval._conjugator = mobius_through(
             interval.left, interval.midpoint(), interval.right)
@@ -642,7 +535,7 @@ def _flow_matrices(g, t):
     return g @ d @ _adjugate(g)
 
 
-def interval_dilation(interval, t, third=None):
+def interval_dilation(interval, t):
     """The dilation flow of an interval at time ``t``.
 
     Defined as g delta(-t) g^{-1} for any g taking the positive half-line
@@ -651,7 +544,7 @@ def interval_dilation(interval, t, third=None):
     delta(t).  A Mobius element: lift it with
     :meth:`CoverElement.from_base` where the cover is needed.
     """
-    g = dilation_conjugator(interval, third).mat
+    g = dilation_conjugator(interval).mat
     return MobiusElement(_flow_matrices(g, float(t)))
 
 
@@ -762,16 +655,17 @@ def commutation_residual(t, s, pair):
 def shared_endpoint_kind(big, small, tol=1e-9):
     """Classify a nested pair sharing exactly one endpoint.
 
-    Returns ``"left"`` or ``"right"`` according to which endpoint (in arc
-    orientation) is shared; raises ValueError otherwise.
+    Returns ``"left"`` or ``"right"`` according to which endpoint is
+    shared; equal infinities count as shared.  Raises ValueError
+    otherwise.
     """
     if not big.contains(small):
         raise ValueError("pair is not nested")
-    dlo = abs(wrap_angle(big.lo - small.lo))
-    dhi = abs(wrap_angle(big.hi - small.hi))
-    if dlo < tol and dhi >= tol:
+    same_left, same_right = (x == y or abs(x - y) < tol for x, y in (
+        (big.left, small.left), (big.right, small.right)))
+    if same_left and not same_right:
         return "left"
-    if dhi < tol and dlo >= tol:
+    if same_right and not same_left:
         return "right"
     raise ValueError("pair must share exactly one endpoint")
 

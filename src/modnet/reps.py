@@ -160,7 +160,9 @@ def build_rep(params: Mapping) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _shift_steps(sigma, h, what):
+def shift_steps(sigma, h, what):
+    """Grid steps of spacing h in sigma, which must be an integer
+    multiple of h up to STEP_TOL in units of h."""
     steps = sigma / h
     k = round(steps)
     if abs(steps - k) > STEP_TOL:
@@ -185,13 +187,13 @@ def _slot_steps(f, sigma_l, sigma_r):
     and refuses an overall dilation, which would change its mass.
     """
     if not f.rapidity:
-        return -_shift_steps((sigma_l, sigma_r)[f.ray], f.h, "dilation")
+        return -shift_steps((sigma_l, sigma_r)[f.ray], f.h, "dilation")
     if sigma_l + sigma_r != 0:
         raise ValueError(
             "overall dilation component not implementable on a "
             "fixed-mass fiber"
         )
-    return _shift_steps((sigma_r - sigma_l) / 2.0, f.h, "boost")
+    return shift_steps((sigma_r - sigma_l) / 2.0, f.h, "boost")
 
 
 def apply(factors, xi, translation=(0.0, 0.0), dilation=(0.0, 0.0)):

@@ -59,26 +59,21 @@ _KIND_TABLE = {
 class Region:
     """An open product region ``leftInterval x rightInterval``.
 
-    The kind tag is derived from the interval shapes (and validated when
-    supplied explicitly).
+    The kind tag is derived from the interval shapes.
     """
 
     __slots__ = ("left", "right", "kind")
 
-    def __init__(self, left, right, kind=None):
+    def __init__(self, left, right):
         left = (float(left[0]), float(left[1]))
         right = (float(right[0]), float(right[1]))
         for lo, hi in (left, right):
             if not lo < hi:
                 raise ValueError("interval endpoints must satisfy lo < hi")
-        derived = _KIND_TABLE[(_interval_shape(left), _interval_shape(right))]
-        if kind is not None and RegionKind(kind) is not derived:
-            raise ValueError(
-                f"kind {kind!r} inconsistent with interval shapes ({derived})"
-            )
         self.left = left
         self.right = right
-        self.kind = derived
+        self.kind = _KIND_TABLE[(_interval_shape(left),
+                                 _interval_shape(right))]
 
     # -- catalogue ------------------------------------------------------
 

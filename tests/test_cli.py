@@ -21,6 +21,7 @@ import pytest
 from modnet import bgl
 from modnet import cli
 from modnet import mobius
+from modnet import reps
 from modnet import stdspace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -414,7 +415,7 @@ def test_coarse_spacings_run_to_a_report_with_the_default_verdicts():
         assert all(math.isfinite(c["residual"]) for c in report["checks"])
     # an off-grid reconstruction time is refused by its own rule
     cfg = dict(cli.DEFAULT_CONFIGS["reconstruct-mobius"], h=2 * math.pi / 3)
-    with pytest.raises(cli.ConfigError, match="not a grid multiple"):
+    with pytest.raises(cli.ConfigError, match="not an integer multiple"):
         cli.run_command("reconstruct-mobius", cfg, 0, 1.0)
 
 
@@ -584,6 +585,33 @@ def test_reconstruct_mobius_off_grid_time_is_config_error(tmp_path):
     code, _ = _run(tmp_path, "reconstruct-mobius",
                    {"n": 9, "t_values": [0.3]})
     assert code == cli.EXIT_CONFIG_ERROR
+
+
+def test_grid_time_precheck_agrees_with_the_dilation():
+    # the pre-check refuses exactly the 2 pi t = k h + delta that the
+    # representation refuses to dilate by, on both sides of the tolerance
+    outcomes = set()
+    for h in (math.pi, 0.5, 2 * math.pi / 3, 1.0):
+        net = bgl.NetModel.chiral_sum(n=9, h=h)
+        xi = np.ones(net.parent.n, dtype=complex)
+        for k in (1, 2, 3):
+            for delta in (0.0, 2e-10, -8e-10, 8e-10, 2e-9, -2e-9, 5e-9,
+                          1e-3):
+                t = (k * h + delta) / (2.0 * math.pi)
+                try:
+                    cli._grid_times(net, [t])
+                    precheck = True
+                except ValueError:
+                    precheck = False
+                try:
+                    reps.apply(net.factors, xi,
+                               dilation=(2.0 * math.pi * t,) * 2)
+                    dilates = True
+                except ValueError:
+                    dilates = False
+                assert precheck == dilates, (h, k, delta)
+                outcomes.add(precheck)
+    assert outcomes == {True, False}
 
 
 def test_break_bw_charged_passes_with_expected_failure_shape(tmp_path):

@@ -15,8 +15,6 @@ from modnet.mobius import (
     Interval,
     MobiusDomainError,
     MobiusElement,
-    angle_of_point,
-    cayley,
     commutation_parameters,
     commutation_residual,
     commutation_residuals,
@@ -25,7 +23,6 @@ from modnet.mobius import (
     kan_matrix,
     mobius_through,
     nested_commutation_parameters,
-    point_of_angle,
     wrap_angle,
 )
 
@@ -44,39 +41,31 @@ def random_element(rng, scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# Cayley map and angles
+# the Cayley matrices behind the circle action
 # ---------------------------------------------------------------------------
 
 
+def _cayley_of(x):
+    """C(x) through the Cayley matrix, on homogeneous coordinates."""
+    v = mobius._CAYLEY @ (np.array([1.0, 0.0]) if x == INF
+                          else np.array([x, 1.0]))
+    return v[0] / v[1]
+
+
 def test_cayley_reference_points():
-    assert_allclose(cayley(INF), -1.0, atol=ATOL)
-    assert_allclose(cayley(0.0), 1.0, atol=ATOL)
-    assert_allclose(cayley(1.0), 1j, atol=ATOL)
-    assert_allclose(cayley(-1.0), -1j, atol=ATOL)
+    assert_allclose(_cayley_of(INF), -1.0, atol=ATOL)
+    assert_allclose(_cayley_of(0.0), 1.0, atol=ATOL)
+    assert_allclose(_cayley_of(1.0), 1j, atol=ATOL)
+    assert_allclose(_cayley_of(-1.0), -1j, atol=ATOL)
 
 
 def test_cayley_roundtrip():
     rng = np.random.default_rng(7)
     for x in rng.standard_cauchy(50):
-        z = cayley(x)
-        assert abs(abs(z) - 1.0) < ATOL
-
-
-def test_angle_of_point_matches_cayley_argument():
-    rng = np.random.default_rng(11)
-    for x in rng.standard_cauchy(50):
-        z = cayley(x)
-        assert abs(wrap_angle(angle_of_point(x) - math.atan2(z.imag, z.real))) < 1e-9
-
-
-def test_angle_of_point_monotone_and_inverse():
-    xs = np.sort(np.random.default_rng(3).standard_cauchy(80))
-    us = [angle_of_point(x) for x in xs]
-    assert all(a < b for a, b in zip(us, us[1:]))
-    for x, u in zip(xs, us):
-        assert_allclose(point_of_angle(u), x, rtol=1e-9, atol=1e-9)
-    assert angle_of_point(INF) == math.pi
-    assert point_of_angle(math.pi) == INF
+        assert abs(abs(_cayley_of(x)) - 1.0) < ATOL
+    # the inverse matrix undoes the map up to a scalar
+    prod = mobius._CAYLEY_INV @ mobius._CAYLEY
+    assert_allclose(prod, prod[0, 0] * np.eye(2), atol=ATOL)
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +399,20 @@ def test_cover_composition_keeps_full_turns():
 
 def test_interval_halfline_endpoints():
     i = Interval.from_line(0.0, INF)
-    assert_allclose(i.left, 0.0, atol=ATOL)
-    assert i.right == INF
-    assert_allclose(i.length_angle(), math.pi, atol=ATOL)
+    assert (i.left, i.right) == (0.0, INF)
     j = Interval.from_line(-INF, 0.0)
-    assert j.left == -INF
-    assert_allclose(j.right, 0.0, atol=ATOL)
+    assert (j.left, j.right) == (-INF, 0.0)
+    # endpoints read back as given, not through a circle angle
+    assert Interval.from_line(1.0, INF).left == 1.0
+    assert Interval.from_line(0.0, 1.0).right == 1.0
+
+
+@pytest.mark.parametrize("a,b", [(1.0, -1.0), (1.0, 1.0), (math.nan, 1.0),
+                                 (0.0, math.nan), (INF, INF),
+                                 (-INF, INF)])
+def test_interval_refuses_reversed_equal_nan_and_whole_line(a, b):
+    with pytest.raises(ValueError):
+        Interval.from_line(a, b)
 
 
 def test_interval_midpoint_of_unit_interval():
@@ -423,32 +420,22 @@ def test_interval_midpoint_of_unit_interval():
     assert_allclose(i.midpoint(), math.sqrt(2.0) - 1.0, atol=ATOL)
 
 
+def test_interval_midpoint_is_the_circle_midpoint_bit_for_bit():
+    rng = np.random.default_rng(43)
+    ends = np.sort(rng.standard_cauchy((400, 2)) * 10.0, axis=1)
+    ends[:40, 0] = -INF
+    ends[40:80, 1] = INF
+    for a, b in ends.tolist():
+        want = math.tan(0.5 * (math.atan(a) + math.atan(b)))
+        assert Interval.from_line(a, b).midpoint() == want
+
+
 def test_interval_contains_and_complement():
     i = Interval.from_line(0.0, INF)
-    assert i.contains_point(2.0)
-    assert not i.contains_point(-2.0)
     assert i.contains(Interval.from_line(1.0, 3.0))
+    assert i.contains(Interval.from_line(0.0, INF))
     assert not i.contains(Interval.from_line(-1.0, 3.0))
-    assert i.complement() == Interval.from_line(-INF, 0.0)
-    assert i.complement().complement() == i
-
-
-def test_interval_through_infinity():
-    i = Interval.from_line(1.0, -1.0)
-    assert i.contains_point(INF)
-    assert i.contains_point(5.0)
-    assert i.contains_point(-5.0)
-    assert not i.contains_point(0.0)
-    assert_allclose(i.left, 1.0, atol=ATOL)
-    assert_allclose(i.right, -1.0, atol=ATOL)
-
-
-def test_interval_transform():
-    i = Interval.from_line(0.0, 1.0)
-    g = MobiusElement.dilation(math.log(3.0))
-    assert i.transform(g) == Interval.from_line(0.0, 3.0)
-    t = MobiusElement.translation(-2.0)
-    assert i.transform(t) == Interval.from_line(-2.0, -1.0)
+    assert not i.contains(Interval.from_line(-INF, 0.0))
 
 
 def test_mobius_through_reference_triples():
@@ -504,10 +491,12 @@ def test_unit_interval_dilation_closed_form():
 
 
 def test_interval_dilation_independent_of_conjugator():
+    # another conjugator of R_+ onto the interval, sending 1 to 0 instead
+    # of the midpoint, gives the same flow
     i = Interval.from_line(-2.0, 5.0)
-    a = interval_dilation(i, 0.8)
-    b = interval_dilation(i, 0.8, third=0.0)
-    assert a == b
+    g = mobius_through(i.left, 0.0, i.right)
+    other = g @ MobiusElement.dilation(-0.8) @ g.inverse()
+    assert interval_dilation(i, 0.8) == other
 
 
 def test_interval_dilation_flow_property():
@@ -523,14 +512,7 @@ def test_interval_dilation_preserves_interval():
     lam = interval_dilation(i, 1.1)
     for _ in range(20):
         x = rng.uniform(-1.0, 2.0)
-        assert i.contains_point(lam.act_line(x))
-
-
-def test_complement_flow_runs_backwards():
-    i = Interval.from_line(-1.0, 3.0)
-    a = interval_dilation(i, 0.7)
-    b = interval_dilation(i.complement(), -0.7)
-    assert a == b
+        assert i.left < lam.act_line(x) < i.right
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +652,16 @@ def test_batch_residuals_of_inadmissible_draws_only():
         commutation_residuals([0.1], [0.2], "halfline")
     with pytest.raises(ValueError, match="equal length"):
         commutation_residuals([0.1, 0.2], [0.2], "halfline_bounded")
+
+
+def test_shared_endpoint_kind_counts_equal_infinities_as_shared():
+    assert mobius.shared_endpoint_kind(Interval.from_line(0.0, INF),
+                                       Interval.from_line(1.0, INF)) == "right"
+    assert mobius.shared_endpoint_kind(Interval.from_line(-INF, 0.0),
+                                       Interval.from_line(-INF, -1.0)) == "left"
+    with pytest.raises(ValueError, match="exactly one endpoint"):
+        mobius.shared_endpoint_kind(Interval.from_line(0.0, INF),
+                                    Interval.from_line(0.0, INF))
 
 
 def test_commutation_rejects_non_nested():

@@ -50,8 +50,6 @@ def test_standard_wedges_in_lightray_coordinates():
 
 def test_kind_validation():
     with pytest.raises(ValueError):
-        Region((0.0, 1.0), (0.0, 1.0), kind="WedgeRight")
-    with pytest.raises(ValueError):
         Region((-math.inf, math.inf), (0.0, 1.0))
     with pytest.raises(ValueError):
         Region((1.0, 0.0), (0.0, 1.0))
