@@ -188,14 +188,13 @@ def _block_diag(blocks):
 def _translate(sub, phases):
     """Image of a real subspace under the diagonal unitary diag(phases).
 
-    The real form of a unitary is orthogonal, so the translated basis is
-    orthonormal without a QR; by uniqueness of the sign-normalised QR in
-    :func:`_eigenpair_fix` it is the eigenpair basis of the translated
-    block, up to round-off.
+    A unitary keeps the real basis orthonormal, so no QR is needed; by
+    uniqueness of the sign-normalised QR in :func:`_eigenpair_fix` the
+    image is the eigenpair basis of the translated block, up to
+    round-off.
     """
-    n = sub.parent.n
-    c = phases[:, None] * (sub.basis[:n] + 1j * sub.basis[n:])
-    return stdspace.RealSubspace(sub.parent, np.vstack([c.real, c.imag]))
+    return stdspace.RealSubspace.from_complex(
+        sub.parent, phases[:, None] * sub.complex_basis())
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +494,7 @@ class AxiomReport:
 def _modular_roundtrip(md, h):
     """max(||J - J'||, ||Delta - Delta'|| / ||Delta||) between the defining
     pair ``md`` and the pair (J', Delta') recomputed from ``h``."""
-    _, md2 = stdspace.modular_data(h)
+    md2 = stdspace.modular_data(h)
     return max(stdspace.spectral_norm(md.jc - md2.jc),
                stdspace.spectral_norm(md.power(1.0) - md2.power(1.0))
                / float(md.delta_norm))
@@ -534,7 +533,7 @@ def axioms_report(net, tol=BLOCK_TOL):
     moved = spacetime.Region.wedge_right(shift)
     u = net.unit_matrix_of(translation=shift)
     cov = stdspace.subspace_distance(
-        net.wedge_subspace(moved), h_r.transform(net.parent.realify_linear(u)))
+        net.wedge_subspace(moved), h_r.transform(u))
     entries["Poincare covariance"] = AxiomEntry(cov, tol)
 
     # SS3 positivity of energy: the lightray translation generators P_L
@@ -588,7 +587,7 @@ def _hk_entries(net, entries, notes, tol):
     h = net.factors[0].h
     u = net.implemented_dilation(h)
     cov = stdspace.subspace_distance(
-        h_v, h_v.transform(net.parent.realify_linear(u)))
+        h_v, h_v.transform(u))
     entries["Dilation covariance"] = AxiomEntry(cov, tol)
 
     # HK8: the cone subspace is cyclic and separating.
@@ -611,7 +610,7 @@ def _hk_entries(net, entries, notes, tol):
     # the wedge family it generates (checked on H(W_R) at a grid step).
     w_r = spacetime.Region.wedge_right((0.0, 0.0))
     h_r = net.wedge_subspace(w_r)
-    moved = h_r.transform(net.parent.realify_linear(net.wedge_flow(cone, t)))
+    moved = h_r.transform(net.wedge_flow(cone, t))
     target = net.wedge_subspace(w_r)  # dilations about 0 fix the corner
     hk10 = stdspace.subspace_distance(moved, target)
     entries["Modular covariance"] = AxiomEntry(hk10, tol)
@@ -657,15 +656,13 @@ class ReconstructionReport:
 def assemble_blockwise(subspaces):
     """Direct sum of per-factor real subspaces on the product space.
 
-    The factors' complex bases are summed directly and the result is
-    returned in the (Re..., Im...) layout of the joint complex space, so
-    blockwise computations can be compared against global ones on the
-    assembled lattice.
+    The factors' complex bases are summed directly into a subspace of
+    the joint complex space, so blockwise computations can be compared
+    against global ones on the assembled lattice.
     """
-    c = _direct_sum([s.basis[:s.parent.n] + 1j * s.basis[s.parent.n:]
-                     for s in subspaces])
-    return stdspace.RealSubspace(stdspace.ComplexSpace(c.shape[0]),
-                                 np.vstack([c.real, c.imag]))
+    c = _direct_sum([s.complex_basis() for s in subspaces])
+    return stdspace.RealSubspace.from_complex(
+        stdspace.ComplexSpace(c.shape[0]), c)
 
 
 def grid_steps(t, h):
@@ -711,7 +708,7 @@ def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
     second = slice(left.n, net.parent.n)
     md_bl, md_br, md_d0 = (
         stdspace.modular_data(net.wedge_subspace(
-            spacetime.Region.forward_cone(apex)))[1]
+            spacetime.Region.forward_cone(apex)))
         for apex in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)))
 
     norm = stdspace.spectral_norm

@@ -275,15 +275,32 @@ def _int(value, key, minimum=None):
     return int(value)
 
 
+def _float(value, key, positive=False):
+    """A finite config number as a float; a scale of the runner itself
+    (``positive``) must also exceed 0.  A non-finite value would run a
+    check over a NaN or infinite range, or against an infinite budget.
+    The model parameters (spacings, masses) keep their domain rule in
+    :mod:`reps`, which refuses a value <= 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {key!r} must be a number, "
+                          f"got {value!r}")
+    # the comparison is exact for an int, which may exceed the doubles
+    if not abs(value) <= sys.float_info.max or (positive and not value > 0):
+        kind = "finite and positive" if positive else "finite"
+        raise ConfigError(f"config key {key!r} must be {kind}, "
+                          f"got {value!r}")
+    return float(value)
+
+
 def _floats(values, key):
-    """A non-empty config list of numbers as a tuple of floats."""
+    """A non-empty config list of finite numbers as a tuple of floats."""
     if not values:
         raise ConfigError(f"config key {key!r} must be a non-empty list")
     if any(isinstance(v, bool) or not isinstance(v, (int, float))
            for v in values):
         raise ConfigError(f"config key {key!r} must hold numbers, "
                           f"got {values!r}")
-    return tuple(float(v) for v in values)
+    return tuple(_float(v, key) for v in values)
 
 
 def _resolve_out_dir(arg):
@@ -308,7 +325,7 @@ def _resolve_out_dir(arg):
 def _run_verify_mobius(cfg, seed, scale):
     rng = np.random.default_rng(seed)
     samples = _int(cfg["samples"], "samples", minimum=1)
-    span = float(cfg["parameter_range"])
+    span = _float(cfg["parameter_range"], "parameter_range", positive=True)
     worst_comm = 0.0
     for pair in mobius.COMMUTATION_PAIRS:
         count = 0
@@ -414,22 +431,28 @@ def _run_verify_stdspace(cfg, seed, scale):
     samples = _int(cfg["samples"], "samples", minimum=1)
     # every step runs once over the stack of all samples
     h = _random_standard(rng, parent, samples)
-    s_real, md = stdspace.modular_data(h)
+    md = stdspace.modular_data(h)
     dual = stdspace.symplectic_complement(h)
-    s_dual, _ = stdspace.modular_data(dual)
-    eye = np.eye(parent.real_dim)
-    j, delta = md.J, md.Delta
+    # S = a conj, J = jc conj and S_dual = a_dual conj as n x n matrices:
+    # S^2 = a conj(a), J Delta J = jc conj(Delta) conj(jc), and the
+    # transpose of an antilinear S is a^T conj
+    a, jc, delta = md.tomita_matrix(), md.jc, md.power(1.0)
+    a_dual = stdspace.modular_data(dual).tomita_matrix()
+    eye = np.eye(parent.n)
 
     def norm(x):
         return np.linalg.norm(x, 2, axis=(-2, -1))
 
     distance = stdspace.subspace_distance
     values = {
-        "stdspace-tomita-involution": norm(s_real @ s_real - eye),
-        "stdspace-modular-balance": (norm(j @ delta @ j @ delta - eye)
-                                     / md.delta_norm),
-        "stdspace-dual-tomita": norm(s_dual - s_real.swapaxes(-1, -2)),
-        "stdspace-conjugate-complement": distance(h.transform(j), dual),
+        "stdspace-tomita-involution": norm(a @ a.conj() - eye),
+        "stdspace-modular-balance": (
+            norm(jc @ delta.conj() @ jc.conj() @ delta - eye)
+            / md.delta_norm),
+        "stdspace-dual-tomita": norm(a_dual - a.swapaxes(-1, -2)),
+        "stdspace-conjugate-complement": distance(
+            stdspace.RealSubspace.from_complex(
+                parent, jc @ h.complex_basis().conj()), dual),
         "stdspace-flow-invariance": [
             distance(h.transform(md.delta_it(t)), h) for t in (0.37, 1.23)],
         "stdspace-double-dual": distance(
@@ -450,17 +473,20 @@ def _build_model(cfg):
     if cfg["n"] is not None:
         grid["n"] = _int(cfg["n"], "n")
     if cfg["h"] is not None:
-        grid["h"] = float(cfg["h"])
+        grid["h"] = _float(cfg["h"], "h")
     try:
         if kind == "chiralSum":
             return bgl.NetModel.chiral_sum(**grid)
         if kind == "twisted":
-            return bgl.NetModel.twisted(charge=float(cfg["charge"]), **grid)
+            return bgl.NetModel.twisted(charge=_float(cfg["charge"], "charge"),
+                                        **grid)
         if kind == "massive":
-            return bgl.NetModel.massive(mass=float(cfg["mass"]), **grid)
+            return bgl.NetModel.massive(mass=_float(cfg["mass"], "mass"),
+                                        **grid)
         return bgl.NetModel.direct_integral(
             masses=_int(cfg["masses"], "masses"),
-            mass_min=float(cfg["mass_min"]), mass_max=float(cfg["mass_max"]),
+            mass_min=_float(cfg["mass_min"], "mass_min"),
+            mass_max=_float(cfg["mass_max"], "mass_max"),
             **grid)
     except ValueError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
@@ -494,7 +520,7 @@ def _run_reconstruct_mobius(cfg, seed, scale):
     # failure of the computation itself is an internal error
     try:
         net = bgl.NetModel.chiral_sum(n=_int(cfg["n"], "n"),
-                                      h=float(cfg["h"]))
+                                      h=_float(cfg["h"], "h"))
         _grid_times(net, t_values)
     except ValueError as exc:
         raise ConfigError(f"invalid reconstruction parameters: {exc}") from exc
@@ -518,8 +544,9 @@ def _run_reconstruct_mobius(cfg, seed, scale):
 def _run_break_bw(cfg, seed, scale):
     t_values = _floats(cfg["t_values"], "t_values")
     try:
-        net = bgl.NetModel.twisted(n=_int(cfg["n"], "n"), h=float(cfg["h"]),
-                                   charge=float(cfg["charge"]))
+        net = bgl.NetModel.twisted(n=_int(cfg["n"], "n"),
+                                   h=_float(cfg["h"], "h"),
+                                   charge=_float(cfg["charge"], "charge"))
         _grid_times(net, t_values)
     except ValueError as exc:
         raise ConfigError(f"invalid counterexample parameters: {exc}") from exc
@@ -545,7 +572,8 @@ def _run_lightcone_defect(cfg, seed, scale):
                        for n, c in cfg["ladder"])
         if not ladder:
             raise ValueError("empty refinement ladder")
-        spacing, frozen = float(cfg["spacing"]), float(cfg["frozen"])
+        spacing = _float(cfg["spacing"], "spacing")
+        frozen = _float(cfg["frozen"], "frozen", positive=True)
         for mass in masses:
             for grid, _ in ladder:
                 reps.rapidity_factor(grid, spacing, mass)
@@ -659,7 +687,7 @@ def _run_fock_checks(cfg, seed, scale):
 
     net = bgl.NetModel.massive(n=4, h=2.5)
     sub = net.wedge_subspace(spacetime.Region.wedge_right((0.0, 0.0)))
-    f = net.parent.extract(sub.basis[:, 0]) * 0.8
+    f = sub.complex_basis()[:, 0] * 0.8
     tomita_residual = fock.second_quantized_tomita_check(sub, f, order)
     tomita_budget = net.epsilon + fock.tail_bound(0.8, order) + 1e-8
 
@@ -685,7 +713,7 @@ def _run_halperin_bench(cfg, seed, scale):
     # generic pairs draw subspace dimensions from [3, dim - 1)
     parent = stdspace.ComplexSpace(_int(cfg["dim"], "dim", minimum=5))
     n = parent.n
-    tol = float(cfg["tol"])
+    tol = _float(cfg["tol"], "tol", positive=True)
     max_iter = _int(cfg["max_iter"], "max_iter", minimum=1)
     rng = np.random.default_rng(seed)
     caps = [c for c in (8, 32, 128, 512, 2048) if c < max_iter] + [max_iter]

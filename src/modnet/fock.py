@@ -301,15 +301,15 @@ def second_quantized_tomita_check(h, f, order=DEFAULT_ORDER):
     parent = h.parent
     if f.shape != (parent.n,):
         raise ValueError("test vector does not match the parent space")
-    r = parent.embed(f)
-    scale = max(float(np.linalg.norm(r)), 1.0)
-    gap = float(np.linalg.norm(r - h.projector() @ r))
+    # the real projection onto H is B Re(B* f)
+    b = h.complex_basis()
+    scale = max(float(np.linalg.norm(f)), 1.0)
+    gap = float(np.linalg.norm(f - b @ (b.conj().T @ f).real))
     if gap > MEMBERSHIP_TOL * scale:
         raise ValueError(
             f"test vector is not in the subspace (distance {gap:.3e})")
-    _, md = stdspace.modular_data(h)
-    lifted = gamma_apply(md.tomita_matrix(), weyl_vacuum_vector(f, order),
-                         antilinear=True)
+    lifted = gamma_apply(stdspace.modular_data(h).tomita_matrix(),
+                         weyl_vacuum_vector(f, order), antilinear=True)
     return (lifted - weyl_vacuum_vector(-f, order)).norm()
 
 
@@ -345,8 +345,5 @@ def locality_commutation_check(net, region_a, region_b):
     sub_b = _region_subspace(net, region_b)
     if sub_a.dim == 0 or sub_b.dim == 0:
         return LocalityReport(0.0, 0)
-    n = net.parent.n
-    a = sub_a.basis[:n] + 1j * sub_a.basis[n:]
-    b = sub_b.basis[:n] + 1j * sub_b.basis[n:]
-    form = b.conj().T @ a
+    form = sub_b.complex_basis().conj().T @ sub_a.complex_basis()
     return LocalityReport(float(np.max(np.abs(form.imag))), form.size)

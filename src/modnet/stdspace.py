@@ -1,21 +1,20 @@
 """Standard subspaces and finite-dimensional modular theory.
 
-A complex Hilbert space C^n is handled as the real space R^{2n} with the
-multiplication by i represented by a fixed orthogonal block matrix J_i.
-Real subspaces are matrices with orthonormal columns; antilinear
-operators are ordinary real matrices anticommuting with J_i, which turns
-the whole Tomita machinery (S = J Delta^{1/2}, modular flows,
-half-sided inclusions) into finite linear algebra.
+Vectors and operators live on the complex space C^n: an operator is a
+complex n x n matrix, linear (xi -> x xi) or antilinear (xi -> x
+conj(xi)), and a residual is the spectral norm of such a matrix.  A
+real subspace H is the real span of the columns of a complex n x k
+matrix B.  :class:`RealSubspace` keeps the orthonormal real basis b =
+[Re B; Im B] of R^{2n}, which the lattice operations (intersections,
+sums, complements, principal angles) need, and is the one place that
+knows this layout: ``complex_basis`` reads B, ``from_complex`` builds a
+subspace from it, and ``transform`` moves H by a unitary as u B.
 
-Modular theory itself runs on n x n complex matrices: a real subspace
-with basis b is the real span of the columns of B = b[:n] + i b[n:].
-One SVD of B gives its standardness and, by the Rieffel-van Daele
-formulas, its whole modular data, held in eigen form (eigenvectors V,
-ascending log Delta, the complex matrix of J); real forms are built only
-on request, and no dense Delta is formed to validate it.  Operators
-pass between modules as complex n x n matrices, and their residuals
-are taken there; an operator is realified only to move a
-:class:`RealSubspace`.
+Modular theory runs on B.  One SVD gives its standardness and, by the
+Rieffel-van Daele formulas, its whole modular data, held in eigen form
+(eigenvectors V, ascending log Delta, the complex matrix of J); S, the
+flows and the powers of Delta are formed only on request, and no dense
+Delta is formed to validate it.
 
 Subspaces, modular data and the primitives between them also take
 stacks: a basis of shape (..., 2n, k) holds one subspace per leading
@@ -94,54 +93,18 @@ class ConditioningWarning(UserWarning):
 
 
 class ComplexSpace:
-    """The complex space C^n in its real form R^{2n}.
+    """The complex space C^n, of real dimension 2n."""
 
-    Vectors are stacked as [Re; Im]; ``J_i`` implements multiplication
-    by i and is orthogonal with J_i^2 = -1 by construction.  It is built
-    on first use: the module itself rotates by i with :func:`_times_i`.
-    """
-
-    __slots__ = ("n", "_j_i")
+    __slots__ = ("n",)
 
     def __init__(self, n):
         if n < 1:
             raise ValueError("complex dimension must be positive")
         self.n = int(n)
-        self._j_i = None
-
-    @property
-    def J_i(self):
-        if self._j_i is None:
-            eye = np.eye(self.n)
-            zero = np.zeros((self.n, self.n))
-            self._j_i = np.block([[zero, -eye], [eye, zero]])
-            self._j_i.setflags(write=False)
-        return self._j_i
 
     @property
     def real_dim(self):
         return 2 * self.n
-
-    def embed(self, vector):
-        """Real form of a complex vector."""
-        v = np.asarray(vector, dtype=complex).reshape(self.n)
-        return np.concatenate([v.real, v.imag])
-
-    def extract(self, real_vector):
-        r = np.asarray(real_vector, dtype=float).reshape(2 * self.n)
-        return r[: self.n] + 1j * r[self.n:]
-
-    def realify_linear(self, c_matrix):
-        """Real 2n x 2n form of a complex-linear operator (or of a stack)."""
-        c = np.asarray(c_matrix, dtype=complex)
-        x, y = c.real, c.imag
-        return np.block([[x, -y], [y, x]])
-
-    def realify_antilinear(self, c_matrix):
-        """Real form of the antilinear map xi -> C conj(xi)."""
-        c = np.asarray(c_matrix, dtype=complex)
-        x, y = c.real, c.imag
-        return np.block([[x, y], [y, -x]])
 
     def __eq__(self, other):
         return isinstance(other, ComplexSpace) and other.n == self.n
@@ -156,6 +119,8 @@ class ComplexSpace:
 class RealSubspace:
     """A real-linear subspace of C^n given by an orthonormal real basis.
 
+    The basis b (2n x k) holds the real and imaginary parts [Re B; Im B]
+    of the complex n x k matrix B whose columns span H over the reals.
     A basis of shape (..., 2n, k) holds a stack of k-dimensional
     subspaces; ``transform`` and the module's primitives act on each.
     """
@@ -178,6 +143,13 @@ class RealSubspace:
         self.basis.setflags(write=False)
 
     @classmethod
+    def from_complex(cls, parent, c):
+        """The real span of the columns of the complex n x k matrix c (or
+        of each of a stack), whose real form must be orthonormal."""
+        c = np.asarray(c, dtype=complex)
+        return cls(parent, np.concatenate([c.real, c.imag], axis=-2))
+
+    @classmethod
     def zero(cls, parent):
         return cls(parent, np.zeros((parent.real_dim, 0)))
 
@@ -189,26 +161,20 @@ class RealSubspace:
     def dim(self):
         return self.basis.shape[-1]
 
-    def projector(self):
-        return self.basis @ _T(self.basis)
+    def complex_basis(self):
+        """B = b[:n] + i b[n:]: H is the real span of the columns of B."""
+        n = self.parent.n
+        return self.basis[..., :n, :] + 1j * self.basis[..., n:, :]
 
-    def transform(self, op):
-        """Image under an orthogonal (or unitary real-form) operator; a
-        stack of operators maps each member of a stack of subspaces.  The
-        image basis is taken as it is, so the constructor's Gram check
-        refuses an operator that is not orthogonal."""
-        return RealSubspace(self.parent, op @ self.basis)
+    def transform(self, u):
+        """Image under the unitary with complex n x n matrix u; a stack
+        of unitaries maps each member of a stack of subspaces.  The image
+        basis u B is taken as it is, so the constructor's Gram check
+        refuses an operator that is not unitary."""
+        return RealSubspace.from_complex(self.parent, u @ self.complex_basis())
 
     def __repr__(self):
         return f"RealSubspace(dim={self.dim} of R^{self.parent.real_dim})"
-
-
-def _split(parent, r):
-    """Complex matrices (L, A) with R = realify_linear(L) +
-    realify_antilinear(A), by block averages; exact for a real form."""
-    n = parent.n
-    a, b, c, d = r[:n, :n], r[:n, n:], r[n:, :n], r[n:, n:]
-    return (a + d) / 2 + 0.5j * (c - b), (a - d) / 2 + 0.5j * (b + c)
 
 
 def _max_entry(c):
@@ -455,7 +421,7 @@ def subspace_distance(h1, h2):
 def _times_i(b, n):
     """i times the real-form columns b (..., 2n, k): the slot swap
     [-Im; Re], a signed permutation, so every entry is exact; adding 0
-    turns each -0 into the +0 that the product J_i b gives."""
+    turns each -0 into +0."""
     return np.concatenate([-b[..., n:, :], b[..., :n, :]], axis=-2) + 0.0
 
 
@@ -484,12 +450,6 @@ class StandardnessReport:
         return self.cyclic & self.separating
 
 
-def _complex_basis(h):
-    """B = b[:n] + i b[n:]: H is the real span of the columns of B."""
-    n = h.parent.n
-    return h.basis[..., :n, :] + 1j * h.basis[..., n:, :]
-
-
 def _standardness_of(s, h):
     """The standardness report of H from the singular values s of B."""
     n = h.parent.n
@@ -507,15 +467,16 @@ def _standardness_of(s, h):
 def standardness(h):
     """Cyclicity (H + iH dense), separation (H with iH trivial), angles.
 
-    With b orthonormal, B* B = 1 - i b^T J_i b, so the singular values of
-    the n x k complex B are sqrt(1 +- cos theta_j) over the angles theta_j
-    between H and iH; [b, J_i b] is the real form of B and has each of
-    them twice.  H is cyclic when B has full rank n (the relative count of
-    ``RANK_REL_TOL``), and the minimal angle is 2 asin(sigma_min / sqrt 2),
-    accurate near 0 and near pi/2 alike; for k > n, B has a kernel and the
-    angle is 0.  A tiled B gives its tiles' singular values together.
+    With b orthonormal and b_i = [-Im B; Re B] the real basis of iH,
+    B* B = 1 - i b^T b_i, so the singular values of the n x k complex B
+    are sqrt(1 +- cos theta_j) over the angles theta_j between H and iH,
+    and [b, b_i] has each of them twice.  H is cyclic when B has full
+    rank n (the relative count of ``RANK_REL_TOL``), and the minimal
+    angle is 2 asin(sigma_min / sqrt 2), accurate near 0 and near pi/2
+    alike; for k > n, B has a kernel and the angle is 0.  A tiled B
+    gives its tiles' singular values together.
     """
-    return _standardness_of(_singular_values(_complex_basis(h)), h)
+    return _standardness_of(_singular_values(h.complex_basis()), h)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +499,7 @@ class ModularData:
     ``log_delta`` real (sorted ascending here), and J = ``jc`` conj.
     Validated at construction: finite data, V unitary, J orthogonal and
     involutive, and J Delta J = Delta^{-1}; Delta > 0 by construction.
-    Real forms, flows, powers and S are formed only on request.
+    Flows, powers and the matrix of S are formed only on request.
 
     Arrays (..., n, n), (..., n) and (..., n, n) hold a stack of modular
     data; each invariant is then required of every member, and the
@@ -586,36 +547,9 @@ class ModularData:
         self.log_delta = lam
         self.jc = jc
 
-    @classmethod
-    def from_dense(cls, parent, J, Delta, atol=INVARIANT_TOL):
-        """Modular data from the real forms of J and Delta: J antilinear,
-        Delta complex-linear, symmetric and positive, then one ``eigh`` of
-        the complex Delta gives the eigen form."""
-        d = parent.real_dim
-        if np.shape(J) != (d, d) or np.shape(Delta) != (d, d):
-            raise ValueError("J and Delta must be 2n x 2n")
-        j_lin, jc = _split(parent, np.asarray(J, dtype=float))
-        dc, d_anti = _split(parent, np.asarray(Delta, dtype=float))
-        _require({"J antilinear": _max_entry(j_lin),
-                  "Delta complex-linear": _max_entry(d_anti),
-                  "Delta symmetric": _max_entry(dc - dc.conj().T)}, atol)
-        w, v = np.linalg.eigh((dc + dc.conj().T) / 2)
-        if w[0] <= 0.0:
-            raise ValueError("modular invariant violated: Delta positive "
-                             f"(min eigenvalue {w[0]:.3e})")
-        return cls(parent, v, np.log(w), jc, atol)
-
     @property
     def delta_norm(self):
         return np.exp(self.log_delta[..., -1])
-
-    @property
-    def J(self):
-        return self.parent.realify_antilinear(self.jc)
-
-    @property
-    def Delta(self):
-        return self.delta_power(1.0)
 
     def power(self, z):
         """Delta^z = V diag(e^{z log Delta}) V* as a complex n x n matrix;
@@ -623,13 +557,9 @@ class ModularData:
         scaled = self.vecs * np.exp(z * self.log_delta)[..., None, :]
         return scaled @ _T(self.vecs.conj())
 
-    def delta_power(self, p):
-        """Delta^p as a real (complex-linear) matrix, p real."""
-        return self.parent.realify_linear(self.power(p))
-
     def delta_it(self, t):
-        """The modular unitary Delta^{it}, as a real orthogonal matrix."""
-        return self.parent.realify_linear(self.power(1j * t))
+        """The modular unitary Delta^{it}, as a complex n x n matrix."""
+        return self.power(1j * t)
 
     def tomita_matrix(self):
         """Complex matrix jc conj(V) e^{log Delta / 2} V^T of S = J
@@ -637,34 +567,29 @@ class ModularData:
         half = self.vecs.conj() * np.exp(self.log_delta / 2.0)[..., None, :]
         return self.jc @ half @ _T(self.vecs)
 
-    def tomita(self):
-        """S = J Delta^{1/2}, in real form."""
-        return self.parent.realify_antilinear(self.tomita_matrix())
-
     def __repr__(self):
         return f"ModularData(parent={self.parent!r})"
 
 
 def modular_data(h):
-    """Tomita operator and modular pair of a standard subspace.
+    """Modular data of a standard subspace, as a :class:`ModularData`.
 
-    Returns ``(S, ModularData)`` where S is the real form of the closed
-    antilinear involution fixing H pointwise.  All of it comes from one
-    complex SVD B = U s W* (Rieffel-van Daele 1977): R = P_H + P_iH = B B*,
-    P_H - P_iH = B B^T conj, Delta = (2 - R) R^{-1} and J is the phase of
-    P_H - P_iH.  The singular values pair as sqrt(1 +- cos theta), so
-    2 - s_k^2 = s_{n-1-k}^2 =: s'_k^2, and with M = W* conj(W)
+    All of it comes from one complex SVD B = U s W* (Rieffel-van Daele
+    1977): R = P_H + P_iH = B B*, P_H - P_iH = B B^T conj, Delta = (2 - R)
+    R^{-1} and J is the phase of P_H - P_iH.  The singular values pair as
+    sqrt(1 +- cos theta), so 2 - s_k^2 = s_{n-1-k}^2 =: s'_k^2, and with
+    M = W* conj(W)
 
         log Delta = 2 log(s' / s) on the columns of U (ascending),
-        J = U s M s'^{-1} U^T conj,  S = U s M s^{-1} U^T conj.
+        J = U s M s'^{-1} U^T conj.
 
     The cyclic/separating gate reads the same singular values.  A stack
-    of subspaces gives stacks of S and of modular data, and is refused
-    if any member is not standard.  B runs as the stack of its tiles;
-    the gate reads their singular values sorted together, and V, S and
-    J are embedded block by block.
+    of subspaces gives a stack of modular data, and is refused if any
+    member is not standard.  B runs as the stack of its tiles; the gate
+    reads their singular values sorted together, and V and J are
+    embedded block by block.
     """
-    rows, _, (stack,) = _tiles(_complex_basis(h))
+    rows, _, (stack,) = _tiles(h.complex_basis())
     u, s, wh = np.linalg.svd(stack)
     rep = _standardness_of(_descending(s), h)
     if not rep.cyclic.all():
@@ -678,26 +603,24 @@ def modular_data(h):
     a = (u * s[..., None, :]) @ (wh @ _T(wh))   # W* conj(W) = wh wh^T
     lam = 2.0 * np.log(pair / s)
     jc = (a / pair[..., None, :]) @ _T(u)
-    sc = (a / s[..., None, :]) @ _T(u)
     # a standard B has square tiles; tile t's eigenvectors take the
     # columns of its own slots
     shape = (h.parent.n,) * 2
-    u, jc, sc = (_scatter(x, rows, rows, shape) for x in (u, jc, sc))
-    lam = _placed(lam, rows)
-    md = ModularData(h.parent, u, lam, jc)
-    return h.parent.realify_antilinear(sc), md
+    u, jc = (_scatter(x, rows, rows, shape) for x in (u, jc))
+    return ModularData(h.parent, u, _placed(lam, rows), jc)
 
 
 def subspace_from_modular(m):
     """The standard subspace with the given modular data.
 
-    Computed as the kernel of (S - 1) with S = J Delta^{1/2}; the
+    Computed as the kernel of (S - 1) with S = J Delta^{1/2} in real
+    form: S = x + i y acts on [Re; Im] as [[x, y], [y, -x]].  The
     conditioning of the split is monitored and a small spectral gap
     triggers :class:`ConditioningWarning`.
     """
-    d = m.parent.real_dim
-    s_op = m.tomita()
-    u, sv, vt = np.linalg.svd(s_op - np.eye(d))
+    x = m.tomita_matrix()
+    s_op = np.block([[x.real, x.imag], [x.imag, -x.real]])
+    u, sv, vt = np.linalg.svd(s_op - np.eye(m.parent.real_dim))
     cut = RANK_REL_TOL * sv[0] if sv[0] > 0 else np.inf
     kernel_mask = sv <= cut
     if not np.any(kernel_mask):
@@ -812,15 +735,15 @@ def symmetry_commutation_check(h, u, tol=SUBSPACE_TOL):
     (xi -> x conj(xi)); their spectral norms are the residuals.
     """
     u = np.asarray(u, dtype=complex)
-    d = subspace_distance(h, h.transform(h.parent.realify_linear(u)))
+    d = subspace_distance(h, h.transform(u))
     if d > tol:
         raise ValueError(f"U does not preserve H (subspace distance {d:.3e})")
-    s_op, m = modular_data(h)
+    m = modular_data(h)
 
     def deviation(x, right):
         return spectral_norm((u @ x) @ right - x)
 
     return SymmetryReport(
-        deviation(_split(h.parent, s_op)[1], u.T),
+        deviation(m.tomita_matrix(), u.T),
         deviation(m.power(1.0), u.conj().T) / m.delta_norm,
         deviation(m.jc, u.T))

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from realform import real_antilinear, real_linear
 from scipy.sparse.linalg import expm_multiply
 
 from modnet import bgl
@@ -120,17 +121,25 @@ def test_criterion_02_modular_identities():
     worst = 0.0
     for _ in range(200):
         h = _random_standard(rng, parent)
-        s_real, md = stdspace.modular_data(h)
+        md = stdspace.modular_data(h)
         dual = stdspace.symplectic_complement(h)
-        s_dual, _ = stdspace.modular_data(dual)
-        balance = np.linalg.norm(md.J @ md.Delta @ md.J @ md.Delta - eye, 2) \
-            / np.linalg.norm(md.Delta, 2)
+        # the identities in the real picture, on the 2n x 2n forms
+        s_real = real_antilinear(md.tomita_matrix())
+        s_dual = real_antilinear(stdspace.modular_data(dual).tomita_matrix())
+        j, delta = real_antilinear(md.jc), real_linear(md.power(1.0))
+        balance = np.linalg.norm(j @ delta @ j @ delta - eye, 2) \
+            / np.linalg.norm(delta, 2)
+
+        def moved(op):
+            return stdspace.RealSubspace(parent, op @ h.basis)
+
         worst = max(
             worst,
             balance,
             np.linalg.norm(s_dual - s_real.T, 2),
-            stdspace.subspace_distance(h.transform(md.J), dual),
-            max(stdspace.subspace_distance(h.transform(md.delta_it(t)), h)
+            stdspace.subspace_distance(moved(j), dual),
+            max(stdspace.subspace_distance(
+                moved(real_linear(md.delta_it(t))), h)
                 for t in (0.25, 0.7, 1.5)),
             stdspace.subspace_distance(stdspace.symplectic_complement(dual),
                                        h),
@@ -188,12 +197,14 @@ def test_criterion_04_wedge_roundtrip_and_duality():
         w_r = spacetime.Region.wedge_right((0.0, 0.0))
         w_l = spacetime.Region.wedge_left((0.0, 0.0))
         md = net.wedge_modular(w_r)
-        _, md2 = stdspace.modular_data(net.wedge_subspace(w_r))
+        md2 = stdspace.modular_data(net.wedge_subspace(w_r))
+        # J and Delta in the real picture, on the 2n x 2n forms
+        delta, delta2 = (real_linear(m.power(1.0)) for m in (md, md2))
         worst_round = max(
             worst_round,
-            np.linalg.norm(md.J - md2.J, 2),
-            np.linalg.norm(md.Delta - md2.Delta, 2)
-            / np.linalg.norm(md.Delta, 2))
+            np.linalg.norm(real_antilinear(md.jc) - real_antilinear(md2.jc),
+                           2),
+            np.linalg.norm(delta - delta2, 2) / np.linalg.norm(delta, 2))
         comp = stdspace.symplectic_complement(net.wedge_subspace(w_r))
         worst_dual = max(worst_dual, stdspace.subspace_distance(
             comp, net.wedge_subspace(w_l)))
@@ -383,7 +394,7 @@ def test_criterion_10_fock_layer():
     worst_tomita = 0.0
     tomita_ok = True
     for col in range(sub.dim):
-        f = net.parent.extract(sub.basis[:, col]) * 0.8
+        f = sub.complex_basis()[:, col] * 0.8
         residual = fock.second_quantized_tomita_check(sub, f, order)
         bound = (net.epsilon + fock.tail_bound(np.linalg.norm(f), order)
                  + 1e-8)

@@ -163,10 +163,10 @@ def test_modular_roundtrip_within_budget(kind):
     net = _model(kind)
     w_r, _ = _origin_wedges()
     md = net.wedge_modular(w_r)
-    _, md2 = stdspace.modular_data(net.wedge_subspace(w_r))
-    assert np.linalg.norm(md.J - md2.J, 2) < net.epsilon
-    rel = (np.linalg.norm(md.Delta - md2.Delta, 2)
-           / np.linalg.norm(md.Delta, 2))
+    md2 = stdspace.modular_data(net.wedge_subspace(w_r))
+    assert np.linalg.norm(md.jc - md2.jc, 2) < net.epsilon
+    rel = (np.linalg.norm(md.power(1.0) - md2.power(1.0), 2)
+           / md.delta_norm)
     assert rel < net.epsilon
 
 
@@ -210,8 +210,7 @@ def test_wedge_modular_takes_the_block_eigenpair(monkeypatch, kind):
     assert md.delta_norm == pytest.approx(top, rel=1e-12)
     dense = md.power(1.0)
     assert np.linalg.eigvalsh(dense)[-1] == pytest.approx(top, rel=1e-12)
-    assert np.linalg.norm(flow - net.parent.realify_linear(
-        net.wedge_flow(region, 0.37)), 2) < 1e-12
+    assert np.linalg.norm(flow - net.wedge_flow(region, 0.37), 2) < 1e-12
 
 
 def test_wedge_cache_returns_the_same_object():
@@ -251,8 +250,7 @@ def test_translation_covariance_is_exact(kind):
     w_r, _ = _origin_wedges()
     moved = net.wedge_subspace(spacetime.Region.wedge_right(shift))
     assert stdspace.subspace_distance(
-        moved, net.wedge_subspace(w_r).transform(
-            net.parent.realify_linear(u))) < 1e-11
+        moved, net.wedge_subspace(w_r).transform(u)) < 1e-11
 
 
 @pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
@@ -737,10 +735,10 @@ def _scaled_duals_and_massive_data():
              for d in bgl._cone_duals(1.0, grid, count, bgl.STUDY_SPACING)]
     net = bgl.NetModel.massive()
     w_r, _ = _origin_wedges()
-    s_op, md = stdspace.modular_data(net.wedge_subspace(w_r))
+    md = stdspace.modular_data(net.wedge_subspace(w_r))
     block = net.wedge_modular(w_r)
-    return duals, [s_op, md.vecs, md.log_delta, md.jc, block.vecs,
-                   block.log_delta, block.jc]
+    return duals, [md.tomita_matrix(), md.vecs, md.log_delta, md.jc,
+                   block.vecs, block.log_delta, block.jc]
 
 
 def _tiling_off(monkeypatch):
@@ -839,11 +837,11 @@ def test_eigenpair_route_agrees_with_modular_route():
             assert stdspace.subspace_distance(
                 net.wedge_subspace(region),
                 stdspace.subspace_from_modular(md)) < 1e-10, (kind, region)
-            dense = stdspace.ModularData.from_dense(net.parent, md.J,
-                                                    md.Delta)
+            # the flow of a dense eigh of Delta
+            w, v = np.linalg.eigh(md.power(1.0))
             for t in (0.37, -1.1):
-                dev = np.linalg.norm(net.wedge_flow(region, t)
-                                     - dense.power(1j * t), 2)
+                dense = (v * np.exp(1j * t * np.log(w))) @ v.conj().T
+                dev = np.linalg.norm(net.wedge_flow(region, t) - dense, 2)
                 assert dev < bgl.BLOCK_TOL, (kind, region, t)
 
 

@@ -17,6 +17,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from realform import real_antilinear, real_linear
 
 from modnet import bgl
 from modnet import cli
@@ -316,20 +317,22 @@ def _verify_stdspace_one_sample_at_a_time(cfg, rng):
             rep = stdspace.standardness(h)
             if rep.standard and rep.minimal_angle > 0.05:
                 break
-        s_real, md = stdspace.modular_data(h)
+        md = stdspace.modular_data(h)
         dual = stdspace.symplectic_complement(h)
-        s_dual, _ = stdspace.modular_data(dual)
-        eye = np.eye(parent.real_dim)
-        j, delta = md.J, md.Delta
+        a, jc, delta = md.tomita_matrix(), md.jc, md.power(1.0)
+        a_dual = stdspace.modular_data(dual).tomita_matrix()
+        eye = np.eye(n)
+        jh = stdspace.RealSubspace.from_complex(
+            parent, jc @ h.complex_basis().conj())
         values = {
             "stdspace-tomita-involution": [
-                np.linalg.norm(s_real @ s_real - eye, 2)],
+                np.linalg.norm(a @ a.conj() - eye, 2)],
             "stdspace-modular-balance": [
-                np.linalg.norm(j @ delta @ j @ delta - eye, 2)
+                np.linalg.norm(jc @ delta.conj() @ jc.conj() @ delta - eye, 2)
                 / md.delta_norm],
-            "stdspace-dual-tomita": [np.linalg.norm(s_dual - s_real.T, 2)],
+            "stdspace-dual-tomita": [np.linalg.norm(a_dual - a.T, 2)],
             "stdspace-conjugate-complement": [
-                stdspace.subspace_distance(h.transform(j), dual)],
+                stdspace.subspace_distance(jh, dual)],
             "stdspace-flow-invariance": [
                 stdspace.subspace_distance(h.transform(md.delta_it(t)), h)
                 for t in (0.37, 1.23)],
@@ -358,6 +361,60 @@ def test_verify_stdspace_draws_as_one_sample_at_a_time(dim, samples, seed,
     (rng,) = built
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert (drawn > samples) == rejects
+
+
+def _real_form_identities(h):
+    """The six verify-stdspace residuals of each member of the stack h,
+    computed in the real picture on the 2n x 2n forms."""
+    parent = h.parent
+    md = stdspace.modular_data(h)
+    dual = stdspace.symplectic_complement(h)
+    s_real = real_antilinear(md.tomita_matrix())
+    s_dual = real_antilinear(stdspace.modular_data(dual).tomita_matrix())
+    j, delta = real_antilinear(md.jc), real_linear(md.power(1.0))
+    eye = np.eye(parent.real_dim)
+
+    def norm(x):
+        return np.linalg.norm(x, 2, axis=(-2, -1))
+
+    def moved(op):
+        return stdspace.RealSubspace(parent, op @ h.basis)
+
+    distance = stdspace.subspace_distance
+    return {
+        "stdspace-tomita-involution": norm(s_real @ s_real - eye),
+        "stdspace-modular-balance": (norm(j @ delta @ j @ delta - eye)
+                                     / norm(delta)),
+        "stdspace-dual-tomita": norm(s_dual - s_real.swapaxes(-1, -2)),
+        "stdspace-conjugate-complement": distance(moved(j), dual),
+        "stdspace-flow-invariance": np.maximum(*(
+            distance(moved(real_linear(md.delta_it(t))), h)
+            for t in (0.37, 1.23))),
+        "stdspace-double-dual": distance(
+            stdspace.symplectic_complement(dual), h),
+    }
+
+
+def test_verify_stdspace_identities_match_the_real_form(monkeypatch):
+    # the runner takes the six identities on n x n complex matrices; on
+    # every member of a stack, and on the stack, they give what the real
+    # 2n x 2n forms give
+    parent = stdspace.ComplexSpace(5)
+    stack = cli._random_standard(np.random.default_rng(3), parent, 6)
+    want = _real_form_identities(stack)
+
+    def runner_on(h):
+        monkeypatch.setattr(cli, "_random_standard", lambda *args: h)
+        return cli._run_verify_stdspace({"dim": 5, "samples": 1}, 0, 1.0)[0]
+
+    for i in range(6):
+        got = runner_on(stdspace.RealSubspace(parent, stack.basis[i]))
+        for name, values in want.items():
+            assert abs(got[name] - values[i]) <= 1e-12, (name, i)
+    got = runner_on(stack)
+    assert got.keys() == want.keys()
+    for name, values in want.items():
+        assert abs(got[name] - np.max(values)) <= 1e-12, name
 
 
 def test_verify_stdspace_caps_its_draws(tmp_path, capsys):
@@ -562,6 +619,43 @@ def test_bad_counts_and_empty_lists_are_config_errors(tmp_path, capsys,
     assert message in capsys.readouterr().err
     assert report is None
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("reconstruct-mobius", {"t_values": [math.inf]}, "t_values"),
+    ("break-bw", {"t_values": [math.inf]}, "t_values"),
+    ("trace-class", {"betas": [math.nan]}, "betas"),
+    ("trace-class", {"betas": [math.inf]}, "betas"),
+    ("lightcone-defect", {"masses": [math.nan]}, "masses"),
+    ("verify-mobius", {"parameter_range": 0.0}, "parameter_range"),
+    ("verify-mobius", {"parameter_range": -2.0}, "parameter_range"),
+    ("verify-mobius", {"parameter_range": math.nan}, "parameter_range"),
+    ("verify-mobius", {"parameter_range": math.inf}, "parameter_range"),
+    ("bgl-axioms", {"model": "twisted", "charge": math.nan}, "charge"),
+    ("bgl-axioms", {"h": math.inf}, "h"),
+    ("bgl-axioms", {"model": "massive", "mass": math.nan}, "mass"),
+    ("bgl-axioms", {"model": "directIntegral", "mass_max": math.inf},
+     "mass_max"),
+    ("break-bw", {"charge": -math.inf}, "charge"),
+    ("reconstruct-mobius", {"h": math.nan}, "h"),
+    ("lightcone-defect", {"frozen": math.inf}, "frozen"),
+    ("lightcone-defect", {"frozen": 0.0}, "frozen"),
+    ("lightcone-defect", {"spacing": math.nan}, "spacing"),
+    ("halperin-bench", {"tol": 0.0}, "tol"),
+    ("halperin-bench", {"tol": -1e-9}, "tol"),
+    ("halperin-bench", {"tol": math.nan}, "tol"),
+    ("halperin-bench", {"tol": 10 ** 400}, "tol"),
+])
+def test_non_finite_and_non_positive_floats_are_config_errors(
+        tmp_path, capsys, command, config, key):
+    # a float key is a finite number, and a positive one where it is a
+    # scale of the runner itself (parameter_range, frozen, tol); these
+    # cells once ended in an internal error, a vacuous PASS (a NaN row
+    # that max() skips, an infinite budget) or a check failure
+    code, report = _run(tmp_path, command, config)
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert f"config key '{key}' must" in capsys.readouterr().err
+    assert report is None
 
 
 def test_integral_floats_are_accepted(tmp_path):

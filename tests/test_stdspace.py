@@ -10,6 +10,7 @@ import scipy.linalg as sla
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from realform import real_antilinear, real_linear
 
 from modnet import bgl, spacetime, stdspace
 from modnet.stdspace import (
@@ -20,7 +21,6 @@ from modnet.stdspace import (
     ModularData,
     RealSubspace,
     _orthonormal_basis,
-    _split,
     containment_gap,
     intersect,
     make_subspace,
@@ -67,11 +67,17 @@ def random_modular_pair(rng, parent):
     perm[m:, :m] = np.eye(m)
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     v, _ = np.linalg.qr(z)
-    delta_c = v @ np.diag(d_eigs).astype(complex) @ v.conj().T
-    u_j = v @ perm @ v.T
-    return ModularData.from_dense(parent,
-                                  parent.realify_antilinear(u_j),
-                                  parent.realify_linear(delta_c))
+    return ModularData(parent, v, np.log(d_eigs), v @ perm @ v.T)
+
+
+def _projector(h):
+    """The orthogonal projection onto H in R^{2n}."""
+    return h.basis @ h.basis.T
+
+
+def times_i(n):
+    """Real form of the multiplication by i on C^n."""
+    return real_linear(1j * np.eye(n))
 
 
 # ---------------------------------------------------------------------------
@@ -79,43 +85,22 @@ def random_modular_pair(rng, parent):
 # ---------------------------------------------------------------------------
 
 
-def test_multiplication_by_i_block():
-    sp = ComplexSpace(3)
-    assert_allclose(sp.J_i @ sp.J_i, -np.eye(6), atol=0)
-    assert_allclose(sp.J_i.T @ sp.J_i, np.eye(6), atol=0)
-
-
-def test_embed_extract_roundtrip():
-    sp = ComplexSpace(4)
-    rng = np.random.default_rng(1)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    assert_allclose(sp.extract(sp.embed(v)), v, atol=ATOL)
-    assert_allclose(sp.embed(1j * v), sp.J_i @ sp.embed(v), atol=ATOL)
-
-
 def test_imaginary_form_identity():
+    # Im<x, y> = -Re<x, i y>: the real pairing of the bases of the real
+    # lines through x and i y, the form whose annihilator the symplectic
+    # complement is
     sp = ComplexSpace(5)
     rng = np.random.default_rng(2)
     for _ in range(10):
         x = rng.normal(size=5) + 1j * rng.normal(size=5)
         y = rng.normal(size=5) + 1j * rng.normal(size=5)
-        im = sp.embed(x) @ sp.J_i.T @ sp.embed(y)
+        scale = np.linalg.norm(x) * np.linalg.norm(y)
+        hx, hy = (RealSubspace.from_complex(sp, v[:, None] / np.linalg.norm(v))
+                  for v in (x, 1j * y))
+        im = -scale * (hx.basis.T @ hy.basis)[0, 0]
         assert_allclose(im, np.vdot(x, y).imag, atol=ATOL)
-
-
-def test_realify_structures():
-    sp = ComplexSpace(3)
-    rng = np.random.default_rng(3)
-    c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    lin = sp.realify_linear(c)
-    anti = sp.realify_antilinear(c)
-    assert_allclose(lin @ sp.J_i, sp.J_i @ lin, atol=ATOL)
-    assert_allclose(anti @ sp.J_i, -sp.J_i @ anti, atol=ATOL)
-    v = rng.normal(size=3) + 1j * rng.normal(size=3)
-    assert_allclose(sp.extract(lin @ sp.embed(v)), c @ v, atol=ATOL)
-    assert_allclose(sp.extract(anti @ sp.embed(v)), c @ v.conj(), atol=ATOL)
-    assert_allclose(_split(sp, lin)[0], c, atol=ATOL)
-    assert_allclose(_split(sp, anti)[1], c, atol=ATOL)
+        assert_allclose(hx.complex_basis()[:, 0] * np.linalg.norm(x), x,
+                        atol=ATOL)
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +139,20 @@ def test_subspace_validation():
     with pytest.raises(ValueError, match="orthonormal"):
         RealSubspace(sp, np.full((4, 2), np.nan))
     h = RealSubspace(sp, np.eye(4)[:, :2])
-    op = np.eye(4)
+    op = np.eye(2, dtype=complex)
     op[1, 0] = np.nan
     with pytest.raises(ValueError):
         h.transform(op)
 
 
 def test_transform_refuses_a_scaled_rotation():
-    # the image basis is taken as it is: an operator off orthogonal by
-    # 1e-6 fails the constructor's Gram check instead of being re-spanned
+    # the image basis is taken as it is: an operator off unitary by 1e-6
+    # fails the constructor's Gram check instead of being re-spanned
     rng = np.random.default_rng(53)
     sp = ComplexSpace(4)
     h = random_subspace(rng, sp, 3)
-    rot = np.linalg.qr(rng.normal(size=(8, 8)))[0]
+    rot = np.linalg.qr(rng.normal(size=(4, 4))
+                       + 1j * rng.normal(size=(4, 4)))[0]
     h.transform(rot)
     with pytest.raises(ValueError, match="orthonormal"):
         h.transform(rot * (1.0 + 1e-6))
@@ -176,13 +162,15 @@ def test_transform_of_a_unitary_spans_the_orthonormalised_image():
     rng = np.random.default_rng(59)
     sp = ComplexSpace(6)
     z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    u = sp.realify_linear(np.linalg.qr(z)[0])
+    u = np.linalg.qr(z)[0]
     frame = np.linalg.qr(rng.normal(size=(12, 12)))[0]
     for k in range(sp.real_dim + 1):
         h = RealSubspace(sp, frame[:, :k])
         moved = h.transform(u)
-        # the image as the SVD re-orthonormalisation gave it before
-        svd_image = RealSubspace(sp, _orthonormal_basis(u @ h.basis, sp))
+        # the image as the SVD re-orthonormalisation of the real form
+        # gives it
+        svd_image = RealSubspace(
+            sp, _orthonormal_basis(real_linear(u) @ h.basis, sp))
         assert moved.dim == k
         assert subspace_distance(moved, svd_image) < 1e-13
 
@@ -217,7 +205,7 @@ def test_complement_dimension_and_involution():
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_complement_from_one_qr_is_orthogonal_to_i_h(n):
-    # H' is the trailing 2n - k columns of a complete QR of J_i b, for
+    # H' is the trailing 2n - k columns of a complete QR of i b, for
     # every k including the empty and the full subspace, alone and stacked
     rng = np.random.default_rng(61 + n)
     sp = ComplexSpace(n)
@@ -229,7 +217,7 @@ def test_complement_from_one_qr_is_orthogonal_to_i_h(n):
         duals = symplectic_complement(stack)
         assert duals.basis.shape == (3, d, d - k)
         for i in range(3):
-            rotated = sp.J_i @ stack.basis[i]
+            rotated = times_i(n) @ stack.basis[i]
             one = symplectic_complement(RealSubspace(sp, stack.basis[i]))
             assert one.dim == d - k
             assert np.max(np.abs(rotated.T @ one.basis), initial=0.0) <= 1e-14
@@ -268,12 +256,11 @@ def test_frozen_example_is_standard():
 
 def test_real_slice_has_trivial_modular_operator():
     sp = ComplexSpace(3)
-    s_op, m = modular_data(real_slice(sp))
-    conj = np.block([[np.eye(3), np.zeros((3, 3))],
-                     [np.zeros((3, 3)), -np.eye(3)]])
-    assert_allclose(s_op, conj, atol=1e-9)
-    assert_allclose(m.Delta, np.eye(6), atol=1e-9)
-    assert_allclose(m.J, conj, atol=1e-9)
+    m = modular_data(real_slice(sp))
+    # S = J = conj
+    assert_allclose(m.tomita_matrix(), np.eye(3), atol=1e-9)
+    assert_allclose(m.power(1.0), np.eye(3), atol=1e-9)
+    assert_allclose(m.jc, np.eye(3), atol=1e-9)
 
 
 def test_one_dimensional_subspaces_have_trivial_delta():
@@ -282,19 +269,18 @@ def test_one_dimensional_subspaces_have_trivial_delta():
     for _ in range(10):
         theta = rng.uniform(0, 2 * math.pi)
         h = make_subspace([np.array([np.exp(1j * theta)])], sp)
-        _, m = modular_data(h)
-        assert_allclose(m.Delta, np.eye(2), atol=1e-9)
+        m = modular_data(h)
+        assert_allclose(m.power(1.0), np.eye(1), atol=1e-9)
 
 
 def test_frozen_c2_modular_pair():
     # H = {(w, 2 conj(w))} has Delta = diag(4, 1/4) and J = swap o conj
     sp = ComplexSpace(2)
     h = make_subspace([np.array([1.0, 2.0]), np.array([1j, -2j])], sp)
-    _, m = modular_data(h)
-    assert_allclose(m.Delta, sp.realify_linear(np.diag([4.0, 0.25])),
-                    atol=1e-9)
+    m = modular_data(h)
+    assert_allclose(m.power(1.0), np.diag([4.0, 0.25]), atol=1e-9)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert_allclose(m.J, sp.realify_antilinear(swap), atol=1e-9)
+    assert_allclose(m.jc, swap, atol=1e-9)
 
 
 def test_modular_rejects_non_standard_with_named_reason():
@@ -312,21 +298,21 @@ def test_modular_rejects_non_standard_with_named_reason():
 def test_tomita_invariants_on_random_standard_subspaces():
     rng = np.random.default_rng(13)
     sp = ComplexSpace(3)
-    eye = np.eye(6)
+    eye = np.eye(3)
     for _ in range(15):
         h = random_standard(rng, sp)
-        s_op, m = modular_data(h)
-        # S fixes H pointwise and squares to one
-        assert_allclose(s_op @ h.basis, h.basis, atol=1e-8)
-        assert_allclose(s_op @ s_op, eye, atol=1e-8)
-        assert_allclose(s_op @ sp.J_i, -sp.J_i @ s_op, atol=1e-8)
-        # polar pieces reproduce S
-        assert_allclose(m.tomita(), s_op, atol=1e-8)
+        m = modular_data(h)
+        # S = a conj fixes H pointwise and squares to one
+        a, b = m.tomita_matrix(), h.complex_basis()
+        assert_allclose(a @ b.conj(), b, atol=1e-8)
+        assert_allclose(a @ a.conj(), eye, atol=1e-8)
+        # polar pieces reproduce S: J Delta^{1/2} = jc conj(Delta^{1/2})
+        assert_allclose(m.jc @ m.power(0.5).conj(), a, atol=1e-8)
         # J H = H' and the commutant's Tomita operator is the adjoint
         hp = symplectic_complement(h)
-        assert subspace_distance(h.transform(m.J), hp) < 1e-8
-        sp_op, _ = modular_data(hp)
-        assert_allclose(sp_op, s_op.T, atol=1e-7)
+        jh = RealSubspace.from_complex(sp, m.jc @ b.conj())
+        assert subspace_distance(jh, hp) < 1e-8
+        assert_allclose(modular_data(hp).tomita_matrix(), a.T, atol=1e-7)
         # modular flow preserves H
         for t in (-5.0, -1.0, -0.1, 0.1, 1.0, 5.0):
             assert subspace_distance(h.transform(m.delta_it(t)), h) < 1e-8
@@ -335,11 +321,11 @@ def test_tomita_invariants_on_random_standard_subspaces():
 def test_delta_flow_is_a_one_parameter_unitary_group():
     rng = np.random.default_rng(17)
     sp = ComplexSpace(3)
-    _, m = modular_data(random_standard(rng, sp))
+    m = modular_data(random_standard(rng, sp))
     u, v = m.delta_it(0.7), m.delta_it(-0.3)
-    assert_allclose(u.T @ u, np.eye(6), atol=1e-10)
+    assert_allclose(u.conj().T @ u, np.eye(3), atol=1e-10)
     assert_allclose(u @ v, m.delta_it(0.4), atol=1e-10)
-    assert_allclose(m.delta_it(0.0), np.eye(6), atol=ATOL)
+    assert_allclose(m.delta_it(0.0), np.eye(3), atol=ATOL)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +335,7 @@ def test_delta_flow_is_a_one_parameter_unitary_group():
 
 def test_trivial_modular_data_gives_real_slice():
     sp = ComplexSpace(3)
-    m = ModularData.from_dense(sp, sp.realify_antilinear(np.eye(3)),
-                               np.eye(6))
+    m = ModularData(sp, np.eye(3), np.zeros(3), np.eye(3))
     h = subspace_from_modular(m)
     assert subspace_distance(h, real_slice(sp)) < ATOL
 
@@ -358,8 +343,7 @@ def test_trivial_modular_data_gives_real_slice():
 def test_frozen_c2_fixed_points():
     sp = ComplexSpace(2)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    m = ModularData.from_dense(sp, sp.realify_antilinear(swap),
-                               sp.realify_linear(np.diag([4.0, 0.25])))
+    m = ModularData(sp, np.eye(2), np.log([4.0, 0.25]), swap)
     h = subspace_from_modular(m)
     expect = make_subspace([np.array([1.0, 2.0]), np.array([1j, -2j])], sp)
     assert h.dim == 2
@@ -374,35 +358,10 @@ def test_modular_roundtrip_on_random_pairs():
         h = subspace_from_modular(m)
         assert h.dim == sp.n
         assert standardness(h).standard
-        _, m2 = modular_data(h)
-        assert np.linalg.norm(m2.Delta - m.Delta, 2) < 1e-8 * np.linalg.norm(
-            m.Delta, 2
-        )
-        assert np.linalg.norm(m2.J - m.J, 2) < 1e-8
-
-
-def test_modular_data_validation_messages():
-    sp = ComplexSpace(2)
-    good_j = sp.realify_antilinear(np.eye(2))
-    eye = np.eye(4)
-    # each pair breaks the named invariant first
-    violations = {
-        "J orthogonal": (2.0 * good_j, eye),
-        # unitary and antilinear, but J^2 = jc conj(jc) = -1
-        "J involutive": (sp.realify_antilinear(
-            np.array([[0.0, 1.0], [-1.0, 0.0]])), eye),
-        "J antilinear": (good_j + 0.1 * eye, eye),
-        "Delta symmetric": (good_j, sp.realify_linear(
-            np.array([[1.0, 0.5], [0.0, 1.0]]))),
-        "Delta complex-linear": (good_j, good_j),
-        "Delta positive": (good_j, -eye),
-        "J Delta J = Delta^-1": (good_j, sp.realify_linear(
-            np.diag([2.0, 0.25]))),
-    }
-    for name, (j, delta) in violations.items():
-        pattern = f"modular invariant violated: {re.escape(name)} "
-        with pytest.raises(ValueError, match=pattern):
-            ModularData.from_dense(sp, j, delta)
+        m2 = modular_data(h)
+        assert (np.linalg.norm(m2.power(1.0) - m.power(1.0), 2)
+                < 1e-8 * m.delta_norm)
+        assert np.linalg.norm(m2.jc - m.jc, 2) < 1e-8
 
 
 def test_eigen_form_validation_messages():
@@ -428,11 +387,9 @@ def test_eigen_form_validation_messages():
             ModularData(sp, *args)
     with pytest.raises(ValueError, match="n x n"):
         ModularData(sp, np.eye(3), lam, swap)
-    with pytest.raises(ValueError, match="2n x 2n"):
-        ModularData.from_dense(sp, np.eye(3), np.eye(4))
-    # a NaN error is a violation, not a pass
-    with pytest.raises(ValueError, match=r"J antilinear \(error nan\)"):
-        ModularData.from_dense(sp, np.full((4, 4), np.nan), np.eye(4))
+    # NaN data is a violation, not a pass
+    with pytest.raises(ValueError, match="finite data"):
+        ModularData(sp, eye, lam, np.full((2, 2), np.nan))
 
 
 def test_every_eigen_form_violation_raises_on_any_member_of_a_stack():
@@ -476,21 +433,19 @@ def test_stacked_primitives_match_single_calls():
     hs = [random_standard(rng, sp) for _ in range(3)]
     ks = [random_subspace(rng, sp, 3) for _ in range(3)]
     h, k = _stack_of(hs), _stack_of(ks)
-    s_op, md = modular_data(h)
+    md = modular_data(h)
     dual = symplectic_complement(h)
     rep = standardness(h)
     sines, vecs = principal_angles(h.basis, k.basis)
     moved = h.transform(md.delta_it(0.7))
     dist = subspace_distance(moved, k)
     for i, (hi, ki) in enumerate(zip(hs, ks)):
-        s_one, md_one = modular_data(hi)
-        assert np.array_equal(s_op[i], s_one)
+        md_one = modular_data(hi)
         for field in ("vecs", "log_delta", "jc"):
             assert np.array_equal(getattr(md, field)[i],
                                   getattr(md_one, field))
         assert md.delta_norm[i] == md_one.delta_norm
-        assert np.array_equal(md.J[i], md_one.J)
-        assert np.array_equal(md.tomita()[i], md_one.tomita())
+        assert np.array_equal(md.tomita_matrix()[i], md_one.tomita_matrix())
         assert np.array_equal(dual.basis[i], symplectic_complement(hi).basis)
         rep_one = standardness(hi)
         assert (rep.cyclic[i], rep.separating[i], rep.minimal_angle[i]) == (
@@ -502,9 +457,9 @@ def test_stacked_primitives_match_single_calls():
         assert np.array_equal(moved.basis[i], moved_one.basis)
         assert dist[i] == subspace_distance(moved_one, ki)
     # a stack of one is a stack like any other
-    s_first, md_first = modular_data(_stack_of(hs[:1]))
-    assert np.array_equal(s_first[0], s_op[0])
+    md_first = modular_data(_stack_of(hs[:1]))
     assert np.array_equal(md_first.vecs[0], md.vecs[0])
+    assert np.array_equal(md_first.jc[0], md.jc[0])
 
 
 def test_stacks_refuse_mixed_members():
@@ -527,27 +482,26 @@ def test_stacks_refuse_mixed_members():
 
 def test_invariant_errors_are_the_real_form_entries():
     # the complex-form checks report the largest entry of the real-form
-    # residuals J^T J - 1, J J - 1 and Delta - Delta^T
+    # residuals V^T V - 1, J^T J - 1 and J J - 1
     rng = np.random.default_rng(23)
     sp = ComplexSpace(3)
     eye = np.eye(6)
     z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     unitary, _ = np.linalg.qr(z)
-    conj = sp.realify_antilinear(np.eye(3))
     cases = (
-        ("J orthogonal", sp.realify_antilinear(z), eye,
-         lambda j, d: j.T @ j - eye),
-        ("J involutive", sp.realify_antilinear(unitary), eye,
-         lambda j, d: j @ j - eye),
-        ("Delta symmetric", conj, sp.realify_linear(np.eye(3) + 0.1 * z),
-         lambda j, d: d - d.T),
+        ("V unitary", z, np.eye(3),
+         lambda: real_linear(z).T @ real_linear(z) - eye),
+        ("J orthogonal", np.eye(3), z,
+         lambda: real_antilinear(z).T @ real_antilinear(z) - eye),
+        ("J involutive", np.eye(3), unitary,
+         lambda: real_antilinear(unitary) @ real_antilinear(unitary) - eye),
     )
-    for name, j, delta, residual in cases:
+    for name, vecs, jc, residual in cases:
         with pytest.raises(ValueError, match=name) as info:
-            ModularData.from_dense(sp, j, delta)
+            ModularData(sp, vecs, np.zeros(3), jc)
         reported = float(str(info.value).split("error ")[1].rstrip(")"))
         assert reported == pytest.approx(
-            np.max(np.abs(residual(j, delta))), rel=1e-3), name
+            np.max(np.abs(residual())), rel=1e-3), name
 
 
 def _solve_eigh_polar_route(h):
@@ -566,13 +520,13 @@ def _solve_eigh_polar_route(h):
 
 def _assert_routes_agree(h, tol=1e-10):
     c, delta, jc = _solve_eigh_polar_route(h)
-    s_op, md = modular_data(h)
+    md = modular_data(h)
     scale = np.linalg.norm(delta, 2)
     assert np.linalg.norm(md.power(1.0) - delta, 2) <= tol * scale
     assert np.linalg.norm(md.jc - jc, 2) <= tol
     assert md.delta_norm == pytest.approx(scale, rel=tol)
-    s_c = _split(h.parent, s_op)[1]
-    assert np.linalg.norm(s_c - c, 2) <= tol * np.linalg.norm(c, 2)
+    assert (np.linalg.norm(md.tomita_matrix() - c, 2)
+            <= tol * np.linalg.norm(c, 2))
     return md
 
 
@@ -611,15 +565,16 @@ def test_modular_data_takes_one_svd_and_no_eigensolve(monkeypatch):
     for name in ("svd", "eigh", "eigvalsh", "solve", "inv"):
         monkeypatch.setattr(np.linalg, name,
                             counted(name, getattr(np.linalg, name)))
-    _, md = modular_data(h)
+    md = modular_data(h)
     assert calls == ["svd"]
     flow = md.delta_it(0.3)
-    md.delta_power(0.5)
+    md.power(0.5)
+    md.tomita_matrix()
     assert calls == ["svd"]
     monkeypatch.undo()
     # the eigen-form flow is the one a dense eigh of Delta gives
     dense = (v * np.exp(0.3j * np.log(w))) @ v.conj().T
-    assert np.linalg.norm(flow - sp.realify_linear(dense), 2) < 1e-12
+    assert np.linalg.norm(flow - dense, 2) < 1e-12
 
 
 def test_badly_conditioned_kernel_warns():
@@ -628,12 +583,11 @@ def test_badly_conditioned_kernel_warns():
     # 1e-8 * 1e9 = 10), so the kernel is overcounted and flagged.
     sp = ComplexSpace(6)
     eigs = [1e18, 1e4, 25.0]
-    delta_c = np.diag(eigs + [1.0 / e for e in eigs]).astype(complex)
     perm = np.zeros((6, 6))
     perm[:3, 3:] = np.eye(3)
     perm[3:, :3] = np.eye(3)
-    m = ModularData.from_dense(sp, sp.realify_antilinear(perm),
-                               sp.realify_linear(delta_c))
+    m = ModularData(sp, np.eye(6), np.log(eigs + [1.0 / e for e in eigs]),
+                    perm)
     with pytest.warns(ConditioningWarning):
         h = subspace_from_modular(m)
     assert h.dim == 8  # true fixed-point dimension is 6
@@ -668,7 +622,7 @@ def test_intersect_with_shared_core(method):
     assert got.dim == 2
     for col in core.T:
         v = col / np.linalg.norm(col)
-        assert np.linalg.norm(got.projector() @ v - v) < 1e-6
+        assert np.linalg.norm(got.basis @ (got.basis.T @ v) - v) < 1e-6
 
 
 def test_halperin_matches_exact_on_random_pairs():
@@ -790,11 +744,11 @@ def test_subspace_distance_is_the_projector_gap(n, seed, near, data):
         # a small rotation of h1: the distance is of order 1e-5
         gen = rng.normal(size=(d, d)) * 1e-5
         rot = np.linalg.qr(np.eye(d) + gen - gen.T)[0]
-        h2 = h1.transform(rot)
+        h2 = RealSubspace(sp, rot @ h1.basis)
     else:
         k2 = data.draw(st.integers(0, d), label="k2")
         h2 = RealSubspace(sp, _orthonormal_frame(rng, d)[:, :k2])
-    projector_gap = np.linalg.norm(h1.projector() - h2.projector(), 2)
+    projector_gap = np.linalg.norm(_projector(h1) - _projector(h2), 2)
     assert abs(subspace_distance(h1, h2) - projector_gap) < 1e-12
     assert subspace_distance(h1, h2) == subspace_distance(h2, h1)
 
@@ -808,7 +762,7 @@ def test_complex_norm_equals_real_form_norm(n, seed, kind):
     rng = np.random.default_rng(seed)
     sp = ComplexSpace(n)
     c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    r = (sp.realify_linear if kind == "linear" else sp.realify_antilinear)(c)
+    r = (real_linear if kind == "linear" else real_antilinear)(c)
     real = np.linalg.norm(r, 2)
     assert abs(np.linalg.norm(c, 2) - real) <= 1e-12 * real
 
@@ -843,19 +797,18 @@ def test_complement_and_tomita_match_scipy_references(n, seed, planted,
     cols = rng.normal(size=(d, k))
     if planted:
         # a complex line xi, i xi inside H: H meets iH nontrivially
-        cols[:, 1] = sp.J_i @ cols[:, 0]
+        cols[:, 1] = times_i(n) @ cols[:, 0]
     h = RealSubspace(sp, np.linalg.qr(cols)[0])
     ours = symplectic_complement(h)
-    ref = RealSubspace(sp, sla.null_space((sp.J_i @ h.basis).T,
+    ref = RealSubspace(sp, sla.null_space((times_i(n) @ h.basis).T,
                                           rcond=RANK_REL_TOL))
     assert ours.dim == ref.dim == d - k
     assert subspace_distance(ours, ref) <= 1e-12
     if k != n or planted:
         return
-    b = h.basis[:n] + 1j * h.basis[n:]
+    b = h.complex_basis()
     c_ref = sla.solve(b.conj().T, b.T).T
-    s_op, _ = modular_data(h)
-    dev = np.linalg.norm(_split(sp, s_op)[1] - c_ref, 2)
+    dev = np.linalg.norm(modular_data(h).tomita_matrix() - c_ref, 2)
     assert dev <= 1e-12 * np.linalg.cond(b) * np.linalg.norm(c_ref, 2)
 
 
@@ -876,8 +829,8 @@ def test_containment_gap_is_the_largest_sine():
 
 
 def _real_standardness(h):
-    """Reference: rank of [b, J_i b] and the principal-angle route."""
-    rotated = h.parent.J_i @ h.basis
+    """Reference: rank of [b, i b] and the principal-angle route."""
+    rotated = times_i(h.parent.n) @ h.basis
     s = np.linalg.svd(np.hstack([h.basis, rotated]), compute_uv=False)
     cyclic = bool(np.sum(s > RANK_REL_TOL * s[0]) == h.parent.real_dim)
     sines, v = principal_angles(h.basis, rotated)
@@ -887,18 +840,13 @@ def _real_standardness(h):
 
 def _real_modular(h):
     """Reference (S, J, Delta) from real 2n x 2n solve, eigh and SVD."""
-    b, rotated = h.basis, h.parent.J_i @ h.basis
+    b, rotated = h.basis, times_i(h.parent.n) @ h.basis
     s_op = np.linalg.solve(np.hstack([b, rotated]).T,
                            np.hstack([b, -rotated]).T).T
     delta = s_op.T @ s_op
     w, v = np.linalg.eigh((delta + delta.T) / 2)
     uu, _, vv = np.linalg.svd(s_op @ (v / np.sqrt(w)) @ v.T)
     return s_op, uu @ vv, (delta + delta.T) / 2
-
-
-def _blocks(r):
-    n = r.shape[0] // 2
-    return r[:n, :n], r[:n, n:], r[n:, :n], r[n:, n:]
 
 
 def _halperin_reference(subspaces, tol=1e-9):
@@ -927,7 +875,7 @@ def _dense_halperin(subspaces, tol=1e-9):
     most tol, and the near-1 eigenvectors of the limit."""
     t = np.eye(subspaces[0].parent.real_dim)
     for h in subspaces:
-        t = h.projector() @ t
+        t = _projector(h) @ t
     residuals = []
     while not residuals or residuals[-1] > tol:
         t2 = t @ t
@@ -947,17 +895,13 @@ def test_complex_modular_data_matches_the_real_form(n, seed):
         rep = standardness(h)
         if rep.standard and rep.minimal_angle > 0.05:
             break
-    s_op, m = modular_data(h)
+    m = modular_data(h)
     s_ref, j_ref, d_ref = _real_modular(h)
+    s_op = real_antilinear(m.tomita_matrix())
     assert np.linalg.norm(s_op - s_ref, 2) < 1e-10
-    assert np.linalg.norm(m.J - j_ref, 2) < 1e-10
-    assert np.linalg.norm(m.Delta - d_ref, 2) < 1e-10 * m.delta_norm
-    # exactly antilinear S and J, exactly complex-linear Delta
-    for op in (s_op, m.J):
-        a, b, c, d = _blocks(op)
-        assert np.array_equal(a, -d) and np.array_equal(b, c)
-    a, b, c, d = _blocks(m.Delta)
-    assert np.array_equal(a, d) and np.array_equal(b, -c)
+    assert np.linalg.norm(real_antilinear(m.jc) - j_ref, 2) < 1e-10
+    assert (np.linalg.norm(real_linear(m.power(1.0)) - d_ref, 2)
+            < 1e-10 * m.delta_norm)
 
 
 @PROPERTY
@@ -1095,9 +1039,7 @@ def test_operator_algebra_matches_the_real_form(n, seed, kinds):
             for _ in range(2))
 
     def real(c, kind):
-        if kind == "linear":
-            return sp.realify_linear(c)
-        return sp.realify_antilinear(c)
+        return (real_linear if kind == "linear" else real_antilinear)(c)
 
     ka, kb = kinds
     ra, rb = real(a, ka), real(b, kb)
@@ -1107,7 +1049,7 @@ def test_operator_algebra_matches_the_real_form(n, seed, kinds):
     # xi -> a^T conj(xi) of an antilinear one
     transpose = a.conj().T if ka == "linear" else a.T
     # U = a linear: U X U^T - X is (a b) a* - b or (a b) a^T - b
-    ru = sp.realify_linear(a)
+    ru = real_linear(a)
     moved = (a @ b) @ (a.conj().T if kb == "linear" else a.T) - b
     want = ru @ rb @ ru.T - rb
     for got, ref in (
@@ -1127,17 +1069,18 @@ def test_symmetry_check_keeps_every_part_of_u(n, seed, kind):
     rng = np.random.default_rng(seed)
     sp = ComplexSpace(n)
     h = random_standard(rng, sp)
-    s_op, m = modular_data(h)
+    m = modular_data(h)
     t = rng.uniform(-2.0, 2.0)
     # e^{i f(log Delta)} with f odd commutes with J and Delta, so it
     # preserves H; f(x) = t x gives the modular flow
     phase = t * m.log_delta if kind == "flow" else t * m.log_delta ** 3
     u = (m.vecs * np.exp(1j * phase)) @ m.vecs.conj().T
     rep = symmetry_commutation_check(h, u)
-    ru = sp.realify_linear(u)
-    for got, x, scale in ((rep.s_residual, s_op, 1.0),
-                          (rep.delta_residual, m.Delta, m.delta_norm),
-                          (rep.j_residual, m.J, 1.0)):
+    ru = real_linear(u)
+    for got, x, scale in (
+            (rep.s_residual, real_antilinear(m.tomita_matrix()), 1.0),
+            (rep.delta_residual, real_linear(m.power(1.0)), m.delta_norm),
+            (rep.j_residual, real_antilinear(m.jc), 1.0)):
         want = np.linalg.norm(ru @ x @ ru.T - x, 2) / scale
         assert abs(got - want) < 1e-12 * max(1.0, want)
     assert rep.max_residual < 1e-8
@@ -1153,7 +1096,7 @@ def test_symmetry_commutation_trivial_and_modular():
     h = random_standard(rng, ComplexSpace(3))
     rep = symmetry_commutation_check(h, np.eye(3))
     assert rep.max_residual < 1e-12
-    _, m = modular_data(h)
+    m = modular_data(h)
     rep = symmetry_commutation_check(h, m.power(0.8j))
     assert rep.max_residual < 1e-8
 
@@ -1174,16 +1117,15 @@ def test_symmetry_commutation_rejects_moving_unitary():
 
 
 def _direct_sum_basis(rng, tiles, r, k, slots, columns):
-    """Real-form basis of a direct sum of ``tiles`` random k-dimensional
-    real subspaces of C^r, its slots and columns permuted."""
+    """The direct sum of ``tiles`` random k-dimensional real subspaces
+    of C^r, its slots and columns permuted."""
     n = tiles * r
     c = np.zeros((n, tiles * k), dtype=complex)
     for t in range(tiles):
         z = rng.normal(size=(k, r)) + 1j * rng.normal(size=(k, r))
-        part = make_subspace(list(z), ComplexSpace(r)).basis
-        c[t * r:(t + 1) * r, t * k:(t + 1) * k] = part[:r] + 1j * part[r:]
-    c = c[slots][:, columns]
-    return RealSubspace(ComplexSpace(n), np.vstack([c.real, c.imag]))
+        c[t * r:(t + 1) * r, t * k:(t + 1) * k] = make_subspace(
+            list(z), ComplexSpace(r)).complex_basis()
+    return RealSubspace.from_complex(ComplexSpace(n), c[slots][:, columns])
 
 
 def _dense_modular(h):
@@ -1234,7 +1176,7 @@ def test_tiled_primitives_give_the_dense_results(seed, tiles, r, data):
     g = _direct_sum_basis(rng, tiles, r, k, slots,
                           rng.permutation(tiles * k))
     assert _tile_count(h.basis, g.basis) >= 2
-    b = h.basis[:n] + 1j * h.basis[n:]
+    b = h.complex_basis()
     assert _tile_count(b) >= 2
 
     # singular values, standardness verdict and minimal angle
@@ -1261,18 +1203,18 @@ def test_tiled_primitives_give_the_dense_results(seed, tiles, r, data):
     # log Delta, J and S when H is standard
     if rep.standard:
         lam, _, jc, sc, flow = _dense_modular(h)
-        s_op, md = modular_data(h)
+        md = modular_data(h)
         scale = max(1.0, np.max(np.abs(lam)))
         assert_allclose(md.log_delta, lam, atol=1e-12 * scale)
         assert_allclose(md.power(0.3j), flow, atol=1e-12 * scale)
         assert_allclose(md.jc, jc, atol=1e-12)
-        assert_allclose(s_op, h.parent.realify_antilinear(sc),
+        assert_allclose(md.tomita_matrix(), sc,
                         atol=1e-12 * np.exp(scale / 2))
 
     # the complement projector
     comp = symplectic_complement(g)
-    q = np.linalg.qr(g.parent.J_i @ g.basis, mode="complete")[0][:, k * tiles:]
-    assert_allclose(comp.projector(), q @ q.T, atol=1e-12)
+    q = np.linalg.qr(times_i(n) @ g.basis, mode="complete")[0][:, k * tiles:]
+    assert_allclose(_projector(comp), q @ q.T, atol=1e-12)
 
     # the spectral norm, rows and columns permuted independently
     x = np.zeros((n, 2 * n), dtype=complex)
@@ -1317,19 +1259,18 @@ def test_one_tile_primitives_are_the_plain_numpy_calls():
         sines, v = principal_angles(b_h, b_g)
         assert np.array_equal(sines, s[..., ::-1])
         assert np.array_equal(v, vt[..., ::-1, :].swapaxes(-1, -2))
-        q = np.linalg.qr(parent.J_i @ b_g, mode="complete")[0]
+        q = np.linalg.qr(times_i(n) @ b_g, mode="complete")[0]
         assert np.array_equal(symplectic_complement(g).basis, q[..., 4:])
 
     for h in standard:
-        lam, u, jc, sc, _ = _dense_modular(h)
-        s_op, md = modular_data(h)
+        lam, u, jc, _, _ = _dense_modular(h)
+        md = modular_data(h)
         order = np.argsort(lam, axis=-1, kind="stable")
         assert np.array_equal(md.log_delta,
                               np.take_along_axis(lam, order, axis=-1))
         assert np.array_equal(
             md.vecs, np.take_along_axis(u, order[..., None, :], axis=-1))
         assert np.array_equal(md.jc, jc)
-        assert np.array_equal(s_op, h.parent.realify_antilinear(sc))
 
 
 def test_what_is_not_an_equal_tiling_is_one_tile():
