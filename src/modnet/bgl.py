@@ -185,18 +185,6 @@ def _block_diag(blocks):
                                   for b, off in zip(blocks, offsets)]))
 
 
-def _translate(sub, phases):
-    """Image of a real subspace under the diagonal unitary diag(phases).
-
-    A unitary keeps the real basis orthonormal, so no QR is needed; by
-    uniqueness of the sign-normalised QR in :func:`_eigenpair_fix` the
-    image is the eigenpair basis of the translated block, up to
-    round-off.
-    """
-    return stdspace.RealSubspace.from_complex(
-        sub.parent, phases[:, None] * sub.complex_basis())
-
-
 # ---------------------------------------------------------------------------
 # window-free eigenpair subspaces
 # ---------------------------------------------------------------------------
@@ -229,8 +217,7 @@ def _eigenpair_fix(parent, kap, cols, pair_of):
     out[:, paired, 1] = v2 / np.linalg.norm(v2, axis=0)
     keep = np.stack([np.ones_like(paired), paired], axis=1).ravel()
     out = out.reshape(parent.n, -1)[:, keep]
-    return stdspace.RealSubspace(
-        parent, stdspace.qr_basis(np.vstack([out.real, out.imag])))
+    return stdspace.RealSubspace.orthonormalised(parent, out)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +361,7 @@ class NetModel:
         if any(apex):
             origin = self.wedge_subspace(
                 region.translate((-apex[0], -apex[1])))
-            sub = _translate(origin,
-                             reps.translation_phases(self.factors, *apex))
+            sub = origin.phased(reps.translation_phases(self.factors, *apex))
         else:
             sub = self.wedge_block(region).subspace(self.parent)
         with self._lock:
@@ -846,10 +832,10 @@ def _cone_duals(mass, grid, count, spacing):
         shape = spacetime.wedge_corner(
             w_l.translate((-corner[0], -corner[1])))
         if shape not in shape_duals:
-            shape_duals[shape] = stdspace.intersect([origin_r, _translate(
-                origin_l, reps.translation_phases(factors, *shape))])
-        yield _translate(shape_duals[shape],
-                         reps.translation_phases(factors, *corner))
+            shape_duals[shape] = stdspace.intersect([origin_r, origin_l.phased(
+                reps.translation_phases(factors, *shape))])
+        yield shape_duals[shape].phased(
+            reps.translation_phases(factors, *corner))
 
 
 def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,

@@ -265,8 +265,7 @@ def _int(value, key, minimum=None):
     A count takes a ``minimum``: below it a battery would run over no
     samples and pass vacuously, or the runner would crash.
     """
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer()):
+    if not _float(value, key).is_integer():
         raise ConfigError(f"config key {key!r} must be an integer, "
                           f"got {value!r}")
     if minimum is not None and value < minimum:

@@ -35,7 +35,10 @@ concatenated and sorted before any threshold reads them, vectors, V
 and J are embedded block-diagonally, and a norm is the largest tile
 norm.  An operand without at least two tiles of one shape, a stack
 among them, is one tile through the same body: a view of the whole
-array, whose results need no merge.  The zero pattern alone decides.
+array, whose results need no merge.  Subspaces and modular data keep
+their tiling: handed in by the producer that builds a subspace from
+tiles (refused unless its tiles hold every nonzero of the basis), else
+read once by :func:`_tiles`, the one rule for raw operators.
 """
 
 from __future__ import annotations
@@ -123,24 +126,27 @@ class RealSubspace:
     of the complex n x k matrix B whose columns span H over the reals.
     A basis of shape (..., 2n, k) holds a stack of k-dimensional
     subspaces; ``transform`` and the module's primitives act on each.
+    A producer that built b from tiles hands in their ``tiling``, whose
+    tiles must hold every nonzero of b.
     """
 
-    __slots__ = ("parent", "basis")
+    __slots__ = ("parent", "basis", "_tiling")
 
-    def __init__(self, parent, basis):
+    def __init__(self, parent, basis, tiling=None):
         b = np.asarray(basis, dtype=float)
         if b.ndim < 2 or b.shape[-2] != parent.real_dim:
             raise ValueError("basis must be a (2n x k) matrix or a stack")
-        if b.shape[-1] > parent.real_dim:
-            raise ValueError("more basis columns than the real dimension")
-        if b.shape[-1]:
-            gram = _T(b) @ b
-            # "not <=" refuses a NaN error too
-            if not np.max(np.abs(gram - np.eye(b.shape[-1]))) <= INVARIANT_TOL:
-                raise ValueError("basis columns are not orthonormal")
-        self.parent = parent
-        self.basis = b
-        self.basis.setflags(write=False)
+        self.parent, self.basis = parent, b
+        self._tiling = tiling if b.shape[-1] else None
+        stack = b[..., None, :, :] if self._tiling is None else self._stack()
+        if stack.shape[-3] > 1 and (np.count_nonzero(stack)
+                                    != np.count_nonzero(b)):
+            raise ValueError("basis has a nonzero outside its tiles")
+        # orthonormal tile by tile; "not <=" refuses a NaN error too
+        gram = _T(stack) @ stack - np.eye(stack.shape[-1])
+        if not np.max(np.abs(gram), initial=0.0) <= INVARIANT_TOL:
+            raise ValueError("basis columns are not orthonormal")
+        b.setflags(write=False)
 
     @classmethod
     def from_complex(cls, parent, c):
@@ -148,6 +154,16 @@ class RealSubspace:
         of each of a stack), whose real form must be orthonormal."""
         c = np.asarray(c, dtype=complex)
         return cls(parent, np.concatenate([c.real, c.imag], axis=-2))
+
+    @classmethod
+    def orthonormalised(cls, parent, c):
+        """The real span of the complex n x k columns c, of real rank k,
+        by :func:`qr_basis` of the real form of each tile of c."""
+        rows, (cols,), (stack,) = _tiles(np.asarray(c, dtype=complex))
+        q = qr_basis(np.concatenate([stack.real, stack.imag], axis=-2))
+        return cls(parent, _scatter(q, _doubled(rows, parent.n), cols,
+                                    (parent.real_dim, cols.size)),
+                   (rows, cols))
 
     @classmethod
     def zero(cls, parent):
@@ -161,6 +177,20 @@ class RealSubspace:
     def dim(self):
         return self.basis.shape[-1]
 
+    @property
+    def tiling(self):
+        """(slots (T, n / T), columns of B (T, k / T)) of each tile: as
+        handed in, else read once from B by :func:`_tiles`."""
+        if self._tiling is None:
+            rows, (cols,), _ = _tiles(self.complex_basis())
+            self._tiling = rows, cols
+        return self._tiling
+
+    def _stack(self):
+        """The tiles of b, on the rows of Re and Im of their slots."""
+        rows, cols = self.tiling
+        return _gather(self.basis, _doubled(rows, self.parent.n), cols)
+
     def complex_basis(self):
         """B = b[:n] + i b[n:]: H is the real span of the columns of B."""
         n = self.parent.n
@@ -172,6 +202,18 @@ class RealSubspace:
         basis u B is taken as it is, so the constructor's Gram check
         refuses an operator that is not unitary."""
         return RealSubspace.from_complex(self.parent, u @ self.complex_basis())
+
+    def phased(self, phases):
+        """Image under the diagonal unitary diag(phases), every |phase|
+        = 1: an orthonormal basis, tiled as this one, needs no check."""
+        if not np.max(np.abs(np.abs(phases) - 1.0)) <= INVARIANT_TOL:
+            raise ValueError("phases must have modulus 1")
+        c = np.asarray(phases)[:, None] * self.complex_basis()
+        moved = object.__new__(RealSubspace)
+        moved.parent, moved._tiling = self.parent, self._tiling
+        moved.basis = np.concatenate([c.real, c.imag], axis=-2)
+        moved.basis.setflags(write=False)
+        return moved
 
     def __repr__(self):
         return f"RealSubspace(dim={self.dim} of R^{self.parent.real_dim})"
@@ -268,7 +310,7 @@ def _decoupled(ops, square):
         cols.append(np.argsort(own, kind="stable").reshape(count, -1))
         if i in square and not np.array_equal(cols[-1], rows):
             return None
-        stacks.append(a[rows[:, :, None], cols[-1][:, None, :]])
+        stacks.append(_gather(a, rows, cols[-1]))
     return rows, cols, stacks
 
 
@@ -289,9 +331,21 @@ def _least_labels(count, u, v):
         label = new
 
 
-# The merges below take per-tile results back to the operand's indices.
-# One tile is its own result: it is returned as a view, never sorted,
-# gathered or copied.
+def _doubled(slots, n):
+    """The rows of [Re; Im] of the slots of each tile."""
+    return np.hstack([slots, slots + n])
+
+
+# The gather and the merges below take an operand to its tiles and
+# per-tile results back to the operand's indices.  One tile is its own
+# result: it is returned as a view, never sorted, gathered or copied.
+
+
+def _gather(a, rows, cols):
+    """The stack holding tile t of ``a`` at (rows[t], cols[t])."""
+    if rows.shape[0] == 1:
+        return a[..., None, :, :]
+    return a[rows[:, :, None], cols[:, None, :]]
 
 
 def _scatter(stack, rows, cols, shape):
@@ -320,17 +374,6 @@ def _descending(s):
     return np.sort(s, axis=None)[::-1]
 
 
-def _ascending(sines, v, cols):
-    """The tiles' ascending sines and their vectors v at the columns
-    ``cols``, sorted together: each tile's block of v sits on its own
-    columns, and the columns follow the sines."""
-    if sines.shape[-2] == 1:
-        return sines[..., 0, :], v[..., 0, :, :]
-    placed = _placed(sines, cols)
-    order = np.argsort(placed, kind="stable")
-    return placed[order], _scatter(v, cols, cols, (cols.size,) * 2)[:, order]
-
-
 def _singular_values(a):
     """Descending singular values of a matrix or of a stack."""
     return _descending(np.linalg.svd(_tiles(a)[2][0], compute_uv=False))
@@ -342,13 +385,11 @@ def spectral_norm(x):
 
 
 def qr_basis(a):
-    """Q of the reduced QR of a full-rank a, its columns signed so that
-    R has a positive diagonal: the one such orthonormal basis of the
-    leading spans of a.  Each tile's Q takes that tile's place."""
-    rows, (cols,), (stack,) = _tiles(a)
-    q, r = np.linalg.qr(stack)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    return _scatter(q * signs[..., None, :], rows, cols, a.shape)
+    """Q of the reduced QR of a full-rank a (or of each of a stack), its
+    columns signed so that R has a positive diagonal: the one such
+    orthonormal basis of the leading spans of a."""
+    q, r = np.linalg.qr(a)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
 def _orthonormal_basis(columns, parent):
@@ -390,9 +431,8 @@ def principal_angles(a, b):
     unit vector of span(b) at angle ``arcsin(sines[j])`` to span(a).
     Stacks of bases (..., d, k) give stacks of sines and vectors.
     """
-    _, (_, cols), (a, b) = _tiles(a, b)
     _, s, vt = np.linalg.svd(b - a @ (_T(a) @ b), full_matrices=False)
-    return _ascending(s[..., ::-1], _T(vt[..., ::-1, :]), cols)
+    return s[..., ::-1], _T(vt[..., ::-1, :])
 
 
 def _largest_sine(a, b):
@@ -404,7 +444,7 @@ def _largest_sine(a, b):
 
 def containment_gap(big, small):
     """Largest sine of small against big: ||(1 - P_big) B_small||."""
-    return _largest_sine(*_tiles(big.basis, small.basis)[2])
+    return _largest_sine(*_joint(big, small)[1])
 
 
 def subspace_distance(h1, h2):
@@ -414,7 +454,7 @@ def subspace_distance(h1, h2):
     on the thin bases and never forms a projector; the pair is tiled
     once for both.
     """
-    _, _, (b1, b2) = _tiles(h1.basis, h2.basis)
+    _, (b1, b2) = _joint(h1, h2)
     return np.maximum(_largest_sine(b2, b1), _largest_sine(b1, b2))
 
 
@@ -429,12 +469,14 @@ def symplectic_complement(h):
     """H' = {xi : Im<xi, eta> = 0 for all eta in H} = (i H)^perp: the
     trailing 2n - k columns of one complete QR of i b, which is
     orthonormal and so has rank exactly k = dim H; of each tile of i b,
-    on that tile's rows."""
-    rows, (cols,), (stack,) = _tiles(_times_i(h.basis, h.parent.n))
-    q = np.linalg.qr(stack, mode="complete")[0][..., cols.shape[1]:]
+    on that tile's rows, and H' keeps the tiling of H."""
+    rows, cols = h.tiling
+    q = np.linalg.qr(_times_i(h._stack(), rows.shape[1]),
+                     mode="complete")[0][..., cols.shape[1]:]
     slots = np.arange(q.shape[-3] * q.shape[-1]).reshape(q.shape[-3], -1)
     return RealSubspace(h.parent, _scatter(
-        q, rows, slots, (h.parent.real_dim, slots.size)))
+        q, _doubled(rows, h.parent.n), slots,
+        (h.parent.real_dim, slots.size)), (rows, slots))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -476,7 +518,8 @@ def standardness(h):
     alike; for k > n, B has a kernel and the angle is 0.  A tiled B
     gives its tiles' singular values together.
     """
-    return _standardness_of(_singular_values(h.complex_basis()), h)
+    s = np.linalg.svd(_gather(h.complex_basis(), *h.tiling), compute_uv=False)
+    return _standardness_of(_descending(s), h)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +549,7 @@ class ModularData:
     properties and methods return stacks.
     """
 
-    __slots__ = ("parent", "vecs", "log_delta", "jc")
+    __slots__ = ("parent", "vecs", "log_delta", "jc", "_tiling")
 
     def __init__(self, parent, vecs, log_delta, jc, atol=INVARIANT_TOL):
         vecs = np.asarray(vecs, dtype=complex)
@@ -522,7 +565,7 @@ class ModularData:
         vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
         lam = np.take_along_axis(lam, order, axis=-1)
         # validated tile by tile, as one stack
-        _, (cols, _), (v, j) = _tiles(vecs, jc, square=(1,))
+        rows, (cols, _), (v, j) = _tiles(vecs, jc, square=(1,))
         lt = lam[..., cols]
         eye = np.eye(v.shape[-1])
         vh = _T(v.conj())
@@ -546,16 +589,19 @@ class ModularData:
         self.vecs = vecs
         self.log_delta = lam
         self.jc = jc
+        self._tiling = rows, cols
 
     @property
     def delta_norm(self):
         return np.exp(self.log_delta[..., -1])
 
     def power(self, z):
-        """Delta^z = V diag(e^{z log Delta}) V* as a complex n x n matrix;
-        z = i t gives the modular unitary Delta^{it}."""
-        scaled = self.vecs * np.exp(z * self.log_delta)[..., None, :]
-        return scaled @ _T(self.vecs.conj())
+        """Delta^z = V diag(e^{z log Delta}) V* as a complex n x n matrix,
+        tile by tile; z = i t gives the modular unitary Delta^{it}."""
+        rows, cols = self._tiling
+        v = _gather(self.vecs, rows, cols)
+        scaled = v * np.exp(z * self.log_delta[..., cols])[..., None, :]
+        return _scatter(scaled @ _T(v.conj()), rows, rows, self.jc.shape)
 
     def delta_it(self, t):
         """The modular unitary Delta^{it}, as a complex n x n matrix."""
@@ -564,8 +610,11 @@ class ModularData:
     def tomita_matrix(self):
         """Complex matrix jc conj(V) e^{log Delta / 2} V^T of S = J
         Delta^{1/2}: S xi = tomita_matrix() conj(xi)."""
-        half = self.vecs.conj() * np.exp(self.log_delta / 2.0)[..., None, :]
-        return self.jc @ half @ _T(self.vecs)
+        rows, cols = self._tiling
+        v = _gather(self.vecs, rows, cols)
+        half = v.conj() * np.exp(self.log_delta[..., cols] / 2.0)[..., None, :]
+        return _scatter(_gather(self.jc, rows, rows) @ half @ _T(v),
+                        rows, rows, self.jc.shape)
 
     def __repr__(self):
         return f"ModularData(parent={self.parent!r})"
@@ -589,8 +638,8 @@ def modular_data(h):
     reads their singular values sorted together, and V and J are
     embedded block by block.
     """
-    rows, _, (stack,) = _tiles(h.complex_basis())
-    u, s, wh = np.linalg.svd(stack)
+    rows, cols = h.tiling
+    u, s, wh = np.linalg.svd(_gather(h.complex_basis(), rows, cols))
     rep = _standardness_of(_descending(s), h)
     if not rep.cyclic.all():
         raise ValueError("subspace is not cyclic: H + iH does not span")
@@ -666,23 +715,26 @@ def intersect(subspaces, method="exact", max_iter=5000, tol=1e-9):
     T = b_m K b_1^T with K = (b_m^T b_{m-1}) ... (b_2^T b_1), as K <- K C K
     with C = b_1^T b_m; the isometries b_m, b_1 give K C K - K the norms of
     T^2 - T, and the intersection is b_m times the near-1 left singular
-    vectors of the limit K.  It shares no code with the exact method and
-    serves as its independent oracle.
+    vectors of the limit K.  Both run tile by tile on the family's joint
+    tiling, K as a stack whose stop rule reads all tiles; beyond that
+    checked split the oracle shares no code with the exact method.
     """
     parent = _common_parent(subspaces)
     if method == "exact":
-        basis = subspaces[0].basis
-        for h in subspaces[1:]:
-            sines, v = principal_angles(h.basis, basis)
-            basis = basis @ v[:, sines <= ANGLE_TOL]
-        return RealSubspace(parent, basis)
+        h = subspaces[0]
+        for g in subspaces[1:]:
+            rows, (a, b) = _joint(g, h)
+            sines, v = principal_angles(a, b)
+            h = _spanned(parent, rows, b, v, sines <= ANGLE_TOL)
+        return h
     if method != "halperin":
         raise ValueError(f"unknown method {method!r}")
-    first, last = subspaces[0].basis, subspaces[-1].basis
-    k = np.eye(first.shape[1])
-    for a, b in zip(subspaces, subspaces[1:]):
-        k = (b.basis.T @ a.basis) @ k
-    c = first.T @ last
+    rows, stacks = _joint(*subspaces)
+    first, last = stacks[0], stacks[-1]
+    k = np.eye(first.shape[-1])
+    for a, b in zip(stacks, stacks[1:]):
+        k = (_T(b) @ a) @ k
+    c = _T(first) @ last
     iters = 1
     step = None
     while iters <= max_iter:
@@ -690,18 +742,45 @@ def intersect(subspaces, method="exact", max_iter=5000, tol=1e-9):
         step = k2 - k
         k = k2
         iters *= 2
-        # converged when ||T^2 - T|| = ||step|| <= tol; the largest entry
-        # bounds the spectral norm from below and the Frobenius norm from
-        # above, so the SVD runs only when neither bound decides
+        # converged when ||T^2 - T||, the largest tile norm of step, is
+        # <= tol; the largest entry bounds it from below and the Frobenius
+        # norm from above, so the SVDs run only when neither bound decides
         if np.max(np.abs(step), initial=0.0) > tol:
             continue
-        if np.linalg.norm(step) <= tol or np.linalg.norm(step, 2) <= tol:
+        if (np.linalg.norm(step) <= tol
+                or max(np.linalg.norm(t, 2) for t in step) <= tol):
             break
     else:
-        residual = np.inf if step is None else float(np.linalg.norm(step, 2))
+        residual = (np.inf if step is None
+                    else float(max(np.linalg.norm(t, 2) for t in step)))
         raise HalperinNonConvergence(residual, iters)
     u, s, _ = np.linalg.svd(k, full_matrices=False)
-    return RealSubspace(parent, last @ u[:, s > 0.5])
+    return _spanned(parent, rows, last, u, s > 0.5)
+
+
+def _joint(*subspaces):
+    """The slots of each tile and the tiles of each basis: the kept
+    tilings if they agree, else :func:`_tiles` of the complex bases."""
+    rows = subspaces[0].tiling[0]
+    if all(np.array_equal(h.tiling[0], rows) for h in subspaces):
+        cols = [h.tiling[1] for h in subspaces]
+    else:
+        rows, cols, _ = _tiles(*(h.complex_basis() for h in subspaces))
+    real = _doubled(rows, subspaces[0].parent.n)
+    return rows, [_gather(h.basis, real, c) for h, c in zip(subspaces, cols)]
+
+
+def _spanned(parent, rows, stack, vecs, keep):
+    """The span of stack[t] @ vecs[t][:, keep[t]] on the slots rows[t],
+    tile after tile; tiled so when every tile keeps as many columns."""
+    parts = [x @ v[:, m] for x, v, m in zip(stack, vecs, keep)]
+    widths = [p.shape[1] for p in parts]
+    cols = np.split(np.arange(sum(widths)), np.cumsum(widths)[:-1])
+    out = np.zeros((parent.real_dim, sum(widths)))
+    for r, c, p in zip(_doubled(rows, parent.n), cols, parts):
+        out[r[:, None], c] = p
+    return RealSubspace(parent, out, (rows, np.array(cols))
+                        if len(set(widths)) == 1 else None)
 
 
 def sum_closure(subspaces):

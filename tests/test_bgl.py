@@ -437,7 +437,7 @@ def _cone_wedges(grid, count):
     (p_l, p_r), origin_r, origin_l = _study_geometry(grid)
     for al, bl, ar, br in bgl._dyadic_cones(count):
         yield tuple(
-            bgl._translate(origin, _phases(p_l, p_r, corner))
+            origin.phased(_phases(p_l, p_r, corner))
             for origin, corner in ((origin_r, (bl, ar)), (origin_l, (al, br))))
 
 
@@ -701,7 +701,7 @@ def test_scaled_ladder_decisions_are_a_decade_from_the_angle_tolerance():
     for grid, count in SCALED_LADDER:
         (p_l, p_r), origin_r, origin_l = _study_geometry(grid)
         for shape in _shapes(count):
-            w_l = bgl._translate(origin_l, _phases(p_l, p_r, shape))
+            w_l = origin_l.phased(_phases(p_l, p_r, shape))
             sines, _ = stdspace.principal_angles(w_l.basis, origin_r.basis)
             small = sines <= stdspace.ANGLE_TOL
             kept = max(kept, sines[small].max(initial=0.0))
@@ -742,7 +742,9 @@ def _scaled_duals_and_massive_data():
 
 
 def _tiling_off(monkeypatch):
-    """Make every operand one tile, as if none decoupled."""
+    """Make every operand one tile, as if none decoupled: every tiling
+    a subspace or its modular data keeps is read by ``_tiles`` or built
+    from a tiling it read."""
     monkeypatch.setattr(stdspace, "_decoupled", lambda ops, square: None)
 
 
@@ -773,8 +775,17 @@ def test_direct_sum_models_run_tiled_and_agree_with_the_dense_call(
     h_r, report = entries()
     n = h_r.parent.n
     assert stdspace._tiles(h_r.basis[:n] + 1j * h_r.basis[n:])[0].shape[0] > 1
+    derived = (h_r.tiling, stdspace.symplectic_complement(h_r).tiling,
+               stdspace.modular_data(h_r)._tiling)
+    assert all(rows.shape[0] > 1 for rows, _ in derived)
     _tiling_off(monkeypatch)
     dense_h, dense = entries()
+    # the kept tilings, the derived ones included, are off too: the
+    # dense call is compared with the tiled one, not with itself
+    derived = (dense_h.tiling, stdspace.symplectic_complement(dense_h).tiling,
+               stdspace.modular_data(dense_h)._tiling,
+               dense_h.phased(np.ones(n)).tiling)
+    assert all(rows.shape[0] == 1 for rows, _ in derived)
     assert stdspace.subspace_distance(h_r, dense_h) < 1e-12
     for name, entry in report.entries.items():
         assert entry.passed == dense[name].passed, name

@@ -658,6 +658,33 @@ def test_non_finite_and_non_positive_floats_are_config_errors(
     assert report is None
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("command, key", [
+    ("verify-mobius", "samples"),
+    ("verify-stdspace", "dim"),
+    ("verify-stdspace", "samples"),
+    ("bgl-axioms", "n"),
+    ("reconstruct-mobius", "n"),
+    ("break-bw", "n"),
+    ("spin-statistics", "pairs"),
+    ("trace-class", "n_terms"),
+    ("fock-checks", "modes"),
+    ("fock-checks", "order"),
+    ("fock-checks", "samples"),
+    ("halperin-bench", "dim"),
+    ("halperin-bench", "max_iter"),
+    ("halperin-bench", "pairs"),
+])
+def test_integers_beyond_the_doubles_are_config_errors(tmp_path, capsys,
+                                                       command, key, sign):
+    # an int key of 10^400 once met float() and exited 3 with an
+    # OverflowError; it is refused before any conversion, naming the key
+    code, report = _run(tmp_path, command, {key: sign * 10 ** 400})
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert f"config key '{key}' must" in capsys.readouterr().err
+    assert report is None
+
+
 def test_integral_floats_are_accepted(tmp_path):
     code, report = _run(tmp_path, "spin-statistics", {"pairs": 10.0})
     assert code == cli.EXIT_OK

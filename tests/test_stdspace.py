@@ -928,36 +928,63 @@ def test_complex_standardness_matches_the_real_form(n, seed, shape, data):
         assert not rep.cyclic
 
 
+def _halperin_family(rng, tiles, r, core, extras):
+    """Subspaces of C^(tiles r) that meet in ``core`` real dimensions
+    per tile: on each tile of r slots, the span of a shared core and of
+    ``extra`` random columns, orthonormalised; the tiles' slots are
+    permuted alike.  One tile is the span on the whole of C^r."""
+    n = tiles * r
+    slots = rng.permutation(n) if tiles > 1 else np.arange(n)
+    shared = [rng.normal(size=(2 * r, core)) for _ in range(tiles)]
+    family = []
+    for extra in extras:
+        k = core + extra
+        c = np.zeros((n, tiles * k), dtype=complex)
+        for t in range(tiles):
+            q = np.linalg.qr(np.hstack([shared[t],
+                                        rng.normal(size=(2 * r, extra))]))[0]
+            c[t * r:(t + 1) * r, t * k:(t + 1) * k] = q[:r] + 1j * q[r:]
+        family.append(RealSubspace.from_complex(ComplexSpace(n), c[slots]))
+    assert stdspace._joint(*family)[0].shape[0] == tiles
+    return family
+
+
 @PROPERTY
-@given(n=st.integers(2, 6), seed=SEEDS, data=st.data())
-def test_halperin_bounds_keep_the_spectral_decisions(n, seed, data):
-    d = 2 * n
+@given(r=st.integers(2, 6), seed=SEEDS, tiles=st.integers(1, 3),
+       data=st.data())
+def test_halperin_bounds_keep_the_spectral_decisions(r, seed, tiles, data):
+    # on one tile and on direct sums of 2 or 3 tiles, which run as a
+    # stack of tile iterates
+    d = 2 * r
     core = data.draw(st.integers(0, d - 3), label="core")
     extra_a = data.draw(st.integers(1, d - 2 - core), label="extra_a")
     extra_b = data.draw(st.integers(1, d - 1 - core - extra_a),
                         label="extra_b")
     rng = np.random.default_rng(seed)
-    sp = ComplexSpace(n)
-    shared = rng.normal(size=(d, core))
-    pair = [RealSubspace(sp, np.linalg.qr(
-        np.hstack([shared, rng.normal(size=(d, extra))]))[0])
-        for extra in (extra_a, extra_b)]
+    pair = _halperin_family(rng, tiles, r, core, (extra_a, extra_b))
     squarings, basis = _halperin_reference(pair)
     # the loop squares while 2^(squarings so far) <= max_iter
     got = intersect(pair, method="halperin", max_iter=2 ** (squarings - 1))
-    # the same iterates: the same singular vectors of the same limit K
-    assert np.array_equal(got.basis, basis)
-    assert got.dim == core
+    assert got.dim == tiles * core
+    if tiles == 1:
+        # the same iterates: the same singular vectors of the same limit K
+        assert np.array_equal(got.basis, basis)
+    else:
+        assert subspace_distance(
+            got, RealSubspace(got.parent, basis)) < 1e-12
     with pytest.raises(HalperinNonConvergence):
         intersect(pair, method="halperin", max_iter=2 ** (squarings - 1) - 1)
 
 
 @PROPERTY
-@given(n=st.integers(2, 6), seed=SEEDS, members=st.sampled_from([2, 3]),
-       data=st.data())
-def test_compressed_halperin_matches_the_dense_cyclic_product(n, seed,
-                                                              members, data):
-    d = 2 * n
+@given(r=st.integers(2, 6), seed=SEEDS, members=st.sampled_from([2, 3]),
+       tiles=st.integers(1, 3), data=st.data())
+def test_compressed_halperin_matches_the_dense_cyclic_product(r, seed,
+                                                              members, tiles,
+                                                              data):
+    # the tiled iterates of a direct sum stop where the dense product of
+    # the projections on the whole space stops
+    d = 2 * r
     core = data.draw(st.integers(0, d - 3), label="core")
     extra_a = data.draw(st.integers(1, d - 2 - core), label="extra_a")
     extra_b = data.draw(st.integers(1, d - 1 - core - extra_a),
@@ -967,17 +994,13 @@ def test_compressed_halperin_matches_the_dense_cyclic_product(n, seed,
         extras.append(data.draw(st.integers(1, d - 1 - core),
                                 label="extra_c"))
     rng = np.random.default_rng(seed)
-    sp = ComplexSpace(n)
-    shared = rng.normal(size=(d, core))
-    family = [RealSubspace(sp, np.linalg.qr(
-        np.hstack([shared, rng.normal(size=(d, extra))]))[0])
-        for extra in extras]
+    family = _halperin_family(rng, tiles, r, core, extras)
     residuals, basis = _dense_halperin(family)
     squarings = len(residuals)
     # the same squaring count: converged within 2^(squarings - 1) ...
     got = intersect(family, method="halperin", max_iter=2 ** (squarings - 1))
-    assert got.dim == basis.shape[1] == core
-    assert subspace_distance(got, RealSubspace(sp, basis)) < 1e-12
+    assert got.dim == basis.shape[1] == tiles * core
+    assert subspace_distance(got, RealSubspace(got.parent, basis)) < 1e-12
     # ... and not one squaring earlier
     with pytest.raises(HalperinNonConvergence) as err:
         intersect(family, method="halperin",
@@ -1334,3 +1357,73 @@ def test_a_slot_to_slot_operator_is_tiled_alike_on_rows_and_columns():
     v = np.kron(np.eye(2), np.ones((2, 2)))
     _assert_one_tile(v, x, square=(1,))
     assert _tile_count(v, v, square=(1,)) == 2
+
+
+def test_a_handed_tiling_must_hold_every_nonzero():
+    rng = np.random.default_rng(3)
+    n = 6
+    h = _direct_sum_basis(rng, 3, 2, 2, rng.permutation(n),
+                          rng.permutation(n))
+    rows, cols = h.tiling
+    assert rows.shape == cols.shape == (3, 2)
+    assert RealSubspace(h.parent, h.basis, h.tiling).dim == n
+    # one nonzero off every tile: the real row of a slot of tile 1 in a
+    # column of tile 0.  The Gram check of each tile cannot see it, and
+    # the whole basis stays orthonormal within tolerance, so only the
+    # count of nonzeros refuses the tiling
+    planted = h.basis.copy()
+    planted[rows[1, 0], cols[0, 0]] = 1e-12
+    with pytest.raises(ValueError, match="nonzero outside its tiles"):
+        RealSubspace(h.parent, planted, h.tiling)
+    assert RealSubspace(h.parent, planted).dim == n
+
+
+def test_producers_hand_their_tiling_to_the_subspaces_they_build():
+    rng = np.random.default_rng(4)
+    n, tiles = 6, 3
+    h = _direct_sum_basis(rng, tiles, 2, 2, rng.permutation(n),
+                          rng.permutation(n))
+    rows = h.tiling[0]
+    # the real-orthonormalised span of complex columns: qr_basis on the
+    # real form of each tile of the columns, so the span of a tiled
+    # orthonormal basis, tiled as that basis
+    spanned = RealSubspace.orthonormalised(h.parent, h.complex_basis())
+    assert subspace_distance(spanned, h) < 1e-12
+    assert np.array_equal(spanned.tiling[0], rows)
+    # the complement keeps the slots of each tile
+    assert np.array_equal(symplectic_complement(h).tiling[0], rows)
+    # a phase move keeps the tiling itself and needs unit phases
+    phases = np.exp(1j * rng.normal(size=n))
+    moved = h.phased(phases)
+    assert moved.tiling is h.tiling
+    assert np.array_equal(moved.basis, RealSubspace.from_complex(
+        h.parent, phases[:, None] * h.complex_basis()).basis)
+    assert subspace_distance(moved, h.transform(np.diag(phases))) < 1e-14
+    for bad in (1.01 * phases, np.where(np.arange(n) == 2, np.nan, phases)):
+        with pytest.raises(ValueError, match="modulus 1"):
+            h.phased(bad)
+
+
+def test_tiles_of_unequal_intersection_dimension_merge_untiled():
+    # two tiles that meet in 2 and in 0 real dimensions: the tiles keep
+    # unequal numbers of columns, so the intersection is placed tile by
+    # tile and keeps no tiling of its own
+    rng = np.random.default_rng(6)
+    r = 3
+    parent = ComplexSpace(2 * r)
+    shared = rng.normal(size=(2 * r, 2))
+    family = []
+    for _ in range(2):
+        c = np.zeros((2 * r, 6), dtype=complex)
+        for t, core in enumerate((shared, shared[:, :0])):
+            extra = rng.normal(size=(2 * r, 3 - core.shape[1]))
+            q = np.linalg.qr(np.hstack([core, extra]))[0]
+            c[t * r:(t + 1) * r, 3 * t:3 * (t + 1)] = q[:r] + 1j * q[r:]
+        family.append(RealSubspace.from_complex(parent, c))
+    assert stdspace._joint(*family)[0].shape[0] == 2
+    exact = intersect(family)
+    halperin = intersect(family, method="halperin", max_iter=1 << 20)
+    assert exact.dim == halperin.dim == 2
+    assert subspace_distance(exact, halperin) < 1e-8
+    assert np.all(exact.basis[np.r_[r:2 * r, 3 * r:4 * r]] == 0.0)
+    assert exact.tiling[0].shape[0] == 1
