@@ -6,9 +6,11 @@ writes a JSON report (plus CSV tables for the studies) to the output
 directory.  Exit status: 0 all checks passed, 1 check failures, 2
 configuration errors, 3 internal errors.
 
-Reports are deterministic: two runs with the same config and seed
-produce byte-identical JSON apart from the ``timestamp`` field, which
-carries the completion time and wall-clock duration.
+Reports are deterministic on the same machine, BLAS build and BLAS
+thread count: two runs with the same config and seed there produce
+byte-identical JSON apart from the ``timestamp`` field, which carries
+the completion time and wall-clock duration.  A different BLAS build or
+thread count may move the last digits of a residual.
 """
 
 import argparse
@@ -32,6 +34,7 @@ from . import mobius
 from . import reps
 from . import spacetime
 from . import stdspace
+from .bgl import Measurement
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -44,17 +47,6 @@ DEFAULT_OUT_DIR = "modnet-out"
 
 class ConfigError(ValueError):
     """Raised when a run configuration cannot be parsed or validated."""
-
-
-@dataclasses.dataclass(frozen=True)
-class CheckResult:
-    """One named check: measured residual against a cited budget."""
-
-    name: str
-    residual: float
-    budget: float
-    formula: str
-    passed: bool
 
 
 def _sci(x):
@@ -71,8 +63,9 @@ _AXIOM_FORMULA = (
 # every check a command may emit, in report order, as name -> (base
 # budget, formula text); docs/checks.md documents each one.  A numeric
 # base gives the budget base * budget_scale and the formula
-# "<text> <= <base> * budget_scale".  With None the runner computes the
-# budget and returns it; the text is then the whole formula, filled in
+# "<text> <= <base> * budget_scale", and the runner's Measurement then
+# carries no budget.  With None the runner computes the budget and puts
+# it in the Measurement; the text is then the whole formula, filled in
 # with that {budget}.
 CHECKS = {
     "verify-mobius": {
@@ -313,11 +306,11 @@ def _resolve_out_dir(arg):
 
 # ---------------------------------------------------------------------------
 # command runners: each takes (config, seed, budget scale) and returns
-# (results, tables).  results maps a check name to its residual, or to
-# (residual, budget) for a row of CHECKS without a base budget; tables
-# maps a table name to (fieldnames, rows).  A runner that draws builds
-# its generator from the seed, so a command that draws nothing never
-# loads numpy.random
+# (results, tables).  results maps a check name of the command's CHECKS
+# rows to its Measurement, which carries a budget exactly when the row
+# has no base budget; tables maps a table name to (fieldnames, rows).
+# A runner that draws builds its generator from the seed, so a command
+# that draws nothing never loads numpy.random
 # ---------------------------------------------------------------------------
 
 
@@ -374,8 +367,9 @@ def _run_verify_mobius(cfg, seed, scale):
         np.max(np.minimum(np.max(np.abs(kan - base), axis=(-2, -1)),
                           np.max(np.abs(kan + base), axis=(-2, -1)))))
 
-    return {"mobius-commutation": worst_comm, "mobius-group-law": worst_law,
-            "mobius-cover-consistency": worst_cover}, {}
+    return {"mobius-commutation": Measurement(worst_comm),
+            "mobius-group-law": Measurement(worst_law),
+            "mobius-cover-consistency": Measurement(worst_cover)}, {}
 
 
 #: smallest angle between H and iH of a verify-stdspace sample; the
@@ -457,7 +451,7 @@ def _run_verify_stdspace(cfg, seed, scale):
         "stdspace-double-dual": distance(
             stdspace.symplectic_complement(dual), h),
     }
-    return {name: np.max(v) for name, v in values.items()}, {}
+    return {name: Measurement(np.max(v)) for name, v in values.items()}, {}
 
 
 def _build_model(cfg):
@@ -492,18 +486,8 @@ def _build_model(cfg):
 
 
 def _run_bgl_axioms(cfg, seed, scale):
-    net = _build_model(cfg)
-    report = bgl.axioms_report(net, tol=bgl.BLOCK_TOL * scale)
-    results = {}
-    rows = []
-    for name, entry in report.entries.items():
-        slug = name.lower().replace(" ", "-")
-        residual, budget = float(entry.residual), float(entry.tol)
-        results[slug] = (residual, budget)
-        rows.append({"check": slug, "residual": residual, "budget": budget,
-                     "passed": entry.passed})
-    return results, {"entries": (("check", "residual", "budget", "passed"),
-                                 rows)}
+    return bgl.axioms_report(_build_model(cfg),
+                             tol=bgl.BLOCK_TOL * scale), {}
 
 
 def _grid_times(net, t_values):
@@ -525,10 +509,11 @@ def _run_reconstruct_mobius(cfg, seed, scale):
         raise ConfigError(f"invalid reconstruction parameters: {exc}") from exc
     report = bgl.reconstruct_ur(net, t_values=t_values)
     results = {
-        "reconstruction-identity": report.max_identity,
-        "reconstruction-commutator": report.max_commutator,
-        "reconstruction-left-cancellation": max(report.left_cancellation),
-        "reconstruction-at-zero": report.identity_at_zero,
+        "reconstruction-identity": Measurement(report.max_identity),
+        "reconstruction-commutator": Measurement(report.max_commutator),
+        "reconstruction-left-cancellation": Measurement(
+            max(report.left_cancellation)),
+        "reconstruction-at-zero": Measurement(report.identity_at_zero),
     }
     rows = [{"t": t, "identity_residual": a, "commutator_residual": b,
              "left_cancellation": c}
@@ -551,10 +536,10 @@ def _run_break_bw(cfg, seed, scale):
         raise ConfigError(f"invalid counterexample parameters: {exc}") from exc
     report = bgl.counterexample_bw(net, t_values=t_values)
     results = {
-        "counterexample-formula": report.max_formula_residual,
-        "counterexample-wedge-roundtrip": (report.wedge_roundtrip,
-                                           net.epsilon * scale),
-        "counterexample-gauge-invariance": report.gauge_residual,
+        "counterexample-formula": Measurement(report.max_formula_residual),
+        "counterexample-wedge-roundtrip": Measurement(report.wedge_roundtrip,
+                                                      net.epsilon * scale),
+        "counterexample-gauge-invariance": Measurement(report.gauge_residual),
     }
     rows = [{"t": t, "deviation": d, "predicted": p}
             for t, d, p in zip(report.t_values, report.deviations,
@@ -581,9 +566,9 @@ def _run_lightcone_defect(cfg, seed, scale):
     study = bgl.lightcone_separating_study(
         masses=masses, ladder=ladder, spacing=spacing, frozen=frozen)
     results = {
-        "cone-defect-monotone": study.max_rise,
-        "cone-defect-below-frozen": (study.finest_defect,
-                                     study.frozen_value),
+        "cone-defect-monotone": Measurement(study.max_rise),
+        "cone-defect-below-frozen": Measurement(study.finest_defect,
+                                                study.frozen_value),
     }
     rows = [dataclasses.asdict(row) for row in study.rows]
     fields = ("mass", "grid", "cones", "sum_dim", "defect")
@@ -600,8 +585,8 @@ def _run_spin_statistics(cfg, seed, scale):
     ok_good, worst_good = bgl.spin_statistics_spectrum_check(good)
     ok_bad, worst_bad = bgl.spin_statistics_spectrum_check(bad)
     violation = abs(worst_bad - 0.5) + (1.0 if ok_bad else 0.0)
-    return {"spin-statistics-integer": worst_good,
-            "spin-statistics-violation-detected": violation}, {}
+    return {"spin-statistics-integer": Measurement(worst_good),
+            "spin-statistics-violation-detected": Measurement(violation)}, {}
 
 
 def _run_trace_class(cfg, seed, scale):
@@ -622,8 +607,8 @@ def _run_trace_class(cfg, seed, scale):
     _, closed_ln2, _, _ = bgl.trace_class_partition(
         math.log(2.0), n_terms=n_terms)
     results = {
-        "trace-class-truncation": worst_rel,
-        "trace-class-selfdual-value": (abs(closed_ln2 - 1.0), 0.0),
+        "trace-class-truncation": Measurement(worst_rel),
+        "trace-class-selfdual-value": Measurement(abs(closed_ln2 - 1.0), 0.0),
     }
     fields = ("beta", "value", "closed_form", "abs_diff", "tail_bound",
               "relative_error")
@@ -696,15 +681,16 @@ def _run_fock_checks(cfg, seed, scale):
         spacetime.Region.wedge_left((0.0, 0.0)))
 
     return {
-        "weyl-reduction-consistency": worst_word,
-        "weyl-gram-positivity": (max(0.0, -float(eig.min())),
-                                 gram_tail * scale + 1e-12),
-        "exponential-overlap": (worst_overlap,
-                                overlap_budget * scale + 1e-10),
-        "second-quantization-exponential": worst_gamma,
-        "second-quantization-functorial": worst_funct,
-        "tomita-lift-consistency": (tomita_residual, tomita_budget),
-        "weyl-locality": locality.max_form,
+        "weyl-reduction-consistency": Measurement(worst_word),
+        "weyl-gram-positivity": Measurement(max(0.0, -float(eig.min())),
+                                            gram_tail * scale + 1e-12),
+        "exponential-overlap": Measurement(worst_overlap,
+                                           overlap_budget * scale + 1e-10),
+        "second-quantization-exponential": Measurement(worst_gamma),
+        "second-quantization-functorial": Measurement(worst_funct),
+        "tomita-lift-consistency": Measurement(tomita_residual,
+                                               tomita_budget),
+        "weyl-locality": Measurement(locality.max_form),
     }, {}
 
 
@@ -757,8 +743,8 @@ def _run_halperin_bench(cfg, seed, scale):
                      "distance": distance, "iteration_cap": used_cap})
 
     results = {
-        "halperin-agreement": worst_distance,
-        "halperin-convergence": (failures, 0.5),
+        "halperin-agreement": Measurement(worst_distance),
+        "halperin-convergence": Measurement(failures, 0.5),
     }
     fields = ("pair", "dim_a", "dim_b", "dim_exact", "dim_halperin",
               "distance", "iteration_cap")
@@ -814,22 +800,31 @@ def run_command(command, config, seed, budget_scale):
     for name, (base, text) in declared.items():
         if name not in results:
             continue
+        got = results[name]
+        # the budget comes from the row or from the record, never both
+        if (not isinstance(got, Measurement)
+                or (base is None) == (got.budget is None)):
+            raise RuntimeError(
+                f"check {name!r} returned {got!r}, which does not match "
+                f"its CHECKS row (base budget {base!r})")
         if base is None:
-            residual, budget = map(float, results[name])
+            budget = float(got.budget)
             formula = text.format(budget=budget)
         else:
-            residual, budget = float(results[name]), base * budget_scale
+            budget = base * budget_scale
             formula = f"{text} <= {_sci(base)} * budget_scale"
-        checks.append(CheckResult(name, residual, budget, formula,
-                                  residual <= budget))
+        m = Measurement(float(got.residual), budget)
+        checks.append({"name": name, "residual": m.residual,
+                       "budget": m.budget, "formula": formula,
+                       "passed": m.passed})
     report = {
         "schema": REPORT_SCHEMA,
         "command": command,
         "config": config,
         "seed": seed,
         "budget_scale": budget_scale,
-        "checks": [dataclasses.asdict(c) for c in checks],
-        "passed": all(c.passed for c in checks),
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
         "environment": _environment_fingerprint(),
         "timestamp": {
             "completed_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

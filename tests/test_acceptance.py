@@ -282,9 +282,9 @@ def test_criterion_07_charged_counterexample():
     report = bgl.counterexample_bw(charged)
     axioms = bgl.axioms_report(charged)
     wedge_entries_pass = all(
-        entry.passed for name, entry in axioms.entries.items()
-        if name != "Dilation Bisognano-Wichmann")
-    breaks = not axioms["Dilation Bisognano-Wichmann"].passed
+        entry.passed for name, entry in axioms.items()
+        if name != "dilation-bisognano-wichmann")
+    breaks = not axioms["dilation-bisognano-wichmann"].passed
 
     neutral = bgl.NetModel.twisted(charge=0.0)
     neutral_report = bgl.counterexample_bw(neutral)

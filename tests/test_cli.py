@@ -173,7 +173,7 @@ def test_budget_scale_must_be_finite_and_positive(tmp_path, scale, capsys):
 
 def test_nan_residual_fails_and_report_is_strict_json(tmp_path, monkeypatch):
     def nan_runner(cfg, seed, scale):
-        return {"trace-class-truncation": float("nan")}, {}
+        return {"trace-class-truncation": bgl.Measurement(float("nan"))}, {}
 
     monkeypatch.setitem(cli.RUNNERS, "trace-class", nan_runner)
     code = cli.main(["trace-class", "--out", str(tmp_path / "out")])
@@ -207,6 +207,23 @@ def test_internal_errors_exit_with_status_three(tmp_path, monkeypatch):
     assert code == cli.EXIT_INTERNAL_ERROR
 
 
+@pytest.mark.parametrize("results", [
+    # a budget on a row whose budget is base * budget_scale
+    {"trace-class-truncation": bgl.Measurement(0.0, 1.0)},
+    # no budget on a row whose budget the runner computes
+    {"trace-class-selfdual-value": bgl.Measurement(0.0)},
+    # a bare residual instead of a Measurement
+    {"trace-class-truncation": 0.0},
+])
+def test_a_record_that_breaks_its_budget_contract_is_an_internal_error(
+        tmp_path, monkeypatch, results):
+    monkeypatch.setitem(cli.RUNNERS, "trace-class",
+                        lambda cfg, seed, scale: (results, {}))
+    code = cli.main(["trace-class", "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_INTERNAL_ERROR
+    assert not (tmp_path / "out" / "trace-class.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # individual commands
 # ---------------------------------------------------------------------------
@@ -231,6 +248,11 @@ def test_verify_mobius_passes(tmp_path):
     assert code == cli.EXIT_OK
     worst = max(e["residual"] for e in report["checks"])
     assert worst < 1e-11
+
+
+def _residuals(results):
+    """A runner's results as check name -> residual."""
+    return {name: m.residual for name, m in results.items()}
 
 
 def _verify_mobius_one_draw_at_a_time(cfg, rng):
@@ -290,7 +312,7 @@ def test_verify_mobius_draws_as_one_draw_at_a_time(samples, span, seed,
     ref_rng = np.random.default_rng(seed)
     built = _generators_built(monkeypatch)
     got, _ = cli._run_verify_mobius(cfg, seed, 1.0)
-    assert got == _verify_mobius_one_draw_at_a_time(cfg, ref_rng)
+    assert _residuals(got) == _verify_mobius_one_draw_at_a_time(cfg, ref_rng)
     (rng,) = built
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -357,7 +379,7 @@ def test_verify_stdspace_draws_as_one_sample_at_a_time(dim, samples, seed,
     built = _generators_built(monkeypatch)
     got, _ = cli._run_verify_stdspace(cfg, seed, 1.0)
     want, drawn = _verify_stdspace_one_sample_at_a_time(cfg, ref_rng)
-    assert got == want
+    assert _residuals(got) == want
     (rng,) = built
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert (drawn > samples) == rejects
@@ -405,7 +427,8 @@ def test_verify_stdspace_identities_match_the_real_form(monkeypatch):
 
     def runner_on(h):
         monkeypatch.setattr(cli, "_random_standard", lambda *args: h)
-        return cli._run_verify_stdspace({"dim": 5, "samples": 1}, 0, 1.0)[0]
+        return _residuals(cli._run_verify_stdspace(
+            {"dim": 5, "samples": 1}, 0, 1.0)[0])
 
     for i in range(6):
         got = runner_on(stdspace.RealSubspace(parent, stack.basis[i]))
@@ -435,7 +458,6 @@ def test_bgl_axioms_chiral_passes(tmp_path):
     assert code == cli.EXIT_OK
     names = {e["name"] for e in report["checks"]}
     assert "dilation-bisognano-wichmann" in names
-    assert (tmp_path / "out" / "bgl-axioms-entries.csv").exists()
 
 
 def test_bgl_axioms_twisted_fails_expected_entry(tmp_path):
