@@ -37,10 +37,11 @@ once per shape and translates the result to every cone of that shape.
 
 The Bisognano-Wichmann entries recompute a wedge's modular data from
 its subspace alone: one SVD of the complex basis gives (V, log Delta,
-J), and Delta is compared with the defining one as a complex n x n
-power.  On a direct sum of factors the basis is exactly block-diagonal
-up to a permutation, and that SVD, the residual norms and the QR of
-the eigenpair bases run as stacks of the factor tiles (see
+J), and Delta is compared with the defining one.  Every operator is
+block-diagonal over the factors, ``NetModel.tiles`` (the twisted
+model's copy rotation pairs each with its copy): eigenvectors, flows
+and powers are stacks of tiles, the checks' products and norms run on
+the stacks, and a dense matrix is only their scatter (see
 :mod:`stdspace`).  The limit that roundtrip meets is |log Delta|, about
 2 pi^2 / h on a chiral grid of spacing h: where it is large the
 singular values near sqrt 2 cluster and the recomputed J loses its
@@ -51,6 +52,7 @@ orthogonality, so the chiralSum and twisted models at h = 1.0 raise
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import threading
 
@@ -93,9 +95,12 @@ _TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
 def _dft(n):
     j = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
+    out = np.exp(-2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
+    out.setflags(write=False)
+    return out
 
 
 def _kappa(n, h):
@@ -121,10 +126,10 @@ def _roll(n, k):
 class _Block:
     """Modular pair of a wedge-like region in eigen-form, unit frame.
 
-    Delta = V diag(e^{2 pi kap}) V* with V = ``vecs`` unitary, and J =
-    diag(z) conj maps column m of V to column ``pair[m]``, whose ``kap``
-    is the negative.  All four are known exactly, so no operator is ever
-    re-diagonalised.
+    Delta = V diag(e^{2 pi kap}) V* with V the direct sum of the factor
+    tiles ``vecs``, and J = diag(z) conj maps column m of V to column
+    ``pair[m]``, whose ``kap`` is the negative.  All four are known
+    exactly, so no operator is ever re-diagonalised.
     """
 
     kap: np.ndarray
@@ -132,20 +137,16 @@ class _Block:
     z: np.ndarray
     pair: np.ndarray
 
-    @property
-    def n(self):
-        return self.z.size
-
-    def _apply(self, values):
-        return (self.vecs * values) @ self.vecs.conj().T
-
     def flow(self, t):
-        """Delta^{it} = V diag(e^{2 pi i t kap}) V*, complex n x n."""
-        return self._apply(np.exp(2j * np.pi * t * self.kap))
+        """Delta^{it} = V diag(e^{2 pi i t kap}) V*, its factor tiles."""
+        v = self.vecs
+        values = np.exp(2j * np.pi * t * self.kap).reshape(len(v), 1, -1)
+        return (v * values) @ v.conj().swapaxes(-1, -2)
 
     def subspace(self, parent):
         """fix(J Delta^{1/2}) through the eigenpair formula."""
-        return _eigenpair_fix(parent, self.kap, self.vecs, self.pair)
+        return _eigenpair_fix(parent, self.kap, _direct_sum(self.vecs),
+                              self.pair)
 
     def translate(self, phases):
         """The block of the translated region, U = diag(phases) unitary.
@@ -153,14 +154,15 @@ class _Block:
         U Delta U* has eigenvectors U V and U J U* = diag(phases^2 z) conj;
         the spectrum and the pairing are unchanged.
         """
-        return _Block(self.kap, phases[:, None] * self.vecs,
+        return _Block(self.kap,
+                      phases.reshape(len(self.vecs), -1, 1) * self.vecs,
                       phases ** 2 * self.z, self.pair)
 
 
 def _halfline_block(n, h, orient):
     """Half-line block at the origin: orient=+1 for (0, oo), -1 for
     (-oo, 0); :meth:`_Block.translate` moves it to another apex."""
-    return _Block(orient * _kappa(n, h), _dft(n).conj().T,
+    return _Block(orient * _kappa(n, h), _dft(n).conj().T[None],
                   np.ones(n, dtype=complex), -np.arange(n) % n)
 
 
@@ -177,9 +179,9 @@ def _direct_sum(mats):
 
 def _block_diag(blocks):
     """Assemble factor blocks into one block on the summed space."""
-    offsets = np.cumsum([0] + [b.n for b in blocks[:-1]])
+    offsets = np.cumsum([0] + [b.z.size for b in blocks[:-1]])
     return _Block(np.concatenate([b.kap for b in blocks]),
-                  _direct_sum([b.vecs for b in blocks]),
+                  np.concatenate([b.vecs for b in blocks]),
                   np.concatenate([b.z for b in blocks]),
                   np.concatenate([b.pair + off
                                   for b, off in zip(blocks, offsets)]))
@@ -284,6 +286,8 @@ class NetModel:
         self._cache = {}
         self._lock = threading.Lock()
         self.parent = stdspace.ComplexSpace(sum(f.n for f in self.factors))
+        # the slots of each factor: the tiles of the model's operators
+        self.tiles = np.arange(self.parent.n).reshape(len(self.factors), -1)
         self.epsilon = BUDGET_FACTOR * (self._flow_residual() + BUDGET_FLOOR)
 
     # -- constructors ------------------------------------------------------
@@ -325,7 +329,7 @@ class NetModel:
         n, h = self.factors[0].n, self.factors[0].h
         k = 1 if n % 2 else 2          # even grids compare even steps only
         step = _halfline_block(n, h, +1).flow(k * h / _TWO_PI)
-        return stdspace.spectral_norm(step - _roll(n, -k))
+        return stdspace.tile_norm(step - _roll(n, -k))
 
     # -- wedge construction ------------------------------------------------
 
@@ -334,16 +338,13 @@ class NetModel:
                 float(region.left[0]), float(region.left[1]),
                 float(region.right[0]), float(region.right[1]))
 
-    def wedge_block(self, region):
-        """The assembled eigen-form block of a wedge-like region."""
-        return _wedge_block(self.factors, region)
-
     def wedge_modular(self, region):
         """Validated modular data of a wedge-like region, in the block's
         exact eigen form: no eigensolve and no dense Delta."""
-        block = self.wedge_block(region)
-        return stdspace.ModularData(self.parent, block.vecs,
-                                    _TWO_PI * block.kap, np.diag(block.z))
+        block = _wedge_block(self.factors, region)
+        return stdspace.ModularData(self.parent, _direct_sum(block.vecs),
+                                    _TWO_PI * block.kap, np.diag(block.z),
+                                    tiling=(self.tiles, self.tiles))
 
     def wedge_subspace(self, region):
         """The real standard subspace of a wedge-like region (cached).
@@ -363,13 +364,13 @@ class NetModel:
                 region.translate((-apex[0], -apex[1])))
             sub = origin.phased(reps.translation_phases(self.factors, *apex))
         else:
-            sub = self.wedge_block(region).subspace(self.parent)
+            sub = _wedge_block(self.factors, region).subspace(self.parent)
         with self._lock:
             return self._cache.setdefault(key, sub)
 
     def wedge_flow(self, region, t):
         """Complex matrix of Delta_W^{it}, exact from the block eigen-form."""
-        return self.wedge_block(region).flow(t)
+        return _direct_sum(_wedge_block(self.factors, region).flow(t))
 
     # -- dual-prescription regions ----------------------------------------
 
@@ -399,16 +400,6 @@ class NetModel:
             raise ValueError("fiber models exist for directIntegral only")
         return [NetModel("massive", (f,)) for f in self.factors]
 
-    # -- twisted action ----------------------------------------------------
-
-    def inner_rotation(self, s):
-        """Matrix of the copy-mixing rotation V(s) (twisted models)."""
-        if self.kind != "twisted":
-            raise ValueError("inner rotation requires the twisted model")
-        eye = np.eye(self.parent.n // 2)
-        return np.block([[math.cos(s) * eye, -math.sin(s) * eye],
-                         [math.sin(s) * eye, math.cos(s) * eye]])
-
     # -- representation consistency ---------------------------------------
 
     def unit_matrix_of(self, translation=(0.0, 0.0), dilation=(0.0, 0.0)):
@@ -422,13 +413,19 @@ class NetModel:
         """Matrix of the dilation by s on both lightrays,
         followed on the twisted model by the inner rotation V(q s)."""
         u = self.unit_matrix_of(dilation=(s, s))
-        if self.kind == "twisted":
-            u = u @ self.inner_rotation(self.charge * s)
-        return u
+        return _rotated(u, self.charge * s) if self.kind == "twisted" else u
 
     def __repr__(self):
         return (f"NetModel(kind={self.kind!r}, n={self.parent.n}, "
                 f"epsilon={self.epsilon:.2e})")
+
+
+def _rotated(x, s):
+    """x V(s) for the copy rotation V(s) = [[c, -s], [s, c]] (c = cos s):
+    the column mix [c A + s B, c B - s A] of the copy halves [A, B] of x."""
+    a, b = np.split(x, 2, axis=-1)
+    c, s = math.cos(s), math.sin(s)
+    return np.concatenate([c * a + s * b, c * b - s * a], axis=-1)
 
 
 def _dyadic_cones(count):
@@ -467,13 +464,17 @@ class Measurement:
         return self.residual <= self.budget
 
 
-def _modular_roundtrip(md, h):
-    """max(||J - J'||, ||Delta - Delta'|| / ||Delta||) between the defining
-    pair ``md`` and the pair (J', Delta') recomputed from ``h``."""
-    md2 = stdspace.modular_data(h)
-    return max(stdspace.spectral_norm(md.jc - md2.jc),
-               stdspace.spectral_norm(md.power(1.0) - md2.power(1.0))
-               / float(md.delta_norm))
+def _dilation_deviation(net, t):
+    """||Delta^{it} - U(delta(-2 pi t))|| on the forward cone at 0, on the
+    factor tiles, each paired with its copy where U has the copy rotation."""
+    u = net.implemented_dilation(-_TWO_PI * t)   # refuses an off-grid t
+    cone = spacetime.Region.forward_cone((0.0, 0.0))
+    flow = _wedge_block(net.factors, cone).flow(t)
+    tiles = (np.hstack(np.split(net.tiles, 2)) if net.kind == "twisted"
+             else net.tiles)
+    return stdspace.tile_norm(
+        stdspace.retiled(flow, net.tiles, tiles)
+        - stdspace.retiled(u[None], np.arange(net.parent.n)[None], tiles))
 
 
 def axioms_report(net, tol=BLOCK_TOL):
@@ -539,7 +540,7 @@ def axioms_report(net, tol=BLOCK_TOL):
 
     # SS6 Bisognano-Wichmann: the independently recomputed modular data
     # of H(W_R) reproduces the defining pair.
-    bw = _modular_roundtrip(net.wedge_modular(w_r), h_r)
+    bw = stdspace.modular_roundtrip(net.wedge_modular(w_r), h_r)
     entries["bisognano-wichmann"] = Measurement(bw, max(tol, net.epsilon))
 
     if net.kind in ("chiralSum", "twisted"):
@@ -569,10 +570,8 @@ def _hk_entries(net, entries, tol):
     # HK9 Bisognano-Wichmann for dilations: Delta_{V+}^{it} against the
     # (possibly twisted) implemented dilation flow at grid multiples.
     t = h / _TWO_PI
-    flow = net.wedge_flow(cone, t)
-    hk9 = stdspace.spectral_norm(flow - net.implemented_dilation(-h))
     entries["dilation-bisognano-wichmann"] = Measurement(
-        hk9, tol,
+        _dilation_deviation(net, t), tol,
         "twisted flow deviates by |e^{2 pi i q t} - 1|"
         if net.kind == "twisted" else "")
 
@@ -638,14 +637,6 @@ def grid_steps(t, h):
     return reps.shift_steps(_TWO_PI * t, h, "dilation")
 
 
-def _roll_columns(mat, cols, k):
-    """``mat`` @ U, in place, for U the cyclic shift psi_j -> psi_{j+k} on
-    the slots ``cols`` and the identity elsewhere: a column permutation,
-    so the product is exact."""
-    mat[:, cols] = np.roll(mat[:, cols], k, axis=1)
-    return mat
-
-
 def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
     """Rebuild the interval one-parameter groups from half-band data.
 
@@ -670,36 +661,35 @@ def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
         raise ValueError(
             "reconstruction runs on the exactly solvable summed model; "
             f"got kind {net.kind!r}")
-    left, right = net.factors
-    first = slice(0, left.n)                 # the left factor's slots
-    second = slice(left.n, net.parent.n)
     md_bl, md_br, md_d0 = (
         stdspace.modular_data(net.wedge_subspace(
             spacetime.Region.forward_cone(apex)))
         for apex in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)))
+    norm = stdspace.tile_norm
 
-    norm = stdspace.spectral_norm
+    def flow(md, t):                 # on the model's tiles, the factors
+        return stdspace.retiled(md.power_tiles(1j * t), md.tiling[0],
+                                net.tiles)
 
-    def u_r(t):
-        return _roll_columns(md_bl.power(1j * t), first,
-                             grid_steps(t, left.h))
+    def dilated(md, t, i):
+        # flow(md, t) U(delta(2 pi t)) on factor i alone: tile i's columns
+        # roll, a permutation, so the product is exact
+        x = flow(md, t)
+        x[i] = np.roll(x[i], grid_steps(t, net.factors[i].h), axis=-1)
+        return x
 
-    def u_l(t):
-        return _roll_columns(md_br.power(1j * t), second,
-                             grid_steps(t, right.h))
-
-    one = np.eye(net.parent.n)
+    one = np.eye(net.factors[0].n)
     ident = []
     comm = []
     cancel = []
     for t in t_values:
-        a, b = u_r(t), u_l(t)
+        a, b = dilated(md_bl, t, 0), dilated(md_br, t, 1)   # U_R, U_L
         ab = a @ b
-        ident.append(norm(md_d0.power(1j * t) - ab))
+        ident.append(norm(flow(md_d0, t) - ab))
         comm.append(norm(ab - b @ a))
-        # U_R acts trivially on the left factor
-        cancel.append(norm(a[first, first] - one[first, first]))
-    zero = norm(u_r(0.0) @ u_l(0.0) - one)
+        # U_R acts trivially on the left factor, tile 0
+        cancel.append(norm(a[0] - one))
+    zero = norm(dilated(md_bl, 0.0, 0) @ dilated(md_br, 0.0, 1) - one)
     return ReconstructionReport(tuple(t_values), tuple(ident), tuple(comm),
                                 tuple(cancel), zero)
 
@@ -738,23 +728,21 @@ def counterexample_bw(net, t_values=(0.5, 1.0, 1.5)):
     cone = spacetime.Region.forward_cone((0.0, 0.0))
     h_v = net.wedge_subspace(cone)
 
-    sym = stdspace.symmetry_commutation_check(h_v, net.inner_rotation(0.7))
+    sym = stdspace.symmetry_commutation_check(
+        h_v, _rotated(np.eye(net.parent.n), 0.7))
     gauge = sym.max_residual
 
     devs, preds, resids = [], [], []
     for t in t_values:
-        # refuses a 2 pi t off the dilation grid before the modular flow
-        u = net.implemented_dilation(-_TWO_PI * t)
-        flow = net.wedge_flow(cone, t)
-        dev = stdspace.spectral_norm(flow - u)
+        dev = _dilation_deviation(net, t)
         pred = abs(np.exp(2j * np.pi * net.charge * t) - 1.0)
         devs.append(dev)
         preds.append(pred)
         resids.append(abs(dev - pred))
 
     w_r = spacetime.Region.wedge_right((0.0, 0.0))
-    roundtrip = _modular_roundtrip(net.wedge_modular(w_r),
-                                   net.wedge_subspace(w_r))
+    roundtrip = stdspace.modular_roundtrip(net.wedge_modular(w_r),
+                                           net.wedge_subspace(w_r))
     return CounterexampleReport(net.charge, tuple(t_values), tuple(devs),
                                 tuple(preds), tuple(resids), roundtrip,
                                 gauge)

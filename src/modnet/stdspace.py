@@ -31,14 +31,14 @@ direct sum of the summands' data.  :func:`_tiles` reads that decoupling
 from an operand's zero pattern: the connected components of its rows
 and columns.  Every primitive runs the stack of an operand's tiles
 through its one stack body, and the results merge back: spectra are
-concatenated and sorted before any threshold reads them, vectors, V
-and J are embedded block-diagonally, and a norm is the largest tile
-norm.  An operand without at least two tiles of one shape, a stack
-among them, is one tile through the same body: a view of the whole
-array, whose results need no merge.  Subspaces and modular data keep
-their tiling: handed in by the producer that builds a subspace from
-tiles (refused unless its tiles hold every nonzero of the basis), else
-read once by :func:`_tiles`, the one rule for raw operators.
+concatenated and sorted before any threshold reads them, vectors are
+embedded block-diagonally, and a norm is the largest tile norm.  An
+operand without two tiles of one shape, a stack among them, is one
+tile: a view of the whole array.  Subspaces and modular data keep their
+tiling: handed in by the producer that built them from tiles (refused
+unless its tiles hold every nonzero), else read once by :func:`_tiles`,
+the one rule for raw operators.  Modular data is held as tile stacks; a
+dense V, J or power is their scatter, for a consumer that needs one.
 """
 
 from __future__ import annotations
@@ -138,10 +138,8 @@ class RealSubspace:
             raise ValueError("basis must be a (2n x k) matrix or a stack")
         self.parent, self.basis = parent, b
         self._tiling = tiling if b.shape[-1] else None
-        stack = b[..., None, :, :] if self._tiling is None else self._stack()
-        if stack.shape[-3] > 1 and (np.count_nonzero(stack)
-                                    != np.count_nonzero(b)):
-            raise ValueError("basis has a nonzero outside its tiles")
+        stack = (b[..., None, :, :] if self._tiling is None else
+                 _on_tiles(b, _doubled(tiling[0], parent.n), tiling[1]))
         # orthonormal tile by tile; "not <=" refuses a NaN error too
         gram = _T(stack) @ stack - np.eye(stack.shape[-1])
         if not np.max(np.abs(gram), initial=0.0) <= INVARIANT_TOL:
@@ -161,8 +159,7 @@ class RealSubspace:
         by :func:`qr_basis` of the real form of each tile of c."""
         rows, (cols,), (stack,) = _tiles(np.asarray(c, dtype=complex))
         q = qr_basis(np.concatenate([stack.real, stack.imag], axis=-2))
-        return cls(parent, _scatter(q, _doubled(rows, parent.n), cols,
-                                    (parent.real_dim, cols.size)),
+        return cls(parent, _scatter(q, _doubled(rows, parent.n), cols),
                    (rows, cols))
 
     @classmethod
@@ -185,11 +182,6 @@ class RealSubspace:
             rows, (cols,), _ = _tiles(self.complex_basis())
             self._tiling = rows, cols
         return self._tiling
-
-    def _stack(self):
-        """The tiles of b, on the rows of Re and Im of their slots."""
-        rows, cols = self.tiling
-        return _gather(self.basis, _doubled(rows, self.parent.n), cols)
 
     def complex_basis(self):
         """B = b[:n] + i b[n:]: H is the real span of the columns of B."""
@@ -348,14 +340,32 @@ def _gather(a, rows, cols):
     return a[rows[:, :, None], cols[:, None, :]]
 
 
-def _scatter(stack, rows, cols, shape):
-    """The matrix of the given shape (that of a 2-D operand) holding tile
-    t of ``stack`` at (rows[t], cols[t]) and zeros elsewhere."""
+def _on_tiles(a, rows, cols):
+    """:func:`_gather` on a handed tiling, refused unless its tiles hold
+    every nonzero of ``a``."""
+    stack = _gather(a, rows, cols)
+    if stack.shape[-3] > 1 and np.count_nonzero(stack) != np.count_nonzero(a):
+        raise ValueError("operand has a nonzero outside its tiles")
+    return stack
+
+
+def _scatter(stack, rows, cols=None):
+    """The matrix with tile t of ``stack`` at (rows[t], cols[t]), else 0;
+    with the columns of a slot-to-slot operator, cols = rows."""
+    cols = rows if cols is None else cols
     if stack.shape[-3] == 1:
         return stack[..., 0, :, :]
-    out = np.zeros(shape, dtype=stack.dtype)
+    out = np.zeros((rows.size, cols.size), dtype=stack.dtype)
     out[rows[:, :, None], cols[:, None, :]] = stack
     return out
+
+
+def retiled(stack, rows, new):
+    """Tiles ``stack`` on the slots ``rows`` as tiles on ``new``, refused
+    unless they hold every nonzero."""
+    if np.array_equal(rows, new):
+        return stack
+    return _on_tiles(_scatter(stack, rows), new, new)
 
 
 def _placed(values, index):
@@ -377,6 +387,11 @@ def _descending(s):
 def _singular_values(a):
     """Descending singular values of a matrix or of a stack."""
     return _descending(np.linalg.svd(_tiles(a)[2][0], compute_uv=False))
+
+
+def tile_norm(stack):
+    """The norm of the direct sum of ``stack``: one values-only SVD."""
+    return float(np.max(np.linalg.svd(stack, compute_uv=False)[..., 0]))
 
 
 def spectral_norm(x):
@@ -471,12 +486,12 @@ def symplectic_complement(h):
     orthonormal and so has rank exactly k = dim H; of each tile of i b,
     on that tile's rows, and H' keeps the tiling of H."""
     rows, cols = h.tiling
-    q = np.linalg.qr(_times_i(h._stack(), rows.shape[1]),
+    stack = _gather(h.basis, _doubled(rows, h.parent.n), cols)
+    q = np.linalg.qr(_times_i(stack, rows.shape[1]),
                      mode="complete")[0][..., cols.shape[1]:]
     slots = np.arange(q.shape[-3] * q.shape[-1]).reshape(q.shape[-3], -1)
-    return RealSubspace(h.parent, _scatter(
-        q, _doubled(rows, h.parent.n), slots,
-        (h.parent.real_dim, slots.size)), (rows, slots))
+    return RealSubspace(h.parent, _scatter(q, _doubled(rows, h.parent.n),
+                                           slots), (rows, slots))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -542,16 +557,19 @@ class ModularData:
     ``log_delta`` real (sorted ascending here), and J = ``jc`` conj.
     Validated at construction: finite data, V unitary, J orthogonal and
     involutive, and J Delta J = Delta^{-1}; Delta > 0 by construction.
-    Flows, powers and the matrix of S are formed only on request.
+    V and jc are held as tile stacks on ``tiling`` (slots, V's columns;
+    handed in by a producer as before the sort), and flows, powers and
+    the matrix of S are formed only on request.
 
     Arrays (..., n, n), (..., n) and (..., n, n) hold a stack of modular
     data; each invariant is then required of every member, and the
     properties and methods return stacks.
     """
 
-    __slots__ = ("parent", "vecs", "log_delta", "jc", "_tiling")
+    __slots__ = ("parent", "log_delta", "tiling", "_v", "_j")
 
-    def __init__(self, parent, vecs, log_delta, jc, atol=INVARIANT_TOL):
+    def __init__(self, parent, vecs, log_delta, jc, atol=INVARIANT_TOL,
+                 tiling=None):
         vecs = np.asarray(vecs, dtype=complex)
         lam = np.asarray(log_delta, dtype=float)
         jc = np.asarray(jc, dtype=complex)
@@ -565,7 +583,13 @@ class ModularData:
         vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
         lam = np.take_along_axis(lam, order, axis=-1)
         # validated tile by tile, as one stack
-        rows, (cols, _), (v, j) = _tiles(vecs, jc, square=(1,))
+        if tiling is None:
+            rows, (cols, _), (v, j) = _tiles(vecs, jc, square=(1,))
+        else:
+            rows, cols = tiling
+            if rows.shape[0] > 1:       # V's columns, renumbered by the sort
+                cols = np.sort(np.argsort(order)[cols], axis=-1)
+            v, j = _on_tiles(vecs, rows, cols), _on_tiles(jc, rows, rows)
         lt = lam[..., cols]
         eye = np.eye(v.shape[-1])
         vh = _T(v.conj())
@@ -586,22 +610,25 @@ class ModularData:
             raise ValueError("modular invariant violated: J Delta J = "
                              f"Delta^-1 (relative error {rel:.3e})")
         self.parent = parent
-        self.vecs = vecs
         self.log_delta = lam
-        self.jc = jc
-        self._tiling = rows, cols
+        self.tiling = rows, cols
+        self._v, self._j = v, j
+
+    vecs = property(lambda self: _scatter(self._v, *self.tiling))
+    jc = property(lambda self: _scatter(self._j, self.tiling[0]))
 
     @property
     def delta_norm(self):
         return np.exp(self.log_delta[..., -1])
 
+    def power_tiles(self, z):
+        """Delta^z = V diag(e^{z log Delta}) V*, its stack of tiles."""
+        lt = self.log_delta[..., self.tiling[1]]
+        return (self._v * np.exp(z * lt)[..., None, :]) @ _T(self._v.conj())
+
     def power(self, z):
-        """Delta^z = V diag(e^{z log Delta}) V* as a complex n x n matrix,
-        tile by tile; z = i t gives the modular unitary Delta^{it}."""
-        rows, cols = self._tiling
-        v = _gather(self.vecs, rows, cols)
-        scaled = v * np.exp(z * self.log_delta[..., cols])[..., None, :]
-        return _scatter(scaled @ _T(v.conj()), rows, rows, self.jc.shape)
+        """Delta^z as a complex n x n matrix; Delta^{it} at z = i t."""
+        return _scatter(self.power_tiles(z), self.tiling[0])
 
     def delta_it(self, t):
         """The modular unitary Delta^{it}, as a complex n x n matrix."""
@@ -610,11 +637,10 @@ class ModularData:
     def tomita_matrix(self):
         """Complex matrix jc conj(V) e^{log Delta / 2} V^T of S = J
         Delta^{1/2}: S xi = tomita_matrix() conj(xi)."""
-        rows, cols = self._tiling
-        v = _gather(self.vecs, rows, cols)
-        half = v.conj() * np.exp(self.log_delta[..., cols] / 2.0)[..., None, :]
-        return _scatter(_gather(self.jc, rows, rows) @ half @ _T(v),
-                        rows, rows, self.jc.shape)
+        rows, cols = self.tiling
+        half = (self._v.conj()
+                * np.exp(self.log_delta[..., cols] / 2.0)[..., None, :])
+        return _scatter(self._j @ half @ _T(self._v), rows)
 
     def __repr__(self):
         return f"ModularData(parent={self.parent!r})"
@@ -654,9 +680,9 @@ def modular_data(h):
     jc = (a / pair[..., None, :]) @ _T(u)
     # a standard B has square tiles; tile t's eigenvectors take the
     # columns of its own slots
-    shape = (h.parent.n,) * 2
-    u, jc = (_scatter(x, rows, rows, shape) for x in (u, jc))
-    return ModularData(h.parent, u, _placed(lam, rows), jc)
+    u, jc = (_scatter(x, rows) for x in (u, jc))
+    return ModularData(h.parent, u, _placed(lam, rows), jc,
+                       tiling=(rows, rows))
 
 
 def subspace_from_modular(m):
@@ -747,12 +773,10 @@ def intersect(subspaces, method="exact", max_iter=5000, tol=1e-9):
         # norm from above, so the SVDs run only when neither bound decides
         if np.max(np.abs(step), initial=0.0) > tol:
             continue
-        if (np.linalg.norm(step) <= tol
-                or max(np.linalg.norm(t, 2) for t in step) <= tol):
+        if np.linalg.norm(step) <= tol or tile_norm(step) <= tol:
             break
     else:
-        residual = (np.inf if step is None
-                    else float(max(np.linalg.norm(t, 2) for t in step)))
+        residual = np.inf if step is None else tile_norm(step)
         raise HalperinNonConvergence(residual, iters)
     u, s, _ = np.linalg.svd(k, full_matrices=False)
     return _spanned(parent, rows, last, u, s > 0.5)
@@ -818,11 +842,23 @@ def symmetry_commutation_check(h, u, tol=SUBSPACE_TOL):
     if d > tol:
         raise ValueError(f"U does not preserve H (subspace distance {d:.3e})")
     m = modular_data(h)
+    _, _, (ut, s, delta, j) = _tiles(u, m.tomita_matrix(), m.power(1.0),
+                                     m.jc, square=(0, 1, 2, 3))
 
     def deviation(x, right):
-        return spectral_norm((u @ x) @ right - x)
+        return tile_norm((ut @ x) @ right - x)
 
     return SymmetryReport(
-        deviation(m.tomita_matrix(), u.T),
-        deviation(m.power(1.0), u.conj().T) / m.delta_norm,
-        deviation(m.jc, u.T))
+        deviation(s, _T(ut)),
+        deviation(delta, _T(ut.conj())) / m.delta_norm,
+        deviation(j, _T(ut)))
+
+
+def modular_roundtrip(m1, h):
+    """max(||J - J'||, ||Delta - Delta'|| / ||Delta||) between ``m1`` and
+    the pair recomputed from ``h``, on shared tiles, else on one tile."""
+    m2 = modular_data(h)
+    same = np.array_equal(m1.tiling[0], m2.tiling[0])
+    (j1, d1), (j2, d2) = (((m._j, m.power_tiles(1.0)) if same
+                           else (m.jc, m.power(1.0))) for m in (m1, m2))
+    return max(tile_norm(j1 - j2), tile_norm(d1 - d2) / float(m1.delta_norm))

@@ -96,7 +96,7 @@ def test_kappa_spectrum_is_paired(n):
 def test_halfline_flow_is_one_slot_shift(orient, shift):
     n, h = 11, 0.9
     block = bgl._halfline_block(n, h, orient)
-    step = block.flow(h / _TWO_PI)
+    step, = block.flow(h / _TWO_PI)          # one factor, one tile
     assert np.linalg.norm(step - bgl._roll(n, shift), 2) < EXACT_TOL
 
 
@@ -104,7 +104,7 @@ def test_halfline_block_is_a_valid_eigen_form():
     block = bgl._halfline_block(13, 1.1, +1).translate(
         np.exp(1j * np.linspace(0, 2, 13)))
     # the eigenvectors are unitary and J exchanges the paired columns
-    vecs = block.vecs
+    vecs, = block.vecs
     assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(13), 2) < 1e-13
     assert np.allclose(block.z[:, None] * vecs.conj(), vecs[:, block.pair],
                        atol=1e-14)
@@ -120,7 +120,8 @@ def test_phased_block_balances_j_and_delta():
     n = 9
     phases = np.exp(1j * 0.37 * np.arange(n) ** 1.5)
     block = bgl._halfline_block(n, 3.0, +1).translate(phases)
-    delta = block._apply(np.exp(_TWO_PI * block.kap))
+    vecs, = block.vecs
+    delta = (vecs * np.exp(_TWO_PI * block.kap)) @ vecs.conj().T
     j_mat = np.diag(block.z)
     lhs = j_mat @ delta.conj() @ j_mat.conj()
     rhs = np.linalg.inv(delta)
@@ -177,16 +178,17 @@ def test_modular_roundtrip_sees_wrong_modular_data():
     w_r, _ = _origin_wedges()
     h = net.wedge_subspace(w_r)
     md = net.wedge_modular(w_r)
-    assert bgl._modular_roundtrip(md, h) < net.epsilon
+    assert stdspace.modular_roundtrip(md, h) < net.epsilon
     wrong = stdspace.ModularData(net.parent, md.vecs, 1.01 * md.log_delta,
                                  md.jc)
     want = (np.linalg.norm(wrong.power(1.0) - md.power(1.0), 2)
             / wrong.delta_norm)
     assert want > 0.01
-    assert bgl._modular_roundtrip(wrong, h) == pytest.approx(want, rel=1e-9)
+    assert stdspace.modular_roundtrip(wrong, h) == pytest.approx(want,
+                                                                 rel=1e-9)
     turned = stdspace.ModularData(net.parent, md.vecs, md.log_delta,
                                   np.exp(0.3j) * md.jc)
-    assert bgl._modular_roundtrip(turned, h) == pytest.approx(
+    assert stdspace.modular_roundtrip(turned, h) == pytest.approx(
         abs(np.exp(0.3j) - 1.0), rel=1e-9)
 
 
@@ -196,7 +198,7 @@ def test_wedge_modular_takes_the_block_eigenpair(monkeypatch, kind):
     # validation nor the modular flow diagonalises the dense Delta
     net = _model(kind)
     region = spacetime.Region.wedge_right((0.3, -0.2))
-    kap = net.wedge_block(region).kap
+    kap = bgl._wedge_block(net.factors, region).kap
 
     def forbidden(*args, **kwargs):
         raise AssertionError("eigensolve inside wedge_modular")
@@ -324,12 +326,14 @@ def test_implemented_grid_dilation_is_a_phased_permutation_at_n_129(ctor):
 @pytest.mark.parametrize("kind", ["chiralSum", "twisted"])
 def test_implemented_dilation_dilates_both_lightrays(kind):
     # the dilation by s is (sigma_L, sigma_R) = (s, s), followed on the
-    # twisted model by the inner rotation V(q s)
+    # twisted model by the inner rotation V(q s), which mixes the copies
     net = _model(kind)
     s = -2 * net.factors[0].h
     want = reps.apply(net.factors, np.eye(net.parent.n), dilation=(s, s))
     if kind == "twisted":
-        want = want @ net.inner_rotation(net.charge * s)
+        c, si = math.cos(net.charge * s), math.sin(net.charge * s)
+        eye = np.eye(net.parent.n // 2)
+        want = want @ np.block([[c * eye, -si * eye], [si * eye, c * eye]])
     assert np.array_equal(net.implemented_dilation(s), want)
 
 
@@ -410,7 +414,7 @@ def test_translated_wedges_match_the_block_route(kind):
                     spacetime.Region((-math.inf, 0.25),
                                      (-math.inf, -0.4))]
     for region in regions:
-        block = net.wedge_block(region).subspace(net.parent)
+        block = bgl._wedge_block(net.factors, region).subspace(net.parent)
         assert stdspace.subspace_distance(
             net.wedge_subspace(region), block) < 1e-12, (kind, region)
 
@@ -614,14 +618,102 @@ def test_reconstruction_regions_are_translated_forward_cones(n):
         assert stdspace.subspace_distance(designated, cone) <= 1e-13, apex
 
 
-def test_reconstruction_roll_is_the_permutation_product():
-    rng = np.random.default_rng(3)
-    mat = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    for cols, k in ((slice(0, 5), 2), (slice(5, 12), -3)):
-        blocks = [np.eye(cols.start), bgl._roll(cols.stop - cols.start, k),
-                  np.eye(12 - cols.stop)]
-        want = mat @ bgl._direct_sum([b for b in blocks if b.size])
-        assert np.array_equal(bgl._roll_columns(mat.copy(), cols, k), want)
+def _ulps_apart(tiled, dense, ulps=4):
+    """Whether two residuals agree to a few ulps at the unit scale of the
+    operators they measure (or at their own size, if larger)."""
+    return abs(tiled - dense) <= ulps * np.finfo(float).eps * max(1.0, dense)
+
+
+def _dense_symmetry_residuals(h, u):
+    """symmetry_commutation_check's residuals as dense n x n products."""
+    m = stdspace.modular_data(h)
+    return [np.linalg.norm((u @ x) @ right - x, 2) / scale
+            for x, right, scale in ((m.tomita_matrix(), u.T, 1.0),
+                                    (m.power(1.0), u.conj().T, m.delta_norm),
+                                    (m.jc, u.T, 1.0))]
+
+
+def test_tiled_reconstruction_residuals_match_a_dense_reference():
+    # U_R(t) = Delta_{B_L}^{it} U(delta(2 pi t) x 1) as dense matrices, the
+    # dilation of one factor taken from the representation: the tile
+    # stacks, column rolls and tile norms give the same residuals
+    net = bgl.NetModel.chiral_sum(n=17)
+    n, one = net.factors[0].n, np.eye(net.parent.n)
+    md_bl, md_br, md_d0 = (
+        stdspace.modular_data(net.wedge_subspace(
+            spacetime.Region.forward_cone(apex)))
+        for apex in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)))
+
+    def u(md, t, dilation):
+        return md.power(1j * t) @ reps.apply(net.factors, one,
+                                              dilation=dilation)
+
+    rec = bgl.reconstruct_ur(net)
+    for i, t in enumerate(rec.t_values):
+        a = u(md_bl, t, (_TWO_PI * t, 0.0))
+        b = u(md_br, t, (0.0, _TWO_PI * t))
+        want = (np.linalg.norm(md_d0.power(1j * t) - a @ b, 2),
+                np.linalg.norm(a @ b - b @ a, 2),
+                np.linalg.norm(a[:n, :n] - np.eye(n), 2))
+        got = (rec.identity_residuals[i], rec.commutator_residuals[i],
+               rec.left_cancellation[i])
+        assert all(map(_ulps_apart, got, want)), (t, got, want)
+    zero = u(md_bl, 0.0, (0.0, 0.0)) @ u(md_br, 0.0, (0.0, 0.0)) - one
+    assert _ulps_apart(rec.identity_at_zero, np.linalg.norm(zero, 2))
+
+
+def test_tiled_counterexample_residuals_match_a_dense_reference():
+    # the twisted flow deviations on the copy-paired tiles, the roundtrip
+    # on the factor tiles and the gauge residuals on the joint tiles of
+    # the rotation, against dense n x n differences
+    net = bgl.NetModel.twisted(n=17)
+    cone = spacetime.Region.forward_cone((0.0, 0.0))
+    report = bgl.counterexample_bw(net)
+    for t, dev in zip(report.t_values, report.deviations):
+        want = np.linalg.norm(net.wedge_flow(cone, t)
+                              - net.implemented_dilation(-_TWO_PI * t), 2)
+        assert _ulps_apart(dev, want), (t, dev, want)
+    w_r, _ = _origin_wedges()
+    md = net.wedge_modular(w_r)
+    md2 = stdspace.modular_data(net.wedge_subspace(w_r))
+    want = max(np.linalg.norm(md.jc - md2.jc, 2),
+               np.linalg.norm(md.power(1.0) - md2.power(1.0), 2)
+               / md.delta_norm)
+    assert _ulps_apart(report.wedge_roundtrip, want)
+    c, s = math.cos(0.7), math.sin(0.7)
+    eye = np.eye(net.parent.n // 2)
+    rotation = np.block([[c * eye, -s * eye], [s * eye, c * eye]])
+    want = _dense_symmetry_residuals(net.wedge_subspace(cone), rotation)
+    assert _ulps_apart(report.gauge_residual, max(want))
+
+
+@pytest.mark.parametrize("kind", ["chiralSum", "twisted"])
+def test_tiled_symmetry_residuals_match_a_dense_reference(kind):
+    # a modular unitary of the cone is a symmetry on both models; its
+    # tiles are the factors', which the check reads together with its own
+    net = {"chiralSum": bgl.NetModel.chiral_sum,
+           "twisted": bgl.NetModel.twisted}[kind](n=17)
+    h_v = net.wedge_subspace(spacetime.Region.forward_cone((0.0, 0.0)))
+    u = stdspace.modular_data(h_v).delta_it(0.3)
+    rep = stdspace.symmetry_commutation_check(h_v, u)
+    got = (rep.s_residual, rep.delta_residual, rep.j_residual)
+    want = _dense_symmetry_residuals(h_v, u)
+    assert all(map(_ulps_apart, got, want)), (got, want)
+
+
+def test_reconstruction_residual_path_reads_no_tiling(monkeypatch):
+    # with the cone subspaces built, every residual of the reconstruction
+    # runs on tilings that are carried: _tiles is never called
+    net = bgl.NetModel.chiral_sum(n=17)
+    for apex in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
+        net.wedge_subspace(spacetime.Region.forward_cone(apex))
+    calls = []
+    tiles = stdspace._tiles
+    monkeypatch.setattr(stdspace, "_tiles", lambda *ops, **kw: (
+        calls.append(ops) or tiles(*ops, **kw)))
+    rec = bgl.reconstruct_ur(net)
+    assert calls == []
+    assert rec.max_identity < RECON_TOL
 
 
 def test_reconstruction_needs_grid_parameters():
@@ -793,14 +885,14 @@ def test_direct_sum_models_run_tiled_and_agree_with_the_dense_call(
     n = h_r.parent.n
     assert stdspace._tiles(h_r.basis[:n] + 1j * h_r.basis[n:])[0].shape[0] > 1
     derived = (h_r.tiling, stdspace.symplectic_complement(h_r).tiling,
-               stdspace.modular_data(h_r)._tiling)
+               stdspace.modular_data(h_r).tiling)
     assert all(rows.shape[0] > 1 for rows, _ in derived)
     _tiling_off(monkeypatch)
     dense_h, dense = entries()
     # the kept tilings, the derived ones included, are off too: the
     # dense call is compared with the tiled one, not with itself
     derived = (dense_h.tiling, stdspace.symplectic_complement(dense_h).tiling,
-               stdspace.modular_data(dense_h)._tiling,
+               stdspace.modular_data(dense_h).tiling,
                dense_h.phased(np.ones(n)).tiling)
     assert all(rows.shape[0] == 1 for rows, _ in derived)
     assert stdspace.subspace_distance(h_r, dense_h) < 1e-12

@@ -173,7 +173,8 @@ def test_budget_scale_must_be_finite_and_positive(tmp_path, scale, capsys):
 
 def test_nan_residual_fails_and_report_is_strict_json(tmp_path, monkeypatch):
     def nan_runner(cfg, seed, scale):
-        return {"trace-class-truncation": bgl.Measurement(float("nan"))}, {}
+        return {"trace-class-truncation": bgl.Measurement(float("nan")),
+                "trace-class-selfdual-value": bgl.Measurement(0.0, 0.0)}, {}
 
     monkeypatch.setitem(cli.RUNNERS, "trace-class", nan_runner)
     code = cli.main(["trace-class", "--out", str(tmp_path / "out")])
@@ -184,7 +185,8 @@ def test_nan_residual_fails_and_report_is_strict_json(tmp_path, monkeypatch):
 
     text = (tmp_path / "out" / "trace-class.json").read_text()
     report = json.loads(text, parse_constant=reject)
-    (entry,) = report["checks"]
+    entry, selfdual = report["checks"]
+    assert selfdual["passed"] is True
     assert entry["residual"] == "NaN"
     assert entry["passed"] is False
     assert report["passed"] is False
@@ -207,6 +209,10 @@ def test_internal_errors_exit_with_status_three(tmp_path, monkeypatch):
     assert code == cli.EXIT_INTERNAL_ERROR
 
 
+_TRACE_CLASS_ROWS = {"trace-class-truncation": bgl.Measurement(0.0),
+                     "trace-class-selfdual-value": bgl.Measurement(0.0, 0.0)}
+
+
 @pytest.mark.parametrize("results", [
     # a budget on a row whose budget is base * budget_scale
     {"trace-class-truncation": bgl.Measurement(0.0, 1.0)},
@@ -216,12 +222,49 @@ def test_internal_errors_exit_with_status_three(tmp_path, monkeypatch):
     {"trace-class-truncation": 0.0},
 ])
 def test_a_record_that_breaks_its_budget_contract_is_an_internal_error(
-        tmp_path, monkeypatch, results):
+        tmp_path, monkeypatch, capsys, results):
+    monkeypatch.setitem(cli.RUNNERS, "trace-class", lambda cfg, seed, scale: (
+        {**_TRACE_CLASS_ROWS, **results}, {}))
+    code = cli.main(["trace-class", "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_INTERNAL_ERROR
+    assert "does not match its CHECKS row" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace-class.json").exists()
+
+
+@pytest.mark.parametrize("left_out", [
+    # no checks at all once printed "trace-class: PASS (0/0 checks)"
+    tuple(_TRACE_CLASS_ROWS),
+    ("trace-class-truncation",),
+    ("trace-class-selfdual-value",),
+])
+def test_a_runner_that_leaves_out_a_check_is_an_internal_error(
+        tmp_path, monkeypatch, capsys, left_out):
+    results = {k: v for k, v in _TRACE_CLASS_ROWS.items() if k not in left_out}
     monkeypatch.setitem(cli.RUNNERS, "trace-class",
                         lambda cfg, seed, scale: (results, {}))
     code = cli.main(["trace-class", "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_INTERNAL_ERROR
+    assert "left out its checks" in capsys.readouterr().err
     assert not (tmp_path / "out" / "trace-class.json").exists()
+
+
+@pytest.mark.parametrize("model,dilation_rows,code", [
+    # the models without dilations emit no dilation row, and only those
+    # five may be left out
+    ("massive", 0, cli.EXIT_OK),
+    ("directIntegral", 0, cli.EXIT_OK),
+    ("massive", 1, cli.EXIT_INTERNAL_ERROR),
+    ("chiralSum", 0, cli.EXIT_INTERNAL_ERROR),
+    ("twisted", 0, cli.EXIT_INTERNAL_ERROR),
+    ("chiralSum", 5, cli.EXIT_OK),
+])
+def test_bgl_axioms_leaves_out_only_the_dilation_rows_without_dilations(
+        tmp_path, monkeypatch, model, dilation_rows, code):
+    rows = list(cli.CHECKS["bgl-axioms"])
+    kept = rows[:len(rows) - 5 + dilation_rows]
+    monkeypatch.setitem(cli.RUNNERS, "bgl-axioms", lambda cfg, seed, scale: (
+        {name: bgl.Measurement(0.0, 1.0) for name in kept}, {}))
+    assert _run(tmp_path, "bgl-axioms", {"model": model})[0] == code
 
 
 # ---------------------------------------------------------------------------

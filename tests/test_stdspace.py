@@ -1378,6 +1378,30 @@ def test_a_handed_tiling_must_hold_every_nonzero():
     assert RealSubspace(h.parent, planted).dim == n
 
 
+def test_modular_data_takes_a_handed_tiling_and_refuses_a_nonzero_outside():
+    rng = np.random.default_rng(8)
+    n = 6
+    h = _direct_sum_basis(rng, 3, 2, 2, rng.permutation(n),
+                          rng.permutation(n))
+    md = modular_data(h)                  # handed the tiling of h
+    rows, cols = md.tiling
+    assert rows.shape == cols.shape == (3, 2)
+    # the producer's eigenvectors come unsorted: the handed columns are
+    # renumbered by the log Delta sort to the tiling _tiles reads
+    read = ModularData(h.parent, md.vecs, md.log_delta, md.jc)
+    assert all(np.array_equal(a, b) for a, b in zip(read.tiling, md.tiling))
+    assert np.array_equal(read.power(0.3j), md.power(0.3j))
+    # one nonzero off every tile, in V or in jc: the tile-wise invariants
+    # cannot see 1e-13, so only the count of nonzeros refuses the tiling
+    for i, col in ((0, cols[0, 0]), (2, rows[0, 0])):
+        args = [md.vecs, md.log_delta, md.jc]
+        args[i] = args[i].copy()
+        args[i][rows[1, 0], col] = 1e-13
+        with pytest.raises(ValueError, match="nonzero outside its tiles"):
+            ModularData(h.parent, *args, tiling=md.tiling)
+        assert ModularData(h.parent, *args).tiling[0].shape[0] == 1
+
+
 def test_producers_hand_their_tiling_to_the_subspaces_they_build():
     rng = np.random.default_rng(4)
     n, tiles = 6, 3
