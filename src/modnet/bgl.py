@@ -64,6 +64,8 @@ from . import spacetime
 from . import stdspace
 
 MODEL_KINDS = ("chiralSum", "massive", "directIntegral", "twisted")
+#: the kinds with dilations, whose axioms report adds the dilation rows
+DILATION_KINDS = ("chiralSum", "twisted")
 
 #: blockwise / axiom comparison tolerance
 BLOCK_TOL = 1e-8
@@ -543,7 +545,7 @@ def axioms_report(net, tol=BLOCK_TOL):
     bw = stdspace.modular_roundtrip(net.wedge_modular(w_r), h_r)
     entries["bisognano-wichmann"] = Measurement(bw, max(tol, net.epsilon))
 
-    if net.kind in ("chiralSum", "twisted"):
+    if net.kind in DILATION_KINDS:
         _hk_entries(net, entries, tol)
     return entries
 

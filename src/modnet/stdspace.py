@@ -384,19 +384,9 @@ def _descending(s):
     return np.sort(s, axis=None)[::-1]
 
 
-def _singular_values(a):
-    """Descending singular values of a matrix or of a stack."""
-    return _descending(np.linalg.svd(_tiles(a)[2][0], compute_uv=False))
-
-
 def tile_norm(stack):
     """The norm of the direct sum of ``stack``: one values-only SVD."""
     return float(np.max(np.linalg.svd(stack, compute_uv=False)[..., 0]))
-
-
-def spectral_norm(x):
-    """The spectral norm ||x||_2 of a real or complex matrix."""
-    return float(_singular_values(x)[0])
 
 
 def qr_basis(a):
@@ -858,7 +848,10 @@ def modular_roundtrip(m1, h):
     """max(||J - J'||, ||Delta - Delta'|| / ||Delta||) between ``m1`` and
     the pair recomputed from ``h``, on shared tiles, else on one tile."""
     m2 = modular_data(h)
-    same = np.array_equal(m1.tiling[0], m2.tiling[0])
-    (j1, d1), (j2, d2) = (((m._j, m.power_tiles(1.0)) if same
-                           else (m.jc, m.power(1.0))) for m in (m1, m2))
+    rows = m1.tiling[0]
+    if not np.array_equal(rows, m2.tiling[0]):
+        rows = np.arange(h.parent.n)[None]
+    (j1, d1), (j2, d2) = ([retiled(x, m.tiling[0], rows)
+                           for x in (m._j, m.power_tiles(1.0))]
+                          for m in (m1, m2))
     return max(tile_norm(j1 - j2), tile_norm(d1 - d2) / float(m1.delta_norm))
