@@ -170,36 +170,54 @@ CHECKS = {
     },
 }
 
-DEFAULT_CONFIGS = {
-    "verify-mobius": {"samples": 1000, "parameter_range": 2.0, "seed": 0},
-    "verify-stdspace": {"dim": 8, "samples": 50, "seed": 0},
+# every config key of every command, declared once as key -> (default,
+# type, bound[, model kinds]) and tabulated in docs/checks.md.  Types:
+# int, float, floats (a non-empty list), ladder (a non-empty list of
+# [grid, count] int pairs) and model (a bgl.MODEL_KINDS name).  Numbers
+# are finite; an int (a ladder's count) is at least its bound, a float
+# exceeds it.  A key whose default is null takes null, which keeps the
+# constructor's default.  A bgl-axioms key names the model kinds whose
+# constructor takes it
+_ALL = bgl.MODEL_KINDS
+_SEED = (0, "int", 0)
+KEYS = {
+    "verify-mobius": {"samples": (1000, "int", 1),
+                      "parameter_range": (2.0, "float", 0), "seed": _SEED},
+    "verify-stdspace": {"dim": (8, "int", 1), "samples": (50, "int", 1),
+                        "seed": _SEED},
     "bgl-axioms": {
-        "model": "chiralSum", "n": None, "h": None, "mass": 1.0,
-        "charge": 1.0, "masses": 4, "mass_min": 0.5, "mass_max": 4.0,
-        "seed": 0,
+        "model": ("chiralSum", "model", None, _ALL),
+        "n": (None, "int", 2, _ALL), "h": (None, "float", None, _ALL),
+        "mass": (1.0, "float", None, ("massive",)),
+        "charge": (1.0, "float", None, ("twisted",)),
+        "masses": (4, "int", 1, ("directIntegral",)),
+        "mass_min": (0.5, "float", None, ("directIntegral",)),
+        "mass_max": (4.0, "float", None, ("directIntegral",)),
+        "seed": _SEED + (_ALL,),
     },
     "reconstruct-mobius": {
-        "n": 33, "h": bgl.SOLVABLE_SPACING, "t_values": [0.5, 1.0, 1.5, 2.0],
-        "seed": 0,
-    },
+        "n": (33, "int", 2), "h": (bgl.SOLVABLE_SPACING, "float", None),
+        "t_values": ([0.5, 1.0, 1.5, 2.0], "floats", None), "seed": _SEED},
     "break-bw": {
-        "charge": 1.0, "n": 33, "h": bgl.SOLVABLE_SPACING,
-        "t_values": [0.5, 1.0, 1.5], "seed": 0,
-    },
+        "charge": (1.0, "float", None), "n": (33, "int", 2),
+        "h": (bgl.SOLVABLE_SPACING, "float", None),
+        "t_values": ([0.5, 1.0, 1.5], "floats", None), "seed": _SEED},
     "lightcone-defect": {
-        "masses": [1.0], "ladder": [list(level) for level in bgl.CONE_LADDER],
-        "spacing": bgl.STUDY_SPACING, "frozen": bgl.FROZEN_CONE_DEFECT,
-        "seed": 0,
-    },
-    "spin-statistics": {"pairs": 50, "seed": 0},
-    "trace-class": {
-        "betas": [0.5, math.log(2.0), 2.0], "n_terms": 200, "seed": 0,
-    },
-    "fock-checks": {"modes": 3, "order": 10, "samples": 4, "seed": 0},
-    "halperin-bench": {
-        "dim": 8, "pairs": 20, "tol": 1e-9, "max_iter": 5000, "seed": 0,
-    },
+        "masses": ([1.0], "floats", None),
+        "ladder": ([list(level) for level in bgl.CONE_LADDER], "ladder", 0),
+        "spacing": (bgl.STUDY_SPACING, "float", None),
+        "frozen": (bgl.FROZEN_CONE_DEFECT, "float", 0), "seed": _SEED},
+    "spin-statistics": {"pairs": (50, "int", 1), "seed": _SEED},
+    "trace-class": {"betas": ([0.5, math.log(2.0), 2.0], "floats", 0),
+                    "n_terms": (200, "int", 1), "seed": _SEED},
+    "fock-checks": {"modes": (3, "int", 1), "order": (10, "int", 0),
+                    "samples": (4, "int", 1), "seed": _SEED},
+    "halperin-bench": {"dim": (8, "int", 5), "pairs": (20, "int", 1),
+                       "tol": (1e-9, "float", 0),
+                       "max_iter": (5000, "int", 1), "seed": _SEED},
 }
+DEFAULT_CONFIGS = {command: {key: spec[0] for key, spec in keys.items()}
+                   for command, keys in KEYS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +229,13 @@ def load_config(command, path):
     """Merge a JSON config file over the command defaults.
 
     ``path`` may be None (pure defaults).  Empty files, non-object
-    payloads, unknown keys, and mismatched value types are rejected.
+    payloads, unknown keys, values outside their KEYS entry and a key
+    set for a model kind it does not apply to are rejected; the last
+    rule is here because only the file tells which keys were set.
     """
-    defaults = dict(DEFAULT_CONFIGS[command])
+    config = dict(DEFAULT_CONFIGS[command])
     if path is None:
-        return defaults
+        return config
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -232,81 +252,138 @@ def load_config(command, path):
     if not data:
         raise ConfigError(
             f"config file {path} is empty; omit --config to use defaults")
-    for key, value in data.items():
-        if key not in defaults:
+    config.update(data)
+    # the model first, so that every key meets a known kind
+    for key in sorted(data, key=lambda k: k != "model"):
+        if key not in DEFAULT_CONFIGS[command]:
             raise ConfigError(
                 f"unknown config key {key!r} for command {command!r} "
-                f"(known: {', '.join(sorted(defaults))})")
-        base = defaults[key]
-        if base is None or value is None:
-            pass
-        elif isinstance(base, bool) != isinstance(value, bool):
-            raise ConfigError(f"config key {key!r} has the wrong type")
-        elif isinstance(base, (int, float)) and not isinstance(
-                value, (int, float)):
-            raise ConfigError(f"config key {key!r} must be a number")
-        elif isinstance(base, str) and not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} must be a string")
-        elif isinstance(base, list) and not isinstance(value, list):
-            raise ConfigError(f"config key {key!r} must be a list")
-        defaults[key] = value
-    return defaults
+                f"(known: {', '.join(sorted(DEFAULT_CONFIGS[command]))})")
+        _parse(command, key, data[key])
+        kinds = KEYS[command][key][3:]
+        if kinds and config["model"] not in kinds[0]:
+            raise ConfigError(
+                f"config key {key!r} does not apply to model "
+                f"{config['model']!r} (only to {', '.join(kinds[0])})")
+    return config
 
 
-def _int(value, key, minimum=None):
-    """An integral config value as an int; anything else is rejected.
-
-    A count takes a ``minimum``: below it a battery would run over no
-    samples and pass vacuously, or the runner would crash.
-    """
-    if not _float(value, key).is_integer():
-        raise ConfigError(f"config key {key!r} must be an integer, "
+def _parse(command, key, value):
+    """One config value through its KEYS entry: an int, a float, a tuple
+    of floats, a tuple of (grid, count) pairs, a model name or None."""
+    default, kind, bound = KEYS[command][key][:3]
+    if kind == "model" and value not in bgl.MODEL_KINDS:
+        raise ConfigError(f"config key {key!r} must be one of "
+                          f"{', '.join(bgl.MODEL_KINDS)}, got {value!r}")
+    if kind == "model" or (value is None and default is None):
+        return value
+    if kind == "int" or kind == "float":
+        return _number(value, key, kind == "int", bound)
+    if not isinstance(value, list):
+        raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
+    if not value:
+        raise ConfigError(f"config key {key!r} must be a non-empty list")
+    if kind == "ladder":
+        if not all(isinstance(p, list) and len(p) == 2 for p in value):
+            raise ConfigError(f"config key {key!r} must hold [grid, count] "
+                              f"pairs, got {value!r}")
+        # a grid size keeps its domain rule in reps.rapidity_factor
+        return tuple((_number(grid, key, True, None),
+                      _number(count, key, True, bound))
+                     for grid, count in value)
+    if any(isinstance(v, bool) or not isinstance(v, (int, float))
+           for v in value):
+        raise ConfigError(f"config key {key!r} must hold numbers, "
                           f"got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"config key {key!r} must be at least {minimum}, "
-                          f"got {value!r}")
-    return int(value)
+    return tuple(_number(v, key, False, bound) for v in value)
 
 
-def _float(value, key, positive=False):
-    """A finite config number as a float; a scale of the runner itself
-    (``positive``) must also exceed 0.  A non-finite value would run a
-    check over a NaN or infinite range, or against an infinite budget.
-    The model parameters (spacings, masses) keep their domain rule in
-    :mod:`reps`, which refuses a value <= 0."""
+def _number(value, key, integral, bound):
+    """A finite config number within its ``bound``, an int when
+    ``integral``: a count below its bound would pass vacuously over no
+    samples, a non-finite scale over a NaN range or infinite budget."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key!r} must be a number, "
                           f"got {value!r}")
     # the comparison is exact for an int, which may exceed the doubles
-    if not abs(value) <= sys.float_info.max or (positive and not value > 0):
-        kind = "finite and positive" if positive else "finite"
-        raise ConfigError(f"config key {key!r} must be {kind}, "
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"config key {key!r} must be finite, "
                           f"got {value!r}")
-    return float(value)
+    if integral and not float(value).is_integer():
+        raise ConfigError(f"config key {key!r} must be an integer, "
+                          f"got {value!r}")
+    if bound is not None and (value < bound if integral
+                              else not value > bound):
+        raise ConfigError(f"config key {key!r} must be "
+                          f"{'at least' if integral else 'above'} {bound}, "
+                          f"got {value!r}")
+    return int(value) if integral else float(value)
 
 
-def _floats(values, key):
-    """A non-empty config list of finite numbers as a tuple of floats."""
-    if not values:
-        raise ConfigError(f"config key {key!r} must be a non-empty list")
-    if any(isinstance(v, bool) or not isinstance(v, (int, float))
-           for v in values):
-        raise ConfigError(f"config key {key!r} must hold numbers, "
-                          f"got {values!r}")
-    return tuple(_float(v, key) for v in values)
+_MODELS = {"chiralSum": bgl.NetModel.chiral_sum,
+           "massive": bgl.NetModel.massive, "twisted": bgl.NetModel.twisted,
+           "directIntegral": bgl.NetModel.direct_integral}
+
+
+def _model_rule(v):
+    """bgl-axioms: the model, built from the keys that apply to its kind;
+    an unset ``n`` or ``h`` keeps the default of the kind's constructor."""
+    kind = v["model"]
+    v["net"] = _MODELS[kind](**{
+        key: v[key] for key, spec in KEYS["bgl-axioms"].items()
+        if kind in spec[3] and key not in ("model", "seed")
+        and v[key] is not None})
+
+
+def _grid_times(net, t_values):
+    """Refuse a flow time 2 pi t off the model's dilation grid."""
+    for t in t_values:
+        bgl.grid_steps(t, net.factors[0].h)
+
+
+def _flow_rule(v):
+    """reconstruct-mobius (chiralSum) and break-bw (twisted, with its
+    charge): the model, and every flow time on its dilation grid."""
+    v["net"] = _MODELS["twisted" if "charge" in v else "chiralSum"](
+        **{k: v[k] for k in ("n", "h", "charge") if k in v})
+    _grid_times(v["net"], v["t_values"])
+
+
+def _study_rule(v):
+    """lightcone-defect: each ladder level's rapidity factor, per mass."""
+    for mass in v["masses"]:
+        for grid, _ in v["ladder"]:
+            reps.rapidity_factor(grid, v["spacing"], mass)
+
+
+# the rules over several keys at once, with the noun of their message
+_GRID_RULES = {"bgl-axioms": ("model", _model_rule),
+               "reconstruct-mobius": ("reconstruction", _flow_rule),
+               "break-bw": ("counterexample", _flow_rule),
+               "lightcone-defect": ("study", _study_rule)}
+
+
+def _parse_config(command, config):
+    """A merged config parsed key by key through KEYS, then through the
+    command's grid rule, which may add the built model as ``net``; a
+    ValueError of a computation after it is an internal error."""
+    values = {key: _parse(command, key, config[key])
+              for key in KEYS[command]}
+    if command in _GRID_RULES:
+        noun, rule = _GRID_RULES[command]
+        try:
+            rule(values)
+        except ValueError as exc:
+            raise ConfigError(f"invalid {noun} parameters: {exc}") from exc
+    return values
 
 
 def _resolve_out_dir(arg):
-    if arg:
-        return arg
-    env = os.environ.get(OUT_ENV_VAR)
-    if env:
-        return env
-    return DEFAULT_OUT_DIR
+    return arg or os.environ.get(OUT_ENV_VAR) or DEFAULT_OUT_DIR
 
 
 # ---------------------------------------------------------------------------
-# command runners: each takes (config, seed, budget scale) and returns
+# command runners: each takes (parsed values, seed, budget scale) and returns
 # (results, tables).  results maps a check name of the command's CHECKS
 # rows to its Measurement, which carries a budget exactly when the row
 # has no base budget; tables maps a table name to (fieldnames, rows).
@@ -317,8 +394,7 @@ def _resolve_out_dir(arg):
 
 def _run_verify_mobius(cfg, seed, scale):
     rng = np.random.default_rng(seed)
-    samples = _int(cfg["samples"], "samples", minimum=1)
-    span = _float(cfg["parameter_range"], "parameter_range", positive=True)
+    samples, span = cfg["samples"], cfg["parameter_range"]
     worst_comm = 0.0
     for pair in mobius.COMMUTATION_PAIRS:
         count = 0
@@ -421,8 +497,8 @@ def _random_standard(rng, parent, samples):
 
 def _run_verify_stdspace(cfg, seed, scale):
     rng = np.random.default_rng(seed)
-    parent = stdspace.ComplexSpace(_int(cfg["dim"], "dim", minimum=1))
-    samples = _int(cfg["samples"], "samples", minimum=1)
+    parent = stdspace.ComplexSpace(cfg["dim"])
+    samples = cfg["samples"]
     # every step runs once over the stack of all samples
     h = _random_standard(rng, parent, samples)
     md = stdspace.modular_data(h)
@@ -455,60 +531,12 @@ def _run_verify_stdspace(cfg, seed, scale):
     return {name: Measurement(np.max(v)) for name, v in values.items()}, {}
 
 
-def _build_model(cfg):
-    """The configured model; an unset ``n`` or ``h`` keeps the default of
-    the kind's constructor."""
-    kind = cfg["model"]
-    if kind not in bgl.MODEL_KINDS:
-        raise ConfigError(
-            f"unknown model kind {kind!r} "
-            f"(known: {', '.join(sorted(bgl.MODEL_KINDS))})")
-    grid = {}
-    if cfg["n"] is not None:
-        grid["n"] = _int(cfg["n"], "n")
-    if cfg["h"] is not None:
-        grid["h"] = _float(cfg["h"], "h")
-    try:
-        if kind == "chiralSum":
-            return bgl.NetModel.chiral_sum(**grid)
-        if kind == "twisted":
-            return bgl.NetModel.twisted(charge=_float(cfg["charge"], "charge"),
-                                        **grid)
-        if kind == "massive":
-            return bgl.NetModel.massive(mass=_float(cfg["mass"], "mass"),
-                                        **grid)
-        return bgl.NetModel.direct_integral(
-            masses=_int(cfg["masses"], "masses"),
-            mass_min=_float(cfg["mass_min"], "mass_min"),
-            mass_max=_float(cfg["mass_max"], "mass_max"),
-            **grid)
-    except ValueError as exc:
-        raise ConfigError(f"invalid model parameters: {exc}") from exc
-
-
 def _run_bgl_axioms(cfg, seed, scale):
-    return bgl.axioms_report(_build_model(cfg),
-                             tol=bgl.BLOCK_TOL * scale), {}
-
-
-def _grid_times(net, t_values):
-    """Refuse a flow time 2 pi t off the model's dilation grid, before any
-    compute."""
-    for t in t_values:
-        bgl.grid_steps(t, net.factors[0].h)
+    return bgl.axioms_report(cfg["net"], tol=bgl.BLOCK_TOL * scale), {}
 
 
 def _run_reconstruct_mobius(cfg, seed, scale):
-    t_values = _floats(cfg["t_values"], "t_values")
-    # only parsing and model construction map to a config error; a
-    # failure of the computation itself is an internal error
-    try:
-        net = bgl.NetModel.chiral_sum(n=_int(cfg["n"], "n"),
-                                      h=_float(cfg["h"], "h"))
-        _grid_times(net, t_values)
-    except ValueError as exc:
-        raise ConfigError(f"invalid reconstruction parameters: {exc}") from exc
-    report = bgl.reconstruct_ur(net, t_values=t_values)
+    report = bgl.reconstruct_ur(cfg["net"], t_values=cfg["t_values"])
     results = {
         "reconstruction-identity": Measurement(report.max_identity),
         "reconstruction-commutator": Measurement(report.max_commutator),
@@ -527,15 +555,8 @@ def _run_reconstruct_mobius(cfg, seed, scale):
 
 
 def _run_break_bw(cfg, seed, scale):
-    t_values = _floats(cfg["t_values"], "t_values")
-    try:
-        net = bgl.NetModel.twisted(n=_int(cfg["n"], "n"),
-                                   h=_float(cfg["h"], "h"),
-                                   charge=_float(cfg["charge"], "charge"))
-        _grid_times(net, t_values)
-    except ValueError as exc:
-        raise ConfigError(f"invalid counterexample parameters: {exc}") from exc
-    report = bgl.counterexample_bw(net, t_values=t_values)
+    net = cfg["net"]
+    report = bgl.counterexample_bw(net, t_values=cfg["t_values"])
     results = {
         "counterexample-formula": Measurement(report.max_formula_residual),
         "counterexample-wedge-roundtrip": Measurement(report.wedge_roundtrip,
@@ -549,23 +570,9 @@ def _run_break_bw(cfg, seed, scale):
 
 
 def _run_lightcone_defect(cfg, seed, scale):
-    masses = _floats(cfg["masses"], "masses")
-    # parsing and each level's rapidity factor map to a config error; a
-    # failure of the study itself is an internal error
-    try:
-        ladder = tuple((_int(n, "ladder"), _int(c, "ladder", minimum=0))
-                       for n, c in cfg["ladder"])
-        if not ladder:
-            raise ValueError("empty refinement ladder")
-        spacing = _float(cfg["spacing"], "spacing")
-        frozen = _float(cfg["frozen"], "frozen", positive=True)
-        for mass in masses:
-            for grid, _ in ladder:
-                reps.rapidity_factor(grid, spacing, mass)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid study parameters: {exc}") from exc
     study = bgl.lightcone_separating_study(
-        masses=masses, ladder=ladder, spacing=spacing, frozen=frozen)
+        masses=cfg["masses"], ladder=cfg["ladder"], spacing=cfg["spacing"],
+        frozen=cfg["frozen"])
     results = {
         "cone-defect-monotone": Measurement(study.max_rise),
         "cone-defect-below-frozen": Measurement(study.finest_defect,
@@ -577,7 +584,7 @@ def _run_lightcone_defect(cfg, seed, scale):
 
 
 def _run_spin_statistics(cfg, seed, scale):
-    count = _int(cfg["pairs"], "pairs", minimum=1)
+    count = cfg["pairs"]
     rng = np.random.default_rng(seed)
     base = rng.uniform(0.0, 3.0, size=count)
     steps = rng.integers(-3, 4, size=count)
@@ -591,15 +598,12 @@ def _run_spin_statistics(cfg, seed, scale):
 
 
 def _run_trace_class(cfg, seed, scale):
-    n_terms = _int(cfg["n_terms"], "n_terms", minimum=1)
+    n_terms = cfg["n_terms"]
     rows = []
     worst_rel = 0.0
-    for beta in _floats(cfg["betas"], "betas"):
-        try:
-            value, closed, diff, tail = bgl.trace_class_partition(
-                beta, n_terms=n_terms)
-        except ValueError as exc:
-            raise ConfigError(f"invalid inverse temperature: {exc}") from exc
+    for beta in cfg["betas"]:
+        value, closed, diff, tail = bgl.trace_class_partition(
+            beta, n_terms=n_terms)
         rel = diff / closed
         worst_rel = max(worst_rel, rel)
         rows.append({"beta": beta, "value": value,
@@ -617,9 +621,7 @@ def _run_trace_class(cfg, seed, scale):
 
 
 def _run_fock_checks(cfg, seed, scale):
-    modes = _int(cfg["modes"], "modes", minimum=1)
-    order = _int(cfg["order"], "order", minimum=0)
-    samples = _int(cfg["samples"], "samples", minimum=1)
+    modes, order, samples = cfg["modes"], cfg["order"], cfg["samples"]
     rng = np.random.default_rng(seed)
 
     def amp(norm):
@@ -697,17 +699,16 @@ def _run_fock_checks(cfg, seed, scale):
 
 def _run_halperin_bench(cfg, seed, scale):
     # generic pairs draw subspace dimensions from [3, dim - 1)
-    parent = stdspace.ComplexSpace(_int(cfg["dim"], "dim", minimum=5))
+    parent = stdspace.ComplexSpace(cfg["dim"])
     n = parent.n
-    tol = _float(cfg["tol"], "tol", positive=True)
-    max_iter = _int(cfg["max_iter"], "max_iter", minimum=1)
+    tol, max_iter = cfg["tol"], cfg["max_iter"]
     rng = np.random.default_rng(seed)
     caps = [c for c in (8, 32, 128, 512, 2048) if c < max_iter] + [max_iter]
 
     rows = []
     worst_distance = 0.0
     failures = 0
-    for index in range(_int(cfg["pairs"], "pairs", minimum=1)):
+    for index in range(cfg["pairs"]):
         if index % 2 == 0:
             # generic pair with trivial intersection; dimensions kept away
             # from the marginal regime dim_a + dim_b = 2n, where principal
@@ -784,14 +785,18 @@ def _environment_fingerprint():
 def run_command(command, config, seed, budget_scale):
     """Execute one command; returns (report dict, tables dict).
 
+    The merged ``config`` and the ``seed`` are parsed through KEYS before
+    the runner sees them; the report echoes the config as given.
     ``budget_scale`` must be finite and positive: an infinite scale would
     pass every check and a NaN or non-positive one fail every check.
     """
     if not (math.isfinite(budget_scale) and budget_scale > 0):
         raise ConfigError(f"budget scale must be finite and positive, "
                           f"got {budget_scale!r}")
+    values = _parse_config(command, config)
+    seed = _parse(command, "seed", seed)
     started = time.perf_counter()
-    results, tables = RUNNERS[command](config, seed, budget_scale)
+    results, tables = RUNNERS[command](values, seed, budget_scale)
     elapsed = time.perf_counter() - started
     declared = CHECKS[command]
     for name in results:
@@ -800,7 +805,7 @@ def run_command(command, config, seed, budget_scale):
     missing = tuple(name for name in declared if name not in results)
     # a model without dilations leaves out exactly the dilation rows
     if missing and not (command == "bgl-axioms" and missing == _DILATION_ROWS
-                        and config["model"] not in bgl.DILATION_KINDS):
+                        and values["model"] not in bgl.DILATION_KINDS):
         raise RuntimeError(f"{command} left out its checks {missing}")
     checks = []
     for name, (base, text) in declared.items():
@@ -901,14 +906,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.command, args.config)
-        seed = _int(args.seed if args.seed is not None
-                    else config.get("seed", 0), "seed", minimum=0)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    config["seed"] = seed
-    try:
-        report, tables = run_command(args.command, config, seed,
+        if args.seed is not None:
+            config["seed"] = args.seed
+        report, tables = run_command(args.command, config, config["seed"],
                                      args.budget_scale)
         path = write_report(report, tables, _resolve_out_dir(args.out))
     except ConfigError as exc:
