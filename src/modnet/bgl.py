@@ -37,11 +37,13 @@ once per shape and translates the result to every cone of that shape.
 
 The Bisognano-Wichmann entries recompute a wedge's modular data from
 its subspace alone: one SVD of the complex basis gives (V, log Delta,
-J), and Delta is compared with the defining one.  Every operator is
-block-diagonal over the factors, ``NetModel.tiles`` (the twisted
-model's copy rotation pairs each with its copy): eigenvectors, flows
-and powers are stacks of tiles, the checks' products and norms run on
-the stacks, and a dense matrix is only their scatter (see
+J), and Delta is compared with the defining one.  The model declares
+its tilings: ``NetModel.tiles``, the slots of each factor, over which
+the wedge data is block-diagonal, and ``NetModel.action_tiles``, those
+of the group action (on twisted each factor with the copy the rotation
+mixes it with).  Eigenvectors, flows and powers are stacks of tiles,
+the checks' products and norms run on the stacks, a dense matrix is
+only their scatter, and what is handed no tiling is one tile (see
 :mod:`stdspace`).  The limit that roundtrip meets is |log Delta|, about
 2 pi^2 / h on a chiral grid of spacing h: where it is large the
 singular values near sqrt 2 cluster and the recomputed J loses its
@@ -145,10 +147,15 @@ class _Block:
         values = np.exp(2j * np.pi * t * self.kap).reshape(len(v), 1, -1)
         return (v * values) @ v.conj().swapaxes(-1, -2)
 
-    def subspace(self, parent):
+    def dense(self, stack):
+        """The matrix of a stack of factor tiles, such as V or a flow."""
+        slots = np.arange(self.z.size).reshape(len(self.vecs), -1)
+        return stdspace._scatter(stack, slots)
+
+    def subspace(self, parent, tiling=None):
         """fix(J Delta^{1/2}) through the eigenpair formula."""
-        return _eigenpair_fix(parent, self.kap, _direct_sum(self.vecs),
-                              self.pair)
+        return _eigenpair_fix(parent, self.kap, self.dense(self.vecs),
+                              self.pair, tiling)
 
     def translate(self, phases):
         """The block of the translated region, U = diag(phases) unitary.
@@ -194,13 +201,15 @@ def _block_diag(blocks):
 # ---------------------------------------------------------------------------
 
 
-def _eigenpair_fix(parent, kap, cols, pair_of):
+def _eigenpair_fix(parent, kap, cols, pair_of, tiling=None):
     """Orthonormal basis of fix(J Delta^{1/2}) from paired eigenvectors.
 
     Never forms Delta: for an eigenpair (kappa, -kappa) with J-exchanged
     columns c, c' the fixed plane is spanned by e^{-pi kappa} c + c' and
     i(-e^{-pi kappa} c + c'); a self-paired kappa = 0 column contributes
-    its real line.  Valid for arbitrarily large |kappa|.
+    its real line.  Valid for arbitrarily large |kappa|.  A pair lies in
+    one factor and the columns follow the slots, so the handed ``tiling``
+    of a union of factors is (slots, slots).
     """
     pair_of = np.asarray(pair_of)
     lead = np.flatnonzero(np.arange(parent.n) <= pair_of)  # one per pair
@@ -221,7 +230,7 @@ def _eigenpair_fix(parent, kap, cols, pair_of):
     out[:, paired, 1] = v2 / np.linalg.norm(v2, axis=0)
     keep = np.stack([np.ones_like(paired), paired], axis=1).ravel()
     out = out.reshape(parent.n, -1)[:, keep]
-    return stdspace.RealSubspace.orthonormalised(parent, out)
+    return stdspace.RealSubspace.orthonormalised(parent, out, tiling)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +299,10 @@ class NetModel:
         self.parent = stdspace.ComplexSpace(sum(f.n for f in self.factors))
         # the slots of each factor: the tiles of the model's operators
         self.tiles = np.arange(self.parent.n).reshape(len(self.factors), -1)
+        # the tiles of the group action: the twisted model's copy rotation
+        # pairs each factor with its copy
+        self.action_tiles = (np.hstack(np.split(self.tiles, 2))
+                             if kind == "twisted" else self.tiles)
         self.epsilon = BUDGET_FACTOR * (self._flow_residual() + BUDGET_FLOOR)
 
     # -- constructors ------------------------------------------------------
@@ -344,7 +357,7 @@ class NetModel:
         """Validated modular data of a wedge-like region, in the block's
         exact eigen form: no eigensolve and no dense Delta."""
         block = _wedge_block(self.factors, region)
-        return stdspace.ModularData(self.parent, _direct_sum(block.vecs),
+        return stdspace.ModularData(self.parent, block.dense(block.vecs),
                                     _TWO_PI * block.kap, np.diag(block.z),
                                     tiling=(self.tiles, self.tiles))
 
@@ -366,13 +379,15 @@ class NetModel:
                 region.translate((-apex[0], -apex[1])))
             sub = origin.phased(reps.translation_phases(self.factors, *apex))
         else:
-            sub = _wedge_block(self.factors, region).subspace(self.parent)
+            block = _wedge_block(self.factors, region)
+            sub = block.subspace(self.parent, (self.tiles, self.tiles))
         with self._lock:
             return self._cache.setdefault(key, sub)
 
     def wedge_flow(self, region, t):
         """Complex matrix of Delta_W^{it}, exact from the block eigen-form."""
-        return _direct_sum(_wedge_block(self.factors, region).flow(t))
+        block = _wedge_block(self.factors, region)
+        return block.dense(block.flow(t))
 
     # -- dual-prescription regions ----------------------------------------
 
@@ -468,15 +483,11 @@ class Measurement:
 
 def _dilation_deviation(net, t):
     """||Delta^{it} - U(delta(-2 pi t))|| on the forward cone at 0, on the
-    factor tiles, each paired with its copy where U has the copy rotation."""
+    tiles of the group action."""
     u = net.implemented_dilation(-_TWO_PI * t)   # refuses an off-grid t
-    cone = spacetime.Region.forward_cone((0.0, 0.0))
-    flow = _wedge_block(net.factors, cone).flow(t)
-    tiles = (np.hstack(np.split(net.tiles, 2)) if net.kind == "twisted"
-             else net.tiles)
-    return stdspace.tile_norm(
-        stdspace.retiled(flow, net.tiles, tiles)
-        - stdspace.retiled(u[None], np.arange(net.parent.n)[None], tiles))
+    flow = net.wedge_flow(spacetime.Region.forward_cone((0.0, 0.0)), t)
+    tiles = net.action_tiles
+    return stdspace.tile_norm(stdspace._on_tiles(flow - u, tiles, tiles))
 
 
 def axioms_report(net, tol=BLOCK_TOL):
@@ -517,7 +528,7 @@ def axioms_report(net, tol=BLOCK_TOL):
     moved = spacetime.Region.wedge_right(shift)
     u = net.unit_matrix_of(translation=shift)
     cov = stdspace.subspace_distance(
-        net.wedge_subspace(moved), h_r.transform(u))
+        net.wedge_subspace(moved), h_r.transform(u, net.tiles))
     entries["poincare-covariance"] = Measurement(cov, tol)
 
     # SS3 positivity of energy: the lightray translation generators P_L
@@ -560,7 +571,7 @@ def _hk_entries(net, entries, tol):
     h = net.factors[0].h
     u = net.implemented_dilation(h)
     cov = stdspace.subspace_distance(
-        h_v, h_v.transform(u))
+        h_v, h_v.transform(u, net.action_tiles))
     entries["dilation-covariance"] = Measurement(cov, tol)
 
     # HK8: the cone subspace is cyclic and separating.
@@ -581,7 +592,7 @@ def _hk_entries(net, entries, tol):
     # the wedge family it generates (checked on H(W_R) at a grid step).
     w_r = spacetime.Region.wedge_right((0.0, 0.0))
     h_r = net.wedge_subspace(w_r)
-    moved = h_r.transform(net.wedge_flow(cone, t))
+    moved = h_r.transform(net.wedge_flow(cone, t), net.tiles)
     target = net.wedge_subspace(w_r)  # dilations about 0 fix the corner
     hk10 = stdspace.subspace_distance(moved, target)
     entries["modular-covariance"] = Measurement(hk10, tol)
@@ -731,7 +742,7 @@ def counterexample_bw(net, t_values=(0.5, 1.0, 1.5)):
     h_v = net.wedge_subspace(cone)
 
     sym = stdspace.symmetry_commutation_check(
-        h_v, _rotated(np.eye(net.parent.n), 0.7))
+        h_v, _rotated(np.eye(net.parent.n), 0.7), net.action_tiles)
     gauge = sym.max_residual
 
     devs, preds, resids = [], [], []

@@ -27,18 +27,18 @@ result as it gets alone.
 Tiles are a direct sum, a stack is a batch.  The models are direct sums
 (two chiral factors, two copies of them, one rapidity block per mass),
 and the modular data of a direct sum of standard subspaces is the
-direct sum of the summands' data.  :func:`_tiles` reads that decoupling
-from an operand's zero pattern: the connected components of its rows
-and columns.  Every primitive runs the stack of an operand's tiles
-through its one stack body, and the results merge back: spectra are
-concatenated and sorted before any threshold reads them, vectors are
-embedded block-diagonally, and a norm is the largest tile norm.  An
-operand without two tiles of one shape, a stack among them, is one
-tile: a view of the whole array.  Subspaces and modular data keep their
-tiling: handed in by the producer that built them from tiles (refused
-unless its tiles hold every nonzero), else read once by :func:`_tiles`,
-the one rule for raw operators.  Modular data is held as tile stacks; a
-dense V, J or power is their scatter, for a consumer that needs one.
+direct sum of the summands' data.  The producer of an object declares
+its tiling, the slots of each tile (and the basis columns of each), and
+an object handed none is one tile: nothing is read from zero patterns.
+A handed tiling is refused unless its tiles hold every nonzero.  Every
+primitive runs the stack of an operand's tiles through its one stack
+body, and the results merge back: spectra are concatenated and sorted
+before any threshold reads them, vectors are embedded block-diagonally,
+and a norm is the largest tile norm.  One tile is a view of the whole
+array.  Operands on different tilings meet on the coarser one where
+one refines the other, a lookup of each slot's tile, else on one tile.
+Modular data is held as tile stacks; a dense V, J or power is their
+scatter, for a consumer that needs one.
 """
 
 from __future__ import annotations
@@ -126,20 +126,22 @@ class RealSubspace:
     of the complex n x k matrix B whose columns span H over the reals.
     A basis of shape (..., 2n, k) holds a stack of k-dimensional
     subspaces; ``transform`` and the module's primitives act on each.
-    A producer that built b from tiles hands in their ``tiling``, whose
-    tiles must hold every nonzero of b.
+    ``tiling`` is (slots (T, n / T), columns of B (T, k / T)) of each
+    tile: as handed in by the producer, whose tiles must hold every
+    nonzero of b, else one tile.
     """
 
-    __slots__ = ("parent", "basis", "_tiling")
+    __slots__ = ("parent", "basis", "tiling")
 
     def __init__(self, parent, basis, tiling=None):
         b = np.asarray(basis, dtype=float)
         if b.ndim < 2 or b.shape[-2] != parent.real_dim:
             raise ValueError("basis must be a (2n x k) matrix or a stack")
         self.parent, self.basis = parent, b
-        self._tiling = tiling if b.shape[-1] else None
-        stack = (b[..., None, :, :] if self._tiling is None else
-                 _on_tiles(b, _doubled(tiling[0], parent.n), tiling[1]))
+        self.tiling = tiling if b.shape[-1] and tiling else (
+            _one_tile(parent.n), _one_tile(b.shape[-1]))
+        stack = _on_tiles(b, _doubled(self.tiling[0], parent.n),
+                          self.tiling[1])
         # orthonormal tile by tile; "not <=" refuses a NaN error too
         gram = _T(stack) @ stack - np.eye(stack.shape[-1])
         if not np.max(np.abs(gram), initial=0.0) <= INVARIANT_TOL:
@@ -147,17 +149,20 @@ class RealSubspace:
         b.setflags(write=False)
 
     @classmethod
-    def from_complex(cls, parent, c):
+    def from_complex(cls, parent, c, tiling=None):
         """The real span of the columns of the complex n x k matrix c (or
         of each of a stack), whose real form must be orthonormal."""
         c = np.asarray(c, dtype=complex)
-        return cls(parent, np.concatenate([c.real, c.imag], axis=-2))
+        return cls(parent, np.concatenate([c.real, c.imag], axis=-2), tiling)
 
     @classmethod
-    def orthonormalised(cls, parent, c):
+    def orthonormalised(cls, parent, c, tiling=None):
         """The real span of the complex n x k columns c, of real rank k,
-        by :func:`qr_basis` of the real form of each tile of c."""
-        rows, (cols,), (stack,) = _tiles(np.asarray(c, dtype=complex))
+        by :func:`qr_basis` of the real form of each tile of c on the
+        handed ``tiling`` (one tile if None)."""
+        c = np.asarray(c, dtype=complex)
+        rows, cols = tiling or (_one_tile(parent.n), _one_tile(c.shape[-1]))
+        stack = _on_tiles(c, rows, cols)
         q = qr_basis(np.concatenate([stack.real, stack.imag], axis=-2))
         return cls(parent, _scatter(q, _doubled(rows, parent.n), cols),
                    (rows, cols))
@@ -174,26 +179,24 @@ class RealSubspace:
     def dim(self):
         return self.basis.shape[-1]
 
-    @property
-    def tiling(self):
-        """(slots (T, n / T), columns of B (T, k / T)) of each tile: as
-        handed in, else read once from B by :func:`_tiles`."""
-        if self._tiling is None:
-            rows, (cols,), _ = _tiles(self.complex_basis())
-            self._tiling = rows, cols
-        return self._tiling
-
     def complex_basis(self):
         """B = b[:n] + i b[n:]: H is the real span of the columns of B."""
         n = self.parent.n
         return self.basis[..., :n, :] + 1j * self.basis[..., n:, :]
 
-    def transform(self, u):
-        """Image under the unitary with complex n x n matrix u; a stack
-        of unitaries maps each member of a stack of subspaces.  The image
-        basis u B is taken as it is, so the constructor's Gram check
-        refuses an operator that is not unitary."""
-        return RealSubspace.from_complex(self.parent, u @ self.complex_basis())
+    def transform(self, u, tiles=None):
+        """Image under the unitary with complex n x n matrix u, on the
+        slots ``tiles`` (one tile if None) that hold its every nonzero; a
+        stack of unitaries maps each member of a stack of subspaces.  u B
+        is taken tile by tile on the common tiling of u and H, kept by
+        the image, and the constructor's Gram check refuses a u that is
+        not unitary."""
+        rows = _common(self.parent.n, self.tiling[0], tiles)
+        cols = _moved(rows, *self.tiling)
+        image = (_on_tiles(np.asarray(u), rows, rows)
+                 @ _gather(self.complex_basis(), rows, cols))
+        return RealSubspace.from_complex(
+            self.parent, _scatter(image, rows, cols), (rows, cols))
 
     def phased(self, phases):
         """Image under the diagonal unitary diag(phases), every |phase|
@@ -202,7 +205,7 @@ class RealSubspace:
             raise ValueError("phases must have modulus 1")
         c = np.asarray(phases)[:, None] * self.complex_basis()
         moved = object.__new__(RealSubspace)
-        moved.parent, moved._tiling = self.parent, self._tiling
+        moved.parent, moved.tiling = self.parent, self.tiling
         moved.basis = np.concatenate([c.real, c.imag], axis=-2)
         moved.basis.setflags(write=False)
         return moved
@@ -218,109 +221,35 @@ def _max_entry(c):
 
 
 # ---------------------------------------------------------------------------
-# tiles: the exact decoupling of an operand
+# tiles: the declared direct sum of an operand
 # ---------------------------------------------------------------------------
 
 
-def _tiles(*ops, square=()):
-    """The tiles of operands that share their rows: ``(rows, cols, stacks)``.
-
-    ``ops`` are arrays (..., m, k_i) on one set of m rows.  Row r and
-    column c of a matrix are joined where that entry is nonzero, and the
-    tiles are the connected components.  The operands at the positions
-    ``square`` are slot-to-slot operators such as jc, whose columns index
-    the rows themselves: each tile must hold the same indices among their
-    rows and their columns.
-
-    ``rows`` (T, m / T) and, per operand, ``cols[i]`` (T, k_i / T) are
-    ascending within a tile, tiles in the order of their first row, and
-    ``stacks[i]`` (..., T, m / T, k_i / T) holds the tiles of ``ops[i]``.
-    Operands without T >= 2 tiles of one shape are one tile (T = 1), a
-    view of each operand with every index in order: a stack, an empty
-    operand, one component (an operand without zeros, or with a full row
-    or column, exits first), a zero row or column, or tiles of unequal
-    shape.
-    """
-    return _decoupled(ops, square) or (
-        np.arange(ops[0].shape[-2])[None],
-        [np.arange(a.shape[-1])[None] for a in ops],
-        [a[..., None, :, :] for a in ops])
+def _one_tile(n):
+    """The tiling of n indices as one tile."""
+    return np.arange(n)[None]
 
 
-def _decoupled(ops, square):
-    """:func:`_tiles`'s result when the matrices ``ops`` have T >= 2
-    tiles of one shape, else None."""
-    if any(a.ndim != 2 or a.size == 0 for a in ops):
-        return None
-    masks = []
-    for a in ops:
-        # a column without zeros joins every row, and so does a row
-        # without zeros when every row meets the operand
-        mk = a != 0
-        if mk.all(axis=0).any() or (mk.all(axis=1).any()
-                                    and mk.any(axis=1).all()):
-            return None
-        masks.append(mk)
-    mask = np.hstack(masks) if len(masks) > 1 else masks[0]
-    m, k = mask.shape
-    if not (mask.any(axis=1).all() and mask.any(axis=0).all()):
-        return None                 # a zero row or column
-    # the forest joining each row to its first and last nonzero column
-    # and each column to its first nonzero row has components that refine
-    # the tiles
-    rows, cols = np.arange(m), m + np.arange(k)
-    u = np.concatenate([rows, rows, cols])
-    v = np.concatenate([m + mask.argmax(axis=1),
-                        m + k - 1 - mask[:, ::-1].argmax(axis=1),
-                        mask.argmax(axis=0)])
-    label = _least_labels(m + k, u, v)
-    if not label[:m].any():
-        return None
-    # a nonzero joining two of them becomes an edge; components only
-    # merge, so every nonzero then lies inside one and one more run
-    # labels the tiles
-    off = mask & (label[:m, None] != label[m:])
-    if off.any():
-        r, c = np.nonzero(off)
-        label = _least_labels(m + k, np.concatenate([u, r]),
-                              np.concatenate([v, m + c]))
-    # each tile is labelled by its least row
-    per_tile = np.bincount(label[:m])
-    first = np.flatnonzero(per_tile)
-    count = first.size
-    if count < 2 or np.any(per_tile[first] != per_tile[first[0]]):
-        return None
-    rows = np.argsort(label[:m], kind="stable").reshape(count, -1)
-    cols, stacks = [], []
-    start = m
-    for i, a in enumerate(ops):
-        own = label[start:start + a.shape[1]]
-        start += a.shape[1]
-        if np.any(np.bincount(own, minlength=per_tile.size)[first]
-                  * count != a.shape[1]):
-            return None
-        cols.append(np.argsort(own, kind="stable").reshape(count, -1))
-        if i in square and not np.array_equal(cols[-1], rows):
-            return None
-        stacks.append(_gather(a, rows, cols[-1]))
-    return rows, cols, stacks
+def _common(n, *tilings):
+    """The tiling the slot tilings meet on (None is one tile): the
+    coarsest of them if every other refines it, which a lookup of each
+    slot's tile in the coarsest decides, else one tile."""
+    tilings = [_one_tile(n) if t is None else t for t in tilings]
+    coarse = min(tilings, key=len)
+    label = np.argsort(coarse, axis=None) // coarse.shape[1]
+    if all(np.all(label[r] == label[r[:, :1]]) for r in tilings):
+        return coarse
+    return _one_tile(n)
 
 
-def _least_labels(count, u, v):
-    """Per node, the least node of its component in the graph on the
-    nodes 0, ..., count - 1 with the edges (u[e], v[e]): each node takes
-    the least label over its edges, then the label of that label, until
-    nothing moves."""
-    label = np.arange(count)
-    while True:
-        low = np.minimum(label[u], label[v])
-        new = label.copy()
-        np.minimum.at(new, u, low)
-        np.minimum.at(new, v, low)
-        new = new[new]
-        if np.array_equal(new, label):
-            return label
-        label = new
+def _moved(rows, own, cols):
+    """The columns of each tile of ``rows`` for the tiling (own, cols)
+    that refines it: the union of the columns of its tiles, ascending."""
+    if np.array_equal(own, rows):
+        return cols
+    label = np.argsort(rows, axis=None) // rows.shape[1]
+    order = np.argsort(label[own[:, 0]], kind="stable")
+    return np.sort(cols[order].reshape(rows.shape[0], -1), axis=-1)
 
 
 def _doubled(slots, n):
@@ -548,8 +477,8 @@ class ModularData:
     Validated at construction: finite data, V unitary, J orthogonal and
     involutive, and J Delta J = Delta^{-1}; Delta > 0 by construction.
     V and jc are held as tile stacks on ``tiling`` (slots, V's columns;
-    handed in by a producer as before the sort), and flows, powers and
-    the matrix of S are formed only on request.
+    handed in by a producer as before the sort, else one tile), and
+    flows, powers and the matrix of S are formed only on request.
 
     Arrays (..., n, n), (..., n) and (..., n, n) hold a stack of modular
     data; each invariant is then required of every member, and the
@@ -573,13 +502,10 @@ class ModularData:
         vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
         lam = np.take_along_axis(lam, order, axis=-1)
         # validated tile by tile, as one stack
-        if tiling is None:
-            rows, (cols, _), (v, j) = _tiles(vecs, jc, square=(1,))
-        else:
-            rows, cols = tiling
-            if rows.shape[0] > 1:       # V's columns, renumbered by the sort
-                cols = np.sort(np.argsort(order)[cols], axis=-1)
-            v, j = _on_tiles(vecs, rows, cols), _on_tiles(jc, rows, rows)
+        rows, cols = tiling or (_one_tile(n),) * 2
+        if rows.shape[0] > 1:           # V's columns, renumbered by the sort
+            cols = np.sort(np.argsort(order)[cols], axis=-1)
+        v, j = _on_tiles(vecs, rows, cols), _on_tiles(jc, rows, rows)
         lt = lam[..., cols]
         eye = np.eye(v.shape[-1])
         vh = _T(v.conj())
@@ -624,13 +550,16 @@ class ModularData:
         """The modular unitary Delta^{it}, as a complex n x n matrix."""
         return self.power(1j * t)
 
-    def tomita_matrix(self):
+    def tomita_tiles(self):
         """Complex matrix jc conj(V) e^{log Delta / 2} V^T of S = J
-        Delta^{1/2}: S xi = tomita_matrix() conj(xi)."""
-        rows, cols = self.tiling
-        half = (self._v.conj()
-                * np.exp(self.log_delta[..., cols] / 2.0)[..., None, :])
-        return _scatter(self._j @ half @ _T(self._v), rows)
+        Delta^{1/2}, its stack of tiles."""
+        lt = self.log_delta[..., self.tiling[1]]
+        half = self._v.conj() * np.exp(lt / 2.0)[..., None, :]
+        return self._j @ half @ _T(self._v)
+
+    def tomita_matrix(self):
+        """The complex matrix of S: S xi = tomita_matrix() conj(xi)."""
+        return _scatter(self.tomita_tiles(), self.tiling[0])
 
     def __repr__(self):
         return f"ModularData(parent={self.parent!r})"
@@ -773,15 +702,13 @@ def intersect(subspaces, method="exact", max_iter=5000, tol=1e-9):
 
 
 def _joint(*subspaces):
-    """The slots of each tile and the tiles of each basis: the kept
-    tilings if they agree, else :func:`_tiles` of the complex bases."""
-    rows = subspaces[0].tiling[0]
-    if all(np.array_equal(h.tiling[0], rows) for h in subspaces):
-        cols = [h.tiling[1] for h in subspaces]
-    else:
-        rows, cols, _ = _tiles(*(h.complex_basis() for h in subspaces))
-    real = _doubled(rows, subspaces[0].parent.n)
-    return rows, [_gather(h.basis, real, c) for h, c in zip(subspaces, cols)]
+    """The slots of each tile and the tiles of each basis, on the common
+    tiling of the subspaces (:func:`_common`)."""
+    n = subspaces[0].parent.n
+    rows = _common(n, *(h.tiling[0] for h in subspaces))
+    real = _doubled(rows, n)
+    return rows, [_gather(h.basis, real, _moved(rows, *h.tiling))
+                  for h in subspaces]
 
 
 def _spanned(parent, rows, stack, vecs, keep):
@@ -820,20 +747,24 @@ class SymmetryReport:
         return max(self.s_residual, self.delta_residual, self.j_residual)
 
 
-def symmetry_commutation_check(h, u, tol=SUBSPACE_TOL):
+def symmetry_commutation_check(h, u, tiles=None, tol=SUBSPACE_TOL):
     """A unitary preserving H commutes with its whole modular family.
 
-    ``u`` is the complex n x n matrix of the unitary.  U X U* - X is
-    (u x) u* - x for a linear X and (u x) u^T - x for an antilinear one
-    (xi -> x conj(xi)); their spectral norms are the residuals.
+    ``u`` is the complex n x n matrix of the unitary, tiled on the slots
+    ``tiles`` (one tile if None).  U X U* - X is (u x) u* - x for a
+    linear X and (u x) u^T - x for an antilinear one (xi -> x conj(xi));
+    their spectral norms are the residuals, taken on the common tiling of
+    u and the modular data.
     """
     u = np.asarray(u, dtype=complex)
-    d = subspace_distance(h, h.transform(u))
+    d = subspace_distance(h, h.transform(u, tiles))
     if d > tol:
         raise ValueError(f"U does not preserve H (subspace distance {d:.3e})")
     m = modular_data(h)
-    _, _, (ut, s, delta, j) = _tiles(u, m.tomita_matrix(), m.power(1.0),
-                                     m.jc, square=(0, 1, 2, 3))
+    rows = _common(h.parent.n, m.tiling[0], tiles)
+    ut = _on_tiles(u, rows, rows)
+    s, delta, j = (retiled(x, m.tiling[0], rows)
+                   for x in (m.tomita_tiles(), m.power_tiles(1.0), m._j))
 
     def deviation(x, right):
         return tile_norm((ut @ x) @ right - x)
@@ -846,11 +777,9 @@ def symmetry_commutation_check(h, u, tol=SUBSPACE_TOL):
 
 def modular_roundtrip(m1, h):
     """max(||J - J'||, ||Delta - Delta'|| / ||Delta||) between ``m1`` and
-    the pair recomputed from ``h``, on shared tiles, else on one tile."""
+    the pair recomputed from ``h``, on the common tiling of the two."""
     m2 = modular_data(h)
-    rows = m1.tiling[0]
-    if not np.array_equal(rows, m2.tiling[0]):
-        rows = np.arange(h.parent.n)[None]
+    rows = _common(h.parent.n, m1.tiling[0], m2.tiling[0])
     (j1, d1), (j2, d2) = ([retiled(x, m.tiling[0], rows)
                            for x in (m._j, m.power_tiles(1.0))]
                           for m in (m1, m2))

@@ -255,6 +255,24 @@ def test_translation_covariance_is_exact(kind):
         moved, net.wedge_subspace(w_r).transform(u)) < 1e-11
 
 
+# ROADMAP item 1: the translation phases are formed in doubles, so U(a)
+# U(b) misses U(a + b) at order one on every default grid
+_PHASES_DO_NOT_COMPOSE = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: max |U(a) U(b) - U(a + b)| is 2.0 "
+                        "on chiralSum, twisted and massive and 1.82 on "
+                        "directIntegral")
+
+
+@_PHASES_DO_NOT_COMPOSE
+@pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
+def test_translations_compose_on_the_default_grid(kind):
+    u = _model(kind).unit_matrix_of
+    a, b = (0.25, -0.4), (0.1, 0.3)
+    product = u(translation=a) @ u(translation=b)
+    summed = u(translation=(a[0] + b[0], a[1] + b[1]))
+    assert np.max(np.abs(product - summed)) < bgl.BLOCK_TOL
+
+
 @pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
 def test_unit_matrix_of_translation_is_orthogonal(kind):
     net = _model(kind)
@@ -689,30 +707,30 @@ def test_tiled_counterexample_residuals_match_a_dense_reference():
 
 @pytest.mark.parametrize("kind", ["chiralSum", "twisted"])
 def test_tiled_symmetry_residuals_match_a_dense_reference(kind):
-    # a modular unitary of the cone is a symmetry on both models; its
-    # tiles are the factors', which the check reads together with its own
+    # a modular unitary of the cone is a symmetry on both models, handed
+    # in on the factor tiles of its modular data
     net = {"chiralSum": bgl.NetModel.chiral_sum,
            "twisted": bgl.NetModel.twisted}[kind](n=17)
     h_v = net.wedge_subspace(spacetime.Region.forward_cone((0.0, 0.0)))
     u = stdspace.modular_data(h_v).delta_it(0.3)
-    rep = stdspace.symmetry_commutation_check(h_v, u)
+    rep = stdspace.symmetry_commutation_check(h_v, u, net.tiles)
     got = (rep.s_residual, rep.delta_residual, rep.j_residual)
     want = _dense_symmetry_residuals(h_v, u)
     assert all(map(_ulps_apart, got, want)), (got, want)
 
 
 def test_reconstruction_residual_path_reads_no_tiling(monkeypatch):
-    # with the cone subspaces built, every residual of the reconstruction
-    # runs on tilings that are carried: _tiles is never called
+    # every residual of the reconstruction runs on the tiling the cone
+    # subspaces carry, the model's factor tiles: no flow is moved
     net = bgl.NetModel.chiral_sum(n=17)
-    for apex in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
-        net.wedge_subspace(spacetime.Region.forward_cone(apex))
-    calls = []
-    tiles = stdspace._tiles
-    monkeypatch.setattr(stdspace, "_tiles", lambda *ops, **kw: (
-        calls.append(ops) or tiles(*ops, **kw)))
+    moves = []
+    retiled = stdspace.retiled
+    monkeypatch.setattr(stdspace, "retiled", lambda stack, rows, new: (
+        moves.append((rows, new)) or retiled(stack, rows, new)))
     rec = bgl.reconstruct_ur(net)
-    assert calls == []
+    assert len(moves) == 3 * 4 + 2       # three flows per t, two at 0
+    assert all(np.array_equal(rows, net.tiles) and np.array_equal(new, rows)
+               for rows, new in moves)
     assert rec.max_identity < RECON_TOL
 
 
@@ -839,58 +857,51 @@ def test_translated_cone_duals_match_the_direct_intersection():
             assert stdspace.subspace_distance(dual, direct) <= bound, grid
 
 
-def _scaled_duals_and_massive_data():
-    duals = [d.basis for grid, count in SCALED_LADDER
+def _one_tile(net):
+    """The model declaring one tile: every subspace, modular data and
+    unitary it hands is one tile, so every primitive takes the dense
+    call."""
+    net.tiles = net.action_tiles = np.arange(net.parent.n)[None]
+    return net
+
+
+def test_one_tile_operands_take_the_dense_call():
+    # the study's rapidity operands and a massive model are one tile: no
+    # tiling is handed to the 170 duals of the scaled ladder, and the
+    # massive model's one factor is its one tile
+    duals = [d for grid, count in SCALED_LADDER
              for d in bgl._cone_duals(1.0, grid, count, bgl.STUDY_SPACING)]
+    assert len(duals) == 170
+    assert all(d.tiling[0].shape[0] == 1 for d in duals)
     net = bgl.NetModel.massive()
     w_r, _ = _origin_wedges()
-    md = stdspace.modular_data(net.wedge_subspace(w_r))
-    block = net.wedge_modular(w_r)
-    return duals, [md.tomita_matrix(), md.vecs, md.log_delta, md.jc,
-                   block.vecs, block.log_delta, block.jc]
-
-
-def _tiling_off(monkeypatch):
-    """Make every operand one tile, as if none decoupled: every tiling
-    a subspace or its modular data keeps is read by ``_tiles`` or built
-    from a tiling it read."""
-    monkeypatch.setattr(stdspace, "_decoupled", lambda ops, square: None)
-
-
-def test_one_tile_operands_take_the_dense_call(monkeypatch):
-    # the study's rapidity operands and a massive model are one tile: the
-    # 170 duals of the scaled ladder and the massive modular data are the
-    # arrays that result with tiling switched off
-    duals, data = _scaled_duals_and_massive_data()
-    _tiling_off(monkeypatch)
-    dense_duals, dense_data = _scaled_duals_and_massive_data()
-    assert len(duals) == len(dense_duals) == 170
-    assert all(np.array_equal(a, b) for a, b in zip(duals, dense_duals))
-    assert all(np.array_equal(a, b) for a, b in zip(data, dense_data))
+    h = net.wedge_subspace(w_r)
+    tilings = (h.tiling, stdspace.modular_data(h).tiling,
+               net.wedge_modular(w_r).tiling, (net.action_tiles,))
+    assert all(t[0].shape[0] == 1 for t in tilings)
 
 
 @pytest.mark.parametrize("kind", ["chiralSum", "directIntegral", "twisted"])
-def test_direct_sum_models_run_tiled_and_agree_with_the_dense_call(
-        monkeypatch, kind):
+def test_direct_sum_models_run_tiled_and_agree_with_the_dense_call(kind):
     # wedge bases, modular data and their residuals of the direct-sum
-    # models are tiled; the dense call gives them to round-off
-    def entries():
-        net = {"chiralSum": bgl.NetModel.chiral_sum,
-               "directIntegral": bgl.NetModel.direct_integral,
-               "twisted": bgl.NetModel.twisted}[kind]()
+    # models are tiled; the model declaring one tile gives them to
+    # round-off
+    make = {"chiralSum": bgl.NetModel.chiral_sum,
+            "directIntegral": bgl.NetModel.direct_integral,
+            "twisted": bgl.NetModel.twisted}[kind]
+
+    def entries(net):
         h_r = net.wedge_subspace(_origin_wedges()[0])
         return h_r, bgl.axioms_report(net)
 
-    h_r, report = entries()
+    h_r, report = entries(make())
     n = h_r.parent.n
-    assert stdspace._tiles(h_r.basis[:n] + 1j * h_r.basis[n:])[0].shape[0] > 1
     derived = (h_r.tiling, stdspace.symplectic_complement(h_r).tiling,
                stdspace.modular_data(h_r).tiling)
     assert all(rows.shape[0] > 1 for rows, _ in derived)
-    _tiling_off(monkeypatch)
-    dense_h, dense = entries()
-    # the kept tilings, the derived ones included, are off too: the
-    # dense call is compared with the tiled one, not with itself
+    dense_h, dense = entries(_one_tile(make()))
+    # the derived tilings are one tile too: the dense call is compared
+    # with the tiled one, not with itself
     derived = (dense_h.tiling, stdspace.symplectic_complement(dense_h).tiling,
                stdspace.modular_data(dense_h).tiling,
                dense_h.phased(np.ones(n)).tiling)
@@ -900,6 +911,51 @@ def test_direct_sum_models_run_tiled_and_agree_with_the_dense_call(
         assert entry.passed == dense[name].passed, name
         assert entry.residual == pytest.approx(dense[name].residual,
                                                abs=1e-11), name
+
+
+#: tiles of the wedge subspaces at each kind's default: its factors
+WEDGE_TILES = {"chiralSum": 2, "twisted": 4, "massive": 1,
+               "directIntegral": 4}
+
+
+@pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
+def test_every_claim_path_runs_on_the_declared_tiles(monkeypatch, kind):
+    # nothing reads a tiling from zero patterns: a producer that stopped
+    # handing its tiling would run dense without an error, so the tile
+    # count of each claim path is pinned
+    net = _model(kind)
+    images = []
+    transform = stdspace.RealSubspace.transform
+
+    def recorded(h, u, tiles=None):
+        image = transform(h, u, tiles)
+        images.append(image.tiling[0].shape[0])
+        return image
+
+    monkeypatch.setattr(stdspace.RealSubspace, "transform", recorded)
+    factors = WEDGE_TILES[kind]
+    regions = list(_origin_wedges())
+    if kind in bgl.DILATION_KINDS:
+        regions.append(spacetime.Region.forward_cone((0.0, 0.0)))
+    assert [net.wedge_subspace(r).tiling[0].shape[0]
+            for r in regions] == [factors] * len(regions)
+    # poincare-covariance on the factors; dilation-covariance on the
+    # tiles of the group action, each factor paired with its copy on
+    # twisted; modular-covariance on the factors
+    bgl.axioms_report(net)
+    action = 2 if kind == "twisted" else factors
+    assert images == [factors] + ([action, factors]
+                                  if kind in bgl.DILATION_KINDS else [])
+    if kind == "twisted":
+        images.clear()
+        bgl.counterexample_bw(net, t_values=(0.5,))
+        assert images == [2]            # the gauge check
+    if kind == "chiralSum":
+        # the reconstruction's cones and their modular data
+        cones = [net.wedge_subspace(spacetime.Region.forward_cone(apex))
+                 for apex in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0))]
+        assert [stdspace.modular_data(h).tiling[0].shape[0]
+                for h in cones] == [2, 2, 2]
 
 
 @pytest.mark.parametrize("ladder,calls", [(SCALED_LADDER, 30),

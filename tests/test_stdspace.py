@@ -928,11 +928,18 @@ def test_complex_standardness_matches_the_real_form(n, seed, shape, data):
         assert not rep.cyclic
 
 
+def _permuted_tiles(perm, tiles):
+    """Where ``tiles`` equal blocks of consecutive indices land when the
+    indices are permuted as x[perm]: the tiling handed in for x."""
+    return np.sort(np.argsort(perm).reshape(tiles, -1), axis=-1)
+
+
 def _halperin_family(rng, tiles, r, core, extras):
     """Subspaces of C^(tiles r) that meet in ``core`` real dimensions
     per tile: on each tile of r slots, the span of a shared core and of
     ``extra`` random columns, orthonormalised; the tiles' slots are
-    permuted alike.  One tile is the span on the whole of C^r."""
+    permuted alike and handed in as their tiling.  One tile is the span
+    on the whole of C^r."""
     n = tiles * r
     slots = rng.permutation(n) if tiles > 1 else np.arange(n)
     shared = [rng.normal(size=(2 * r, core)) for _ in range(tiles)]
@@ -944,7 +951,10 @@ def _halperin_family(rng, tiles, r, core, extras):
             q = np.linalg.qr(np.hstack([shared[t],
                                         rng.normal(size=(2 * r, extra))]))[0]
             c[t * r:(t + 1) * r, t * k:(t + 1) * k] = q[:r] + 1j * q[r:]
-        family.append(RealSubspace.from_complex(ComplexSpace(n), c[slots]))
+        tiling = (_permuted_tiles(slots, tiles),
+                  np.arange(tiles * k).reshape(tiles, k))
+        family.append(RealSubspace.from_complex(
+            ComplexSpace(n), c[slots], tiling if tiles > 1 else None))
     assert stdspace._joint(*family)[0].shape[0] == tiles
     return family
 
@@ -1141,14 +1151,17 @@ def test_symmetry_commutation_rejects_moving_unitary():
 
 def _direct_sum_basis(rng, tiles, r, k, slots, columns):
     """The direct sum of ``tiles`` random k-dimensional real subspaces
-    of C^r, its slots and columns permuted."""
+    of C^r, its slots and columns permuted, handed the tiling they
+    give."""
     n = tiles * r
     c = np.zeros((n, tiles * k), dtype=complex)
     for t in range(tiles):
         z = rng.normal(size=(k, r)) + 1j * rng.normal(size=(k, r))
         c[t * r:(t + 1) * r, t * k:(t + 1) * k] = make_subspace(
             list(z), ComplexSpace(r)).complex_basis()
-    return RealSubspace.from_complex(ComplexSpace(n), c[slots][:, columns])
+    return RealSubspace.from_complex(
+        ComplexSpace(n), c[slots][:, columns],
+        (_permuted_tiles(slots, tiles), _permuted_tiles(columns, tiles)))
 
 
 def _dense_modular(h):
@@ -1164,27 +1177,6 @@ def _dense_modular(h):
     flow = (u * np.exp(0.3j * lam)[..., None, :]) @ ut.conj()
     return (lam, u, (a / pair[..., None, :]) @ ut,
             (a / s[..., None, :]) @ ut, flow)
-
-
-def _tile_count(*ops, square=()):
-    return stdspace._tiles(*ops, square=square)[0].shape[0]
-
-
-def _tiled_norm(x):
-    """The largest norm over the tiles that _tiles reads from x."""
-    return stdspace.tile_norm(stdspace._tiles(x)[2][0])
-
-
-def _assert_one_tile(*ops, square=()):
-    """The operands are one tile: views with a tile axis of length 1,
-    indices covering every row and column in order."""
-    rows, cols, stacks = stdspace._tiles(*ops, square=square)
-    assert np.array_equal(rows, [np.arange(ops[0].shape[-2])])
-    for a, c, stack in zip(ops, cols, stacks):
-        assert np.array_equal(c, [np.arange(a.shape[-1])])
-        assert stack.shape == a.shape[:-2] + (1,) + a.shape[-2:]
-        assert a.size == 0 or np.shares_memory(stack, a)
-        assert np.array_equal(stack[..., 0, :, :], a)
 
 
 def _sines(a, b):
@@ -1203,14 +1195,13 @@ def test_tiled_primitives_give_the_dense_results(seed, tiles, r, data):
     h = _direct_sum_basis(rng, tiles, r, r, slots, rng.permutation(n))
     g = _direct_sum_basis(rng, tiles, r, k, slots,
                           rng.permutation(tiles * k))
-    assert _tile_count(h.basis, g.basis) >= 2
+    assert stdspace._joint(h, g)[0].shape[0] == tiles
     b = h.complex_basis()
-    assert _tile_count(b) >= 2
 
     # singular values, standardness verdict and minimal angle
     dense_s = np.linalg.svd(b, compute_uv=False)
     assert_allclose(stdspace._descending(
-        np.linalg.svd(stdspace._tiles(b)[2][0], compute_uv=False)),
+        np.linalg.svd(stdspace._gather(b, *h.tiling), compute_uv=False)),
         dense_s, atol=1e-12)
     rep, ref = standardness(h), stdspace._standardness_of(dense_s, h)
     assert (rep.cyclic, rep.separating) == (ref.cyclic, ref.separating)
@@ -1251,9 +1242,12 @@ def test_tiled_primitives_give_the_dense_results(seed, tiles, r, data):
     for t in range(tiles):
         x[t * r:(t + 1) * r, 2 * t * r:2 * (t + 1) * r] = (
             rng.normal(size=(r, 2 * r)) + 1j * rng.normal(size=(r, 2 * r)))
-    x = x[rng.permutation(n)][:, rng.permutation(2 * n)]
-    assert _tile_count(x) >= 2
-    assert _tiled_norm(x) == pytest.approx(np.linalg.norm(x, 2), rel=1e-12)
+    rows, cols = rng.permutation(n), rng.permutation(2 * n)
+    x = x[rows][:, cols]
+    stack = stdspace._on_tiles(x, _permuted_tiles(rows, tiles),
+                               _permuted_tiles(cols, tiles))
+    assert stdspace.tile_norm(stack) == pytest.approx(np.linalg.norm(x, 2),
+                                                      rel=1e-12)
 
 
 def test_one_tile_primitives_are_the_plain_numpy_calls():
@@ -1262,7 +1256,7 @@ def test_one_tile_primitives_are_the_plain_numpy_calls():
     # the numpy call on the whole array returns: on a matrix and a stack
     rng = np.random.default_rng(11)
     x = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
-    assert _tiled_norm(x) == np.linalg.norm(x, 2)
+    assert stdspace.tile_norm(x[None]) == np.linalg.norm(x, 2)
     for a in (x, rng.normal(size=(3, 9, 6))):
         q, r = np.linalg.qr(a)
         signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
@@ -1300,64 +1294,46 @@ def test_one_tile_primitives_are_the_plain_numpy_calls():
         assert np.array_equal(md.jc, jc)
 
 
-def test_what_is_not_an_equal_tiling_is_one_tile():
-    rng = np.random.default_rng(5)
-
-    def blocks(*shapes):
-        x = np.zeros(np.sum(shapes, axis=0))
-        r = c = 0
-        for p, q in shapes:
-            x[r:r + p, c:c + q] = rng.normal(size=(p, q))
-            r, c = r + p, c + q
-        return x
-
-    x = blocks((3, 3), (3, 3), (3, 3))
-    rows, cols, (stack,) = stdspace._tiles(x)
-    assert rows.shape == cols[0].shape == (3, 3)
-    assert np.array_equal(stack, [x[:3, :3], x[3:6, 3:6], x[6:, 6:]])
-    # a tile whose rows meet only through an inner entry: the third row
-    # joins the second through column 2, which is neither its first nor
-    # its last nonzero column
-    pattern = np.array([[1.0, 0.0, 0.0, 2.0], [0.0, 3.0, 4.0, 0.0],
-                        [5.0, 0.0, 6.0, 7.0]])
-    rows, (cols,), (stack,) = stdspace._tiles(np.kron(np.eye(2), pattern))
-    assert np.array_equal(rows, [[0, 1, 2], [3, 4, 5]])
-    assert np.array_equal(cols, [[0, 1, 2, 3], [4, 5, 6, 7]])
-    assert np.array_equal(stack, [pattern, pattern])
-    # one off-tile entry joins two tiles: unequal shapes are one tile
-    joined = x.copy()
-    joined[0, 8] = 1.0
-    _assert_one_tile(joined)
-    _assert_one_tile(blocks((3, 3), (2, 2)))
-    _assert_one_tile(blocks((2, 3), (2, 2)))
-    # a zero row, and an operand without zeros, are one tile
-    zero_row = x.copy()
-    zero_row[4] = 0.0
-    _assert_one_tile(zero_row)
-    _assert_one_tile(rng.normal(size=(6, 6)))
-    # stacks and empty operands are never tiled
-    _assert_one_tile(np.stack([x, x]))
-    _assert_one_tile(np.zeros((6, 0)))
-    # each primitive then gives the call on the whole array
-    for a in (joined, zero_row):
-        assert _tiled_norm(a) == np.linalg.norm(a, 2)
+def test_tilings_meet_on_the_coarser_where_one_refines_the_other():
+    n = 8
+    fine = np.arange(n).reshape(4, 2)
+    pairs = np.array([[0, 1, 4, 5], [2, 3, 6, 7]])
+    across = np.array([[0, 1, 2, 4], [3, 5, 6, 7]])
+    one = np.arange(n)[None]
+    assert np.array_equal(stdspace._common(n, fine, pairs), pairs)
+    assert np.array_equal(stdspace._common(n, pairs, fine, fine), pairs)
+    assert np.array_equal(stdspace._common(n, fine, None), one)
+    # neither of two tilings refines the other: one tile
+    assert np.array_equal(stdspace._common(n, pairs, across), one)
+    assert np.array_equal(stdspace._common(n, pairs[::-1], pairs), pairs[::-1])
+    # a basis moves with the union of its tiles' columns, ascending
+    cols = np.array([[6, 1], [0, 7], [2, 5], [3, 4]])
+    assert np.array_equal(stdspace._moved(pairs, fine, cols),
+                          [[1, 2, 5, 6], [0, 3, 4, 7]])
+    assert np.array_equal(stdspace._moved(fine, fine, cols), cols)
+    assert np.array_equal(stdspace._moved(one, fine, cols), [np.arange(n)])
 
 
-def test_a_slot_to_slot_operator_is_tiled_alike_on_rows_and_columns():
-    rng = np.random.default_rng(7)
-    x = np.zeros((4, 4))
-    x[:2, 2:] = rng.normal(size=(2, 2))
-    x[2:, :2] = rng.normal(size=(2, 2))
-    # as a rectangular operand the anti-diagonal blocks are two tiles
-    rows, (cols,), _ = stdspace._tiles(x)
-    assert np.array_equal(rows, [[0, 1], [2, 3]])
-    assert np.array_equal(cols, [[2, 3], [0, 1]])
-    assert _tiled_norm(x) == pytest.approx(np.linalg.norm(x, 2), rel=1e-14)
-    # as a map of the slots to themselves they do not decouple
-    _assert_one_tile(x, square=(0,))
-    v = np.kron(np.eye(2), np.ones((2, 2)))
-    _assert_one_tile(v, x, square=(1,))
-    assert _tile_count(v, v, square=(1,)) == 2
+def test_transform_runs_on_the_tiles_of_the_unitary():
+    # four tiles of 2 slots, moved by a unitary that mixes tile t with
+    # tile t + 2: the image is formed and kept on those pairs of tiles
+    rng = np.random.default_rng(12)
+    n = 8
+    h = _direct_sum_basis(rng, 4, 2, 2, np.arange(n), np.arange(n))
+    pairs = np.array([[0, 1, 4, 5], [2, 3, 6, 7]])
+    u = np.zeros((n, n), dtype=complex)
+    for p in pairs:
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        u[np.ix_(p, p)] = np.linalg.qr(z)[0]
+    moved = h.transform(u, pairs)
+    assert np.array_equal(moved.tiling[0], pairs)
+    dense = RealSubspace.from_complex(h.parent, u @ h.complex_basis())
+    assert dense.tiling[0].shape[0] == 1
+    assert subspace_distance(moved, dense) < 1e-14
+    assert h.transform(u).tiling[0].shape[0] == 1
+    # a unitary that holds a nonzero outside its declared tiles is refused
+    with pytest.raises(ValueError, match="nonzero outside its tiles"):
+        h.transform(u, np.arange(n).reshape(4, 2))
 
 
 def test_a_handed_tiling_must_hold_every_nonzero():
@@ -1387,11 +1363,16 @@ def test_modular_data_takes_a_handed_tiling_and_refuses_a_nonzero_outside():
     md = modular_data(h)                  # handed the tiling of h
     rows, cols = md.tiling
     assert rows.shape == cols.shape == (3, 2)
-    # the producer's eigenvectors come unsorted: the handed columns are
-    # renumbered by the log Delta sort to the tiling _tiles reads
-    read = ModularData(h.parent, md.vecs, md.log_delta, md.jc)
+    # a producer's eigenvectors may come unsorted: the handed columns are
+    # renumbered by the log Delta sort
+    p = rng.permutation(n)
+    read = ModularData(h.parent, md.vecs[:, p], md.log_delta[p], md.jc,
+                       tiling=(rows, np.sort(np.argsort(p)[cols], axis=-1)))
     assert all(np.array_equal(a, b) for a, b in zip(read.tiling, md.tiling))
     assert np.array_equal(read.power(0.3j), md.power(0.3j))
+    # data handed no tiling is one tile
+    assert ModularData(h.parent, md.vecs, md.log_delta,
+                       md.jc).tiling[0].shape[0] == 1
     # one nonzero off every tile, in V or in jc: the tile-wise invariants
     # cannot see 1e-13, so only the count of nonzeros refuses the tiling
     for i, col in ((0, cols[0, 0]), (2, rows[0, 0])):
@@ -1412,9 +1393,12 @@ def test_producers_hand_their_tiling_to_the_subspaces_they_build():
     # the real-orthonormalised span of complex columns: qr_basis on the
     # real form of each tile of the columns, so the span of a tiled
     # orthonormal basis, tiled as that basis
-    spanned = RealSubspace.orthonormalised(h.parent, h.complex_basis())
+    spanned = RealSubspace.orthonormalised(h.parent, h.complex_basis(),
+                                           h.tiling)
     assert subspace_distance(spanned, h) < 1e-12
     assert np.array_equal(spanned.tiling[0], rows)
+    assert RealSubspace.orthonormalised(
+        h.parent, h.complex_basis()).tiling[0].shape[0] == 1
     # the complement keeps the slots of each tile
     assert np.array_equal(symplectic_complement(h).tiling[0], rows)
     # a phase move keeps the tiling itself and needs unit phases
@@ -1444,7 +1428,9 @@ def test_tiles_of_unequal_intersection_dimension_merge_untiled():
             extra = rng.normal(size=(2 * r, 3 - core.shape[1]))
             q = np.linalg.qr(np.hstack([core, extra]))[0]
             c[t * r:(t + 1) * r, 3 * t:3 * (t + 1)] = q[:r] + 1j * q[r:]
-        family.append(RealSubspace.from_complex(parent, c))
+        family.append(RealSubspace.from_complex(
+            parent, c, (np.arange(2 * r).reshape(2, r),
+                        np.arange(6).reshape(2, 3))))
     assert stdspace._joint(*family)[0].shape[0] == 2
     exact = intersect(family)
     halperin = intersect(family, method="halperin", max_iter=1 << 20)
