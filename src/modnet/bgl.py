@@ -15,8 +15,8 @@ A model's geometry is the tuple of :class:`reps.Factor` records that
 :func:`reps.build_rep` makes, one per half-line block in slot order.
 The implemented group action, wedge blocks, translation phases and
 positivity of energy read these records the same way for every model
-kind, and the lightcone study builds its wedges from one rapidity
-record made by the massive model's constructor.  The group action is
+kind, and the lightcone study runs each level on a one-factor massive
+model of one rapidity record.  The group action is
 the translation-dilation subgroup in lightray coordinates, passed
 through to :func:`reps.apply` as the pairs (t_L, t_R) and
 (sigma_L, sigma_R); this module imports no Mobius code.
@@ -32,8 +32,8 @@ lattice U(a) = e^{i a.p} is a diagonal phase, so every other apex
 multiplies the origin basis by that phase and needs no
 re-orthonormalisation.  The same rule moves dual double cones: the dual
 H(W_R) cap H(W_L) of a cone is, up to the phase of its W_R corner, a
-function of the cone's shape alone, so the lightcone study intersects
-once per shape and translates the result to every cone of that shape.
+function of the cone's shape alone, so a model intersects once per
+shape and translates the result to every cone of that shape.
 
 The Bisognano-Wichmann entries recompute a wedge's modular data from
 its subspace alone: one SVD of the complex basis gives (V, log Delta,
@@ -282,10 +282,9 @@ class NetModel:
     """A lattice representation together with its net of wedge subspaces.
 
     The wedge family is generated blockwise from the factor half-line
-    blocks; every subspace is cached under its canonical region key and
-    reproduced bit-stably on re-query.  ``epsilon`` is the model residual
-    budget: BUDGET_FACTOR times the measured one-step flow consistency
-    residual plus the floor.
+    blocks; every wedge subspace is cached under its canonical region
+    key, every dual double cone under its shape and method, and each is
+    reproduced bit-stably on re-query.
     """
 
     def __init__(self, kind, factors, *, charge=0.0):
@@ -303,7 +302,6 @@ class NetModel:
         # pairs each factor with its copy
         self.action_tiles = (np.hstack(np.split(self.tiles, 2))
                              if kind == "twisted" else self.tiles)
-        self.epsilon = BUDGET_FACTOR * (self._flow_residual() + BUDGET_FLOOR)
 
     # -- constructors ------------------------------------------------------
 
@@ -339,12 +337,16 @@ class NetModel:
                    reps.build_rep({"kind": "twisted", "n": n, "h": h}),
                    charge=charge)
 
-    def _flow_residual(self):
-        """One-step consistency of the modular flow with the shift."""
+    @functools.cached_property
+    def epsilon(self):
+        """The model residual budget: BUDGET_FACTOR times the one-step
+        consistency residual of the modular flow with the shift, plus the
+        floor; measured on first read."""
         n, h = self.factors[0].n, self.factors[0].h
         k = 1 if n % 2 else 2          # even grids compare even steps only
         step = _halfline_block(n, h, +1).flow(k * h / _TWO_PI)
-        return stdspace.tile_norm(step - _roll(n, -k))
+        residual = stdspace.tile_norm(step - _roll(n, -k))
+        return BUDGET_FACTOR * (residual + BUDGET_FLOOR)
 
     # -- wedge construction ------------------------------------------------
 
@@ -392,20 +394,33 @@ class NetModel:
     # -- dual-prescription regions ----------------------------------------
 
     def region_subspace_dual(self, region, method="exact"):
-        """Dual-net subspace of a double cone.
+        """Dual-net subspace H(W_R) cap H(W_L) of a double cone.
 
-        The intersection of its two minimal wedge subspaces; the
-        alternating projection method gets a large iteration allowance,
-        which squaring makes cheap.  Lightcone families are handled by
-        :func:`lightcone_separating_study`.
+        Moved so that the corner of its minimal W_R sits at the origin, a
+        cone's minimal wedges depend only on its shape, the W_L corner
+        relative to the W_R corner.  The intersection runs once per shape
+        and method (cached), between the origin H(W_R) and the origin
+        H(W_L) phased to the shape; by covariance the cone's dual is that
+        one phased by its W_R corner.  The alternating projection method
+        gets a large iteration allowance, which squaring makes cheap.
         """
         if region.kind is not spacetime.RegionKind.DOUBLE_CONE:
             raise ValueError("dual prescription covers double cones, "
                              f"not {region.kind.name}")
         w_r, w_l = spacetime.minimal_wedges(region)
-        return stdspace.intersect(
-            [self.wedge_subspace(w_r), self.wedge_subspace(w_l)],
-            method=method, max_iter=1 << 26)
+        corner, far = spacetime.wedge_corner(w_r), spacetime.wedge_corner(w_l)
+        key = (far[0] - corner[0], far[1] - corner[1]), method
+        with self._lock:
+            dual = self._cache.get(key)
+        if dual is None:
+            shape = reps.translation_phases(self.factors, *key[0])
+            origin_l = self.wedge_subspace(spacetime.Region.wedge_left())
+            dual = stdspace.intersect(
+                [self.wedge_subspace(spacetime.Region.wedge_right()),
+                 origin_l.phased(shape)], method=method, max_iter=1 << 26)
+            with self._lock:
+                dual = self._cache.setdefault(key, dual)
+        return dual.phased(reps.translation_phases(self.factors, *corner))
 
     def mass_fiber_models(self):
         """Single-mass models of the integrand fibers (directIntegral).
@@ -507,15 +522,12 @@ def axioms_report(net, tol=BLOCK_TOL):
     h_l = net.wedge_subspace(w_l)
 
     # SS1 isotony: dual double-cone spaces sit inside their minimal
-    # wedges by construction; verify on a sample cone, plus cache
-    # reflexivity.  Translated wedge containment is not a configured
-    # family: momentum lattices fail it at order one.
+    # wedges; verify on a sample cone.  Translated wedge containment is
+    # not a configured family: momentum lattices fail it at order one.
     cone = spacetime.Region.double_cone((-1.0, 1.0), (-1.0, 1.0))
     dual = net.region_subspace_dual(cone)
-    wr_min, wl_min = spacetime.minimal_wedges(cone)
-    iso = max(stdspace.containment_gap(net.wedge_subspace(wr_min), dual),
-              stdspace.containment_gap(net.wedge_subspace(wl_min), dual),
-              stdspace.subspace_distance(h_r, net.wedge_subspace(w_r)))
+    iso = max(stdspace.containment_gap(net.wedge_subspace(w), dual)
+              for w in spacetime.minimal_wedges(cone))
     inner = net.wedge_subspace(spacetime.Region.wedge_right((-0.5, 0.5)))
     gap = stdspace.containment_gap(h_r, inner)
     entries["isotony"] = Measurement(
@@ -790,36 +802,6 @@ class ConeStudy:
         return self.finest_defect < self.frozen_value
 
 
-def _cone_duals(mass, grid, count, spacing):
-    """Yield the dual subspace H(W_R) cap H(W_L) of each dyadic cone.
-
-    Moved so that the corner of its minimal W_R sits at the origin, a
-    cone's pair of minimal wedges depends only on the cone's shape,
-    which every cone of one dyadic level shares; the intersection runs
-    once per shape, between the origin W_R and the moved W_L.  By
-    covariance each cone's dual is the shape's dual translated by the
-    phase of its W_R corner.  The level is one rapidity factor record.
-    """
-    factors = [reps.rapidity_factor(grid, spacing, mass)]
-    parent = stdspace.ComplexSpace(grid)
-    origin_r, origin_l = (
-        _wedge_block(factors, wedge()).subspace(parent)
-        for wedge in (spacetime.Region.wedge_right,
-                      spacetime.Region.wedge_left))
-    shape_duals = {}
-    for al, bl, ar, br in _dyadic_cones(count):
-        w_r, w_l = spacetime.minimal_wedges(
-            spacetime.Region.double_cone((al, bl), (ar, br)))
-        corner = spacetime.wedge_corner(w_r)
-        shape = spacetime.wedge_corner(
-            w_l.translate((-corner[0], -corner[1])))
-        if shape not in shape_duals:
-            shape_duals[shape] = stdspace.intersect([origin_r, origin_l.phased(
-                reps.translation_phases(factors, *shape))])
-        yield shape_duals[shape].phased(
-            reps.translation_phases(factors, *corner))
-
-
 def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
                                spacing=STUDY_SPACING,
                                frozen=FROZEN_CONE_DEFECT):
@@ -828,13 +810,12 @@ def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
     For each mass and each ladder level (grid size, cone count) the
     sampled dyadic double cones contribute their dual subspaces; the
     defect is dim of the symplectic complement of their closed sum over
-    the full real dimension.  Wedge subspaces come from the window-free
-    eigenpair formula, once per orientation and level, so the fine-grid
-    levels never form Delta.  Cone duals are intersected once per cone
-    shape, with the W_R corner at the origin, and moved to each cone of
-    that shape by the phase of its W_R corner, H(O + a) = U(a) H(O);
-    every cone of dyadic level l has widths (2^-l, 2^-l), so a level
-    costs one intersection.
+    the full real dimension.  Each level is a one-factor massive model
+    of one rapidity record, whose wedge subspaces come from the
+    window-free eigenpair formula, so the fine-grid levels never form
+    Delta.  The model's :meth:`NetModel.region_subspace_dual` intersects
+    once per cone shape; every cone of dyadic level l has widths
+    (2^-l, 2^-l), so a level costs one intersection.
     """
     ladder = tuple(ladder)
     if not ladder:
@@ -847,8 +828,12 @@ def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
     for mass in masses:
         previous = None
         for grid, count in ladder:
-            nonzero = [s for s in _cone_duals(mass, grid, count, spacing)
-                       if s.dim]
+            net = NetModel("massive",
+                           (reps.rapidity_factor(grid, spacing, mass),))
+            duals = (net.region_subspace_dual(
+                spacetime.Region.double_cone((al, bl), (ar, br)))
+                for al, bl, ar, br in _dyadic_cones(count))
+            nonzero = [s for s in duals if s.dim]
             if nonzero:
                 total = stdspace.sum_closure(nonzero)
                 comp = stdspace.symplectic_complement(total)

@@ -51,12 +51,6 @@ class WeylWord:
     def of(cls, *amplitudes):
         return cls(tuple(np.asarray(a, dtype=complex) for a in amplitudes))
 
-    def __mul__(self, other):
-        return WeylWord(self.letters + other.letters)
-
-    def reduce(self):
-        return weyl_reduce(self)
-
 
 def weyl_reduce(word):
     """Collapse a Weyl word to its (phase, amplitude) normal form.

@@ -104,16 +104,6 @@ class Region:
         return Region((self.left[0] + a, self.left[1] + a),
                       (self.right[0] + b, self.right[1] + b))
 
-    def contains(self, other, tol=GEOM_TOL):
-        return (self.left[0] <= other.left[0] + tol
-                and other.left[1] <= self.left[1] + tol
-                and self.right[0] <= other.right[0] + tol
-                and other.right[1] <= self.right[1] + tol)
-
-    def contains_point(self, p):
-        return (self.left[0] < p[0] < self.left[1]
-                and self.right[0] < p[1] < self.right[1])
-
     def __eq__(self, other):
         if not isinstance(other, Region):
             return NotImplemented

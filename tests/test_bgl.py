@@ -74,6 +74,13 @@ def test_model_budget_floor_and_magnitude():
     assert net.epsilon < 1e-8
 
 
+def test_model_budget_is_measured_on_first_read():
+    net = bgl.NetModel.chiral_sum(n=9)
+    assert "epsilon" not in vars(net)
+    assert net.epsilon == bgl.NetModel.chiral_sum(n=9).epsilon
+    assert "epsilon" in vars(net)
+
+
 def test_repr_names_kind_and_budget():
     text = repr(_model("massive"))
     assert "massive" in text and "epsilon" in text
@@ -509,7 +516,7 @@ def test_dual_rejects_wedge_regions():
 
 
 def test_dual_rejects_lightcones_on_all_kinds():
-    # lightcone duals come from the lightcone study's per-shape route
+    # a lightcone is wedge-like: its subspace is wedge_subspace's
     for kind in ("chiralSum", "massive"):
         with pytest.raises(ValueError, match="dual prescription covers "
                                              "double cones"):
@@ -842,19 +849,81 @@ def test_scaled_ladder_decisions_are_a_decade_from_the_angle_tolerance():
                                                   49 / 65, 65 / 129]
 
 
-def test_translated_cone_duals_match_the_direct_intersection():
+def _study_model(grid):
+    """The lightcone study's model of one ladder level at mass 1."""
+    return bgl.NetModel(
+        "massive", (reps.rapidity_factor(grid, bgl.STUDY_SPACING, 1.0),))
+
+
+def _study_duals(grid, count):
+    """The dual of each dyadic cone of one level, from its model."""
+    net = _study_model(grid)
+    return [net.region_subspace_dual(
+        spacetime.Region.double_cone((al, bl), (ar, br)))
+        for al, bl, ar, br in bgl._dyadic_cones(count)]
+
+
+def test_study_duals_match_the_direct_intersection():
     # each cone's dual, translated from its shape's dual, against the
     # intersection of its own two translated minimal wedges.  The
     # rapidity momenta reach 9.3e10 at grid 129, so a phase e^{i a.p}
     # carries about 1e-5 rad of round-off in the top modes on either
     # route; that bounds the agreement there, not the translation rule.
     for grid, count in SCALED_LADDER:
-        duals = bgl._cone_duals(1.0, grid, count, bgl.STUDY_SPACING)
+        duals = _study_duals(grid, count)
         bound = 1e-11 if grid <= 65 else 1e-6
         for pair, dual in zip(_cone_wedges(grid, count), duals):
             direct = stdspace.intersect(list(pair))
             assert dual.dim == direct.dim, grid
             assert stdspace.subspace_distance(dual, direct) <= bound, grid
+
+
+#: the isotony and strong-additivity cones of the axioms report, and one
+#: off-centre cone
+DUAL_CONES = (spacetime.Region.double_cone((-1.0, 1.0), (-1.0, 1.0)),
+              spacetime.Region.unit_double_cone(),
+              spacetime.Region.double_cone((0.25, 1.5), (-0.75, 0.5)))
+
+
+@pytest.mark.parametrize("method", ["exact", "halperin"])
+@pytest.mark.parametrize("make", [
+    lambda: bgl.NetModel.chiral_sum(n=9), lambda: bgl.NetModel.massive(n=8),
+    lambda: bgl.NetModel.direct_integral(masses=2, n=8),
+    lambda: bgl.NetModel.twisted(n=9), lambda: _study_model(9)],
+    ids=[*bgl.MODEL_KINDS, "study"])
+def test_shape_duals_match_the_direct_intersection(make, method):
+    # the dual intersected once per shape at the origin and moved by its
+    # W_R corner's phase, against the intersection of the cone's own two
+    # minimal wedges; the study's odd rapidity grid keeps a real line in
+    # every dual, so there the distance is between lines
+    net = make()
+    for cone in DUAL_CONES:
+        dual = net.region_subspace_dual(cone, method=method)
+        direct = stdspace.intersect(
+            [net.wedge_subspace(w) for w in spacetime.minimal_wedges(cone)],
+            method=method, max_iter=1 << 26)
+        assert dual.dim == direct.dim
+        assert stdspace.subspace_distance(dual, direct) <= 1e-11
+
+
+def test_a_second_query_of_a_cone_intersects_nothing(monkeypatch):
+    # the shape's dual is cached per method: the same cone again runs no
+    # intersection, the other method runs its own
+    calls = []
+    intersect = stdspace.intersect
+    monkeypatch.setattr(stdspace, "intersect",
+                        lambda subs, method, **kw: calls.append(method)
+                        or intersect(subs, method=method, **kw))
+    net = _study_model(17)
+    cone = spacetime.Region.double_cone((0.5, 1.0), (0.0, 0.5))
+    first = net.region_subspace_dual(cone)
+    assert calls == ["exact"]
+    calls.clear()
+    again = net.region_subspace_dual(cone)
+    assert calls == []
+    assert np.array_equal(first.basis, again.basis)
+    net.region_subspace_dual(cone, method="halperin")
+    assert calls == ["halperin"]
 
 
 def _one_tile(net):
@@ -870,7 +939,7 @@ def test_one_tile_operands_take_the_dense_call():
     # tiling is handed to the 170 duals of the scaled ladder, and the
     # massive model's one factor is its one tile
     duals = [d for grid, count in SCALED_LADDER
-             for d in bgl._cone_duals(1.0, grid, count, bgl.STUDY_SPACING)]
+             for d in _study_duals(grid, count)]
     assert len(duals) == 170
     assert all(d.tiling[0].shape[0] == 1 for d in duals)
     net = bgl.NetModel.massive()
@@ -961,13 +1030,15 @@ def test_every_claim_path_runs_on_the_declared_tiles(monkeypatch, kind):
 @pytest.mark.parametrize("ladder,calls", [(SCALED_LADDER, 30),
                                           (bgl.CONE_LADDER, 14)])
 def test_study_intersects_once_per_cone_shape(monkeypatch, ladder, calls):
+    # every intersection of the study is an exact one
     seen = []
     intersect = stdspace.intersect
     monkeypatch.setattr(stdspace, "intersect",
-                        lambda subs, **kw: seen.append(1)
-                        or intersect(subs, **kw))
+                        lambda subs, method, **kw: seen.append(method)
+                        or intersect(subs, method=method, **kw))
     bgl.lightcone_separating_study(ladder=ladder)
-    assert len(seen) == calls == sum(len(_shapes(c)) for _, c in ladder)
+    assert seen == ["exact"] * calls
+    assert calls == sum(len(_shapes(c)) for _, c in ladder)
 
 
 def test_lightcone_study_dims_track_the_cone_count():

@@ -117,16 +117,6 @@ def test_empty_word_is_the_unit():
     assert fock.vacuum_expectation(fock.WeylWord(())) == pytest.approx(1.0)
 
 
-def test_word_products_concatenate():
-    rng = np.random.default_rng(5)
-    f, g = _random_amp(rng), _random_amp(rng)
-    word = fock.WeylWord.of(f) * fock.WeylWord.of(g)
-    assert len(word.letters) == 2
-    phase, amp = word.reduce()
-    assert np.allclose(amp, f + g)
-    assert abs(phase) == pytest.approx(1.0, abs=1e-14)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_reduction_bracketings_agree(seed):
     rng = np.random.default_rng(seed)

@@ -63,14 +63,6 @@ def test_half_band_chirality_covers_time_reflection():
     assert r.kind is RegionKind.HALF_BAND_L
 
 
-def test_region_contains():
-    big = Region.forward_cone()
-    assert big.contains(Region((1.0, 2.0), (0.5, 3.0)))
-    assert not big.contains(Region((-1.0, 2.0), (0.5, 3.0)))
-    assert big.contains_point((0.5, 0.5))
-    assert not big.contains_point((-0.5, 0.5))
-
-
 def test_translate_moves_each_lightray_interval():
     moved = Region.unit_double_cone().translate((2.0, -0.5))
     assert moved == Region((2.0, 3.0), (-0.5, 0.5))
