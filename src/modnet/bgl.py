@@ -147,10 +147,14 @@ class _Block:
         values = np.exp(2j * np.pi * t * self.kap).reshape(len(v), 1, -1)
         return (v * values) @ v.conj().swapaxes(-1, -2)
 
+    @property
+    def slots(self):
+        """The slots of each factor tile."""
+        return np.arange(self.z.size).reshape(len(self.vecs), -1)
+
     def dense(self, stack):
         """The matrix of a stack of factor tiles, such as V or a flow."""
-        slots = np.arange(self.z.size).reshape(len(self.vecs), -1)
-        return stdspace._scatter(stack, slots)
+        return stdspace._scatter(stack, self.slots)
 
     def subspace(self, parent, tiling=None):
         """fix(J Delta^{1/2}) through the eigenpair formula."""
@@ -208,8 +212,9 @@ def _eigenpair_fix(parent, kap, cols, pair_of, tiling=None):
     columns c, c' the fixed plane is spanned by e^{-pi kappa} c + c' and
     i(-e^{-pi kappa} c + c'); a self-paired kappa = 0 column contributes
     its real line.  Valid for arbitrarily large |kappa|.  A pair lies in
-    one factor and the columns follow the slots, so the handed ``tiling``
-    of a union of factors is (slots, slots).
+    one factor and the columns follow the slots, so on the handed
+    ``tiling`` (slots, slots) of a union of factors the fixed columns are
+    handed over as the stack of those tiles (one tile if None).
     """
     pair_of = np.asarray(pair_of)
     lead = np.flatnonzero(np.arange(parent.n) <= pair_of)  # one per pair
@@ -230,7 +235,9 @@ def _eigenpair_fix(parent, kap, cols, pair_of, tiling=None):
     out[:, paired, 1] = v2 / np.linalg.norm(v2, axis=0)
     keep = np.stack([np.ones_like(paired), paired], axis=1).ravel()
     out = out.reshape(parent.n, -1)[:, keep]
-    return stdspace.RealSubspace.orthonormalised(parent, out, tiling)
+    return stdspace.RealSubspace.orthonormalised(
+        parent, out if tiling is None else stdspace._gather(out, *tiling),
+        tiling)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +364,14 @@ class NetModel:
 
     def wedge_modular(self, region):
         """Validated modular data of a wedge-like region, in the block's
-        exact eigen form: no eigensolve and no dense Delta."""
+        exact eigen form handed over as its factor tiles, J as diag(z) on
+        each: no eigensolve and no dense Delta, V or J."""
         block = _wedge_block(self.factors, region)
-        return stdspace.ModularData(self.parent, block.dense(block.vecs),
-                                    _TWO_PI * block.kap, np.diag(block.z),
+        j = np.stack([np.diag(z) for z in block.z[block.slots]])
+        v, j = (stdspace.retiled(x, block.slots, self.tiles)
+                for x in (block.vecs, j))
+        return stdspace.ModularData(self.parent, v,
+                                    _TWO_PI * block.kap[self.tiles], j,
                                     tiling=(self.tiles, self.tiles))
 
     def wedge_subspace(self, region):

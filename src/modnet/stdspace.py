@@ -4,11 +4,13 @@ Vectors and operators live on the complex space C^n: an operator is a
 complex n x n matrix, linear (xi -> x xi) or antilinear (xi -> x
 conj(xi)), and a residual is the spectral norm of such a matrix.  A
 real subspace H is the real span of the columns of a complex n x k
-matrix B.  :class:`RealSubspace` keeps the orthonormal real basis b =
-[Re B; Im B] of R^{2n}, which the lattice operations (intersections,
-sums, complements, principal angles) need, and is the one place that
-knows this layout: ``complex_basis`` reads B, ``from_complex`` builds a
-subspace from it, and ``transform`` moves H by a unitary as u B.
+matrix B.  :class:`RealSubspace` stores the orthonormal real basis [Re
+B; Im B] of each of its tiles (below), which the lattice operations
+(intersections, sums, complements, principal angles) need, and is the
+one place that knows this layout: ``complex_tiles`` reads B's tiles,
+``from_complex`` builds a subspace from them, ``transform`` moves H by
+a unitary as u B, and the dense real basis b = [Re B; Im B] of R^{2n}
+and B itself are formed on request.
 
 Modular theory runs on B.  One SVD gives its standardness and, by the
 Rieffel-van Daele formulas, its whole modular data, held in eigen form
@@ -30,15 +32,17 @@ and the modular data of a direct sum of standard subspaces is the
 direct sum of the summands' data.  The producer of an object declares
 its tiling, the slots of each tile (and the basis columns of each), and
 an object handed none is one tile: nothing is read from zero patterns.
-A handed tiling is refused unless its tiles hold every nonzero.  Every
-primitive runs the stack of an operand's tiles through its one stack
-body, and the results merge back: spectra are concatenated and sorted
-before any threshold reads them, vectors are embedded block-diagonally,
-and a norm is the largest tile norm.  One tile is a view of the whole
-array.  Operands on different tilings meet on the coarser one where
-one refines the other, a lookup of each slot's tile, else on one tile.
-Modular data is held as tile stacks; a dense V, J or power is their
-scatter, for a consumer that needs one.
+A subspace or modular data handed a tiling is handed its tiles; a dense
+operator handed one is refused unless its tiles hold every nonzero.
+Every primitive runs the stack of an operand's tiles through its one
+stack body, and the results merge back: spectra are concatenated and
+sorted before any threshold reads them, and a norm is the largest tile
+norm.  One tile is a view of the whole array.  Operands on different
+tilings meet on the coarser one where one refines the other, a lookup
+of each slot's tile, else on one tile.  Subspaces and modular data
+store only their tile stacks (and the ascending log Delta); a dense
+basis, V, J or power is their scatter, formed for a consumer that asks
+for one.
 """
 
 from __future__ import annotations
@@ -120,52 +124,57 @@ class ComplexSpace:
 
 
 class RealSubspace:
-    """A real-linear subspace of C^n given by an orthonormal real basis.
+    """A real-linear subspace of C^n: the real span of the columns of a
+    complex n x k matrix B, held as its tiles' orthonormal real bases.
 
-    The basis b (2n x k) holds the real and imaginary parts [Re B; Im B]
-    of the complex n x k matrix B whose columns span H over the reals.
-    A basis of shape (..., 2n, k) holds a stack of k-dimensional
-    subspaces; ``transform`` and the module's primitives act on each.
-    ``tiling`` is (slots (T, n / T), columns of B (T, k / T)) of each
-    tile: as handed in by the producer, whose tiles must hold every
-    nonzero of b, else one tile.
+    ``tiling`` is (slots (T, s), columns of B (T, k_t)) of each tile, as
+    handed in by the producer, else one tile.  Only ``tiles`` (..., T,
+    2s, k_t) is stored: tile t's block of B in real form, rows [Re
+    slots; Im slots]; leading axes hold a stack of subspaces.  The dense
+    ``basis`` b = [Re B; Im B] (2n x k) and ``complex_basis`` B are
+    their scatters, formed on request.
     """
 
-    __slots__ = ("parent", "basis", "tiling")
+    __slots__ = ("parent", "tiles", "tiling")
 
     def __init__(self, parent, basis, tiling=None):
+        """``basis`` is the stack of tiles on a handed ``tiling``, else
+        the one tile (..., 2n, k); a tiling of no columns is one tile."""
         b = np.asarray(basis, dtype=float)
-        if b.ndim < 2 or b.shape[-2] != parent.real_dim:
-            raise ValueError("basis must be a (2n x k) matrix or a stack")
-        self.parent, self.basis = parent, b
-        self.tiling = tiling if b.shape[-1] and tiling else (
-            _one_tile(parent.n), _one_tile(b.shape[-1]))
-        stack = _on_tiles(b, _doubled(self.tiling[0], parent.n),
-                          self.tiling[1])
+        if tiling is not None and not tiling[1].size:
+            b, tiling = np.zeros(b.shape[:-3] + (parent.real_dim, 0)), None
+        if tiling is None:
+            if b.ndim < 2 or b.shape[-2] != parent.real_dim:
+                raise ValueError("basis must be a (2n x k) matrix or a stack")
+            b = b[..., None, :, :]
+            tiling = _one_tile(parent.n), _one_tile(b.shape[-1])
+        rows, cols = tiling
+        if b.shape[-3:] != (len(rows), 2 * rows.shape[1], cols.shape[1]):
+            raise ValueError(f"tiles of shape {b.shape} do not match the "
+                             f"tiling of {rows.shape} slots")
         # orthonormal tile by tile; "not <=" refuses a NaN error too
-        gram = _T(stack) @ stack - np.eye(stack.shape[-1])
+        gram = _T(b) @ b - np.eye(b.shape[-1])
         if not np.max(np.abs(gram), initial=0.0) <= INVARIANT_TOL:
             raise ValueError("basis columns are not orthonormal")
         b.setflags(write=False)
+        self.parent, self.tiles, self.tiling = parent, b, tiling
 
     @classmethod
     def from_complex(cls, parent, c, tiling=None):
-        """The real span of the columns of the complex n x k matrix c (or
-        of each of a stack), whose real form must be orthonormal."""
+        """The real span of the complex columns c, whose real form must be
+        orthonormal: c is the stack of tiles on a handed ``tiling``, else
+        the one n x k tile (or a stack of them)."""
         c = np.asarray(c, dtype=complex)
         return cls(parent, np.concatenate([c.real, c.imag], axis=-2), tiling)
 
     @classmethod
     def orthonormalised(cls, parent, c, tiling=None):
-        """The real span of the complex n x k columns c, of real rank k,
-        by :func:`qr_basis` of the real form of each tile of c on the
-        handed ``tiling`` (one tile if None)."""
+        """The real span of the complex columns c, of real rank k, by
+        :func:`qr_basis` of the real form of each tile: c as in
+        :meth:`from_complex`."""
         c = np.asarray(c, dtype=complex)
-        rows, cols = tiling or (_one_tile(parent.n), _one_tile(c.shape[-1]))
-        stack = _on_tiles(c, rows, cols)
-        q = qr_basis(np.concatenate([stack.real, stack.imag], axis=-2))
-        return cls(parent, _scatter(q, _doubled(rows, parent.n), cols),
-                   (rows, cols))
+        return cls(parent, qr_basis(np.concatenate([c.real, c.imag],
+                                                   axis=-2)), tiling)
 
     @classmethod
     def zero(cls, parent):
@@ -177,12 +186,21 @@ class RealSubspace:
 
     @property
     def dim(self):
-        return self.basis.shape[-1]
+        return self.tiling[1].size
+
+    @property
+    def basis(self):
+        """The dense real basis b = [Re B; Im B] (..., 2n, k)."""
+        rows, cols = self.tiling
+        return _scatter(self.tiles, _doubled(rows, self.parent.n), cols)
+
+    def complex_tiles(self):
+        """The tiles of B, (..., T, s, k_t)."""
+        return _complexified(self.tiles)
 
     def complex_basis(self):
         """B = b[:n] + i b[n:]: H is the real span of the columns of B."""
-        n = self.parent.n
-        return self.basis[..., :n, :] + 1j * self.basis[..., n:, :]
+        return _scatter(self.complex_tiles(), *self.tiling)
 
     def transform(self, u, tiles=None):
         """Image under the unitary with complex n x n matrix u, on the
@@ -191,23 +209,32 @@ class RealSubspace:
         is taken tile by tile on the common tiling of u and H, kept by
         the image, and the constructor's Gram check refuses a u that is
         not unitary."""
-        rows = _common(self.parent.n, self.tiling[0], tiles)
-        cols = _moved(rows, *self.tiling)
-        image = (_on_tiles(np.asarray(u), rows, rows)
-                 @ _gather(self.complex_basis(), rows, cols))
+        n = self.parent.n
+        u = np.asarray(u)
+        if u.shape[-2:] != (n, n):
+            raise ValueError(f"unitary of shape {u.shape} is not "
+                             f"(..., {n}, {n})")
+        rows = _common(n, self.tiling[0], tiles)
+        image = (_on_tiles(u, rows, rows)
+                 @ _complexified(_tiles_on(self, rows)))
         return RealSubspace.from_complex(
-            self.parent, _scatter(image, rows, cols), (rows, cols))
+            self.parent, image, (rows, _moved(rows, *self.tiling)))
 
     def phased(self, phases):
-        """Image under the diagonal unitary diag(phases), every |phase|
-        = 1: an orthonormal basis, tiled as this one, needs no check."""
+        """Image under the diagonal unitary diag(phases), phases (n,) of
+        modulus 1, taken on each tile's slots: an orthonormal basis,
+        tiled as this one, needs no check."""
+        phases = np.asarray(phases)
+        if phases.shape != (self.parent.n,):
+            raise ValueError(f"phases of shape {phases.shape} are not "
+                             f"({self.parent.n},)")
         if not np.max(np.abs(np.abs(phases) - 1.0)) <= INVARIANT_TOL:
             raise ValueError("phases must have modulus 1")
-        c = np.asarray(phases)[:, None] * self.complex_basis()
+        c = phases[self.tiling[0]][..., None] * self.complex_tiles()
         moved = object.__new__(RealSubspace)
         moved.parent, moved.tiling = self.parent, self.tiling
-        moved.basis = np.concatenate([c.real, c.imag], axis=-2)
-        moved.basis.setflags(write=False)
+        moved.tiles = np.concatenate([c.real, c.imag], axis=-2)
+        moved.tiles.setflags(write=False)
         return moved
 
     def __repr__(self):
@@ -257,6 +284,22 @@ def _doubled(slots, n):
     return np.hstack([slots, slots + n])
 
 
+def _complexified(stack):
+    """The complex tiles of real-form tiles [Re; Im] (..., 2s, k)."""
+    s = stack.shape[-2] // 2
+    return stack[..., :s, :] + 1j * stack[..., s:, :]
+
+
+def _tiles_on(h, rows):
+    """The real-form tiles of H on the slots ``rows`` of a tiling that its
+    own refines (:func:`_common`): its stored tiles, or where the tilings
+    differ, its basis gathered on the coarser tiles."""
+    if np.array_equal(rows, h.tiling[0]):
+        return h.tiles
+    return _gather(h.basis, _doubled(rows, h.parent.n),
+                   _moved(rows, *h.tiling))
+
+
 # The gather and the merges below take an operand to its tiles and
 # per-tile results back to the operand's indices.  One tile is its own
 # result: it is returned as a view, never sorted, gathered or copied.
@@ -284,8 +327,9 @@ def _scatter(stack, rows, cols=None):
     cols = rows if cols is None else cols
     if stack.shape[-3] == 1:
         return stack[..., 0, :, :]
-    out = np.zeros((rows.size, cols.size), dtype=stack.dtype)
-    out[rows[:, :, None], cols[:, None, :]] = stack
+    out = np.zeros(stack.shape[:-3] + (rows.size, cols.size),
+                   dtype=stack.dtype)
+    out[..., rows[:, :, None], cols[:, None, :]] = stack
     return out
 
 
@@ -301,8 +345,8 @@ def _placed(values, index):
     """The vector holding tile t's ``values`` at index[t]."""
     if values.shape[-2] == 1:
         return values[..., 0, :]
-    out = np.empty(index.size, dtype=values.dtype)
-    out[index] = values
+    out = np.empty(values.shape[:-2] + (index.size,), dtype=values.dtype)
+    out[..., index] = values
     return out
 
 
@@ -405,12 +449,10 @@ def symplectic_complement(h):
     orthonormal and so has rank exactly k = dim H; of each tile of i b,
     on that tile's rows, and H' keeps the tiling of H."""
     rows, cols = h.tiling
-    stack = _gather(h.basis, _doubled(rows, h.parent.n), cols)
-    q = np.linalg.qr(_times_i(stack, rows.shape[1]),
+    q = np.linalg.qr(_times_i(h.tiles, rows.shape[1]),
                      mode="complete")[0][..., cols.shape[1]:]
     slots = np.arange(q.shape[-3] * q.shape[-1]).reshape(q.shape[-3], -1)
-    return RealSubspace(h.parent, _scatter(q, _doubled(rows, h.parent.n),
-                                           slots), (rows, slots))
+    return RealSubspace(h.parent, q, (rows, slots))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -452,7 +494,7 @@ def standardness(h):
     alike; for k > n, B has a kernel and the angle is 0.  A tiled B
     gives its tiles' singular values together.
     """
-    s = np.linalg.svd(_gather(h.complex_basis(), *h.tiling), compute_uv=False)
+    s = np.linalg.svd(h.complex_tiles(), compute_uv=False)
     return _standardness_of(_descending(s), h)
 
 
@@ -476,36 +518,46 @@ class ModularData:
     ``log_delta`` real (sorted ascending here), and J = ``jc`` conj.
     Validated at construction: finite data, V unitary, J orthogonal and
     involutive, and J Delta J = Delta^{-1}; Delta > 0 by construction.
-    V and jc are held as tile stacks on ``tiling`` (slots, V's columns;
-    handed in by a producer as before the sort, else one tile), and
-    flows, powers and the matrix of S are formed only on request.
-
-    Arrays (..., n, n), (..., n) and (..., n, n) hold a stack of modular
-    data; each invariant is then required of every member, and the
-    properties and methods return stacks.
+    Stored are ``log_delta``, the ``tiling`` (slots (T, s), V's columns
+    (T, s)) and the (..., T, s, s) tiles of V and jc; the dense ``vecs``
+    and ``jc`` are their scatters, and flows, powers and the matrix of S
+    are formed only on request.  Handed a tiling (slots, the labels of
+    V's columns), the constructor takes the tiles (T, s, s), (T, s) and
+    (T, s, s), else the one tile (n, n), (n) and (n, n); each tile's
+    columns are sorted by their places in the ascending log Delta.
+    Leading axes hold a stack of modular data; each invariant is then
+    required of every member, and the properties and methods return
+    stacks.
     """
 
     __slots__ = ("parent", "log_delta", "tiling", "_v", "_j")
 
     def __init__(self, parent, vecs, log_delta, jc, atol=INVARIANT_TOL,
                  tiling=None):
-        vecs = np.asarray(vecs, dtype=complex)
+        v = np.asarray(vecs, dtype=complex)
         lam = np.asarray(log_delta, dtype=float)
-        jc = np.asarray(jc, dtype=complex)
+        j = np.asarray(jc, dtype=complex)
         n = parent.n
-        if (vecs.shape[-2:] != (n, n) or jc.shape != vecs.shape
-                or lam.shape != vecs.shape[:-1]):
-            raise ValueError("V and jc must be n x n, log Delta of length n")
-        if not all(np.isfinite(a).all() for a in (vecs, lam, jc)):
+        if tiling is None:
+            v, j = v[..., None, :, :], j[..., None, :, :]
+            lam, tiling = lam[..., None, :], (_one_tile(n),) * 2
+        rows, cols = tiling
+        if (v.shape[-3:] != rows.shape + rows.shape[-1:] or j.shape != v.shape
+                or lam.shape != v.shape[:-1] or cols.shape != rows.shape):
+            raise ValueError("V and jc must be n x n, log Delta of length n, "
+                             "or the tiles of each")
+        if not all(np.isfinite(a).all() for a in (v, lam, j)):
             raise ValueError("modular invariant violated: finite data")
-        order = np.argsort(lam, axis=-1, kind="stable")
-        vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
-        lam = np.take_along_axis(lam, order, axis=-1)
+        # log Delta ascending, stably in V's column labels; each tile's
+        # columns in that order, labelled by their places in it
+        flat = _placed(lam, cols)
+        order = np.argsort(flat, axis=-1, kind="stable")
+        place = np.argsort(order, axis=-1)[..., cols]
+        v = np.take_along_axis(v, np.argsort(place)[..., None, :], axis=-1)
+        lam = np.take_along_axis(flat, order, axis=-1)
+        if rows.shape[0] > 1:
+            cols = np.sort(place, axis=-1)
         # validated tile by tile, as one stack
-        rows, cols = tiling or (_one_tile(n),) * 2
-        if rows.shape[0] > 1:           # V's columns, renumbered by the sort
-            cols = np.sort(np.argsort(order)[cols], axis=-1)
-        v, j = _on_tiles(vecs, rows, cols), _on_tiles(jc, rows, rows)
         lt = lam[..., cols]
         eye = np.eye(v.shape[-1])
         vh = _T(v.conj())
@@ -580,11 +632,10 @@ def modular_data(h):
     The cyclic/separating gate reads the same singular values.  A stack
     of subspaces gives a stack of modular data, and is refused if any
     member is not standard.  B runs as the stack of its tiles; the gate
-    reads their singular values sorted together, and V and J are
-    embedded block by block.
+    reads their singular values sorted together, and V, log Delta and J
+    are handed over as the tiles' stacks.
     """
-    rows, cols = h.tiling
-    u, s, wh = np.linalg.svd(_gather(h.complex_basis(), rows, cols))
+    u, s, wh = np.linalg.svd(h.complex_tiles())
     rep = _standardness_of(_descending(s), h)
     if not rep.cyclic.all():
         raise ValueError("subspace is not cyclic: H + iH does not span")
@@ -598,10 +649,9 @@ def modular_data(h):
     lam = 2.0 * np.log(pair / s)
     jc = (a / pair[..., None, :]) @ _T(u)
     # a standard B has square tiles; tile t's eigenvectors take the
-    # columns of its own slots
-    u, jc = (_scatter(x, rows) for x in (u, jc))
-    return ModularData(h.parent, u, _placed(lam, rows), jc,
-                       tiling=(rows, rows))
+    # labels of its own slots
+    rows = h.tiling[0]
+    return ModularData(h.parent, u, lam, jc, tiling=(rows, rows))
 
 
 def subspace_from_modular(m):
@@ -704,24 +754,23 @@ def intersect(subspaces, method="exact", max_iter=5000, tol=1e-9):
 def _joint(*subspaces):
     """The slots of each tile and the tiles of each basis, on the common
     tiling of the subspaces (:func:`_common`)."""
-    n = subspaces[0].parent.n
-    rows = _common(n, *(h.tiling[0] for h in subspaces))
-    real = _doubled(rows, n)
-    return rows, [_gather(h.basis, real, _moved(rows, *h.tiling))
-                  for h in subspaces]
+    rows = _common(subspaces[0].parent.n, *(h.tiling[0] for h in subspaces))
+    return rows, [_tiles_on(h, rows) for h in subspaces]
 
 
 def _spanned(parent, rows, stack, vecs, keep):
-    """The span of stack[t] @ vecs[t][:, keep[t]] on the slots rows[t],
-    tile after tile; tiled so when every tile keeps as many columns."""
+    """The span of stack[t] @ vecs[t][:, keep[t]] on the slots rows[t]:
+    their stack when every tile keeps as many columns, else one tile
+    holding them tile after tile."""
     parts = [x @ v[:, m] for x, v, m in zip(stack, vecs, keep)]
     widths = [p.shape[1] for p in parts]
     cols = np.split(np.arange(sum(widths)), np.cumsum(widths)[:-1])
+    if len(set(widths)) == 1:
+        return RealSubspace(parent, np.stack(parts), (rows, np.array(cols)))
     out = np.zeros((parent.real_dim, sum(widths)))
     for r, c, p in zip(_doubled(rows, parent.n), cols, parts):
         out[r[:, None], c] = p
-    return RealSubspace(parent, out, (rows, np.array(cols))
-                        if len(set(widths)) == 1 else None)
+    return RealSubspace(parent, out)
 
 
 def sum_closure(subspaces):

@@ -1027,6 +1027,89 @@ def test_every_claim_path_runs_on_the_declared_tiles(monkeypatch, kind):
                 for h in cones] == [2, 2, 2]
 
 
+#: small models of each kind, at most 33 slots per factor
+SMALL_MODELS = {"chiralSum": lambda: bgl.NetModel.chiral_sum(n=17),
+                "twisted": lambda: bgl.NetModel.twisted(n=9),
+                "massive": lambda: bgl.NetModel.massive(n=32),
+                "directIntegral": lambda: bgl.NetModel.direct_integral(n=8)}
+
+
+def _dense_shaped(obj, n):
+    """The attributes of ``obj`` holding an array of a dense shape: a
+    basis (2n, k), a matrix (n, n), or a stack of them."""
+    arrays = {name: getattr(obj, name) for name in obj.__slots__}
+    return [name for name, a in arrays.items()
+            if isinstance(a, np.ndarray) and a.ndim >= 2
+            and (a.shape[-2] == 2 * n or a.shape[-2:] == (n, n))]
+
+
+def _dense_stored_modular(md_tiles, rows, lam):
+    """The dense V, jc and log Delta that the eigen form (V, jc tiles on
+    the slots ``rows``, log Delta by tile) had as dense storage: scattered
+    block by block, V's columns sorted stably by the placed log Delta."""
+    v, jc = (stdspace._scatter(x, rows) for x in md_tiles)
+    placed = np.empty(rows.size)
+    placed[rows] = lam
+    order = np.argsort(placed, kind="stable")
+    return v[:, order], jc, placed[order]
+
+
+@pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
+def test_subspaces_and_modular_data_store_only_their_tiles(kind):
+    # every cached wedge subspace and dual, every transform image and
+    # every modular data holds its tile stacks and nothing of a dense
+    # shape; the dense basis, B, V and jc formed on request are the
+    # values dense storage held, bit for bit
+    net = SMALL_MODELS[kind]()
+    n, tiles = net.parent.n, WEDGE_TILES[kind]
+    s = n // tiles
+    bgl.axioms_report(net)                 # fills the wedge and dual cache
+    w_r, w_l = _origin_wedges()
+    h = net.wedge_subspace(w_r)
+    image = h.transform(net.unit_matrix_of(translation=(0.3, -0.2)),
+                        net.tiles)
+    cached = list(net._cache.values())
+    assert sum(sub.dim > 0 for sub in cached) >= 4
+    for sub in cached + [image]:
+        rows, cols = sub.tiling
+        if sub.dim:
+            assert sub.tiles.shape == (tiles, 2 * s, s)
+            assert tiles == 1 or not _dense_shaped(sub, n)
+        else:                              # no columns: one empty tile
+            assert sub.tiles.shape == (1, 2 * n, 0)
+        assert not sub.tiles.flags.writeable
+        basis = sub.basis
+        real = stdspace._doubled(rows, n)
+        assert np.array_equal(stdspace._gather(basis, real, cols), sub.tiles)
+        assert np.count_nonzero(basis) == np.count_nonzero(sub.tiles)
+        assert np.array_equal(sub.complex_basis(),
+                              basis[:n] + 1j * basis[n:])
+
+    for region in (w_r, w_l):
+        # modular_data: the SVD stacks of the tiles of B
+        h = net.wedge_subspace(region)
+        md = stdspace.modular_data(h)
+        u, sv, wh = np.linalg.svd(h.complex_tiles())
+        pair = sv[..., ::-1]
+        jc = ((u * sv[..., None, :]) @ (wh @ wh.swapaxes(-1, -2))
+              / pair[..., None, :]) @ u.swapaxes(-1, -2)
+        want = _dense_stored_modular((u, jc), h.tiling[0],
+                                     2.0 * np.log(pair / sv))
+        # wedge_modular: the block's factor stacks, J = diag(z)
+        block = bgl._wedge_block(net.factors, region)
+        dense_v = block.dense(block.vecs)
+        order = np.argsort(bgl._TWO_PI * block.kap, kind="stable")
+        wanted = {md: want, net.wedge_modular(region): (
+            dense_v[:, order], np.diag(block.z),
+            (bgl._TWO_PI * block.kap)[order])}
+        for got, (v, jc, lam) in wanted.items():
+            assert got._v.shape == got._j.shape == (tiles, s, s)
+            assert tiles == 1 or not _dense_shaped(got, n)
+            assert np.array_equal(got.vecs, v)
+            assert np.array_equal(got.jc, jc)
+            assert np.array_equal(got.log_delta, lam)
+
+
 @pytest.mark.parametrize("ladder,calls", [(SCALED_LADDER, 30),
                                           (bgl.CONE_LADDER, 14)])
 def test_study_intersects_once_per_cone_shape(monkeypatch, ladder, calls):

@@ -954,7 +954,7 @@ def _halperin_family(rng, tiles, r, core, extras):
         tiling = (_permuted_tiles(slots, tiles),
                   np.arange(tiles * k).reshape(tiles, k))
         family.append(RealSubspace.from_complex(
-            ComplexSpace(n), c[slots], tiling if tiles > 1 else None))
+            ComplexSpace(n), stdspace._gather(c[slots], *tiling), tiling))
     assert stdspace._joint(*family)[0].shape[0] == tiles
     return family
 
@@ -1159,9 +1159,10 @@ def _direct_sum_basis(rng, tiles, r, k, slots, columns):
         z = rng.normal(size=(k, r)) + 1j * rng.normal(size=(k, r))
         c[t * r:(t + 1) * r, t * k:(t + 1) * k] = make_subspace(
             list(z), ComplexSpace(r)).complex_basis()
+    tiling = _permuted_tiles(slots, tiles), _permuted_tiles(columns, tiles)
     return RealSubspace.from_complex(
-        ComplexSpace(n), c[slots][:, columns],
-        (_permuted_tiles(slots, tiles), _permuted_tiles(columns, tiles)))
+        ComplexSpace(n), stdspace._gather(c[slots][:, columns], *tiling),
+        tiling)
 
 
 def _dense_modular(h):
@@ -1336,6 +1337,35 @@ def test_transform_runs_on_the_tiles_of_the_unitary():
         h.transform(u, np.arange(n).reshape(4, 2))
 
 
+def _tiled_chiral_wedge():
+    """H(W_R) of the chiral sum at n = 9: two tiles of 9 slots."""
+    net = bgl.NetModel.chiral_sum(n=9)
+    h = net.wedge_subspace(spacetime.Region.wedge_right((0.0, 0.0)))
+    assert h.tiling[0].shape == (2, 9)
+    return net, h
+
+
+@pytest.mark.parametrize("shape", [(18, 19), (1, 1), (18,), (2, 17, 17)])
+def test_transform_refuses_a_unitary_that_is_not_n_by_n(shape):
+    # a wrong shape is named where the operand enters, on the model's
+    # tiles and on one tile alike
+    net, h = _tiled_chiral_wedge()
+    u = np.ones(shape, dtype=complex)
+    for tiles in (net.tiles, None):
+        with pytest.raises(ValueError, match=re.escape(f"{shape}")):
+            h.transform(u, tiles)
+
+
+@pytest.mark.parametrize("shape", [(1,), (17,), (19,), (18, 1), (2, 18)])
+def test_phased_refuses_phases_that_are_not_one_per_slot(shape):
+    # a length-1 vector is not a global phase, and a longer one is not
+    # read by each tile's slots
+    _, h = _tiled_chiral_wedge()
+    with pytest.raises(ValueError, match=re.escape(f"{shape}")):
+        h.phased(np.ones(shape, dtype=complex))
+    assert h.phased(np.ones(18)).dim == h.dim
+
+
 def test_a_handed_tiling_must_hold_every_nonzero():
     rng = np.random.default_rng(3)
     n = 6
@@ -1343,16 +1373,23 @@ def test_a_handed_tiling_must_hold_every_nonzero():
                           rng.permutation(n))
     rows, cols = h.tiling
     assert rows.shape == cols.shape == (3, 2)
-    assert RealSubspace(h.parent, h.basis, h.tiling).dim == n
-    # one nonzero off every tile: the real row of a slot of tile 1 in a
-    # column of tile 0.  The Gram check of each tile cannot see it, and
-    # the whole basis stays orthonormal within tolerance, so only the
-    # count of nonzeros refuses the tiling
-    planted = h.basis.copy()
-    planted[rows[1, 0], cols[0, 0]] = 1e-12
+    # a subspace handed a tiling is handed its tiles, which hold every
+    # nonzero by their shape: they are the gather of the dense basis, and
+    # the dense basis handed with the tiling is refused
+    assert h.tiles.shape == (3, 4, 2)
+    assert np.array_equal(
+        h.tiles, stdspace._gather(h.basis, stdspace._doubled(rows, n), cols))
+    assert RealSubspace(h.parent, h.tiles, h.tiling).dim == n
+    with pytest.raises(ValueError, match="do not match the tiling"):
+        RealSubspace(h.parent, h.basis, h.tiling)
+    # a dense operator handed tiles must hold every nonzero there: one
+    # 1e-12 off every tile of the identity is refused, which the Gram
+    # check of the image could not see
+    u = np.eye(n, dtype=complex)
+    u[rows[1, 0], rows[0, 0]] = 1e-12
     with pytest.raises(ValueError, match="nonzero outside its tiles"):
-        RealSubspace(h.parent, planted, h.tiling)
-    assert RealSubspace(h.parent, planted).dim == n
+        h.transform(u, rows)
+    assert h.transform(u).tiling[0].shape[0] == 1
 
 
 def test_modular_data_takes_a_handed_tiling_and_refuses_a_nonzero_outside():
@@ -1360,28 +1397,35 @@ def test_modular_data_takes_a_handed_tiling_and_refuses_a_nonzero_outside():
     n = 6
     h = _direct_sum_basis(rng, 3, 2, 2, rng.permutation(n),
                           rng.permutation(n))
-    md = modular_data(h)                  # handed the tiling of h
+    md = modular_data(h)                  # handed the tiles of h
     rows, cols = md.tiling
     assert rows.shape == cols.shape == (3, 2)
-    # a producer's eigenvectors may come unsorted: the handed columns are
-    # renumbered by the log Delta sort
-    p = rng.permutation(n)
-    read = ModularData(h.parent, md.vecs[:, p], md.log_delta[p], md.jc,
-                       tiling=(rows, np.sort(np.argsort(p)[cols], axis=-1)))
+    assert md._v.shape == md._j.shape == (3, 2, 2)
+    # a producer's eigenvector tiles may come unsorted: each tile's
+    # columns, shuffled with their labels, are sorted back by their
+    # places in the ascending log Delta
+    p = np.array([rng.permutation(2) for _ in range(3)])
+    read = ModularData(
+        h.parent, np.take_along_axis(md._v, p[:, None, :], axis=-1),
+        np.take_along_axis(md.log_delta[cols], p, axis=-1), md._j,
+        tiling=(rows, np.take_along_axis(cols, p, axis=-1)))
     assert all(np.array_equal(a, b) for a, b in zip(read.tiling, md.tiling))
+    assert np.array_equal(read.log_delta, md.log_delta)
+    assert np.array_equal(read.vecs, md.vecs)
     assert np.array_equal(read.power(0.3j), md.power(0.3j))
-    # data handed no tiling is one tile
-    assert ModularData(h.parent, md.vecs, md.log_delta,
-                       md.jc).tiling[0].shape[0] == 1
-    # one nonzero off every tile, in V or in jc: the tile-wise invariants
-    # cannot see 1e-13, so only the count of nonzeros refuses the tiling
-    for i, col in ((0, cols[0, 0]), (2, rows[0, 0])):
-        args = [md.vecs, md.log_delta, md.jc]
-        args[i] = args[i].copy()
-        args[i][rows[1, 0], col] = 1e-13
-        with pytest.raises(ValueError, match="nonzero outside its tiles"):
-            ModularData(h.parent, *args, tiling=md.tiling)
-        assert ModularData(h.parent, *args).tiling[0].shape[0] == 1
+    # data handed no tiling is one tile; dense data handed one is refused
+    dense = ModularData(h.parent, md.vecs, md.log_delta, md.jc)
+    assert dense.tiling[0].shape[0] == 1
+    assert np.array_equal(dense.vecs, md.vecs)
+    with pytest.raises(ValueError, match="the tiles of each"):
+        ModularData(h.parent, md.vecs, md.log_delta, md.jc, tiling=md.tiling)
+    # the nonzero refusal is the dense operator's: a modular unitary
+    # with one 1e-13 off every tile, which no tile-wise check could see
+    u = md.delta_it(0.3)
+    u[rows[1, 0], rows[0, 0]] = 1e-13
+    with pytest.raises(ValueError, match="nonzero outside its tiles"):
+        h.transform(u, rows)
+    assert h.transform(u).tiling[0].shape[0] == 1
 
 
 def test_producers_hand_their_tiling_to_the_subspaces_they_build():
@@ -1393,7 +1437,7 @@ def test_producers_hand_their_tiling_to_the_subspaces_they_build():
     # the real-orthonormalised span of complex columns: qr_basis on the
     # real form of each tile of the columns, so the span of a tiled
     # orthonormal basis, tiled as that basis
-    spanned = RealSubspace.orthonormalised(h.parent, h.complex_basis(),
+    spanned = RealSubspace.orthonormalised(h.parent, h.complex_tiles(),
                                            h.tiling)
     assert subspace_distance(spanned, h) < 1e-12
     assert np.array_equal(spanned.tiling[0], rows)
@@ -1428,9 +1472,9 @@ def test_tiles_of_unequal_intersection_dimension_merge_untiled():
             extra = rng.normal(size=(2 * r, 3 - core.shape[1]))
             q = np.linalg.qr(np.hstack([core, extra]))[0]
             c[t * r:(t + 1) * r, 3 * t:3 * (t + 1)] = q[:r] + 1j * q[r:]
+        tiling = np.arange(2 * r).reshape(2, r), np.arange(6).reshape(2, 3)
         family.append(RealSubspace.from_complex(
-            parent, c, (np.arange(2 * r).reshape(2, r),
-                        np.arange(6).reshape(2, 3))))
+            parent, stdspace._gather(c, *tiling), tiling))
     assert stdspace._joint(*family)[0].shape[0] == 2
     exact = intersect(family)
     halperin = intersect(family, method="halperin", max_iter=1 << 20)
