@@ -21,11 +21,15 @@ the translation-dilation subgroup in lightray coordinates, passed
 through to :func:`reps.apply` as the pairs (t_L, t_R) and
 (sigma_L, sigma_R); this module imports no Mobius code.
 
-Every wedge-like block is held in eigen-form: the modular spectrum, the
-phased inverse-DFT eigenvectors and the J-pairing of their columns are
-known exactly.  Wedge subspaces come from the closed per-eigenpair
-fixed-point formula and modular flows from the spectrum, so neither
-forms Delta and both hold at any grid spacing.  The formula runs once
+The modular data of every wedge-like region is known exactly, one tile
+per factor, as stacks: log Delta = 2 pi kappa, the eigenvectors V (apex
+phases times the inverse DFT) and J = diag(phases^2) conj, which maps
+column m of a tile to column -m mod s (every factor of a model has one
+size s).  Its one record is :class:`stdspace.ModularData` on the factor
+tiles: ``NetModel.wedge_modular`` validates it and ``wedge_flow`` is its
+flow.  Wedge subspaces come from the closed per-eigenpair fixed-point
+formula on the raw stacks, unvalidated, so neither route forms Delta
+and both hold at any grid spacing.  The formula runs once
 per orientation, at the origin: by covariance the subspace of the
 region with apex a is H(W + a) = U(a) H(W), and on the momentum
 lattice U(a) = e^{i a.p} is a diagonal phase, so every other apex
@@ -126,59 +130,6 @@ def _roll(n, k):
     return np.roll(np.eye(n), k, axis=1)
 
 
-@dataclasses.dataclass(frozen=True)
-class _Block:
-    """Modular pair of a wedge-like region in eigen-form, unit frame.
-
-    Delta = V diag(e^{2 pi kap}) V* with V the direct sum of the factor
-    tiles ``vecs``, and J = diag(z) conj maps column m of V to column
-    ``pair[m]``, whose ``kap`` is the negative.  All four are known
-    exactly, so no operator is ever re-diagonalised.
-    """
-
-    kap: np.ndarray
-    vecs: np.ndarray
-    z: np.ndarray
-    pair: np.ndarray
-
-    def flow(self, t):
-        """Delta^{it} = V diag(e^{2 pi i t kap}) V*, its factor tiles."""
-        v = self.vecs
-        values = np.exp(2j * np.pi * t * self.kap).reshape(len(v), 1, -1)
-        return (v * values) @ v.conj().swapaxes(-1, -2)
-
-    @property
-    def slots(self):
-        """The slots of each factor tile."""
-        return np.arange(self.z.size).reshape(len(self.vecs), -1)
-
-    def dense(self, stack):
-        """The matrix of a stack of factor tiles, such as V or a flow."""
-        return stdspace._scatter(stack, self.slots)
-
-    def subspace(self, parent, tiling=None):
-        """fix(J Delta^{1/2}) through the eigenpair formula."""
-        return _eigenpair_fix(parent, self.kap, self.dense(self.vecs),
-                              self.pair, tiling)
-
-    def translate(self, phases):
-        """The block of the translated region, U = diag(phases) unitary.
-
-        U Delta U* has eigenvectors U V and U J U* = diag(phases^2 z) conj;
-        the spectrum and the pairing are unchanged.
-        """
-        return _Block(self.kap,
-                      phases.reshape(len(self.vecs), -1, 1) * self.vecs,
-                      phases ** 2 * self.z, self.pair)
-
-
-def _halfline_block(n, h, orient):
-    """Half-line block at the origin: orient=+1 for (0, oo), -1 for
-    (-oo, 0); :meth:`_Block.translate` moves it to another apex."""
-    return _Block(orient * _kappa(n, h), _dft(n).conj().T[None],
-                  np.ones(n, dtype=complex), -np.arange(n) % n)
-
-
 def _direct_sum(mats):
     """Block-diagonal direct sum of matrices."""
     rows, cols = np.sum([m.shape for m in mats], axis=0)
@@ -190,54 +141,46 @@ def _direct_sum(mats):
     return out
 
 
-def _block_diag(blocks):
-    """Assemble factor blocks into one block on the summed space."""
-    offsets = np.cumsum([0] + [b.z.size for b in blocks[:-1]])
-    return _Block(np.concatenate([b.kap for b in blocks]),
-                  np.concatenate([b.vecs for b in blocks]),
-                  np.concatenate([b.z for b in blocks]),
-                  np.concatenate([b.pair + off
-                                  for b, off in zip(blocks, offsets)]))
-
-
 # ---------------------------------------------------------------------------
 # window-free eigenpair subspaces
 # ---------------------------------------------------------------------------
 
 
-def _eigenpair_fix(parent, kap, cols, pair_of, tiling=None):
+def _eigenpair_fix(parent, tiles, log_delta, vecs):
     """Orthonormal basis of fix(J Delta^{1/2}) from paired eigenvectors.
 
-    Never forms Delta: for an eigenpair (kappa, -kappa) with J-exchanged
-    columns c, c' the fixed plane is spanned by e^{-pi kappa} c + c' and
-    i(-e^{-pi kappa} c + c'); a self-paired kappa = 0 column contributes
-    its real line.  Valid for arbitrarily large |kappa|.  A pair lies in
-    one factor and the columns follow the slots, so on the handed
-    ``tiling`` (slots, slots) of a union of factors the fixed columns are
-    handed over as the stack of those tiles (one tile if None).
+    Never forms Delta: ``vecs`` (T, s, s) and ``log_delta`` (T, s) are
+    the eigen form on the slots ``tiles`` of each factor, and J maps
+    column m of a tile to column -m mod s, of the negated log Delta.  For
+    an eigenpair (lambda, -lambda) with J-exchanged columns c, c' the
+    fixed plane is spanned by e^{-|lambda|/2} c + c' and
+    i(-e^{-|lambda|/2} c + c'), c the column of lambda > 0; a self-paired
+    column contributes its real line.  Valid for arbitrarily large
+    |lambda|.  The columns of a tile come in the order the pairs are
+    first met, and the fixed columns are handed over as the stack of the
+    tiles.
     """
-    pair_of = np.asarray(pair_of)
-    lead = np.flatnonzero(np.arange(parent.n) <= pair_of)  # one per pair
-    mate = pair_of[lead]
+    s = vecs.shape[-1]
+    mate = -np.arange(s) % s
+    lead = np.flatnonzero(np.arange(s) <= mate)           # one per pair
+    mate = mate[lead]
     paired = mate != lead
     m, mp = lead[paired], mate[paired]
-    k = kap[m]
-    flip = k < 0
-    m, mp = np.where(flip, mp, m), np.where(flip, m, mp)
-    damp = np.exp(-np.pi * np.abs(k))
-    v1 = damp * cols[:, m] + cols[:, mp]
-    v2 = 1j * (-damp * cols[:, m] + cols[:, mp])
+    lam = log_delta[..., None, m]
+    a, b = vecs[..., m], vecs[..., mp]
+    c, c2 = np.where(lam < 0, b, a), np.where(lam < 0, a, b)
+    damp = np.exp(-np.abs(lam) / 2.0)
+    v1 = damp * c + c2
+    v2 = 1j * (-damp * c + c2)
     # columns in pair order: (v1, v2) per pair, the column alone when
     # self-paired
-    out = np.zeros((parent.n, lead.size, 2), dtype=complex)
-    out[:, :, 0] = cols[:, lead]
-    out[:, paired, 0] = v1 / np.linalg.norm(v1, axis=0)
-    out[:, paired, 1] = v2 / np.linalg.norm(v2, axis=0)
+    out = np.zeros(vecs.shape[:-1] + (lead.size, 2), dtype=complex)
+    out[..., 0] = vecs[..., lead]
+    out[..., paired, 0] = v1 / np.linalg.norm(v1, axis=-2, keepdims=True)
+    out[..., paired, 1] = v2 / np.linalg.norm(v2, axis=-2, keepdims=True)
     keep = np.stack([np.ones_like(paired), paired], axis=1).ravel()
-    out = out.reshape(parent.n, -1)[:, keep]
-    return stdspace.RealSubspace.orthonormalised(
-        parent, out if tiling is None else stdspace._gather(out, *tiling),
-        tiling)
+    out = out.reshape(vecs.shape[:-1] + (-1,))[..., keep]
+    return stdspace.RealSubspace.orthonormalised(parent, out, (tiles, tiles))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +211,11 @@ def _wedge_geometry(region):
     )
 
 
-def _wedge_block(factors, region):
-    """The assembled eigen-form block of a wedge-like region.
+def _wedge_eigen(factors, region):
+    """The exact eigen form of a wedge-like region's modular data, one
+    tile per factor: log Delta = 2 pi kappa (T, s), the eigenvectors V =
+    apex phases times the inverse DFT (T, s, s), and the phases z (T, s)
+    of J = diag(z) conj, which maps column m of a tile to column -m mod s.
 
     A lightcone is wedge data only where every factor moves along one
     lightray; a rapidity factor carries momentum along both.
@@ -280,16 +226,18 @@ def _wedge_block(factors, region):
             "lightcone modular data is not wedge data in a massive "
             "model; lightcone subspaces exist on the chiral models"
         )
-    blocks = [_halfline_block(f.n, f.h, orients[f.ray]) for f in factors]
-    return _block_diag(blocks).translate(
-        reps.translation_phases(factors, *apex))
+    log_delta = np.stack([orients[f.ray] * _TWO_PI * _kappa(f.n, f.h)
+                          for f in factors])
+    phases = reps.translation_phases(factors, *apex).reshape(log_delta.shape)
+    vecs = phases[..., None] * _dft(log_delta.shape[-1]).conj().T
+    return log_delta, vecs, phases ** 2
 
 
 class NetModel:
     """A lattice representation together with its net of wedge subspaces.
 
-    The wedge family is generated blockwise from the factor half-line
-    blocks; every wedge subspace is cached under its canonical region
+    The wedge family is generated tile by tile from the factor
+    half-lines; every wedge subspace is cached under its canonical region
     key, every dual double cone under its shape and method, and each is
     reproduced bit-stably on re-query.
     """
@@ -302,6 +250,10 @@ class NetModel:
         self.charge = float(charge)
         self._cache = {}
         self._lock = threading.Lock()
+        sizes = sorted({f.n for f in self.factors})
+        if len(sizes) > 1:
+            raise ValueError(f"the factors of a model must have one size, "
+                             f"got sizes {sizes}")
         self.parent = stdspace.ComplexSpace(sum(f.n for f in self.factors))
         # the slots of each factor: the tiles of the model's operators
         self.tiles = np.arange(self.parent.n).reshape(len(self.factors), -1)
@@ -351,7 +303,9 @@ class NetModel:
         floor; measured on first read."""
         n, h = self.factors[0].n, self.factors[0].h
         k = 1 if n % 2 else 2          # even grids compare even steps only
-        step = _halfline_block(n, h, +1).flow(k * h / _TWO_PI)
+        t = k * h / _TWO_PI
+        v = _dft(n).conj().T            # the half-line (0, oo) at the origin
+        step = (v * np.exp(2j * np.pi * t * _kappa(n, h))) @ v.conj().T
         residual = stdspace.tile_norm(step - _roll(n, -k))
         return BUDGET_FACTOR * (residual + BUDGET_FLOOR)
 
@@ -363,16 +317,13 @@ class NetModel:
                 float(region.right[0]), float(region.right[1]))
 
     def wedge_modular(self, region):
-        """Validated modular data of a wedge-like region, in the block's
-        exact eigen form handed over as its factor tiles, J as diag(z) on
+        """Validated modular data of a wedge-like region, its exact eigen
+        form (:func:`_wedge_eigen`) on the factor tiles, J as diag(z) on
         each: no eigensolve and no dense Delta, V or J."""
-        block = _wedge_block(self.factors, region)
-        j = np.stack([np.diag(z) for z in block.z[block.slots]])
-        v, j = (stdspace.retiled(x, block.slots, self.tiles)
-                for x in (block.vecs, j))
-        return stdspace.ModularData(self.parent, v,
-                                    _TWO_PI * block.kap[self.tiles], j,
-                                    tiling=(self.tiles, self.tiles))
+        log_delta, vecs, z = _wedge_eigen(self.factors, region)
+        return stdspace.ModularData(self.parent, vecs, log_delta,
+                                    z[..., None] * np.eye(z.shape[-1]),
+                                    tiling=self.tiles)
 
     def wedge_subspace(self, region):
         """The real standard subspace of a wedge-like region (cached).
@@ -392,15 +343,15 @@ class NetModel:
                 region.translate((-apex[0], -apex[1])))
             sub = origin.phased(reps.translation_phases(self.factors, *apex))
         else:
-            block = _wedge_block(self.factors, region)
-            sub = block.subspace(self.parent, (self.tiles, self.tiles))
+            log_delta, vecs, _ = _wedge_eigen(self.factors, region)
+            sub = _eigenpair_fix(self.parent, self.tiles, log_delta, vecs)
         with self._lock:
             return self._cache.setdefault(key, sub)
 
     def wedge_flow(self, region, t):
-        """Complex matrix of Delta_W^{it}, exact from the block eigen-form."""
-        block = _wedge_block(self.factors, region)
-        return block.dense(block.flow(t))
+        """Complex matrix of Delta_W^{it}, the flow of
+        :meth:`wedge_modular`."""
+        return self.wedge_modular(region).delta_it(t)
 
     # -- dual-prescription regions ----------------------------------------
 
@@ -703,14 +654,11 @@ def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
         for apex in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)))
     norm = stdspace.tile_norm
 
-    def flow(md, t):                 # on the model's tiles, the factors
-        return stdspace.retiled(md.power_tiles(1j * t), md.tiling[0],
-                                net.tiles)
-
     def dilated(md, t, i):
-        # flow(md, t) U(delta(2 pi t)) on factor i alone: tile i's columns
-        # roll, a permutation, so the product is exact
-        x = flow(md, t)
+        # Delta^{it} U(delta(2 pi t)) on factor i alone, on the cones'
+        # tiles, the factors: tile i's columns roll, a permutation, so
+        # the product is exact
+        x = md.power_tiles(1j * t)
         x[i] = np.roll(x[i], grid_steps(t, net.factors[i].h), axis=-1)
         return x
 
@@ -721,7 +669,7 @@ def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
     for t in t_values:
         a, b = dilated(md_bl, t, 0), dilated(md_br, t, 1)   # U_R, U_L
         ab = a @ b
-        ident.append(norm(flow(md_d0, t) - ab))
+        ident.append(norm(md_d0.power_tiles(1j * t) - ab))
         comm.append(norm(ab - b @ a))
         # U_R acts trivially on the left factor, tile 0
         cancel.append(norm(a[0] - one))
@@ -865,8 +813,9 @@ def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
 # ---------------------------------------------------------------------------
 
 
-def spin_statistics_spectrum_check(pairs, tol=1e-9):
-    """All rotation-spectrum differences must be integers.
+def spin_statistics_spectrum_check(pairs):
+    """All rotation-spectrum differences must be integers, to 1e-9 (the
+    budget of the check's ``cli.CHECKS`` row).
 
     ``pairs`` iterates over (mu, lam) lowest-weight pairs; an empty
     battery is vacuously true.
@@ -875,7 +824,7 @@ def spin_statistics_spectrum_check(pairs, tol=1e-9):
     for mu, lam in pairs:
         diff = float(mu) - float(lam)
         worst = max(worst, abs(diff - round(diff)))
-    return worst <= tol, worst
+    return worst <= 1e-9, worst
 
 
 def trace_class_partition(beta, n_terms=200):

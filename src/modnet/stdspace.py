@@ -14,9 +14,10 @@ and B itself are formed on request.
 
 Modular theory runs on B.  One SVD gives its standardness and, by the
 Rieffel-van Daele formulas, its whole modular data, held in eigen form
-(eigenvectors V, ascending log Delta, the complex matrix of J); S, the
-flows and the powers of Delta are formed only on request, and no dense
-Delta is formed to validate it.
+(eigenvectors V, the log Delta of each of their columns, the complex
+matrix of J) by :class:`ModularData`, the one record of modular data; S,
+the flows and the powers of Delta are formed only on request, and no
+dense Delta is formed to validate it.
 
 Subspaces, modular data and the primitives between them also take
 stacks: a basis of shape (..., 2n, k) holds one subspace per leading
@@ -30,8 +31,9 @@ Tiles are a direct sum, a stack is a batch.  The models are direct sums
 (two chiral factors, two copies of them, one rapidity block per mass),
 and the modular data of a direct sum of standard subspaces is the
 direct sum of the summands' data.  The producer of an object declares
-its tiling, the slots of each tile (and the basis columns of each), and
-an object handed none is one tile: nothing is read from zero patterns.
+its tiling, the slots of each tile (and a subspace's basis columns of
+each), and an object handed none is one tile: nothing is read from zero
+patterns.
 A subspace or modular data handed a tiling is handed its tiles; a dense
 operator handed one is refused unless its tiles hold every nonzero.
 Every primitive runs the stack of an operand's tiles through its one
@@ -40,9 +42,9 @@ sorted before any threshold reads them, and a norm is the largest tile
 norm.  One tile is a view of the whole array.  Operands on different
 tilings meet on the coarser one where one refines the other, a lookup
 of each slot's tile, else on one tile.  Subspaces and modular data
-store only their tile stacks (and the ascending log Delta); a dense
-basis, V, J or power is their scatter, formed for a consumer that asks
-for one.
+store only their tile stacks, log Delta by tile in the column order its
+producer hands; a dense basis, V, J or power is their scatter, formed
+for a consumer that asks for one.
 """
 
 from __future__ import annotations
@@ -341,15 +343,6 @@ def retiled(stack, rows, new):
     return _on_tiles(_scatter(stack, rows), new, new)
 
 
-def _placed(values, index):
-    """The vector holding tile t's ``values`` at index[t]."""
-    if values.shape[-2] == 1:
-        return values[..., 0, :]
-    out = np.empty(values.shape[:-2] + (index.size,), dtype=values.dtype)
-    out[..., index] = values
-    return out
-
-
 def _descending(s):
     """The tiles' descending spectra (..., T, k) sorted together."""
     if s.shape[-2] == 1:
@@ -503,10 +496,11 @@ def standardness(h):
 # ---------------------------------------------------------------------------
 
 
-def _require(checks, atol):
-    """Raise on the first invariant whose error exceeds atol or is NaN."""
+def _require(checks):
+    """Raise on the first invariant whose error exceeds ``INVARIANT_TOL``
+    or is NaN."""
     for name, err in checks.items():
-        if not err <= atol:
+        if not err <= INVARIANT_TOL:
             raise ValueError(f"modular invariant violated: {name} "
                              f"(error {err:.3e})")
 
@@ -515,50 +509,37 @@ class ModularData:
     """Modular pair (J, Delta) of a standard subspace, in eigen form.
 
     Delta = V diag(e^{log_delta}) V* with V = ``vecs`` unitary and
-    ``log_delta`` real (sorted ascending here), and J = ``jc`` conj.
-    Validated at construction: finite data, V unitary, J orthogonal and
-    involutive, and J Delta J = Delta^{-1}; Delta > 0 by construction.
-    Stored are ``log_delta``, the ``tiling`` (slots (T, s), V's columns
-    (T, s)) and the (..., T, s, s) tiles of V and jc; the dense ``vecs``
-    and ``jc`` are their scatters, and flows, powers and the matrix of S
-    are formed only on request.  Handed a tiling (slots, the labels of
-    V's columns), the constructor takes the tiles (T, s, s), (T, s) and
-    (T, s, s), else the one tile (n, n), (n) and (n, n); each tile's
-    columns are sorted by their places in the ascending log Delta.
-    Leading axes hold a stack of modular data; each invariant is then
-    required of every member, and the properties and methods return
-    stacks.
+    ``log_delta`` real, and J = ``jc`` conj.  Validated at construction:
+    finite data, V unitary, J orthogonal and involutive, and J Delta J =
+    Delta^{-1}; Delta > 0 by construction.  The ``tiling`` is the slots
+    (T, s) of each tile, as handed in by the producer, else one tile.
+    Stored are the (..., T, s, s) tiles of V and jc and ``log_delta``
+    (..., T, s), the eigenvalues of each tile's columns of V, all in the
+    order the producer hands them; tile t's columns of the dense ``vecs``
+    sit on its slots.  The dense ``vecs`` and ``jc`` are scatters, and
+    flows, powers and the matrix of S are formed only on request.  Handed
+    a tiling, the constructor takes the tiles, else the one tile (n, n),
+    (n) and (n, n).  Leading axes hold a stack of modular data; each
+    invariant is then required of every member, and the properties and
+    methods return stacks.
     """
 
     __slots__ = ("parent", "log_delta", "tiling", "_v", "_j")
 
-    def __init__(self, parent, vecs, log_delta, jc, atol=INVARIANT_TOL,
-                 tiling=None):
+    def __init__(self, parent, vecs, log_delta, jc, tiling=None):
         v = np.asarray(vecs, dtype=complex)
         lam = np.asarray(log_delta, dtype=float)
         j = np.asarray(jc, dtype=complex)
-        n = parent.n
         if tiling is None:
             v, j = v[..., None, :, :], j[..., None, :, :]
-            lam, tiling = lam[..., None, :], (_one_tile(n),) * 2
-        rows, cols = tiling
-        if (v.shape[-3:] != rows.shape + rows.shape[-1:] or j.shape != v.shape
-                or lam.shape != v.shape[:-1] or cols.shape != rows.shape):
+            lam, tiling = lam[..., None, :], _one_tile(parent.n)
+        if (v.shape[-3:] != tiling.shape + tiling.shape[-1:]
+                or j.shape != v.shape or lam.shape != v.shape[:-1]):
             raise ValueError("V and jc must be n x n, log Delta of length n, "
                              "or the tiles of each")
         if not all(np.isfinite(a).all() for a in (v, lam, j)):
             raise ValueError("modular invariant violated: finite data")
-        # log Delta ascending, stably in V's column labels; each tile's
-        # columns in that order, labelled by their places in it
-        flat = _placed(lam, cols)
-        order = np.argsort(flat, axis=-1, kind="stable")
-        place = np.argsort(order, axis=-1)[..., cols]
-        v = np.take_along_axis(v, np.argsort(place)[..., None, :], axis=-1)
-        lam = np.take_along_axis(flat, order, axis=-1)
-        if rows.shape[0] > 1:
-            cols = np.sort(place, axis=-1)
         # validated tile by tile, as one stack
-        lt = lam[..., cols]
         eye = np.eye(v.shape[-1])
         vh = _T(v.conj())
         # errors are the largest real-form entries of the residuals
@@ -566,37 +547,35 @@ class ModularData:
             "V unitary": _max_entry(vh @ v - eye),
             "J orthogonal": _max_entry(_T(j.conj()) @ j - eye),
             "J involutive": _max_entry(j @ j.conj() - eye),
-        }, atol)
+        })
         # balance: X = V* jc conj(V) may couple lambda_i only with
         # -lambda_i.  J Delta^{1/2} = Delta^{-1/2} J reads X_ij e^{lambda_j/2}
         # = e^{-lambda_i/2} X_ij; its defect relative to the entry's size
         # is |X_ij tanh((lambda_i + lambda_j) / 4)|, free of any scale
         x = vh @ j @ v.conj()
         rel = float(np.max(np.abs(x) * np.abs(np.tanh(
-            (lt[..., :, None] + lt[..., None, :]) / 4.0))))
+            (lam[..., :, None] + lam[..., None, :]) / 4.0))))
         if not rel <= BALANCE_TOL:
             raise ValueError("modular invariant violated: J Delta J = "
                              f"Delta^-1 (relative error {rel:.3e})")
-        self.parent = parent
-        self.log_delta = lam
-        self.tiling = rows, cols
+        self.parent, self.log_delta, self.tiling = parent, lam, tiling
         self._v, self._j = v, j
 
-    vecs = property(lambda self: _scatter(self._v, *self.tiling))
-    jc = property(lambda self: _scatter(self._j, self.tiling[0]))
+    vecs = property(lambda self: _scatter(self._v, self.tiling))
+    jc = property(lambda self: _scatter(self._j, self.tiling))
 
     @property
     def delta_norm(self):
-        return np.exp(self.log_delta[..., -1])
+        return np.exp(np.max(self.log_delta, axis=(-2, -1)))
 
     def power_tiles(self, z):
         """Delta^z = V diag(e^{z log Delta}) V*, its stack of tiles."""
-        lt = self.log_delta[..., self.tiling[1]]
-        return (self._v * np.exp(z * lt)[..., None, :]) @ _T(self._v.conj())
+        values = np.exp(z * self.log_delta)[..., None, :]
+        return (self._v * values) @ _T(self._v.conj())
 
     def power(self, z):
         """Delta^z as a complex n x n matrix; Delta^{it} at z = i t."""
-        return _scatter(self.power_tiles(z), self.tiling[0])
+        return _scatter(self.power_tiles(z), self.tiling)
 
     def delta_it(self, t):
         """The modular unitary Delta^{it}, as a complex n x n matrix."""
@@ -605,13 +584,12 @@ class ModularData:
     def tomita_tiles(self):
         """Complex matrix jc conj(V) e^{log Delta / 2} V^T of S = J
         Delta^{1/2}, its stack of tiles."""
-        lt = self.log_delta[..., self.tiling[1]]
-        half = self._v.conj() * np.exp(lt / 2.0)[..., None, :]
+        half = self._v.conj() * np.exp(self.log_delta / 2.0)[..., None, :]
         return self._j @ half @ _T(self._v)
 
     def tomita_matrix(self):
         """The complex matrix of S: S xi = tomita_matrix() conj(xi)."""
-        return _scatter(self.tomita_tiles(), self.tiling[0])
+        return _scatter(self.tomita_tiles(), self.tiling)
 
     def __repr__(self):
         return f"ModularData(parent={self.parent!r})"
@@ -648,10 +626,8 @@ def modular_data(h):
     a = (u * s[..., None, :]) @ (wh @ _T(wh))   # W* conj(W) = wh wh^T
     lam = 2.0 * np.log(pair / s)
     jc = (a / pair[..., None, :]) @ _T(u)
-    # a standard B has square tiles; tile t's eigenvectors take the
-    # labels of its own slots
-    rows = h.tiling[0]
-    return ModularData(h.parent, u, lam, jc, tiling=(rows, rows))
+    # a standard B has square tiles, whose eigenvectors sit on their slots
+    return ModularData(h.parent, u, lam, jc, tiling=h.tiling[0])
 
 
 def subspace_from_modular(m):
@@ -796,7 +772,7 @@ class SymmetryReport:
         return max(self.s_residual, self.delta_residual, self.j_residual)
 
 
-def symmetry_commutation_check(h, u, tiles=None, tol=SUBSPACE_TOL):
+def symmetry_commutation_check(h, u, tiles=None):
     """A unitary preserving H commutes with its whole modular family.
 
     ``u`` is the complex n x n matrix of the unitary, tiled on the slots
@@ -807,12 +783,12 @@ def symmetry_commutation_check(h, u, tiles=None, tol=SUBSPACE_TOL):
     """
     u = np.asarray(u, dtype=complex)
     d = subspace_distance(h, h.transform(u, tiles))
-    if d > tol:
+    if d > SUBSPACE_TOL:
         raise ValueError(f"U does not preserve H (subspace distance {d:.3e})")
     m = modular_data(h)
-    rows = _common(h.parent.n, m.tiling[0], tiles)
+    rows = _common(h.parent.n, m.tiling, tiles)
     ut = _on_tiles(u, rows, rows)
-    s, delta, j = (retiled(x, m.tiling[0], rows)
+    s, delta, j = (retiled(x, m.tiling, rows)
                    for x in (m.tomita_tiles(), m.power_tiles(1.0), m._j))
 
     def deviation(x, right):
@@ -828,8 +804,8 @@ def modular_roundtrip(m1, h):
     """max(||J - J'||, ||Delta - Delta'|| / ||Delta||) between ``m1`` and
     the pair recomputed from ``h``, on the common tiling of the two."""
     m2 = modular_data(h)
-    rows = _common(h.parent.n, m1.tiling[0], m2.tiling[0])
-    (j1, d1), (j2, d2) = ([retiled(x, m.tiling[0], rows)
+    rows = _common(h.parent.n, m1.tiling, m2.tiling)
+    (j1, d1), (j2, d2) = ([retiled(x, m.tiling, rows)
                            for x in (m._j, m.power_tiles(1.0))]
                           for m in (m1, m2))
     return max(tile_norm(j1 - j2), tile_norm(d1 - d2) / float(m1.delta_norm))

@@ -68,6 +68,30 @@ def test_unknown_kind_rejected():
         bgl.NetModel("spaghetti", None)
 
 
+def test_factors_of_unequal_size_rejected():
+    # a model's wedge data is one stack of factor tiles, so its factors
+    # have one size: rapidity factors of 2 and 4 slots are refused, with
+    # both sizes named
+    factors = (reps.rapidity_factor(2, 1.0, 1.0),
+               reps.rapidity_factor(4, 1.0, 2.0))
+    with pytest.raises(ValueError, match=r"one size, got sizes \[2, 4\]"):
+        bgl.NetModel("directIntegral", factors)
+
+
+def test_each_tile_gets_the_bits_it_gets_alone():
+    # twisted lists chiralSum's factor pair once per copy, at the same
+    # (n, h): its wedge tiles are chiralSum's repeated, bit for bit, and
+    # the Bisognano-Wichmann residual, a largest tile norm, is the same
+    chiral, twisted = _model("chiralSum"), _model("twisted")
+    w_r, _ = _origin_wedges()
+    tiles = chiral.wedge_subspace(w_r).tiles
+    assert np.array_equal(twisted.wedge_subspace(w_r).tiles,
+                          np.concatenate([tiles, tiles]))
+    chiral_bw, twisted_bw = (bgl.axioms_report(net)["bisognano-wichmann"]
+                             for net in (chiral, twisted))
+    assert chiral_bw.residual == twisted_bw.residual
+
+
 def test_model_budget_floor_and_magnitude():
     net = _model("chiralSum")
     assert net.epsilon >= bgl.BUDGET_FACTOR * bgl.BUDGET_FLOOR
@@ -101,38 +125,55 @@ def test_kappa_spectrum_is_paired(n):
 
 @pytest.mark.parametrize("orient,shift", [(+1, -1), (-1, +1)])
 def test_halfline_flow_is_one_slot_shift(orient, shift):
+    # the forward (backward) cone is the half-line (0, oo) ((-oo, 0)) on
+    # both factors: one grid step of the flow rolls each factor's slots
     n, h = 11, 0.9
-    block = bgl._halfline_block(n, h, orient)
-    step, = block.flow(h / _TWO_PI)          # one factor, one tile
-    assert np.linalg.norm(step - bgl._roll(n, shift), 2) < EXACT_TOL
+    net = bgl.NetModel.chiral_sum(n=n, h=h)
+    cone = (spacetime.Region.forward_cone() if orient > 0 else
+            spacetime.Region((-math.inf, 0.0), (-math.inf, 0.0)))
+    steps = net.wedge_modular(cone).power_tiles(1j * h / _TWO_PI)
+    assert len(steps) == 2                    # one tile per factor
+    for step in steps:
+        assert np.linalg.norm(step - bgl._roll(n, shift), 2) < EXACT_TOL
+
+
+def _eigen_subspace(net, region):
+    """fix(J Delta^{1/2}) of a region at any apex: the eigenpair formula
+    on its exact eigen form, on the model's tiles."""
+    log_delta, vecs, _ = bgl._wedge_eigen(net.factors, region)
+    return bgl._eigenpair_fix(net.parent, net.tiles, log_delta, vecs)
 
 
 def test_halfline_block_is_a_valid_eigen_form():
-    block = bgl._halfline_block(13, 1.1, +1).translate(
-        np.exp(1j * np.linspace(0, 2, 13)))
-    # the eigenvectors are unitary and J exchanges the paired columns
-    vecs, = block.vecs
-    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(13), 2) < 1e-13
-    assert np.allclose(block.z[:, None] * vecs.conj(), vecs[:, block.pair],
-                       atol=1e-14)
-    assert np.array_equal(block.kap[block.pair], -block.kap)
-    # so the block is modular data as it stands, with no dense Delta
-    md = stdspace.ModularData(stdspace.ComplexSpace(13), vecs,
-                              _TWO_PI * block.kap, np.diag(block.z))
-    assert np.array_equal(md.log_delta, np.sort(_TWO_PI * block.kap))
+    net = bgl.NetModel.chiral_sum(n=13, h=1.1)
+    log_delta, vecs, z = bgl._wedge_eigen(
+        net.factors, spacetime.Region.wedge_right((0.3, -0.2)))
+    assert log_delta.shape == z.shape == (2, 13)
+    # the eigenvectors are unitary and J exchanges column m with -m mod s
+    pair = -np.arange(13) % 13
+    for lam, v, zt in zip(log_delta, vecs, z):
+        assert np.linalg.norm(v.conj().T @ v - np.eye(13), 2) < 1e-13
+        assert np.allclose(zt[:, None] * v.conj(), v[:, pair], atol=1e-14)
+        assert np.array_equal(lam[pair], -lam)
+    # so the stacks are modular data as they stand, with no dense Delta,
+    # kept in the order they are handed
+    md = stdspace.ModularData(net.parent, vecs, log_delta,
+                              z[..., None] * np.eye(13), tiling=net.tiles)
+    assert np.array_equal(md.log_delta, log_delta)
+    assert np.array_equal(md._v, vecs)
 
 
 def test_phased_block_balances_j_and_delta():
     # spacing keeps cond(Delta) ~ 1e5 so the inverse is trustworthy
-    n = 9
-    phases = np.exp(1j * 0.37 * np.arange(n) ** 1.5)
-    block = bgl._halfline_block(n, 3.0, +1).translate(phases)
-    vecs, = block.vecs
-    delta = (vecs * np.exp(_TWO_PI * block.kap)) @ vecs.conj().T
-    j_mat = np.diag(block.z)
-    lhs = j_mat @ delta.conj() @ j_mat.conj()
-    rhs = np.linalg.inv(delta)
-    assert np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(rhs, 2) < 1e-9
+    net = bgl.NetModel.chiral_sum(n=9, h=3.0)
+    log_delta, vecs, z = bgl._wedge_eigen(
+        net.factors, spacetime.Region.wedge_right((0.37, -0.5)))
+    for lam, v, zt in zip(log_delta, vecs, z):
+        delta = (v * np.exp(lam)) @ v.conj().T
+        j_mat = np.diag(zt)
+        lhs = j_mat @ delta.conj() @ j_mat.conj()
+        rhs = np.linalg.inv(delta)
+        assert np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(rhs, 2) < 1e-9
 
 
 def test_dyadic_cone_family_counts_and_scales():
@@ -186,14 +227,16 @@ def test_modular_roundtrip_sees_wrong_modular_data():
     h = net.wedge_subspace(w_r)
     md = net.wedge_modular(w_r)
     assert stdspace.modular_roundtrip(md, h) < net.epsilon
-    wrong = stdspace.ModularData(net.parent, md.vecs, 1.01 * md.log_delta,
-                                 md.jc)
+    # tile t's columns of the dense V sit on its slots, the model's tiles
+    # in slot order: the flat log Delta is the tiles' in turn
+    lam = md.log_delta.ravel()
+    wrong = stdspace.ModularData(net.parent, md.vecs, 1.01 * lam, md.jc)
     want = (np.linalg.norm(wrong.power(1.0) - md.power(1.0), 2)
             / wrong.delta_norm)
     assert want > 0.01
     assert stdspace.modular_roundtrip(wrong, h) == pytest.approx(want,
                                                                  rel=1e-9)
-    turned = stdspace.ModularData(net.parent, md.vecs, md.log_delta,
+    turned = stdspace.ModularData(net.parent, md.vecs, lam,
                                   np.exp(0.3j) * md.jc)
     assert stdspace.modular_roundtrip(turned, h) == pytest.approx(
         abs(np.exp(0.3j) - 1.0), rel=1e-9)
@@ -201,11 +244,11 @@ def test_modular_roundtrip_sees_wrong_modular_data():
 
 @pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
 def test_wedge_modular_takes_the_block_eigenpair(monkeypatch, kind):
-    # the block's spectrum and eigenvectors are exact, so neither the
+    # the region's spectrum and eigenvectors are exact, so neither the
     # validation nor the modular flow diagonalises the dense Delta
     net = _model(kind)
     region = spacetime.Region.wedge_right((0.3, -0.2))
-    kap = bgl._wedge_block(net.factors, region).kap
+    log_delta = bgl._wedge_eigen(net.factors, region)[0]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("eigensolve inside wedge_modular")
@@ -215,7 +258,7 @@ def test_wedge_modular_takes_the_block_eigenpair(monkeypatch, kind):
     md = net.wedge_modular(region)
     flow = md.delta_it(0.37)
     monkeypatch.undo()
-    top = math.exp(_TWO_PI * kap.max())
+    top = math.exp(log_delta.max())
     assert md.delta_norm == pytest.approx(top, rel=1e-12)
     dense = md.power(1.0)
     assert np.linalg.eigvalsh(dense)[-1] == pytest.approx(top, rel=1e-12)
@@ -428,7 +471,7 @@ def test_massive_lightcone_is_not_wedge_data():
 @pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
 def test_translated_wedges_match_the_block_route(kind):
     # H(W + a) = U(a) H(W): the translate of the cached apex-0 subspace
-    # against the eigenpair formula on the translated block
+    # against the eigenpair formula on the translated eigen form
     net = _model(kind)
     regions = []
     for apex in ((0.0, 0.0), (0.3, -0.2), (0.25, -0.4)):
@@ -439,20 +482,18 @@ def test_translated_wedges_match_the_block_route(kind):
                     spacetime.Region((-math.inf, 0.25),
                                      (-math.inf, -0.4))]
     for region in regions:
-        block = bgl._wedge_block(net.factors, region).subspace(net.parent)
         assert stdspace.subspace_distance(
-            net.wedge_subspace(region), block) < 1e-12, (kind, region)
+            net.wedge_subspace(region),
+            _eigen_subspace(net, region)) < 1e-12, (kind, region)
 
 
-def _study_geometry(grid, spacing=bgl.STUDY_SPACING):
+def _study_geometry(grid):
     """Lightray momenta (p_L, p_R) and origin bases (W_R, W_L) of one
     lightcone-study level at mass 1."""
-    parent = stdspace.ComplexSpace(grid)
-    theta = (np.arange(grid) - (grid - 1) / 2.0) * spacing
+    theta = (np.arange(grid) - (grid - 1) / 2.0) * bgl.STUDY_SPACING
     p_l, p_r = np.exp(theta) / math.sqrt(2.0), np.exp(-theta) / math.sqrt(2.0)
-    return ((p_l, p_r),
-            bgl._halfline_block(grid, spacing, -1).subspace(parent),
-            bgl._halfline_block(grid, spacing, +1).subspace(parent))
+    net = _study_model(grid)
+    return ((p_l, p_r), *(_eigen_subspace(net, w) for w in _origin_wedges()))
 
 
 def _phases(p_l, p_r, corner):
@@ -471,16 +512,15 @@ def _cone_wedges(grid, count):
 
 
 def test_study_wedges_match_the_block_route():
-    grid, spacing = 33, bgl.STUDY_SPACING
-    parent = stdspace.ComplexSpace(grid)
-    (p_l, p_r), _, _ = _study_geometry(grid)
+    grid = 33
+    net = _study_model(grid)
     pairs = _cone_wedges(grid, 8)
     for (al, bl, ar, br), (w_r, w_l) in zip(bgl._dyadic_cones(8), pairs):
-        for sub, orient, corner in ((w_r, -1, (bl, ar)), (w_l, +1, (al, br))):
-            block = bgl._halfline_block(grid, spacing, orient).translate(
-                _phases(p_l, p_r, corner))
+        for sub, region in (
+                (w_r, spacetime.Region.wedge_right((bl, ar))),
+                (w_l, spacetime.Region.wedge_left((al, br)))):
             assert stdspace.subspace_distance(
-                sub, block.subspace(parent)) < 1e-12, corner
+                sub, _eigen_subspace(net, region)) < 1e-12, region
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +672,10 @@ def test_reconstruction_regions_are_translated_forward_cones(n):
     net = bgl.NetModel.chiral_sum(n=n)
 
     def factor(f, shift):
-        block = bgl._halfline_block(f.n, f.h, +1).translate(
-            np.exp(1j * shift * (f.p_l + f.p_r)))
-        return block.subspace(stdspace.ComplexSpace(f.n))
+        # the factor's own half-line (shift, oo): the forward cone of the
+        # one-factor model at the apex (shift, shift)
+        return _eigen_subspace(bgl.NetModel("chiralSum", (f,)),
+                               spacetime.Region.forward_cone((shift, shift)))
 
     for apex in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
         designated = bgl.assemble_blockwise(
@@ -730,14 +771,18 @@ def test_reconstruction_residual_path_reads_no_tiling(monkeypatch):
     # every residual of the reconstruction runs on the tiling the cone
     # subspaces carry, the model's factor tiles: no flow is moved
     net = bgl.NetModel.chiral_sum(n=17)
-    moves = []
-    retiled = stdspace.retiled
-    monkeypatch.setattr(stdspace, "retiled", lambda stack, rows, new: (
-        moves.append((rows, new)) or retiled(stack, rows, new)))
+    flows = []
+    power_tiles = stdspace.ModularData.power_tiles
+    monkeypatch.setattr(stdspace.ModularData, "power_tiles", lambda md, z: (
+        flows.append(md.tiling) or power_tiles(md, z)))
+
+    def moved(*args):
+        raise AssertionError("a flow was moved to another tiling")
+
+    monkeypatch.setattr(stdspace, "retiled", moved)
     rec = bgl.reconstruct_ur(net)
-    assert len(moves) == 3 * 4 + 2       # three flows per t, two at 0
-    assert all(np.array_equal(rows, net.tiles) and np.array_equal(new, rows)
-               for rows, new in moves)
+    assert len(flows) == 3 * 4 + 2       # three flows per t, two at 0
+    assert all(np.array_equal(rows, net.tiles) for rows in flows)
     assert rec.max_identity < RECON_TOL
 
 
@@ -929,7 +974,22 @@ def test_a_second_query_of_a_cone_intersects_nothing(monkeypatch):
 def _one_tile(net):
     """The model declaring one tile: every subspace, modular data and
     unitary it hands is one tile, so every primitive takes the dense
-    call."""
+    call.  Its wedge data is the dense scatter of the factor stacks a
+    tiled copy of the model builds."""
+    tiled = bgl.NetModel(net.kind, net.factors, charge=net.charge)
+
+    def subspace(region):
+        return stdspace.RealSubspace(net.parent,
+                                     tiled.wedge_subspace(region).basis)
+
+    def modular(region):
+        # the factor tiles in slot order: the flat log Delta is theirs in
+        # turn
+        md = tiled.wedge_modular(region)
+        return stdspace.ModularData(net.parent, md.vecs,
+                                    md.log_delta.ravel(), md.jc)
+
+    net.wedge_subspace, net.wedge_modular = subspace, modular
     net.tiles = net.action_tiles = np.arange(net.parent.n)[None]
     return net
 
@@ -945,9 +1005,9 @@ def test_one_tile_operands_take_the_dense_call():
     net = bgl.NetModel.massive()
     w_r, _ = _origin_wedges()
     h = net.wedge_subspace(w_r)
-    tilings = (h.tiling, stdspace.modular_data(h).tiling,
-               net.wedge_modular(w_r).tiling, (net.action_tiles,))
-    assert all(t[0].shape[0] == 1 for t in tilings)
+    slots = (h.tiling[0], stdspace.modular_data(h).tiling,
+             net.wedge_modular(w_r).tiling, net.action_tiles)
+    assert all(rows.shape[0] == 1 for rows in slots)
 
 
 @pytest.mark.parametrize("kind", ["chiralSum", "directIntegral", "twisted"])
@@ -965,16 +1025,17 @@ def test_direct_sum_models_run_tiled_and_agree_with_the_dense_call(kind):
 
     h_r, report = entries(make())
     n = h_r.parent.n
-    derived = (h_r.tiling, stdspace.symplectic_complement(h_r).tiling,
+    derived = (h_r.tiling[0], stdspace.symplectic_complement(h_r).tiling[0],
                stdspace.modular_data(h_r).tiling)
-    assert all(rows.shape[0] > 1 for rows, _ in derived)
+    assert all(rows.shape[0] > 1 for rows in derived)
     dense_h, dense = entries(_one_tile(make()))
     # the derived tilings are one tile too: the dense call is compared
     # with the tiled one, not with itself
-    derived = (dense_h.tiling, stdspace.symplectic_complement(dense_h).tiling,
+    derived = (dense_h.tiling[0],
+               stdspace.symplectic_complement(dense_h).tiling[0],
                stdspace.modular_data(dense_h).tiling,
-               dense_h.phased(np.ones(n)).tiling)
-    assert all(rows.shape[0] == 1 for rows, _ in derived)
+               dense_h.phased(np.ones(n)).tiling[0])
+    assert all(rows.shape[0] == 1 for rows in derived)
     assert stdspace.subspace_distance(h_r, dense_h) < 1e-12
     for name, entry in report.items():
         assert entry.passed == dense[name].passed, name
@@ -1023,7 +1084,7 @@ def test_every_claim_path_runs_on_the_declared_tiles(monkeypatch, kind):
         # the reconstruction's cones and their modular data
         cones = [net.wedge_subspace(spacetime.Region.forward_cone(apex))
                  for apex in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0))]
-        assert [stdspace.modular_data(h).tiling[0].shape[0]
+        assert [stdspace.modular_data(h).tiling.shape[0]
                 for h in cones] == [2, 2, 2]
 
 
@@ -1043,23 +1104,13 @@ def _dense_shaped(obj, n):
             and (a.shape[-2] == 2 * n or a.shape[-2:] == (n, n))]
 
 
-def _dense_stored_modular(md_tiles, rows, lam):
-    """The dense V, jc and log Delta that the eigen form (V, jc tiles on
-    the slots ``rows``, log Delta by tile) had as dense storage: scattered
-    block by block, V's columns sorted stably by the placed log Delta."""
-    v, jc = (stdspace._scatter(x, rows) for x in md_tiles)
-    placed = np.empty(rows.size)
-    placed[rows] = lam
-    order = np.argsort(placed, kind="stable")
-    return v[:, order], jc, placed[order]
-
-
 @pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
 def test_subspaces_and_modular_data_store_only_their_tiles(kind):
     # every cached wedge subspace and dual, every transform image and
     # every modular data holds its tile stacks and nothing of a dense
-    # shape; the dense basis, B, V and jc formed on request are the
-    # values dense storage held, bit for bit
+    # shape; the dense basis and B formed on request are the values dense
+    # storage held, bit for bit, and the dense V and jc the scatters of
+    # the stacks their producer handed
     net = SMALL_MODELS[kind]()
     n, tiles = net.parent.n, WEDGE_TILES[kind]
     s = n // tiles
@@ -1093,21 +1144,19 @@ def test_subspaces_and_modular_data_store_only_their_tiles(kind):
         pair = sv[..., ::-1]
         jc = ((u * sv[..., None, :]) @ (wh @ wh.swapaxes(-1, -2))
               / pair[..., None, :]) @ u.swapaxes(-1, -2)
-        want = _dense_stored_modular((u, jc), h.tiling[0],
-                                     2.0 * np.log(pair / sv))
-        # wedge_modular: the block's factor stacks, J = diag(z)
-        block = bgl._wedge_block(net.factors, region)
-        dense_v = block.dense(block.vecs)
-        order = np.argsort(bgl._TWO_PI * block.kap, kind="stable")
-        wanted = {md: want, net.wedge_modular(region): (
-            dense_v[:, order], np.diag(block.z),
-            (bgl._TWO_PI * block.kap)[order])}
+        # wedge_modular: the exact factor stacks, J = diag(z)
+        log_delta, vecs, z = bgl._wedge_eigen(net.factors, region)
+        wanted = {md: (u, jc, 2.0 * np.log(pair / sv)),
+                  net.wedge_modular(region): (
+                      vecs, z[..., None] * np.eye(s), log_delta)}
         for got, (v, jc, lam) in wanted.items():
             assert got._v.shape == got._j.shape == (tiles, s, s)
             assert tiles == 1 or not _dense_shaped(got, n)
-            assert np.array_equal(got.vecs, v)
-            assert np.array_equal(got.jc, jc)
+            assert np.array_equal(got._v, v)
+            assert np.array_equal(got._j, jc)
             assert np.array_equal(got.log_delta, lam)
+            assert np.array_equal(got.vecs, stdspace._scatter(v, net.tiles))
+            assert np.array_equal(got.jc, stdspace._scatter(jc, net.tiles))
 
 
 @pytest.mark.parametrize("ladder,calls", [(SCALED_LADDER, 30),
@@ -1200,7 +1249,8 @@ def test_eigenpair_basis_keeps_the_pair_column_order(n):
         ref += [v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)]
     ref = np.array(ref).T
     q, r = np.linalg.qr(np.vstack([ref.real, ref.imag]))
-    got = bgl._eigenpair_fix(parent, kap, cols, pair)
+    got = bgl._eigenpair_fix(parent, np.arange(n)[None], _TWO_PI * kap[None],
+                             cols[None])
     assert np.max(np.abs(got.basis - q * np.sign(np.diag(r)))) < 1e-14
 
 

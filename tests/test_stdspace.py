@@ -370,7 +370,8 @@ def test_eigen_form_validation_messages():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     lam = np.array([1.0, -1.0])
     m = ModularData(sp, eye, lam, swap)
-    assert np.array_equal(m.log_delta, [-1.0, 1.0])
+    # one tile, its log Delta kept in the order handed
+    assert np.array_equal(m.log_delta, [[1.0, -1.0]])
     assert m.delta_norm == pytest.approx(math.e)
     # each eigen form breaks the named invariant first
     violations = {
@@ -399,7 +400,7 @@ def test_every_eigen_form_violation_raises_on_any_member_of_a_stack():
     lam = np.array([1.0, -1.0])
     good = (eye, lam, swap)
     stacked = ModularData(sp, *(np.stack([a] * 3) for a in good))
-    assert np.array_equal(stacked.log_delta, [[-1.0, 1.0]] * 3)
+    assert np.array_equal(stacked.log_delta, [[[1.0, -1.0]]] * 3)
     assert np.array_equal(stacked.delta_norm, [math.e] * 3)
     violations = {
         "finite data": (eye, np.array([np.inf, 1.0]), swap),
@@ -1227,7 +1228,9 @@ def test_tiled_primitives_give_the_dense_results(seed, tiles, r, data):
         lam, _, jc, sc, flow = _dense_modular(h)
         md = modular_data(h)
         scale = max(1.0, np.max(np.abs(lam)))
-        assert_allclose(md.log_delta, lam, atol=1e-12 * scale)
+        # the tiles' spectra together are the dense one
+        assert_allclose(np.sort(md.log_delta, axis=None), lam,
+                        atol=1e-12 * scale)
         assert_allclose(md.power(0.3j), flow, atol=1e-12 * scale)
         assert_allclose(md.jc, jc, atol=1e-12)
         assert_allclose(md.tomita_matrix(), sc,
@@ -1287,11 +1290,8 @@ def test_one_tile_primitives_are_the_plain_numpy_calls():
     for h in standard:
         lam, u, jc, _, _ = _dense_modular(h)
         md = modular_data(h)
-        order = np.argsort(lam, axis=-1, kind="stable")
-        assert np.array_equal(md.log_delta,
-                              np.take_along_axis(lam, order, axis=-1))
-        assert np.array_equal(
-            md.vecs, np.take_along_axis(u, order[..., None, :], axis=-1))
+        assert np.array_equal(md.log_delta[..., 0, :], lam)
+        assert np.array_equal(md.vecs, u)
         assert np.array_equal(md.jc, jc)
 
 
@@ -1397,26 +1397,32 @@ def test_modular_data_takes_a_handed_tiling_and_refuses_a_nonzero_outside():
     n = 6
     h = _direct_sum_basis(rng, 3, 2, 2, rng.permutation(n),
                           rng.permutation(n))
-    md = modular_data(h)                  # handed the tiles of h
-    rows, cols = md.tiling
-    assert rows.shape == cols.shape == (3, 2)
+    md = modular_data(h)                  # handed the slots of h's tiles
+    rows = md.tiling
+    assert np.array_equal(rows, h.tiling[0]) and rows.shape == (3, 2)
     assert md._v.shape == md._j.shape == (3, 2, 2)
-    # a producer's eigenvector tiles may come unsorted: each tile's
-    # columns, shuffled with their labels, are sorted back by their
-    # places in the ascending log Delta
+    assert md.log_delta.shape == (3, 2)
+    # a producer's eigenvector tiles may come in any order: each tile's
+    # columns, shuffled with their log Delta, are kept as handed and give
+    # the same operators
     p = np.array([rng.permutation(2) for _ in range(3)])
     read = ModularData(
         h.parent, np.take_along_axis(md._v, p[:, None, :], axis=-1),
-        np.take_along_axis(md.log_delta[cols], p, axis=-1), md._j,
-        tiling=(rows, np.take_along_axis(cols, p, axis=-1)))
-    assert all(np.array_equal(a, b) for a, b in zip(read.tiling, md.tiling))
-    assert np.array_equal(read.log_delta, md.log_delta)
-    assert np.array_equal(read.vecs, md.vecs)
-    assert np.array_equal(read.power(0.3j), md.power(0.3j))
-    # data handed no tiling is one tile; dense data handed one is refused
-    dense = ModularData(h.parent, md.vecs, md.log_delta, md.jc)
-    assert dense.tiling[0].shape[0] == 1
+        np.take_along_axis(md.log_delta, p, axis=-1), md._j, tiling=rows)
+    assert read.tiling is rows
+    assert np.array_equal(read.log_delta,
+                          np.take_along_axis(md.log_delta, p, axis=-1))
+    assert_allclose(read.power(0.3j), md.power(0.3j), atol=1e-14)
+    assert read.delta_norm == md.delta_norm
+    # data handed no tiling is one tile: V's dense columns sit on the
+    # slots of their tiles, and so does the flat log Delta; dense data
+    # handed a tiling is refused
+    flat = np.empty(n)
+    flat[rows] = md.log_delta
+    dense = ModularData(h.parent, md.vecs, flat, md.jc)
+    assert dense.tiling.shape[0] == 1
     assert np.array_equal(dense.vecs, md.vecs)
+    assert_allclose(dense.power(0.3j), md.power(0.3j), atol=1e-14)
     with pytest.raises(ValueError, match="the tiles of each"):
         ModularData(h.parent, md.vecs, md.log_delta, md.jc, tiling=md.tiling)
     # the nonzero refusal is the dense operator's: a modular unitary
