@@ -300,13 +300,15 @@ class NetModel:
     def epsilon(self):
         """The model residual budget: BUDGET_FACTOR times the one-step
         consistency residual of the modular flow with the shift, plus the
-        floor; measured on first read."""
-        n, h = self.factors[0].n, self.factors[0].h
-        k = 1 if n % 2 else 2          # even grids compare even steps only
-        t = k * h / _TWO_PI
-        v = _dft(n).conj().T            # the half-line (0, oo) at the origin
-        step = (v * np.exp(2j * np.pi * t * _kappa(n, h))) @ v.conj().T
-        residual = stdspace.tile_norm(step - _roll(n, -k))
+        floor; measured on first read.  The flow is the first tile of the
+        origin wedge oriented +1 on factor 0's lightray: its half-line
+        (0, oo)."""
+        f = self.factors[0]
+        k = 1 if f.n % 2 else 2        # even grids compare even steps only
+        region = (spacetime.Region.wedge_right() if f.ray
+                  else spacetime.Region.wedge_left())
+        step = self.wedge_modular(region).power_tiles(1j * k * f.h / _TWO_PI)
+        residual = stdspace.tile_norm(step[0] - _roll(f.n, -k))
         return BUDGET_FACTOR * (residual + BUDGET_FLOOR)
 
     # -- wedge construction ------------------------------------------------
@@ -814,17 +816,17 @@ def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
 
 
 def spin_statistics_spectrum_check(pairs):
-    """All rotation-spectrum differences must be integers, to 1e-9 (the
-    budget of the check's ``cli.CHECKS`` row).
+    """Largest distance of a rotation-spectrum difference from the
+    integers; the check's budget is its ``cli.CHECKS`` row.
 
     ``pairs`` iterates over (mu, lam) lowest-weight pairs; an empty
-    battery is vacuously true.
+    battery reads 0.
     """
     worst = 0.0
     for mu, lam in pairs:
         diff = float(mu) - float(lam)
         worst = max(worst, abs(diff - round(diff)))
-    return worst <= 1e-9, worst
+    return worst
 
 
 def trace_class_partition(beta, n_terms=200):

@@ -590,9 +590,11 @@ def _run_spin_statistics(cfg, seed, scale):
     steps = rng.integers(-3, 4, size=count)
     good = [(mu, mu + k) for mu, k in zip(base, steps)]
     bad = [(mu, mu + k + 0.5) for mu, k in zip(base, steps)]
-    ok_good, worst_good = bgl.spin_statistics_spectrum_check(good)
-    ok_bad, worst_bad = bgl.spin_statistics_spectrum_check(bad)
-    violation = abs(worst_bad - 0.5) + (1.0 if ok_bad else 0.0)
+    worst_good = bgl.spin_statistics_spectrum_check(good)
+    worst_bad = bgl.spin_statistics_spectrum_check(bad)
+    # the shifted battery must also fail the integer check's own budget
+    budget = CHECKS["spin-statistics"]["spin-statistics-integer"][0]
+    violation = abs(worst_bad - 0.5) + (1.0 if worst_bad <= budget else 0.0)
     return {"spin-statistics-integer": Measurement(worst_good),
             "spin-statistics-violation-detected": Measurement(violation)}, {}
 

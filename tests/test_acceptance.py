@@ -430,11 +430,10 @@ def test_criterion_11_spin_statistics():
     good = [(mu, mu + k) for mu, k in zip(base, steps)]
     bad = [(mu, mu + k + 0.5) for mu, k in zip(base, steps)]
     started = time.perf_counter()
-    ok_good, worst_good = bgl.spin_statistics_spectrum_check(good)
-    ok_bad, worst_bad = bgl.spin_statistics_spectrum_check(bad)
+    worst_good = bgl.spin_statistics_spectrum_check(good)
+    worst_bad = bgl.spin_statistics_spectrum_check(bad)
     dt = time.perf_counter() - started
-    ok = (ok_good and worst_good < SPIN_BUDGET
-          and not ok_bad and abs(worst_bad - 0.5) < SPIN_BUDGET
+    ok = (worst_good < SPIN_BUDGET and abs(worst_bad - 0.5) < SPIN_BUDGET
           and dt < 1e-3)
     _verdict(11, ok,
              f"25 integer pairs pass ({worst_good:.2e}), 25 offset pairs "

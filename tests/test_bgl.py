@@ -261,8 +261,11 @@ def test_wedge_modular_takes_the_block_eigenpair(monkeypatch, kind):
     top = math.exp(log_delta.max())
     assert md.delta_norm == pytest.approx(top, rel=1e-12)
     dense = md.power(1.0)
-    assert np.linalg.eigvalsh(dense)[-1] == pytest.approx(top, rel=1e-12)
-    assert np.linalg.norm(flow - net.wedge_flow(region, 0.37), 2) < 1e-12
+    w, u = np.linalg.eigh(dense)
+    assert w[-1] == pytest.approx(top, rel=1e-12)
+    # the flow of the dense Delta's own eigensolve, an independent route
+    eigh_flow = (u * w ** 0.37j) @ u.conj().T
+    assert np.linalg.norm(flow - eigh_flow, 2) < RESIDUAL_TOL
 
 
 def test_wedge_cache_returns_the_same_object():
@@ -989,6 +992,9 @@ def _one_tile(net):
         return stdspace.ModularData(net.parent, md.vecs,
                                     md.log_delta.ravel(), md.jc)
 
+    # the budget reads factor 0's tile: measured, and cached, before the
+    # model hides its factor tiles
+    assert net.epsilon == tiled.epsilon
     net.wedge_subspace, net.wedge_modular = subspace, modular
     net.tiles = net.action_tiles = np.arange(net.parent.n)[None]
     return net
@@ -1036,6 +1042,8 @@ def test_direct_sum_models_run_tiled_and_agree_with_the_dense_call(kind):
                stdspace.modular_data(dense_h).tiling,
                dense_h.phased(np.ones(n)).tiling[0])
     assert all(rows.shape[0] == 1 for rows in derived)
+    # a check of the helper only: its one-tile subspace is the scatter of
+    # the tiled one
     assert stdspace.subspace_distance(h_r, dense_h) < 1e-12
     for name, entry in report.items():
         assert entry.passed == dense[name].passed, name
@@ -1265,20 +1273,18 @@ def test_study_intersections_are_centrally_supported():
 
 
 def test_spin_statistics_integer_pairs_pass():
-    ok, worst = bgl.spin_statistics_spectrum_check(
+    worst = bgl.spin_statistics_spectrum_check(
         [(0.5, 1.5), (2.0, 5.0), (0.25, 3.25), (1.0, 1.0)])
-    assert ok and worst < 1e-12
+    assert worst < 1e-12
 
 
 def test_spin_statistics_fractional_pair_fails():
-    ok, worst = bgl.spin_statistics_spectrum_check([(0.5, 1.0)])
-    assert not ok
+    worst = bgl.spin_statistics_spectrum_check([(0.5, 1.0)])
     assert worst == pytest.approx(0.5, abs=1e-12)
 
 
 def test_spin_statistics_empty_battery_is_vacuous():
-    ok, worst = bgl.spin_statistics_spectrum_check([])
-    assert ok and worst == 0.0
+    assert bgl.spin_statistics_spectrum_check([]) == 0.0
 
 
 def test_trace_class_closed_form_at_log_two():
