@@ -26,18 +26,18 @@ per factor, as stacks: log Delta = 2 pi kappa, the eigenvectors V (apex
 phases times the inverse DFT) and J = diag(phases^2) conj, which maps
 column m of a tile to column -m mod s (every factor of a model has one
 size s).  Its one record is :class:`stdspace.ModularData` on the factor
-tiles: ``NetModel.wedge_modular`` validates it and ``wedge_flow`` is its
-flow.  Wedge subspaces come from the closed per-eigenpair fixed-point
-formula on the raw stacks, unvalidated, so neither route forms Delta
-and both hold at any grid spacing.  The formula runs once
-per orientation, at the origin: by covariance the subspace of the
-region with apex a is H(W + a) = U(a) H(W), and on the momentum
-lattice U(a) = e^{i a.p} is a diagonal phase, so every other apex
-multiplies the origin basis by that phase and needs no
+tiles: ``NetModel.wedge_modular`` validates it and ``wedge_flow`` is the
+stack of its flow's tiles.  Wedge subspaces come from the closed
+per-eigenpair fixed-point formula on the raw stacks, unvalidated, so
+neither route forms Delta and both hold at any grid spacing.  The
+formula runs once per orientation, at the origin: by covariance the
+subspace of the region with apex a is H(W + a) = U(a) H(W), and on the
+momentum lattice U(a) = e^{i a.p} is a diagonal phase, so every other
+apex multiplies the origin basis by that phase and needs no
 re-orthonormalisation.  The same rule moves dual double cones: the dual
 H(W_R) cap H(W_L) of a cone is, up to the phase of its W_R corner, a
-function of the cone's shape alone, so a model intersects once per
-shape and translates the result to every cone of that shape.
+function of the cone's shape alone, so a model intersects once per shape
+and translates the result to every cone of that shape.
 
 The Bisognano-Wichmann entries recompute a wedge's modular data from
 its subspace alone: one SVD of the complex basis gives (V, log Delta,
@@ -45,9 +45,10 @@ J), and Delta is compared with the defining one.  The model declares
 its tilings: ``NetModel.tiles``, the slots of each factor, over which
 the wedge data is block-diagonal, and ``NetModel.action_tiles``, those
 of the group action (on twisted each factor with the copy the rotation
-mixes it with).  Eigenvectors, flows and powers are stacks of tiles,
-the checks' products and norms run on the stacks, a dense matrix is
-only their scatter, and what is handed no tiling is one tile (see
+mixes it with).  Every operator, eigenvectors, flows, powers and the
+group action, arrives as the stack of its tiles, the checks' products
+and norms run on the stacks, a stack moves to the action tiles only by
+:func:`stdspace.merged`, and what is handed no tiling is one tile (see
 :mod:`stdspace`).  The limit that roundtrip meets is |log Delta|, about
 2 pi^2 / h on a chiral grid of spacing h: where it is large the
 singular values near sqrt 2 cluster and the recomputed J loses its
@@ -351,9 +352,9 @@ class NetModel:
             return self._cache.setdefault(key, sub)
 
     def wedge_flow(self, region, t):
-        """Complex matrix of Delta_W^{it}, the flow of
-        :meth:`wedge_modular`."""
-        return self.wedge_modular(region).delta_it(t)
+        """Delta_W^{it}, the flow of :meth:`wedge_modular`, as the stack
+        of its tiles on ``tiles``."""
+        return self.wedge_modular(region).power_tiles(1j * t)
 
     # -- dual-prescription regions ----------------------------------------
 
@@ -399,16 +400,19 @@ class NetModel:
     # -- representation consistency ---------------------------------------
 
     def unit_matrix_of(self, translation=(0.0, 0.0), dilation=(0.0, 0.0)):
-        """Complex matrix of U(x -> e^sigma x + t) on the orthonormal slot
-        basis, with lightray pairs ``translation`` = (t_L, t_R) and
-        ``dilation`` = (sigma_L, sigma_R) (see :func:`reps.apply`)."""
-        return reps.apply(self.factors, np.eye(self.parent.n), translation,
-                          dilation)
+        """U(x -> e^sigma x + t) on the orthonormal slot basis, with
+        lightray pairs ``translation`` = (t_L, t_R) and ``dilation`` =
+        (sigma_L, sigma_R) (see :func:`reps.apply`), as the stack of its
+        complex tiles on ``tiles``: U of each factor's unit columns."""
+        t, s = self.tiles.shape
+        return reps.apply(self.factors, np.tile(np.eye(s), (t, 1)),
+                          translation, dilation).reshape(t, s, s)
 
     def implemented_dilation(self, s):
-        """Matrix of the dilation by s on both lightrays,
-        followed on the twisted model by the inner rotation V(q s)."""
-        u = self.unit_matrix_of(dilation=(s, s))
+        """The dilation by s on both lightrays, then on twisted the inner
+        rotation V(q s): the stack of its tiles on ``action_tiles``."""
+        u = stdspace.merged(self.unit_matrix_of(dilation=(s, s)),
+                            self.tiles, self.action_tiles)
         return _rotated(u, self.charge * s) if self.kind == "twisted" else u
 
     def __repr__(self):
@@ -418,7 +422,8 @@ class NetModel:
 
 def _rotated(x, s):
     """x V(s) for the copy rotation V(s) = [[c, -s], [s, c]] (c = cos s):
-    the column mix [c A + s B, c B - s A] of the copy halves [A, B] of x."""
+    the column mix [c A + s B, c B - s A] of the copy halves [A, B] of x
+    or of each of its action tiles."""
     a, b = np.split(x, 2, axis=-1)
     c, s = math.cos(s), math.sin(s)
     return np.concatenate([c * a + s * b, c * b - s * a], axis=-1)
@@ -465,8 +470,8 @@ def _dilation_deviation(net, t):
     tiles of the group action."""
     u = net.implemented_dilation(-_TWO_PI * t)   # refuses an off-grid t
     flow = net.wedge_flow(spacetime.Region.forward_cone((0.0, 0.0)), t)
-    tiles = net.action_tiles
-    return stdspace.tile_norm(stdspace._on_tiles(flow - u, tiles, tiles))
+    return stdspace.tile_norm(
+        stdspace.merged(flow, net.tiles, net.action_tiles) - u)
 
 
 def axioms_report(net, tol=BLOCK_TOL):
@@ -714,8 +719,9 @@ def counterexample_bw(net, t_values=(0.5, 1.0, 1.5)):
     cone = spacetime.Region.forward_cone((0.0, 0.0))
     h_v = net.wedge_subspace(cone)
 
-    sym = stdspace.symmetry_commutation_check(
-        h_v, _rotated(np.eye(net.parent.n), 0.7), net.action_tiles)
+    tiles = net.action_tiles
+    rotation = np.stack([_rotated(np.eye(tiles.shape[1]), 0.7)] * len(tiles))
+    sym = stdspace.symmetry_commutation_check(h_v, rotation, tiles)
     gauge = sym.max_residual
 
     devs, preds, resids = [], [], []

@@ -34,17 +34,18 @@ direct sum of the summands' data.  The producer of an object declares
 its tiling, the slots of each tile (and a subspace's basis columns of
 each), and an object handed none is one tile: nothing is read from zero
 patterns.
-A subspace or modular data handed a tiling is handed its tiles; a dense
-operator handed one is refused unless its tiles hold every nonzero.
+A subspace, modular data or operator handed a tiling is handed the
+stack of its tiles, so nothing outside the tiles can be handed in.
 Every primitive runs the stack of an operand's tiles through its one
 stack body, and the results merge back: spectra are concatenated and
 sorted before any threshold reads them, and a norm is the largest tile
 norm.  One tile is a view of the whole array.  Operands on different
 tilings meet on the coarser one where one refines the other, a lookup
-of each slot's tile, else on one tile.  Subspaces and modular data
-store only their tile stacks, log Delta by tile in the column order its
-producer hands; a dense basis, V, J or power is their scatter, formed
-for a consumer that asks for one.
+of each slot's tile, else on one tile, and :func:`merged` moves each
+stack there.  Subspaces and modular data store only their tile stacks,
+log Delta by tile in the column order its producer hands; a dense
+basis, V, J or power is their merge into one tile, formed for a
+consumer that asks for one.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ class RealSubspace:
     2s, k_t) is stored: tile t's block of B in real form, rows [Re
     slots; Im slots]; leading axes hold a stack of subspaces.  The dense
     ``basis`` b = [Re B; Im B] (2n x k) and ``complex_basis`` B are
-    their scatters, formed on request.
+    their merges into one tile, formed on request.
     """
 
     __slots__ = ("parent", "tiles", "tiling")
@@ -194,7 +195,7 @@ class RealSubspace:
     def basis(self):
         """The dense real basis b = [Re B; Im B] (..., 2n, k)."""
         rows, cols = self.tiling
-        return _scatter(self.tiles, _doubled(rows, self.parent.n), cols)
+        return _dense(self.tiles, _doubled(rows, self.parent.n), cols)
 
     def complex_tiles(self):
         """The tiles of B, (..., T, s, k_t)."""
@@ -202,23 +203,18 @@ class RealSubspace:
 
     def complex_basis(self):
         """B = b[:n] + i b[n:]: H is the real span of the columns of B."""
-        return _scatter(self.complex_tiles(), *self.tiling)
+        return _dense(self.complex_tiles(), *self.tiling)
 
     def transform(self, u, tiles=None):
-        """Image under the unitary with complex n x n matrix u, on the
-        slots ``tiles`` (one tile if None) that hold its every nonzero; a
-        stack of unitaries maps each member of a stack of subspaces.  u B
-        is taken tile by tile on the common tiling of u and H, kept by
-        the image, and the constructor's Gram check refuses a u that is
-        not unitary."""
-        n = self.parent.n
-        u = np.asarray(u)
-        if u.shape[-2:] != (n, n):
-            raise ValueError(f"unitary of shape {u.shape} is not "
-                             f"(..., {n}, {n})")
-        rows = _common(n, self.tiling[0], tiles)
-        image = (_on_tiles(u, rows, rows)
-                 @ _complexified(_tiles_on(self, rows)))
+        """Image under a unitary, given as the stack u (..., T, s, s) of
+        its complex tiles on the slots ``tiles`` (T, s), or with None as
+        the one n x n tile; a stack of unitaries maps each member of a
+        stack of subspaces.  u B is taken tile by tile on the common
+        tiling of u and H, kept by the image, and the constructor's Gram
+        check refuses a u that is not unitary."""
+        u, tiles = _operator(u, tiles, self.parent.n)
+        rows = _common(self.parent.n, self.tiling[0], tiles)
+        image = merged(u, tiles, rows) @ _complexified(_tiles_on(self, rows))
         return RealSubspace.from_complex(
             self.parent, image, (rows, _moved(rows, *self.tiling)))
 
@@ -294,53 +290,49 @@ def _complexified(stack):
 
 def _tiles_on(h, rows):
     """The real-form tiles of H on the slots ``rows`` of a tiling that its
-    own refines (:func:`_common`): its stored tiles, or where the tilings
-    differ, its basis gathered on the coarser tiles."""
-    if np.array_equal(rows, h.tiling[0]):
-        return h.tiles
-    return _gather(h.basis, _doubled(rows, h.parent.n),
-                   _moved(rows, *h.tiling))
+    own refines (:func:`_common`)."""
+    (own, cols), n = h.tiling, h.parent.n
+    return merged(h.tiles, _doubled(own, n), _doubled(rows, n),
+                  cols, _moved(rows, own, cols))
 
 
-# The gather and the merges below take an operand to its tiles and
-# per-tile results back to the operand's indices.  One tile is its own
-# result: it is returned as a view, never sorted, gathered or copied.
+def _operator(u, tiles, n):
+    """The stack u (..., T, s, s) of an operator's tiles on the slots
+    ``tiles`` (T, s), and those slots; with None, u is the one n x n
+    tile.  A u of another shape is refused."""
+    u = np.asarray(u)
+    shape = (n, n) if tiles is None else tiles.shape + tiles.shape[-1:]
+    if u.shape[-len(shape):] != shape:
+        raise ValueError(f"unitary of shape {u.shape} is not "
+                         f"(..., {', '.join(map(str, shape))})")
+    if tiles is None:
+        u, tiles = u[..., None, :, :], _one_tile(n)
+    return u, tiles
 
 
-def _gather(a, rows, cols):
-    """The stack holding tile t of ``a`` at (rows[t], cols[t])."""
-    if rows.shape[0] == 1:
-        return a[..., None, :, :]
-    return a[rows[:, :, None], cols[:, None, :]]
-
-
-def _on_tiles(a, rows, cols):
-    """:func:`_gather` on a handed tiling, refused unless its tiles hold
-    every nonzero of ``a``."""
-    stack = _gather(a, rows, cols)
-    if stack.shape[-3] > 1 and np.count_nonzero(stack) != np.count_nonzero(a):
-        raise ValueError("operand has a nonzero outside its tiles")
-    return stack
-
-
-def _scatter(stack, rows, cols=None):
-    """The matrix with tile t of ``stack`` at (rows[t], cols[t]), else 0;
-    with the columns of a slot-to-slot operator, cols = rows."""
-    cols = rows if cols is None else cols
-    if stack.shape[-3] == 1:
-        return stack[..., 0, :, :]
-    out = np.zeros(stack.shape[:-3] + (rows.size, cols.size),
+def merged(stack, rows, new, cols=None, new_cols=None):
+    """The ``stack`` (..., T, a, b) of tiles on ``rows`` as the stack on
+    ``new``, a tiling that ``rows`` refines: each tile lands at its
+    indices within the tile of ``new`` that holds them, every other entry
+    is 0, and the columns move from ``cols`` to ``new_cols`` (the rows if
+    None).  A stack on the tiling it has is returned as it is."""
+    if cols is None:
+        cols, new_cols = rows, new
+    if np.array_equal(rows, new) and np.array_equal(cols, new_cols):
+        return stack
+    tile, at_r = np.divmod(np.argsort(new, axis=None)[rows], new.shape[1])
+    at_c = np.argsort(new_cols, axis=None)[cols] % new_cols.shape[1]
+    out = np.zeros(stack.shape[:-3] + new.shape + new_cols.shape[-1:],
                    dtype=stack.dtype)
-    out[..., rows[:, :, None], cols[:, None, :]] = stack
+    out[..., tile[:, :1, None], at_r[:, :, None], at_c[:, None, :]] = stack
     return out
 
 
-def retiled(stack, rows, new):
-    """Tiles ``stack`` on the slots ``rows`` as tiles on ``new``, refused
-    unless they hold every nonzero."""
-    if np.array_equal(rows, new):
-        return stack
-    return _on_tiles(_scatter(stack, rows), new, new)
+def _dense(stack, rows, cols=None):
+    """The matrix of ``stack`` on ``rows`` and ``cols``: one merged tile."""
+    cols = rows if cols is None else cols
+    return merged(stack, rows, _one_tile(rows.size), cols,
+                  _one_tile(cols.size))[..., 0, :, :]
 
 
 def _descending(s):
@@ -561,8 +553,8 @@ class ModularData:
         self.parent, self.log_delta, self.tiling = parent, lam, tiling
         self._v, self._j = v, j
 
-    vecs = property(lambda self: _scatter(self._v, self.tiling))
-    jc = property(lambda self: _scatter(self._j, self.tiling))
+    vecs = property(lambda self: _dense(self._v, self.tiling))
+    jc = property(lambda self: _dense(self._j, self.tiling))
 
     @property
     def delta_norm(self):
@@ -575,7 +567,7 @@ class ModularData:
 
     def power(self, z):
         """Delta^z as a complex n x n matrix; Delta^{it} at z = i t."""
-        return _scatter(self.power_tiles(z), self.tiling)
+        return _dense(self.power_tiles(z), self.tiling)
 
     def delta_it(self, t):
         """The modular unitary Delta^{it}, as a complex n x n matrix."""
@@ -589,7 +581,7 @@ class ModularData:
 
     def tomita_matrix(self):
         """The complex matrix of S: S xi = tomita_matrix() conj(xi)."""
-        return _scatter(self.tomita_tiles(), self.tiling)
+        return _dense(self.tomita_tiles(), self.tiling)
 
     def __repr__(self):
         return f"ModularData(parent={self.parent!r})"
@@ -775,20 +767,21 @@ class SymmetryReport:
 def symmetry_commutation_check(h, u, tiles=None):
     """A unitary preserving H commutes with its whole modular family.
 
-    ``u`` is the complex n x n matrix of the unitary, tiled on the slots
-    ``tiles`` (one tile if None).  U X U* - X is (u x) u* - x for a
+    ``u`` is the stack of the unitary's complex tiles on the slots
+    ``tiles``, or with None its one n x n tile, as in
+    :meth:`RealSubspace.transform`.  U X U* - X is (u x) u* - x for a
     linear X and (u x) u^T - x for an antilinear one (xi -> x conj(xi));
     their spectral norms are the residuals, taken on the common tiling of
     u and the modular data.
     """
-    u = np.asarray(u, dtype=complex)
+    u, tiles = _operator(np.asarray(u, dtype=complex), tiles, h.parent.n)
     d = subspace_distance(h, h.transform(u, tiles))
     if d > SUBSPACE_TOL:
         raise ValueError(f"U does not preserve H (subspace distance {d:.3e})")
     m = modular_data(h)
     rows = _common(h.parent.n, m.tiling, tiles)
-    ut = _on_tiles(u, rows, rows)
-    s, delta, j = (retiled(x, m.tiling, rows)
+    ut = merged(u, tiles, rows)
+    s, delta, j = (merged(x, m.tiling, rows)
                    for x in (m.tomita_tiles(), m.power_tiles(1.0), m._j))
 
     def deviation(x, right):
@@ -805,7 +798,7 @@ def modular_roundtrip(m1, h):
     the pair recomputed from ``h``, on the common tiling of the two."""
     m2 = modular_data(h)
     rows = _common(h.parent.n, m1.tiling, m2.tiling)
-    (j1, d1), (j2, d2) = ([retiled(x, m.tiling, rows)
+    (j1, d1), (j2, d2) = ([merged(x, m.tiling, rows)
                            for x in (m._j, m.power_tiles(1.0))]
                           for m in (m1, m2))
     return max(tile_norm(j1 - j2), tile_norm(d1 - d2) / float(m1.delta_norm))

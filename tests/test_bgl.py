@@ -38,6 +38,19 @@ def _origin_wedges():
             spacetime.Region.wedge_left((0.0, 0.0)))
 
 
+def _scatter(stack, tiles):
+    """The n x n matrix with tile t of an operator's ``stack`` at the slots
+    tiles[t], else 0: the tests' own dense reference."""
+    out = np.zeros((tiles.size, tiles.size), dtype=stack.dtype)
+    out[tiles[:, :, None], tiles[:, None, :]] = stack
+    return out
+
+
+def _gather(a, rows, cols):
+    """The stack holding tile t of the matrix ``a`` at (rows[t], cols[t])."""
+    return a[rows[:, :, None], cols[:, None, :]]
+
+
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -304,8 +317,11 @@ def test_translation_covariance_is_exact(kind):
     u = net.unit_matrix_of(translation=shift)
     w_r, _ = _origin_wedges()
     moved = net.wedge_subspace(spacetime.Region.wedge_right(shift))
-    assert stdspace.subspace_distance(
-        moved, net.wedge_subspace(w_r).transform(u)) < 1e-11
+    h = net.wedge_subspace(w_r)
+    # on the model's tiles and on one dense tile
+    for image in (h.transform(u, net.tiles),
+                  h.transform(_scatter(u, net.tiles))):
+        assert stdspace.subspace_distance(moved, image) < 1e-11
 
 
 # ROADMAP item 1: the translation phases are formed in doubles, so U(a)
@@ -330,8 +346,10 @@ def test_translations_compose_on_the_default_grid(kind):
 def test_unit_matrix_of_translation_is_orthogonal(kind):
     net = _model(kind)
     u = net.unit_matrix_of(translation=(0.31, -0.08))
+    assert u.shape == net.tiles.shape + net.tiles.shape[-1:]
     # unitary, so its real form is orthogonal
-    assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2) < 1e-11
+    assert stdspace.tile_norm(u.conj().swapaxes(-1, -2) @ u
+                              - np.eye(u.shape[-1])) < 1e-11
 
 
 def _unit_matrix_one_column_at_a_time(net, translation, dilation):
@@ -350,10 +368,13 @@ def test_unit_matrix_of_matches_column_by_column(kind):
     if kind in ("chiralSum", "twisted"):
         elements += [(zero, (-h, -h)),
                      (tuple(math.exp(-h) * a for a in t), (-h, -h))]
+    tiles = net.tiles
     for translation, dilation in elements:
         got = net.unit_matrix_of(translation, dilation)
-        want = _unit_matrix_one_column_at_a_time(net, translation, dilation)
-        assert np.array_equal(got, want)
+        dense = _unit_matrix_one_column_at_a_time(net, translation, dilation)
+        # the factor tiles hold every nonzero of the dense action
+        assert np.array_equal(_scatter(got, tiles), dense)
+        want = _gather(dense, tiles, tiles)
         # signed zeros too, in the real and imaginary parts
         assert np.array_equal(np.signbit(got.view(float)),
                               np.signbit(want.view(float)))
@@ -366,8 +387,8 @@ def test_factor_records_match_the_representation(kind):
     # translation
     for apex in ((0.3, -0.2), (-0.5, 0.5)):
         phases = reps.translation_phases(net.factors, *apex)
-        dev = np.max(np.abs(np.diag(phases)
-                            - net.unit_matrix_of(translation=apex)))
+        dev = np.max(np.abs(np.diag(phases) - _scatter(
+            net.unit_matrix_of(translation=apex), net.tiles)))
         assert dev < 1e-12
     # positivity of energy: P_L and P_R are nonnegative on every block
     for f in net.factors:
@@ -375,8 +396,8 @@ def test_factor_records_match_the_representation(kind):
     # orientation: each block's W_R flow is the implemented boost
     s = 2 * net.factors[0].h
     w_r, _ = _origin_wedges()
-    assert np.linalg.norm(net.wedge_flow(w_r, s / _TWO_PI)
-                          - net.unit_matrix_of(dilation=(s, -s)), 2) < 1e-9
+    assert stdspace.tile_norm(net.wedge_flow(w_r, s / _TWO_PI)
+                              - net.unit_matrix_of(dilation=(s, -s))) < 1e-9
 
 
 @pytest.mark.parametrize("ctor", [bgl.NetModel.chiral_sum,
@@ -388,7 +409,7 @@ def test_implemented_grid_dilation_is_a_phased_permutation_at_n_129(ctor):
     net = ctor(n=129)
     h = net.factors[0].h
     for s in (h, -h):
-        u = net.implemented_dilation(s)
+        u = _scatter(net.implemented_dilation(s), net.action_tiles)
         assert np.all(np.isfinite(u))
         one = np.abs(np.abs(u) - 1.0) <= 1e-15
         assert np.all(one.sum(axis=0) == 1) and np.all(one.sum(axis=1) == 1)
@@ -405,7 +426,9 @@ def test_implemented_dilation_dilates_both_lightrays(kind):
         c, si = math.cos(net.charge * s), math.sin(net.charge * s)
         eye = np.eye(net.parent.n // 2)
         want = want @ np.block([[c * eye, -si * eye], [si * eye, c * eye]])
-    assert np.array_equal(net.implemented_dilation(s), want)
+    got = net.implemented_dilation(s)
+    assert got.shape == net.action_tiles.shape + net.action_tiles.shape[-1:]
+    assert np.array_equal(_scatter(got, net.action_tiles), want)
 
 
 def test_apply_takes_a_trailing_column_axis():
@@ -428,8 +451,8 @@ def test_chiral_wedge_flow_matches_implemented_dilations():
     h = net.factors[0].h
     t = h / _TWO_PI
     w_r, _ = _origin_wedges()
-    dev = np.linalg.norm(net.wedge_flow(w_r, t)
-                         - net.unit_matrix_of(dilation=(h, -h)), 2)
+    dev = stdspace.tile_norm(net.wedge_flow(w_r, t)
+                             - net.unit_matrix_of(dilation=(h, -h)))
     assert dev < EXACT_TOL
 
 
@@ -438,8 +461,8 @@ def test_cone_flow_matches_implemented_dilations():
     h = net.factors[0].h
     t = h / _TWO_PI
     cone = spacetime.Region.forward_cone((0.0, 0.0))
-    dev = np.linalg.norm(net.wedge_flow(cone, t)
-                         - net.unit_matrix_of(dilation=(-h, -h)), 2)
+    dev = stdspace.tile_norm(net.wedge_flow(cone, t)
+                             - net.unit_matrix_of(dilation=(-h, -h)))
     assert dev < EXACT_TOL
 
 
@@ -452,10 +475,10 @@ def test_massive_wedge_flow_matches_boosts_at_even_steps(kind):
     s = 2 * h
     t = s / _TWO_PI
     w_r, w_l = _origin_wedges()
-    assert np.linalg.norm(net.wedge_flow(w_r, t)
-                          - net.unit_matrix_of(dilation=(s, -s)), 2) < 1e-9
-    assert np.linalg.norm(net.wedge_flow(w_l, t)
-                          - net.unit_matrix_of(dilation=(-s, s)), 2) < 1e-9
+    assert stdspace.tile_norm(net.wedge_flow(w_r, t)
+                              - net.unit_matrix_of(dilation=(s, -s))) < 1e-9
+    assert stdspace.tile_norm(net.wedge_flow(w_l, t)
+                              - net.unit_matrix_of(dilation=(-s, s))) < 1e-9
 
 
 def test_wedge_subspace_rejects_half_bands():
@@ -739,8 +762,10 @@ def test_tiled_counterexample_residuals_match_a_dense_reference():
     cone = spacetime.Region.forward_cone((0.0, 0.0))
     report = bgl.counterexample_bw(net)
     for t, dev in zip(report.t_values, report.deviations):
-        want = np.linalg.norm(net.wedge_flow(cone, t)
-                              - net.implemented_dilation(-_TWO_PI * t), 2)
+        want = np.linalg.norm(
+            _scatter(net.wedge_flow(cone, t), net.tiles)
+            - _scatter(net.implemented_dilation(-_TWO_PI * t),
+                       net.action_tiles), 2)
         assert _ulps_apart(dev, want), (t, dev, want)
     w_r, _ = _origin_wedges()
     md = net.wedge_modular(w_r)
@@ -763,10 +788,12 @@ def test_tiled_symmetry_residuals_match_a_dense_reference(kind):
     net = {"chiralSum": bgl.NetModel.chiral_sum,
            "twisted": bgl.NetModel.twisted}[kind](n=17)
     h_v = net.wedge_subspace(spacetime.Region.forward_cone((0.0, 0.0)))
-    u = stdspace.modular_data(h_v).delta_it(0.3)
-    rep = stdspace.symmetry_commutation_check(h_v, u, net.tiles)
+    md = stdspace.modular_data(h_v)
+    assert np.array_equal(md.tiling, net.tiles)
+    rep = stdspace.symmetry_commutation_check(h_v, md.power_tiles(0.3j),
+                                              net.tiles)
     got = (rep.s_residual, rep.delta_residual, rep.j_residual)
-    want = _dense_symmetry_residuals(h_v, u)
+    want = _dense_symmetry_residuals(h_v, md.delta_it(0.3))
     assert all(map(_ulps_apart, got, want)), (got, want)
 
 
@@ -782,7 +809,8 @@ def test_reconstruction_residual_path_reads_no_tiling(monkeypatch):
     def moved(*args):
         raise AssertionError("a flow was moved to another tiling")
 
-    monkeypatch.setattr(stdspace, "retiled", moved)
+    # every move between tilings, dense views included, is a merge
+    monkeypatch.setattr(stdspace, "merged", moved)
     rec = bgl.reconstruct_ur(net)
     assert len(flows) == 3 * 4 + 2       # three flows per t, two at 0
     assert all(np.array_equal(rows, net.tiles) for rows in flows)
@@ -992,11 +1020,19 @@ def _one_tile(net):
         return stdspace.ModularData(net.parent, md.vecs,
                                     md.log_delta.ravel(), md.jc)
 
+    one = np.arange(net.parent.n)[None]
+
+    def unit(*args, **kwargs):
+        # the factor stack of the tiled copy, merged into the one tile
+        return stdspace.merged(tiled.unit_matrix_of(*args, **kwargs),
+                               tiled.tiles, one)
+
     # the budget reads factor 0's tile: measured, and cached, before the
     # model hides its factor tiles
     assert net.epsilon == tiled.epsilon
     net.wedge_subspace, net.wedge_modular = subspace, modular
-    net.tiles = net.action_tiles = np.arange(net.parent.n)[None]
+    net.unit_matrix_of = unit
+    net.tiles = net.action_tiles = one
     return net
 
 
@@ -1139,7 +1175,7 @@ def test_subspaces_and_modular_data_store_only_their_tiles(kind):
         assert not sub.tiles.flags.writeable
         basis = sub.basis
         real = stdspace._doubled(rows, n)
-        assert np.array_equal(stdspace._gather(basis, real, cols), sub.tiles)
+        assert np.array_equal(_gather(basis, real, cols), sub.tiles)
         assert np.count_nonzero(basis) == np.count_nonzero(sub.tiles)
         assert np.array_equal(sub.complex_basis(),
                               basis[:n] + 1j * basis[n:])
@@ -1163,8 +1199,38 @@ def test_subspaces_and_modular_data_store_only_their_tiles(kind):
             assert np.array_equal(got._v, v)
             assert np.array_equal(got._j, jc)
             assert np.array_equal(got.log_delta, lam)
-            assert np.array_equal(got.vecs, stdspace._scatter(v, net.tiles))
-            assert np.array_equal(got.jc, stdspace._scatter(jc, net.tiles))
+            assert np.array_equal(got.vecs, _scatter(v, net.tiles))
+            assert np.array_equal(got.jc, _scatter(jc, net.tiles))
+
+
+#: the model path at small n: each model's axioms, the counterexample
+#: and the reconstruction
+MODEL_PATH = {
+    "chiralSum": lambda: bgl.axioms_report(bgl.NetModel.chiral_sum(n=9)),
+    "massive": lambda: bgl.axioms_report(bgl.NetModel.massive(n=8)),
+    "directIntegral": lambda: bgl.axioms_report(
+        bgl.NetModel.direct_integral(masses=2, n=8)),
+    "twisted": lambda: bgl.axioms_report(bgl.NetModel.twisted(n=9)),
+    "counterexample": lambda: bgl.counterexample_bw(bgl.NetModel.twisted(n=9)),
+    "reconstruction": lambda: bgl.reconstruct_ur(bgl.NetModel.chiral_sum(n=9)),
+}
+
+
+@pytest.mark.parametrize("path", list(MODEL_PATH))
+def test_the_model_path_reads_no_dense_view(monkeypatch, path):
+    # every operator of the checks, flows and group actions included,
+    # arrives as the stack of its tiles: no dense basis, V, J, power or S
+    # is formed on the way to a residual
+    def dense(*args):
+        raise AssertionError("a dense view was formed")
+
+    for name in ("vecs", "jc"):
+        monkeypatch.setattr(stdspace.ModularData, name, property(dense))
+    for name in ("power", "delta_it", "tomita_matrix"):
+        monkeypatch.setattr(stdspace.ModularData, name, dense)
+    monkeypatch.setattr(stdspace.RealSubspace, "basis", property(dense))
+    monkeypatch.setattr(stdspace.RealSubspace, "complex_basis", dense)
+    MODEL_PATH[path]()
 
 
 @pytest.mark.parametrize("ladder,calls", [(SCALED_LADDER, 30),
@@ -1228,7 +1294,8 @@ def test_eigenpair_route_agrees_with_modular_route():
             w, v = np.linalg.eigh(md.power(1.0))
             for t in (0.37, -1.1):
                 dense = (v * np.exp(1j * t * np.log(w))) @ v.conj().T
-                dev = np.linalg.norm(net.wedge_flow(region, t) - dense, 2)
+                dev = np.linalg.norm(
+                    _scatter(net.wedge_flow(region, t), net.tiles) - dense, 2)
                 assert dev < bgl.BLOCK_TOL, (kind, region, t)
 
 

@@ -929,6 +929,12 @@ def test_complex_standardness_matches_the_real_form(n, seed, shape, data):
         assert not rep.cyclic
 
 
+def _gather(a, rows, cols):
+    """The stack holding tile t of the matrix ``a`` at (rows[t], cols[t]):
+    the tests' own gather of a dense reference onto its tiles."""
+    return a[..., rows[:, :, None], cols[:, None, :]]
+
+
 def _permuted_tiles(perm, tiles):
     """Where ``tiles`` equal blocks of consecutive indices land when the
     indices are permuted as x[perm]: the tiling handed in for x."""
@@ -955,7 +961,7 @@ def _halperin_family(rng, tiles, r, core, extras):
         tiling = (_permuted_tiles(slots, tiles),
                   np.arange(tiles * k).reshape(tiles, k))
         family.append(RealSubspace.from_complex(
-            ComplexSpace(n), stdspace._gather(c[slots], *tiling), tiling))
+            ComplexSpace(n), _gather(c[slots], *tiling), tiling))
     assert stdspace._joint(*family)[0].shape[0] == tiles
     return family
 
@@ -1162,7 +1168,7 @@ def _direct_sum_basis(rng, tiles, r, k, slots, columns):
             list(z), ComplexSpace(r)).complex_basis()
     tiling = _permuted_tiles(slots, tiles), _permuted_tiles(columns, tiles)
     return RealSubspace.from_complex(
-        ComplexSpace(n), stdspace._gather(c[slots][:, columns], *tiling),
+        ComplexSpace(n), _gather(c[slots][:, columns], *tiling),
         tiling)
 
 
@@ -1203,7 +1209,7 @@ def test_tiled_primitives_give_the_dense_results(seed, tiles, r, data):
     # singular values, standardness verdict and minimal angle
     dense_s = np.linalg.svd(b, compute_uv=False)
     assert_allclose(stdspace._descending(
-        np.linalg.svd(stdspace._gather(b, *h.tiling), compute_uv=False)),
+        np.linalg.svd(_gather(b, *h.tiling), compute_uv=False)),
         dense_s, atol=1e-12)
     rep, ref = standardness(h), stdspace._standardness_of(dense_s, h)
     assert (rep.cyclic, rep.separating) == (ref.cyclic, ref.separating)
@@ -1248,8 +1254,8 @@ def test_tiled_primitives_give_the_dense_results(seed, tiles, r, data):
             rng.normal(size=(r, 2 * r)) + 1j * rng.normal(size=(r, 2 * r)))
     rows, cols = rng.permutation(n), rng.permutation(2 * n)
     x = x[rows][:, cols]
-    stack = stdspace._on_tiles(x, _permuted_tiles(rows, tiles),
-                               _permuted_tiles(cols, tiles))
+    stack = _gather(x, _permuted_tiles(rows, tiles),
+                    _permuted_tiles(cols, tiles))
     assert stdspace.tile_norm(stack) == pytest.approx(np.linalg.norm(x, 2),
                                                       rel=1e-12)
 
@@ -1326,15 +1332,12 @@ def test_transform_runs_on_the_tiles_of_the_unitary():
     for p in pairs:
         z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         u[np.ix_(p, p)] = np.linalg.qr(z)[0]
-    moved = h.transform(u, pairs)
+    moved = h.transform(_gather(u, pairs, pairs), pairs)
     assert np.array_equal(moved.tiling[0], pairs)
     dense = RealSubspace.from_complex(h.parent, u @ h.complex_basis())
     assert dense.tiling[0].shape[0] == 1
     assert subspace_distance(moved, dense) < 1e-14
     assert h.transform(u).tiling[0].shape[0] == 1
-    # a unitary that holds a nonzero outside its declared tiles is refused
-    with pytest.raises(ValueError, match="nonzero outside its tiles"):
-        h.transform(u, np.arange(n).reshape(4, 2))
 
 
 def _tiled_chiral_wedge():
@@ -1345,15 +1348,81 @@ def _tiled_chiral_wedge():
     return net, h
 
 
-@pytest.mark.parametrize("shape", [(18, 19), (1, 1), (18,), (2, 17, 17)])
-def test_transform_refuses_a_unitary_that_is_not_n_by_n(shape):
+@pytest.mark.parametrize("shape", [(18, 19), (1, 1), (18,), (2, 17, 17),
+                                   (9, 9), (3, 9, 9)])
+def test_a_unitary_off_its_tiling_is_refused(shape):
     # a wrong shape is named where the operand enters, on the model's
-    # tiles and on one tile alike
+    # tiles and on one tile alike, by transform and by the symmetry check
     net, h = _tiled_chiral_wedge()
     u = np.ones(shape, dtype=complex)
     for tiles in (net.tiles, None):
         with pytest.raises(ValueError, match=re.escape(f"{shape}")):
             h.transform(u, tiles)
+        with pytest.raises(ValueError, match=re.escape(f"{shape}")):
+            symmetry_commutation_check(h, u, tiles)
+    # the stack of the tiles is refused as one tile, and the one tile as
+    # the stack
+    stack = np.broadcast_to(np.eye(9), (2, 9, 9))
+    for u, tiles in ((stack, None), (np.eye(18), net.tiles)):
+        with pytest.raises(ValueError, match=re.escape(f"{u.shape}")):
+            h.transform(u, tiles)
+    for u, tiles in ((stack, net.tiles), (np.eye(18), None)):
+        assert symmetry_commutation_check(h, u, tiles).max_residual == 0.0
+
+
+def _scattered(stack, rows, cols):
+    """The dense matrix with tile t of ``stack`` at (rows[t], cols[t]),
+    else 0, of each member of a stack."""
+    out = np.zeros(stack.shape[:-3] + (rows.size, cols.size),
+                   dtype=stack.dtype)
+    out[..., rows[:, :, None], cols[:, None, :]] = stack
+    return out
+
+
+def _merge_case(name, rng):
+    """(stack, rows, new, cols, new_cols) of one move to a coarser tiling."""
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    if name == "action tiles":
+        # twisted's factor tiles onto the tiles of its copy rotation
+        net = bgl.NetModel.twisted(n=5)
+        rows, new = net.tiles, net.action_tiles
+        return normal(4, 5, 5), rows, new, rows, new
+    if name == "subspace":
+        # a basis's real-form rows and its columns, each tile paired
+        # with the one two further on
+        n = 8
+        h = _direct_sum_basis(rng, 4, 2, 2, rng.permutation(n),
+                              rng.permutation(n))
+        own, cols = h.tiling
+        coarse = np.hstack(np.split(own, 2))
+        return (h.tiles, stdspace._doubled(own, n),
+                stdspace._doubled(coarse, n), cols,
+                stdspace._moved(coarse, own, cols))
+    if name == "one tile":
+        rows = _permuted_tiles(rng.permutation(12), 3)
+        cols = _permuted_tiles(rng.permutation(6), 3)
+        return (normal(3, 4, 2), rows, np.arange(12)[None], cols,
+                np.arange(6)[None])
+    # a leading stack axis, onto coarse tiles whose slots are not sorted
+    fine = _permuted_tiles(rng.permutation(8), 4)
+    coarse = np.hstack([fine[[0, 1]], fine[[3, 2]]])
+    return normal(2, 3, 4, 2, 2), fine, coarse, fine, coarse
+
+
+@pytest.mark.parametrize("case", ["action tiles", "subspace", "one tile",
+                                  "stack"])
+def test_merge_is_the_gather_of_the_dense_scatter(case):
+    stack, rows, new, cols, new_cols = _merge_case(
+        case, np.random.default_rng(29))
+    got = stdspace.merged(stack, rows, new, cols, new_cols)
+    want = _gather(_scattered(stack, rows, cols), new, new_cols)
+    assert got.shape == stack.shape[:-3] + new.shape + new_cols.shape[-1:]
+    assert got.dtype == stack.dtype
+    assert np.array_equal(got, want)
+    # a stack on the tiling it has is returned as it is
+    assert stdspace.merged(got, new, new, new_cols, new_cols) is got
 
 
 @pytest.mark.parametrize("shape", [(1,), (17,), (19,), (18, 1), (2, 18)])
@@ -1378,21 +1447,19 @@ def test_a_handed_tiling_must_hold_every_nonzero():
     # the dense basis handed with the tiling is refused
     assert h.tiles.shape == (3, 4, 2)
     assert np.array_equal(
-        h.tiles, stdspace._gather(h.basis, stdspace._doubled(rows, n), cols))
+        h.tiles, _gather(h.basis, stdspace._doubled(rows, n), cols))
     assert RealSubspace(h.parent, h.tiles, h.tiling).dim == n
     with pytest.raises(ValueError, match="do not match the tiling"):
         RealSubspace(h.parent, h.basis, h.tiling)
-    # a dense operator handed tiles must hold every nonzero there: one
-    # 1e-12 off every tile of the identity is refused, which the Gram
-    # check of the image could not see
+    # so is an operator: the dense matrix handed tiles is refused by its
+    # shape, and its one n x n tile is taken whole
     u = np.eye(n, dtype=complex)
-    u[rows[1, 0], rows[0, 0]] = 1e-12
-    with pytest.raises(ValueError, match="nonzero outside its tiles"):
+    with pytest.raises(ValueError, match=re.escape(f"{u.shape}")):
         h.transform(u, rows)
     assert h.transform(u).tiling[0].shape[0] == 1
 
 
-def test_modular_data_takes_a_handed_tiling_and_refuses_a_nonzero_outside():
+def test_modular_data_takes_a_handed_tiling_and_refuses_dense_data():
     rng = np.random.default_rng(8)
     n = 6
     h = _direct_sum_basis(rng, 3, 2, 2, rng.permutation(n),
@@ -1425,13 +1492,13 @@ def test_modular_data_takes_a_handed_tiling_and_refuses_a_nonzero_outside():
     assert_allclose(dense.power(0.3j), md.power(0.3j), atol=1e-14)
     with pytest.raises(ValueError, match="the tiles of each"):
         ModularData(h.parent, md.vecs, md.log_delta, md.jc, tiling=md.tiling)
-    # the nonzero refusal is the dense operator's: a modular unitary
-    # with one 1e-13 off every tile, which no tile-wise check could see
-    u = md.delta_it(0.3)
-    u[rows[1, 0], rows[0, 0]] = 1e-13
-    with pytest.raises(ValueError, match="nonzero outside its tiles"):
-        h.transform(u, rows)
-    assert h.transform(u).tiling[0].shape[0] == 1
+    # a modular unitary moves H on the tiles of its stack, and its dense
+    # matrix on one tile, to the same image
+    moved = h.transform(md.power_tiles(0.3j), rows)
+    assert np.array_equal(moved.tiling[0], rows)
+    dense = h.transform(md.delta_it(0.3))
+    assert dense.tiling[0].shape[0] == 1
+    assert subspace_distance(moved, dense) < 1e-14
 
 
 def test_producers_hand_their_tiling_to_the_subspaces_they_build():
@@ -1480,7 +1547,7 @@ def test_tiles_of_unequal_intersection_dimension_merge_untiled():
             c[t * r:(t + 1) * r, 3 * t:3 * (t + 1)] = q[:r] + 1j * q[r:]
         tiling = np.arange(2 * r).reshape(2, r), np.arange(6).reshape(2, 3)
         family.append(RealSubspace.from_complex(
-            parent, stdspace._gather(c, *tiling), tiling))
+            parent, _gather(c, *tiling), tiling))
     assert stdspace._joint(*family)[0].shape[0] == 2
     exact = intersect(family)
     halperin = intersect(family, method="halperin", max_iter=1 << 20)
