@@ -147,7 +147,7 @@ def _direct_sum(mats):
 # ---------------------------------------------------------------------------
 
 
-def _eigenpair_fix(parent, tiles, log_delta, vecs):
+def _eigenpair_fix(tiles, log_delta, vecs):
     """Orthonormal basis of fix(J Delta^{1/2}) from paired eigenvectors.
 
     Never forms Delta: ``vecs`` (T, s, s) and ``log_delta`` (T, s) are
@@ -181,7 +181,7 @@ def _eigenpair_fix(parent, tiles, log_delta, vecs):
     out[..., paired, 1] = v2 / np.linalg.norm(v2, axis=-2, keepdims=True)
     keep = np.stack([np.ones_like(paired), paired], axis=1).ravel()
     out = out.reshape(vecs.shape[:-1] + (-1,))[..., keep]
-    return stdspace.RealSubspace.orthonormalised(parent, out, (tiles, tiles))
+    return stdspace.RealSubspace.orthonormalised(out, (tiles, tiles))
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +244,8 @@ class NetModel:
     """
 
     def __init__(self, kind, factors, *, charge=0.0):
+        """A model on C^n, n the slots of all ``factors``: ``tiles``
+        holds each factor's slots as one tile, so n is ``tiles.size``."""
         if kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
         self.kind = kind
@@ -255,9 +257,9 @@ class NetModel:
         if len(sizes) > 1:
             raise ValueError(f"the factors of a model must have one size, "
                              f"got sizes {sizes}")
-        self.parent = stdspace.ComplexSpace(sum(f.n for f in self.factors))
         # the slots of each factor: the tiles of the model's operators
-        self.tiles = np.arange(self.parent.n).reshape(len(self.factors), -1)
+        self.tiles = np.arange(sum(f.n for f in self.factors)).reshape(
+            len(self.factors), -1)
         # the tiles of the group action: the twisted model's copy rotation
         # pairs each factor with its copy
         self.action_tiles = (np.hstack(np.split(self.tiles, 2))
@@ -324,7 +326,7 @@ class NetModel:
         form (:func:`_wedge_eigen`) on the factor tiles, J as diag(z) on
         each: no eigensolve and no dense Delta, V or J."""
         log_delta, vecs, z = _wedge_eigen(self.factors, region)
-        return stdspace.ModularData(self.parent, vecs, log_delta,
+        return stdspace.ModularData(vecs, log_delta,
                                     z[..., None] * np.eye(z.shape[-1]),
                                     tiling=self.tiles)
 
@@ -347,7 +349,7 @@ class NetModel:
             sub = origin.phased(reps.translation_phases(self.factors, *apex))
         else:
             log_delta, vecs, _ = _wedge_eigen(self.factors, region)
-            sub = _eigenpair_fix(self.parent, self.tiles, log_delta, vecs)
+            sub = _eigenpair_fix(self.tiles, log_delta, vecs)
         with self._lock:
             return self._cache.setdefault(key, sub)
 
@@ -416,7 +418,7 @@ class NetModel:
         return _rotated(u, self.charge * s) if self.kind == "twisted" else u
 
     def __repr__(self):
-        return (f"NetModel(kind={self.kind!r}, n={self.parent.n}, "
+        return (f"NetModel(kind={self.kind!r}, n={self.tiles.size}, "
                 f"epsilon={self.epsilon:.2e})")
 
 
@@ -620,9 +622,8 @@ def assemble_blockwise(subspaces):
     the joint complex space, so blockwise computations can be compared
     against global ones on the assembled lattice.
     """
-    c = _direct_sum([s.complex_basis() for s in subspaces])
     return stdspace.RealSubspace.from_complex(
-        stdspace.ComplexSpace(c.shape[0]), c)
+        _direct_sum([s.complex_basis() for s in subspaces]))
 
 
 def grid_steps(t, h):

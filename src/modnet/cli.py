@@ -459,16 +459,15 @@ STDSPACE_MIN_ANGLE = 0.05
 STDSPACE_DRAWS_PER_SAMPLE = 20
 
 
-def _random_real_span(rng, parent, k, size=()):
+def _random_real_span(rng, n, k, size=()):
     """Real span of k random vectors of C^n, real then imaginary parts;
     ``size`` draws a stack of spans from the stream that as many single
     draws would take."""
-    parts = rng.normal(size=size + (2, k, parent.n))
-    return stdspace.make_subspace(
-        parts[..., 0, :, :] + 1j * parts[..., 1, :, :], parent)
+    real, imag = np.moveaxis(rng.normal(size=size + (2, k, n)), -3, 0)
+    return stdspace.make_subspace(real + 1j * imag)
 
 
-def _random_standard(rng, parent, samples):
+def _random_standard(rng, n, samples):
     """A stack of ``samples`` random spans of n vectors of C^n whose H
     meets iH above ``STDSPACE_MIN_ANGLE``.
 
@@ -476,7 +475,6 @@ def _random_standard(rng, parent, samples):
     loop drawing one span at a time makes too and the generator ends
     where that loop would.
     """
-    n = parent.n
     cap = STDSPACE_DRAWS_PER_SAMPLE * samples
     kept, count, drawn = [], 0, 0
     while count < samples:
@@ -486,21 +484,20 @@ def _random_standard(rng, parent, samples):
                 f"verify-stdspace at dim {n} accepted {count} of {samples} "
                 f"samples in {cap} draws: random spans at this dim meet "
                 f"iH below the {STDSPACE_MIN_ANGLE} rad floor too often")
-        h = _random_real_span(rng, parent, n, (m,))
+        h = _random_real_span(rng, n, n, (m,))
         drawn += m
         rep = stdspace.standardness(h)
         ok = rep.standard & (rep.minimal_angle > STDSPACE_MIN_ANGLE)
         kept.append(h.basis[ok])
         count += int(np.sum(ok))
-    return stdspace.RealSubspace(parent, np.concatenate(kept))
+    return stdspace.RealSubspace(np.concatenate(kept))
 
 
 def _run_verify_stdspace(cfg, seed, scale):
     rng = np.random.default_rng(seed)
-    parent = stdspace.ComplexSpace(cfg["dim"])
-    samples = cfg["samples"]
+    n, samples = cfg["dim"], cfg["samples"]
     # every step runs once over the stack of all samples
-    h = _random_standard(rng, parent, samples)
+    h = _random_standard(rng, n, samples)
     md = stdspace.modular_data(h)
     dual = stdspace.symplectic_complement(h)
     # S = a conj, J = jc conj and S_dual = a_dual conj as n x n matrices:
@@ -508,7 +505,7 @@ def _run_verify_stdspace(cfg, seed, scale):
     # transpose of an antilinear S is a^T conj
     a, jc, delta = md.tomita_matrix(), md.jc, md.power(1.0)
     a_dual = stdspace.modular_data(dual).tomita_matrix()
-    eye = np.eye(parent.n)
+    eye = np.eye(n)
 
     def norm(x):
         return np.linalg.norm(x, 2, axis=(-2, -1))
@@ -522,7 +519,7 @@ def _run_verify_stdspace(cfg, seed, scale):
         "stdspace-dual-tomita": norm(a_dual - a.swapaxes(-1, -2)),
         "stdspace-conjugate-complement": distance(
             stdspace.RealSubspace.from_complex(
-                parent, jc @ h.complex_basis().conj()), dual),
+                jc @ h.complex_basis().conj()), dual),
         "stdspace-flow-invariance": [
             distance(h.transform(md.delta_it(t)), h) for t in (0.37, 1.23)],
         "stdspace-double-dual": distance(
@@ -701,8 +698,7 @@ def _run_fock_checks(cfg, seed, scale):
 
 def _run_halperin_bench(cfg, seed, scale):
     # generic pairs draw subspace dimensions from [3, dim - 1)
-    parent = stdspace.ComplexSpace(cfg["dim"])
-    n = parent.n
+    n = cfg["dim"]
     tol, max_iter = cfg["tol"], cfg["max_iter"]
     rng = np.random.default_rng(seed)
     caps = [c for c in (8, 32, 128, 512, 2048) if c < max_iter] + [max_iter]
@@ -715,14 +711,14 @@ def _run_halperin_bench(cfg, seed, scale):
             # generic pair with trivial intersection; dimensions kept away
             # from the marginal regime dim_a + dim_b = 2n, where principal
             # angles degenerate and alternating projections stall
-            a = _random_real_span(rng, parent, int(rng.integers(3, n - 1)))
-            b = _random_real_span(rng, parent, int(rng.integers(3, n - 1)))
+            a = _random_real_span(rng, n, int(rng.integers(3, n - 1)))
+            b = _random_real_span(rng, n, int(rng.integers(3, n - 1)))
         else:
-            shared = _random_real_span(rng, parent, n // 2)
+            shared = _random_real_span(rng, n, n // 2)
             a = stdspace.sum_closure(
-                [shared, _random_real_span(rng, parent, n // 2)])
+                [shared, _random_real_span(rng, n, n // 2)])
             b = stdspace.sum_closure(
-                [shared, _random_real_span(rng, parent, n // 2)])
+                [shared, _random_real_span(rng, n, n // 2)])
         exact = stdspace.intersect([a, b], method="exact")
         iterative = None
         used_cap = -1

@@ -292,9 +292,8 @@ def second_quantized_tomita_check(h, f, order=DEFAULT_ORDER):
     the modular recomputation error.
     """
     f = np.asarray(f, dtype=complex)
-    parent = h.parent
-    if f.shape != (parent.n,):
-        raise ValueError("test vector does not match the parent space")
+    if f.shape != (h.n,):
+        raise ValueError(f"test vector of shape {f.shape} is not ({h.n},)")
     # the real projection onto H is B Re(B* f)
     b = h.complex_basis()
     scale = max(float(np.linalg.norm(f)), 1.0)

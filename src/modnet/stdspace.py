@@ -1,6 +1,9 @@
 """Standard subspaces and finite-dimensional modular theory.
 
-Vectors and operators live on the complex space C^n: an operator is a
+Vectors and operators live on the complex space C^n, where n is the
+number of slots of an object's tiling (below), read from the shape of
+its one tile if it is handed none: no object is handed n apart from its
+arrays, and operands of different n are refused.  An operator is a
 complex n x n matrix, linear (xi -> x xi) or antilinear (xi -> x
 conj(xi)), and a residual is the spectral norm of such a matrix.  A
 real subspace H is the real span of the columns of a complex n x k
@@ -19,13 +22,17 @@ matrix of J) by :class:`ModularData`, the one record of modular data; S,
 the flows and the powers of Delta are formed only on request, and no
 dense Delta is formed to validate it.
 
-Subspaces, modular data and the primitives between them also take
-stacks: a basis of shape (..., 2n, k) holds one subspace per leading
-index, all of dimension k, and every matrix operation runs over the
-stack at once (numpy's ``svd`` and ``@`` loop over it in LAPACK/BLAS).
-A single subspace is a stack without leading axes, so there is one
-code path, and each member of a stack gets the same floating-point
-result as it gets alone.
+Subspaces and modular data also take stacks: a basis of shape (...,
+2n, k) holds one subspace per leading index, all of dimension k, and
+every matrix operation runs over the stack at once (numpy's ``svd`` and
+``@`` loop over it in LAPACK/BLAS).  A single subspace is a stack
+without leading axes, so there is one code path, and each member of a
+stack gets the same floating-point result as it gets alone.  The
+primitives that take stacks are :func:`make_subspace`,
+:func:`standardness`, :func:`modular_data`, :func:`symplectic_complement`,
+:func:`subspace_distance`, :func:`containment_gap`,
+:func:`principal_angles`, ``transform`` and ``phased``; :func:`intersect`
+and :func:`sum_closure` refuse them, and the others take one subspace.
 
 Tiles are a direct sum, a stack is a batch.  The models are direct sums
 (two chiral factors, two copies of them, one rapidity block per mass),
@@ -102,55 +109,34 @@ class ConditioningWarning(UserWarning):
     """Kernel extraction performed near its conditioning limit."""
 
 
-class ComplexSpace:
-    """The complex space C^n, of real dimension 2n."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n):
-        if n < 1:
-            raise ValueError("complex dimension must be positive")
-        self.n = int(n)
-
-    @property
-    def real_dim(self):
-        return 2 * self.n
-
-    def __eq__(self, other):
-        return isinstance(other, ComplexSpace) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("ComplexSpace", self.n))
-
-    def __repr__(self):
-        return f"ComplexSpace(n={self.n})"
-
-
 class RealSubspace:
     """A real-linear subspace of C^n: the real span of the columns of a
     complex n x k matrix B, held as its tiles' orthonormal real bases.
 
     ``tiling`` is (slots (T, s), columns of B (T, k_t)) of each tile, as
-    handed in by the producer, else one tile.  Only ``tiles`` (..., T,
-    2s, k_t) is stored: tile t's block of B in real form, rows [Re
-    slots; Im slots]; leading axes hold a stack of subspaces.  The dense
-    ``basis`` b = [Re B; Im B] (2n x k) and ``complex_basis`` B are
-    their merges into one tile, formed on request.
+    handed in by the producer, else one tile; n is the number of its
+    slots.  Only ``tiles`` (..., T, 2s, k_t) is stored: tile t's block of
+    B in real form, rows [Re slots; Im slots]; leading axes hold a stack
+    of subspaces.  The dense ``basis`` b = [Re B; Im B] (2n x k) and
+    ``complex_basis`` B are their merges into one tile, formed on
+    request.
     """
 
-    __slots__ = ("parent", "tiles", "tiling")
+    __slots__ = ("tiles", "tiling")
 
-    def __init__(self, parent, basis, tiling=None):
+    def __init__(self, basis, tiling=None):
         """``basis`` is the stack of tiles on a handed ``tiling``, else
-        the one tile (..., 2n, k); a tiling of no columns is one tile."""
+        the one tile (..., 2n, k), n >= 1 read from its rows; a tiling of
+        no columns is one tile."""
         b = np.asarray(basis, dtype=float)
         if tiling is not None and not tiling[1].size:
-            b, tiling = np.zeros(b.shape[:-3] + (parent.real_dim, 0)), None
+            b, tiling = np.zeros(b.shape[:-3] + (2 * tiling[0].size, 0)), None
         if tiling is None:
-            if b.ndim < 2 or b.shape[-2] != parent.real_dim:
-                raise ValueError("basis must be a (2n x k) matrix or a stack")
+            if b.ndim < 2 or b.shape[-2] % 2 or not b.shape[-2]:
+                raise ValueError("basis must be a (2n x k) matrix or a "
+                                 "stack, n >= 1")
             b = b[..., None, :, :]
-            tiling = _one_tile(parent.n), _one_tile(b.shape[-1])
+            tiling = _one_tile(b.shape[-2] // 2), _one_tile(b.shape[-1])
         rows, cols = tiling
         if b.shape[-3:] != (len(rows), 2 * rows.shape[1], cols.shape[1]):
             raise ValueError(f"tiles of shape {b.shape} do not match the "
@@ -160,42 +146,33 @@ class RealSubspace:
         if not np.max(np.abs(gram), initial=0.0) <= INVARIANT_TOL:
             raise ValueError("basis columns are not orthonormal")
         b.setflags(write=False)
-        self.parent, self.tiles, self.tiling = parent, b, tiling
+        self.tiles, self.tiling = b, tiling
 
     @classmethod
-    def from_complex(cls, parent, c, tiling=None):
+    def from_complex(cls, c, tiling=None):
         """The real span of the complex columns c, whose real form must be
         orthonormal: c is the stack of tiles on a handed ``tiling``, else
         the one n x k tile (or a stack of them)."""
         c = np.asarray(c, dtype=complex)
-        return cls(parent, np.concatenate([c.real, c.imag], axis=-2), tiling)
+        return cls(np.concatenate([c.real, c.imag], axis=-2), tiling)
 
     @classmethod
-    def orthonormalised(cls, parent, c, tiling=None):
+    def orthonormalised(cls, c, tiling=None):
         """The real span of the complex columns c, of real rank k, by
         :func:`qr_basis` of the real form of each tile: c as in
         :meth:`from_complex`."""
         c = np.asarray(c, dtype=complex)
-        return cls(parent, qr_basis(np.concatenate([c.real, c.imag],
-                                                   axis=-2)), tiling)
+        return cls(qr_basis(np.concatenate([c.real, c.imag], axis=-2)),
+                   tiling)
 
-    @classmethod
-    def zero(cls, parent):
-        return cls(parent, np.zeros((parent.real_dim, 0)))
-
-    @classmethod
-    def full(cls, parent):
-        return cls(parent, np.eye(parent.real_dim))
-
-    @property
-    def dim(self):
-        return self.tiling[1].size
+    n = property(lambda self: self.tiling[0].size)
+    dim = property(lambda self: self.tiling[1].size)
 
     @property
     def basis(self):
         """The dense real basis b = [Re B; Im B] (..., 2n, k)."""
         rows, cols = self.tiling
-        return _dense(self.tiles, _doubled(rows, self.parent.n), cols)
+        return _dense(self.tiles, _doubled(rows, self.n), cols)
 
     def complex_tiles(self):
         """The tiles of B, (..., T, s, k_t)."""
@@ -212,31 +189,31 @@ class RealSubspace:
         stack of subspaces.  u B is taken tile by tile on the common
         tiling of u and H, kept by the image, and the constructor's Gram
         check refuses a u that is not unitary."""
-        u, tiles = _operator(u, tiles, self.parent.n)
-        rows = _common(self.parent.n, self.tiling[0], tiles)
+        u, tiles = _operator(u, tiles, self.n)
+        rows = _common(self.n, self.tiling[0], tiles)
         image = merged(u, tiles, rows) @ _complexified(_tiles_on(self, rows))
-        return RealSubspace.from_complex(
-            self.parent, image, (rows, _moved(rows, *self.tiling)))
+        return RealSubspace.from_complex(image,
+                                         (rows, _moved(rows, *self.tiling)))
 
     def phased(self, phases):
         """Image under the diagonal unitary diag(phases), phases (n,) of
         modulus 1, taken on each tile's slots: an orthonormal basis,
         tiled as this one, needs no check."""
         phases = np.asarray(phases)
-        if phases.shape != (self.parent.n,):
+        if phases.shape != (self.n,):
             raise ValueError(f"phases of shape {phases.shape} are not "
-                             f"({self.parent.n},)")
+                             f"({self.n},)")
         if not np.max(np.abs(np.abs(phases) - 1.0)) <= INVARIANT_TOL:
             raise ValueError("phases must have modulus 1")
         c = phases[self.tiling[0]][..., None] * self.complex_tiles()
         moved = object.__new__(RealSubspace)
-        moved.parent, moved.tiling = self.parent, self.tiling
+        moved.tiling = self.tiling
         moved.tiles = np.concatenate([c.real, c.imag], axis=-2)
         moved.tiles.setflags(write=False)
         return moved
 
     def __repr__(self):
-        return f"RealSubspace(dim={self.dim} of R^{self.parent.real_dim})"
+        return f"RealSubspace(dim={self.dim} of R^{2 * self.n})"
 
 
 def _max_entry(c):
@@ -291,7 +268,7 @@ def _complexified(stack):
 def _tiles_on(h, rows):
     """The real-form tiles of H on the slots ``rows`` of a tiling that its
     own refines (:func:`_common`)."""
-    (own, cols), n = h.tiling, h.parent.n
+    (own, cols), n = h.tiling, h.n
     return merged(h.tiles, _doubled(own, n), _doubled(rows, n),
                   cols, _moved(rows, own, cols))
 
@@ -336,10 +313,11 @@ def _dense(stack, rows, cols=None):
 
 
 def _descending(s):
-    """The tiles' descending spectra (..., T, k) sorted together."""
+    """The tiles' spectra (..., T, k) of each member of a stack, sorted
+    together, descending."""
     if s.shape[-2] == 1:
         return s[..., 0, :]
-    return np.sort(s, axis=None)[::-1]
+    return np.sort(s.reshape(s.shape[:-2] + (-1,)), axis=-1)[..., ::-1]
 
 
 def tile_norm(stack):
@@ -355,31 +333,30 @@ def qr_basis(a):
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def _orthonormal_basis(columns, parent):
+def _orthonormal_basis(columns):
     """Orthonormal basis of the column span, rank by relative threshold.
 
     ``columns`` may be a stack (..., 2n, k); its spans must share a rank.
     """
     a = np.asarray(columns, dtype=float)
     if a.size == 0:
-        return np.zeros(a.shape[:-2] + (parent.real_dim, 0))
+        return np.zeros(a.shape[:-1] + (0,))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return u[..., :_common_rank(s)]
 
 
-def make_subspace(vectors, parent):
+def make_subspace(vectors):
     """Real span of a family of complex vectors, as a RealSubspace.
 
-    ``vectors`` holds k vectors of C^n, or an array (..., k, n) of
-    families, whose spans then form a stack.
+    ``vectors`` is an array (..., k, n) of k vectors of C^n, n >= 1 read
+    from its last axis; k = 0 gives the zero subspace, and leading axes
+    hold families whose spans form a stack.
     """
     v = np.asarray(vectors, dtype=complex)
-    if v.size == 0:
-        return RealSubspace.zero(parent)
-    if v.ndim < 2 or v.shape[-1] != parent.n:
-        raise ValueError("vectors must have n entries each")
+    if v.ndim < 2 or not v.shape[-1]:
+        raise ValueError("vectors must be an array (..., k, n), n >= 1")
     cols = _T(np.concatenate([v.real, v.imag], axis=-1))
-    return RealSubspace(parent, _orthonormal_basis(cols, parent))
+    return RealSubspace(_orthonormal_basis(cols))
 
 
 def principal_angles(a, b):
@@ -437,7 +414,7 @@ def symplectic_complement(h):
     q = np.linalg.qr(_times_i(h.tiles, rows.shape[1]),
                      mode="complete")[0][..., cols.shape[1]:]
     slots = np.arange(q.shape[-3] * q.shape[-1]).reshape(q.shape[-3], -1)
-    return RealSubspace(h.parent, q, (rows, slots))
+    return RealSubspace(q, (rows, slots))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -455,7 +432,7 @@ class StandardnessReport:
 
 def _standardness_of(s, h):
     """The standardness report of H from the singular values s of B."""
-    n = h.parent.n
+    n = h.n
     cyclic = np.sum(s > RANK_REL_TOL * s[..., :1], axis=-1) == n
     if h.dim == 0:
         minimal = np.full(s.shape[:-1], math.pi / 2)
@@ -504,7 +481,8 @@ class ModularData:
     ``log_delta`` real, and J = ``jc`` conj.  Validated at construction:
     finite data, V unitary, J orthogonal and involutive, and J Delta J =
     Delta^{-1}; Delta > 0 by construction.  The ``tiling`` is the slots
-    (T, s) of each tile, as handed in by the producer, else one tile.
+    (T, s) of each tile, as handed in by the producer, else one tile; n
+    is the number of its slots.
     Stored are the (..., T, s, s) tiles of V and jc and ``log_delta``
     (..., T, s), the eigenvalues of each tile's columns of V, all in the
     order the producer hands them; tile t's columns of the dense ``vecs``
@@ -516,19 +494,19 @@ class ModularData:
     methods return stacks.
     """
 
-    __slots__ = ("parent", "log_delta", "tiling", "_v", "_j")
+    __slots__ = ("log_delta", "tiling", "_v", "_j")
 
-    def __init__(self, parent, vecs, log_delta, jc, tiling=None):
+    def __init__(self, vecs, log_delta, jc, tiling=None):
         v = np.asarray(vecs, dtype=complex)
         lam = np.asarray(log_delta, dtype=float)
         j = np.asarray(jc, dtype=complex)
         if tiling is None:
             v, j = v[..., None, :, :], j[..., None, :, :]
-            lam, tiling = lam[..., None, :], _one_tile(parent.n)
-        if (v.shape[-3:] != tiling.shape + tiling.shape[-1:]
+            lam, tiling = lam[..., None, :], _one_tile(v.shape[-1])
+        if (not tiling.size or v.shape[-3:] != tiling.shape + tiling.shape[-1:]
                 or j.shape != v.shape or lam.shape != v.shape[:-1]):
             raise ValueError("V and jc must be n x n, log Delta of length n, "
-                             "or the tiles of each")
+                             "n >= 1, or the tiles of each")
         if not all(np.isfinite(a).all() for a in (v, lam, j)):
             raise ValueError("modular invariant violated: finite data")
         # validated tile by tile, as one stack
@@ -550,9 +528,10 @@ class ModularData:
         if not rel <= BALANCE_TOL:
             raise ValueError("modular invariant violated: J Delta J = "
                              f"Delta^-1 (relative error {rel:.3e})")
-        self.parent, self.log_delta, self.tiling = parent, lam, tiling
+        self.log_delta, self.tiling = lam, tiling
         self._v, self._j = v, j
 
+    n = property(lambda self: self.tiling.size)
     vecs = property(lambda self: _dense(self._v, self.tiling))
     jc = property(lambda self: _dense(self._j, self.tiling))
 
@@ -584,7 +563,7 @@ class ModularData:
         return _dense(self.tomita_tiles(), self.tiling)
 
     def __repr__(self):
-        return f"ModularData(parent={self.parent!r})"
+        return f"ModularData(n={self.n})"
 
 
 def modular_data(h):
@@ -619,7 +598,7 @@ def modular_data(h):
     lam = 2.0 * np.log(pair / s)
     jc = (a / pair[..., None, :]) @ _T(u)
     # a standard B has square tiles, whose eigenvectors sit on their slots
-    return ModularData(h.parent, u, lam, jc, tiling=h.tiling[0])
+    return ModularData(u, lam, jc, tiling=h.tiling[0])
 
 
 def subspace_from_modular(m):
@@ -632,7 +611,7 @@ def subspace_from_modular(m):
     """
     x = m.tomita_matrix()
     s_op = np.block([[x.real, x.imag], [x.imag, -x.real]])
-    u, sv, vt = np.linalg.svd(s_op - np.eye(m.parent.real_dim))
+    u, sv, vt = np.linalg.svd(s_op - np.eye(2 * m.n))
     cut = RANK_REL_TOL * sv[0] if sv[0] > 0 else np.inf
     kernel_mask = sv <= cut
     if not np.any(kernel_mask):
@@ -649,7 +628,7 @@ def subspace_from_modular(m):
                 stacklevel=2,
             )
     basis = vt[kernel_mask.nonzero()[0], :].T
-    return RealSubspace(m.parent, basis)
+    return RealSubspace(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -657,13 +636,15 @@ def subspace_from_modular(m):
 # ---------------------------------------------------------------------------
 
 
-def _common_parent(subspaces):
-    if not subspaces:
-        raise ValueError("need at least one subspace")
-    parent = subspaces[0].parent
-    if any(h.parent != parent for h in subspaces):
-        raise ValueError("subspaces live in different parent spaces")
-    return parent
+def _one_n(subspaces, name=None):
+    """The n of operands that must live in one C^n; a primitive ``name``
+    given takes no stacks."""
+    if name and any(h.tiles.ndim > 3 for h in subspaces):
+        raise ValueError(f"{name} takes single subspaces, not stacks")
+    ns = {h.n for h in subspaces}
+    if len(ns) != 1:
+        raise ValueError(f"need subspaces of one C^n, got n in {sorted(ns)}")
+    return ns.pop()
 
 
 def intersect(subspaces, method="exact", max_iter=5000, tol=1e-9):
@@ -682,13 +663,13 @@ def intersect(subspaces, method="exact", max_iter=5000, tol=1e-9):
     tiling, K as a stack whose stop rule reads all tiles; beyond that
     checked split the oracle shares no code with the exact method.
     """
-    parent = _common_parent(subspaces)
+    _one_n(subspaces, "intersect")
     if method == "exact":
         h = subspaces[0]
         for g in subspaces[1:]:
             rows, (a, b) = _joint(g, h)
             sines, v = principal_angles(a, b)
-            h = _spanned(parent, rows, b, v, sines <= ANGLE_TOL)
+            h = _spanned(rows, b, v, sines <= ANGLE_TOL)
         return h
     if method != "halperin":
         raise ValueError(f"unknown method {method!r}")
@@ -716,17 +697,17 @@ def intersect(subspaces, method="exact", max_iter=5000, tol=1e-9):
         residual = np.inf if step is None else tile_norm(step)
         raise HalperinNonConvergence(residual, iters)
     u, s, _ = np.linalg.svd(k, full_matrices=False)
-    return _spanned(parent, rows, last, u, s > 0.5)
+    return _spanned(rows, last, u, s > 0.5)
 
 
 def _joint(*subspaces):
     """The slots of each tile and the tiles of each basis, on the common
-    tiling of the subspaces (:func:`_common`)."""
-    rows = _common(subspaces[0].parent.n, *(h.tiling[0] for h in subspaces))
+    tiling of the subspaces (:func:`_common`), which share one n."""
+    rows = _common(_one_n(subspaces), *(h.tiling[0] for h in subspaces))
     return rows, [_tiles_on(h, rows) for h in subspaces]
 
 
-def _spanned(parent, rows, stack, vecs, keep):
+def _spanned(rows, stack, vecs, keep):
     """The span of stack[t] @ vecs[t][:, keep[t]] on the slots rows[t]:
     their stack when every tile keeps as many columns, else one tile
     holding them tile after tile."""
@@ -734,18 +715,18 @@ def _spanned(parent, rows, stack, vecs, keep):
     widths = [p.shape[1] for p in parts]
     cols = np.split(np.arange(sum(widths)), np.cumsum(widths)[:-1])
     if len(set(widths)) == 1:
-        return RealSubspace(parent, np.stack(parts), (rows, np.array(cols)))
-    out = np.zeros((parent.real_dim, sum(widths)))
-    for r, c, p in zip(_doubled(rows, parent.n), cols, parts):
+        return RealSubspace(np.stack(parts), (rows, np.array(cols)))
+    out = np.zeros((2 * rows.size, sum(widths)))
+    for r, c, p in zip(_doubled(rows, rows.size), cols, parts):
         out[r[:, None], c] = p
-    return RealSubspace(parent, out)
+    return RealSubspace(out)
 
 
 def sum_closure(subspaces):
     """Closed real span of a family of subspaces."""
-    parent = _common_parent(subspaces)
-    cols = np.hstack([h.basis for h in subspaces])
-    return RealSubspace(parent, _orthonormal_basis(cols, parent))
+    _one_n(subspaces, "sum_closure")
+    return RealSubspace(_orthonormal_basis(
+        np.hstack([h.basis for h in subspaces])))
 
 
 # ---------------------------------------------------------------------------
@@ -774,12 +755,12 @@ def symmetry_commutation_check(h, u, tiles=None):
     their spectral norms are the residuals, taken on the common tiling of
     u and the modular data.
     """
-    u, tiles = _operator(np.asarray(u, dtype=complex), tiles, h.parent.n)
+    u, tiles = _operator(np.asarray(u, dtype=complex), tiles, h.n)
     d = subspace_distance(h, h.transform(u, tiles))
     if d > SUBSPACE_TOL:
         raise ValueError(f"U does not preserve H (subspace distance {d:.3e})")
     m = modular_data(h)
-    rows = _common(h.parent.n, m.tiling, tiles)
+    rows = _common(h.n, m.tiling, tiles)
     ut = merged(u, tiles, rows)
     s, delta, j = (merged(x, m.tiling, rows)
                    for x in (m.tomita_tiles(), m.power_tiles(1.0), m._j))
@@ -797,7 +778,7 @@ def modular_roundtrip(m1, h):
     """max(||J - J'||, ||Delta - Delta'|| / ||Delta||) between ``m1`` and
     the pair recomputed from ``h``, on the common tiling of the two."""
     m2 = modular_data(h)
-    rows = _common(h.parent.n, m1.tiling, m2.tiling)
+    rows = _common(h.n, m1.tiling, m2.tiling)
     (j1, d1), (j2, d2) = ([merged(x, m.tiling, rows)
                            for x in (m._j, m.power_tiles(1.0))]
                           for m in (m1, m2))

@@ -100,14 +100,13 @@ def test_criterion_01_mobius_commutation():
 # ---------------------------------------------------------------------------
 
 
-def _random_standard(rng, parent):
+def _random_standard(rng, n):
     # resample when H meets iH below 0.05 rad: there the modular operator
     # norm grows like 4 / angle^2 and double precision cannot support the
     # 1e-8 identity budget, so such draws carry no information
     while True:
-        vecs = rng.normal(size=(parent.n, parent.n)) \
-            + 1j * rng.normal(size=(parent.n, parent.n))
-        h = stdspace.make_subspace(list(vecs), parent)
+        vecs = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = stdspace.make_subspace(vecs)
         rep = stdspace.standardness(h)
         if rep.standard and rep.minimal_angle > 0.05:
             return h
@@ -116,11 +115,10 @@ def _random_standard(rng, parent):
 def test_criterion_02_modular_identities():
     started = time.perf_counter()
     rng = np.random.default_rng(202)
-    parent = stdspace.ComplexSpace(8)
-    eye = np.eye(parent.real_dim)
+    eye = np.eye(16)  # the real form of C^8
     worst = 0.0
     for _ in range(200):
-        h = _random_standard(rng, parent)
+        h = _random_standard(rng, 8)
         md = stdspace.modular_data(h)
         dual = stdspace.symplectic_complement(h)
         # the identities in the real picture, on the 2n x 2n forms
@@ -131,7 +129,7 @@ def test_criterion_02_modular_identities():
             / np.linalg.norm(delta, 2)
 
         def moved(op):
-            return stdspace.RealSubspace(parent, op @ h.basis)
+            return stdspace.RealSubspace(op @ h.basis)
 
         worst = max(
             worst,
@@ -157,12 +155,10 @@ def test_criterion_02_modular_identities():
 def test_criterion_03_halperin_equivalence():
     started = time.perf_counter()
     rng = np.random.default_rng(303)
-    parent = stdspace.ComplexSpace(8)
 
     def span(k):
-        vecs = rng.normal(size=(k, parent.n)) \
-            + 1j * rng.normal(size=(k, parent.n))
-        return stdspace.make_subspace(list(vecs), parent)
+        vecs = rng.normal(size=(k, 8)) + 1j * rng.normal(size=(k, 8))
+        return stdspace.make_subspace(vecs)
 
     worst = 0.0
     for index in range(100):

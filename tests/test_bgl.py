@@ -63,8 +63,9 @@ def _gather(a, rows, cols):
 def test_constructors_fix_the_ambient_dimension(kind, total):
     net = _model(kind)
     assert net.kind == kind
-    assert net.parent.n == total
-    assert net.parent.real_dim == 2 * total
+    assert net.tiles.size == total
+    assert net.wedge_subspace(spacetime.Region.wedge_right()).basis.shape == (
+        2 * total, total)
 
 
 @pytest.mark.parametrize("ctor", [bgl.NetModel.chiral_sum,
@@ -154,7 +155,7 @@ def _eigen_subspace(net, region):
     """fix(J Delta^{1/2}) of a region at any apex: the eigenpair formula
     on its exact eigen form, on the model's tiles."""
     log_delta, vecs, _ = bgl._wedge_eigen(net.factors, region)
-    return bgl._eigenpair_fix(net.parent, net.tiles, log_delta, vecs)
+    return bgl._eigenpair_fix(net.tiles, log_delta, vecs)
 
 
 def test_halfline_block_is_a_valid_eigen_form():
@@ -170,8 +171,8 @@ def test_halfline_block_is_a_valid_eigen_form():
         assert np.array_equal(lam[pair], -lam)
     # so the stacks are modular data as they stand, with no dense Delta,
     # kept in the order they are handed
-    md = stdspace.ModularData(net.parent, vecs, log_delta,
-                              z[..., None] * np.eye(13), tiling=net.tiles)
+    md = stdspace.ModularData(vecs, log_delta, z[..., None] * np.eye(13),
+                              tiling=net.tiles)
     assert np.array_equal(md.log_delta, log_delta)
     assert np.array_equal(md._v, vecs)
 
@@ -209,7 +210,7 @@ def test_wedge_subspaces_are_standard(kind):
     for region in _origin_wedges():
         report = stdspace.standardness(net.wedge_subspace(region))
         assert report.standard
-        assert net.wedge_subspace(region).dim == net.parent.n
+        assert net.wedge_subspace(region).dim == net.tiles.size
 
 
 @pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
@@ -243,14 +244,13 @@ def test_modular_roundtrip_sees_wrong_modular_data():
     # tile t's columns of the dense V sit on its slots, the model's tiles
     # in slot order: the flat log Delta is the tiles' in turn
     lam = md.log_delta.ravel()
-    wrong = stdspace.ModularData(net.parent, md.vecs, 1.01 * lam, md.jc)
+    wrong = stdspace.ModularData(md.vecs, 1.01 * lam, md.jc)
     want = (np.linalg.norm(wrong.power(1.0) - md.power(1.0), 2)
             / wrong.delta_norm)
     assert want > 0.01
     assert stdspace.modular_roundtrip(wrong, h) == pytest.approx(want,
                                                                  rel=1e-9)
-    turned = stdspace.ModularData(net.parent, md.vecs, lam,
-                                  np.exp(0.3j) * md.jc)
+    turned = stdspace.ModularData(md.vecs, lam, np.exp(0.3j) * md.jc)
     assert stdspace.modular_roundtrip(turned, h) == pytest.approx(
         abs(np.exp(0.3j) - 1.0), rel=1e-9)
 
@@ -354,7 +354,7 @@ def test_unit_matrix_of_translation_is_orthogonal(kind):
 
 def _unit_matrix_one_column_at_a_time(net, translation, dilation):
     return np.column_stack([reps.apply(net.factors, e, translation, dilation)
-                            for e in np.eye(net.parent.n)])
+                            for e in np.eye(net.tiles.size)])
 
 
 @pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
@@ -421,10 +421,10 @@ def test_implemented_dilation_dilates_both_lightrays(kind):
     # twisted model by the inner rotation V(q s), which mixes the copies
     net = _model(kind)
     s = -2 * net.factors[0].h
-    want = reps.apply(net.factors, np.eye(net.parent.n), dilation=(s, s))
+    want = reps.apply(net.factors, np.eye(net.tiles.size), dilation=(s, s))
     if kind == "twisted":
         c, si = math.cos(net.charge * s), math.sin(net.charge * s)
-        eye = np.eye(net.parent.n // 2)
+        eye = np.eye(net.tiles.size // 2)
         want = want @ np.block([[c * eye, -si * eye], [si * eye, c * eye]])
     got = net.implemented_dilation(s)
     assert got.shape == net.action_tiles.shape + net.action_tiles.shape[-1:]
@@ -436,8 +436,8 @@ def test_apply_takes_a_trailing_column_axis():
     rng = np.random.default_rng(5)
     s = 2 * net.factors[0].h
     g = (0.2, 0.0), (s, -s)
-    cols = rng.normal(size=(net.parent.n, 3)) \
-        + 1j * rng.normal(size=(net.parent.n, 3))
+    cols = rng.normal(size=(net.tiles.size, 3)) \
+        + 1j * rng.normal(size=(net.tiles.size, 3))
     out = reps.apply(net.factors, cols, *g)
     for j in range(3):
         assert np.array_equal(out[..., j],
@@ -654,7 +654,7 @@ def test_strong_additivity_fails_on_a_planted_halperin_result(monkeypatch):
     def planted(region, method="exact", **kwargs):
         if method == "halperin":
             return stdspace.RealSubspace(
-                net.parent, np.eye(net.parent.real_dim)[:, :1])
+                np.eye(2 * net.tiles.size)[:, :1])
         return exact_dual(region, method=method, **kwargs)
 
     monkeypatch.setattr(net, "region_subspace_dual", planted)
@@ -730,7 +730,7 @@ def test_tiled_reconstruction_residuals_match_a_dense_reference():
     # dilation of one factor taken from the representation: the tile
     # stacks, column rolls and tile norms give the same residuals
     net = bgl.NetModel.chiral_sum(n=17)
-    n, one = net.factors[0].n, np.eye(net.parent.n)
+    n, one = net.factors[0].n, np.eye(net.tiles.size)
     md_bl, md_br, md_d0 = (
         stdspace.modular_data(net.wedge_subspace(
             spacetime.Region.forward_cone(apex)))
@@ -775,7 +775,7 @@ def test_tiled_counterexample_residuals_match_a_dense_reference():
                / md.delta_norm)
     assert _ulps_apart(report.wedge_roundtrip, want)
     c, s = math.cos(0.7), math.sin(0.7)
-    eye = np.eye(net.parent.n // 2)
+    eye = np.eye(net.tiles.size // 2)
     rotation = np.block([[c * eye, -s * eye], [s * eye, c * eye]])
     want = _dense_symmetry_residuals(net.wedge_subspace(cone), rotation)
     assert _ulps_apart(report.gauge_residual, max(want))
@@ -871,7 +871,7 @@ def test_scalar_phase_is_not_a_subspace_symmetry():
     net = _model("twisted")
     cone = spacetime.Region.forward_cone((0.0, 0.0))
     h_v = net.wedge_subspace(cone)
-    phase = np.exp(0.7j) * np.eye(net.parent.n)
+    phase = np.exp(0.7j) * np.eye(net.tiles.size)
     with pytest.raises(ValueError, match="does not preserve"):
         stdspace.symmetry_commutation_check(h_v, phase)
 
@@ -1010,17 +1010,15 @@ def _one_tile(net):
     tiled = bgl.NetModel(net.kind, net.factors, charge=net.charge)
 
     def subspace(region):
-        return stdspace.RealSubspace(net.parent,
-                                     tiled.wedge_subspace(region).basis)
+        return stdspace.RealSubspace(tiled.wedge_subspace(region).basis)
 
     def modular(region):
         # the factor tiles in slot order: the flat log Delta is theirs in
         # turn
         md = tiled.wedge_modular(region)
-        return stdspace.ModularData(net.parent, md.vecs,
-                                    md.log_delta.ravel(), md.jc)
+        return stdspace.ModularData(md.vecs, md.log_delta.ravel(), md.jc)
 
-    one = np.arange(net.parent.n)[None]
+    one = np.arange(net.tiles.size)[None]
 
     def unit(*args, **kwargs):
         # the factor stack of the tiled copy, merged into the one tile
@@ -1066,7 +1064,7 @@ def test_direct_sum_models_run_tiled_and_agree_with_the_dense_call(kind):
         return h_r, bgl.axioms_report(net)
 
     h_r, report = entries(make())
-    n = h_r.parent.n
+    n = h_r.n
     derived = (h_r.tiling[0], stdspace.symplectic_complement(h_r).tiling[0],
                stdspace.modular_data(h_r).tiling)
     assert all(rows.shape[0] > 1 for rows in derived)
@@ -1156,7 +1154,7 @@ def test_subspaces_and_modular_data_store_only_their_tiles(kind):
     # storage held, bit for bit, and the dense V and jc the scatters of
     # the stacks their producer handed
     net = SMALL_MODELS[kind]()
-    n, tiles = net.parent.n, WEDGE_TILES[kind]
+    n, tiles = net.tiles.size, WEDGE_TILES[kind]
     s = n // tiles
     bgl.axioms_report(net)                 # fills the wedge and dual cache
     w_r, w_l = _origin_wedges()
@@ -1303,7 +1301,6 @@ def test_eigenpair_route_agrees_with_modular_route():
 def test_eigenpair_basis_keeps_the_pair_column_order(n):
     # reference: one column per self-paired mode, two per pair, in the
     # order the pairs are first met
-    parent = stdspace.ComplexSpace(n)
     kap = -bgl._kappa(n, 0.4)
     cols = bgl._dft(n).conj().T
     pair = [(n - m) % n for m in range(n)]
@@ -1324,7 +1321,7 @@ def test_eigenpair_basis_keeps_the_pair_column_order(n):
         ref += [v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)]
     ref = np.array(ref).T
     q, r = np.linalg.qr(np.vstack([ref.real, ref.imag]))
-    got = bgl._eigenpair_fix(parent, np.arange(n)[None], _TWO_PI * kap[None],
+    got = bgl._eigenpair_fix(np.arange(n)[None], _TWO_PI * kap[None],
                              cols[None])
     assert np.max(np.abs(got.basis - q * np.sign(np.diag(r)))) < 1e-14
 

@@ -370,14 +370,13 @@ def test_verify_stdspace_passes(tmp_path):
 def _verify_stdspace_one_sample_at_a_time(cfg, rng):
     """The verify-stdspace runner drawing and checking one span at a time;
     returns its results and the number of spans drawn."""
-    parent = stdspace.ComplexSpace(cfg["dim"])
-    n = parent.n
+    n = cfg["dim"]
     worst = dict.fromkeys(cli.CHECKS["verify-stdspace"], 0.0)
     drawn = 0
     for _ in range(cfg["samples"]):
         while True:
             vecs = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            h = stdspace.make_subspace(list(vecs), parent)
+            h = stdspace.make_subspace(vecs)
             drawn += 1
             rep = stdspace.standardness(h)
             if rep.standard and rep.minimal_angle > 0.05:
@@ -387,8 +386,7 @@ def _verify_stdspace_one_sample_at_a_time(cfg, rng):
         a, jc, delta = md.tomita_matrix(), md.jc, md.power(1.0)
         a_dual = stdspace.modular_data(dual).tomita_matrix()
         eye = np.eye(n)
-        jh = stdspace.RealSubspace.from_complex(
-            parent, jc @ h.complex_basis().conj())
+        jh = stdspace.RealSubspace.from_complex(jc @ h.complex_basis().conj())
         values = {
             "stdspace-tomita-involution": [
                 np.linalg.norm(a @ a.conj() - eye, 2)],
@@ -431,19 +429,18 @@ def test_verify_stdspace_draws_as_one_sample_at_a_time(dim, samples, seed,
 def _real_form_identities(h):
     """The six verify-stdspace residuals of each member of the stack h,
     computed in the real picture on the 2n x 2n forms."""
-    parent = h.parent
     md = stdspace.modular_data(h)
     dual = stdspace.symplectic_complement(h)
     s_real = real_antilinear(md.tomita_matrix())
     s_dual = real_antilinear(stdspace.modular_data(dual).tomita_matrix())
     j, delta = real_antilinear(md.jc), real_linear(md.power(1.0))
-    eye = np.eye(parent.real_dim)
+    eye = np.eye(2 * h.n)
 
     def norm(x):
         return np.linalg.norm(x, 2, axis=(-2, -1))
 
     def moved(op):
-        return stdspace.RealSubspace(parent, op @ h.basis)
+        return stdspace.RealSubspace(op @ h.basis)
 
     distance = stdspace.subspace_distance
     return {
@@ -464,8 +461,7 @@ def test_verify_stdspace_identities_match_the_real_form(monkeypatch):
     # the runner takes the six identities on n x n complex matrices; on
     # every member of a stack, and on the stack, they give what the real
     # 2n x 2n forms give
-    parent = stdspace.ComplexSpace(5)
-    stack = cli._random_standard(np.random.default_rng(3), parent, 6)
+    stack = cli._random_standard(np.random.default_rng(3), 5, 6)
     want = _real_form_identities(stack)
 
     def runner_on(h):
@@ -474,7 +470,7 @@ def test_verify_stdspace_identities_match_the_real_form(monkeypatch):
             {"dim": 5, "samples": 1}, 0, 1.0)[0])
 
     for i in range(6):
-        got = runner_on(stdspace.RealSubspace(parent, stack.basis[i]))
+        got = runner_on(stdspace.RealSubspace(stack.basis[i]))
         for name, values in want.items():
             assert abs(got[name] - values[i]) <= 1e-12, (name, i)
     got = runner_on(stack)
@@ -779,7 +775,7 @@ def test_grid_time_precheck_agrees_with_the_dilation():
     outcomes = set()
     for h in (math.pi, 0.5, 2 * math.pi / 3, 1.0):
         net = bgl.NetModel.chiral_sum(n=9, h=h)
-        xi = np.ones(net.parent.n, dtype=complex)
+        xi = np.ones(net.tiles.size, dtype=complex)
         for k in (1, 2, 3):
             for delta in (0.0, 2e-10, -8e-10, 8e-10, 2e-9, -2e-9, 5e-9,
                           1e-3):

@@ -15,7 +15,6 @@ from realform import real_antilinear, real_linear
 from modnet import bgl, spacetime, stdspace
 from modnet.stdspace import (
     RANK_REL_TOL,
-    ComplexSpace,
     ConditioningWarning,
     HalperinNonConvergence,
     ModularData,
@@ -38,27 +37,26 @@ ATOL = 1e-10
 LOOSE = 1e-8
 
 
-def real_slice(parent):
+def real_slice(n):
     """The subspace R^n of C^n (conjugation-fixed vectors)."""
-    return make_subspace(list(np.eye(parent.n)), parent)
+    return make_subspace(np.eye(n))
 
 
-def random_subspace(rng, parent, k):
-    vecs = rng.normal(size=(k, parent.n)) + 1j * rng.normal(size=(k, parent.n))
-    return make_subspace(list(vecs), parent)
+def random_subspace(rng, n, k):
+    return make_subspace(rng.normal(size=(k, n))
+                         + 1j * rng.normal(size=(k, n)))
 
 
-def random_standard(rng, parent):
+def random_standard(rng, n):
     """Generic n-dimensional real subspaces are standard."""
     while True:
-        h = random_subspace(rng, parent, parent.n)
+        h = random_subspace(rng, n, n)
         if standardness(h).standard:
             return h
 
 
-def random_modular_pair(rng, parent):
+def random_modular_pair(rng, n):
     """Random admissible (J, Delta) with paired eigenvalues (lam, 1/lam)."""
-    n = parent.n
     m = n // 2
     lam = np.exp(rng.uniform(-1.5, 1.5, size=m))
     d_eigs = np.concatenate([lam, 1.0 / lam])
@@ -67,7 +65,7 @@ def random_modular_pair(rng, parent):
     perm[m:, :m] = np.eye(m)
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     v, _ = np.linalg.qr(z)
-    return ModularData(parent, v, np.log(d_eigs), v @ perm @ v.T)
+    return ModularData(v, np.log(d_eigs), v @ perm @ v.T)
 
 
 def _projector(h):
@@ -89,13 +87,12 @@ def test_imaginary_form_identity():
     # Im<x, y> = -Re<x, i y>: the real pairing of the bases of the real
     # lines through x and i y, the form whose annihilator the symplectic
     # complement is
-    sp = ComplexSpace(5)
     rng = np.random.default_rng(2)
     for _ in range(10):
         x = rng.normal(size=5) + 1j * rng.normal(size=5)
         y = rng.normal(size=5) + 1j * rng.normal(size=5)
         scale = np.linalg.norm(x) * np.linalg.norm(y)
-        hx, hy = (RealSubspace.from_complex(sp, v[:, None] / np.linalg.norm(v))
+        hx, hy = (RealSubspace.from_complex(v[:, None] / np.linalg.norm(v))
                   for v in (x, 1j * y))
         im = -scale * (hx.basis.T @ hy.basis)[0, 0]
         assert_allclose(im, np.vdot(x, y).imag, atol=ATOL)
@@ -109,48 +106,85 @@ def test_imaginary_form_identity():
 
 
 def test_make_subspace_zero_vector():
-    sp = ComplexSpace(3)
-    h = make_subspace([np.zeros(3)], sp)
+    h = make_subspace([np.zeros(3)])
     assert h.dim == 0
-    assert make_subspace([], sp).dim == 0
+    assert make_subspace(np.zeros((0, 3))).dim == 0
 
 
 def test_make_subspace_complex_line():
-    sp = ComplexSpace(2)
     e1 = np.array([1.0, 0.0])
-    h = make_subspace([e1, 1j * e1], sp)
+    h = make_subspace([e1, 1j * e1])
     assert h.dim == 2
 
 
 def test_make_subspace_generic_rank():
-    sp = ComplexSpace(10)
     rng = np.random.default_rng(5)
     vecs = rng.normal(size=(50, 10)) + 1j * rng.normal(size=(50, 10))
-    assert make_subspace(list(vecs), sp).dim == 20
+    assert make_subspace(list(vecs)).dim == 20
 
 
 def test_subspace_validation():
-    sp = ComplexSpace(2)
     with pytest.raises(ValueError):
-        RealSubspace(sp, np.ones((4, 2)))
+        RealSubspace(np.ones((4, 2)))
     with pytest.raises(ValueError):
-        RealSubspace(sp, np.eye(3))
+        RealSubspace(np.eye(3))
     # a NaN Gram error is no error within tolerance
     with pytest.raises(ValueError, match="orthonormal"):
-        RealSubspace(sp, np.full((4, 2), np.nan))
-    h = RealSubspace(sp, np.eye(4)[:, :2])
+        RealSubspace(np.full((4, 2), np.nan))
+    h = RealSubspace(np.eye(4)[:, :2])
     op = np.eye(2, dtype=complex)
     op[1, 0] = np.nan
     with pytest.raises(ValueError):
         h.transform(op)
 
 
+def test_n_is_the_slots_of_the_tiling():
+    # a subspace or modular record states n once, by its arrays: the
+    # slots of a handed tiling, else the rows of its one tile
+    rng = np.random.default_rng(5)
+    h = _direct_sum_basis(rng, 2, 2, 2, rng.permutation(4),
+                          rng.permutation(4))
+    assert h.n == h.tiling[0].size == 4
+    assert h.basis.shape == (8, 4)
+    assert standardness(h).cyclic
+    assert modular_data(h).n == 4
+    net, wedge = _tiled_chiral_wedge()
+    assert wedge.n == net.tiles.size == 18
+    assert net.wedge_modular(spacetime.Region.wedge_right()).n == 18
+    one = RealSubspace(np.eye(10)[:, :3])
+    assert one.n == 5 and one.tiling[0].shape == (1, 5)
+    assert ModularData(np.eye(3), np.zeros(3), np.eye(3)).n == 3
+    assert make_subspace(np.zeros((0, 7))).n == 7
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (7, 2), (0, 0), (2, 3, 1),
+                                   (2, 0, 0)])
+def test_a_one_tile_basis_needs_an_even_positive_number_of_rows(shape):
+    basis = np.zeros(shape)
+    basis[..., :shape[-1], :] = np.eye(*shape[-2:])[:shape[-1]]
+    with pytest.raises(ValueError, match=re.escape("(2n x k)")):
+        RealSubspace(basis)
+
+
+def test_no_operand_of_zero_n_is_taken():
+    for vectors in (np.zeros((2, 0)), np.zeros((0, 0)), np.zeros((3, 2, 0)),
+                    np.zeros(3)):
+        with pytest.raises(ValueError, match=re.escape("(..., k, n)")):
+            make_subspace(vectors)
+    with pytest.raises(ValueError, match="n >= 1"):
+        ModularData(np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)))
+    empty = np.zeros((0, 2), dtype=int)
+    with pytest.raises(ValueError, match="n >= 1"):
+        ModularData(np.zeros((0, 2, 2)), np.zeros((0, 2)),
+                    np.zeros((0, 2, 2)), tiling=empty)
+
+
 def test_transform_refuses_a_scaled_rotation():
     # the image basis is taken as it is: an operator off unitary by 1e-6
     # fails the constructor's Gram check instead of being re-spanned
     rng = np.random.default_rng(53)
-    sp = ComplexSpace(4)
-    h = random_subspace(rng, sp, 3)
+    n = 4
+    h = random_subspace(rng, n, 3)
     rot = np.linalg.qr(rng.normal(size=(4, 4))
                        + 1j * rng.normal(size=(4, 4)))[0]
     h.transform(rot)
@@ -160,17 +194,16 @@ def test_transform_refuses_a_scaled_rotation():
 
 def test_transform_of_a_unitary_spans_the_orthonormalised_image():
     rng = np.random.default_rng(59)
-    sp = ComplexSpace(6)
+    n = 6
     z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     u = np.linalg.qr(z)[0]
     frame = np.linalg.qr(rng.normal(size=(12, 12)))[0]
-    for k in range(sp.real_dim + 1):
-        h = RealSubspace(sp, frame[:, :k])
+    for k in range(2 * n + 1):
+        h = RealSubspace(frame[:, :k])
         moved = h.transform(u)
         # the image as the SVD re-orthonormalisation of the real form
         # gives it
-        svd_image = RealSubspace(
-            sp, _orthonormal_basis(real_linear(u) @ h.basis, sp))
+        svd_image = RealSubspace(_orthonormal_basis(real_linear(u) @ h.basis))
         assert moved.dim == k
         assert subspace_distance(moved, svd_image) < 1e-13
 
@@ -181,25 +214,25 @@ def test_transform_of_a_unitary_spans_the_orthonormalised_image():
 
 
 def test_complement_of_everything_and_nothing():
-    sp = ComplexSpace(3)
-    full = RealSubspace.full(sp)
+    n = 3
+    full = RealSubspace(np.eye(2 * n))
     assert symplectic_complement(full).dim == 0
-    assert symplectic_complement(RealSubspace.zero(sp)).dim == 6
+    assert symplectic_complement(RealSubspace(np.zeros((2 * n, 0)))).dim == 6
 
 
 def test_real_slice_is_self_complementary():
-    sp = ComplexSpace(4)
-    h = real_slice(sp)
+    n = 4
+    h = real_slice(n)
     assert subspace_distance(symplectic_complement(h), h) < ATOL
 
 
 def test_complement_dimension_and_involution():
     rng = np.random.default_rng(7)
-    sp = ComplexSpace(4)
+    n = 4
     for _ in range(30):
-        h = random_subspace(rng, sp, rng.integers(0, 5))
+        h = random_subspace(rng, n, rng.integers(0, 5))
         hp = symplectic_complement(h)
-        assert hp.dim == sp.real_dim - h.dim
+        assert hp.dim == 2 * n - h.dim
         assert subspace_distance(symplectic_complement(hp), h) < 1e-9
 
 
@@ -208,17 +241,16 @@ def test_complement_from_one_qr_is_orthogonal_to_i_h(n):
     # H' is the trailing 2n - k columns of a complete QR of i b, for
     # every k including the empty and the full subspace, alone and stacked
     rng = np.random.default_rng(61 + n)
-    sp = ComplexSpace(n)
-    d = sp.real_dim
+    d = 2 * n
     for k in sorted({0, 1, n, d - 1, d}):
-        stack = RealSubspace(sp, np.stack(
+        stack = RealSubspace(np.stack(
             [np.linalg.qr(rng.normal(size=(d, d)))[0][:, :k]
              for _ in range(3)]))
         duals = symplectic_complement(stack)
         assert duals.basis.shape == (3, d, d - k)
         for i in range(3):
             rotated = times_i(n) @ stack.basis[i]
-            one = symplectic_complement(RealSubspace(sp, stack.basis[i]))
+            one = symplectic_complement(RealSubspace(stack.basis[i]))
             assert one.dim == d - k
             assert np.max(np.abs(rotated.T @ one.basis), initial=0.0) <= 1e-14
             assert np.array_equal(duals.basis[i], one.basis)
@@ -230,22 +262,20 @@ def test_complement_from_one_qr_is_orthogonal_to_i_h(n):
 
 
 def test_real_slice_standard_with_right_angle():
-    rep = standardness(real_slice(ComplexSpace(3)))
+    rep = standardness(real_slice(3))
     assert rep.cyclic and rep.separating
     assert_allclose(rep.minimal_angle, math.pi / 2, atol=1e-9)
 
 
 def test_complex_line_not_standard():
-    sp = ComplexSpace(2)
-    h = make_subspace([np.array([1.0, 0.0]), np.array([1j, 0.0])], sp)
+    h = make_subspace([np.array([1.0, 0.0]), np.array([1j, 0.0])])
     rep = standardness(h)
     assert not rep.cyclic
     assert not rep.separating
 
 
 def test_frozen_example_is_standard():
-    sp = ComplexSpace(2)
-    h = make_subspace([np.array([1.0, 2.0]), np.array([1j, -2j])], sp)
+    h = make_subspace([np.array([1.0, 2.0]), np.array([1j, -2j])])
     assert standardness(h).standard
 
 
@@ -255,8 +285,8 @@ def test_frozen_example_is_standard():
 
 
 def test_real_slice_has_trivial_modular_operator():
-    sp = ComplexSpace(3)
-    m = modular_data(real_slice(sp))
+    n = 3
+    m = modular_data(real_slice(n))
     # S = J = conj
     assert_allclose(m.tomita_matrix(), np.eye(3), atol=1e-9)
     assert_allclose(m.power(1.0), np.eye(3), atol=1e-9)
@@ -264,19 +294,17 @@ def test_real_slice_has_trivial_modular_operator():
 
 
 def test_one_dimensional_subspaces_have_trivial_delta():
-    sp = ComplexSpace(1)
     rng = np.random.default_rng(11)
     for _ in range(10):
         theta = rng.uniform(0, 2 * math.pi)
-        h = make_subspace([np.array([np.exp(1j * theta)])], sp)
+        h = make_subspace([np.array([np.exp(1j * theta)])])
         m = modular_data(h)
         assert_allclose(m.power(1.0), np.eye(1), atol=1e-9)
 
 
 def test_frozen_c2_modular_pair():
     # H = {(w, 2 conj(w))} has Delta = diag(4, 1/4) and J = swap o conj
-    sp = ComplexSpace(2)
-    h = make_subspace([np.array([1.0, 2.0]), np.array([1j, -2j])], sp)
+    h = make_subspace([np.array([1.0, 2.0]), np.array([1j, -2j])])
     m = modular_data(h)
     assert_allclose(m.power(1.0), np.diag([4.0, 0.25]), atol=1e-9)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -284,23 +312,21 @@ def test_frozen_c2_modular_pair():
 
 
 def test_modular_rejects_non_standard_with_named_reason():
-    sp = ComplexSpace(2)
-    line = make_subspace([np.array([1.0, 0.0]), np.array([1j, 0.0])], sp)
+    line = make_subspace([np.array([1.0, 0.0]), np.array([1j, 0.0])])
     with pytest.raises(ValueError, match="cyclic"):
         modular_data(line)
     crowded = make_subspace(
-        [np.array([1.0, 0.0]), np.array([1j, 0.0]), np.array([0.0, 1.0])], sp
-    )
+        [np.array([1.0, 0.0]), np.array([1j, 0.0]), np.array([0.0, 1.0])])
     with pytest.raises(ValueError, match="separating"):
         modular_data(crowded)
 
 
 def test_tomita_invariants_on_random_standard_subspaces():
     rng = np.random.default_rng(13)
-    sp = ComplexSpace(3)
+    n = 3
     eye = np.eye(3)
     for _ in range(15):
-        h = random_standard(rng, sp)
+        h = random_standard(rng, n)
         m = modular_data(h)
         # S = a conj fixes H pointwise and squares to one
         a, b = m.tomita_matrix(), h.complex_basis()
@@ -310,7 +336,7 @@ def test_tomita_invariants_on_random_standard_subspaces():
         assert_allclose(m.jc @ m.power(0.5).conj(), a, atol=1e-8)
         # J H = H' and the commutant's Tomita operator is the adjoint
         hp = symplectic_complement(h)
-        jh = RealSubspace.from_complex(sp, m.jc @ b.conj())
+        jh = RealSubspace.from_complex(m.jc @ b.conj())
         assert subspace_distance(jh, hp) < 1e-8
         assert_allclose(modular_data(hp).tomita_matrix(), a.T, atol=1e-7)
         # modular flow preserves H
@@ -320,8 +346,8 @@ def test_tomita_invariants_on_random_standard_subspaces():
 
 def test_delta_flow_is_a_one_parameter_unitary_group():
     rng = np.random.default_rng(17)
-    sp = ComplexSpace(3)
-    m = modular_data(random_standard(rng, sp))
+    n = 3
+    m = modular_data(random_standard(rng, n))
     u, v = m.delta_it(0.7), m.delta_it(-0.3)
     assert_allclose(u.conj().T @ u, np.eye(3), atol=1e-10)
     assert_allclose(u @ v, m.delta_it(0.4), atol=1e-10)
@@ -334,29 +360,27 @@ def test_delta_flow_is_a_one_parameter_unitary_group():
 
 
 def test_trivial_modular_data_gives_real_slice():
-    sp = ComplexSpace(3)
-    m = ModularData(sp, np.eye(3), np.zeros(3), np.eye(3))
+    n = 3
+    m = ModularData(np.eye(3), np.zeros(3), np.eye(3))
     h = subspace_from_modular(m)
-    assert subspace_distance(h, real_slice(sp)) < ATOL
+    assert subspace_distance(h, real_slice(n)) < ATOL
 
 
 def test_frozen_c2_fixed_points():
-    sp = ComplexSpace(2)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    m = ModularData(sp, np.eye(2), np.log([4.0, 0.25]), swap)
+    m = ModularData(np.eye(2), np.log([4.0, 0.25]), swap)
     h = subspace_from_modular(m)
-    expect = make_subspace([np.array([1.0, 2.0]), np.array([1j, -2j])], sp)
+    expect = make_subspace([np.array([1.0, 2.0]), np.array([1j, -2j])])
     assert h.dim == 2
     assert subspace_distance(h, expect) < 1e-9
 
 
 def test_modular_roundtrip_on_random_pairs():
     rng = np.random.default_rng(19)
-    sp = ComplexSpace(4)
     for _ in range(10):
-        m = random_modular_pair(rng, sp)
+        m = random_modular_pair(rng, 4)
         h = subspace_from_modular(m)
-        assert h.dim == sp.n
+        assert h.dim == 4
         assert standardness(h).standard
         m2 = modular_data(h)
         assert (np.linalg.norm(m2.power(1.0) - m.power(1.0), 2)
@@ -365,11 +389,10 @@ def test_modular_roundtrip_on_random_pairs():
 
 
 def test_eigen_form_validation_messages():
-    sp = ComplexSpace(2)
     eye = np.eye(2)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     lam = np.array([1.0, -1.0])
-    m = ModularData(sp, eye, lam, swap)
+    m = ModularData(eye, lam, swap)
     # one tile, its log Delta kept in the order handed
     assert np.array_equal(m.log_delta, [[1.0, -1.0]])
     assert m.delta_norm == pytest.approx(math.e)
@@ -385,21 +408,20 @@ def test_eigen_form_validation_messages():
     for name, args in violations.items():
         pattern = f"modular invariant violated: {re.escape(name)}"
         with pytest.raises(ValueError, match=pattern):
-            ModularData(sp, *args)
+            ModularData(*args)
     with pytest.raises(ValueError, match="n x n"):
-        ModularData(sp, np.eye(3), lam, swap)
+        ModularData(np.eye(3), lam, swap)
     # NaN data is a violation, not a pass
     with pytest.raises(ValueError, match="finite data"):
-        ModularData(sp, eye, lam, np.full((2, 2), np.nan))
+        ModularData(eye, lam, np.full((2, 2), np.nan))
 
 
 def test_every_eigen_form_violation_raises_on_any_member_of_a_stack():
-    sp = ComplexSpace(2)
     eye = np.eye(2)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     lam = np.array([1.0, -1.0])
     good = (eye, lam, swap)
-    stacked = ModularData(sp, *(np.stack([a] * 3) for a in good))
+    stacked = ModularData(*(np.stack([a] * 3) for a in good))
     assert np.array_equal(stacked.log_delta, [[[1.0, -1.0]]] * 3)
     assert np.array_equal(stacked.delta_norm, [math.e] * 3)
     violations = {
@@ -415,24 +437,23 @@ def test_every_eigen_form_violation_raises_on_any_member_of_a_stack():
             members[k] = bad
             args = (np.stack(parts) for parts in zip(*members))
             with pytest.raises(ValueError, match=re.escape(name)):
-                ModularData(sp, *args)
+                ModularData(*args)
     with pytest.raises(ValueError, match="n x n"):
-        ModularData(sp, np.stack([eye] * 3), np.stack([lam] * 2),
+        ModularData(np.stack([eye] * 3), np.stack([lam] * 2),
                     np.stack([swap] * 3))
 
 
 def _stack_of(subspaces):
-    return RealSubspace(subspaces[0].parent,
-                        np.stack([h.basis for h in subspaces]))
+    return RealSubspace(np.stack([h.basis for h in subspaces]))
 
 
 def test_stacked_primitives_match_single_calls():
     # a stack is evaluated in one LAPACK/BLAS call per step, and each
     # member gets exactly what it gets alone
     rng = np.random.default_rng(43)
-    sp = ComplexSpace(4)
-    hs = [random_standard(rng, sp) for _ in range(3)]
-    ks = [random_subspace(rng, sp, 3) for _ in range(3)]
+    n = 4
+    hs = [random_standard(rng, n) for _ in range(3)]
+    ks = [random_subspace(rng, n, 3) for _ in range(3)]
     h, k = _stack_of(hs), _stack_of(ks)
     md = modular_data(h)
     dual = symplectic_complement(h)
@@ -465,17 +486,17 @@ def test_stacked_primitives_match_single_calls():
 
 def test_stacks_refuse_mixed_members():
     rng = np.random.default_rng(47)
-    sp = ComplexSpace(3)
+    n = 3
     vecs = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
-    assert make_subspace(vecs, sp).basis.shape == (2, 6, 3)
+    assert make_subspace(vecs).basis.shape == (2, 6, 3)
     vecs[1, 2] = vecs[1, 0]
     with pytest.raises(ValueError, match="differ in rank"):
-        make_subspace(vecs, sp)
+        make_subspace(vecs)
     # a stack is standard only if every member is
-    h = _stack_of([random_standard(rng, sp), real_slice(sp),
+    h = _stack_of([random_standard(rng, n), real_slice(n),
                    make_subspace([np.array([1.0, 0, 0]),
                                   np.array([1j, 0, 0]),
-                                  np.array([0, 1.0, 0])], sp)])
+                                  np.array([0, 1.0, 0])])])
     assert list(standardness(h).standard) == [True, True, False]
     with pytest.raises(ValueError, match="not cyclic"):
         modular_data(h)
@@ -485,7 +506,6 @@ def test_invariant_errors_are_the_real_form_entries():
     # the complex-form checks report the largest entry of the real-form
     # residuals V^T V - 1, J^T J - 1 and J J - 1
     rng = np.random.default_rng(23)
-    sp = ComplexSpace(3)
     eye = np.eye(6)
     z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     unitary, _ = np.linalg.qr(z)
@@ -499,7 +519,7 @@ def test_invariant_errors_are_the_real_form_entries():
     )
     for name, vecs, jc, residual in cases:
         with pytest.raises(ValueError, match=name) as info:
-            ModularData(sp, vecs, np.zeros(3), jc)
+            ModularData(vecs, np.zeros(3), jc)
         reported = float(str(info.value).split("error ")[1].rstrip(")"))
         assert reported == pytest.approx(
             np.max(np.abs(residual())), rel=1e-3), name
@@ -509,7 +529,7 @@ def _solve_eigh_polar_route(h):
     """Reference route without the SVD formulas: C = B conj(B)^{-1} by
     solve, Delta = C^T conj(C) by eigh, and J the unitary polar factor of
     C conj(Delta^{-1/2}); returns (C, Delta, jc)."""
-    n = h.parent.n
+    n = h.n
     b = h.basis[:n] + 1j * h.basis[n:]
     c = np.linalg.solve(b.conj().T, b.T).T
     delta = c.T @ c.conj()
@@ -534,9 +554,8 @@ def _assert_routes_agree(h, tol=1e-10):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_one_svd_route_matches_the_solve_eigh_polar_route(n):
     rng = np.random.default_rng(100 + n)
-    sp = ComplexSpace(n)
     for _ in range(5):
-        _assert_routes_agree(random_standard(rng, sp))
+        _assert_routes_agree(random_standard(rng, n))
 
 
 @pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
@@ -554,8 +573,8 @@ def test_one_svd_route_matches_the_dense_route_on_wedges(kind):
 
 def test_modular_data_takes_one_svd_and_no_eigensolve(monkeypatch):
     rng = np.random.default_rng(29)
-    sp = ComplexSpace(4)
-    h = random_standard(rng, sp)
+    n = 4
+    h = random_standard(rng, n)
     _, delta, _ = _solve_eigh_polar_route(h)
     w, v = np.linalg.eigh(delta)
     calls = []
@@ -582,12 +601,11 @@ def test_badly_conditioned_kernel_warns():
     # With a very wide modular spectrum the relative rank threshold
     # swallows genuine non-fixed directions (singular value 5.2 vs cut
     # 1e-8 * 1e9 = 10), so the kernel is overcounted and flagged.
-    sp = ComplexSpace(6)
     eigs = [1e18, 1e4, 25.0]
     perm = np.zeros((6, 6))
     perm[:3, 3:] = np.eye(3)
     perm[3:, :3] = np.eye(3)
-    m = ModularData(sp, np.eye(6), np.log(eigs + [1.0 / e for e in eigs]),
+    m = ModularData(np.eye(6), np.log(eigs + [1.0 / e for e in eigs]),
                     perm)
     with pytest.warns(ConditioningWarning):
         h = subspace_from_modular(m)
@@ -600,24 +618,22 @@ def test_badly_conditioned_kernel_warns():
 
 
 def test_intersect_coordinate_planes():
-    sp = ComplexSpace(2)  # real dimension 4
-    e = np.eye(4)
-    h1 = RealSubspace(sp, e[:, [0, 1]])
-    h2 = RealSubspace(sp, e[:, [1, 2]])
+    e = np.eye(4)  # the real form of C^2
+    h1 = RealSubspace(e[:, [0, 1]])
+    h2 = RealSubspace(e[:, [1, 2]])
     got = intersect([h1, h2])
     assert got.dim == 1
-    assert subspace_distance(got, RealSubspace(sp, e[:, [1]])) < ATOL
+    assert subspace_distance(got, RealSubspace(e[:, [1]])) < ATOL
     assert subspace_distance(intersect([h1, h1]), h1) < ATOL
 
 
 @pytest.mark.parametrize("method", ["exact", "halperin"])
 def test_intersect_with_shared_core(method):
     rng = np.random.default_rng(23)
-    sp = ComplexSpace(4)
     core = rng.normal(size=(8, 2))
-    h1 = RealSubspace(sp, np.linalg.qr(
+    h1 = RealSubspace(np.linalg.qr(
         np.hstack([core, rng.normal(size=(8, 2))]))[0][:, :4])
-    h2 = RealSubspace(sp, np.linalg.qr(
+    h2 = RealSubspace(np.linalg.qr(
         np.hstack([core, rng.normal(size=(8, 2))]))[0][:, :4])
     got = intersect([h1, h2], method=method)
     assert got.dim == 2
@@ -628,7 +644,6 @@ def test_intersect_with_shared_core(method):
 
 def test_halperin_matches_exact_on_random_pairs():
     rng = np.random.default_rng(29)
-    sp = ComplexSpace(8)
     for _ in range(100):
         shared = rng.integers(0, 3)
         core = rng.normal(size=(16, shared)) if shared else np.zeros((16, 0))
@@ -636,17 +651,16 @@ def test_halperin_matches_exact_on_random_pairs():
         for _ in range(2):
             extra = rng.normal(size=(16, 6 - shared))
             mats.append(np.linalg.qr(np.hstack([core, extra]))[0][:, :6])
-        h1, h2 = (RealSubspace(sp, b) for b in mats)
+        h1, h2 = (RealSubspace(b) for b in mats)
         a = intersect([h1, h2], method="exact")
         b = intersect([h1, h2], method="halperin", max_iter=5000, tol=1e-9)
         assert subspace_distance(a, b) < 1e-7
 
 
 def test_halperin_nonconvergence_reports_residual():
-    sp = ComplexSpace(1)
     eps = 1e-4
-    h1 = RealSubspace(sp, np.array([[1.0], [0.0]]))
-    h2 = RealSubspace(sp, np.array([[math.cos(eps)], [math.sin(eps)]]))
+    h1 = RealSubspace(np.array([[1.0], [0.0]]))
+    h2 = RealSubspace(np.array([[math.cos(eps)], [math.sin(eps)]]))
     with pytest.raises(HalperinNonConvergence) as err:
         intersect([h1, h2], method="halperin", max_iter=64, tol=1e-12)
     assert err.value.residual > 0.0
@@ -654,19 +668,58 @@ def test_halperin_nonconvergence_reports_residual():
 
 def test_sum_closure_basics():
     rng = np.random.default_rng(31)
-    sp = ComplexSpace(3)
-    h = random_subspace(rng, sp, 2)
-    assert subspace_distance(sum_closure([h, RealSubspace.zero(sp)]), h) < ATOL
-    chain = [RealSubspace(sp, h.basis[:, :1]), h]
+    n = 3
+    h = random_subspace(rng, n, 2)
+    zero = RealSubspace(np.zeros((2 * n, 0)))
+    assert subspace_distance(sum_closure([h, zero]), h) < ATOL
+    chain = [RealSubspace(h.basis[:, :1]), h]
     assert subspace_distance(sum_closure(chain), h) < ATOL
+
+
+@pytest.mark.parametrize("primitive", ["exact", "halperin", "sum_closure",
+                                       "subspace_distance",
+                                       "containment_gap"])
+def test_operands_of_different_n_are_refused(primitive):
+    # every primitive between subspaces runs one check that they share n
+    rng = np.random.default_rng(41)
+    a, b = random_subspace(rng, 3, 2), random_subspace(rng, 4, 2)
+    calls = {"exact": lambda f: intersect(f, method="exact"),
+             "halperin": lambda f: intersect(f, method="halperin"),
+             "sum_closure": sum_closure,
+             "subspace_distance": lambda f: subspace_distance(*f),
+             "containment_gap": lambda f: containment_gap(*f)}
+    for family in ([a, b], [b, a]):
+        with pytest.raises(ValueError,
+                           match=re.escape("one C^n, got n in [3, 4]")):
+            calls[primitive](family)
+    if primitive not in ("subspace_distance", "containment_gap"):
+        with pytest.raises(ValueError,
+                           match=re.escape("one C^n, got n in []")):
+            calls[primitive]([])
+
+
+@pytest.mark.parametrize("primitive", ["exact", "halperin", "sum_closure"])
+def test_intersect_and_sum_closure_refuse_stacks(primitive):
+    rng = np.random.default_rng(43)
+    stack = make_subspace(rng.normal(size=(2, 3, 4))
+                          + 1j * rng.normal(size=(2, 3, 4)))
+    single = random_subspace(rng, 4, 3)
+    name = "sum_closure" if primitive == "sum_closure" else "intersect"
+    for family in ([stack, single], [single, stack], [stack]):
+        with pytest.raises(ValueError,
+                           match=f"{name} takes single subspaces"):
+            if primitive == "sum_closure":
+                sum_closure(family)
+            else:
+                intersect(family, method=primitive)
 
 
 def test_de_morgan_laws():
     rng = np.random.default_rng(37)
-    sp = ComplexSpace(4)
+    n = 4
     for _ in range(20):
-        h1 = random_subspace(rng, sp, rng.integers(1, 4))
-        h2 = random_subspace(rng, sp, rng.integers(1, 4))
+        h1 = random_subspace(rng, n, rng.integers(1, 4))
+        h2 = random_subspace(rng, n, rng.integers(1, 4))
         lhs = symplectic_complement(sum_closure([h1, h2]))
         rhs = intersect([symplectic_complement(h1), symplectic_complement(h2)])
         assert subspace_distance(lhs, rhs) < 1e-8
@@ -700,9 +753,8 @@ def test_planted_intersection_exact_matches_halperin(n, seed, data):
     extra_b = data.draw(st.integers(1, d - 1 - core - extra_a),
                         label="extra_b")
     rng = np.random.default_rng(seed)
-    sp = ComplexSpace(n)
     shared = rng.normal(size=(d, core))
-    h1, h2 = (RealSubspace(sp, np.linalg.qr(
+    h1, h2 = (RealSubspace(np.linalg.qr(
         np.hstack([shared, rng.normal(size=(d, extra))]))[0])
         for extra in (extra_a, extra_b))
     exact = intersect([h1, h2], method="exact")
@@ -722,9 +774,8 @@ def test_complement_of_intersection_is_sum_of_complements(n, seed, data):
     extra_h = data.draw(st.integers(0, d - core), label="extra_h")
     extra_k = data.draw(st.integers(0, d - core - extra_h), label="extra_k")
     rng = np.random.default_rng(seed)
-    sp = ComplexSpace(n)
     shared = rng.normal(size=(d, core))
-    h, k = (RealSubspace(sp, np.linalg.qr(
+    h, k = (RealSubspace(np.linalg.qr(
         np.hstack([shared, rng.normal(size=(d, extra))]))[0])
         for extra in (extra_h, extra_k))
     lhs = symplectic_complement(intersect([h, k]))
@@ -739,16 +790,15 @@ def test_subspace_distance_is_the_projector_gap(n, seed, near, data):
     d = 2 * n
     k1 = data.draw(st.integers(0, d), label="k1")
     rng = np.random.default_rng(seed)
-    sp = ComplexSpace(n)
-    h1 = RealSubspace(sp, _orthonormal_frame(rng, d)[:, :k1])
+    h1 = RealSubspace(_orthonormal_frame(rng, d)[:, :k1])
     if near:
         # a small rotation of h1: the distance is of order 1e-5
         gen = rng.normal(size=(d, d)) * 1e-5
         rot = np.linalg.qr(np.eye(d) + gen - gen.T)[0]
-        h2 = RealSubspace(sp, rot @ h1.basis)
+        h2 = RealSubspace(rot @ h1.basis)
     else:
         k2 = data.draw(st.integers(0, d), label="k2")
-        h2 = RealSubspace(sp, _orthonormal_frame(rng, d)[:, :k2])
+        h2 = RealSubspace(_orthonormal_frame(rng, d)[:, :k2])
     projector_gap = np.linalg.norm(_projector(h1) - _projector(h2), 2)
     assert abs(subspace_distance(h1, h2) - projector_gap) < 1e-12
     assert subspace_distance(h1, h2) == subspace_distance(h2, h1)
@@ -761,7 +811,6 @@ def test_complex_norm_equals_real_form_norm(n, seed, kind):
     # residuals are spectral norms of complex n x n matrices: those of
     # their real 2n x 2n forms, at about an eighth of the SVD
     rng = np.random.default_rng(seed)
-    sp = ComplexSpace(n)
     c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     r = (real_linear if kind == "linear" else real_antilinear)(c)
     real = np.linalg.norm(r, 2)
@@ -772,12 +821,11 @@ def test_complex_norm_equals_real_form_norm(n, seed, kind):
 @given(n=st.integers(3, 6), seed=SEEDS)
 def test_angle_tolerance_separates_1e6_from_1e10(n, seed):
     rng = np.random.default_rng(seed)
-    sp = ComplexSpace(n)
     q = _orthonormal_frame(rng, 2 * n)
-    h1 = RealSubspace(sp, q[:, [0, 1, 4]])
+    h1 = RealSubspace(q[:, [0, 1, 4]])
     for angle, dim in ((1e-6, 1), (1e-10, 2)):
         tilted = math.cos(angle) * q[:, 0] + math.sin(angle) * q[:, 2]
-        h2 = RealSubspace(sp, np.column_stack([tilted, q[:, 3], q[:, 4]]))
+        h2 = RealSubspace(np.column_stack([tilted, q[:, 3], q[:, 4]]))
         sines, _ = principal_angles(h1.basis, h2.basis)
         assert sines[1] == pytest.approx(angle, rel=1e-6)
         assert intersect([h1, h2]).dim == dim
@@ -792,16 +840,15 @@ def test_complement_and_tomita_match_scipy_references(n, seed, planted,
     # scipy is the test-only reference for the numpy kernels: the SVD
     # null space behind H' and the linear solve behind C
     rng = np.random.default_rng(seed)
-    sp = ComplexSpace(n)
     d = 2 * n
     k = data.draw(st.integers(2 if planted else 1, d), label="k")
     cols = rng.normal(size=(d, k))
     if planted:
         # a complex line xi, i xi inside H: H meets iH nontrivially
         cols[:, 1] = times_i(n) @ cols[:, 0]
-    h = RealSubspace(sp, np.linalg.qr(cols)[0])
+    h = RealSubspace(np.linalg.qr(cols)[0])
     ours = symplectic_complement(h)
-    ref = RealSubspace(sp, sla.null_space((times_i(n) @ h.basis).T,
+    ref = RealSubspace(sla.null_space((times_i(n) @ h.basis).T,
                                           rcond=RANK_REL_TOL))
     assert ours.dim == ref.dim == d - k
     assert subspace_distance(ours, ref) <= 1e-12
@@ -814,14 +861,15 @@ def test_complement_and_tomita_match_scipy_references(n, seed, planted,
 
 
 def test_containment_gap_is_the_largest_sine():
-    sp = ComplexSpace(2)
+    n = 2
     e = np.eye(4)
-    big = RealSubspace(sp, e[:, [0, 1]])
-    tilted = RealSubspace(sp, np.column_stack(
+    big = RealSubspace(e[:, [0, 1]])
+    tilted = RealSubspace(np.column_stack(
         [e[:, 0], math.cos(0.3) * e[:, 1] + math.sin(0.3) * e[:, 2]]))
     assert containment_gap(big, tilted) == pytest.approx(math.sin(0.3))
-    assert containment_gap(big, RealSubspace.zero(sp)) == 0.0
-    assert containment_gap(RealSubspace.zero(sp), big) == pytest.approx(1.0)
+    zero = RealSubspace(np.zeros((2 * n, 0)))
+    assert containment_gap(big, zero) == 0.0
+    assert containment_gap(zero, big) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -831,9 +879,9 @@ def test_containment_gap_is_the_largest_sine():
 
 def _real_standardness(h):
     """Reference: rank of [b, i b] and the principal-angle route."""
-    rotated = times_i(h.parent.n) @ h.basis
+    rotated = times_i(h.n) @ h.basis
     s = np.linalg.svd(np.hstack([h.basis, rotated]), compute_uv=False)
-    cyclic = bool(np.sum(s > RANK_REL_TOL * s[0]) == h.parent.real_dim)
+    cyclic = bool(np.sum(s > RANK_REL_TOL * s[0]) == 2 * h.n)
     sines, v = principal_angles(h.basis, rotated)
     cosine = np.linalg.norm(h.basis.T @ (rotated @ v[:, 0]))
     return cyclic, math.atan2(sines[0], cosine)
@@ -841,7 +889,7 @@ def _real_standardness(h):
 
 def _real_modular(h):
     """Reference (S, J, Delta) from real 2n x 2n solve, eigh and SVD."""
-    b, rotated = h.basis, times_i(h.parent.n) @ h.basis
+    b, rotated = h.basis, times_i(h.n) @ h.basis
     s_op = np.linalg.solve(np.hstack([b, rotated]).T,
                            np.hstack([b, -rotated]).T).T
     delta = s_op.T @ s_op
@@ -874,7 +922,7 @@ def _dense_halperin(subspaces, tol=1e-9):
     """The squaring loop on the dense T = P_m ... P_1, kept in the tests
     only: the spectral norm of T^2 - T at every squaring until it is at
     most tol, and the near-1 eigenvectors of the limit."""
-    t = np.eye(subspaces[0].parent.real_dim)
+    t = np.eye(2 * subspaces[0].n)
     for h in subspaces:
         t = _projector(h) @ t
     residuals = []
@@ -890,9 +938,8 @@ def _dense_halperin(subspaces, tol=1e-9):
 @given(n=st.integers(1, 6), seed=SEEDS)
 def test_complex_modular_data_matches_the_real_form(n, seed):
     rng = np.random.default_rng(seed)
-    sp = ComplexSpace(n)
     while True:
-        h = random_subspace(rng, sp, n)
+        h = random_subspace(rng, n, n)
         rep = standardness(h)
         if rep.standard and rep.minimal_angle > 0.05:
             break
@@ -913,11 +960,10 @@ def test_complex_standardness_matches_the_real_form(n, seed, shape, data):
     # separating; a planted complex line makes H meet iH for any k
     k = data.draw(st.integers(1, 2 * n), label="k")
     rng = np.random.default_rng(seed)
-    sp = ComplexSpace(n)
     vecs = list(rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n)))
     if shape == "complex-line":
         vecs = vecs[:max(k - 2, 0)] + [vecs[-1], 1j * vecs[-1]]
-    h = make_subspace(vecs, sp)
+    h = make_subspace(vecs)
     rep = standardness(h)
     cyclic, angle = _real_standardness(h)
     assert rep.cyclic == cyclic
@@ -960,8 +1006,8 @@ def _halperin_family(rng, tiles, r, core, extras):
             c[t * r:(t + 1) * r, t * k:(t + 1) * k] = q[:r] + 1j * q[r:]
         tiling = (_permuted_tiles(slots, tiles),
                   np.arange(tiles * k).reshape(tiles, k))
-        family.append(RealSubspace.from_complex(
-            ComplexSpace(n), _gather(c[slots], *tiling), tiling))
+        family.append(RealSubspace.from_complex(_gather(c[slots], *tiling),
+                                                tiling))
     assert stdspace._joint(*family)[0].shape[0] == tiles
     return family
 
@@ -988,7 +1034,7 @@ def test_halperin_bounds_keep_the_spectral_decisions(r, seed, tiles, data):
         assert np.array_equal(got.basis, basis)
     else:
         assert subspace_distance(
-            got, RealSubspace(got.parent, basis)) < 1e-12
+            got, RealSubspace(basis)) < 1e-12
     with pytest.raises(HalperinNonConvergence):
         intersect(pair, method="halperin", max_iter=2 ** (squarings - 1) - 1)
 
@@ -1017,7 +1063,7 @@ def test_compressed_halperin_matches_the_dense_cyclic_product(r, seed,
     # the same squaring count: converged within 2^(squarings - 1) ...
     got = intersect(family, method="halperin", max_iter=2 ** (squarings - 1))
     assert got.dim == basis.shape[1] == tiles * core
-    assert subspace_distance(got, RealSubspace(got.parent, basis)) < 1e-12
+    assert subspace_distance(got, RealSubspace(basis)) < 1e-12
     # ... and not one squaring earlier
     with pytest.raises(HalperinNonConvergence) as err:
         intersect(family, method="halperin",
@@ -1033,17 +1079,16 @@ def test_compressed_halperin_matches_the_dense_cyclic_product(r, seed,
 
 
 def test_halperin_without_iterations_raises():
-    sp = ComplexSpace(2)
-    h = RealSubspace(sp, np.eye(4)[:, :2])
+    h = RealSubspace(np.eye(4)[:, :2])
     with pytest.raises(HalperinNonConvergence) as err:
         intersect([h, h], method="halperin", max_iter=0)
     assert err.value.residual == math.inf
 
 
 def test_halperin_with_a_zero_dimensional_member():
-    sp = ComplexSpace(2)
-    h = RealSubspace(sp, np.eye(4)[:, :2])
-    zero = RealSubspace.zero(sp)
+    n = 2
+    h = RealSubspace(np.eye(4)[:, :2])
+    zero = RealSubspace(np.zeros((2 * n, 0)))
     for family in ([h, zero], [zero, h], [h, zero, h], [zero]):
         got = intersect(family, method="halperin", max_iter=1)
         assert got.basis.shape == (4, 0)
@@ -1054,7 +1099,7 @@ def test_halperin_on_the_twisted_cone_allocates_no_dense_iterate():
     # 520: the compressed iterates are 260 x 260, so the whole
     # intersection peaks below two 520 x 520 float64 arrays (4.33 MB)
     net = bgl.NetModel.twisted(n=65)
-    d = net.parent.real_dim
+    d = 2 * net.tiles.size
     assert d == 520
     pair = [net.wedge_subspace(w) for w in
             spacetime.minimal_wedges(spacetime.Region.unit_double_cone())]
@@ -1074,7 +1119,6 @@ def test_operator_algebra_matches_the_real_form(n, seed, kinds):
     # the complex n x n rules the residual formulas rest on, against the
     # real 2n x 2n forms: products, transposes and U X U^T - X
     rng = np.random.default_rng(seed)
-    sp = ComplexSpace(n)
     a, b = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             for _ in range(2))
 
@@ -1107,8 +1151,7 @@ def test_operator_algebra_matches_the_real_form(n, seed, kinds):
 def test_symmetry_check_keeps_every_part_of_u(n, seed, kind):
     # the residuals equal those of the real forms, U X U^T - X
     rng = np.random.default_rng(seed)
-    sp = ComplexSpace(n)
-    h = random_standard(rng, sp)
+    h = random_standard(rng, n)
     m = modular_data(h)
     t = rng.uniform(-2.0, 2.0)
     # e^{i f(log Delta)} with f odd commutes with J and Delta, so it
@@ -1133,7 +1176,7 @@ def test_symmetry_check_keeps_every_part_of_u(n, seed, kind):
 
 def test_symmetry_commutation_trivial_and_modular():
     rng = np.random.default_rng(67)
-    h = random_standard(rng, ComplexSpace(3))
+    h = random_standard(rng, 3)
     rep = symmetry_commutation_check(h, np.eye(3))
     assert rep.max_residual < 1e-12
     m = modular_data(h)
@@ -1143,8 +1186,8 @@ def test_symmetry_commutation_trivial_and_modular():
 
 def test_symmetry_commutation_rejects_moving_unitary():
     rng = np.random.default_rng(71)
-    sp = ComplexSpace(3)
-    h = random_standard(rng, sp)
+    n = 3
+    h = random_standard(rng, n)
     z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     u = np.linalg.qr(z)[0]
     with pytest.raises(ValueError, match="preserve"):
@@ -1165,10 +1208,9 @@ def _direct_sum_basis(rng, tiles, r, k, slots, columns):
     for t in range(tiles):
         z = rng.normal(size=(k, r)) + 1j * rng.normal(size=(k, r))
         c[t * r:(t + 1) * r, t * k:(t + 1) * k] = make_subspace(
-            list(z), ComplexSpace(r)).complex_basis()
+            list(z)).complex_basis()
     tiling = _permuted_tiles(slots, tiles), _permuted_tiles(columns, tiles)
-    return RealSubspace.from_complex(
-        ComplexSpace(n), _gather(c[slots][:, columns], *tiling),
+    return RealSubspace.from_complex(_gather(c[slots][:, columns], *tiling),
         tiling)
 
 
@@ -1176,7 +1218,7 @@ def _dense_modular(h):
     """The one-SVD modular data on the whole complex basis, of one
     subspace or of a stack: (log Delta, V with its columns in that order,
     jc, S's complex matrix, Delta^{0.3 i})."""
-    n = h.parent.n
+    n = h.n
     u, s, wh = np.linalg.svd(h.basis[..., :n, :] + 1j * h.basis[..., n:, :])
     pair = s[..., ::-1]
     a = (u * s[..., None, :]) @ (wh @ wh.swapaxes(-1, -2))
@@ -1273,14 +1315,13 @@ def test_one_tile_primitives_are_the_plain_numpy_calls():
         assert np.array_equal(stdspace.qr_basis(a), q * signs[..., None, :])
 
     n = 6
-    parent = stdspace.ComplexSpace(n)
     standard = [bgl.NetModel.massive().wedge_subspace(
         spacetime.Region.wedge_right((0.0, 0.0)))]
     for shape in ((), (3,)):
         def span(k):
             z = (rng.normal(size=shape + (k, n))
                  + 1j * rng.normal(size=shape + (k, n)))
-            return make_subspace(z, parent)
+            return make_subspace(z)
 
         h, g = span(n), span(4)
         standard.append(h)
@@ -1334,7 +1375,7 @@ def test_transform_runs_on_the_tiles_of_the_unitary():
         u[np.ix_(p, p)] = np.linalg.qr(z)[0]
     moved = h.transform(_gather(u, pairs, pairs), pairs)
     assert np.array_equal(moved.tiling[0], pairs)
-    dense = RealSubspace.from_complex(h.parent, u @ h.complex_basis())
+    dense = RealSubspace.from_complex(u @ h.complex_basis())
     assert dense.tiling[0].shape[0] == 1
     assert subspace_distance(moved, dense) < 1e-14
     assert h.transform(u).tiling[0].shape[0] == 1
@@ -1346,6 +1387,31 @@ def _tiled_chiral_wedge():
     h = net.wedge_subspace(spacetime.Region.wedge_right((0.0, 0.0)))
     assert h.tiling[0].shape == (2, 9)
     return net, h
+
+
+def test_a_stack_of_tiled_subspaces_is_read_member_by_member():
+    # two subspaces on the chiral sum's two tiles, stacked: each member's
+    # tile spectra are sorted on their own, so the stack's reports are
+    # those of each member alone
+    net, h = _tiled_chiral_wedge()
+    g = net.wedge_subspace(spacetime.Region.wedge_right((0.3, -0.2)))
+    assert g.tiling is h.tiling
+    stack = RealSubspace(np.stack([h.tiles, g.tiles]), h.tiling)
+    swapped = RealSubspace(np.stack([g.tiles, h.tiles]), h.tiling)
+    rep, md = standardness(stack), modular_data(stack)
+    dist = subspace_distance(stack, swapped)
+    gap = containment_gap(stack, swapped)
+    assert rep.cyclic.shape == dist.shape == gap.shape == (2,)
+    for i, (one, other) in enumerate(((h, g), (g, h))):
+        alone = standardness(one)
+        assert (rep.cyclic[i], rep.separating[i], rep.minimal_angle[i]) == (
+            alone.cyclic, alone.separating, alone.minimal_angle)
+        md_one = modular_data(one)
+        for x, y in ((md.log_delta, md_one.log_delta), (md._v, md_one._v),
+                     (md._j, md_one._j)):
+            assert np.array_equal(x[i], y)
+        assert dist[i] == subspace_distance(one, other) > 0.1
+        assert gap[i] == containment_gap(one, other)
 
 
 @pytest.mark.parametrize("shape", [(18, 19), (1, 1), (18,), (2, 17, 17),
@@ -1448,9 +1514,9 @@ def test_a_handed_tiling_must_hold_every_nonzero():
     assert h.tiles.shape == (3, 4, 2)
     assert np.array_equal(
         h.tiles, _gather(h.basis, stdspace._doubled(rows, n), cols))
-    assert RealSubspace(h.parent, h.tiles, h.tiling).dim == n
+    assert RealSubspace(h.tiles, h.tiling).dim == n
     with pytest.raises(ValueError, match="do not match the tiling"):
-        RealSubspace(h.parent, h.basis, h.tiling)
+        RealSubspace(h.basis, h.tiling)
     # so is an operator: the dense matrix handed tiles is refused by its
     # shape, and its one n x n tile is taken whole
     u = np.eye(n, dtype=complex)
@@ -1473,8 +1539,7 @@ def test_modular_data_takes_a_handed_tiling_and_refuses_dense_data():
     # columns, shuffled with their log Delta, are kept as handed and give
     # the same operators
     p = np.array([rng.permutation(2) for _ in range(3)])
-    read = ModularData(
-        h.parent, np.take_along_axis(md._v, p[:, None, :], axis=-1),
+    read = ModularData(np.take_along_axis(md._v, p[:, None, :], axis=-1),
         np.take_along_axis(md.log_delta, p, axis=-1), md._j, tiling=rows)
     assert read.tiling is rows
     assert np.array_equal(read.log_delta,
@@ -1486,12 +1551,12 @@ def test_modular_data_takes_a_handed_tiling_and_refuses_dense_data():
     # handed a tiling is refused
     flat = np.empty(n)
     flat[rows] = md.log_delta
-    dense = ModularData(h.parent, md.vecs, flat, md.jc)
+    dense = ModularData(md.vecs, flat, md.jc)
     assert dense.tiling.shape[0] == 1
     assert np.array_equal(dense.vecs, md.vecs)
     assert_allclose(dense.power(0.3j), md.power(0.3j), atol=1e-14)
     with pytest.raises(ValueError, match="the tiles of each"):
-        ModularData(h.parent, md.vecs, md.log_delta, md.jc, tiling=md.tiling)
+        ModularData(md.vecs, md.log_delta, md.jc, tiling=md.tiling)
     # a modular unitary moves H on the tiles of its stack, and its dense
     # matrix on one tile, to the same image
     moved = h.transform(md.power_tiles(0.3j), rows)
@@ -1510,12 +1575,12 @@ def test_producers_hand_their_tiling_to_the_subspaces_they_build():
     # the real-orthonormalised span of complex columns: qr_basis on the
     # real form of each tile of the columns, so the span of a tiled
     # orthonormal basis, tiled as that basis
-    spanned = RealSubspace.orthonormalised(h.parent, h.complex_tiles(),
+    spanned = RealSubspace.orthonormalised(h.complex_tiles(),
                                            h.tiling)
     assert subspace_distance(spanned, h) < 1e-12
     assert np.array_equal(spanned.tiling[0], rows)
     assert RealSubspace.orthonormalised(
-        h.parent, h.complex_basis()).tiling[0].shape[0] == 1
+        h.complex_basis()).tiling[0].shape[0] == 1
     # the complement keeps the slots of each tile
     assert np.array_equal(symplectic_complement(h).tiling[0], rows)
     # a phase move keeps the tiling itself and needs unit phases
@@ -1523,7 +1588,7 @@ def test_producers_hand_their_tiling_to_the_subspaces_they_build():
     moved = h.phased(phases)
     assert moved.tiling is h.tiling
     assert np.array_equal(moved.basis, RealSubspace.from_complex(
-        h.parent, phases[:, None] * h.complex_basis()).basis)
+        phases[:, None] * h.complex_basis()).basis)
     assert subspace_distance(moved, h.transform(np.diag(phases))) < 1e-14
     for bad in (1.01 * phases, np.where(np.arange(n) == 2, np.nan, phases)):
         with pytest.raises(ValueError, match="modulus 1"):
@@ -1536,7 +1601,6 @@ def test_tiles_of_unequal_intersection_dimension_merge_untiled():
     # tile and keeps no tiling of its own
     rng = np.random.default_rng(6)
     r = 3
-    parent = ComplexSpace(2 * r)
     shared = rng.normal(size=(2 * r, 2))
     family = []
     for _ in range(2):
@@ -1546,8 +1610,7 @@ def test_tiles_of_unequal_intersection_dimension_merge_untiled():
             q = np.linalg.qr(np.hstack([core, extra]))[0]
             c[t * r:(t + 1) * r, 3 * t:3 * (t + 1)] = q[:r] + 1j * q[r:]
         tiling = np.arange(2 * r).reshape(2, r), np.arange(6).reshape(2, 3)
-        family.append(RealSubspace.from_complex(
-            parent, _gather(c, *tiling), tiling))
+        family.append(RealSubspace.from_complex(_gather(c, *tiling), tiling))
     assert stdspace._joint(*family)[0].shape[0] == 2
     exact = intersect(family)
     halperin = intersect(family, method="halperin", max_iter=1 << 20)
