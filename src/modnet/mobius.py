@@ -1,19 +1,18 @@
 """Mobius group of the (compactified) line, its universal cover, and
-interval dilation flows.
+interval dilation flows: the group layer that ``verify-mobius``,
+acceptance criterion 01 and the interval-flow oracle read.
 
 Elements of the Mobius group are kept as canonical-sign matrices in
-SL(2, R) acting on the extended real line by fractional linear maps
-
-    g . x = (a x + b) / (c x + d),        det = a d - b c = 1.
-
-The circle action (``act_circle``, ``act_angle``) runs through the
-Cayley map
+SL(2, R), the matrix [[a, b], [c, d]] standing for the fractional linear
+map x -> (a x + b) / (c x + d) of the extended real line; the flows are
+read and compared as these matrices.  The one action formed is that on
+the circle (``act_circle``, ``act_angle``), through the Cayley map
 
     C(x) = -(x - i) / (x + i),            C(0) = 1, C(1) = i, C(inf) = -1,
 
-which identifies the extended line with the unit circle; nothing else
-uses it.  An :class:`Interval` is an open interval of the line, given by
-its two endpoints, and its dilation flow is conjugated from that of the
+which identifies the extended line with the unit circle.  An
+:class:`Interval` is an open interval of the line, given by its two
+endpoints, and its dilation flow is conjugated from that of the
 positive half-line.
 
 The universal cover is parametrised by a base element together with a
@@ -44,9 +43,6 @@ import math
 import numpy as np
 
 INF = math.inf
-
-#: tolerance used by equality tests on canonical matrices
-EQ_TOL = 1e-9
 
 _TWO_PI = 2.0 * math.pi
 
@@ -162,13 +158,11 @@ class MobiusElement:
     mat : array_like, shape (2, 2) or (..., 2, 2)
         Real matrix with positive determinant; it is rescaled to
         determinant one and sign-canonicalised.  A stack of matrices
-        makes a stack of elements, which ``generators``, ``compose``,
-        ``inverse``, ``is_rotation``, ``act_circle``, ``act_angle`` and
-        ``iwasawa`` handle member by member; the other methods take a
-        single element.
+        makes a stack of elements, which every method but the repr
+        handles member by member.
     """
 
-    __slots__ = ("mat", "_circle", "_inverse")
+    __slots__ = ("mat", "_inverse")
 
     def __init__(self, mat):
         m = np.asarray(mat, dtype=float)
@@ -176,15 +170,10 @@ class MobiusElement:
             raise ValueError("expected a 2x2 matrix")
         self.mat = _unimodular(m)
         self.mat.setflags(write=False)
-        # the circle-picture matrix and the inverse, formed on first use
-        self._circle = None
+        # the inverse, formed on first use
         self._inverse = None
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(2))
 
     @classmethod
     def generators(cls, kinds, x):
@@ -215,19 +204,9 @@ class MobiusElement:
         return cls(_mat2(a, b, c, d))
 
     @classmethod
-    def rotation(cls, theta):
-        """Rotation by ``theta`` in the circle picture."""
-        return cls.generators(0, theta)
-
-    @classmethod
     def dilation(cls, s):
         """The map x -> exp(s) x."""
         return cls.generators(1, s)
-
-    @classmethod
-    def translation(cls, t):
-        """The map x -> x + t."""
-        return cls.generators(2, t)
 
     # -- group structure ----------------------------------------------
 
@@ -241,26 +220,11 @@ class MobiusElement:
             self._inverse = MobiusElement(_adjugate(self.mat))
         return self._inverse
 
-    def __eq__(self, other):
-        if not isinstance(other, MobiusElement):
-            return NotImplemented
-        d = min(np.max(np.abs(self.mat - other.mat)),
-                np.max(np.abs(self.mat + other.mat)))
-        return bool(d < EQ_TOL)
-
-    def __hash__(self):  # canonical matrices are not reliable hash keys
-        raise TypeError("MobiusElement is not hashable")
-
     def __repr__(self):
         a, b, c, d = self.mat.ravel()
         return f"MobiusElement([[{a:.6g}, {b:.6g}], [{c:.6g}, {d:.6g}]])"
 
     # -- predicates ----------------------------------------------------
-
-    def is_identity(self, tol=EQ_TOL):
-        d = min(np.max(np.abs(self.mat - np.eye(2))),
-                np.max(np.abs(self.mat + np.eye(2))))
-        return bool(d < tol)
 
     def is_rotation(self, tol=1e-12):
         m = self.mat
@@ -268,25 +232,6 @@ class MobiusElement:
                 & (np.abs(m[..., 0, 1] + m[..., 1, 0]) <= tol))
 
     # -- actions --------------------------------------------------------
-
-    def act_line(self, x):
-        """Fractional linear action on the extended real line."""
-        a, b, c, d = self.mat.ravel()
-        if x == INF or x == -INF:
-            if abs(c) < 1e-300:
-                return INF
-            return a / c
-        num = a * x + b
-        den = c * x + d
-        if den == 0.0:
-            return INF
-        # rescale for stability when |x| is very large
-        if abs(x) > 1.0:
-            num = a + b / x
-            den = c + d / x
-            if den == 0.0:
-                return INF
-        return num / den
 
     def act_circle(self, z):
         """Action on the unit circle (complex points of modulus one).
@@ -296,9 +241,7 @@ class MobiusElement:
         product, quotient and modulus round differently: a single
         element acts as a stack of one.
         """
-        m = self._circle
-        if m is None:
-            m = self._circle = _CAYLEY @ self.mat.astype(complex) @ _CAYLEY_INV
+        m = _CAYLEY @ self.mat.astype(complex) @ _CAYLEY_INV
         z = np.asarray(z, dtype=complex)
         shape = np.broadcast_shapes(m.shape[:-2], z.shape)
         z = np.broadcast_to(z, shape).reshape(-1)
@@ -362,36 +305,12 @@ class CoverElement:
         self.base = base
         self.phi = _scalar(np.asarray(phi, dtype=float))
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def identity(cls):
-        return cls(MobiusElement.identity(), 0.0)
-
-    @classmethod
-    def from_base(cls, base):
-        """The lift with phi in (-pi, pi]."""
-        return cls(base, base.iwasawa()[0])
-
     @classmethod
     def generators(cls, kinds, x):
         """Lifts of :meth:`MobiusElement.generators`: phi is the
         parameter of a rotation and 0 otherwise."""
         phi = np.where(np.asarray(kinds) == 0, x, 0.0)
         return cls(MobiusElement.generators(kinds, x), phi)
-
-    @classmethod
-    def rotation(cls, t):
-        """Lifted rotation; phi equals the parameter itself."""
-        return cls.generators(0, t)
-
-    @classmethod
-    def dilation(cls, s):
-        return cls.generators(1, s)
-
-    @classmethod
-    def translation(cls, t):
-        return cls.generators(2, t)
 
     # -- group structure ----------------------------------------------
 
@@ -426,25 +345,8 @@ class CoverElement:
 
     __matmul__ = compose
 
-    def inverse(self):
-        base_inv = self.base.inverse()
-        lift = CoverElement.from_base(base_inv)
-        p0 = self.compose(lift).phi
-        return CoverElement(base_inv, lift.phi - _TWO_PI * round(p0 / _TWO_PI))
-
-    def __eq__(self, other):
-        if not isinstance(other, CoverElement):
-            return NotImplemented
-        return self.base == other.base and abs(self.phi - other.phi) < 1e-7
-
-    def __hash__(self):
-        raise TypeError("CoverElement is not hashable")
-
     def __repr__(self):
         return f"CoverElement({self.base!r}, phi={self.phi:.6g})"
-
-    def is_identity(self, tol=EQ_TOL):
-        return self.base.is_identity(tol) and abs(self.phi) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +400,13 @@ def mobius_through(p0, p1, pinf):
     """The Mobius element sending 0, 1, inf to the given ordered triple.
 
     The triple must be counterclockwise on the circle, which makes the
-    constructed matrix orientation preserving.
+    constructed matrix orientation preserving; p1 is finite, as an
+    interval's midpoint is.
     """
     if pinf == INF or pinf == -INF:
         mat = np.array([[p1 - p0, p0], [0.0, 1.0]])
     elif p0 == INF or p0 == -INF:
         mat = np.array([[pinf, p1 - pinf], [1.0, 0.0]])
-    elif p1 == INF or p1 == -INF:
-        mat = np.array([[pinf, -p0], [1.0, -1.0]])
     else:
         mat = np.array(
             [[pinf * (p1 - p0), p0 * (pinf - p1)], [p1 - p0, pinf - p1]]
@@ -541,8 +442,7 @@ def interval_dilation(interval, t):
     Defined as g delta(-t) g^{-1} for any g taking the positive half-line
     onto the interval (:func:`dilation_conjugator`); for the half-lines
     this reduces to Lambda_{R_+}(t) = delta(-t) and Lambda_{R_-}(t) =
-    delta(t).  A Mobius element: lift it with
-    :meth:`CoverElement.from_base` where the cover is needed.
+    delta(t).
     """
     g = dilation_conjugator(interval).mat
     return MobiusElement(_flow_matrices(g, float(t)))

@@ -31,8 +31,10 @@ stack gets the same floating-point result as it gets alone.  The
 primitives that take stacks are :func:`make_subspace`,
 :func:`standardness`, :func:`modular_data`, :func:`symplectic_complement`,
 :func:`subspace_distance`, :func:`containment_gap`,
-:func:`principal_angles`, ``transform`` and ``phased``; :func:`intersect`
-and :func:`sum_closure` refuse them, and the others take one subspace.
+:func:`principal_angles`, ``transform`` and ``phased``; the others,
+:func:`intersect`, :func:`sum_closure`, :func:`subspace_from_modular`,
+:func:`modular_roundtrip` and :func:`symmetry_commutation_check`, refuse
+them by name.
 
 Tiles are a direct sum, a stack is a batch.  The models are direct sums
 (two chiral factors, two copies of them, one rapidity block per mass),
@@ -501,8 +503,11 @@ class ModularData:
         lam = np.asarray(log_delta, dtype=float)
         j = np.asarray(jc, dtype=complex)
         if tiling is None:
-            v, j = v[..., None, :, :], j[..., None, :, :]
-            lam, tiling = lam[..., None, :], _one_tile(v.shape[-1])
+            # the one tile's axis, inserted whatever the shapes; a wrong
+            # shape is refused below
+            v, j, lam = (a.reshape(a.shape[:-k] + (1,) + a.shape[-k:])
+                         for a, k in ((v, 2), (j, 2), (lam, 1)))
+            tiling = _one_tile(v.shape[-1])
         if (not tiling.size or v.shape[-3:] != tiling.shape + tiling.shape[-1:]
                 or j.shape != v.shape or lam.shape != v.shape[:-1]):
             raise ValueError("V and jc must be n x n, log Delta of length n, "
@@ -609,6 +614,7 @@ def subspace_from_modular(m):
     conditioning of the split is monitored and a small spectral gap
     triggers :class:`ConditioningWarning`.
     """
+    _one_record(m, "subspace_from_modular")
     x = m.tomita_matrix()
     s_op = np.block([[x.real, x.imag], [x.imag, -x.real]])
     u, sv, vt = np.linalg.svd(s_op - np.eye(2 * m.n))
@@ -634,6 +640,12 @@ def subspace_from_modular(m):
 # ---------------------------------------------------------------------------
 # lattice operations
 # ---------------------------------------------------------------------------
+
+
+def _one_record(m, name):
+    """Refuse a stack of modular data to the primitive ``name``."""
+    if m.log_delta.ndim > 2:
+        raise ValueError(f"{name} takes single modular data, not stacks")
 
 
 def _one_n(subspaces, name=None):
@@ -755,7 +767,8 @@ def symmetry_commutation_check(h, u, tiles=None):
     their spectral norms are the residuals, taken on the common tiling of
     u and the modular data.
     """
-    u, tiles = _operator(np.asarray(u, dtype=complex), tiles, h.n)
+    u, tiles = _operator(np.asarray(u, dtype=complex), tiles,
+                         _one_n([h], "symmetry_commutation_check"))
     d = subspace_distance(h, h.transform(u, tiles))
     if d > SUBSPACE_TOL:
         raise ValueError(f"U does not preserve H (subspace distance {d:.3e})")
@@ -777,6 +790,8 @@ def symmetry_commutation_check(h, u, tiles=None):
 def modular_roundtrip(m1, h):
     """max(||J - J'||, ||Delta - Delta'|| / ||Delta||) between ``m1`` and
     the pair recomputed from ``h``, on the common tiling of the two."""
+    _one_record(m1, "modular_roundtrip")
+    _one_n([h], "modular_roundtrip")
     m2 = modular_data(h)
     rows = _common(h.n, m1.tiling, m2.tiling)
     (j1, d1), (j2, d2) = ([merged(x, m.tiling, rows)

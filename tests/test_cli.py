@@ -312,11 +312,10 @@ def _verify_mobius_one_draw_at_a_time(cfg, rng):
                 continue
             count += 1
             worst_comm = max(worst_comm, residual)
-    factories = (mobius.MobiusElement.rotation, mobius.MobiusElement.dilation,
-                 mobius.MobiusElement.translation)
     worst_law = 0.0
     for _ in range(max(1, samples // 10)):
-        word = [factories[int(rng.integers(3))](float(rng.uniform(-1.5, 1.5)))
+        word = [mobius.MobiusElement.generators(
+                    int(rng.integers(3)), float(rng.uniform(-1.5, 1.5)))
                 for _ in range(4)]
         combined = word[0]
         for g in word[1:]:
@@ -327,14 +326,12 @@ def _verify_mobius_one_draw_at_a_time(cfg, rng):
                 stepped = g.act_angle(stepped)
             gap = mobius.wrap_angle(combined.act_angle(u) - stepped)
             worst_law = max(worst_law, abs(gap))
-    cover_factories = (mobius.CoverElement.rotation,
-                       mobius.CoverElement.dilation,
-                       mobius.CoverElement.translation)
     worst_cover = 0.0
     for _ in range(max(1, samples // 10)):
         params = rng.uniform(-1.5, 1.5, size=3)
         picks = rng.integers(3, size=3)
-        g1, g2, g3 = (cover_factories[picks[k]](params[k]) for k in range(3))
+        g1, g2, g3 = (mobius.CoverElement.generators(picks[k], params[k])
+                      for k in range(3))
         lifted = g1.compose(g2).compose(g3)
         _, a, n = lifted.base.iwasawa()
         kan, base = mobius.kan_matrix(lifted.phi, a, n), lifted.base.mat

@@ -169,7 +169,9 @@ def test_chiral_dilation_is_cyclic_shift():
     rng = np.random.default_rng(7)
     xi = random_vector(factors, rng)
     lam = interval_dilation(Interval.from_line(0.0, math.inf), h)
-    assert lam.act_line(1.0) == pytest.approx(math.exp(-h), rel=1e-14)
+    # lam . 1 on homogeneous coordinates (1, 1)
+    image = lam.mat @ np.ones(2)
+    assert image[0] / image[1] == pytest.approx(math.exp(-h), rel=1e-14)
     out = apply(factors, xi, dilation=(-h, 0.0))
     assert np.array_equal(out[:33], np.roll(xi[:33], 1))
     assert np.array_equal(out[33:], xi[33:])

@@ -24,6 +24,7 @@ from modnet.stdspace import (
     intersect,
     make_subspace,
     modular_data,
+    modular_roundtrip,
     principal_angles,
     standardness,
     subspace_distance,
@@ -411,6 +412,9 @@ def test_eigen_form_validation_messages():
             ModularData(*args)
     with pytest.raises(ValueError, match="n x n"):
         ModularData(np.eye(3), lam, swap)
+    # arrays of too few axes are refused by shape, not by indexing
+    with pytest.raises(ValueError, match="n x n"):
+        ModularData(np.ones(2), np.zeros(2), np.ones(2))
     # NaN data is a violation, not a pass
     with pytest.raises(ValueError, match="finite data"):
         ModularData(eye, lam, np.full((2, 2), np.nan))
@@ -698,12 +702,34 @@ def test_operands_of_different_n_are_refused(primitive):
             calls[primitive]([])
 
 
-@pytest.mark.parametrize("primitive", ["exact", "halperin", "sum_closure"])
+@pytest.mark.parametrize("primitive", ["exact", "halperin", "sum_closure",
+                                       "subspace_from_modular",
+                                       "modular_roundtrip",
+                                       "symmetry_commutation_check"])
 def test_intersect_and_sum_closure_refuse_stacks(primitive):
     rng = np.random.default_rng(43)
     stack = make_subspace(rng.normal(size=(2, 3, 4))
                           + 1j * rng.normal(size=(2, 3, 4)))
     single = random_subspace(rng, 4, 3)
+    if primitive not in ("exact", "halperin", "sum_closure"):
+        # a stack of three standard C^4 subspaces and one of them alone
+        stack = make_subspace(rng.normal(size=(3, 4, 4))
+                              + 1j * rng.normal(size=(3, 4, 4)))
+        single = random_standard(rng, 4)
+        calls = {
+            "subspace_from_modular": [
+                lambda: subspace_from_modular(modular_data(stack))],
+            "modular_roundtrip": [
+                lambda: modular_roundtrip(modular_data(stack), single),
+                lambda: modular_roundtrip(modular_data(single), stack)],
+            "symmetry_commutation_check": [
+                lambda: symmetry_commutation_check(stack, np.eye(4))],
+        }[primitive]
+        for call in calls:
+            with pytest.raises(ValueError,
+                               match=f"{primitive} takes single"):
+                call()
+        return
     name = "sum_closure" if primitive == "sum_closure" else "intersect"
     for family in ([stack, single], [single, stack], [stack]):
         with pytest.raises(ValueError,
