@@ -598,23 +598,6 @@ def _hk_entries(net, entries, tol):
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class ReconstructionReport:
-    t_values: tuple
-    identity_residuals: tuple
-    commutator_residuals: tuple
-    left_cancellation: tuple
-    identity_at_zero: float
-
-    @property
-    def max_identity(self):
-        return max(self.identity_residuals)
-
-    @property
-    def max_commutator(self):
-        return max(self.commutator_residuals)
-
-
 def assemble_blockwise(subspaces):
     """Direct sum of per-factor real subspaces on the product space.
 
@@ -638,10 +621,12 @@ def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
     On the summed two-factor model the candidates U_R(t) =
     Delta_{B_L}^{it} U(delta(2 pi t) x 1) and the mirrored U_L(t) are
     formed from independently recomputed modular data of the half-band
-    subspaces; the report carries the residuals of the product identity
-    against the modular flow of the double cone, the mutual commutators,
-    and the exactness of the left-factor cancellation.  Every 2 pi t
-    must be a grid multiple.
+    subspaces.  Returns ``(checks, tables)``: the ``flow`` table has one
+    row per t of the residuals of the product identity against the
+    modular flow of the double cone, of the mutual commutator and of the
+    left-factor cancellation, and the ``reconstruction-*`` checks of
+    ``cli.CHECKS`` are their maxima and the identity at t = 0.  Every
+    2 pi t must be a grid multiple.
 
     The lattice implements exactly one Cartan flow per factor, so no
     grid operator realizes the interval dilations: each unit interval
@@ -671,19 +656,27 @@ def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
         return x
 
     one = np.eye(net.factors[0].n)
-    ident = []
-    comm = []
-    cancel = []
+    rows = []
     for t in t_values:
         a, b = dilated(md_bl, t, 0), dilated(md_br, t, 1)   # U_R, U_L
         ab = a @ b
-        ident.append(norm(md_d0.power_tiles(1j * t) - ab))
-        comm.append(norm(ab - b @ a))
-        # U_R acts trivially on the left factor, tile 0
-        cancel.append(norm(a[0] - one))
+        rows.append({
+            "t": t, "identity_residual": norm(md_d0.power_tiles(1j * t) - ab),
+            "commutator_residual": norm(ab - b @ a),
+            # U_R acts trivially on the left factor, tile 0
+            "left_cancellation": norm(a[0] - one)})
     zero = norm(dilated(md_bl, 0.0, 0) @ dilated(md_br, 0.0, 1) - one)
-    return ReconstructionReport(tuple(t_values), tuple(ident), tuple(comm),
-                                tuple(cancel), zero)
+
+    def worst(field):
+        return Measurement(max(row[field] for row in rows))
+
+    checks = {"reconstruction-identity": worst("identity_residual"),
+              "reconstruction-commutator": worst("commutator_residual"),
+              "reconstruction-left-cancellation": worst("left_cancellation"),
+              "reconstruction-at-zero": Measurement(zero)}
+    fields = ("t", "identity_residual", "commutator_residual",
+              "left_cancellation")
+    return checks, {"flow": (fields, rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -691,29 +684,17 @@ def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class CounterexampleReport:
-    charge: float
-    t_values: tuple
-    deviations: tuple
-    predicted: tuple
-    formula_residuals: tuple
-    wedge_roundtrip: float
-    gauge_residual: float
-
-    @property
-    def max_formula_residual(self):
-        return max(self.formula_residuals)
-
-
-def counterexample_bw(net, t_values=(0.5, 1.0, 1.5)):
+def counterexample_bw(net, t_values=(0.5, 1.0, 1.5), budget_scale=1.0):
     """Measure how the twisted dilation flow misses the modular flow.
 
     Precondition: the inner rotation is a gauge symmetry, i.e. preserves
     H(V+) and commutes with its modular data; a symmetry failing the
     preservation check is rejected.  For charge q the deviation at
     modular parameter t is |e^{2 pi i q t} - 1| exactly; wedge modular
-    theory is untouched by the twist.
+    theory is untouched by the twist.  Returns ``(checks, tables)``: the
+    ``counterexample-*`` checks of ``cli.CHECKS``, the wedge roundtrip
+    held to the model epsilon times ``budget_scale``, and the
+    ``deviation`` table of the measured and predicted deviation per t.
     """
     if net.kind != "twisted":
         raise ValueError("the counterexample runs on the twisted model")
@@ -723,51 +704,27 @@ def counterexample_bw(net, t_values=(0.5, 1.0, 1.5)):
     tiles = net.action_tiles
     rotation = np.stack([_rotated(np.eye(tiles.shape[1]), 0.7)] * len(tiles))
     sym = stdspace.symmetry_commutation_check(h_v, rotation, tiles)
-    gauge = sym.max_residual
 
-    devs, preds, resids = [], [], []
-    for t in t_values:
-        dev = _dilation_deviation(net, t)
-        pred = abs(np.exp(2j * np.pi * net.charge * t) - 1.0)
-        devs.append(dev)
-        preds.append(pred)
-        resids.append(abs(dev - pred))
+    rows = [{"t": t, "deviation": _dilation_deviation(net, t),
+             "predicted": abs(np.exp(2j * np.pi * net.charge * t) - 1.0)}
+            for t in t_values]
 
     w_r = spacetime.Region.wedge_right((0.0, 0.0))
     roundtrip = stdspace.modular_roundtrip(net.wedge_modular(w_r),
                                            net.wedge_subspace(w_r))
-    return CounterexampleReport(net.charge, tuple(t_values), tuple(devs),
-                                tuple(preds), tuple(resids), roundtrip,
-                                gauge)
+    checks = {
+        "counterexample-formula": Measurement(max(
+            abs(row["deviation"] - row["predicted"]) for row in rows)),
+        "counterexample-wedge-roundtrip": Measurement(
+            roundtrip, net.epsilon * budget_scale),
+        "counterexample-gauge-invariance": Measurement(sym.max_residual),
+    }
+    return checks, {"deviation": (("t", "deviation", "predicted"), rows)}
 
 
 # ---------------------------------------------------------------------------
 # lightcone separating study
 # ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class ConeStudyRow:
-    mass: float
-    grid: int
-    cones: int
-    sum_dim: int
-    defect: float
-
-
-@dataclasses.dataclass(frozen=True)
-class ConeStudy:
-    """``max_rise`` is the largest defect increase between consecutive
-    levels of one mass's ladder, clamped at 0."""
-
-    rows: tuple
-    max_rise: float
-    finest_defect: float
-    frozen_value: float
-
-    @property
-    def below_frozen(self):
-        return self.finest_defect < self.frozen_value
 
 
 def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
@@ -784,6 +741,12 @@ def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
     Delta.  The model's :meth:`NetModel.region_subspace_dual` intersects
     once per cone shape; every cone of dyadic level l has widths
     (2^-l, 2^-l), so a level costs one intersection.
+
+    Returns ``(checks, tables)``: the ``ladder`` table has one row per
+    mass and level; ``cone-defect-monotone`` is the largest defect
+    increase between consecutive levels of one mass's ladder, clamped at
+    0, and ``cone-defect-below-frozen`` the finest defect held to
+    ``frozen``.
     """
     ladder = tuple(ladder)
     if not ladder:
@@ -809,12 +772,16 @@ def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
                 sdim = total.dim
             else:
                 defect, sdim = 1.0, 0
-            rows.append(ConeStudyRow(mass, grid, count, sdim, defect))
+            rows.append({"mass": mass, "grid": grid, "cones": count,
+                         "sum_dim": sdim, "defect": defect})
             if previous is not None:
                 max_rise = max(max_rise, defect - previous)
             previous = defect
-    finest = min(r.defect for r in rows)
-    return ConeStudy(tuple(rows), max_rise, finest, frozen)
+    finest = min(row["defect"] for row in rows)
+    checks = {"cone-defect-monotone": Measurement(max_rise),
+              "cone-defect-below-frozen": Measurement(finest, frozen)}
+    fields = ("mass", "grid", "cones", "sum_dim", "defect")
+    return checks, {"ladder": (fields, rows)}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ thread count may move the last digits of a residual.
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -533,51 +532,18 @@ def _run_bgl_axioms(cfg, seed, scale):
 
 
 def _run_reconstruct_mobius(cfg, seed, scale):
-    report = bgl.reconstruct_ur(cfg["net"], t_values=cfg["t_values"])
-    results = {
-        "reconstruction-identity": Measurement(report.max_identity),
-        "reconstruction-commutator": Measurement(report.max_commutator),
-        "reconstruction-left-cancellation": Measurement(
-            max(report.left_cancellation)),
-        "reconstruction-at-zero": Measurement(report.identity_at_zero),
-    }
-    rows = [{"t": t, "identity_residual": a, "commutator_residual": b,
-             "left_cancellation": c}
-            for t, a, b, c in zip(report.t_values, report.identity_residuals,
-                                  report.commutator_residuals,
-                                  report.left_cancellation)]
-    fields = ("t", "identity_residual", "commutator_residual",
-              "left_cancellation")
-    return results, {"flow": (fields, rows)}
+    return bgl.reconstruct_ur(cfg["net"], t_values=cfg["t_values"])
 
 
 def _run_break_bw(cfg, seed, scale):
-    net = cfg["net"]
-    report = bgl.counterexample_bw(net, t_values=cfg["t_values"])
-    results = {
-        "counterexample-formula": Measurement(report.max_formula_residual),
-        "counterexample-wedge-roundtrip": Measurement(report.wedge_roundtrip,
-                                                      net.epsilon * scale),
-        "counterexample-gauge-invariance": Measurement(report.gauge_residual),
-    }
-    rows = [{"t": t, "deviation": d, "predicted": p}
-            for t, d, p in zip(report.t_values, report.deviations,
-                               report.predicted)]
-    return results, {"deviation": (("t", "deviation", "predicted"), rows)}
+    return bgl.counterexample_bw(cfg["net"], t_values=cfg["t_values"],
+                                 budget_scale=scale)
 
 
 def _run_lightcone_defect(cfg, seed, scale):
-    study = bgl.lightcone_separating_study(
+    return bgl.lightcone_separating_study(
         masses=cfg["masses"], ladder=cfg["ladder"], spacing=cfg["spacing"],
         frozen=cfg["frozen"])
-    results = {
-        "cone-defect-monotone": Measurement(study.max_rise),
-        "cone-defect-below-frozen": Measurement(study.finest_defect,
-                                                study.frozen_value),
-    }
-    rows = [dataclasses.asdict(row) for row in study.rows]
-    fields = ("mass", "grid", "cones", "sum_dim", "defect")
-    return results, {"ladder": (fields, rows)}
 
 
 def _run_spin_statistics(cfg, seed, scale):

@@ -104,28 +104,9 @@ class Region:
         return Region((self.left[0] + a, self.left[1] + a),
                       (self.right[0] + b, self.right[1] + b))
 
-    def __eq__(self, other):
-        if not isinstance(other, Region):
-            return NotImplemented
-        return all(
-            _endpoint_close(a, b)
-            for a, b in zip(self.left + self.right, other.left + other.right)
-        )
-
-    def __hash__(self):
-        raise TypeError("Region is not hashable")
-
     def __repr__(self):
         return (f"Region({self.kind.value}, left={self.left!r}, "
                 f"right={self.right!r})")
-
-
-def _endpoint_close(a, b, tol=GEOM_TOL):
-    if a == b:  # covers matching infinities
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return False
-    return abs(a - b) < tol
 
 
 # ---------------------------------------------------------------------------

@@ -649,8 +649,9 @@ def _one_record(m, name):
 
 
 def _one_n(subspaces, name=None):
-    """The n of operands that must live in one C^n; a primitive ``name``
-    given takes no stacks."""
+    """The n of operands that must live in one C^n (subspaces, or modular
+    data when no ``name`` is given); a primitive ``name`` given takes no
+    stacks."""
     if name and any(h.tiles.ndim > 3 for h in subspaces):
         raise ValueError(f"{name} takes single subspaces, not stacks")
     ns = {h.n for h in subspaces}
@@ -792,6 +793,7 @@ def modular_roundtrip(m1, h):
     the pair recomputed from ``h``, on the common tiling of the two."""
     _one_record(m1, "modular_roundtrip")
     _one_n([h], "modular_roundtrip")
+    _one_n([m1, h])
     m2 = modular_data(h)
     rows = _common(h.n, m1.tiling, m2.tiling)
     (j1, d1), (j2, d2) = ([merged(x, m.tiling, rows)

@@ -256,15 +256,16 @@ def test_criterion_05_direct_integral_block_laws():
 
 def test_criterion_06_lightcone_defect_ladder():
     started = time.perf_counter()
-    study = bgl.lightcone_separating_study()
-    defects = [row.defect for row in study.rows]
+    checks, tables = bgl.lightcone_separating_study()
+    defects = [row["defect"] for row in tables["ladder"][1]]
     monotone = all(b <= a + 1e-12 for a, b in zip(defects, defects[1:]))
+    below = checks["cone-defect-below-frozen"]
     dt, in_time = _elapsed_ok(started, 300.0)
-    ok = monotone and study.below_frozen and in_time
+    ok = monotone and below.residual < below.budget and in_time
     _verdict(6, ok,
              f"defects {[f'{d:.4f}' for d in defects]} nonincreasing, "
-             f"finest {study.finest_defect:.4f} < frozen "
-             f"{study.frozen_value}, {dt:.1f}s < 300s")
+             f"finest {below.residual:.4f} < frozen "
+             f"{below.budget}, {dt:.1f}s < 300s")
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +276,8 @@ def test_criterion_06_lightcone_defect_ladder():
 def test_criterion_07_charged_counterexample():
     started = time.perf_counter()
     charged = bgl.NetModel.twisted(charge=1.0)
-    report = bgl.counterexample_bw(charged)
+    checks, _ = bgl.counterexample_bw(charged)
+    formula = checks["counterexample-formula"].residual
     axioms = bgl.axioms_report(charged)
     wedge_entries_pass = all(
         entry.passed for name, entry in axioms.items()
@@ -283,15 +285,16 @@ def test_criterion_07_charged_counterexample():
     breaks = not axioms["dilation-bisognano-wichmann"].passed
 
     neutral = bgl.NetModel.twisted(charge=0.0)
-    neutral_report = bgl.counterexample_bw(neutral)
-    neutral_dev = max(neutral_report.deviations)
+    _, neutral_tables = bgl.counterexample_bw(neutral)
+    neutral_dev = max(row["deviation"]
+                      for row in neutral_tables["deviation"][1])
 
     dt, in_time = _elapsed_ok(started, 60.0)
-    ok = (report.max_formula_residual < FORMULA_BUDGET
+    ok = (formula < FORMULA_BUDGET
           and wedge_entries_pass and breaks
           and neutral_dev < FORMULA_BUDGET and in_time)
     _verdict(7, ok,
-             f"q=1 formula residual {report.max_formula_residual:.3e} "
+             f"q=1 formula residual {formula:.3e} "
              f"< 1e-8 with wedge axioms intact, q=0 deviation "
              f"{neutral_dev:.3e} < 1e-8, {dt:.1f}s < 60s")
 
@@ -304,13 +307,15 @@ def test_criterion_07_charged_counterexample():
 def test_criterion_08_diamond_flow_splitting():
     started = time.perf_counter()
     net = bgl.NetModel.chiral_sum()
-    report = bgl.reconstruct_ur(net)
+    checks, _ = bgl.reconstruct_ur(net)
+    identity = checks["reconstruction-identity"].residual
+    commutator = checks["reconstruction-commutator"].residual
     dt, in_time = _elapsed_ok(started, 120.0)
-    ok = (report.max_identity < RECONSTRUCTION_BUDGET
-          and report.max_commutator < RECONSTRUCTION_BUDGET and in_time)
+    ok = (identity < RECONSTRUCTION_BUDGET
+          and commutator < RECONSTRUCTION_BUDGET and in_time)
     _verdict(8, ok,
-             f"identity {report.max_identity:.3e} and commutator "
-             f"{report.max_commutator:.3e} < 1e-7, {dt:.1f}s < 120s")
+             f"identity {identity:.3e} and commutator "
+             f"{commutator:.3e} < 1e-7, {dt:.1f}s < 120s")
 
 
 # ---------------------------------------------------------------------------

@@ -675,19 +675,19 @@ def test_report_notes_surface_the_translation_obstruction():
 
 
 def test_reconstruction_identity_holds():
-    rec = bgl.reconstruct_ur(_model("chiralSum"))
-    assert rec.max_identity < RECON_TOL
-    assert rec.identity_at_zero < EXACT_TOL
+    checks, _ = bgl.reconstruct_ur(_model("chiralSum"))
+    assert checks["reconstruction-identity"].residual < RECON_TOL
+    assert checks["reconstruction-at-zero"].residual < EXACT_TOL
 
 
 def test_reconstruction_flows_commute():
-    rec = bgl.reconstruct_ur(_model("chiralSum"))
-    assert rec.max_commutator < RECON_TOL
+    checks, _ = bgl.reconstruct_ur(_model("chiralSum"))
+    assert checks["reconstruction-commutator"].residual < RECON_TOL
 
 
 def test_reconstruction_left_factor_cancels():
-    rec = bgl.reconstruct_ur(_model("chiralSum"), t_values=(0.5, 1.0))
-    assert max(rec.left_cancellation) < RECON_TOL
+    checks, _ = bgl.reconstruct_ur(_model("chiralSum"), t_values=(0.5, 1.0))
+    assert checks["reconstruction-left-cancellation"].residual < RECON_TOL
 
 
 @pytest.mark.parametrize("n", [33, 129])
@@ -740,18 +740,21 @@ def test_tiled_reconstruction_residuals_match_a_dense_reference():
         return md.power(1j * t) @ reps.apply(net.factors, one,
                                               dilation=dilation)
 
-    rec = bgl.reconstruct_ur(net)
-    for i, t in enumerate(rec.t_values):
+    checks, tables = bgl.reconstruct_ur(net)
+    _, rows = tables["flow"]
+    for row in rows:
+        t = row["t"]
         a = u(md_bl, t, (_TWO_PI * t, 0.0))
         b = u(md_br, t, (0.0, _TWO_PI * t))
         want = (np.linalg.norm(md_d0.power(1j * t) - a @ b, 2),
                 np.linalg.norm(a @ b - b @ a, 2),
                 np.linalg.norm(a[:n, :n] - np.eye(n), 2))
-        got = (rec.identity_residuals[i], rec.commutator_residuals[i],
-               rec.left_cancellation[i])
+        got = (row["identity_residual"], row["commutator_residual"],
+               row["left_cancellation"])
         assert all(map(_ulps_apart, got, want)), (t, got, want)
     zero = u(md_bl, 0.0, (0.0, 0.0)) @ u(md_br, 0.0, (0.0, 0.0)) - one
-    assert _ulps_apart(rec.identity_at_zero, np.linalg.norm(zero, 2))
+    assert _ulps_apart(checks["reconstruction-at-zero"].residual,
+                       np.linalg.norm(zero, 2))
 
 
 def test_tiled_counterexample_residuals_match_a_dense_reference():
@@ -760,8 +763,10 @@ def test_tiled_counterexample_residuals_match_a_dense_reference():
     # the rotation, against dense n x n differences
     net = bgl.NetModel.twisted(n=17)
     cone = spacetime.Region.forward_cone((0.0, 0.0))
-    report = bgl.counterexample_bw(net)
-    for t, dev in zip(report.t_values, report.deviations):
+    checks, tables = bgl.counterexample_bw(net)
+    _, rows = tables["deviation"]
+    for row in rows:
+        t, dev = row["t"], row["deviation"]
         want = np.linalg.norm(
             _scatter(net.wedge_flow(cone, t), net.tiles)
             - _scatter(net.implemented_dilation(-_TWO_PI * t),
@@ -773,12 +778,14 @@ def test_tiled_counterexample_residuals_match_a_dense_reference():
     want = max(np.linalg.norm(md.jc - md2.jc, 2),
                np.linalg.norm(md.power(1.0) - md2.power(1.0), 2)
                / md.delta_norm)
-    assert _ulps_apart(report.wedge_roundtrip, want)
+    assert _ulps_apart(checks["counterexample-wedge-roundtrip"].residual,
+                       want)
     c, s = math.cos(0.7), math.sin(0.7)
     eye = np.eye(net.tiles.size // 2)
     rotation = np.block([[c * eye, -s * eye], [s * eye, c * eye]])
     want = _dense_symmetry_residuals(net.wedge_subspace(cone), rotation)
-    assert _ulps_apart(report.gauge_residual, max(want))
+    assert _ulps_apart(checks["counterexample-gauge-invariance"].residual,
+                       max(want))
 
 
 @pytest.mark.parametrize("kind", ["chiralSum", "twisted"])
@@ -811,10 +818,10 @@ def test_reconstruction_residual_path_reads_no_tiling(monkeypatch):
 
     # every move between tilings, dense views included, is a merge
     monkeypatch.setattr(stdspace, "merged", moved)
-    rec = bgl.reconstruct_ur(net)
+    checks, _ = bgl.reconstruct_ur(net)
     assert len(flows) == 3 * 4 + 2       # three flows per t, two at 0
     assert all(np.array_equal(rows, net.tiles) for rows in flows)
-    assert rec.max_identity < RECON_TOL
+    assert checks["reconstruction-identity"].residual < RECON_TOL
 
 
 def test_reconstruction_needs_grid_parameters():
@@ -833,36 +840,48 @@ def test_reconstruction_runs_on_the_summed_model_only():
 
 
 def test_counterexample_matches_the_phase_formula():
-    report = bgl.counterexample_bw(_model("twisted"))
-    assert report.charge == 1.0
-    assert report.max_formula_residual < FORMULA_TOL
-    assert report.deviations[0] == pytest.approx(2.0, abs=FORMULA_TOL)
-    assert report.deviations[1] == pytest.approx(0.0, abs=FORMULA_TOL)
+    checks, tables = bgl.counterexample_bw(_model("twisted"))
+    _, rows = tables["deviation"]
+    # the prediction at charge 1
+    assert [row["predicted"] for row in rows] == pytest.approx(
+        [2.0, 0.0, 2.0], abs=FORMULA_TOL)
+    assert checks["counterexample-formula"].residual < FORMULA_TOL
+    assert rows[0]["deviation"] == pytest.approx(2.0, abs=FORMULA_TOL)
+    assert rows[1]["deviation"] == pytest.approx(0.0, abs=FORMULA_TOL)
 
 
 @pytest.mark.parametrize("charge", [0.5, 2.0])
 def test_counterexample_charge_scaling(charge):
     net = bgl.NetModel.twisted(n=17, charge=charge)
-    report = bgl.counterexample_bw(net, t_values=(0.5, 1.0))
-    for t, dev in zip(report.t_values, report.deviations):
-        assert dev == pytest.approx(
-            abs(np.exp(2j * np.pi * charge * t) - 1.0), abs=FORMULA_TOL)
+    _, tables = bgl.counterexample_bw(net, t_values=(0.5, 1.0))
+    for row in tables["deviation"][1]:
+        assert row["deviation"] == pytest.approx(
+            abs(np.exp(2j * np.pi * charge * row["t"]) - 1.0),
+            abs=FORMULA_TOL)
 
 
 def test_counterexample_vanishes_at_zero_charge():
     net = bgl.NetModel.twisted(n=17, charge=0.0)
-    report = bgl.counterexample_bw(net)
-    assert max(report.deviations) < FORMULA_TOL
+    _, tables = bgl.counterexample_bw(net)
+    assert max(row["deviation"] for row in tables["deviation"][1]) \
+        < FORMULA_TOL
 
 
 def test_counterexample_leaves_wedge_theory_untouched():
-    report = bgl.counterexample_bw(_model("twisted"))
-    assert report.wedge_roundtrip < _model("twisted").epsilon
+    checks, _ = bgl.counterexample_bw(_model("twisted"))
+    assert checks["counterexample-wedge-roundtrip"].residual \
+        < _model("twisted").epsilon
+
+
+def test_counterexample_roundtrip_budget_is_the_scaled_epsilon():
+    net = _model("twisted")
+    checks, _ = bgl.counterexample_bw(net, t_values=(0.5,), budget_scale=3.0)
+    assert checks["counterexample-wedge-roundtrip"].budget == 3.0 * net.epsilon
 
 
 def test_counterexample_inner_rotation_is_gauge():
-    report = bgl.counterexample_bw(_model("twisted"))
-    assert report.gauge_residual < RESIDUAL_TOL
+    checks, _ = bgl.counterexample_bw(_model("twisted"))
+    assert checks["counterexample-gauge-invariance"].residual < RESIDUAL_TOL
 
 
 def test_scalar_phase_is_not_a_subspace_symmetry():
@@ -887,11 +906,12 @@ def test_counterexample_needs_grid_parameters():
 
 
 def test_lightcone_study_reproduces_the_ladder():
-    study = bgl.lightcone_separating_study()
-    defects = [row.defect for row in study.rows]
+    checks, tables = bgl.lightcone_separating_study()
+    defects = [row["defect"] for row in tables["ladder"][1]]
     assert defects == pytest.approx([0.9412, 0.8788, 0.7538], abs=LADDER_TOL)
-    assert study.max_rise <= MONOTONE_BUDGET
-    assert study.below_frozen
+    assert checks["cone-defect-monotone"].residual <= MONOTONE_BUDGET
+    below = checks["cone-defect-below-frozen"]
+    assert below.residual < below.budget
 
 
 SCALED_LADDER = ((17, 2), (33, 8), (65, 32), (129, 128))
@@ -920,9 +940,9 @@ def test_scaled_ladder_decisions_are_a_decade_from_the_angle_tolerance():
     assert shapes == 30
     assert kept <= stdspace.ANGLE_TOL / 10
     assert dropped >= 10 * stdspace.ANGLE_TOL
-    study = bgl.lightcone_separating_study(ladder=SCALED_LADDER)
-    assert [row.defect for row in study.rows] == [16 / 17, 29 / 33,
-                                                  49 / 65, 65 / 129]
+    _, tables = bgl.lightcone_separating_study(ladder=SCALED_LADDER)
+    assert [row["defect"] for row in tables["ladder"][1]] == [
+        16 / 17, 29 / 33, 49 / 65, 65 / 129]
 
 
 def _study_model(grid):
@@ -1246,23 +1266,24 @@ def test_study_intersects_once_per_cone_shape(monkeypatch, ladder, calls):
 
 
 def test_lightcone_study_dims_track_the_cone_count():
-    study = bgl.lightcone_separating_study(ladder=((17, 2), (33, 8)))
-    for row in study.rows:
-        assert row.sum_dim == row.cones
+    _, tables = bgl.lightcone_separating_study(ladder=((17, 2), (33, 8)))
+    for row in tables["ladder"][1]:
+        assert row["sum_dim"] == row["cones"]
 
 
 def test_lightcone_study_restarts_the_ladder_for_each_mass():
     # a repeated mass starts its own ladder: its coarse level after the
     # previous finest level is no rise
-    study = bgl.lightcone_separating_study(masses=(1.0, 1.0),
-                                           ladder=((17, 2), (33, 8)))
-    assert study.max_rise == 0.0
+    checks, _ = bgl.lightcone_separating_study(masses=(1.0, 1.0),
+                                               ladder=((17, 2), (33, 8)))
+    assert checks["cone-defect-monotone"].residual == 0.0
 
 
 def test_lightcone_study_zero_cones_gives_full_defect():
-    study = bgl.lightcone_separating_study(ladder=((17, 0),))
-    assert study.rows[0].defect == 1.0
-    assert study.rows[0].sum_dim == 0
+    _, tables = bgl.lightcone_separating_study(ladder=((17, 0),))
+    [row] = tables["ladder"][1]
+    assert row["defect"] == 1.0
+    assert row["sum_dim"] == 0
 
 
 def test_lightcone_study_rejects_empty_ladder():
@@ -1327,8 +1348,9 @@ def test_eigenpair_basis_keeps_the_pair_column_order(n):
 
 
 def test_study_intersections_are_centrally_supported():
-    study = bgl.lightcone_separating_study(ladder=((33, 1),))
-    assert study.rows[0].sum_dim == 1
+    _, tables = bgl.lightcone_separating_study(ladder=((33, 1),))
+    [row] = tables["ladder"][1]
+    assert row["sum_dim"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -602,6 +602,41 @@ def test_a_failing_computation_is_an_internal_error(tmp_path, monkeypatch,
         assert report is None
 
 
+# each model command's producer on a small model, and a config that runs
+# the command on the same model
+_PRODUCERS = {
+    "bgl-axioms": (lambda: (bgl.axioms_report(bgl.NetModel.chiral_sum(n=9)),
+                            {}), {"n": 9}),
+    "reconstruct-mobius": (
+        lambda: bgl.reconstruct_ur(bgl.NetModel.chiral_sum(n=9)), {"n": 9}),
+    "break-bw": (
+        lambda: bgl.counterexample_bw(bgl.NetModel.twisted(n=9)), {"n": 9}),
+    "lightcone-defect": (
+        lambda: bgl.lightcone_separating_study(ladder=((9, 1),)),
+        {"ladder": [[9, 1]]}),
+}
+
+
+@pytest.mark.parametrize("command", list(_PRODUCERS))
+def test_model_producers_return_the_checks_and_tables_of_the_report(
+        tmp_path, command):
+    # the producer's checks are the command's CHECKS rows in row order,
+    # and its tables are the CSV files the command writes, with the
+    # producer's fields as their header
+    produce, config = _PRODUCERS[command]
+    checks, tables = produce()
+    assert list(checks) == list(cli.CHECKS[command])
+    assert all(isinstance(m, bgl.Measurement) for m in checks.values())
+    _, report = _run(tmp_path, command, config)
+    assert [c["name"] for c in report["checks"]] == list(checks)
+    written = {}
+    for path in (tmp_path / "out").glob("*.csv"):
+        with open(path, newline="", encoding="utf-8") as fh:
+            written[path.name] = next(csv.reader(fh))
+    assert written == {f"{command}-{name}.csv": list(fields)
+                       for name, (fields, _) in tables.items()}
+
+
 # a grid whose momenta or weights leave the normal doubles would build a
 # silently wrong model (at n = 257 and h = pi the chiral weights are inf
 # at one end and 0 at the other); every command refuses it before compute

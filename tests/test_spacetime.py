@@ -65,9 +65,10 @@ def test_half_band_chirality_covers_time_reflection():
 
 def test_translate_moves_each_lightray_interval():
     moved = Region.unit_double_cone().translate((2.0, -0.5))
-    assert moved == Region((2.0, 3.0), (-0.5, 0.5))
-    assert Region.wedge_right().translate((1.5, -0.5)) \
-        == Region.wedge_right((1.5, -0.5))
+    assert (moved.left, moved.right) == ((2.0, 3.0), (-0.5, 0.5))
+    wedge = Region.wedge_right().translate((1.5, -0.5))
+    want = Region.wedge_right((1.5, -0.5))
+    assert (wedge.left, wedge.right) == (want.left, want.right)
 
 
 # ---------------------------------------------------------------------------

@@ -682,21 +682,29 @@ def test_sum_closure_basics():
 
 @pytest.mark.parametrize("primitive", ["exact", "halperin", "sum_closure",
                                        "subspace_distance",
-                                       "containment_gap"])
+                                       "containment_gap",
+                                       "modular_roundtrip"])
 def test_operands_of_different_n_are_refused(primitive):
-    # every primitive between subspaces runs one check that they share n
+    # every primitive between subspaces runs one check that they share n;
+    # modular_roundtrip runs it between the record and the subspace,
+    # before any merge of their tilings
     rng = np.random.default_rng(41)
     a, b = random_subspace(rng, 3, 2), random_subspace(rng, 4, 2)
+    if primitive == "modular_roundtrip":
+        a, b = random_standard(rng, 3), random_standard(rng, 4)
     calls = {"exact": lambda f: intersect(f, method="exact"),
              "halperin": lambda f: intersect(f, method="halperin"),
              "sum_closure": sum_closure,
              "subspace_distance": lambda f: subspace_distance(*f),
-             "containment_gap": lambda f: containment_gap(*f)}
+             "containment_gap": lambda f: containment_gap(*f),
+             "modular_roundtrip": lambda f: modular_roundtrip(
+                 modular_data(f[0]), f[1])}
     for family in ([a, b], [b, a]):
         with pytest.raises(ValueError,
                            match=re.escape("one C^n, got n in [3, 4]")):
             calls[primitive](family)
-    if primitive not in ("subspace_distance", "containment_gap"):
+    if primitive not in ("subspace_distance", "containment_gap",
+                         "modular_roundtrip"):
         with pytest.raises(ValueError,
                            match=re.escape("one C^n, got n in []")):
             calls[primitive]([])
