@@ -147,7 +147,7 @@ def _direct_sum(mats):
 # ---------------------------------------------------------------------------
 
 
-def _eigenpair_fix(tiles, log_delta, vecs):
+def _eigenpair_fix(tiles, log_delta, vecs, labels=None):
     """Orthonormal basis of fix(J Delta^{1/2}) from paired eigenvectors.
 
     Never forms Delta: ``vecs`` (T, s, s) and ``log_delta`` (T, s) are
@@ -159,7 +159,7 @@ def _eigenpair_fix(tiles, log_delta, vecs):
     column contributes its real line.  Valid for arbitrarily large
     |lambda|.  The columns of a tile come in the order the pairs are
     first met, and the fixed columns are handed over as the stack of the
-    tiles.
+    tiles, orthonormalised once per class of the tile ``labels``.
     """
     s = vecs.shape[-1]
     mate = -np.arange(s) % s
@@ -181,7 +181,7 @@ def _eigenpair_fix(tiles, log_delta, vecs):
     out[..., paired, 1] = v2 / np.linalg.norm(v2, axis=-2, keepdims=True)
     keep = np.stack([np.ones_like(paired), paired], axis=1).ravel()
     out = out.reshape(vecs.shape[:-1] + (-1,))[..., keep]
-    return stdspace.RealSubspace.orthonormalised(out, (tiles, tiles))
+    return stdspace.RealSubspace.orthonormalised(out, (tiles, tiles), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +234,26 @@ def _wedge_eigen(factors, region):
     return log_delta, vecs, phases ** 2
 
 
+def _reads(f, pair):
+    """The components of a lightray pair that a factor reads: its own
+    lightray's for a chiral factor, both for a rapidity factor."""
+    return tuple(pair) if f.rapidity else (pair[f.ray],)
+
+
 class NetModel:
     """A lattice representation together with its net of wedge subspaces.
 
     The wedge family is generated tile by tile from the factor
-    half-lines; every wedge subspace is cached under its canonical region
-    key, every dual double cone under its shape and method, and each is
-    reproduced bit-stably on re-query.
+    half-lines; every wedge subspace and wedge record is cached under its
+    canonical region key, every dual double cone under its shape and
+    method, and each is reproduced bit-stably on re-query.
+
+    The model declares which of its tiles are equal (:mod:`stdspace`):
+    :meth:`labels` labels each factor tile of what it builds by what the
+    tile is made of, read from the factor records and the region alone,
+    never from array entries, and :meth:`action_labels` those of the
+    action tiles.  Its subspaces and records carry their labels; an
+    operator's are handed beside its stack.
     """
 
     def __init__(self, kind, factors, *, charge=0.0):
@@ -314,6 +327,36 @@ class NetModel:
         residual = stdspace.tile_norm(step[0] - _roll(f.n, -k))
         return BUDGET_FACTOR * (residual + BUDGET_FLOOR)
 
+    # -- tile labels -------------------------------------------------------
+
+    def labels(self, orients=(0, 0), translation=(0.0, 0.0),
+               dilation=(0.0, 0.0)):
+        """The label of each factor tile of what the model builds at the
+        orientations ``orients`` and the lightray pairs ``translation``
+        and ``dilation`` (0 where it has none); tiles of one label are
+        bitwise equal.  A label holds what its tile is made of: n, h, the
+        orientation on the factor's lightray, the dilation components the
+        factor reads and the translation it carries.  A chiral factor's
+        momenta e^{u0 + j h} are fixed by (n, h), so it carries its own
+        lightray's component; a rapidity factor's depend on its mass,
+        which the record does not hold, so a nonzero translation makes
+        its tile a class of its own."""
+        labels = []
+        for i, f in enumerate(self.factors):
+            carried = _reads(f, translation)
+            if f.rapidity and any(carried):
+                carried = (i,) + carried
+            labels.append((f.n, f.h, orients[f.ray], _reads(f, dilation),
+                           carried))
+        return tuple(labels)
+
+    def action_labels(self, orients=(0, 0), dilation=(0.0, 0.0)):
+        """The labels of the action tiles: each the set of its factor
+        tiles' :meth:`labels`, with their places in it."""
+        return stdspace.merged_labels(
+            self.labels(orients, dilation=dilation), self.tiles,
+            self.action_tiles)
+
     # -- wedge construction ------------------------------------------------
 
     def _region_key(self, region):
@@ -321,14 +364,28 @@ class NetModel:
                 float(region.left[0]), float(region.left[1]),
                 float(region.right[0]), float(region.right[1]))
 
+    def _cached(self, key, build):
+        """The cached value of ``key``, built on a miss."""
+        with self._lock:
+            hit = self._cache.get(key)
+        if hit is None:
+            hit = build()
+            with self._lock:
+                hit = self._cache.setdefault(key, hit)
+        return hit
+
     def wedge_modular(self, region):
-        """Validated modular data of a wedge-like region, its exact eigen
-        form (:func:`_wedge_eigen`) on the factor tiles, J as diag(z) on
-        each: no eigensolve and no dense Delta, V or J."""
-        log_delta, vecs, z = _wedge_eigen(self.factors, region)
-        return stdspace.ModularData(vecs, log_delta,
-                                    z[..., None] * np.eye(z.shape[-1]),
-                                    tiling=self.tiles)
+        """Validated modular data of a wedge-like region (cached), its
+        exact eigen form (:func:`_wedge_eigen`) on the factor tiles, J as
+        diag(z) on each: no eigensolve and no dense Delta, V or J."""
+        def build():
+            orients, apex = _wedge_geometry(region)
+            log_delta, vecs, z = _wedge_eigen(self.factors, region)
+            return stdspace.ModularData(
+                vecs, log_delta, z[..., None] * np.eye(z.shape[-1]),
+                tiling=self.tiles, labels=self.labels(orients, apex))
+        # a 6-tuple: no subspace (5) or dual cone (2) key equals it
+        return self._cached(("modular",) + self._region_key(region), build)
 
     def wedge_subspace(self, region):
         """The real standard subspace of a wedge-like region (cached).
@@ -337,21 +394,23 @@ class NetModel:
         is the translate H(W + a) = U(a) H(W) of the cached apex-0
         subspace of the same orientations.
         """
-        key = self._region_key(region)
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        _, apex = _wedge_geometry(region)
-        if any(apex):
-            origin = self.wedge_subspace(
-                region.translate((-apex[0], -apex[1])))
-            sub = origin.phased(reps.translation_phases(self.factors, *apex))
-        else:
+        def build():
+            orients, apex = _wedge_geometry(region)
+            if any(apex):
+                origin = self.wedge_subspace(
+                    region.translate((-apex[0], -apex[1])))
+                return self._translated(origin, apex)
             log_delta, vecs, _ = _wedge_eigen(self.factors, region)
-            sub = _eigenpair_fix(self.tiles, log_delta, vecs)
-        with self._lock:
-            return self._cache.setdefault(key, sub)
+            return _eigenpair_fix(self.tiles, log_delta, vecs,
+                                  self.labels(orients))
+        return self._cached(self._region_key(region), build)
+
+    def _translated(self, h, apex):
+        """U(a) H for the lightray pair a = ``apex``: H phased, the
+        phases labelled on the tiles of H."""
+        return h.phased(reps.translation_phases(self.factors, *apex),
+                        stdspace.merged_labels(self.labels(translation=apex),
+                                               self.tiles, h.tiling[0]))
 
     def wedge_flow(self, region, t):
         """Delta_W^{it}, the flow of :meth:`wedge_modular`, as the stack
@@ -376,18 +435,15 @@ class NetModel:
                              f"not {region.kind.name}")
         w_r, w_l = spacetime.minimal_wedges(region)
         corner, far = spacetime.wedge_corner(w_r), spacetime.wedge_corner(w_l)
-        key = (far[0] - corner[0], far[1] - corner[1]), method
-        with self._lock:
-            dual = self._cache.get(key)
-        if dual is None:
-            shape = reps.translation_phases(self.factors, *key[0])
+        shape = (far[0] - corner[0], far[1] - corner[1])
+
+        def build():
             origin_l = self.wedge_subspace(spacetime.Region.wedge_left())
-            dual = stdspace.intersect(
+            return stdspace.intersect(
                 [self.wedge_subspace(spacetime.Region.wedge_right()),
-                 origin_l.phased(shape)], method=method, max_iter=1 << 26)
-            with self._lock:
-                dual = self._cache.setdefault(key, dual)
-        return dual.phased(reps.translation_phases(self.factors, *corner))
+                 self._translated(origin_l, shape)],
+                method=method, max_iter=1 << 26)
+        return self._translated(self._cached((shape, method), build), corner)
 
     def mass_fiber_models(self):
         """Single-mass models of the integrand fibers (directIntegral).
@@ -412,7 +468,8 @@ class NetModel:
 
     def implemented_dilation(self, s):
         """The dilation by s on both lightrays, then on twisted the inner
-        rotation V(q s): the stack of its tiles on ``action_tiles``."""
+        rotation V(q s): the stack of its tiles on ``action_tiles``, of
+        the ``action_labels(dilation=(s, s))``."""
         u = stdspace.merged(self.unit_matrix_of(dilation=(s, s)),
                             self.tiles, self.action_tiles)
         return _rotated(u, self.charge * s) if self.kind == "twisted" else u
@@ -462,18 +519,27 @@ class Measurement:
     budget: float = None
     detail: str = ""
 
+    #: whether the residual must come in strictly below its budget
+    strict: bool = False
+
     @property
     def passed(self):
+        if self.strict:
+            return self.residual < self.budget
         return self.residual <= self.budget
 
 
 def _dilation_deviation(net, t):
     """||Delta^{it} - U(delta(-2 pi t))|| on the forward cone at 0, on the
     tiles of the group action."""
-    u = net.implemented_dilation(-_TWO_PI * t)   # refuses an off-grid t
+    s = -_TWO_PI * t
+    u = net.implemented_dilation(s)   # refuses an off-grid t
     flow = net.wedge_flow(spacetime.Region.forward_cone((0.0, 0.0)), t)
+    # a tile of the difference is labelled by the cone's orientations
+    # and the dilation together
     return stdspace.tile_norm(
-        stdspace.merged(flow, net.tiles, net.action_tiles) - u)
+        stdspace.merged(flow, net.tiles, net.action_tiles) - u,
+        net.action_labels((+1, +1), (s, s)))
 
 
 def axioms_report(net, tol=BLOCK_TOL):
@@ -511,7 +577,8 @@ def axioms_report(net, tol=BLOCK_TOL):
     moved = spacetime.Region.wedge_right(shift)
     u = net.unit_matrix_of(translation=shift)
     cov = stdspace.subspace_distance(
-        net.wedge_subspace(moved), h_r.transform(u, net.tiles))
+        net.wedge_subspace(moved),
+        h_r.transform(u, net.tiles, net.labels(translation=shift)))
     entries["poincare-covariance"] = Measurement(cov, tol)
 
     # SS3 positivity of energy: the lightray translation generators P_L
@@ -554,7 +621,8 @@ def _hk_entries(net, entries, tol):
     h = net.factors[0].h
     u = net.implemented_dilation(h)
     cov = stdspace.subspace_distance(
-        h_v, h_v.transform(u, net.action_tiles))
+        h_v, h_v.transform(u, net.action_tiles,
+                           net.action_labels(dilation=(h, h))))
     entries["dilation-covariance"] = Measurement(cov, tol)
 
     # HK8: the cone subspace is cyclic and separating.
@@ -575,7 +643,8 @@ def _hk_entries(net, entries, tol):
     # the wedge family it generates (checked on H(W_R) at a grid step).
     w_r = spacetime.Region.wedge_right((0.0, 0.0))
     h_r = net.wedge_subspace(w_r)
-    moved = h_r.transform(net.wedge_flow(cone, t), net.tiles)
+    moved = h_r.transform(net.wedge_flow(cone, t), net.tiles,
+                          net.labels((+1, +1)))
     target = net.wedge_subspace(w_r)  # dilations about 0 fix the corner
     hk10 = stdspace.subspace_distance(moved, target)
     entries["modular-covariance"] = Measurement(hk10, tol)
@@ -636,15 +705,20 @@ def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
     the apexes (0, 1), (1, 0) and (1, 1).  The identities hold for any
     consistent designation; the geometric deficit is reported, not
     hidden.
+
+    D_0's half-lines are (1, oo) on both lightrays: its left tile is B_R's
+    and its right tile B_L's, bit for bit, so D_0's data is read from
+    theirs.  Two records are recomputed, and D_0's flow at t is
+    assembled from the two flows at t, which are taken anyway.
     """
     if net.kind != "chiralSum":
         raise ValueError(
             "reconstruction runs on the exactly solvable summed model; "
             f"got kind {net.kind!r}")
-    md_bl, md_br, md_d0 = (
+    md_bl, md_br = (
         stdspace.modular_data(net.wedge_subspace(
             spacetime.Region.forward_cone(apex)))
-        for apex in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)))
+        for apex in ((0.0, 1.0), (1.0, 0.0)))
     norm = stdspace.tile_norm
 
     def dilated(md, t, i):
@@ -659,9 +733,11 @@ def reconstruct_ur(net, t_values=(0.5, 1.0, 1.5, 2.0)):
     rows = []
     for t in t_values:
         a, b = dilated(md_bl, t, 0), dilated(md_br, t, 1)   # U_R, U_L
+        # D_0's flow: the tiles that a and b leave unrolled
+        d0 = np.stack([b[0], a[1]])
         ab = a @ b
         rows.append({
-            "t": t, "identity_residual": norm(md_d0.power_tiles(1j * t) - ab),
+            "t": t, "identity_residual": norm(d0 - ab),
             "commutator_residual": norm(ab - b @ a),
             # U_R acts trivially on the left factor, tile 0
             "left_cancellation": norm(a[0] - one)})
@@ -703,7 +779,8 @@ def counterexample_bw(net, t_values=(0.5, 1.0, 1.5), budget_scale=1.0):
 
     tiles = net.action_tiles
     rotation = np.stack([_rotated(np.eye(tiles.shape[1]), 0.7)] * len(tiles))
-    sym = stdspace.symmetry_commutation_check(h_v, rotation, tiles)
+    sym = stdspace.symmetry_commutation_check(h_v, rotation, tiles,
+                                              net.action_labels())
 
     rows = [{"t": t, "deviation": _dilation_deviation(net, t),
              "predicted": abs(np.exp(2j * np.pi * net.charge * t) - 1.0)}
@@ -745,8 +822,8 @@ def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
     Returns ``(checks, tables)``: the ``ladder`` table has one row per
     mass and level; ``cone-defect-monotone`` is the largest defect
     increase between consecutive levels of one mass's ladder, clamped at
-    0, and ``cone-defect-below-frozen`` the finest defect held to
-    ``frozen``.
+    0, and ``cone-defect-below-frozen`` the finest defect, which must
+    come in strictly below ``frozen``.
     """
     ladder = tuple(ladder)
     if not ladder:
@@ -779,7 +856,8 @@ def lightcone_separating_study(masses=(1.0,), ladder=CONE_LADDER,
             previous = defect
     finest = min(row["defect"] for row in rows)
     checks = {"cone-defect-monotone": Measurement(max_rise),
-              "cone-defect-below-frozen": Measurement(finest, frozen)}
+              "cone-defect-below-frozen": Measurement(finest, frozen,
+                                                      strict=True)}
     fields = ("mass", "grid", "cones", "sum_dim", "defect")
     return checks, {"ladder": (fields, rows)}
 

@@ -70,7 +70,7 @@ _DILATION_ROWS = ("dilation-covariance", "cone-standardness",
 # "<text> <= <base> * budget_scale", and the runner's Measurement then
 # carries no budget.  With None the runner computes the budget and puts
 # it in the Measurement; the text is then the whole formula, filled in
-# with that {budget}.
+# with that {budget}.  A strict Measurement passes only below its budget.
 CHECKS = {
     "verify-mobius": {
         "mobius-commutation": (
@@ -124,7 +124,7 @@ CHECKS = {
         "cone-defect-monotone": (
             1e-12, "max defect increase along the refinement ladder"),
         "cone-defect-below-frozen": (
-            None, "finest-level defect <= frozen comparison value "
+            None, "finest-level defect < frozen comparison value "
                   "({budget})"),
     },
     "spin-statistics": {
@@ -788,7 +788,7 @@ def run_command(command, config, seed, budget_scale):
         else:
             budget = base * budget_scale
             formula = f"{text} <= {_sci(base)} * budget_scale"
-        m = Measurement(float(got.residual), budget)
+        m = Measurement(float(got.residual), budget, strict=got.strict)
         checks.append({"name": name, "residual": m.residual,
                        "budget": m.budget, "formula": formula,
                        "passed": m.passed})

@@ -55,6 +55,18 @@ stack there.  Subspaces and modular data store only their tile stacks,
 log Delta by tile in the column order its producer hands; a dense
 basis, V, J or power is their merge into one tile, formed for a
 consumer that asks for one.
+
+Labels declare which tiles are equal.  The producer of a tiled object
+may hand a label per tile, and tiles of one label are bitwise equal:
+the model reads them from the factor records and the region, never
+from array entries (see :mod:`bgl`).  Every stack body runs on the first
+tile of each class and indexes the other tiles from it; numpy gives
+each stack member the result it would get alone, so no result moves.
+Counts and sorted spectra are taken after that indexing, over every
+tile.  Operands that meet on a tiling meet as the tuple of their labels
+there, and a tile merged from several carries the set of their labels,
+each with its place in it (:func:`merged_labels`).  An object handed no
+labels has one class per tile.
 """
 
 from __future__ import annotations
@@ -117,22 +129,23 @@ class RealSubspace:
 
     ``tiling`` is (slots (T, s), columns of B (T, k_t)) of each tile, as
     handed in by the producer, else one tile; n is the number of its
-    slots.  Only ``tiles`` (..., T, 2s, k_t) is stored: tile t's block of
-    B in real form, rows [Re slots; Im slots]; leading axes hold a stack
-    of subspaces.  The dense ``basis`` b = [Re B; Im B] (2n x k) and
-    ``complex_basis`` B are their merges into one tile, formed on
-    request.
+    slots, and ``labels`` those of its tiles, or None.  Only ``tiles``
+    (..., T, 2s, k_t) is stored: tile t's block of B in real form, rows
+    [Re slots; Im slots]; leading axes hold a stack of subspaces.  The
+    dense ``basis`` b = [Re B; Im B] (2n x k) and ``complex_basis`` B
+    are their merges into one tile, formed on request.
     """
 
-    __slots__ = ("tiles", "tiling")
+    __slots__ = ("tiles", "tiling", "labels")
 
-    def __init__(self, basis, tiling=None):
+    def __init__(self, basis, tiling=None, labels=None):
         """``basis`` is the stack of tiles on a handed ``tiling``, else
         the one tile (..., 2n, k), n >= 1 read from its rows; a tiling of
-        no columns is one tile."""
+        no columns is one tile, of no labels."""
         b = np.asarray(basis, dtype=float)
         if tiling is not None and not tiling[1].size:
             b, tiling = np.zeros(b.shape[:-3] + (2 * tiling[0].size, 0)), None
+            labels = None
         if tiling is None:
             if b.ndim < 2 or b.shape[-2] % 2 or not b.shape[-2]:
                 raise ValueError("basis must be a (2n x k) matrix or a "
@@ -144,28 +157,31 @@ class RealSubspace:
             raise ValueError(f"tiles of shape {b.shape} do not match the "
                              f"tiling of {rows.shape} slots")
         # orthonormal tile by tile; "not <=" refuses a NaN error too
-        gram = _T(b) @ b - np.eye(b.shape[-1])
+        first = _take(b, _classes(labels, len(rows))[0])
+        gram = _T(first) @ first - np.eye(b.shape[-1])
         if not np.max(np.abs(gram), initial=0.0) <= INVARIANT_TOL:
             raise ValueError("basis columns are not orthonormal")
         b.setflags(write=False)
-        self.tiles, self.tiling = b, tiling
+        self.tiles, self.tiling, self.labels = b, tiling, labels
 
     @classmethod
-    def from_complex(cls, c, tiling=None):
+    def from_complex(cls, c, tiling=None, labels=None):
         """The real span of the complex columns c, whose real form must be
         orthonormal: c is the stack of tiles on a handed ``tiling``, else
         the one n x k tile (or a stack of them)."""
         c = np.asarray(c, dtype=complex)
-        return cls(np.concatenate([c.real, c.imag], axis=-2), tiling)
+        return cls(np.concatenate([c.real, c.imag], axis=-2), tiling, labels)
 
     @classmethod
-    def orthonormalised(cls, c, tiling=None):
+    def orthonormalised(cls, c, tiling=None, labels=None):
         """The real span of the complex columns c, of real rank k, by
         :func:`qr_basis` of the real form of each tile: c as in
         :meth:`from_complex`."""
-        c = np.asarray(c, dtype=complex)
-        return cls(qr_basis(np.concatenate([c.real, c.imag], axis=-2)),
-                   tiling)
+        first, inverse = _classes(labels, 1 if tiling is None
+                                  else len(tiling[0]))
+        c = _take(np.asarray(c, dtype=complex), first)
+        q = qr_basis(np.concatenate([c.real, c.imag], axis=-2))
+        return cls(_take(q, inverse), tiling, labels)
 
     n = property(lambda self: self.tiling[0].size)
     dim = property(lambda self: self.tiling[1].size)
@@ -184,32 +200,39 @@ class RealSubspace:
         """B = b[:n] + i b[n:]: H is the real span of the columns of B."""
         return _dense(self.complex_tiles(), *self.tiling)
 
-    def transform(self, u, tiles=None):
+    def transform(self, u, tiles=None, labels=None):
         """Image under a unitary, given as the stack u (..., T, s, s) of
-        its complex tiles on the slots ``tiles`` (T, s), or with None as
-        the one n x n tile; a stack of unitaries maps each member of a
-        stack of subspaces.  u B is taken tile by tile on the common
-        tiling of u and H, kept by the image, and the constructor's Gram
-        check refuses a u that is not unitary."""
+        its complex tiles on the slots ``tiles`` (T, s), of the tile
+        ``labels``, or with None as the one n x n tile; a stack of
+        unitaries maps each member of a stack of subspaces.  u B is taken
+        tile by tile on the common tiling of u and H, kept by the image
+        with the meet of their labels, and the constructor's Gram check
+        refuses a u that is not unitary."""
         u, tiles = _operator(u, tiles, self.n)
         rows = _common(self.n, self.tiling[0], tiles)
-        image = merged(u, tiles, rows) @ _complexified(_tiles_on(self, rows))
-        return RealSubspace.from_complex(image,
-                                         (rows, _moved(rows, *self.tiling)))
+        stack, own = _tiles_on(self, rows)
+        labels = _meet(merged_labels(labels, tiles, rows), own)
+        first, inverse = _classes(labels, len(rows))
+        image = (_take(merged(u, tiles, rows), first)
+                 @ _complexified(_take(stack, first)))
+        return RealSubspace.from_complex(
+            _take(image, inverse), (rows, _moved(rows, *self.tiling)), labels)
 
-    def phased(self, phases):
+    def phased(self, phases, labels=None):
         """Image under the diagonal unitary diag(phases), phases (n,) of
-        modulus 1, taken on each tile's slots: an orthonormal basis,
-        tiled as this one, needs no check."""
+        modulus 1, taken on each tile's slots, with ``labels`` those of
+        the phases on each tile: an orthonormal basis, tiled as this one
+        and labelled by the meet, needs no check."""
         phases = np.asarray(phases)
         if phases.shape != (self.n,):
             raise ValueError(f"phases of shape {phases.shape} are not "
                              f"({self.n},)")
         if not np.max(np.abs(np.abs(phases) - 1.0)) <= INVARIANT_TOL:
             raise ValueError("phases must have modulus 1")
+        _classes(labels, len(self.tiling[0]))    # refuses a wrong count
         c = phases[self.tiling[0]][..., None] * self.complex_tiles()
         moved = object.__new__(RealSubspace)
-        moved.tiling = self.tiling
+        moved.tiling, moved.labels = self.tiling, _meet(self.labels, labels)
         moved.tiles = np.concatenate([c.real, c.imag], axis=-2)
         moved.tiles.setflags(write=False)
         return moved
@@ -232,6 +255,54 @@ def _max_entry(c):
 def _one_tile(n):
     """The tiling of n indices as one tile."""
     return np.arange(n)[None]
+
+
+def _classes(labels, count):
+    """The first tile of each class of the ``count`` tile ``labels``, and
+    the class of each tile, as index arrays; (None, None), which index
+    nothing, where each tile is its own class.  Labels of another count
+    are refused."""
+    if labels is None:
+        return None, None
+    if len(labels) != count:
+        raise ValueError(f"{len(labels)} labels for {count} tiles")
+    seen = {}
+    inverse = [seen.setdefault(label, len(seen)) for label in labels]
+    if len(seen) == count:
+        return None, None
+    return np.unique(inverse, return_index=True)[1], np.array(inverse)
+
+
+def _take(x, index, axis=-3):
+    """x at the tiles ``index`` of its tile axis (-3 for a stack of
+    matrices, -2 for one of spectra); x itself for None."""
+    return x if index is None else np.take(x, index, axis=axis)
+
+
+def _meet(*labels):
+    """The labels of operands on one tiling, met tile by tile: the tuple
+    of theirs, or None where one operand has none."""
+    if any(label is None for label in labels):
+        return None
+    return tuple(zip(*labels))
+
+
+def merged_labels(labels, rows, new, cols=None, new_cols=None):
+    """The labels of the tiles of :func:`merged` with the same tilings:
+    each the set of its tiles' labels, each with the places it lands at;
+    None stays None."""
+    if cols is None:
+        cols, new_cols = rows, new
+    if labels is None or (np.array_equal(rows, new)
+                          and np.array_equal(cols, new_cols)):
+        return labels
+    tile, at_r = np.divmod(np.argsort(new, axis=None)[rows], new.shape[1])
+    at_c = np.argsort(new_cols, axis=None)[cols] % new_cols.shape[1]
+    parts = [set() for _ in new]
+    for label, k, r, c in zip(labels, tile[:, 0], at_r.tolist(),
+                              at_c.tolist()):
+        parts[k].add((label, tuple(r), tuple(c)))
+    return tuple(map(frozenset, parts))
 
 
 def _common(n, *tilings):
@@ -269,10 +340,12 @@ def _complexified(stack):
 
 def _tiles_on(h, rows):
     """The real-form tiles of H on the slots ``rows`` of a tiling that its
-    own refines (:func:`_common`)."""
+    own refines (:func:`_common`), and their labels."""
     (own, cols), n = h.tiling, h.n
-    return merged(h.tiles, _doubled(own, n), _doubled(rows, n),
-                  cols, _moved(rows, own, cols))
+    new_cols = _moved(rows, own, cols)
+    return (merged(h.tiles, _doubled(own, n), _doubled(rows, n),
+                   cols, new_cols),
+            merged_labels(h.labels, own, rows, cols, new_cols))
 
 
 def _operator(u, tiles, n):
@@ -322,9 +395,12 @@ def _descending(s):
     return np.sort(s.reshape(s.shape[:-2] + (-1,)), axis=-1)[..., ::-1]
 
 
-def tile_norm(stack):
-    """The norm of the direct sum of ``stack``: one values-only SVD."""
-    return float(np.max(np.linalg.svd(stack, compute_uv=False)[..., 0]))
+def tile_norm(stack, labels=None):
+    """The norm of the direct sum of ``stack``, of the tile ``labels``:
+    one values-only SVD of a tile of each class."""
+    first, _ = _classes(labels, stack.shape[-3] if stack.ndim > 2 else 1)
+    return float(np.max(np.linalg.svd(_take(stack, first),
+                                      compute_uv=False)[..., 0]))
 
 
 def qr_basis(a):
@@ -377,16 +453,20 @@ def principal_angles(a, b):
     return s[..., ::-1], _T(vt[..., ::-1, :])
 
 
-def _largest_sine(a, b):
+def _largest_sine(a, b, labels):
     """||(1 - P_a) b||, the largest sine of span(b) against span(a), for
-    the tile stacks a and b of a pair: the largest over the tiles."""
+    the tile stacks a and b of a pair of the tile ``labels``: the largest
+    over the tiles, one of each class."""
+    first, _ = _classes(labels, a.shape[-3])
+    a, b = _take(a, first), _take(b, first)
     s = _descending(np.linalg.svd(b - a @ (_T(a) @ b), compute_uv=False))
     return s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
 
 
 def containment_gap(big, small):
     """Largest sine of small against big: ||(1 - P_big) B_small||."""
-    return _largest_sine(*_joint(big, small)[1])
+    _, stacks, labels = _joint(big, small)
+    return _largest_sine(*stacks, labels)
 
 
 def subspace_distance(h1, h2):
@@ -396,8 +476,9 @@ def subspace_distance(h1, h2):
     on the thin bases and never forms a projector; the pair is tiled
     once for both.
     """
-    _, (b1, b2) = _joint(h1, h2)
-    return np.maximum(_largest_sine(b2, b1), _largest_sine(b1, b2))
+    _, (b1, b2), labels = _joint(h1, h2)
+    return np.maximum(_largest_sine(b2, b1, labels),
+                      _largest_sine(b1, b2, labels))
 
 
 def _times_i(b, n):
@@ -411,12 +492,14 @@ def symplectic_complement(h):
     """H' = {xi : Im<xi, eta> = 0 for all eta in H} = (i H)^perp: the
     trailing 2n - k columns of one complete QR of i b, which is
     orthonormal and so has rank exactly k = dim H; of each tile of i b,
-    on that tile's rows, and H' keeps the tiling of H."""
+    on that tile's rows, one of each class, and H' keeps the tiling and
+    labels of H."""
     rows, cols = h.tiling
-    q = np.linalg.qr(_times_i(h.tiles, rows.shape[1]),
+    first, inverse = _classes(h.labels, len(rows))
+    q = np.linalg.qr(_times_i(_take(h.tiles, first), rows.shape[1]),
                      mode="complete")[0][..., cols.shape[1]:]
-    slots = np.arange(q.shape[-3] * q.shape[-1]).reshape(q.shape[-3], -1)
-    return RealSubspace(q, (rows, slots))
+    slots = np.arange(len(rows) * q.shape[-1]).reshape(len(rows), -1)
+    return RealSubspace(_take(q, inverse), (rows, slots), h.labels)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -456,10 +539,12 @@ def standardness(h):
     rank n (the relative count of ``RANK_REL_TOL``), and the minimal
     angle is 2 asin(sigma_min / sqrt 2), accurate near 0 and near pi/2
     alike; for k > n, B has a kernel and the angle is 0.  A tiled B
-    gives its tiles' singular values together.
+    gives its tiles' singular values together, one SVD per class.
     """
-    s = np.linalg.svd(h.complex_tiles(), compute_uv=False)
-    return _standardness_of(_descending(s), h)
+    first, inverse = _classes(h.labels, len(h.tiling[0]))
+    s = np.linalg.svd(_complexified(_take(h.tiles, first)),
+                      compute_uv=False)
+    return _standardness_of(_descending(_take(s, inverse, -2)), h)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +569,8 @@ class ModularData:
     finite data, V unitary, J orthogonal and involutive, and J Delta J =
     Delta^{-1}; Delta > 0 by construction.  The ``tiling`` is the slots
     (T, s) of each tile, as handed in by the producer, else one tile; n
-    is the number of its slots.
+    is the number of its slots, and ``labels`` those of its tiles, or
+    None; the invariants are required of one tile of each class.
     Stored are the (..., T, s, s) tiles of V and jc and ``log_delta``
     (..., T, s), the eigenvalues of each tile's columns of V, all in the
     order the producer hands them; tile t's columns of the dense ``vecs``
@@ -496,9 +582,9 @@ class ModularData:
     methods return stacks.
     """
 
-    __slots__ = ("log_delta", "tiling", "_v", "_j")
+    __slots__ = ("log_delta", "tiling", "labels", "_v", "_j")
 
-    def __init__(self, vecs, log_delta, jc, tiling=None):
+    def __init__(self, vecs, log_delta, jc, tiling=None, labels=None):
         v = np.asarray(vecs, dtype=complex)
         lam = np.asarray(log_delta, dtype=float)
         j = np.asarray(jc, dtype=complex)
@@ -512,9 +598,13 @@ class ModularData:
                 or j.shape != v.shape or lam.shape != v.shape[:-1]):
             raise ValueError("V and jc must be n x n, log Delta of length n, "
                              "n >= 1, or the tiles of each")
+        # validated tile by tile, one of each class, as one stack
+        first, _ = _classes(labels, len(tiling))
+        self.log_delta, self.tiling, self.labels = lam, tiling, labels
+        self._v, self._j = v, j
+        v, lam, j = _take(v, first), _take(lam, first, -2), _take(j, first)
         if not all(np.isfinite(a).all() for a in (v, lam, j)):
             raise ValueError("modular invariant violated: finite data")
-        # validated tile by tile, as one stack
         eye = np.eye(v.shape[-1])
         vh = _T(v.conj())
         # errors are the largest real-form entries of the residuals
@@ -533,8 +623,6 @@ class ModularData:
         if not rel <= BALANCE_TOL:
             raise ValueError("modular invariant violated: J Delta J = "
                              f"Delta^-1 (relative error {rel:.3e})")
-        self.log_delta, self.tiling = lam, tiling
-        self._v, self._j = v, j
 
     n = property(lambda self: self.tiling.size)
     vecs = property(lambda self: _dense(self._v, self.tiling))
@@ -545,9 +633,12 @@ class ModularData:
         return np.exp(np.max(self.log_delta, axis=(-2, -1)))
 
     def power_tiles(self, z):
-        """Delta^z = V diag(e^{z log Delta}) V*, its stack of tiles."""
-        values = np.exp(z * self.log_delta)[..., None, :]
-        return (self._v * values) @ _T(self._v.conj())
+        """Delta^z = V diag(e^{z log Delta}) V*, its stack of tiles, one
+        product per class."""
+        first, inverse = _classes(self.labels, len(self.tiling))
+        v = _take(self._v, first)
+        values = np.exp(z * _take(self.log_delta, first, -2))[..., None, :]
+        return _take((v * values) @ _T(v.conj()), inverse)
 
     def power(self, z):
         """Delta^z as a complex n x n matrix; Delta^{it} at z = i t."""
@@ -559,9 +650,12 @@ class ModularData:
 
     def tomita_tiles(self):
         """Complex matrix jc conj(V) e^{log Delta / 2} V^T of S = J
-        Delta^{1/2}, its stack of tiles."""
-        half = self._v.conj() * np.exp(self.log_delta / 2.0)[..., None, :]
-        return self._j @ half @ _T(self._v)
+        Delta^{1/2}, its stack of tiles, one product per class."""
+        first, inverse = _classes(self.labels, len(self.tiling))
+        v, j = _take(self._v, first), _take(self._j, first)
+        lam = _take(self.log_delta, first, -2)
+        half = v.conj() * np.exp(lam / 2.0)[..., None, :]
+        return _take(j @ half @ _T(v), inverse)
 
     def tomita_matrix(self):
         """The complex matrix of S: S xi = tomita_matrix() conj(xi)."""
@@ -585,12 +679,14 @@ def modular_data(h):
 
     The cyclic/separating gate reads the same singular values.  A stack
     of subspaces gives a stack of modular data, and is refused if any
-    member is not standard.  B runs as the stack of its tiles; the gate
-    reads their singular values sorted together, and V, log Delta and J
-    are handed over as the tiles' stacks.
+    member is not standard.  B runs as the stack of its tiles, one of
+    each class; the gate reads every tile's singular values sorted
+    together, and V, log Delta and J are handed over as the tiles'
+    stacks, labelled as H.
     """
-    u, s, wh = np.linalg.svd(h.complex_tiles())
-    rep = _standardness_of(_descending(s), h)
+    first, inverse = _classes(h.labels, len(h.tiling[0]))
+    u, s, wh = np.linalg.svd(_complexified(_take(h.tiles, first)))
+    rep = _standardness_of(_descending(_take(s, inverse, -2)), h)
     if not rep.cyclic.all():
         raise ValueError("subspace is not cyclic: H + iH does not span")
     if not rep.separating.all():
@@ -603,7 +699,9 @@ def modular_data(h):
     lam = 2.0 * np.log(pair / s)
     jc = (a / pair[..., None, :]) @ _T(u)
     # a standard B has square tiles, whose eigenvectors sit on their slots
-    return ModularData(u, lam, jc, tiling=h.tiling[0])
+    return ModularData(_take(u, inverse), _take(lam, inverse, -2),
+                       _take(jc, inverse), tiling=h.tiling[0],
+                       labels=h.labels)
 
 
 def subspace_from_modular(m):
@@ -673,20 +771,25 @@ def intersect(subspaces, method="exact", max_iter=5000, tol=1e-9):
     with C = b_1^T b_m; the isometries b_m, b_1 give K C K - K the norms of
     T^2 - T, and the intersection is b_m times the near-1 left singular
     vectors of the limit K.  Both run tile by tile on the family's joint
-    tiling, K as a stack whose stop rule reads all tiles; beyond that
-    checked split the oracle shares no code with the exact method.
+    tiling, one tile of each class of the met labels, K as a stack whose
+    stop rule reads all its tiles; beyond that checked split the oracle
+    shares no code with the exact method.
     """
     _one_n(subspaces, "intersect")
     if method == "exact":
         h = subspaces[0]
         for g in subspaces[1:]:
-            rows, (a, b) = _joint(g, h)
+            rows, stacks, labels = _joint(g, h)
+            pick, _ = _classes(labels, len(rows))
+            a, b = (_take(x, pick) for x in stacks)
             sines, v = principal_angles(a, b)
-            h = _spanned(rows, b, v, sines <= ANGLE_TOL)
+            h = _spanned(rows, b, v, sines <= ANGLE_TOL, labels)
         return h
     if method != "halperin":
         raise ValueError(f"unknown method {method!r}")
-    rows, stacks = _joint(*subspaces)
+    rows, stacks, labels = _joint(*subspaces)
+    pick, _ = _classes(labels, len(rows))
+    stacks = [_take(x, pick) for x in stacks]
     first, last = stacks[0], stacks[-1]
     k = np.eye(first.shape[-1])
     for a, b in zip(stacks, stacks[1:]):
@@ -710,25 +813,31 @@ def intersect(subspaces, method="exact", max_iter=5000, tol=1e-9):
         residual = np.inf if step is None else tile_norm(step)
         raise HalperinNonConvergence(residual, iters)
     u, s, _ = np.linalg.svd(k, full_matrices=False)
-    return _spanned(rows, last, u, s > 0.5)
+    return _spanned(rows, last, u, s > 0.5, labels)
 
 
 def _joint(*subspaces):
-    """The slots of each tile and the tiles of each basis, on the common
-    tiling of the subspaces (:func:`_common`), which share one n."""
+    """The slots of each tile, the tiles of each basis and the meet of
+    their labels, on the common tiling of the subspaces
+    (:func:`_common`), which share one n."""
     rows = _common(_one_n(subspaces), *(h.tiling[0] for h in subspaces))
-    return rows, [_tiles_on(h, rows) for h in subspaces]
+    stacks, labels = zip(*(_tiles_on(h, rows) for h in subspaces))
+    return rows, list(stacks), _meet(*labels)
 
 
-def _spanned(rows, stack, vecs, keep):
-    """The span of stack[t] @ vecs[t][:, keep[t]] on the slots rows[t]:
-    their stack when every tile keeps as many columns, else one tile
-    holding them tile after tile."""
+def _spanned(rows, stack, vecs, keep, labels):
+    """The span of stack[c] @ vecs[c][:, keep[c]] on the slots of each
+    tile of class c of the tile ``labels``, the arguments given for the
+    first tile of each class: their stack when every tile keeps as many
+    columns, else one tile holding them tile after tile."""
     parts = [x @ v[:, m] for x, v, m in zip(stack, vecs, keep)]
+    _, inverse = _classes(labels, len(rows))
+    if inverse is not None:
+        parts = [parts[c] for c in inverse]
     widths = [p.shape[1] for p in parts]
     cols = np.split(np.arange(sum(widths)), np.cumsum(widths)[:-1])
     if len(set(widths)) == 1:
-        return RealSubspace(np.stack(parts), (rows, np.array(cols)))
+        return RealSubspace(np.stack(parts), (rows, np.array(cols)), labels)
     out = np.zeros((2 * rows.size, sum(widths)))
     for r, c, p in zip(_doubled(rows, rows.size), cols, parts):
         out[r[:, None], c] = p
@@ -758,25 +867,28 @@ class SymmetryReport:
         return max(self.s_residual, self.delta_residual, self.j_residual)
 
 
-def symmetry_commutation_check(h, u, tiles=None):
+def symmetry_commutation_check(h, u, tiles=None, labels=None):
     """A unitary preserving H commutes with its whole modular family.
 
     ``u`` is the stack of the unitary's complex tiles on the slots
-    ``tiles``, or with None its one n x n tile, as in
-    :meth:`RealSubspace.transform`.  U X U* - X is (u x) u* - x for a
+    ``tiles``, of the tile ``labels``, or with None its one n x n tile,
+    as in :meth:`RealSubspace.transform`.  U X U* - X is (u x) u* - x for a
     linear X and (u x) u^T - x for an antilinear one (xi -> x conj(xi));
     their spectral norms are the residuals, taken on the common tiling of
-    u and the modular data.
+    u and the modular data, one tile of each class of their labels met.
     """
     u, tiles = _operator(np.asarray(u, dtype=complex), tiles,
                          _one_n([h], "symmetry_commutation_check"))
-    d = subspace_distance(h, h.transform(u, tiles))
+    d = subspace_distance(h, h.transform(u, tiles, labels))
     if d > SUBSPACE_TOL:
         raise ValueError(f"U does not preserve H (subspace distance {d:.3e})")
     m = modular_data(h)
     rows = _common(h.n, m.tiling, tiles)
-    ut = merged(u, tiles, rows)
-    s, delta, j = (merged(x, m.tiling, rows)
+    first, _ = _classes(_meet(merged_labels(labels, tiles, rows),
+                              merged_labels(m.labels, m.tiling, rows)),
+                        len(rows))
+    ut = _take(merged(u, tiles, rows), first)
+    s, delta, j = (_take(merged(x, m.tiling, rows), first)
                    for x in (m.tomita_tiles(), m.power_tiles(1.0), m._j))
 
     def deviation(x, right):
@@ -796,7 +908,9 @@ def modular_roundtrip(m1, h):
     _one_n([m1, h])
     m2 = modular_data(h)
     rows = _common(h.n, m1.tiling, m2.tiling)
-    (j1, d1), (j2, d2) = ([merged(x, m.tiling, rows)
+    first, _ = _classes(_meet(*(merged_labels(m.labels, m.tiling, rows)
+                                for m in (m1, m2))), len(rows))
+    (j1, d1), (j2, d2) = ([_take(merged(x, m.tiling, rows), first)
                            for x in (m._j, m.power_tiles(1.0))]
                           for m in (m1, m2))
     return max(tile_norm(j1 - j2), tile_norm(d1 - d2) / float(m1.delta_norm))

@@ -1,6 +1,7 @@
 """Tests for the region-indexed nets of standard subspaces."""
 
 import functools
+import itertools
 import math
 import threading
 
@@ -819,9 +820,33 @@ def test_reconstruction_residual_path_reads_no_tiling(monkeypatch):
     # every move between tilings, dense views included, is a merge
     monkeypatch.setattr(stdspace, "merged", moved)
     checks, _ = bgl.reconstruct_ur(net)
-    assert len(flows) == 3 * 4 + 2       # three flows per t, two at 0
+    # two flows per t, D_0's read from them, and two at 0
+    assert len(flows) == 2 * 4 + 2
     assert all(np.array_equal(rows, net.tiles) for rows in flows)
     assert checks["reconstruction-identity"].residual < RECON_TOL
+
+
+@pytest.mark.parametrize("n", [33, 129])
+def test_d0_record_is_the_half_band_records_tiles(n):
+    # D_0 = (1, oo) x (1, oo): its recomputed record is B_R's left tile and
+    # B_L's right tile bit for bit, and so is its flow, which the
+    # reconstruction reads from theirs
+    net = bgl.NetModel.chiral_sum(n=n)
+    md_bl, md_br, md_d0 = (
+        stdspace.modular_data(net.wedge_subspace(
+            spacetime.Region.forward_cone(apex)))
+        for apex in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)))
+    assembled = stdspace.ModularData(
+        *(np.stack([x(md_br)[0], x(md_bl)[1]]) for x in (
+            lambda m: m._v, lambda m: m.log_delta, lambda m: m._j)),
+        tiling=net.tiles)
+    for x, y in ((assembled._v, md_d0._v), (assembled._j, md_d0._j),
+                 (assembled.log_delta, md_d0.log_delta)):
+        assert np.array_equal(x, y)
+    for t in (0.5, 1.0, 1.5, 2.0):
+        flows = [m.power_tiles(1j * t) for m in (md_br, md_bl)]
+        assert np.array_equal(np.stack([flows[0][0], flows[1][1]]),
+                              md_d0.power_tiles(1j * t))
 
 
 def test_reconstruction_needs_grid_parameters():
@@ -1023,10 +1048,10 @@ def test_a_second_query_of_a_cone_intersects_nothing(monkeypatch):
 
 
 def _one_tile(net):
-    """The model declaring one tile: every subspace, modular data and
-    unitary it hands is one tile, so every primitive takes the dense
-    call.  Its wedge data is the dense scatter of the factor stacks a
-    tiled copy of the model builds."""
+    """The model declaring one tile, of no label: every subspace, modular
+    data and unitary it hands is one tile, so every primitive takes the
+    dense call.  Its wedge data is the dense scatter of the factor stacks
+    a tiled copy of the model builds."""
     tiled = bgl.NetModel(net.kind, net.factors, charge=net.charge)
 
     def subspace(region):
@@ -1050,6 +1075,7 @@ def _one_tile(net):
     assert net.epsilon == tiled.epsilon
     net.wedge_subspace, net.wedge_modular = subspace, modular
     net.unit_matrix_of = unit
+    net.labels = net.action_labels = lambda *args, **kwargs: None
     net.tiles = net.action_tiles = one
     return net
 
@@ -1119,8 +1145,8 @@ def test_every_claim_path_runs_on_the_declared_tiles(monkeypatch, kind):
     images = []
     transform = stdspace.RealSubspace.transform
 
-    def recorded(h, u, tiles=None):
-        image = transform(h, u, tiles)
+    def recorded(h, u, tiles=None, labels=None):
+        image = transform(h, u, tiles, labels)
         images.append(image.tiling[0].shape[0])
         return image
 
@@ -1181,7 +1207,8 @@ def test_subspaces_and_modular_data_store_only_their_tiles(kind):
     h = net.wedge_subspace(w_r)
     image = h.transform(net.unit_matrix_of(translation=(0.3, -0.2)),
                         net.tiles)
-    cached = list(net._cache.values())
+    cached = [sub for sub in net._cache.values()
+              if isinstance(sub, stdspace.RealSubspace)]
     assert sum(sub.dim > 0 for sub in cached) >= 4
     for sub in cached + [image]:
         rows, cols = sub.tiling
@@ -1351,6 +1378,148 @@ def test_study_intersections_are_centrally_supported():
     _, tables = bgl.lightcone_separating_study(ladder=((33, 1),))
     [row] = tables["ladder"][1]
     assert row["sum_dim"] == 1
+
+
+# ---------------------------------------------------------------------------
+# tile labels
+# ---------------------------------------------------------------------------
+
+
+#: the apexes at which the model commands place wedges and cones
+COMMAND_APEXES = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
+                  (0.25, -0.4))
+
+
+def _sound(labels, stack):
+    """Assert that the tiles of ``stack`` (tile axis -3) that share a
+    label are bitwise equal; the number of such pairs."""
+    pairs = 0
+    for i, j in itertools.combinations(range(len(labels)), 2):
+        if labels[i] == labels[j]:
+            assert np.array_equal(stack[..., i, :, :], stack[..., j, :, :]), (
+                f"tiles {i} and {j} share a label and differ")
+            pairs += 1
+    return pairs
+
+
+def _record_stacks(md):
+    return md._v, md._j, md.log_delta[..., None]
+
+
+@pytest.mark.parametrize("kind", bgl.MODEL_KINDS)
+def test_tiles_of_one_label_are_bitwise_equal(kind):
+    # every label the model declares, on the regions and operators its
+    # commands use, against tiles computed one by one: the exact eigen
+    # form, the eigenpair bases, their translates, recomputed records,
+    # complements, flows and the group action; and the labelled route
+    # hands the same arrays as the tile-by-tile one
+    net = SMALL_MODELS[kind]()
+    h = net.factors[0].h
+    makes = [spacetime.Region.wedge_right, spacetime.Region.wedge_left]
+    if kind in bgl.DILATION_KINDS:
+        makes.append(spacetime.Region.forward_cone)
+    pairs = 0
+    for apex, make in itertools.product(COMMAND_APEXES, makes):
+        region = make(apex)
+        orients, _ = bgl._wedge_geometry(region)
+        log_delta, vecs, z = bgl._wedge_eigen(net.factors, region)
+        labels = net.labels(orients, apex)
+        for stack in (vecs, z[..., None], log_delta[..., None]):
+            pairs += _sound(labels, stack)
+        md = net.wedge_modular(region)
+        assert md.labels == labels
+        # the eigenpair basis at 0 and its translate, with no labels
+        at_0, vecs_0, _ = bgl._wedge_eigen(net.factors, make((0.0, 0.0)))
+        one_by_one = bgl._eigenpair_fix(net.tiles, at_0, vecs_0).phased(
+            reps.translation_phases(net.factors, *apex))
+        sub = net.wedge_subspace(region)
+        assert np.array_equal(sub.tiles, one_by_one.tiles)
+        pairs += _sound(sub.labels, one_by_one.tiles)
+        got, want = stdspace.modular_data(sub), stdspace.modular_data(
+            one_by_one)
+        for x, y in zip(_record_stacks(got), _record_stacks(want)):
+            assert np.array_equal(x, y)
+            pairs += _sound(got.labels, y)
+        got = stdspace.symplectic_complement(sub).tiles
+        want = stdspace.symplectic_complement(one_by_one).tiles
+        assert np.array_equal(got, want)
+        pairs += _sound(sub.labels, want)
+        unlabelled = stdspace.ModularData(md._v, md.log_delta, md._j,
+                                          tiling=md.tiling)
+        for t in (0.0, h / _TWO_PI):
+            got = md.power_tiles(1j * t)
+            want = unlabelled.power_tiles(1j * t)
+            assert np.array_equal(got, want)
+            pairs += _sound(md.labels, want)
+        pairs += _sound(net.labels(translation=apex),
+                        net.unit_matrix_of(translation=apex))
+    pairs += _sound(net.labels(dilation=(h, -h)),
+                    net.unit_matrix_of(dilation=(h, -h)))
+    if kind in bgl.DILATION_KINDS:
+        pairs += _sound(net.action_labels(dilation=(h, h)),
+                        net.implemented_dilation(h))
+    # the duals the axioms read, against the intersection of the origin
+    # wedges with their labels dropped
+    origin = [stdspace.RealSubspace(w.tiles, w.tiling) for w in (
+        net.wedge_subspace(r) for r in _origin_wedges())]
+    for cone in (spacetime.Region.double_cone((-1.0, 1.0), (-1.0, 1.0)),
+                 spacetime.Region.unit_double_cone()):
+        w_r, w_l = spacetime.minimal_wedges(cone)
+        corner, far = spacetime.wedge_corner(w_r), spacetime.wedge_corner(w_l)
+        shape = reps.translation_phases(net.factors, far[0] - corner[0],
+                                        far[1] - corner[1])
+        one_by_one = stdspace.intersect(
+            [origin[0], origin[1].phased(shape)]).phased(
+                reps.translation_phases(net.factors, *corner))
+        dual = net.region_subspace_dual(cone)
+        assert np.array_equal(dual.tiles, one_by_one.tiles)
+        pairs += _sound(dual.labels or (), one_by_one.tiles)
+    # twisted's copies, chiralSum's factors on the cone at 0 and the
+    # direct integral's mass fibres at 0 share their labels
+    assert pairs > 0 or kind == "massive"
+
+
+def test_a_planted_label_fails_the_soundness_check():
+    # W_R's left and right tiles declared equal: they differ
+    net = bgl.NetModel.chiral_sum(n=9)
+    h_r = net.wedge_subspace(spacetime.Region.wedge_right())
+    with pytest.raises(AssertionError, match="share a label"):
+        _sound(("one", "one"), h_r.tiles)
+
+
+def test_labels_skip_the_copies_in_twisted_axioms(monkeypatch):
+    # the matrices handed to np.linalg.svd in twisted n = 9 axioms: the
+    # four factor tiles are two classes on every wedge and one on the
+    # cone at 0, so the modular data of V+ runs one tile, not four
+    net = bgl.NetModel.twisted(n=9)
+    handed = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        handed.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    bgl.axioms_report(net)
+    assert (len(handed), sum(handed)) == (23, 37)     # 71 tiles unlabelled
+    handed.clear()
+    stdspace.modular_data(net.wedge_subspace(
+        spacetime.Region.forward_cone((0.0, 0.0))))
+    assert handed == [1]
+
+
+def test_wedge_modular_is_cached_beside_the_subspaces():
+    net = bgl.NetModel.twisted(n=9)
+    w_r = spacetime.Region.wedge_right()
+    md = net.wedge_modular(w_r)
+    h_r = net.wedge_subspace(w_r)
+    assert net.wedge_modular(w_r) is md
+    assert net.wedge_subspace(w_r) is h_r
+    assert isinstance(h_r, stdspace.RealSubspace)
+    assert net.wedge_modular(spacetime.Region.wedge_left()) is not md
+    # a dual cone cached next to them leaves both as they are
+    net.region_subspace_dual(spacetime.Region.unit_double_cone())
+    assert net.wedge_modular(w_r) is md and net.wedge_subspace(w_r) is h_r
 
 
 # ---------------------------------------------------------------------------

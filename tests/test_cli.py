@@ -861,6 +861,18 @@ def test_lightcone_defect_small_ladder(tmp_path):
     assert defects[-1] < 0.96
 
 
+def test_lightcone_defect_at_the_frozen_value_fails(tmp_path, capsys):
+    # "below frozen" is strict: the default finest defect, 98/130, as the
+    # frozen value is not below it
+    code, report = _run(tmp_path, "lightcone-defect", {"frozen": 98 / 130})
+    entry = {e["name"]: e for e in report["checks"]}[
+        "cone-defect-below-frozen"]
+    assert entry["residual"] == entry["budget"] == 98 / 130
+    assert entry["passed"] is False and report["passed"] is False
+    assert code == cli.EXIT_CHECK_FAILURE
+    assert "FAIL cone-defect-below-frozen" in capsys.readouterr().out
+
+
 def test_spin_statistics_passes(tmp_path):
     code, report = _run(tmp_path, "spin-statistics", {"pairs": 25})
     assert code == cli.EXIT_OK
